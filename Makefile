@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race race-core race-deploy race-shard-faults race-churn race-serve bench bench-json bench-diff bench-serve bench-deploy soak cover tables csv report fuzz examples clean
+.PHONY: all check build vet test test-short race race-core race-deploy race-shard-faults race-churn race-serve bench bench-smoke bench-json bench-diff bench-serve bench-deploy soak cover tables csv report fuzz examples clean
 
 all: build vet test
 
@@ -12,9 +12,10 @@ all: build vet test
 # churn differential suite under the race detector, the mission server
 # under multi-tenant load with the race detector, the whole test suite
 # under the race detector, one quick benchmark iteration to catch
-# allocation or wall-time blowups, a battery-depletion soak, and the
-# observability coverage floor before they land.
-check: vet build race-core race-deploy race-shard-faults race-churn race-serve race bench soak cover
+# allocation or wall-time blowups, the bench/ harness's own tests, a
+# battery-depletion soak, and the observability coverage floor before
+# they land.
+check: vet build race-core race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover
 
 build:
 	$(GO) build ./...
@@ -41,10 +42,8 @@ race-core:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/radio/ ./internal/parallel/ ./internal/shard/
 
 # The deployment pipeline under the race detector: the parallel two-pass
-# CSR neighbor construction over bucket rows, the speculative
-# GenerateSeeded waves with per-slot scratches, and the differential
-# tests pinning both to their sequential twins — all under real
-# goroutine interleaving.
+# CSR neighbor construction over bucket rows and the differential test
+# pinning it to its sequential twin, under real goroutine interleaving.
 race-deploy:
 	$(GO) test -race -count=1 ./internal/deploy/
 
@@ -76,6 +75,11 @@ race-serve:
 # whole-experiment numbers against the committed BENCH_4.json baseline.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
+
+# The bench/ harness is its own module, so the root `go test ./...`
+# never compiles it; its smoke tests catch API it uses going away.
+bench-smoke:
+	cd bench && $(GO) test ./...
 
 # Depletion soak: a widened randomized-but-seeded battery sweep asserting
 # the closed-loop invariants (dead nodes never charged, ledger/bank
@@ -134,7 +138,7 @@ bench-deploy:
 bench-serve:
 	$(GO) run ./cmd/wsnserve -selftest -bench-json BENCH_3.json
 
-# Regenerate every experiment table (E1-E21, A1-A3).
+# Regenerate every experiment table (E1-E26, A1-A3).
 tables:
 	$(GO) run ./cmd/benchtab
 

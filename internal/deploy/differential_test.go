@@ -340,60 +340,6 @@ func legacyOccupancyOK(nw *Network, g *geom.Grid) bool {
 	return true
 }
 
-// TestGenerateSeededParallelMatchesSequential pins the speculation
-// contract: for random tuples — including sparse ones that need several
-// attempts, and hopeless ones that exhaust the budget — the parallel and
-// sequential paths return byte-identical networks, identical attempt
-// counts, and identical errors.
-func TestGenerateSeededParallelMatchesSequential(t *testing.T) {
-	pool := parallel.New(4)
-	rng := rand.New(rand.NewSource(0x6E6))
-	for trial := 0; trial < 30; trial++ {
-		side := 2 + rng.Intn(3)
-		g := geom.NewSquareGrid(side, float64(side)*10)
-		// Densities straddling the qualification boundary, so some tuples
-		// succeed on attempt 1, some need retries, some never qualify.
-		n := side * side * (1 + rng.Intn(6))
-		rscale := 0.9 + rng.Float64()*0.6
-		seed := rng.Int63()
-		seqNW, seqA, seqErr := GenerateSeeded(n, g, g.CellSide()*rscale, UniformRandom{}, seed, 8, nil)
-		parNW, parA, parErr := GenerateSeeded(n, g, g.CellSide()*rscale, UniformRandom{}, seed, 8, pool)
-		if (seqErr == nil) != (parErr == nil) {
-			t.Fatalf("trial %d: seq err=%v, par err=%v", trial, seqErr, parErr)
-		}
-		if seqA != parA {
-			t.Fatalf("trial %d: seq attempts=%d, par attempts=%d", trial, seqA, parA)
-		}
-		if seqErr != nil {
-			if seqErr.Error() != parErr.Error() {
-				t.Fatalf("trial %d: error mismatch: %v vs %v", trial, seqErr, parErr)
-			}
-			continue
-		}
-		if !sameNetwork(seqNW, parNW) {
-			t.Fatalf("trial %d: parallel GenerateSeeded network differs from sequential", trial)
-		}
-	}
-}
-
-// TestGenerateSeededAttemptIndependence: attempt a's candidate is a pure
-// function of (seed, a) — rerunning with a budget of exactly a attempts
-// reproduces the same winner.
-func TestGenerateSeededAttemptIndependence(t *testing.T) {
-	g := geom.NewSquareGrid(3, 30)
-	// Sparse enough to fail sometimes.
-	for seed := int64(1); seed <= 12; seed++ {
-		nw, a, err := GenerateSeeded(40, g, g.CellSide()*1.1, UniformRandom{}, seed, 10, nil)
-		if err != nil {
-			continue
-		}
-		again, a2, err2 := GenerateSeeded(40, g, g.CellSide()*1.1, UniformRandom{}, seed, a, nil)
-		if err2 != nil || a2 != a || !sameNetwork(nw, again) {
-			t.Fatalf("seed %d: truncated rerun diverged (a=%d a2=%d err=%v)", seed, a, a2, err2)
-		}
-	}
-}
-
 // TestScratchPredicatesZeroAlloc is the acceptance criterion on the
 // validation predicates: with a warmed scratch, Connected, CellsConnected,
 // AdjacentCellsLinked, and MaxIntraCellPathLen allocate nothing.

@@ -5,14 +5,7 @@ import (
 	"math/rand"
 
 	"wsnva/internal/geom"
-	"wsnva/internal/parallel"
 )
-
-// valid reports whether nw satisfies the paper's Section 5.1 assumptions
-// for grid g, using s for all working storage.
-func (s *Scratch) valid(nw *Network, g *geom.Grid) bool {
-	return s.Connected(nw) && s.CellsConnected(nw, g) && s.AdjacentCellsLinked(nw, g)
-}
 
 // Generate builds deployments until one satisfies the paper's assumptions
 // for grid g (connected G_r, all cells occupied, all cell subgraphs
@@ -23,97 +16,15 @@ func (s *Scratch) valid(nw *Network, g *geom.Grid) bool {
 //
 // Attempt k's placement is a function of the rng stream position after
 // attempts 1..k-1, so results are pinned to the exact draw sequence —
-// the mission server's content digests depend on this. For a parallel,
-// seed-addressed variant use GenerateSeeded.
+// the mission server's content digests depend on this.
 func Generate(n int, g *geom.Grid, txRange float64, p Placement, r *rand.Rand, attempts int) (*Network, int, error) {
 	s := NewScratch()
 	for a := 1; a <= attempts; a++ {
 		nw := New(n, g.Terrain, txRange, p, r)
-		if s.valid(nw, g) {
+		if s.Connected(nw) && s.CellsConnected(nw, g) && s.AdjacentCellsLinked(nw, g) {
 			return nw, a, nil
 		}
 	}
-	return nil, attempts, generateErr(n, g, txRange, p, attempts)
-}
-
-// GenerateSeeded is Generate with attempt-addressed randomness: attempt a
-// draws from rand.NewSource(attemptSeed(seed, a)), making every attempt an
-// independent pure function of (seed, a). That independence is what allows
-// speculation — attempts run in waves of pool.Workers() concurrent
-// candidates and the lowest-index success wins, so the returned network
-// AND the attempt count are byte-identical to running the same attempts
-// sequentially, for every pool. A nil pool (or 1 worker) is exactly that
-// sequential run — the reference mode the differential tests pin the
-// speculative path against.
-//
-// Later-indexed attempts in a winning wave are wasted work; speculation
-// pays off when the placement/grid combination routinely needs several
-// attempts (sparse ranges, holes, clustering), and costs at most
-// workers-1 extra builds when attempt 1 succeeds.
-func GenerateSeeded(n int, g *geom.Grid, txRange float64, p Placement, seed int64, attempts int, pool *parallel.Pool) (*Network, int, error) {
-	if attempts <= 0 {
-		return nil, 0, generateErr(n, g, txRange, p, attempts)
-	}
-	wave := pool.Workers()
-	if wave > attempts {
-		wave = attempts
-	}
-	if wave == 1 {
-		// Sequential reference path: same attempt seeds, one scratch, the
-		// caller's pool (possibly nil) driving each CSR build.
-		s := NewScratch()
-		for a := 1; a <= attempts; a++ {
-			rng := rand.New(rand.NewSource(attemptSeed(seed, a)))
-			nw := NewWithPool(n, g.Terrain, txRange, p, rng, pool)
-			if s.valid(nw, g) {
-				return nw, a, nil
-			}
-		}
-		return nil, attempts, generateErr(n, g, txRange, p, attempts)
-	}
-
-	// Speculative path: each wave slot keeps its own scratch across waves
-	// (slot k of a wave is executed by exactly one goroutine, and waves are
-	// separated by the Map barrier, so reuse is race-free).
-	scratches := make([]*Scratch, wave)
-	for a0 := 1; a0 <= attempts; a0 += wave {
-		w := wave
-		if rem := attempts - a0 + 1; w > rem {
-			w = rem
-		}
-		candidates := parallel.Map(pool, w, func(k int) *Network {
-			rng := rand.New(rand.NewSource(attemptSeed(seed, a0+k)))
-			nw := NewWithPool(n, g.Terrain, txRange, p, rng, nil)
-			s := scratches[k]
-			if s == nil {
-				s = NewScratch()
-				scratches[k] = s
-			}
-			if s.valid(nw, g) {
-				return nw
-			}
-			return nil
-		})
-		for k, nw := range candidates {
-			if nw != nil {
-				return nw, a0 + k, nil
-			}
-		}
-	}
-	return nil, attempts, generateErr(n, g, txRange, p, attempts)
-}
-
-func generateErr(n int, g *geom.Grid, txRange float64, p Placement, attempts int) error {
-	return fmt.Errorf("deploy: no valid deployment in %d attempts (n=%d, grid=%dx%d, range=%v, placement=%s)",
+	return nil, attempts, fmt.Errorf("deploy: no valid deployment in %d attempts (n=%d, grid=%dx%d, range=%v, placement=%s)",
 		attempts, n, g.Cols, g.Rows, txRange, p.Name())
-}
-
-// attemptSeed derives the rng seed for one GenerateSeeded attempt: a
-// splitmix64 avalanche over (seed, attempt), so consecutive attempts get
-// statistically unrelated streams and the mapping is schedule-independent.
-func attemptSeed(seed int64, attempt int) int64 {
-	z := uint64(seed) + uint64(attempt)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
 }

@@ -14,16 +14,16 @@ import (
 
 // E26DeployGeneration measures the deployment pipeline the sharded kernel
 // feeds on: flat-CSR neighbor construction (build rows — placement + CSR,
-// no validation) and full qualification via GenerateSeeded (gen rows —
-// placement + CSR + the union-find/bitset predicate suite), sequential
-// versus parallel, at constant per-cell density up to a million nodes.
-// The match column deep-compares the parallel result against the
+// no validation, sequential versus parallel) and full qualification via
+// Generate (gen rows — placement + CSR + the union-find/bitset predicate
+// suite), at constant per-cell density up to a million nodes. The build
+// rows' match column deep-compares the parallel result against the
 // sequential one — positions, offsets, and the flat neighbor array must
 // be byte-identical, so the speedup is never bought with divergence.
 //
 // Like E21/E22 the wall and malloc columns are measurements of this
 // process, so the table is excluded from the golden-table tests, and rows
-// run sequentially off the options pool. The parallel rows use a fixed
+// run sequentially off the options pool. The build-par rows use a fixed
 // 4-worker pool regardless of the host: on a single-core container they
 // record the fan-out overhead (the E21 precedent), on ≥4 cores the
 // speedup. Generation rows stop at the quarter-million tier — generation
@@ -73,28 +73,13 @@ func E26DeployGeneration(o Options) *stats.Table {
 
 	for _, tr := range genTiers {
 		g := geom.NewSquareGrid(tr.side, float64(tr.side)*10)
-		txRange := g.CellSide() * 1.2
-		seed := parallel.TaskSeed("E26-gen", tr.side, 0)
-		var seqNW, parNW *deploy.Network
-		var seqA, parA int
-		seqMS, seqAllocs := measure(func() {
-			var err error
-			seqNW, seqA, err = deploy.GenerateSeeded(tr.n, g, txRange, deploy.UniformRandom{}, seed, 4, nil)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: E26 gen-seq n=%d: %v", tr.n, err))
+		rng := rand.New(rand.NewSource(parallel.TaskSeed("E26-gen", tr.side, 0)))
+		ms, allocs := measure(func() {
+			if _, _, err := deploy.Generate(tr.n, g, g.CellSide()*1.2, deploy.UniformRandom{}, rng, 4); err != nil {
+				panic(fmt.Sprintf("experiments: E26 gen n=%d: %v", tr.n, err))
 			}
 		})
-		tab.AddRow(tr.n, tr.side, "gen-seq", seqMS, seqAllocs, stats.Ratio(seqMS, seqMS), true)
-		parMS, parAllocs := measure(func() {
-			var err error
-			parNW, parA, err = deploy.GenerateSeeded(tr.n, g, txRange, deploy.UniformRandom{}, seed, 4, pool)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: E26 gen-par n=%d: %v", tr.n, err))
-			}
-		})
-		tab.AddRow(tr.n, tr.side, "gen-par", parMS, parAllocs, stats.Ratio(seqMS, parMS),
-			seqA == parA && sameDeployment(seqNW, parNW))
-		seqNW, parNW = nil, nil
+		tab.AddRow(tr.n, tr.side, "gen", ms, allocs, "-", "-")
 	}
 	return tab
 }

@@ -203,13 +203,12 @@ func TestE22Table(t *testing.T) {
 }
 
 // TestE26Table pins the deployment-scaling sweep's correctness column:
-// every parallel build and parallel generation must deep-equal its
-// sequential twin (the wall columns are process measurements and are not
-// asserted).
+// every parallel build must deep-equal its sequential twin (the wall
+// columns are process measurements and are not asserted).
 func TestE26Table(t *testing.T) {
 	tab := E26DeployGeneration(Options{Quick: true})
-	if tab.NumRows() != 6 { // 2 build tiers x 2 modes + 1 gen tier x 2 modes
-		t.Fatalf("rows = %d, want 6", tab.NumRows())
+	if tab.NumRows() != 5 { // 2 build tiers x 2 modes + 1 gen tier
+		t.Fatalf("rows = %d, want 5", tab.NumRows())
 	}
 	if out := tab.String(); strings.Contains(out, "false") {
 		t.Errorf("a parallel deployment diverged from its sequential twin:\n%s", out)

@@ -9,10 +9,10 @@ import (
 	"wsnva/internal/deploy"
 	"wsnva/internal/emul"
 	"wsnva/internal/field"
-	"wsnva/internal/flood"
 	"wsnva/internal/geom"
 	"wsnva/internal/parallel"
 	"wsnva/internal/radio"
+	"wsnva/internal/shard"
 	"wsnva/internal/sim"
 	"wsnva/internal/stats"
 	"wsnva/internal/synth"
@@ -278,19 +278,32 @@ func E13LossyEmulation(o Options) *stats.Table {
 			m = p.Reinforce()
 			rounds++
 		}
-		// Flooding baseline on the same (lossy) medium: repeat until every
-		// node has heard the query at least once or 10 attempts passed.
-		fl := flood.New(med)
-		covered := map[int]bool{0: true}
-		fl.Deliver = func(node int, _ any) { covered[node] = true }
+		// Flooding baseline on the same deployment and loss rate: repeat
+		// until every node has heard the query at least once or 10 attempts
+		// passed. Each attempt is one single-kernel shard run with its own
+		// loss seed; the channel is keyed by (seed, sender, attempt index),
+		// so reusing a seed would replay the same losses.
+		covered := make([]bool, nw.N())
+		covered[0] = true
+		uncovered := nw.N() - 1
 		var forwards int64
-		floodBefore := l.Metrics().Total
-		for attempt := 0; attempt < 10 && len(covered) < nw.N(); attempt++ {
-			fm := fl.Flood(0, 2, "query")
-			forwards += fm.Forwards
+		var energy cost.Energy
+		for attempt := 0; attempt < 10 && uncovered > 0; attempt++ {
+			res, err := shard.Run(nw, shard.Config{Origins: []int{0}, PktSize: 2,
+				Loss: loss, Seed: 62 + int64(attempt)})
+			if err != nil {
+				panic(err)
+			}
+			forwards += res.Forwards
+			energy += res.Total
+			for id, heard := range res.Heard {
+				if heard != 0 && !covered[id] {
+					covered[id] = true
+					uncovered--
+				}
+			}
 		}
-		return rows{{loss, firstComplete, rounds, m.Broadcasts,
-			forwards, int64(l.Metrics().Total - floodBefore)}}
+		return rows{{loss, firstComplete, rounds, m.Broadcasts, forwards, int64(energy)}}
 	})
 	return tab
 }

@@ -40,11 +40,6 @@ type Config struct {
 	Retries int
 	// Seed drives the loss coin flips (per-sender streams derived from it).
 	Seed int64
-	// StallPoll is how often the supervisor checks for global quiescence;
-	// zero means 200µs.
-	StallPoll time.Duration
-	// MaxWait bounds the wall-clock run time; zero means 30s.
-	MaxWait time.Duration
 	// Crashed marks nodes (by grid index) as failed-stop for the whole
 	// round: they never start, never receive, and traffic addressed to them
 	// is dropped. Nil means everyone is up.
@@ -117,7 +112,12 @@ type nodeFx struct {
 type run struct {
 	hier    *varch.Hierarchy
 	inboxes []chan envelope
+	// pending counts units of outstanding work: one start per live node
+	// plus one per enqueued message. Only processing a unit creates new
+	// ones, so once it reaches zero it stays there; done closes quiet at
+	// that moment.
 	pending atomic.Int64
+	quiet   chan struct{}
 	stop    chan struct{}
 	// results accumulates exfiltrated values in arrival order.
 	resultMu sync.Mutex
@@ -133,6 +133,13 @@ type run struct {
 	down      []atomic.Bool // set when a node's charge crosses the budget
 	depleted  atomic.Int64
 	tracer    *trace.Tracer
+}
+
+// done retires one unit of work, signalling quiescence on the last one.
+func (r *run) done() {
+	if r.pending.Add(-1) == 0 {
+		close(r.quiet)
+	}
 }
 
 // dead reports whether a node is out of the round: statically crashed or
@@ -249,7 +256,7 @@ func (f *nodeFx) Send(level int, size int64, payload any) {
 	select {
 	case f.rt.inboxes[f.grid.Index(dst)] <- envelope{payload: payload}:
 	case <-f.rt.stop:
-		f.rt.pending.Add(-1)
+		f.rt.done()
 	}
 }
 
@@ -272,6 +279,9 @@ func (f *nodeFx) Sense(units int64) {
 
 // maxQuiescenceSteps mirrors the machine driver's bound.
 const maxQuiescenceSteps = 1 << 16
+
+// maxWait bounds a round's wall-clock time.
+const maxWait = 30 * time.Second
 
 // Factory produces the synthesized program for one virtual node; the
 // generic engine runs whatever program set a factory defines.
@@ -352,6 +362,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 	r := &run{
 		hier:     h,
 		inboxes:  make([]chan envelope, n),
+		quiet:    make(chan struct{}),
 		stop:     make(chan struct{}),
 		loss:     cfg.Loss,
 		retries:  cfg.Retries,
@@ -385,6 +396,9 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		}
 	}
 	r.pending.Store(alive) // one unit of start work per live node
+	if alive == 0 {
+		close(r.quiet)
+	}
 
 	for _, c := range g.Coords() {
 		c := c
@@ -414,7 +428,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		go func(inst *program.Instance, inbox chan envelope, idx int) {
 			defer wg.Done()
 			inst.RunToQuiescence(maxQuiescenceSteps)
-			r.pending.Add(-1)
+			r.done()
 			for {
 				select {
 				case env := <-inbox:
@@ -423,7 +437,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 					if !r.dead(idx) {
 						inst.OnMessage(env.payload, maxQuiescenceSteps)
 					}
-					r.pending.Add(-1)
+					r.done()
 				case <-r.stop:
 					return
 				}
@@ -434,22 +448,14 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 	// Supervise: stop at global quiescence (no node processing, no message
 	// in flight) or on wall-clock timeout. Exfiltration is a result, not a
 	// stop condition — generic programs may keep processing afterwards.
-	poll := cfg.StallPoll
-	if poll <= 0 {
-		poll = 200 * time.Microsecond
-	}
-	maxWait := cfg.MaxWait
-	if maxWait <= 0 {
-		maxWait = 30 * time.Second
-	}
-	deadline := time.Now().Add(maxWait)
-	for r.pending.Load() != 0 {
-		if time.Now().After(deadline) {
-			close(r.stop)
-			wg.Wait()
-			return nil, fmt.Errorf("runtime: round did not finish within %v", maxWait)
-		}
-		time.Sleep(poll)
+	timeout := time.NewTimer(maxWait)
+	defer timeout.Stop()
+	select {
+	case <-r.quiet:
+	case <-timeout.C:
+		close(r.stop)
+		wg.Wait()
+		return nil, fmt.Errorf("runtime: round did not finish within %v", maxWait)
 	}
 	close(r.stop)
 	wg.Wait()

@@ -235,14 +235,8 @@ type LabelResult struct {
 // regions enter through the canonical trace plus the summary's shape
 // counters).
 func (r *LabelResult) Checksum() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= prime64
-		}
-	}
+	h := newFNV1a()
+	mix := h.word
 	mix(uint64(r.Side))
 	mix(uint64(r.Levels))
 	if r.Final != nil {
@@ -269,11 +263,8 @@ func (r *LabelResult) Checksum() uint64 {
 	for _, v := range r.Battery {
 		mix(uint64(v))
 	}
-	for _, b := range r.Trace {
-		h ^= uint64(b)
-		h *= prime64
-	}
-	return h
+	h.bytes(r.Trace)
+	return uint64(h)
 }
 
 // labelDeployment materializes the virtual grid as a physical network:

@@ -140,14 +140,8 @@ type Result struct {
 // experiment tables can print a compact witness that different shard
 // and worker counts computed the same answer.
 func (r *Result) Checksum() uint64 {
-	const offset64, prime64 = 14695981039346656037, 1099511628211
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= prime64
-		}
-	}
+	h := newFNV1a()
+	mix := h.word
 	mix(uint64(r.Nodes))
 	mix(uint64(r.Floods))
 	for _, o := range r.Origins {
@@ -185,11 +179,32 @@ func (r *Result) Checksum() uint64 {
 	for _, v := range r.Battery {
 		mix(uint64(v))
 	}
-	for _, b := range r.Trace {
-		h ^= uint64(b)
-		h *= prime64
+	h.bytes(r.Trace)
+	return uint64(h)
+}
+
+// fnv1a is the 64-bit FNV-1a digest behind Result.Checksum and
+// LabelResult.Checksum. Words enter as their eight little-endian bytes.
+type fnv1a uint64
+
+const fnvPrime = 1099511628211
+
+func newFNV1a() fnv1a { return 14695981039346656037 }
+
+func (h *fnv1a) word(v uint64) {
+	x := *h
+	for shift := 0; shift < 64; shift += 8 {
+		x = (x ^ fnv1a((v>>shift)&0xff)) * fnvPrime
 	}
-	return h
+	*h = x
+}
+
+func (h *fnv1a) bytes(b []byte) {
+	x := *h
+	for _, c := range b {
+		x = (x ^ fnv1a(c)) * fnvPrime
+	}
+	*h = x
 }
 
 // runStats is what both execution paths report back to Run.
