@@ -2,11 +2,11 @@
 
 GO ?= go
 
-.PHONY: all check build vet test test-short race race-core race-deploy race-shard-faults race-churn race-serve bench bench-smoke bench-json bench-diff bench-serve bench-deploy soak cover tables csv report fuzz examples clean
+.PHONY: all check build vet fmt test test-short race race-core race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz examples clean
 
 all: build vet test
 
-# The full pre-merge gate: vet, build, an uncached race pass over the
+# The full pre-merge gate: vet, gofmt, build, an uncached race pass over the
 # concurrency-critical packages, a hazard-heavy multi-worker shard run
 # under the race detector, a churned multi-worker shard run plus the
 # churn differential suite under the race detector, the mission server
@@ -15,13 +15,17 @@ all: build vet test
 # allocation or wall-time blowups, the bench/ harness's own tests, a
 # battery-depletion soak, and the observability coverage floor before
 # they land.
-check: vet build race-core race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover
+check: vet fmt build race-core race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# Every Go file must already be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
 
 test:
 	$(GO) test ./...
@@ -71,8 +75,10 @@ race-serve:
 	$(GO) test -race -count=1 -run 'TestRace|TestE2E|TestQuickServerMatchesDirect' ./internal/serve/
 
 # Micro-benchmarks only (-run=^$$ skips the unit tests), with allocation
-# counts; short benchtime keeps this a quick regression pass. Compare the
-# whole-experiment numbers against the committed BENCH_4.json baseline.
+# counts; short benchtime keeps this a quick regression pass. Drop
+# -benchtime=1x for per-experiment ns/op and allocs/op; end-to-end and
+# per-layer numbers come from bench/ (bash bench/run.sh, see
+# bench/README.md).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
 
@@ -106,37 +112,6 @@ cover:
 	/coverage:/ { pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
 	  if (pct + 0 < floor) { print "FAIL: shard coverage below " floor "% floor"; bad = 1 } } \
 	END { exit bad }'
-
-# Refresh the committed per-experiment wall-time/alloc/heap-peak baseline.
-# -repeat 3 records min-of-3, which keeps scheduler noise on busy or
-# single-core hosts out of the committed numbers.
-bench-json:
-	$(GO) run ./cmd/benchtab -parallel 1 -repeat 3 -bench-json BENCH_4.json > /dev/null
-
-# Perf gate: re-measure every experiment into BENCH_5.json and diff it
-# against the committed BENCH_4.json baseline; fails on any experiment
-# regressing more than 10% on wall time or mallocs. The compare also
-# refuses (exit 2) when the two files were measured under different
-# worker/GOMAXPROCS/shard conditions, unless -force is given.
-bench-diff:
-	$(GO) run ./cmd/benchtab -parallel 1 -repeat 3 -bench-json BENCH_5.json > /dev/null
-	$(GO) run ./cmd/benchtab -compare -tolerance 10 BENCH_4.json BENCH_5.json
-
-# Deployment-pipeline perf gate: re-measure the E26 generation sweep
-# (full tiers, up to a million nodes) into a fresh report and diff its
-# E26 record against the committed BENCH_4.json baseline. Other
-# experiments show as "gone" in the table; only E26 is gated. The wider
-# tolerance absorbs wall jitter on big single-shot builds.
-bench-deploy:
-	$(GO) run ./cmd/benchtab -parallel 1 -repeat 2 -only E26 -bench-json BENCH_DEPLOY.json > /dev/null
-	$(GO) run ./cmd/benchtab -compare -tolerance 25 BENCH_4.json BENCH_DEPLOY.json
-	rm -f BENCH_DEPLOY.json
-
-# Mission-server load test: cold vs cached waves against an in-process
-# server over real HTTP, refreshing the committed BENCH_3.json latency
-# baseline (p50/p99/mean per phase, benchtab -compare compatible).
-bench-serve:
-	$(GO) run ./cmd/wsnserve -selftest -bench-json BENCH_3.json
 
 # Regenerate every experiment table (E1-E26, A1-A3).
 tables:

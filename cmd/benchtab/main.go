@@ -1,76 +1,33 @@
 // Command benchtab regenerates every experiment table of the reproduction
 // (E1–E26 plus the A-series ablations) and prints them in order. Run with
 // -quick for trimmed sweeps, -csv for machine-readable stdout, -out to also
-// write one CSV file per experiment, -only to select experiments by ID,
-// -parallel to bound the worker pool, or -bench-json to record per-experiment
-// wall time, allocation counts, and live-heap high-water marks.
+// write one CSV file per experiment, -only to select experiments by ID, or
+// -parallel to bound the worker pool.
 //
 // Usage:
 //
-//	benchtab [-quick] [-csv] [-out results/] [-only E3,E5] [-parallel N] [-bench-json BENCH.json]
-//	benchtab -compare OLD.json NEW.json [-tolerance PCT]
+//	benchtab [-quick] [-csv] [-out results/] [-only E3,E5] [-parallel N] [-shards N]
 //
 // Parallelism never changes the output: tables are assembled in submission
 // order, and every trial derives its seed from (experiment, side, trial), so
 // -parallel 1 and -parallel 32 emit byte-identical tables.
 //
-// The -compare mode diffs two -bench-json reports experiment by experiment
-// (wall time, mallocs, bytes allocated) and exits nonzero if any experiment
-// regressed beyond -tolerance percent on wall time or mallocs — the perf
-// gate that keeps kernel and hot-path changes honest.
+// Performance is measured elsewhere: bench/ (bash bench/run.sh) for end-to-end
+// and per-layer numbers, and the root go test -bench for per-experiment
+// ns/op and allocs/op.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	runtimemetrics "runtime/metrics"
 	"strings"
-	"text/tabwriter"
-	"time"
 
 	"wsnva/internal/experiments"
 	"wsnva/internal/parallel"
 	"wsnva/internal/stats"
 )
-
-// benchRecord is one experiment's measurement in the -bench-json report.
-type benchRecord struct {
-	ID         string `json:"id"`
-	WallNanos  int64  `json:"wall_ns"`
-	Mallocs    uint64 `json:"mallocs"`
-	BytesAlloc uint64 `json:"bytes_alloc"`
-	// HeapPeak is the high-water mark of live heap object bytes observed
-	// while the experiment ran (sampled from runtime/metrics) — the
-	// resident-footprint counterpart to the cumulative BytesAlloc, which
-	// SoA/CSR layout work moves without necessarily changing alloc counts.
-	// Informational: -compare displays it but never gates on it, since a
-	// sampling peak is noisier than a counter.
-	HeapPeak uint64 `json:"heap_peak_bytes,omitempty"`
-}
-
-// benchReport is the -bench-json file layout. Metadata pins the conditions
-// the numbers were collected under so later runs compare like with like.
-type benchReport struct {
-	GoVersion string `json:"go_version"`
-	GOOS      string `json:"goos"`
-	GOARCH    string `json:"goarch"`
-	NumCPU    int    `json:"num_cpu"`
-	// GoMaxProcs and Shards pin the parallel-execution conditions: wall
-	// times measured under different scheduler widths or shard counts are
-	// not comparable, and -compare refuses to diff them without -force.
-	// Both are 0 in reports written before they were recorded, which
-	// -compare treats as unknown (warn, allow).
-	GoMaxProcs int           `json:"gomaxprocs,omitempty"`
-	Workers    int           `json:"workers"`
-	Shards     int           `json:"shards,omitempty"`
-	Quick      bool          `json:"quick"`
-	Records    []benchRecord `json:"records"`
-	TotalNanos int64         `json:"total_wall_ns"`
-}
 
 func main() {
 	quick := flag.Bool("quick", false, "trim sweep ranges for a fast pass")
@@ -78,21 +35,8 @@ func main() {
 	out := flag.String("out", "", "directory to also write one <ID>.csv file per experiment")
 	only := flag.String("only", "", "comma-separated experiment IDs to run (e.g. E3,E8); empty runs all")
 	nworkers := flag.Int("parallel", 0, "worker pool size; 0 means GOMAXPROCS, 1 forces sequential")
-	benchJSON := flag.String("bench-json", "", "write per-experiment wall time and alloc counts to this JSON file")
-	repeat := flag.Int("repeat", 1, "in -bench-json mode, measure each experiment this many times and record the minimum (rejects scheduler noise)")
-	compare := flag.Bool("compare", false, "compare two -bench-json reports (OLD.json NEW.json) and exit nonzero on regressions")
-	tolerance := flag.Float64("tolerance", 10, "percent regression allowed per experiment (wall time, mallocs) in -compare mode")
 	shards := flag.Int("shards", 0, "shard count for the E21/E22 scaling sweeps; 0 runs their default (shards, workers) ladder")
-	force := flag.Bool("force", false, "in -compare mode, diff reports even when their worker/GOMAXPROCS/shard conditions differ")
 	flag.Parse()
-
-	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "benchtab: -compare needs exactly two arguments: OLD.json NEW.json")
-			os.Exit(2)
-		}
-		os.Exit(runCompare(flag.Arg(0), flag.Arg(1), *tolerance, *force))
-	}
 
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
@@ -156,67 +100,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	report := benchReport{
-		GoVersion:  runtime.Version(),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Workers:    pool.Workers(),
-		Shards:     *shards,
-		Quick:      *quick,
-	}
-
-	var tables []*stats.Table
-	if *benchJSON != "" {
-		// Measurement mode runs experiments one at a time (trials inside each
-		// still use the pool) so wall times and MemStats deltas attribute to a
-		// single experiment instead of whichever goroutines were live.
-		tables = make([]*stats.Table, len(picked))
-		report.Records = make([]benchRecord, len(picked))
-		if *repeat < 1 {
-			*repeat = 1
-		}
-		start := time.Now()
-		for i, e := range picked {
-			// Min-of-N: the cleanest of -repeat runs is the one least
-			// disturbed by the scheduler, GC pauses, or co-tenants, so it is
-			// the honest estimate of what the experiment itself costs.
-			rec := benchRecord{ID: e.id}
-			for r := 0; r < *repeat; r++ {
-				var before, after runtime.MemStats
-				runtime.ReadMemStats(&before)
-				sampler := startHeapSampler()
-				t0 := time.Now()
-				tables[i] = e.run(opt)
-				wall := time.Since(t0)
-				heapPeak := sampler.Stop()
-				runtime.ReadMemStats(&after)
-				mallocs := after.Mallocs - before.Mallocs
-				bytesAlloc := after.TotalAlloc - before.TotalAlloc
-				if r == 0 || wall.Nanoseconds() < rec.WallNanos {
-					rec.WallNanos = wall.Nanoseconds()
-				}
-				if r == 0 || mallocs < rec.Mallocs {
-					rec.Mallocs = mallocs
-				}
-				if r == 0 || bytesAlloc < rec.BytesAlloc {
-					rec.BytesAlloc = bytesAlloc
-				}
-				if r == 0 || heapPeak < rec.HeapPeak {
-					rec.HeapPeak = heapPeak
-				}
-			}
-			report.Records[i] = rec
-		}
-		report.TotalNanos = time.Since(start).Nanoseconds()
-	} else {
-		// Whole experiments fan out across the same pool as their inner
-		// trials; Map collects in submission order so stdout is stable.
-		tables = parallel.Map(pool, len(picked), func(i int) *stats.Table {
-			return picked[i].run(opt)
-		})
-	}
+	// Whole experiments fan out across the same pool as their inner
+	// trials; Map collects in submission order so stdout is stable.
+	tables := parallel.Map(pool, len(picked), func(i int) *stats.Table {
+		return picked[i].run(opt)
+	})
 
 	for i, e := range picked {
 		tab := tables[i]
@@ -233,216 +121,4 @@ func main() {
 			}
 		}
 	}
-
-	if *benchJSON != "" {
-		data, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-		if err := os.WriteFile(*benchJSON, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-// heapObjectsMetric is the live-heap byte count the sampler polls: bytes
-// occupied by live objects plus dead objects not yet swept — the closest
-// runtime/metrics analogue of a resident-heap high-water mark, and far
-// cheaper to read than a stop-the-world ReadMemStats.
-const heapObjectsMetric = "/memory/classes/heap/objects:bytes"
-
-// heapSampler polls the live-heap size on a short ticker while an
-// experiment runs and keeps the maximum observed value.
-type heapSampler struct {
-	stop chan struct{}
-	done chan struct{}
-	peak uint64
-}
-
-func startHeapSampler() *heapSampler {
-	s := &heapSampler{stop: make(chan struct{}), done: make(chan struct{})}
-	go func() {
-		defer close(s.done)
-		sample := []runtimemetrics.Sample{{Name: heapObjectsMetric}}
-		tick := time.NewTicker(2 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			runtimemetrics.Read(sample)
-			if v := sample[0].Value.Uint64(); v > s.peak {
-				s.peak = v
-			}
-			select {
-			case <-s.stop:
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-	return s
-}
-
-// Stop ends sampling, takes one final reading, and returns the high-water
-// mark in bytes.
-func (s *heapSampler) Stop() uint64 {
-	close(s.stop)
-	<-s.done
-	sample := []runtimemetrics.Sample{{Name: heapObjectsMetric}}
-	runtimemetrics.Read(sample)
-	if v := sample[0].Value.Uint64(); v > s.peak {
-		s.peak = v
-	}
-	return s.peak
-}
-
-// fmtMiB renders a byte count as MiB for the compare table, with "-" for
-// reports that predate the heap column.
-func fmtMiB(b uint64) string {
-	if b == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.1fMiB", float64(b)/(1<<20))
-}
-
-// loadReport reads one -bench-json file.
-func loadReport(path string) (*benchReport, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var r benchReport
-	if err := json.Unmarshal(data, &r); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &r, nil
-}
-
-// pctDelta returns the percent change from old to new; a zero baseline with
-// a nonzero new value counts as +100% so it can never hide a regression.
-func pctDelta(old, new float64) float64 {
-	if old == 0 {
-		if new == 0 {
-			return 0
-		}
-		return 100
-	}
-	return (new - old) / old * 100
-}
-
-// wallNoiseFloor is the absolute wall-time increase an experiment must show
-// before a percentage regression counts. Sub-millisecond experiments swing
-// tens of percent on scheduler jitter alone; a gate that cries wolf on them
-// teaches people to ignore it.
-const wallNoiseFloor = int64(time.Millisecond)
-
-// checkCondition enforces one like-with-like metadata field in -compare
-// mode: a mismatch refuses the comparison (exit 2) unless forced.
-// known says whether each report carries condition metadata at all
-// (GoMaxProcs > 0 — a report that predates the header fields decodes
-// them all to zero); an unknown side warns and proceeds, so old
-// baselines stay comparable, while a genuine 0 value (e.g. the default
-// -shards sweep) still mismatches a nonzero one.
-func checkCondition(name string, oldV, newV int, oldKnown, newKnown bool, oldPath, newPath string, force bool) bool {
-	if oldV == newV {
-		return true
-	}
-	if !oldKnown || !newKnown {
-		fmt.Fprintf(os.Stderr, "benchtab: warning: %s unknown in one report (%s: %d, %s: %d); comparing anyway\n",
-			name, oldPath, oldV, newPath, newV)
-		return true
-	}
-	if force {
-		fmt.Fprintf(os.Stderr, "benchtab: warning: comparing across %s counts (%s: %d, %s: %d) because -force\n",
-			name, oldPath, oldV, newPath, newV)
-		return true
-	}
-	fmt.Fprintf(os.Stderr, "benchtab: refusing to compare: %s has %s=%d, %s has %s=%d (wall times are not comparable; pass -force to override)\n",
-		oldPath, name, oldV, newPath, name, newV)
-	return false
-}
-
-// runCompare diffs two bench reports and returns the process exit code:
-// 0 when every shared experiment stays within tol percent on wall time and
-// mallocs, 1 when any regresses past it. Wall-time regressions additionally
-// need to exceed wallNoiseFloor in absolute terms. Experiments present in
-// only one report are listed but never fail the gate — the experiment set
-// is allowed to grow. Reports collected under different worker counts,
-// GOMAXPROCS, or shard counts are refused unless -force.
-func runCompare(oldPath, newPath string, tol float64, force bool) int {
-	oldRep, err := loadReport(oldPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		return 2
-	}
-	newRep, err := loadReport(newPath)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchtab: %v\n", err)
-		return 2
-	}
-	oldByID := make(map[string]benchRecord, len(oldRep.Records))
-	for _, r := range oldRep.Records {
-		oldByID[r.ID] = r
-	}
-	if oldRep.Quick != newRep.Quick {
-		fmt.Fprintf(os.Stderr, "benchtab: refusing to compare: %s has quick=%v, %s has quick=%v\n",
-			oldPath, oldRep.Quick, newPath, newRep.Quick)
-		return 2
-	}
-	oldKnown, newKnown := oldRep.GoMaxProcs > 0, newRep.GoMaxProcs > 0
-	if !checkCondition("workers", oldRep.Workers, newRep.Workers, oldKnown, newKnown, oldPath, newPath, force) ||
-		!checkCondition("gomaxprocs", oldRep.GoMaxProcs, newRep.GoMaxProcs, oldKnown, newKnown, oldPath, newPath, force) ||
-		!checkCondition("shards", oldRep.Shards, newRep.Shards, oldKnown, newKnown, oldPath, newPath, force) {
-		return 2
-	}
-
-	w := tabwriter.NewWriter(os.Stdout, 2, 0, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintf(w, "ID\twall old\twall new\tΔ%%\tmallocs old\tmallocs new\tΔ%%\tbytes old\tbytes new\tΔ%%\theap old\theap new\t\n")
-	regressed := []string{}
-	seen := map[string]bool{}
-	for _, nr := range newRep.Records {
-		or, ok := oldByID[nr.ID]
-		if !ok {
-			fmt.Fprintf(w, "%s\t-\t%s\t new\t-\t%d\t new\t-\t%d\t new\t-\t%s\t\n",
-				nr.ID, time.Duration(nr.WallNanos), nr.Mallocs, nr.BytesAlloc, fmtMiB(nr.HeapPeak))
-			continue
-		}
-		seen[nr.ID] = true
-		dw := pctDelta(float64(or.WallNanos), float64(nr.WallNanos))
-		dm := pctDelta(float64(or.Mallocs), float64(nr.Mallocs))
-		db := pctDelta(float64(or.BytesAlloc), float64(nr.BytesAlloc))
-		mark := ""
-		if (dw > tol && nr.WallNanos-or.WallNanos > wallNoiseFloor) || dm > tol {
-			mark = " !"
-			regressed = append(regressed, nr.ID)
-		}
-		fmt.Fprintf(w, "%s%s\t%s\t%s\t%+.1f\t%d\t%d\t%+.1f\t%d\t%d\t%+.1f\t%s\t%s\t\n",
-			nr.ID, mark,
-			time.Duration(or.WallNanos).Round(time.Microsecond),
-			time.Duration(nr.WallNanos).Round(time.Microsecond), dw,
-			or.Mallocs, nr.Mallocs, dm,
-			or.BytesAlloc, nr.BytesAlloc, db,
-			fmtMiB(or.HeapPeak), fmtMiB(nr.HeapPeak))
-	}
-	for _, or := range oldRep.Records {
-		found := false
-		for _, nr := range newRep.Records {
-			if nr.ID == or.ID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			fmt.Fprintf(w, "%s\t%s\t-\t gone\t%d\t-\t gone\t%d\t-\t gone\t%s\t-\t\n",
-				or.ID, time.Duration(or.WallNanos), or.Mallocs, or.BytesAlloc, fmtMiB(or.HeapPeak))
-		}
-	}
-	w.Flush()
-	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "benchtab: regression beyond %.1f%% tolerance in: %s\n",
-			tol, strings.Join(regressed, ", "))
-		return 1
-	}
-	fmt.Printf("benchtab: no regression beyond %.1f%% tolerance across %d experiments\n", tol, len(seen))
-	return 0
 }

@@ -10,21 +10,17 @@
 //
 //	wsnserve -oneshot spec.json [-trace-out trace.jsonl]
 //
-// Self load test (in-process server on a loopback listener, cold vs
-// cached waves, benchtab-compatible JSON):
-//
-//	wsnserve -selftest [-missions N] [-repeats N] [-clients N] [-bench-json BENCH_3.json]
+// Load testing lives in bench/: its serve-hot and serve-cold workloads
+// drive this server over loopback HTTP.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 
-	"wsnva/internal/loadgen"
 	"wsnva/internal/serve"
 )
 
@@ -36,12 +32,6 @@ func main() {
 	cacheMB := flag.Int64("cache-mb", 0, "result cache budget in MiB (0 = default 64)")
 	oneshot := flag.String("oneshot", "", "run one mission spec file ('-' = stdin) and print the result")
 	traceOut := flag.String("trace-out", "", "with -oneshot: write the canonical trace JSONL here")
-	selftest := flag.Bool("selftest", false, "run the cold-vs-cached load test against an in-process server")
-	missions := flag.Int("missions", 0, "selftest: distinct missions (0 = default 16)")
-	repeats := flag.Int("repeats", 0, "selftest: cached-wave repeats per mission (0 = default 8)")
-	clients := flag.Int("clients", 0, "selftest: concurrent clients (0 = default 8)")
-	side := flag.Int("side", 0, "selftest: mission grid side (0 = default 16)")
-	benchJSON := flag.String("bench-json", "", "selftest: write a benchtab-compatible report here")
 	flag.Parse()
 
 	cfg := serve.Config{
@@ -53,19 +43,15 @@ func main() {
 		CacheBytes: *cacheMB << 20,
 	}
 
-	switch {
-	case *oneshot != "":
+	if *oneshot != "" {
 		os.Exit(runOneshot(*oneshot, *traceOut))
-	case *selftest:
-		os.Exit(runSelftest(cfg, *missions, *repeats, *clients, *side, *benchJSON))
-	default:
-		srv := serve.NewServer(cfg)
-		fmt.Fprintf(os.Stderr, "wsnserve: %s listening on %s (workers=%d)\n",
-			serve.Version, *addr, srv.Sched().Workers())
-		if err := http.ListenAndServe(*addr, srv); err != nil {
-			fmt.Fprintf(os.Stderr, "wsnserve: %v\n", err)
-			os.Exit(1)
-		}
+	}
+	srv := serve.NewServer(cfg)
+	fmt.Fprintf(os.Stderr, "wsnserve: %s listening on %s (workers=%d)\n",
+		serve.Version, *addr, srv.Sched().Workers())
+	if err := http.ListenAndServe(*addr, srv); err != nil {
+		fmt.Fprintf(os.Stderr, "wsnserve: %v\n", err)
+		os.Exit(1)
 	}
 }
 
@@ -93,56 +79,5 @@ func runOneshot(path, traceOut string) int {
 		}
 	}
 	os.Stdout.Write(result)
-	return 0
-}
-
-// runSelftest stands up the server on a loopback listener, runs the
-// cold-then-cached load waves against it over real HTTP, and prints the
-// throughput multiplier the cache delivers.
-func runSelftest(cfg serve.Config, missions, repeats, clients, side int, benchJSON string) int {
-	srv := serve.NewServer(cfg)
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsnserve: %v\n", err)
-		return 1
-	}
-	hs := &http.Server{Handler: srv}
-	go hs.Serve(ln)
-	defer hs.Close()
-
-	rep, err := loadgen.Run(loadgen.Config{
-		BaseURL:  "http://" + ln.Addr().String(),
-		Missions: missions,
-		Repeats:  repeats,
-		Clients:  clients,
-		Side:     side,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wsnserve: selftest: %v\n", err)
-		return 1
-	}
-
-	fmt.Printf("wsnserve selftest: %d missions x %d repeats, %d clients, workers=%d\n",
-		rep.Missions, rep.Repeats, rep.Clients, srv.Sched().Workers())
-	for _, ph := range []loadgen.Phase{rep.Cold, rep.Cached} {
-		fmt.Printf("  %-6s  %5d req  %8.1f req/s  p50 %8.3fms  p99 %8.3fms\n",
-			ph.Name, ph.Requests, ph.RPS,
-			float64(ph.P50Nanos)/1e6, float64(ph.P99Nanos)/1e6)
-	}
-	fmt.Printf("  cache speedup: %.1fx (runs=%d, hits=%d)\n",
-		rep.Speedup(), srv.Runs(), srv.Cache().Stats().Hits)
-
-	if benchJSON != "" {
-		b, err := rep.BenchJSON(srv.Sched().Workers(), false)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "wsnserve: %v\n", err)
-			return 1
-		}
-		if err := os.WriteFile(benchJSON, b, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "wsnserve: %v\n", err)
-			return 1
-		}
-		fmt.Printf("  wrote %s\n", benchJSON)
-	}
 	return 0
 }

@@ -101,9 +101,9 @@ func lifetimeMission(budget cost.Energy, rotate bool, tr *trace.Tracer) (*emul.L
 		bank.SetTracer(tr, med.Kernel().Now)
 	}
 	out, err := pm.RunLifetime(emul.LifetimeConfig{
-		Map:       fmap,
-		Bank:      bank,
-		Rotator:   rot,
+		Map:     fmap,
+		Bank:    bank,
+		Rotator: rot,
 		// Rotating every round would spend more on elections (one broadcast
 		// plus k-1 receptions per member) than the leveling recovers; a
 		// 4-round epoch amortizes the exchange below the noise floor.

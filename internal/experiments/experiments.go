@@ -45,9 +45,7 @@ type Options struct {
 	Pool *parallel.Pool
 	// Shards, when positive, narrows the E21 scaling sweep to the pair
 	// {sequential oracle, Shards shards on a GOMAXPROCS pool} — the knob
-	// benchtab's -shards flag threads through (and records in the
-	// -bench-json header, since shard counts change what the wall-time
-	// numbers mean).
+	// benchtab's -shards flag threads through.
 	Shards int
 	// Trace, if non-nil, receives structured events from every engine the
 	// experiment drives (machines, ledgers, banks, media). Nil — the default

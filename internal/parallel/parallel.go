@@ -30,10 +30,6 @@ import (
 type Pool struct {
 	workers int
 	slots   chan struct{}
-	// jobs is the Submit-side budget: unlike slots (helpers only — the
-	// ForEach caller is always the +1th worker), an asynchronous job has
-	// no caller thread, so the full worker count is available to jobs.
-	jobs chan struct{}
 }
 
 // New returns a pool with the given number of worker slots. workers <= 0
@@ -46,7 +42,6 @@ func New(workers int) *Pool {
 	return &Pool{
 		workers: workers,
 		slots:   make(chan struct{}, workers-1),
-		jobs:    make(chan struct{}, workers),
 	}
 }
 

@@ -9,8 +9,8 @@ import (
 // key is a cryptographic digest of (code version, canonical spec) and
 // every mission is a pure function of that pair, a hit is exactly as
 // good as a run — the conformance suite pins byte equality — so the
-// cache converts determinism into throughput: the load test in
-// BENCH_3.json measures the multiplier.
+// cache converts determinism into throughput: bench/'s serve-hot and
+// serve-cold workloads measure the multiplier.
 type Cache struct {
 	mu      sync.Mutex
 	budget  int64

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"wsnva/internal/trace"
 )
 
 // End-to-end conformance: the full submit -> stream -> fetch lifecycle
@@ -405,6 +407,42 @@ func TestE2EAdmission(t *testing.T) {
 	resp, _ = postMission(t, ts, "anyone", specFor(7), "")
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Errorf("closed server: status %d, want 503", resp.StatusCode)
+	}
+}
+
+// TestE2EMissionPanic pins the handler's answer to a mission whose run
+// panics: 500 with the digest header and an error naming the panic, a
+// panic count in /v1/stats, and nothing cached — resubmitting the spec
+// runs it again.
+func TestE2EMissionPanic(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	srv.execute = func(*Spec, trace.Sink) ([]byte, []byte, error) { panic("engine blew up") }
+
+	for try := 0; try < 2; try++ {
+		resp, body := postMission(t, ts, "alice", labelSpec4x4, "")
+		if resp.StatusCode != http.StatusInternalServerError {
+			t.Fatalf("try %d: status %d, want 500: %s", try, resp.StatusCode, body)
+		}
+		if resp.Header.Get("X-Mission-Digest") == "" {
+			t.Errorf("try %d: no X-Mission-Digest header", try)
+		}
+		if !strings.Contains(string(body), "engine blew up") {
+			t.Errorf("try %d: error body %s does not name the panic", try, body)
+		}
+	}
+	if runs := srv.Runs(); runs != 2 {
+		t.Errorf("runs = %d, want 2 (a panicked mission must not be cached)", runs)
+	}
+	if st := srv.Cache().Stats(); st.Hits != 0 || st.Entries != 0 {
+		t.Errorf("cache = %d hits, %d entries; want none", st.Hits, st.Entries)
+	}
+	_, statsBody := getPath(t, ts, "/v1/stats")
+	var st Stats
+	if err := json.Unmarshal(statsBody, &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Sched.Panicked != 2 {
+		t.Errorf("/v1/stats sched.panicked = %d, want 2", st.Sched.Panicked)
 	}
 }
 

@@ -2,9 +2,9 @@ package serve
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
-
-	"wsnva/internal/parallel"
 )
 
 // Admission errors, mapped to HTTP statuses by the handlers: a tenant
@@ -14,12 +14,15 @@ var (
 	ErrTenantBusy = errors.New("serve: tenant admission cap reached")
 	ErrQueueFull  = errors.New("serve: mission queue full")
 	ErrClosed     = errors.New("serve: scheduler closed")
+	// ErrMissionPanic wraps the value a panicking mission raised; the
+	// handlers answer it with 500 and never cache the mission.
+	ErrMissionPanic = errors.New("serve: mission panicked")
 )
 
 // SchedConfig bounds the scheduler. Zero values select the defaults.
 type SchedConfig struct {
-	// Workers is the number of missions simulated concurrently — the
-	// parallel.Pool job budget (0 = GOMAXPROCS).
+	// Workers is the number of missions simulated concurrently
+	// (0 = GOMAXPROCS).
 	Workers int
 	// TenantSlots caps one tenant's outstanding (queued + running)
 	// missions; past it, Submit returns ErrTenantBusy (default 4).
@@ -30,6 +33,9 @@ type SchedConfig struct {
 }
 
 func (c SchedConfig) withDefaults() SchedConfig {
+	if c.Workers <= 0 {
+		c.Workers = runtime.GOMAXPROCS(0)
+	}
 	if c.TenantSlots <= 0 {
 		c.TenantSlots = 4
 	}
@@ -41,14 +47,13 @@ func (c SchedConfig) withDefaults() SchedConfig {
 
 // Scheduler admits missions per tenant and dispatches them fairly:
 // admission is a per-tenant outstanding cap plus a global queue bound,
-// and dispatch round-robins one mission per tenant per turn onto the
-// parallel pool's job slots. A tenant with one queued mission therefore
+// and dispatch round-robins one mission per tenant per turn onto one of
+// Workers mission goroutines. A tenant with one queued mission therefore
 // waits at most (active tenants - 1) dispatches regardless of how hard
 // another tenant floods its own queue — the no-starvation property the
 // race suite asserts.
 type Scheduler struct {
-	pool *parallel.Pool
-	cfg  SchedConfig
+	cfg SchedConfig
 
 	mu       sync.Mutex
 	tenants  map[string]*tenantQueue
@@ -61,6 +66,7 @@ type Scheduler struct {
 	maxQueued   int
 	maxInFlight int
 	dispatched  int64
+	panicked    int64
 }
 
 type tenantQueue struct {
@@ -76,14 +82,15 @@ type tenantQueue struct {
 	cancelled      int64
 }
 
-// Ticket is one admitted mission's handle: the scheduler-level
-// counterpart of parallel.Job, cancellable while still queued.
+// Ticket is one admitted mission's handle, cancellable while still
+// queued.
 type Ticket struct {
 	sched  *Scheduler
 	tq     *tenantQueue
 	run    func()
 	done   chan struct{}
-	queued bool // guarded by sched.mu
+	queued bool  // guarded by sched.mu
+	err    error // set before done closes
 }
 
 // Done returns a channel closed when the mission finished or the ticket
@@ -92,6 +99,11 @@ func (t *Ticket) Done() <-chan struct{} { return t.done }
 
 // Wait blocks until the mission finishes or the ticket is cancelled.
 func (t *Ticket) Wait() { <-t.done }
+
+// Err reports, once Done is closed, why the mission did not finish
+// normally: an ErrMissionPanic naming the panic value if its run
+// panicked, nil otherwise.
+func (t *Ticket) Err() error { return t.err }
 
 // Cancel withdraws a still-queued mission and reports whether it will
 // never run. A mission already dispatched runs to completion — the
@@ -122,18 +134,16 @@ func (t *Ticket) Cancel() bool {
 	return true
 }
 
-// NewScheduler builds a scheduler over its own parallel pool.
+// NewScheduler builds a scheduler.
 func NewScheduler(cfg SchedConfig) *Scheduler {
-	cfg = cfg.withDefaults()
 	return &Scheduler{
-		pool:    parallel.New(cfg.Workers),
-		cfg:     cfg,
+		cfg:     cfg.withDefaults(),
 		tenants: make(map[string]*tenantQueue),
 	}
 }
 
 // Workers reports the concurrent-mission budget.
-func (s *Scheduler) Workers() int { return s.pool.Workers() }
+func (s *Scheduler) Workers() int { return s.cfg.Workers }
 
 // Submit admits run under the tenant's cap and the global queue bound,
 // enqueues it, and returns its ticket. The error is non-nil exactly
@@ -181,7 +191,7 @@ func (s *Scheduler) Submit(tenant string, run func()) (*Ticket, error) {
 // pump dispatches queued missions while worker budget remains, taking
 // one mission from each ring tenant in turn. Caller holds s.mu.
 func (s *Scheduler) pump() {
-	for s.inFlight < s.pool.Workers() && len(s.ring) > 0 {
+	for s.inFlight < s.cfg.Workers && len(s.ring) > 0 {
 		if s.cursor >= len(s.ring) {
 			s.cursor = 0
 		}
@@ -200,11 +210,20 @@ func (s *Scheduler) pump() {
 			s.maxInFlight = s.inFlight
 		}
 		s.dispatched++
-		parallel.Submit(s.pool, func() {
-			defer s.finish(t)
-			t.run()
-		})
+		go s.runTicket(t)
 	}
+}
+
+// runTicket runs one dispatched mission. A panic is recovered into the
+// ticket rather than crashing the server.
+func (s *Scheduler) runTicket(t *Ticket) {
+	defer s.finish(t)
+	defer func() {
+		if r := recover(); r != nil {
+			t.err = fmt.Errorf("%w: %v", ErrMissionPanic, r)
+		}
+	}()
+	t.run()
 }
 
 // dropFromRing removes a drained tenant from the round-robin ring,
@@ -226,6 +245,9 @@ func (s *Scheduler) finish(t *Ticket) {
 	s.inFlight--
 	t.tq.outstanding--
 	t.tq.completed++
+	if t.err != nil {
+		s.panicked++
+	}
 	s.pump()
 	s.mu.Unlock()
 	close(t.done)
@@ -253,15 +275,18 @@ type TenantStats struct {
 // by the race suite (MaxInFlight <= Workers, MaxQueued <= QueueBound,
 // per-tenant MaxOutstanding <= TenantSlots).
 type SchedStats struct {
-	Workers     int                    `json:"workers"`
-	TenantSlots int                    `json:"tenant_slots"`
-	QueueBound  int                    `json:"queue_bound"`
-	Queued      int                    `json:"queued"`
-	InFlight    int                    `json:"in_flight"`
-	MaxQueued   int                    `json:"max_queued"`
-	MaxInFlight int                    `json:"max_in_flight"`
-	Dispatched  int64                  `json:"dispatched"`
-	Tenants     map[string]TenantStats `json:"tenants"`
+	Workers     int   `json:"workers"`
+	TenantSlots int   `json:"tenant_slots"`
+	QueueBound  int   `json:"queue_bound"`
+	Queued      int   `json:"queued"`
+	InFlight    int   `json:"in_flight"`
+	MaxQueued   int   `json:"max_queued"`
+	MaxInFlight int   `json:"max_in_flight"`
+	Dispatched  int64 `json:"dispatched"`
+	// Panicked counts dispatched missions whose run panicked (they also
+	// count as their tenant's Completed).
+	Panicked int64                  `json:"panicked"`
+	Tenants  map[string]TenantStats `json:"tenants"`
 }
 
 // Stats snapshots the counters.
@@ -269,7 +294,7 @@ func (s *Scheduler) Stats() SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := SchedStats{
-		Workers:     s.pool.Workers(),
+		Workers:     s.cfg.Workers,
 		TenantSlots: s.cfg.TenantSlots,
 		QueueBound:  s.cfg.QueueBound,
 		Queued:      s.queued,
@@ -277,6 +302,7 @@ func (s *Scheduler) Stats() SchedStats {
 		MaxQueued:   s.maxQueued,
 		MaxInFlight: s.maxInFlight,
 		Dispatched:  s.dispatched,
+		Panicked:    s.panicked,
 		Tenants:     make(map[string]TenantStats, len(s.tenants)),
 	}
 	for name, tq := range s.tenants {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"strings"
@@ -27,6 +28,8 @@ type Config struct {
 type Server struct {
 	cache *Cache
 	sched *Scheduler
+	// execute runs one mission: Execute, swappable by tests.
+	execute func(*Spec, trace.Sink) (result, traceJSONL []byte, err error)
 
 	// runs counts actual simulator invocations — the denominator of the
 	// cache's value, and the counter the zero-recompute property test
@@ -82,6 +85,7 @@ func NewServer(cfg Config) *Server {
 	s := &Server{
 		cache:   NewCache(cfg.CacheBytes),
 		sched:   NewScheduler(cfg.Sched),
+		execute: Execute,
 		flights: make(map[string]*flight),
 		mux:     http.NewServeMux(),
 	}
@@ -180,7 +184,7 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 		}
 		ticket, err := s.sched.Submit(tenantOf(r), func() {
 			s.runs.Add(1)
-			f.result, f.trace, f.err = Execute(&norm, sink)
+			f.result, f.trace, f.err = s.execute(&norm, sink)
 			if f.err == nil {
 				s.cache.Put(digest, f.result, f.trace)
 			}
@@ -210,6 +214,9 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 				ticket.Cancel()
 			}
 			ticket.Wait()
+			if err := ticket.Err(); err != nil {
+				f.err = err
+			}
 			s.mu.Lock()
 			delete(s.flights, digest)
 			s.mu.Unlock()
@@ -224,6 +231,10 @@ func (s *Server) handleMissions(w http.ResponseWriter, r *http.Request) {
 	select {
 	case <-f.done:
 	case <-r.Context().Done():
+		return
+	}
+	if errors.Is(f.err, ErrMissionPanic) {
+		writeError(w, http.StatusInternalServerError, f.err)
 		return
 	}
 	if f.err != nil {

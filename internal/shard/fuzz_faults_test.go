@@ -11,7 +11,6 @@ import (
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/parallel"
 	"wsnva/internal/sim"
 )
 
@@ -29,12 +28,11 @@ func runFuzzHazApp(tb testing.TB, nw *deploy.Network, plan [][]fuzzStep, cfg Con
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	model := cost.NewUniform()
-	if shards <= 1 {
-		return a, execute(nw, st, model, nil, nil, mk, hz, nil, 0)
+	rs, err := execute(nw, st, cost.NewUniform(), shards, workers, mk, hz, nil, 0)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	part := NewPartition(nw, shards)
-	return a, execute(nw, st, model, part, parallel.New(workers), mk, hz, nil, 0)
+	return a, rs
 }
 
 // decodeLoss pulls a loss model out of the first three fuzz bytes:

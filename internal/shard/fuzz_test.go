@@ -8,7 +8,6 @@ import (
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
 	"wsnva/internal/geom"
-	"wsnva/internal/parallel"
 	"wsnva/internal/sim"
 )
 
@@ -109,16 +108,16 @@ func decodePlan(data []byte, n int) [][]fuzzStep {
 	return plan
 }
 
-func runFuzzApp(nw *deploy.Network, plan [][]fuzzStep, shards, workers int) (*fuzzApp, runStats) {
+func runFuzzApp(tb testing.TB, nw *deploy.Network, plan [][]fuzzStep, shards, workers int) (*fuzzApp, runStats) {
+	tb.Helper()
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	model := cost.NewUniform()
-	if shards <= 1 {
-		return a, execute(nw, st, model, nil, nil, mk, hazards{}, nil, 0)
+	rs, err := execute(nw, st, cost.NewUniform(), shards, workers, mk, hazards{}, nil, 0)
+	if err != nil {
+		tb.Fatal(err)
 	}
-	part := NewPartition(nw, shards)
-	return a, execute(nw, st, model, part, parallel.New(workers), mk, hazards{}, nil, 0)
+	return a, rs
 }
 
 // FuzzWindowBoundary feeds random broadcast schedules whose deliveries
@@ -143,10 +142,10 @@ func FuzzWindowBoundary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plan := decodePlan(data, nw.N())
-		oracle, ostats := runFuzzApp(nw, plan, 1, 1)
+		oracle, ostats := runFuzzApp(t, nw, plan, 1, 1)
 		checkTiming(t, nw, oracle, model)
 		for _, shards := range []int{2, 4} {
-			got, gstats := runFuzzApp(nw, plan, shards, 2)
+			got, gstats := runFuzzApp(t, nw, plan, shards, 2)
 			checkTiming(t, nw, got, model)
 			if !reflect.DeepEqual(got.sends, oracle.sends) ||
 				!reflect.DeepEqual(got.recvs, oracle.recvs) ||

@@ -7,7 +7,6 @@ import (
 	"wsnva/internal/deploy"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/parallel"
 	"wsnva/internal/regions"
 	"wsnva/internal/routing"
 	"wsnva/internal/sim"
@@ -321,16 +320,9 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 		apps = append(apps, a)
 		return a
 	}
-	var rs runStats
-	if cfg.Shards <= 1 {
-		rs = execute(nw, st, model, nil, nil, mk, hz, cfg.Crashed, traceCap)
-	} else {
-		part := NewPartition(nw, cfg.Shards)
-		pool := parallel.New(cfg.Workers)
-		rs = execute(nw, st, model, part, pool, mk, hz, cfg.Crashed, traceCap)
-	}
-	if rs.lost > 0 {
-		return nil, fmt.Errorf("shard: trace ring overflowed, %d events lost", rs.lost)
+	rs, err := execute(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
+	if err != nil {
+		return nil, err
 	}
 	agg := apps[0]
 	for _, a := range apps[1:] {
@@ -350,19 +342,10 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 		Deaths:     st.Deaths(),
 		Suspends:   rs.suspends,
 		Resumes:    rs.resumes,
-		Energy:     make([]cost.Energy, n),
 		Battery:    st.Battery,
 	}
-	for i := range res.Energy {
-		e := rs.ledger.Energy(i)
-		res.Energy[i] = e
-		res.Total += e
-		st.Battery[i] = int64(cfg.Capacity) - int64(e)
-	}
-	if cfg.Trace {
-		if res.Trace, err = encodeCanonical(rs.events); err != nil {
-			return nil, err
-		}
+	if res.Energy, res.Total, res.Trace, err = rs.settle(st, cfg.Capacity, cfg.Trace); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

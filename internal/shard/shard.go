@@ -207,7 +207,8 @@ func (h *fnv1a) bytes(b []byte) {
 	*h = x
 }
 
-// runStats is what both execution paths report back to Run.
+// runStats is what both execution paths report back to Run and
+// RunLabeling.
 type runStats struct {
 	sent       int64
 	delivered  int64
@@ -217,46 +218,66 @@ type runStats struct {
 	completion sim.Time
 	ledger     *cost.Ledger
 	events     []trace.Event
-	lost       int64
 }
 
-// execute runs mkApp's protocol over the oracle (part == nil) or the
-// sharded engine. mkApp is called once per shard (once total on the
-// oracle path), sequentially, in shard order. hz carries the loss
-// channel, the mid-run crash schedule, and the depletion budget; both
-// paths thread it through the same gates.
-func execute(nw *deploy.Network, st *State, model *cost.Model, part *Partition,
-	pool *parallel.Pool, mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) runStats {
-	if part == nil {
+// execute runs mkApp's protocol over the single-kernel oracle (shards <= 1)
+// or the conservative-window engine on shards tiles driven by a pool of
+// workers (<= 0 means GOMAXPROCS). mkApp is called once per shard (once
+// total on the oracle path), sequentially, in shard order. hz carries the
+// loss channel, the mid-run crash schedule, and the depletion budget; both
+// paths thread it through the same gates. It fails only when the trace
+// ring overflowed.
+func execute(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
+	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+	var rs runStats
+	var lost int64
+	if shards <= 1 {
 		fab := newSingleFab(nw, st, model, hz, traceCap)
-		completion := fab.run(mkApp(0), crashed)
-		sent, delivered, dropped := fab.med.Stats()
-		return runStats{
-			sent: sent, delivered: delivered, dropped: dropped,
-			suspends: fab.suspends, resumes: fab.resumes,
-			completion: completion,
-			ledger:     fab.med.Ledger(),
-			events:     fab.tracer.Events(),
-			lost:       fab.tracer.Lost(),
+		rs.completion = fab.run(mkApp(0), crashed)
+		rs.sent, rs.delivered, rs.dropped = fab.med.Stats()
+		rs.suspends, rs.resumes = fab.suspends, fab.resumes
+		rs.ledger = fab.med.Ledger()
+		rs.events = fab.tracer.Events()
+		lost = fab.tracer.Lost()
+	} else {
+		lookahead := radio.UniformDelay{Model: model}.MinDelay()
+		eng := newEngine(nw, st, NewPartition(nw, shards), model, lookahead, parallel.New(workers), mkApp, hz, traceCap)
+		rs.completion = eng.run(crashed)
+		rs.ledger = cost.NewLedger(model, nw.N())
+		for _, sr := range eng.shards {
+			rs.sent += sr.sent
+			rs.delivered += sr.delivered
+			rs.dropped += sr.dropped
+			rs.suspends += sr.suspends
+			rs.resumes += sr.resumes
+			rs.ledger.Add(sr.ledger)
+			rs.events = append(rs.events, sr.tracer.Events()...)
+			lost += sr.tracer.Lost()
 		}
 	}
-	lookahead := radio.UniformDelay{Model: model}.MinDelay()
-	eng := newEngine(nw, st, part, model, lookahead, pool, mkApp, hz, traceCap)
-	rs := runStats{
-		completion: eng.run(crashed),
-		ledger:     cost.NewLedger(model, nw.N()),
+	if lost > 0 {
+		return rs, fmt.Errorf("shard: trace ring overflowed, %d events lost", lost)
 	}
-	for _, sr := range eng.shards {
-		rs.sent += sr.sent
-		rs.delivered += sr.delivered
-		rs.dropped += sr.dropped
-		rs.suspends += sr.suspends
-		rs.resumes += sr.resumes
-		rs.ledger.Add(sr.ledger)
-		rs.events = append(rs.events, sr.tracer.Events()...)
-		rs.lost += sr.tracer.Lost()
+	return rs, nil
+}
+
+// settle turns the run's ledger into the per-node energy spend and its
+// total, writes the remaining battery (capacity − spent) into st.Battery,
+// and encodes the canonical trace when traced.
+func (rs *runStats) settle(st *State, capacity cost.Energy, traced bool) (energy []cost.Energy, total cost.Energy, canon []byte, err error) {
+	energy = make([]cost.Energy, len(st.Battery))
+	for i := range energy {
+		e := rs.ledger.Energy(i)
+		energy[i] = e
+		total += e
+		st.Battery[i] = int64(capacity) - int64(e)
 	}
-	return rs
+	if traced {
+		if canon, err = encodeCanonical(rs.events); err != nil {
+			return nil, 0, nil, err
+		}
+	}
+	return energy, total, canon, nil
 }
 
 // Run executes the multi-source dissemination workload over nw and
@@ -340,16 +361,9 @@ func Run(nw *deploy.Network, cfg Config) (*Result, error) {
 		apps = append(apps, a)
 		return a
 	}
-	var rs runStats
-	if cfg.Shards <= 1 {
-		rs = execute(nw, st, model, nil, nil, mk, hz, cfg.Crashed, traceCap)
-	} else {
-		part := NewPartition(nw, cfg.Shards)
-		pool := parallel.New(cfg.Workers)
-		rs = execute(nw, st, model, part, pool, mk, hz, cfg.Crashed, traceCap)
-	}
-	if rs.lost > 0 {
-		return nil, fmt.Errorf("shard: trace ring overflowed, %d events lost", rs.lost)
+	rs, err := execute(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
+	if err != nil {
+		return nil, err
 	}
 	agg := apps[0]
 	for _, a := range apps[1:] {
@@ -370,23 +384,13 @@ func Run(nw *deploy.Network, cfg Config) (*Result, error) {
 		Deaths:     st.Deaths(),
 		Suspends:   rs.suspends,
 		Resumes:    rs.resumes,
-		Energy:     make([]cost.Energy, n),
 		Heard:      st.Heard,
 		Level:      st.Level,
 		FirstAt:    st.FirstAt,
 		Battery:    st.Battery,
 	}
-	for i := range res.Energy {
-		e := rs.ledger.Energy(i)
-		res.Energy[i] = e
-		res.Total += e
-		st.Battery[i] = int64(cfg.Capacity) - int64(e)
-	}
-	if cfg.Trace {
-		var err error
-		if res.Trace, err = encodeCanonical(rs.events); err != nil {
-			return nil, err
-		}
+	if res.Energy, res.Total, res.Trace, err = rs.settle(st, cfg.Capacity, cfg.Trace); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
