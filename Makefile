@@ -76,11 +76,12 @@ race-serve:
 
 # Micro-benchmarks only (-run=^$$ skips the unit tests), with allocation
 # counts; short benchtime keeps this a quick regression pass. Drop
-# -benchtime=1x for per-experiment ns/op and allocs/op; end-to-end and
-# per-layer numbers come from bench/ (bash bench/run.sh, see
-# bench/README.md).
+# -benchtime=1x for per-experiment ns/op and allocs/op, and for the
+# shard layer's flood-scale ns/op and B/op (BenchmarkShardFlood);
+# end-to-end and per-layer numbers come from bench/ (bash bench/run.sh,
+# see bench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ .
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . ./internal/shard/
 
 # The bench/ harness is its own module, so the root `go test ./...`
 # never compiles it; its smoke tests catch API it uses going away.

@@ -174,7 +174,9 @@ type Region struct {
 // Summary is the boundary information one process ships to its parent. Its
 // coverage is a union of disjoint grid-aligned rectangles (a single rect
 // for the synchronous quad-tree, possibly several during incremental
-// asynchronous merging).
+// asynchronous merging): Merge joins rectangles that share a full edge, so
+// a completed quadrant is one rectangle whatever order its parts arrived
+// in.
 type Summary struct {
 	grid    *geom.Grid
 	covered []gridRect
@@ -357,6 +359,7 @@ func (s *Summary) Merge(other *Summary) {
 		}
 	}
 	s.covered = append(s.covered, other.covered...)
+	s.coalesce()
 	s.regions = append(s.regions, other.regions...)
 
 	// Join regions whose border cells are 4-adjacent. Map each border cell
@@ -447,6 +450,37 @@ type mergeScratch struct {
 }
 
 var mergePool = sync.Pool{New: func() any { return &mergeScratch{slot: make(map[int]int)} }}
+
+// coalesce joins coverage rectangles that share a full edge until no two
+// do. Without it a level-k quad-tree summary would carry 4^k unit
+// rectangles, and every coverage test would scan them all.
+func (s *Summary) coalesce() {
+	for joined := true; joined; {
+		joined = false
+		for i := 0; i < len(s.covered); i++ {
+			for j := i + 1; j < len(s.covered); j++ {
+				if u, ok := joinRects(s.covered[i], s.covered[j]); ok {
+					s.covered[i] = u
+					s.covered = slices.Delete(s.covered, j, j+1)
+					joined = true
+					j = i // the union may join a rect already passed over
+				}
+			}
+		}
+	}
+}
+
+// joinRects returns the union of a and b when it is itself a rectangle,
+// i.e. when they share a full edge.
+func joinRects(a, b gridRect) (gridRect, bool) {
+	if a.Row0 == b.Row0 && a.Rows == b.Rows && (a.Col0+a.Cols == b.Col0 || b.Col0+b.Cols == a.Col0) {
+		return gridRect{Col0: min(a.Col0, b.Col0), Row0: a.Row0, Cols: a.Cols + b.Cols, Rows: a.Rows}, true
+	}
+	if a.Col0 == b.Col0 && a.Cols == b.Cols && (a.Row0+a.Rows == b.Row0 || b.Row0+b.Rows == a.Row0) {
+		return gridRect{Col0: a.Col0, Row0: min(a.Row0, b.Row0), Cols: a.Cols, Rows: a.Rows + b.Rows}, true
+	}
+	return a, false
+}
 
 func rectsOverlap(a, b gridRect) bool {
 	return a.Col0 < b.Col0+b.Cols && b.Col0 < a.Col0+a.Cols &&

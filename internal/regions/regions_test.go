@@ -342,3 +342,62 @@ func TestHalfMergeProperty(t *testing.T) {
 		}
 	}
 }
+
+// Merging the four quadrants of a block, in each of the 24 arrival
+// orders, leaves one coverage rectangle and the block's own summary.
+func TestMergeCoalescesQuadrants(t *testing.T) {
+	g := geom.NewSquareGrid(8, 8)
+	m := field.Threshold(field.RandomBlobs(3, g.Terrain, 0.9, 1.8, rand.New(rand.NewSource(29))), g, 0.5, 0)
+	want := LeafBlock(m, 0, 0, 8, 8)
+	corners := [4][2]int{{0, 0}, {4, 0}, {0, 4}, {4, 4}}
+	orders := 0
+	for p := 0; p < 256; p++ {
+		order := []int{p & 3, p >> 2 & 3, p >> 4 & 3, p >> 6 & 3}
+		if 1<<order[0]|1<<order[1]|1<<order[2]|1<<order[3] != 15 {
+			continue // not a permutation
+		}
+		orders++
+		acc := LeafBlock(m, corners[order[0]][0], corners[order[0]][1], 4, 4)
+		for _, q := range order[1:] {
+			acc.Merge(LeafBlock(m, corners[q][0], corners[q][1], 4, 4))
+		}
+		if acc.CoveredRects() != 1 || !acc.Equal(want) {
+			t.Errorf("order %v: %d rects, equal to the block: %v", order, acc.CoveredRects(), acc.Equal(want))
+		}
+	}
+	if orders != 24 {
+		t.Fatalf("checked %d orders, want 24", orders)
+	}
+}
+
+// A quad-tree merged bottom-up with every block's children arriving in
+// random order never holds more than two coverage rectangles (three of
+// four quadrants), and each finished block is one.
+func TestQuadTreeCoverageStaysSmall(t *testing.T) {
+	g := geom.NewSquareGrid(16, 16)
+	m := field.Threshold(field.RandomBlobs(4, g.Terrain, 1.5, 3, rand.New(rand.NewSource(31))), g, 0.5, 0)
+	rng := rand.New(rand.NewSource(37))
+	var build func(col, row, side int) *Summary
+	build = func(col, row, side int) *Summary {
+		if side == 1 {
+			return Leaf(m, geom.Coord{Col: col, Row: row})
+		}
+		h := side / 2
+		kids := []*Summary{build(col, row, h), build(col+h, row, h), build(col, row+h, h), build(col+h, row+h, h)}
+		rng.Shuffle(len(kids), func(i, j int) { kids[i], kids[j] = kids[j], kids[i] })
+		acc := kids[0]
+		for _, k := range kids[1:] {
+			acc.Merge(k)
+			if acc.CoveredRects() > 2 {
+				t.Fatalf("block (%d,%d) side %d holds %d rects mid-merge", col, row, side, acc.CoveredRects())
+			}
+		}
+		if acc.CoveredRects() != 1 {
+			t.Fatalf("finished block (%d,%d) side %d holds %d rects", col, row, side, acc.CoveredRects())
+		}
+		return acc
+	}
+	if root := build(0, 0, 16); !root.Equal(LeafBlock(m, 0, 0, 16, 16)) {
+		t.Error("quad-tree merge differs from labeling the whole grid")
+	}
+}

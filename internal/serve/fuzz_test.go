@@ -15,7 +15,10 @@ import (
 //   - a spec that validates digests, and its canonical bytes round-trip:
 //     decode(canonical(x)) re-normalizes and re-validates to the same
 //     digest — the property that makes the digest a stable address
-//     rather than an accident of field ordering.
+//     rather than an accident of field ordering;
+//   - a spec that validates runs: at side ≤ 16 (floods: at most 1024
+//     nodes) Execute returns a result or an error, never panics, so every
+//     engine panic a spec can reach is refused by Validate first.
 //
 // `make fuzz` runs this alongside the wire/trace/shard targets.
 func FuzzMissionSpec(f *testing.F) {
@@ -28,6 +31,8 @@ func FuzzMissionSpec(f *testing.F) {
 	f.Add([]byte(`{"loss":1e999}`))
 	f.Add([]byte(`{"workload":"labeling"} trailing`))
 	f.Add([]byte(`{"wrokload":"labeling"}`))
+	f.Add([]byte(`{"engine":"shard","shards":3,"workers":2,"workload":"labeling","side":16,"field":"gradient","thresh":0.25,"crash_frac":0.2,"crash_window":40,"churn_rate":1.5,"duty_period":8,"duty_on":3,"capacity":500,"deplete":true,"trace":true}`))
+	f.Add([]byte(`{"engine":"shard","shards":2,"workload":"flood","side":16,"density":4,"floods":3,"seed":9,"crash_frac":0.1,"crash_window":30,"capacity":40,"deplete":true,"trace":true}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		spec, err := DecodeSpec(bytes.NewReader(data))
@@ -56,6 +61,13 @@ func FuzzMissionSpec(f *testing.F) {
 		}
 		if d3 := n3.Digest(); d3 != d1 {
 			t.Fatalf("canonical round-trip changes the digest: %s -> %s\n%s", d1, d3, canon)
+		}
+
+		if n1.Side > 16 || n1.Workload == "flood" && n1.Side*n1.Side*n1.Density > 1024 {
+			return // too big to run per input
+		}
+		if res, _, err := Execute(&n1, nil); err == nil && len(res) == 0 {
+			t.Fatalf("Execute returned neither a result nor an error\n%s", canon)
 		}
 	})
 }

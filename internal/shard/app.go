@@ -15,10 +15,11 @@ import (
 // Delivery semantics are batched: the fabric coalesces every input that
 // reaches a node at one instant — all packet deliveries plus an expired
 // timer — into a single wake callback whose batch is sorted by
-// (From, Key). The batch contents are therefore independent of the
-// order deliveries were scheduled in, which is the property that makes
-// sharded and single-kernel execution agree bit-for-bit (DESIGN.md,
-// "Sharded parallel kernel").
+// (From, Key), and wakes the nodes with input at that instant in
+// ascending ID order. The batch contents are therefore independent of
+// the order deliveries were scheduled in, which is the property that
+// makes sharded and single-kernel execution agree bit-for-bit
+// (DESIGN.md, "Sharded parallel kernel").
 type fabric interface {
 	// now returns the current simulated time.
 	now() sim.Time

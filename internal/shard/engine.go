@@ -104,6 +104,12 @@ type shardRun struct {
 	resumes   int64
 	last      sim.Time // time of the last event this shard fired
 
+	// in holds the inputs of the current instant for the owned nodes;
+	// drain is the event that wakes them, scheduled at the instant's
+	// first input.
+	in    inbox
+	drain func()
+
 	freeFan []*fanout
 }
 
@@ -145,6 +151,11 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 			kern:   sim.New(),
 			ledger: cost.NewLedger(model, nw.N()),
 			nodes:  part.Members[i],
+			in:     inbox{st: st},
+		}
+		sr.drain = func() {
+			sr.last = sr.kern.Now()
+			sr.in.drain(sr, sr.app)
 		}
 		if traceCap > 0 {
 			sr.tracer = trace.New(traceCap)
@@ -246,7 +257,7 @@ func (s *shardRun) kill(node int) {
 // injection assigns late sequence numbers), so cancelling would make
 // the dying wake's timer flag depend on the shard count. Instead the
 // gasp covers the whole instant — a timer stamped now still fires —
-// and any later timer is swallowed by runWake's liveness gate.
+// and any later timer is swallowed by the drain's liveness gate.
 func (s *shardRun) deplete(node int) {
 	st := s.eng.st
 	if !st.Alive[node] {
@@ -467,8 +478,8 @@ func (f *fanout) run() {
 
 // deliver lands one packet at a receiver this shard owns: liveness is
 // judged at delivery time exactly as radio.Medium does, the receiver is
-// charged Rx, and the packet joins the node's pending batch with a wake
-// scheduled at the current instant.
+// charged Rx, and the packet joins the shard's inbox for the current
+// instant.
 func (s *shardRun) deliver(to, from int, size, key int64, payload any) {
 	st := s.eng.st
 	if !st.liveAt(to, s.kern.Now()) {
@@ -489,44 +500,9 @@ func (s *shardRun) deliver(to, from int, size, key int64, payload any) {
 	if s.tracer != nil {
 		s.emit(trace.Rx, to, from, size, "")
 	}
-	st.pend[to] = append(st.pend[to], Packet{From: from, Size: size, Key: key, Payload: payload})
-	s.scheduleWake(to)
-}
-
-// scheduleWake arms at most one wake event per node per instant. The
-// wake is scheduled during the first delivery at this time, so its
-// sequence number exceeds every already-queued event at the same
-// timestamp — and since every delivery at time t is queued before any
-// t-event fires (local sends have latency ≥ 1, cross-shard sends are
-// injected at the barrier), the wake always fires after the node's
-// entire batch has accumulated. The oracle path makes the identical
-// argument over the single kernel, which is why both engines hand the
-// app the same batches.
-func (s *shardRun) scheduleWake(n int) {
-	st := s.eng.st
-	if st.wakePending[n] {
-		return
+	if s.in.add(to, Packet{From: from, Size: size, Key: key, Payload: payload}) {
+		s.kern.After(0, s.drain)
 	}
-	st.wakePending[n] = true
-	s.kern.After(0, func() { s.runWake(n) })
-}
-
-func (s *shardRun) runWake(n int) {
-	s.last = s.kern.Now()
-	st := s.eng.st
-	st.wakePending[n] = false
-	timer := st.timerFired[n]
-	st.timerFired[n] = false
-	pkts := st.pend[n]
-	// A wake can outlive its node: a timer re-armed during the node's
-	// dying-gasp instant fires later, when the node is silent for good.
-	if !st.liveAt(n, s.kern.Now()) {
-		st.pend[n] = pkts[:0]
-		return
-	}
-	sortPackets(pkts)
-	s.app.wake(s, n, pkts, timer)
-	st.pend[n] = pkts[:0]
 }
 
 func (s *shardRun) now() sim.Time { return s.kern.Now() }
@@ -543,14 +519,15 @@ func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
 	at := s.kern.Now() + d
 	// The timer is the node's owned event: a crash cancels it via
 	// CancelOwner (the crash event's low sequence number makes that
-	// deterministic), while depletion leaves it for runWake's liveness
-	// gate. Wake events stay unowned so a crash never unschedules the
-	// drain of an already-accumulated batch.
+	// deterministic), while depletion leaves it for the drain's liveness
+	// gate. The drain event stays unowned so a crash never unschedules
+	// an already-accumulated batch.
 	s.kern.AfterOwned(n, d, func() {
 		s.last = s.kern.Now()
 		st.timerSet[n] = false
-		st.timerFired[n] = true
-		s.scheduleWake(n)
+		if s.in.touch(n) {
+			s.kern.After(0, s.drain)
+		}
 	})
 	return at
 }

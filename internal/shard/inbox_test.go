@@ -1,0 +1,212 @@
+package shard
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"wsnva/internal/deploy"
+	"wsnva/internal/geom"
+	"wsnva/internal/sim"
+)
+
+// stillFab is a fabric frozen at one instant: the inbox reads only its
+// clock, so every transmission is a test bug.
+type stillFab struct{ at sim.Time }
+
+func (f *stillFab) now() sim.Time                            { return f.at }
+func (f *stillFab) broadcast(int, int64, int64) int          { panic("stillFab: broadcast") }
+func (f *stillFab) unicast(int, int, int64, int64, any) bool { panic("stillFab: unicast") }
+func (f *stillFab) wakeAfter(int, sim.Time) sim.Time         { panic("stillFab: wakeAfter") }
+
+// wakeRec is one wake as the app saw it, its batch copied.
+type wakeRec struct {
+	node  int
+	pkts  []Packet
+	timer bool
+}
+
+// recApp records every wake; during, when set, runs inside each wake.
+type recApp struct {
+	wakes  []wakeRec
+	during func(node int)
+}
+
+func (a *recApp) start(fabric, int) {}
+
+func (a *recApp) wake(_ fabric, node int, pkts []Packet, timer bool) {
+	a.wakes = append(a.wakes, wakeRec{node, slices.Clone(pkts), timer})
+	if a.during != nil {
+		a.during(node)
+	}
+}
+
+// inboxState is a fresh State for n nodes; the inbox ignores positions.
+func inboxState(n int) *State {
+	terrain := geom.Rect{MaxX: 10, MaxY: 10}
+	return NewState(deploy.New(n, terrain, 1, deploy.UniformRandom{}, rand.New(rand.NewSource(1))))
+}
+
+// TestInboxWakesInIDOrderWithSortedBatches adds packets to random nodes
+// in random order and checks the drain: each listed node is woken once,
+// in ascending ID order, with exactly its packets sorted by (From, Key).
+func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const n = 40
+	st := inboxState(n)
+	ib := &inbox{st: st}
+	for round := 0; round < 20; round++ {
+		want := make(map[int][]Packet)
+		firsts := 0
+		for i := 0; i < 1+rng.Intn(200); i++ {
+			to := rng.Intn(n)
+			p := Packet{From: rng.Intn(n), Size: 1, Key: int64(rng.Intn(4)), Payload: i}
+			want[to] = append(want[to], p)
+			if ib.add(to, p) {
+				firsts++
+			}
+		}
+		if firsts != 1 {
+			t.Fatalf("round %d: %d adds reported the instant's first input, want 1", round, firsts)
+		}
+		a := &recApp{}
+		ib.drain(&stillFab{}, a)
+		if len(a.wakes) != len(want) {
+			t.Fatalf("round %d: %d wakes for %d nodes with input", round, len(a.wakes), len(want))
+		}
+		for i, w := range a.wakes {
+			if i > 0 && w.node <= a.wakes[i-1].node {
+				t.Fatalf("round %d: node %d woke after node %d", round, w.node, a.wakes[i-1].node)
+			}
+			for j := 1; j < len(w.pkts); j++ {
+				if less(w.pkts[j], w.pkts[j-1]) {
+					t.Fatalf("round %d: node %d batch not sorted by (From, Key): %v", round, w.node, w.pkts)
+				}
+			}
+			// (From, Key) may repeat here, so compare in add order.
+			got := slices.Clone(w.pkts)
+			slices.SortFunc(got, func(x, y Packet) int { return x.Payload.(int) - y.Payload.(int) })
+			if !slices.Equal(got, want[w.node]) || w.timer {
+				t.Fatalf("round %d: node %d got %v (timer %v), want %v", round, w.node, got, w.timer, want[w.node])
+			}
+		}
+	}
+}
+
+// TestInboxTimerOnlyWake: a touch with no packet wakes the node with an
+// empty batch and the timer flag, and a touch on a node that also has
+// packets sets the flag on the same wake.
+func TestInboxTimerOnlyWake(t *testing.T) {
+	st := inboxState(4)
+	ib := &inbox{st: st}
+	if !ib.touch(2) {
+		t.Fatal("first touch of the instant did not ask for a drain")
+	}
+	ib.add(1, Packet{From: 0, Size: 1})
+	ib.touch(1)
+	a := &recApp{}
+	ib.drain(&stillFab{}, a)
+	want := []wakeRec{{1, []Packet{{From: 0, Size: 1}}, true}, {2, []Packet{}, true}}
+	if len(a.wakes) != 2 {
+		t.Fatalf("wakes = %+v, want %+v", a.wakes, want)
+	}
+	for i, w := range a.wakes {
+		if w.node != want[i].node || w.timer != want[i].timer || !slices.Equal(w.pkts, want[i].pkts) {
+			t.Errorf("wake %d = %+v, want %+v", i, w, want[i])
+		}
+	}
+	if st.timerFired[1] || st.timerFired[2] {
+		t.Error("timer flags survived the drain")
+	}
+}
+
+// TestInboxDeadNodeLosesInput: a node that is no longer live at the
+// drain (a late timer after its dying gasp) is not woken.
+func TestInboxDeadNodeLosesInput(t *testing.T) {
+	st := inboxState(3)
+	st.Alive[1] = false
+	ib := &inbox{st: st}
+	ib.touch(1)
+	ib.touch(2)
+	a := &recApp{}
+	ib.drain(&stillFab{at: 7}, a)
+	if len(a.wakes) != 1 || a.wakes[0].node != 2 {
+		t.Fatalf("wakes = %+v, want node 2 only", a.wakes)
+	}
+	if st.listed[1] || st.timerFired[1] {
+		t.Error("dead node's input survived the drain")
+	}
+}
+
+// TestInboxDrainedHoldsNoPayload: after a drain the log, the batch and
+// the per-node State arrays are empty, and no payload is still
+// referenced from the retained capacity.
+func TestInboxDrainedHoldsNoPayload(t *testing.T) {
+	st := inboxState(8)
+	ib := &inbox{st: st}
+	for i := 0; i < 50; i++ {
+		ib.add(i%8, Packet{From: i, Size: 1, Payload: &wakeRec{}})
+	}
+	ib.drain(&stillFab{}, &recApp{})
+	if len(ib.log) != 0 || len(ib.next) != 0 || len(ib.nodes) != 0 || ib.draining {
+		t.Fatalf("drained inbox: log %d, next %d, nodes %d, draining %v", len(ib.log), len(ib.next), len(ib.nodes), ib.draining)
+	}
+	for _, p := range append(ib.log[:cap(ib.log)], ib.batch[:cap(ib.batch)]...) {
+		if p.Payload != nil {
+			t.Fatal("drained inbox still references a payload")
+		}
+	}
+	for v := 0; v < 8; v++ {
+		if st.head[v] != 0 || st.tail[v] != 0 || st.listed[v] || st.timerFired[v] {
+			t.Fatalf("node %d keeps wake state after the drain", v)
+		}
+	}
+}
+
+// countApp counts wakes without allocating.
+type countApp struct{ wakes int }
+
+func (a *countApp) start(fabric, int)                        {}
+func (a *countApp) wake(_ fabric, _ int, _ []Packet, _ bool) { a.wakes++ }
+
+// TestInboxCycleAllocatesNothing: once the log, batch and node list
+// have grown, an add/drain cycle allocates nothing.
+func TestInboxCycleAllocatesNothing(t *testing.T) {
+	const n = 64
+	st := inboxState(n)
+	ib := &inbox{st: st}
+	fab, a := &stillFab{}, &countApp{}
+	cycle := func() {
+		for i := 0; i < 500; i++ {
+			ib.add((i*37)%n, Packet{From: i % 11, Size: 1, Key: int64(i % 3)})
+		}
+		ib.touch(3)
+		ib.drain(fab, a)
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
+		t.Errorf("warm add/drain cycle: %v allocs, want 0", allocs)
+	}
+}
+
+// TestInboxInputDuringDrainPanics: a wake cannot reach its own instant,
+// so an add or a touch from inside the drain is a bug.
+func TestInboxInputDuringDrainPanics(t *testing.T) {
+	for name, input := range map[string]func(*inbox){
+		"add":   func(ib *inbox) { ib.add(0, Packet{From: 1, Size: 1}) },
+		"touch": func(ib *inbox) { ib.touch(0) },
+	} {
+		st := inboxState(2)
+		ib := &inbox{st: st}
+		ib.touch(1)
+		a := &recApp{during: func(int) { input(ib) }}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s during a drain did not panic", name)
+				}
+			}()
+			ib.drain(&stillFab{}, a)
+		}()
+	}
+}

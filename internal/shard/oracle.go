@@ -33,6 +33,9 @@ type singleFab struct {
 	bank   *battery.Bank
 	hz     hazards
 	tracer *trace.Tracer
+	// in and drain are the wake machinery, as in shardRun.
+	in    inbox
+	drain func()
 
 	suspends int64
 	resumes  int64
@@ -54,7 +57,8 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, 
 		ch = hz.channel
 	}
 	med := radio.NewMedium(nw, kern, ledger, rand.New(rand.NewSource(1)), radio.Config{Channel: ch})
-	f := &singleFab{med: med, st: st, hz: hz}
+	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st}}
+	f.drain = func() { f.in.drain(f, f.app) }
 	if traceCap > 0 {
 		f.tracer = trace.New(traceCap)
 		f.tracer.SetSink(hz.sink)
@@ -78,7 +82,7 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, 
 // node's pending timer is left in the queue — cancelling it would leak
 // the schedule-dependent order of the timer against the depleting
 // charge — so a same-instant timer still fires inside the gasp and any
-// later one dies at runWake's liveness gate.
+// later one dies at the drain's liveness gate.
 func (f *singleFab) deplete(node int) {
 	if !f.st.Alive[node] {
 		return
@@ -113,7 +117,7 @@ func (f *singleFab) run(a app, crashed []bool) sim.Time {
 	// Churn transitions, scheduled after the crashes so a same-instant
 	// crash fires first — matching the engine's pre-scheduling order.
 	// The medium flips its own tri-state gate (and emits the Sleep/Wake
-	// trace events); the SoA mirror keeps runWake's liveness gate and
+	// trace events); the SoA mirror keeps the drain's liveness gate and
 	// the final state in step with it.
 	for _, ce := range f.hz.churn {
 		ce := ce
@@ -175,15 +179,16 @@ func (f *singleFab) wakeAfter(n int, d sim.Time) sim.Time {
 	// Owned, so a crash or depletion cancels it — matching the engine.
 	kern.AfterOwned(n, d, func() {
 		f.st.timerSet[n] = false
-		f.st.timerFired[n] = true
-		f.scheduleWake(n)
+		if f.in.touch(n) {
+			kern.After(0, f.drain)
+		}
 	})
 	return at
 }
 
-// onPacket buffers a delivery into the node's batch and arms the wake,
-// mirroring shardRun.deliver after the medium has already done the
-// liveness check, the Rx charge, and the trace emission.
+// onPacket queues a delivery into the inbox, mirroring shardRun.deliver
+// after the medium has already done the liveness check, the Rx charge,
+// and the trace emission.
 func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	var p Packet
 	switch v := pkt.Payload.(type) {
@@ -194,31 +199,7 @@ func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	default:
 		panic(fmt.Sprintf("shard: oracle received foreign payload %T", pkt.Payload))
 	}
-	f.st.pend[id] = append(f.st.pend[id], p)
-	f.scheduleWake(id)
-}
-
-func (f *singleFab) scheduleWake(n int) {
-	if f.st.wakePending[n] {
-		return
+	if f.in.add(id, p) {
+		f.med.Kernel().After(0, f.drain)
 	}
-	f.st.wakePending[n] = true
-	f.med.Kernel().After(0, func() { f.runWake(n) })
-}
-
-func (f *singleFab) runWake(n int) {
-	st := f.st
-	st.wakePending[n] = false
-	timer := st.timerFired[n]
-	st.timerFired[n] = false
-	pkts := st.pend[n]
-	// Same late-wake gate as shardRun.runWake: a timer re-armed during
-	// the dying-gasp instant fires after the node has gone silent.
-	if !st.liveAt(n, f.med.Kernel().Now()) {
-		st.pend[n] = pkts[:0]
-		return
-	}
-	sortPackets(pkts)
-	f.app.wake(f, n, pkts, timer)
-	st.pend[n] = pkts[:0]
 }

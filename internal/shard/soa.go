@@ -59,13 +59,17 @@ type State struct {
 	// or -1 if the node was never reached.
 	FirstAt []sim.Time
 
-	// Per-node wake machinery: pending packet batch, whether a wake
-	// event is already scheduled at the current instant, and the
-	// one-outstanding timer flags. Owned by the node's shard.
-	pend        [][]Packet
-	wakePending []bool
-	timerSet    []bool
-	timerFired  []bool
+	// Per-node wake state, written only by the node's owner fabric:
+	// head and tail are the ends of the node's packet chain in its
+	// fabric's inbox log (0: no packet this instant), listed marks a node
+	// the inbox will wake at the current instant, timerSet guards the one
+	// outstanding timer, and timerFired flags a timer that expired at the
+	// current instant.
+	head       []int32
+	tail       []int32
+	listed     []bool
+	timerSet   []bool
+	timerFired []bool
 }
 
 // NewState builds the SoA layout for a deployment, all nodes alive.
@@ -73,20 +77,21 @@ func NewState(nw *deploy.Network) *State {
 	n := nw.N()
 	xs, ys := nw.PositionsView()
 	st := &State{
-		N:           n,
-		X:           xs,
-		Y:           ys,
-		Alive:       make([]bool, n),
-		Suspended:   make([]bool, n),
-		GaspUntil:   make([]sim.Time, n),
-		Battery:     make([]int64, n),
-		Level:       make([]int32, n),
-		Heard:       make([]uint64, n),
-		FirstAt:     make([]sim.Time, n),
-		pend:        make([][]Packet, n),
-		wakePending: make([]bool, n),
-		timerSet:    make([]bool, n),
-		timerFired:  make([]bool, n),
+		N:          n,
+		X:          xs,
+		Y:          ys,
+		Alive:      make([]bool, n),
+		Suspended:  make([]bool, n),
+		GaspUntil:  make([]sim.Time, n),
+		Battery:    make([]int64, n),
+		Level:      make([]int32, n),
+		Heard:      make([]uint64, n),
+		FirstAt:    make([]sim.Time, n),
+		head:       make([]int32, n),
+		tail:       make([]int32, n),
+		listed:     make([]bool, n),
+		timerSet:   make([]bool, n),
+		timerFired: make([]bool, n),
 	}
 	for i := 0; i < n; i++ {
 		st.Alive[i] = true
@@ -134,8 +139,10 @@ type Packet struct {
 	Payload any
 }
 
-// sortPackets orders a wake batch by (From, Key). Batches are small
-// (bounded by node degree), so insertion sort beats sort.Slice here.
+// sortPackets orders a wake batch by (From, Key). Batches reach the
+// node's degree, but they arrive almost sorted — nodes wake in ID order
+// and every fan-out delivers in ID order — so insertion sort runs in
+// near-linear time and beats a general sort here.
 func sortPackets(p []Packet) {
 	for i := 1; i < len(p); i++ {
 		for j := i; j > 0 && less(p[j], p[j-1]); j-- {
