@@ -13,9 +13,10 @@ all: build vet test
 # under multi-tenant load with the race detector, the whole test suite
 # under the race detector, one quick benchmark iteration to catch
 # allocation or wall-time blowups, the bench/ harness's own tests, a
-# battery-depletion soak, and the observability coverage floor before
-# they land.
-check: vet fmt build race-core race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover
+# battery-depletion soak, the observability coverage floor, and the seven
+# examples, which drive the synthesized alarm and tracking programs
+# through their public drivers, before they land.
+check: vet fmt build race-core race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover examples
 
 build:
 	$(GO) build ./...

@@ -15,9 +15,9 @@ import (
 	"log"
 
 	"wsnva/internal/cost"
+	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/mapping"
-	"wsnva/internal/regions"
 	"wsnva/internal/synth"
 	"wsnva/internal/taskgraph"
 	"wsnva/internal/varch"
@@ -72,24 +72,16 @@ func main() {
 	fmt.Printf("hottest node: %d units (balance %.2f)\n", st.MaxNodeEnergy, st.Balance)
 
 	fmt.Printf("\n=== Synthesized node program (Figure 4) ===\n")
-	spec := synth.LabelingProgram(synth.Config{
-		Hier:  h,
-		Coord: geom.Coord{},
-		Sense: func() *regions.Summary { return nil },
-	})
-	fmt.Println(spec.Listing())
+	// Listings never run the rules, so a blank field stands in for sensing.
+	blank := field.FromBits(grid, make([]bool, grid.N()))
+	fmt.Println(synth.LabelingProgram(h, blank).Listing())
 
 	if *all {
 		fmt.Printf("\n=== Synthesized alarm program (event-driven regime) ===\n")
-		alarm := synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: geom.Coord{}, Hot: func() bool { return false }, Quorum: 4,
-		})
-		fmt.Println(alarm.Listing())
+		fmt.Println(synth.AlarmProgram(h, blank, 4).Listing())
 
 		fmt.Printf("\n=== Synthesized tracking program ===\n")
-		track := synth.TrackingProgram(synth.TrackingConfig{
-			Hier: h, Coord: geom.Coord{}, Strength: func() float64 { return 0 },
-		})
+		track := synth.TrackingProgram(h, func(geom.Coord) float64 { return 0 })
 		fmt.Println(track.Listing())
 	}
 }

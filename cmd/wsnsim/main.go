@@ -118,9 +118,7 @@ func main() {
 	// the runtime-system protocols assume it. The sharded kernel is
 	// opt-in; its result is identical to the sequential engine by
 	// construction (internal/shard's oracle contract).
-	inj, err := emul.Disseminate(nw, emul.DisseminateConfig{
-		Shards: *shards, Workers: *workers,
-	})
+	inj, err := shard.Run(nw, shard.Config{Origins: []int{0}, PktSize: 8, Shards: *shards, Workers: *workers})
 	if err != nil {
 		log.Fatalf("wsnsim: injection failed: %v", err)
 	}
@@ -129,7 +127,7 @@ func main() {
 		engineName = fmt.Sprintf("%d shards", *shards)
 	}
 	fmt.Printf("program injection (%s): %d/%d nodes reached at t=%d, energy %d units\n",
-		engineName, inj.Reached[0]+1, inj.Nodes, inj.Completion, emul.InjectionEnergy(inj))
+		engineName, inj.Reached[0]+1, inj.Nodes, inj.Completion, inj.Total)
 
 	// Runtime system: topology emulation + virtual-process binding. Only
 	// the physical engine consumes the emulation tables, the binding, and

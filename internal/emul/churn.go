@@ -21,7 +21,6 @@ import (
 	"wsnva/internal/churn"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 	"wsnva/internal/trace"
@@ -119,11 +118,9 @@ func (m *Machine) RunChurn(cfg ChurnConfig) (*ChurnOutcome, error) {
 	}
 	out := &ChurnOutcome{AllRecovered: true}
 	k := m.Kernel()
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: m.hier, Coord: c, Sense: synth.SenseFromMap(cfg.Map, c)})
-	}
+	prog := synth.LabelingProgram(m.hier, cfg.Map)
 	round := func() error {
-		res, _, err := m.RunProgram(factory)
+		res, _, err := RunProgram(m, prog)
 		if err != nil {
 			return err
 		}

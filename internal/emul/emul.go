@@ -299,8 +299,6 @@ func (f *emulFx) Exfiltrate(result any) {
 func (f *emulFx) Compute(units int64) { f.m.Compute(f.coord, units) }
 func (f *emulFx) Sense(units int64)   { f.m.Sense(f.coord, units) }
 
-const maxQuiescenceSteps = 1 << 16
-
 // RunLabeling executes one synthesized labeling round entirely over the
 // physical network and returns the result. The map's grid must match the
 // hierarchy's.
@@ -308,9 +306,7 @@ func (m *Machine) RunLabeling(fmap *field.BinaryMap) (*Result, error) {
 	if fmap.Grid != m.hier.Grid {
 		return nil, fmt.Errorf("emul: map grid and hierarchy grid differ")
 	}
-	res, _, err := m.RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: m.hier, Coord: c, Sense: synth.SenseFromMap(fmap, c)})
-	})
+	res, _, err := RunProgram(m, synth.LabelingProgram(m.hier, fmap))
 	if err != nil {
 		return nil, err
 	}
@@ -320,40 +316,37 @@ func (m *Machine) RunLabeling(fmap *field.BinaryMap) (*Result, error) {
 	return res, nil
 }
 
-// RunProgram executes one round of an arbitrary synthesized program set on
-// the physical network and returns the result plus each virtual node's
-// final environment (grid-index order) for programs that publish state
+// RunProgram executes one round of a synthesized program on the physical
+// network and returns the result plus every virtual node's instance
+// (grid-index order), whose states serve programs that publish state
 // instead of exfiltrating.
-func (m *Machine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, []*program.Env, error) {
+func RunProgram[S any](m *Machine, spec *program.Spec[S]) (*Result, []program.Instance[S], error) {
 	res := &Result{}
-	insts := make([]*program.Instance, 0, m.hier.Grid.N())
-	for _, c := range m.hier.Grid.Coords() {
-		c := c
-		fx := &emulFx{m: m, coord: c, out: res}
-		inst := program.NewInstance(factory(c), fx)
-		if m.tracer != nil {
-			inst.SetFireHook(func(rule string) {
-				m.tracer.EmitEvent(trace.Event{At: m.Kernel().Now(), Kind: trace.RuleFire,
-					Node: c.String(), ID: -1, Col: c.Col, Row: c.Row,
-					PeerCol: -1, PeerRow: -1, Detail: rule})
-			})
-		}
-		insts = append(insts, inst)
-		m.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
+	g := m.hier.Grid
+	fxs := make([]emulFx, g.N())
+	insts := program.New(spec, g.N(), func(i int) program.Effector {
+		fxs[i] = emulFx{m: m, coord: g.CoordOf(i), out: res}
+		return &fxs[i]
+	})
+	if m.tracer != nil {
+		program.SetFireHook(insts, func(node int, rule string) {
+			c := g.CoordOf(node)
+			m.tracer.EmitEvent(trace.Event{At: m.Kernel().Now(), Kind: trace.RuleFire,
+				Node: c.String(), ID: -1, Col: c.Col, Row: c.Row,
+				PeerCol: -1, PeerRow: -1, Detail: rule})
 		})
 	}
+	for i := range insts {
+		inst := &insts[i]
+		m.Handle(g.CoordOf(i), func(msg varch.Message) { inst.OnMessage(msg.Payload) })
+	}
 	m.vphase("emul-round:start")
-	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+	for i := range insts {
+		insts[i].RunToQuiescence()
 	}
 	m.Kernel().Run()
 	m.vphase("emul-round:end")
-	envs := make([]*program.Env, len(insts))
-	for i, inst := range insts {
-		res.RuleFirings += inst.Fired()
-		envs[i] = inst.Env
-	}
+	res.RuleFirings, _ = program.Fired(insts)
 	res.PhysHops = m.physHops
-	return res, envs, nil
+	return res, insts, nil
 }

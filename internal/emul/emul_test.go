@@ -9,7 +9,6 @@ import (
 	"wsnva/internal/deploy"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/radio"
 	"wsnva/internal/regions"
 	"wsnva/internal/sim"
@@ -163,19 +162,14 @@ func TestPhysicalAlarmProgram(t *testing.T) {
 		"....",
 	)
 	const quorum = 2
-	res, envs, err := m.RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: c, Hot: func() bool { return hot.At(c) }, Quorum: quorum,
-		})
-	})
+	res, insts, err := RunProgram(m, synth.AlarmProgram(h, hot, quorum))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Exfiltrated == nil {
 		t.Fatal("3 hot cells must satisfy quorum 2 on the physical network")
 	}
-	rootEnv := envs[g.Index(h.Root())]
-	totals := rootEnv.Objs[synth.VarAlarmTotal].([]int64)
+	totals := insts[g.Index(h.Root())].State.Total
 	if totals[h.Levels] != 3 {
 		t.Errorf("physical root counted %d alarms, want 3", totals[h.Levels])
 	}

@@ -16,8 +16,6 @@ import (
 	"wsnva/internal/binding"
 	"wsnva/internal/cost"
 	"wsnva/internal/field"
-	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 )
@@ -121,9 +119,7 @@ func (m *Machine) RunLifetime(cfg LifetimeConfig) (*LifetimeOutcome, error) {
 		}
 		return false
 	}
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: m.hier, Coord: c, Sense: synth.SenseFromMap(cfg.Map, c)})
-	}
+	prog := synth.LabelingProgram(m.hier, cfg.Map)
 	leadersSeen := make(map[int]bool)
 	every := cfg.RotateEvery
 	if every <= 0 {
@@ -144,7 +140,7 @@ func (m *Machine) RunLifetime(cfg LifetimeConfig) (*LifetimeOutcome, error) {
 		for _, id := range m.bnd.Leaders {
 			leadersSeen[id] = true
 		}
-		res, _, err := m.RunProgram(factory)
+		res, _, err := RunProgram(m, prog)
 		if err != nil {
 			return nil, err
 		}

@@ -49,9 +49,6 @@ type Result struct {
 	Messages    int64 // messages injected
 	HopsMoved   int64 // total hop movements
 	RuleFirings int64
-	// Envs exposes each node's final environment (grid-index order) for
-	// programs that publish state instead of exfiltrating.
-	Envs []*program.Env
 }
 
 // Engine runs synthesized labeling programs in lock-step rounds.
@@ -133,9 +130,6 @@ func xyRoute(g *geom.Grid, src, dst geom.Coord) []geom.Coord {
 	return route
 }
 
-// maxQuiescenceSteps mirrors the other drivers' bound.
-const maxQuiescenceSteps = 1 << 16
-
 // maxRounds guards against a livelocked round loop; no correct program
 // needs more rounds than total route length, itself far below this.
 const maxRounds = 1 << 20
@@ -145,9 +139,7 @@ func (e *Engine) Run(m *field.BinaryMap) (*Result, error) {
 	if m.Grid != e.hier.Grid {
 		return nil, fmt.Errorf("lockstep: map grid and hierarchy grid differ")
 	}
-	res, err := e.RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: e.hier, Coord: c, Sense: synth.SenseFromMap(m, c)})
-	})
+	res, _, err := RunProgram(e, synth.LabelingProgram(e.hier, m))
 	if err != nil {
 		return nil, err
 	}
@@ -157,23 +149,24 @@ func (e *Engine) Run(m *field.BinaryMap) (*Result, error) {
 	return res, nil
 }
 
-// RunProgram executes an arbitrary synthesized program set in lock-step
+// RunProgram executes a synthesized program on every node in lock-step
 // rounds. The round loop ends at the first exfiltration (the labeling
 // pattern) or at quiescence with Rounds set to the last round that moved a
 // message, whichever comes first; programs that never exfiltrate (like
-// tracking) are read back through their Envs.
-func (e *Engine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, error) {
+// tracking) are read back through the returned instances' states, indexed
+// by grid index.
+func RunProgram[S any](e *Engine, spec *program.Spec[S]) (*Result, []program.Instance[S], error) {
 	g := e.hier.Grid
 	st := &runState{hier: e.hier, ledger: e.ledger, res: &Result{}}
-	insts := make([]*program.Instance, g.N())
-	for _, c := range g.Coords() {
-		fx := &nodeFx{eng: st, coord: c}
-		insts[g.Index(c)] = program.NewInstance(factory(c), fx)
-	}
+	fxs := make([]nodeFx, g.N())
+	insts := program.New(spec, g.N(), func(i int) program.Effector {
+		fxs[i] = nodeFx{eng: st, coord: g.CoordOf(i)}
+		return &fxs[i]
+	})
 
 	// Round 0: every node runs its start rules; sends enter flight.
-	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
+	for i := range insts {
+		insts[i].RunToQuiescence()
 	}
 
 	for rounds := 0; ; rounds++ {
@@ -182,7 +175,7 @@ func (e *Engine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, 
 			break
 		}
 		if rounds > maxRounds {
-			return nil, fmt.Errorf("lockstep: no completion after %d rounds", rounds)
+			return nil, nil, fmt.Errorf("lockstep: no completion after %d rounds", rounds)
 		}
 		// Move every in-flight message one hop, charging the link.
 		var arrived, still []*flight
@@ -204,13 +197,9 @@ func (e *Engine) RunProgram(factory func(c geom.Coord) *program.Spec) (*Result, 
 		sort.Slice(arrived, func(i, j int) bool { return arrived[i].seq < arrived[j].seq })
 		for _, fl := range arrived {
 			dst := fl.route[len(fl.route)-1]
-			insts[g.Index(dst)].OnMessage(fl.payload, maxQuiescenceSteps)
+			insts[g.Index(dst)].OnMessage(fl.payload)
 		}
 	}
-	st.res.Envs = make([]*program.Env, len(insts))
-	for i, inst := range insts {
-		st.res.RuleFirings += inst.Fired()
-		st.res.Envs[i] = inst.Env
-	}
-	return st.res, nil
+	st.res.RuleFirings, _ = program.Fired(insts)
+	return st.res, insts, nil
 }

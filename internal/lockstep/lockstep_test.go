@@ -7,7 +7,6 @@ import (
 	"wsnva/internal/cost"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/regions"
 	"wsnva/internal/routing"
 	"wsnva/internal/sim"
@@ -171,7 +170,7 @@ func TestXYRouteMirrorsRoutingPackage(t *testing.T) {
 func TestRunProgramTrackingEpoch(t *testing.T) {
 	// The generic entry point runs a non-exfiltrating program (tracking):
 	// the round loop ends at quiescence and the moments land in the root's
-	// environment, matching the DES machine exactly.
+	// state, matching the DES machine exactly.
 	g := geom.NewSquareGrid(8, 8)
 	h := varch.MustHierarchy(g)
 	strength := func(c geom.Coord) float64 {
@@ -186,20 +185,15 @@ func TestRunProgramTrackingEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := cost.NewLedger(cost.NewUniform(), g.N())
-	res, err := New(h, l).RunProgram(func(c geom.Coord) *program.Spec {
-		return synth.TrackingProgram(synth.TrackingConfig{
-			Hier: h, Coord: c, Strength: func() float64 { return strength(c) },
-		})
-	})
+	res, insts, err := RunProgram(New(h, l), synth.TrackingProgram(h, strength))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Final != nil {
 		t.Error("tracking exfiltrates nothing")
 	}
-	rootEnv := res.Envs[g.Index(h.Root())]
-	w := rootEnv.Objs[synth.VarTrackW].([]int64)[h.Levels]
-	wx := rootEnv.Objs[synth.VarTrackWX].([]int64)[h.Levels]
+	root := insts[g.Index(h.Root())].State
+	w, wx := root.W[h.Levels], root.WX[h.Levels]
 	if w == 0 {
 		t.Fatal("no detection mass reached the root")
 	}

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -18,27 +19,38 @@ func (f *nullFx) Exfiltrate(result any)                   { f.exfils++ }
 func (f *nullFx) Compute(units int64)                     { f.comps += units }
 func (f *nullFx) Sense(units int64)                       { f.senses += units }
 
-func counterSpec() *Spec {
-	return &Spec{
+// one instantiates spec on a single node driven by fx.
+func one[S any](spec *Spec[S], fx Effector) *Instance[S] {
+	return &New(spec, 1, func(int) Effector { return fx })[0]
+}
+
+type counter struct {
+	n  int
+	on bool
+}
+
+func counterSpec() *Spec[counter] {
+	return &Spec[counter]{
 		Title: "counter",
-		Init: func(e *Env) {
-			e.Ints["n"] = 0
-			e.Bools["go"] = true
+		Init: func(states []counter) {
+			for i := range states {
+				states[i] = counter{on: true}
+			}
 		},
-		Rules: []Rule{
+		Rules: []Rule[counter]{
 			{
 				Name:      "tick",
-				Condition: "go and n < 3",
+				Condition: "on and n < 3",
 				Effect:    "n++",
-				Guard:     func(e *Env) bool { return e.Bools["go"] && e.Ints["n"] < 3 },
-				Action:    func(e *Env, fx Effector) { e.Ints["n"]++; fx.Compute(1) },
+				Guard:     func(s *counter, _ *Env) bool { return s.on && s.n < 3 },
+				Action:    func(s *counter, _ *Env, fx Effector) { s.n++; fx.Compute(1) },
 			},
 			{
 				Name:      "stop",
 				Condition: "n = 3",
-				Effect:    "go = false",
-				Guard:     func(e *Env) bool { return e.Bools["go"] && e.Ints["n"] == 3 },
-				Action:    func(e *Env, fx Effector) { e.Bools["go"] = false },
+				Effect:    "on = false",
+				Guard:     func(s *counter, _ *Env) bool { return s.on && s.n == 3 },
+				Action:    func(s *counter, _ *Env, fx Effector) { s.on = false },
 			},
 		},
 	}
@@ -46,19 +58,19 @@ func counterSpec() *Spec {
 
 func TestRunToQuiescence(t *testing.T) {
 	fx := &nullFx{}
-	inst := NewInstance(counterSpec(), fx)
-	fired := inst.RunToQuiescence(100)
+	inst := one(counterSpec(), fx)
+	fired := inst.RunToQuiescence()
 	if fired != 4 {
 		t.Errorf("fired %d rules, want 4 (3 ticks + stop)", fired)
 	}
-	if inst.Env.Ints["n"] != 3 || inst.Env.Bools["go"] {
-		t.Errorf("final state n=%d go=%v", inst.Env.Ints["n"], inst.Env.Bools["go"])
+	if inst.State.n != 3 || inst.State.on {
+		t.Errorf("final state n=%d on=%v", inst.State.n, inst.State.on)
 	}
 	if fx.comps != 3 {
 		t.Errorf("compute units = %d", fx.comps)
 	}
-	if inst.Fired() != 4 {
-		t.Errorf("Fired() = %d", inst.Fired())
+	if total, _ := Fired([]Instance[counter]{*inst}); total != 4 {
+		t.Errorf("Fired() = %d", total)
 	}
 	// Already quiescent: nothing fires.
 	if inst.Step() {
@@ -67,61 +79,97 @@ func TestRunToQuiescence(t *testing.T) {
 }
 
 func TestFiredByRule(t *testing.T) {
-	inst := NewInstance(counterSpec(), &nullFx{})
-	inst.RunToQuiescence(100)
-	byRule := inst.FiredByRule()
+	insts := New(counterSpec(), 3, func(int) Effector { return &nullFx{} })
+	insts[0].RunToQuiescence()
+	insts[2].RunToQuiescence()
+	total, byRule := Fired(insts)
 	if len(byRule) != 2 {
 		t.Fatalf("got %d rule counters", len(byRule))
 	}
-	if byRule[0] != 3 || byRule[1] != 1 {
-		t.Errorf("counts = %v, want [3 1]", byRule)
+	if total != 8 || byRule[0] != 6 || byRule[1] != 2 {
+		t.Errorf("total %d, counts %v; want 8, [6 2]", total, byRule)
 	}
-	// The returned slice is a copy.
-	byRule[0] = 99
-	if inst.FiredByRule()[0] != 3 {
-		t.Error("FiredByRule must return a copy")
+	// Instances share one counter array but never each other's slots.
+	if n, _ := Fired(insts[1:2]); n != 0 {
+		t.Errorf("idle instance fired %d rules", n)
+	}
+}
+
+func TestInitRunsOncePerRun(t *testing.T) {
+	calls := 0
+	spec := &Spec[int]{
+		Title: "ids",
+		Init: func(states []int) {
+			calls++
+			for i := range states {
+				states[i] = 10 * i
+			}
+		},
+	}
+	insts := New(spec, 4, func(int) Effector { return &nullFx{} })
+	if calls != 1 {
+		t.Errorf("Init ran %d times, want once", calls)
+	}
+	for i := range insts {
+		if *insts[i].State != 10*i {
+			t.Errorf("node %d state %d, want %d", i, *insts[i].State, 10*i)
+		}
 	}
 }
 
 func TestRulePriorityOrder(t *testing.T) {
+	type ab struct{ a, b bool }
 	var fired []string
-	spec := &Spec{
+	spec := &Spec[ab]{
 		Title: "priority",
-		Init:  func(e *Env) { e.Bools["a"] = true; e.Bools["b"] = true },
-		Rules: []Rule{
-			{Name: "first", Guard: func(e *Env) bool { return e.Bools["a"] },
-				Action: func(e *Env, fx Effector) { fired = append(fired, "first"); e.Bools["a"] = false }},
-			{Name: "second", Guard: func(e *Env) bool { return e.Bools["b"] },
-				Action: func(e *Env, fx Effector) { fired = append(fired, "second"); e.Bools["b"] = false }},
+		Init:  func(states []ab) { states[0] = ab{true, true} },
+		Rules: []Rule[ab]{
+			{Name: "first", Guard: func(s *ab, _ *Env) bool { return s.a },
+				Action: func(s *ab, _ *Env, fx Effector) { fired = append(fired, "first"); s.a = false }},
+			{Name: "second", Guard: func(s *ab, _ *Env) bool { return s.b },
+				Action: func(s *ab, _ *Env, fx Effector) { fired = append(fired, "second"); s.b = false }},
 		},
 	}
-	inst := NewInstance(spec, &nullFx{})
-	inst.RunToQuiescence(10)
+	one(spec, &nullFx{}).RunToQuiescence()
 	if len(fired) != 2 || fired[0] != "first" || fired[1] != "second" {
 		t.Errorf("firing order = %v", fired)
 	}
 }
 
+func TestFireHookSeesNodeAndRule(t *testing.T) {
+	var got []string
+	insts := New(counterSpec(), 2, func(int) Effector { return &nullFx{} })
+	SetFireHook(insts, func(node int, rule string) {
+		got = append(got, rule+"@"+strconv.Itoa(node))
+	})
+	insts[1].RunToQuiescence()
+	insts[0].Step()
+	want := "tick@1 tick@1 tick@1 stop@1 tick@0"
+	if strings.Join(got, " ") != want {
+		t.Errorf("hook saw %q, want %q", strings.Join(got, " "), want)
+	}
+}
+
 func TestLivelockPanics(t *testing.T) {
-	spec := &Spec{
+	spec := &Spec[struct{}]{
 		Title: "livelock",
-		Rules: []Rule{{
+		Rules: []Rule[struct{}]{{
 			Name:   "forever",
-			Guard:  func(e *Env) bool { return true },
-			Action: func(e *Env, fx Effector) {},
+			Guard:  func(*struct{}, *Env) bool { return true },
+			Action: func(*struct{}, *Env, Effector) {},
 		}},
 	}
-	inst := NewInstance(spec, &nullFx{})
+	inst := one(spec, &nullFx{})
 	defer func() {
 		if recover() == nil {
 			t.Error("livelock should panic")
 		}
 	}()
-	inst.RunToQuiescence(10)
+	inst.RunToQuiescence()
 }
 
 func TestInboxSemantics(t *testing.T) {
-	e := NewEnv()
+	var e Env
 	if e.PeekMsg() != nil || e.InboxLen() != 0 {
 		t.Error("fresh inbox should be empty")
 	}
@@ -133,8 +181,12 @@ func TestInboxSemantics(t *testing.T) {
 	if e.PeekMsg().(string) != "a" {
 		t.Error("peek should see oldest")
 	}
-	if e.TakeMsg().(string) != "a" || e.TakeMsg().(string) != "b" {
+	if e.TakeMsg().(string) != "a" {
 		t.Error("take order wrong")
+	}
+	e.Deliver("c")
+	if e.InboxLen() != 2 || e.TakeMsg().(string) != "b" || e.TakeMsg().(string) != "c" {
+		t.Error("take order wrong after interleaved deliver")
 	}
 	defer func() {
 		if recover() == nil {
@@ -144,38 +196,60 @@ func TestInboxSemantics(t *testing.T) {
 	e.TakeMsg()
 }
 
+// TestInboxReusesBackingArray: once the queue empties, delivering and
+// taking reuse its backing array, so a node's steady message traffic
+// allocates nothing.
+func TestInboxReusesBackingArray(t *testing.T) {
+	var e Env
+	var msg any = &struct{ x int }{1}
+	for i := 0; i < 4; i++ {
+		e.Deliver(msg)
+	}
+	for e.InboxLen() > 0 {
+		e.TakeMsg()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		e.Deliver(msg)
+		e.Deliver(msg)
+		e.TakeMsg()
+		e.TakeMsg()
+	})
+	if allocs != 0 {
+		t.Errorf("deliver-then-take allocates %.2f times per cycle, want 0", allocs)
+	}
+}
+
 func TestOnMessageDrivesRules(t *testing.T) {
-	spec := &Spec{
+	spec := &Spec[int]{
 		Title: "echo",
-		Init:  func(e *Env) { e.Ints["got"] = 0 },
-		Rules: []Rule{{
+		Rules: []Rule[int]{{
 			Name:  "recv",
-			Guard: func(e *Env) bool { return e.PeekMsg() != nil },
-			Action: func(e *Env, fx Effector) {
+			Guard: func(_ *int, e *Env) bool { return e.PeekMsg() != nil },
+			Action: func(got *int, e *Env, fx Effector) {
 				e.TakeMsg()
-				e.Ints["got"]++
+				*got++
 				fx.Send(1, 1, nil)
 			},
 		}},
 	}
 	fx := &nullFx{}
-	inst := NewInstance(spec, fx)
-	inst.OnMessage("x", 10)
-	inst.OnMessage("y", 10)
-	if inst.Env.Ints["got"] != 2 || fx.sends != 2 {
-		t.Errorf("got=%d sends=%d", inst.Env.Ints["got"], fx.sends)
+	inst := one(spec, fx)
+	inst.OnMessage("x")
+	inst.OnMessage("y")
+	if *inst.State != 2 || fx.sends != 2 {
+		t.Errorf("got=%d sends=%d", *inst.State, fx.sends)
 	}
 }
 
 func TestListingFormat(t *testing.T) {
-	spec := &Spec{
+	spec := &Spec[struct{}]{
 		Title: "demo",
-		Rules: []Rule{{
+		Rules: []Rule[struct{}]{{
 			Name:      "r",
 			Condition: "x = true",
 			Effect:    "line1\nline2",
-			Guard:     func(e *Env) bool { return false },
-			Action:    func(e *Env, fx Effector) {},
+			Guard:     func(*struct{}, *Env) bool { return false },
+			Action:    func(*struct{}, *Env, Effector) {},
 		}},
 	}
 	listing := spec.Listing()

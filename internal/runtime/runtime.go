@@ -151,19 +151,17 @@ func (r *run) dead(idx int) bool {
 	return r.budget > 0 && r.down[idx].Load()
 }
 
+// alive reports whether the node at c is still in the round.
+func (r *run) alive(c geom.Coord) bool { return !r.dead(r.hier.Grid.Index(c)) }
+
 // leaderOf resolves the (possibly acting) level-k leader for c.
 func (r *run) leaderOf(c geom.Coord, level int) geom.Coord {
-	leader := r.hier.LeaderAt(c, level)
-	g := r.hier.Grid
-	if !r.failover || !r.dead(g.Index(leader)) {
-		return leader
-	}
-	for _, m := range r.hier.Followers(leader, level) {
-		if !r.dead(g.Index(m)) {
-			return m
+	if r.failover {
+		if acting, ok := r.hier.ActingLeader(c, level, r.alive); ok {
+			return acting
 		}
 	}
-	return leader
+	return r.hier.LeaderAt(c, level)
 }
 
 // emit sends one structured event to the attached tracer. Callers guard
@@ -277,15 +275,8 @@ func (f *nodeFx) Sense(units int64) {
 	f.charge(f.grid.Index(f.coord), units)
 }
 
-// maxQuiescenceSteps mirrors the machine driver's bound.
-const maxQuiescenceSteps = 1 << 16
-
 // maxWait bounds a round's wall-clock time.
 const maxWait = 30 * time.Second
-
-// Factory produces the synthesized program for one virtual node; the
-// generic engine runs whatever program set a factory defines.
-type Factory func(c geom.Coord) *program.Spec
 
 // GenericResult is the program-agnostic outcome of a concurrent round.
 type GenericResult struct {
@@ -297,9 +288,6 @@ type GenericResult struct {
 	RuleFirings        int64
 	// Depleted counts nodes whose energy crossed the budget mid-round.
 	Depleted int
-	// Envs exposes each node's final environment (indexed by grid index)
-	// for post-run inspection; safe to read after Run returns.
-	Envs []*program.Env
 }
 
 // Run executes one labeling round over m. The ledger, if non-nil, receives
@@ -312,10 +300,7 @@ func (rt *Runtime) Run(m *field.BinaryMap, ledger *cost.Ledger, cfg Config) (*Re
 	if m.Grid != g {
 		return nil, fmt.Errorf("runtime: map grid and hierarchy grid differ")
 	}
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.LabelingProgram(synth.Config{Hier: h, Coord: c, Sense: synth.SenseFromMap(m, c)})
-	}
-	gr, err := rt.RunProgram(factory, ledger, cfg)
+	gr, insts, err := RunProgram(rt, synth.LabelingProgram(h, m), ledger, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -337,27 +322,29 @@ func (rt *Runtime) Run(m *field.BinaryMap, ledger *cost.Ledger, cfg Config) (*Re
 		r := &run{hier: h, crashed: cfg.Crashed, failover: true}
 		actingRoot = r.leaderOf(h.Root(), h.Levels)
 	}
-	res.RootCoverage = rootCoverageEnv(gr.Envs[g.Index(actingRoot)], res.Final)
+	res.RootCoverage = rootCoverage(insts[g.Index(actingRoot)].State, res.Final)
 	return res, nil
 }
 
-// RunProgram executes one round of an arbitrary synthesized program set
-// with one goroutine per virtual node.
-func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) (*GenericResult, error) {
+// RunProgram executes one round of a synthesized program with one
+// goroutine per virtual node. The returned instances, indexed by grid
+// index, expose each node's final state; they are safe to read once
+// RunProgram returns.
+func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, cfg Config) (*GenericResult, []program.Instance[S], error) {
 	h := rt.hier
 	g := h.Grid
 	if cfg.Loss < 0 || cfg.Loss >= 1 {
-		return nil, fmt.Errorf("runtime: loss %v out of [0,1)", cfg.Loss)
+		return nil, nil, fmt.Errorf("runtime: loss %v out of [0,1)", cfg.Loss)
 	}
 	if cfg.Retries < 0 {
-		return nil, fmt.Errorf("runtime: negative retries %d", cfg.Retries)
+		return nil, nil, fmt.Errorf("runtime: negative retries %d", cfg.Retries)
 	}
 	if cfg.Budget < 0 {
-		return nil, fmt.Errorf("runtime: negative budget %d", cfg.Budget)
+		return nil, nil, fmt.Errorf("runtime: negative budget %d", cfg.Budget)
 	}
 	n := g.N()
 	if cfg.Crashed != nil && len(cfg.Crashed) != n {
-		return nil, fmt.Errorf("runtime: Crashed tracks %d nodes, grid has %d", len(cfg.Crashed), n)
+		return nil, nil, fmt.Errorf("runtime: Crashed tracks %d nodes, grid has %d", len(cfg.Crashed), n)
 	}
 	r := &run{
 		hier:     h,
@@ -387,7 +374,22 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		r.inboxes[i] = make(chan envelope, capacity)
 	}
 	energy := make([]int64, n)
-	insts := make([]*program.Instance, n)
+	fxs := make([]nodeFx, n)
+	insts := program.New(spec, n, func(idx int) program.Effector {
+		fxs[idx] = nodeFx{
+			rt:     r,
+			coord:  g.CoordOf(idx),
+			rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(idx)*0x9e3779b9)),
+			energy: energy,
+			grid:   g,
+		}
+		return &fxs[idx]
+	})
+	if r.tracer != nil {
+		program.SetFireHook(insts, func(idx int, rule string) {
+			fxs[idx].emit(trace.RuleFire, fxs[idx].coord, rtNoPeer, 0, 0, rule)
+		})
+	}
 	var wg sync.WaitGroup
 	alive := int64(0)
 	for idx := 0; idx < n; idx++ {
@@ -400,34 +402,18 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		close(r.quiet)
 	}
 
-	for _, c := range g.Coords() {
-		c := c
-		idx := g.Index(c)
-		fx := &nodeFx{
-			rt:     r,
-			coord:  c,
-			rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(idx)*0x9e3779b9)),
-			energy: energy,
-			grid:   g,
-		}
-		// Crashed nodes still get an instance (so Envs stays fully indexed)
-		// but never a goroutine: they do no start work, fire no rules, and
-		// their inbox never drains — which is fine, because sends to them
-		// are dropped before enqueueing.
-		insts[idx] = program.NewInstance(factory(c), fx)
-		if r.tracer != nil {
-			inst := insts[idx]
-			inst.SetFireHook(func(rule string) {
-				fx.emit(trace.RuleFire, fx.coord, rtNoPeer, 0, 0, rule)
-			})
-		}
+	// Crashed nodes still get an instance (so the returned states stay fully
+	// indexed) but never a goroutine: they do no start work, fire no rules,
+	// and their inbox never drains — which is fine, because sends to them
+	// are dropped before enqueueing.
+	for idx := range insts {
 		if cfg.Crashed != nil && cfg.Crashed[idx] {
 			continue
 		}
 		wg.Add(1)
-		go func(inst *program.Instance, inbox chan envelope, idx int) {
+		go func(inst *program.Instance[S], inbox chan envelope, idx int) {
 			defer wg.Done()
-			inst.RunToQuiescence(maxQuiescenceSteps)
+			inst.RunToQuiescence()
 			r.done()
 			for {
 				select {
@@ -435,14 +421,14 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 					// A node that depleted after the message was enqueued
 					// drops it: the radio is off, the program is gone.
 					if !r.dead(idx) {
-						inst.OnMessage(env.payload, maxQuiescenceSteps)
+						inst.OnMessage(env.payload)
 					}
 					r.done()
 				case <-r.stop:
 					return
 				}
 			}
-		}(insts[idx], r.inboxes[idx], idx)
+		}(&insts[idx], r.inboxes[idx], idx)
 	}
 
 	// Supervise: stop at global quiescence (no node processing, no message
@@ -455,7 +441,7 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 	case <-timeout.C:
 		close(r.stop)
 		wg.Wait()
-		return nil, fmt.Errorf("runtime: round did not finish within %v", maxWait)
+		return nil, nil, fmt.Errorf("runtime: round did not finish within %v", maxWait)
 	}
 	close(r.stop)
 	wg.Wait()
@@ -471,31 +457,23 @@ func (rt *Runtime) RunProgram(factory Factory, ledger *cost.Ledger, cfg Config) 
 		Delivered:   r.delivered.Load(),
 		Dropped:     r.dropped.Load(),
 		Depleted:    int(r.depleted.Load()),
-		Envs:        make([]*program.Env, len(insts)),
 	}
-	for i, inst := range insts {
-		res.RuleFirings += inst.Fired()
-		res.Envs[i] = inst.Env
-	}
+	res.RuleFirings, _ = program.Fired(insts)
 	if ledger != nil {
 		for i, e := range energy {
 			ledger.Charge(i, cost.Compute, e)
 		}
 	}
-	return res, nil
+	return res, insts, nil
 }
 
-// rootCoverageEnv inspects the root's best summary after shutdown.
-func rootCoverageEnv(rootEnv *program.Env, final *regions.Summary) int {
+// rootCoverage inspects the root's best summary after shutdown.
+func rootCoverage(root *synth.LabelState, final *regions.Summary) int {
 	if final != nil {
 		return final.CoveredCells()
 	}
-	subs, ok := rootEnv.Objs[synth.VarSubGraph].([]*regions.Summary)
-	if !ok {
-		return 0
-	}
 	best := 0
-	for _, s := range subs {
+	for _, s := range root.SubGraph {
 		if s != nil && s.CoveredCells() > best {
 			best = s.CoveredCells()
 		}

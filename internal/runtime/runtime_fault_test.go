@@ -35,7 +35,7 @@ func TestCrashFreeFailoverMatchesBaseline(t *testing.T) {
 func TestDeadRootStrandsDataWithoutFailover(t *testing.T) {
 	// A dead root with no failover blackholes every upward message addressed
 	// to it: the round quiesces cleanly (no timeout), exfiltrates nothing,
-	// and the root's environment holds nothing — coverage zero.
+	// and the root's state holds nothing — coverage zero.
 	m := blobMap(8, 5)
 	h := varch.MustHierarchy(m.Grid)
 	crashed := make([]bool, m.Grid.N())

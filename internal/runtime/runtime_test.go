@@ -7,7 +7,6 @@ import (
 	"wsnva/internal/cost"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/program"
 	"wsnva/internal/regions"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
@@ -219,13 +218,8 @@ func TestGenericEngineRunsAlarmProgram(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: c, Hot: func() bool { return m.At(c) }, Quorum: quorum,
-		})
-	}
 	for trial := 0; trial < 5; trial++ {
-		gr, err := New(h).RunProgram(factory, nil, Config{Seed: int64(trial)})
+		gr, insts, err := RunProgram(New(h), synth.AlarmProgram(h, m, quorum), nil, Config{Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,8 +227,7 @@ func TestGenericEngineRunsAlarmProgram(t *testing.T) {
 		if raised != desRes.Raised {
 			t.Fatalf("trial %d: raised=%v, DES says %v", trial, raised, desRes.Raised)
 		}
-		rootEnv := gr.Envs[m.Grid.Index(h.Root())]
-		totals := rootEnv.Objs[synth.VarAlarmTotal].([]int64)
+		totals := insts[m.Grid.Index(h.Root())].State.Total
 		if int(totals[h.Levels]) != desRes.FinalCount {
 			t.Errorf("trial %d: concurrent count %d, DES %d", trial, totals[h.Levels], desRes.FinalCount)
 		}
@@ -251,21 +244,15 @@ func TestAlarmUnderLossNeverFalsePositive(t *testing.T) {
 	m.Bits[g.Index(geom.Coord{Col: 2, Row: 6})] = true
 	h := varch.MustHierarchy(g)
 	const quorum = 3
-	factory := func(c geom.Coord) *program.Spec {
-		return synth.AlarmProgram(synth.AlarmConfig{
-			Hier: h, Coord: c, Hot: func() bool { return m.At(c) }, Quorum: quorum,
-		})
-	}
 	for trial := 0; trial < 10; trial++ {
-		gr, err := New(h).RunProgram(factory, nil, Config{Loss: 0.3, Seed: int64(trial)})
+		gr, insts, err := RunProgram(New(h), synth.AlarmProgram(h, m, quorum), nil, Config{Loss: 0.3, Seed: int64(trial)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(gr.Exfiltrated) != 0 {
 			t.Fatalf("trial %d: alarm raised below quorum under loss", trial)
 		}
-		rootEnv := gr.Envs[g.Index(h.Root())]
-		totals := rootEnv.Objs[synth.VarAlarmTotal].([]int64)
+		totals := insts[g.Index(h.Root())].State.Total
 		if totals[h.Levels] > 2 {
 			t.Fatalf("trial %d: root counted %d alarms from 2 hot cells", trial, totals[h.Levels])
 		}

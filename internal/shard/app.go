@@ -42,9 +42,11 @@ type fabric interface {
 
 // app is a protocol instance driving a set of nodes. The engine
 // instantiates one app per shard (so counter updates stay un-contended)
-// and the oracle a single one; apps must keep all cross-node state in
-// the shared SoA State and touch only fields of nodes they are called
-// for.
+// and the oracle a single one. The per-shard instances of one run share
+// the protocol's per-node state — the flood app's arrays, the labeling
+// app's program instances — and each touches only the slots of nodes it
+// is called for, which its shard owns; counters stay per instance and are
+// folded after the run.
 type app interface {
 	// start runs once per owned node before time advances.
 	start(f fabric, node int)
@@ -56,14 +58,14 @@ type app interface {
 
 // dissApp is the multi-source dissemination protocol the sharded kernel
 // ships with: K concurrent floods (K ≤ 64), each identified by its
-// index, with per-node per-flood duplicate suppression via the SoA
-// Heard bitmask. It is the runtime system's program-injection phase
+// index, with per-node per-flood duplicate suppression via the heard
+// bitmask. It is the runtime system's program-injection phase
 // (Section 5.1) scaled to many simultaneous injection points. All of
 // its counters are per-instance and folded after the run, and all of
-// its SoA writes are to the woken node, so instances on different
-// shards never contend.
+// its writes to the shared floodState are to the woken node, so
+// instances on different shards never contend.
 type dissApp struct {
-	st *State
+	fs *floodState
 	// originMask[node] has bit j set when node originates flood j
 	// (shared, read-only).
 	originMask []uint64
@@ -74,8 +76,29 @@ type dissApp struct {
 	ignored  int64   // duplicate receptions suppressed
 }
 
-func newDissApp(st *State, originMask []uint64, floods int, size int64) *dissApp {
-	return &dissApp{st: st, originMask: originMask, size: size,
+// floodState is one dissemination run's per-node protocol state, shared
+// by its per-shard dissApp instances.
+type floodState struct {
+	// heard is a bitmask of flood indices already received (bit j =
+	// flood j), the duplicate-suppression state.
+	heard []uint64
+	// level counts the distinct floods the node has heard.
+	level []int32
+	// firstAt is the time of the node's first reception (origins: 0), or
+	// -1 if the node was never reached.
+	firstAt []sim.Time
+}
+
+func newFloodState(n int) *floodState {
+	fs := &floodState{heard: make([]uint64, n), level: make([]int32, n), firstAt: make([]sim.Time, n)}
+	for i := range fs.firstAt {
+		fs.firstAt[i] = -1
+	}
+	return fs
+}
+
+func newDissApp(fs *floodState, originMask []uint64, floods int, size int64) *dissApp {
+	return &dissApp{fs: fs, originMask: originMask, size: size,
 		reached: make([]int64, floods)}
 }
 
@@ -87,10 +110,10 @@ func (a *dissApp) start(f fabric, node int) {
 	if mask == 0 {
 		return
 	}
-	st := a.st
-	st.Heard[node] |= mask
-	st.Level[node] += int32(bits.OnesCount64(mask))
-	st.FirstAt[node] = 0
+	fs := a.fs
+	fs.heard[node] |= mask
+	fs.level[node] += int32(bits.OnesCount64(mask))
+	fs.firstAt[node] = 0
 	for mask != 0 {
 		j := bits.TrailingZeros64(mask)
 		mask &^= 1 << j
@@ -105,17 +128,17 @@ func (a *dissApp) start(f fabric, node int) {
 // result is independent of how deliveries interleaved across shards.
 func (a *dissApp) wake(f fabric, node int, pkts []Packet, timer bool) {
 	_ = timer // the dissemination protocol is purely reactive
-	st := a.st
+	fs := a.fs
 	for _, p := range pkts {
 		bit := uint64(1) << uint(p.Key)
-		if st.Heard[node]&bit != 0 {
+		if fs.heard[node]&bit != 0 {
 			a.ignored++
 			continue
 		}
-		st.Heard[node] |= bit
-		st.Level[node]++
-		if st.FirstAt[node] < 0 {
-			st.FirstAt[node] = f.now()
+		fs.heard[node] |= bit
+		fs.level[node]++
+		if fs.firstAt[node] < 0 {
+			fs.firstAt[node] = f.now()
 		}
 		a.reached[p.Key]++
 		a.forwards++

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"wsnva/internal/deploy"
+	"wsnva/internal/field"
 	"wsnva/internal/geom"
 )
 
@@ -35,5 +36,32 @@ func BenchmarkShardFlood(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// labelSink keeps BenchmarkShardLabel's results alive.
+var labelSink *LabelResult
+
+// BenchmarkShardLabel times RunLabeling on serve-cold's labeling shapes —
+// a four-blob field thresholded at 0.5 on grids of side 16, 32 and 64 —
+// at 1 shard (the single-kernel oracle) and at 2 shards on 2 workers. The
+// field is built once per side, outside the timed loop.
+func BenchmarkShardLabel(b *testing.B) {
+	for _, side := range []int{16, 32, 64} {
+		grid := geom.NewSquareGrid(side, float64(side)*10)
+		w := grid.Terrain.Width()
+		m := field.Threshold(field.RandomBlobs(4, grid.Terrain, w/10, w/6, rand.New(rand.NewSource(1))), grid, 0.5, 0)
+		for _, shards := range []int{1, 2} {
+			b.Run(fmt.Sprintf("side=%d/shards=%d", side, shards), func(b *testing.B) {
+				b.ReportAllocs()
+				cfg := LabelConfig{Config: Config{Shards: shards, Workers: shards}}
+				for i := 0; i < b.N; i++ {
+					var err error
+					if labelSink, err = RunLabeling(m, cfg); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

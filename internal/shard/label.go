@@ -7,186 +7,132 @@ import (
 	"wsnva/internal/deploy"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
+	"wsnva/internal/program"
 	"wsnva/internal/regions"
 	"wsnva/internal/routing"
 	"wsnva/internal/sim"
+	"wsnva/internal/synth"
 	"wsnva/internal/varch"
 )
 
-// The labeling app is the paper's E1-class workload — the quad-tree
-// homogeneous-region labeling of Figure 4 — ported onto the shard
-// fabric so it runs under any (shards, workers) split. The protocol
-// structure mirrors the synthesized guarded-command program:
+// The labeling app runs the synthesized labeling program of Figure 4
+// (synth.LabelingProgram, the same rule set the DES machine, lockstep, the
+// goroutine runtime and the emulation run) on the shard fabric, so it
+// runs under any (shards, workers) split. The app only routes:
 //
-//   - every node senses its cell into a level-0 summary;
-//   - a node that leads up to level k self-merges its summary upward
-//     (the parent is co-located with its NW child), then waits for
-//     exactly 3 external messages at each led level before promoting;
-//   - a node whose leadership tops out below the root sends its merged
-//     summary to the next-level leader — one message per node,
-//     lifetime — forwarded hop by hop over XY routing as unicasts;
-//   - the root exfiltrates after its 3 top-level messages arrive.
+//   - start runs the node's instance from its start rule: it senses the
+//     cell, self-merges upward through every level the node leads, and a
+//     node whose leadership tops out below the root launches its summary;
+//   - the node's effector sends the program's GraphMsg one XY hop toward
+//     the sender's level-k leader as a unicast keyed by the sender's node
+//     id — one message per node, lifetime, so the key is globally unique;
+//   - a woken node relays every summary addressed elsewhere one more hop
+//     (the destination is recomputed from the sender and level the
+//     message carries) and hands the rest to its instance, whose receive
+//     and promote rules merge them and move up a level after 3.
 //
-// Determinism across shardings: every message carries the originating
-// node's id as its key (globally unique — one message per origin,
-// ever), hop latencies are the uniform model's TxLatency of the fixed
-// summary size, and wake batches arrive sorted by (From, Key), so
-// leaders merge child summaries in an interleaving-independent order.
+// Determinism across shardings: hop latencies are the uniform model's
+// TxLatency of the summary size frozen at launch, and wake batches arrive
+// sorted by (From, Key), so leaders merge child summaries in an
+// interleaving-independent order.
 
-// labelMsg is one summary in flight toward a leader. The pointer is
-// handed from hop to hop; only the current holder ever touches it, and
-// the cross-shard handoff happens-before the receiving window.
-type labelMsg struct {
-	origin int        // originating node id == the wire key
-	dst    geom.Coord // target leader
-	level  int        // recursion level the summary merges at
-	size   int64      // Summary.Size() frozen at launch
-	sub    *regions.Summary
-}
-
-// labelShared is the cross-shard SoA state of one labeling run. A
-// node's slots are touched only by its owner shard.
-type labelShared struct {
-	h *varch.Hierarchy
-	m *field.BinaryMap
-
-	// sub[node][level] is the node's accumulated summary per level;
-	// got[node][level] counts external messages merged at that level;
-	// recLevel is the highest completed level; done marks nodes whose
-	// own protocol role is finished (they still forward).
-	sub      [][]*regions.Summary
-	got      [][]int8
-	recLevel []int8
-	done     []bool
+// relayRun is one labeling run's node programs, shared by the per-shard
+// apps: instance i runs node i, and only node i's owner shard touches it
+// or its effector.
+type relayRun struct {
+	h     *varch.Hierarchy
+	insts []program.Instance[synth.LabelState]
+	fxs   []relayFx
 
 	// Root outputs, written only by the root's owner shard.
 	final   *regions.Summary
 	finalAt sim.Time
 }
 
-func newLabelShared(h *varch.Hierarchy, m *field.BinaryMap) *labelShared {
-	n := h.Grid.N()
-	sh := &labelShared{
-		h: h, m: m,
-		sub:      make([][]*regions.Summary, n),
-		got:      make([][]int8, n),
-		recLevel: make([]int8, n),
-		done:     make([]bool, n),
-		finalAt:  -1,
-	}
-	for i := range sh.sub {
-		sh.sub[i] = make([]*regions.Summary, h.Levels+1)
-		sh.got[i] = make([]int8, h.Levels+1)
-	}
-	return sh
+func newRelayRun(h *varch.Hierarchy, m *field.BinaryMap) *relayRun {
+	r := &relayRun{h: h, fxs: make([]relayFx, h.Grid.N()), finalAt: -1}
+	r.insts = program.New(synth.LabelingProgram(h, m), h.Grid.N(), func(i int) program.Effector {
+		r.fxs[i].node = i
+		return &r.fxs[i]
+	})
+	return r
 }
 
-func (sh *labelShared) mergeAt(node, level int, s *regions.Summary) {
-	if cur := sh.sub[node][level]; cur != nil {
-		cur.Merge(s)
-		return
-	}
-	sh.sub[node][level] = s
-}
-
-// labelApp is one shard's instance: shared protocol state plus private
-// counters folded after the run.
-type labelApp struct {
-	sh *labelShared
+// relayApp is one shard's instance: the run's programs plus the shard's
+// fabric and private counters folded after the run.
+type relayApp struct {
+	run *relayRun
+	f   fabric
 
 	msgs int64 // summaries launched toward a parent leader
 	hops int64 // unicast hop transmissions attempted
 }
 
-func newLabelApp(sh *labelShared) *labelApp { return &labelApp{sh: sh} }
-
-func (a *labelApp) fold(o *labelApp) {
+func (a *relayApp) fold(o *relayApp) {
 	a.msgs += o.msgs
 	a.hops += o.hops
 }
 
-// start senses the node's cell into its level-0 summary and advances:
-// leaders self-merge upward, leaves launch their single message.
-func (a *labelApp) start(f fabric, node int) {
-	sh := a.sh
-	sh.mergeAt(node, 0, regions.Leaf(sh.m, sh.h.Grid.CoordOf(node)))
-	a.advance(f, node)
+// start binds the node's effector to this shard and runs its instance's
+// start rule to quiescence.
+func (a *relayApp) start(f fabric, node int) {
+	a.f = f
+	a.run.fxs[node].a = a
+	a.run.insts[node].RunToQuiescence()
 }
 
-// wake handles the node's coalesced deliveries: messages addressed
-// elsewhere are forwarded one hop along the XY route; messages for this
-// node merge at their level and may unblock a promotion.
-func (a *labelApp) wake(f fabric, node int, pkts []Packet, timer bool) {
-	_ = timer // the labeling protocol is purely message-driven
-	sh := a.sh
-	me := sh.h.Grid.CoordOf(node)
+// wake handles the node's coalesced deliveries in batch order: summaries
+// addressed elsewhere are relayed one hop, the rest go to the node's
+// instance.
+func (a *relayApp) wake(_ fabric, node int, pkts []Packet, _ bool) {
+	h := a.run.h
+	me := h.Grid.CoordOf(node)
 	for _, p := range pkts {
-		msg := p.Payload.(*labelMsg)
-		if msg.dst != me {
-			a.forward(f, node, me, msg)
+		msg := p.Payload.(synth.GraphMsg)
+		if dst := h.LeaderAt(msg.Sender, msg.Level); dst != me {
+			a.hop(node, me, dst, p.Size, p.Key, p.Payload)
 			continue
 		}
-		sh.mergeAt(node, msg.level, msg.sub)
-		sh.got[node][msg.level]++
-		a.advance(f, node)
+		a.run.insts[node].OnMessage(p.Payload)
 	}
 }
 
-// forward relays msg one XY hop toward its destination leader.
-func (a *labelApp) forward(f fabric, node int, me geom.Coord, msg *labelMsg) {
-	dir, ok := routing.NextHopXY(me, msg.dst)
+// hop unicasts payload from node, at me, one XY hop toward dst.
+func (a *relayApp) hop(node int, me, dst geom.Coord, size, key int64, payload any) {
+	dir, ok := routing.NextHopXY(me, dst)
 	if !ok {
-		panic(fmt.Sprintf("shard: labeling forward at destination %v", me))
+		panic(fmt.Sprintf("shard: labeling hop at destination %v", me))
 	}
-	next := a.sh.h.Grid.Index(me.Step(dir))
 	a.hops++
-	f.unicast(node, next, msg.size, int64(msg.origin), msg)
+	a.f.unicast(node, a.run.h.Grid.Index(me.Step(dir)), size, key, payload)
 }
 
-// advance runs the node's transmit/promote ladder to a fixpoint: the
-// shard-fabric rendering of the synthesized program's transmit rule
-// gated by the promote rule's "3 external messages per led level".
-func (a *labelApp) advance(f fabric, node int) {
-	sh := a.sh
-	me := sh.h.Grid.CoordOf(node)
-	for !sh.done[node] {
-		level := int(sh.recLevel[node])
-		if level > 0 && sh.got[node][level] != 3 {
-			return // promote guard: waiting on child summaries
-		}
-		if level == sh.h.Levels {
-			// The root's exfiltration: the run's answer.
-			sh.done[node] = true
-			sh.final = sh.sub[node][level]
-			sh.finalAt = f.now()
-			return
-		}
-		parent := sh.h.LeaderAt(me, level+1)
-		sub := sh.sub[node][level]
-		sh.sub[node][level] = nil
-		if parent == me {
-			// Leader of the next level too: contribute the quadrant by a
-			// local merge (Figure 2's co-located parent), no transmission.
-			sh.mergeAt(node, level+1, sub)
-			sh.recLevel[node] = int8(level + 1)
-			continue
-		}
-		sh.done[node] = true
-		msg := &labelMsg{origin: node, dst: parent, level: level + 1, size: sub.Size(), sub: sub}
-		a.msgs++
-		a.hops++
-		f.unicast(node, sh.h.Grid.Index(me.Step(mustNextHop(me, parent))), msg.size, int64(node), msg)
-		return
-	}
+// relayFx is one node's program.Effector on the shard fabric, bound to its
+// owner shard's app at start.
+type relayFx struct {
+	a    *relayApp
+	node int
 }
 
-func mustNextHop(src, dst geom.Coord) geom.Dir {
-	dir, ok := routing.NextHopXY(src, dst)
-	if !ok {
-		panic(fmt.Sprintf("shard: labeling send to self at %v", src))
-	}
-	return dir
+// Send launches the node's summary toward its level-k leader.
+func (x *relayFx) Send(level int, size int64, payload any) {
+	a := x.a
+	me := a.run.h.Grid.CoordOf(x.node)
+	a.msgs++
+	a.hop(x.node, me, a.run.h.LeaderAt(me, level), size, int64(x.node), payload)
 }
+
+// Exfiltrate records the root's summary: the run's answer.
+func (x *relayFx) Exfiltrate(result any) {
+	r := x.a.run
+	r.final = result.(*regions.Summary)
+	r.finalAt = x.a.f.now()
+}
+
+// Compute and Sense charge nothing: the fabric's ledger meters radio
+// traffic only.
+func (*relayFx) Compute(int64) {}
+func (*relayFx) Sense(int64)   {}
 
 // LabelConfig parameterizes a sharded labeling run. The embedded
 // Config supplies the execution strategy (Shards, Workers), the hazard
@@ -267,15 +213,34 @@ func (r *LabelResult) Checksum() uint64 {
 }
 
 // labelDeployment materializes the virtual grid as a physical network:
-// one node at every cell center, transmission range just over one cell
-// side so the disk graph is exactly the oriented grid's 4-adjacency
-// (diagonal neighbors sit √2 ≈ 1.414 cell sides away).
+// one node at every cell center, each linked to its 4-adjacent cells, with
+// transmission range just over one cell side — exactly the disk graph of
+// those centers, since diagonal neighbors sit √2 ≈ 1.414 cell sides away.
 func labelDeployment(g *geom.Grid) *deploy.Network {
-	pts := make([]geom.Point, g.N())
+	n := g.N()
+	pts := make([]geom.Point, n)
+	flat := make([]int, 0, 4*n)
+	adj := make([][]int, n)
 	for i := range pts {
-		pts[i] = g.CellCenter(g.CoordOf(i))
+		c := g.CoordOf(i)
+		pts[i] = g.CellCenter(c)
+		lo := len(flat)
+		// Ascending IDs: north, west, east, south.
+		if c.Row > 0 {
+			flat = append(flat, i-g.Cols)
+		}
+		if c.Col > 0 {
+			flat = append(flat, i-1)
+		}
+		if c.Col < g.Cols-1 {
+			flat = append(flat, i+1)
+		}
+		if c.Row < g.Rows-1 {
+			flat = append(flat, i+g.Cols)
+		}
+		adj[i] = flat[lo:len(flat):len(flat)]
 	}
-	return deploy.FromPoints(pts, g.Terrain, g.CellSide()*1.1)
+	return deploy.FromAdjacency(pts, g.Terrain, g.CellSide()*1.1, adj)
 }
 
 // RunLabeling executes the quad-tree labeling workload over m's grid.
@@ -305,7 +270,7 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 	}
 	nw := labelDeployment(m.Grid)
 	st := NewState(nw)
-	sh := newLabelShared(h, m)
+	lr := newRelayRun(h, m)
 	traceCap := 0
 	if cfg.Trace {
 		// Every unicast hop emits a Tx plus one Rx-or-Drop; total hops
@@ -314,9 +279,9 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 		// one Deplete per node and one Sleep or Wake per churn entry.
 		traceCap = 8*n + len(cfg.Churn) + 64
 	}
-	var apps []*labelApp
+	var apps []*relayApp
 	mk := func(int) app {
-		a := newLabelApp(sh)
+		a := &relayApp{run: lr}
 		apps = append(apps, a)
 		return a
 	}
@@ -331,8 +296,8 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 	res := &LabelResult{
 		Side:       m.Grid.Cols,
 		Levels:     h.Levels,
-		Final:      sh.final,
-		FinalAt:    sh.finalAt,
+		Final:      lr.final,
+		FinalAt:    lr.finalAt,
 		Completion: rs.completion,
 		Msgs:       agg.msgs,
 		Hops:       agg.hops,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wsnva/internal/cost"
+	"wsnva/internal/deploy"
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
@@ -165,5 +166,24 @@ func TestLabelingValidation(t *testing.T) {
 	}
 	if _, err := RunLabeling(m, LabelConfig{Config: Config{Deplete: true}}); err == nil {
 		t.Error("Deplete without Capacity accepted")
+	}
+}
+
+// TestLabelDeploymentIsTheDiskGraph: the labeling grid built from its
+// 4-adjacency is exactly the network FromPoints' neighbor search builds
+// over the cell centers at range 1.1 cell sides.
+func TestLabelDeploymentIsTheDiskGraph(t *testing.T) {
+	for _, side := range []int{2, 4, 16, 64} {
+		for _, scale := range []float64{1, 10} {
+			g := geom.NewSquareGrid(side, float64(side)*scale)
+			centers := make([]geom.Point, g.N())
+			for i := range centers {
+				centers[i] = g.CellCenter(g.CoordOf(i))
+			}
+			want := deploy.FromPoints(centers, g.Terrain, 1.1*g.CellSide())
+			if got := labelDeployment(g); !reflect.DeepEqual(got, want) {
+				t.Errorf("side %d terrain %v: adjacency-built grid differs from the disk graph", side, g.Terrain)
+			}
+		}
 	}
 }

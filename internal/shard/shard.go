@@ -127,10 +127,14 @@ type Result struct {
 	// Energy is the per-node energy spend; Total its sum.
 	Energy []cost.Energy
 	Total  cost.Energy
-	// SoA views of the final node state (aliases into the run's State).
+	// Per-node flood state at the end of the run: the heard bitmask, the
+	// number of distinct floods heard, and the first reception time (-1:
+	// never reached).
 	Heard   []uint64
 	Level   []int32
 	FirstAt []sim.Time
+	// Battery is the remaining budget per node (an alias of the run's
+	// State.Battery).
 	Battery []int64
 	// Trace is the canonical JSONL trace (nil unless Config.Trace).
 	Trace []byte
@@ -355,9 +359,10 @@ func Run(nw *deploy.Network, cfg Config) (*Result, error) {
 		}
 		traceCap = k*(n+sumDeg) + 2*n + len(cfg.Churn) + 1
 	}
+	fs := newFloodState(n)
 	var apps []*dissApp
 	mk := func(int) app {
-		a := newDissApp(st, originMask, k, size)
+		a := newDissApp(fs, originMask, k, size)
 		apps = append(apps, a)
 		return a
 	}
@@ -384,9 +389,9 @@ func Run(nw *deploy.Network, cfg Config) (*Result, error) {
 		Deaths:     st.Deaths(),
 		Suspends:   rs.suspends,
 		Resumes:    rs.resumes,
-		Heard:      st.Heard,
-		Level:      st.Level,
-		FirstAt:    st.FirstAt,
+		Heard:      fs.heard,
+		Level:      fs.level,
+		FirstAt:    fs.firstAt,
 		Battery:    st.Battery,
 	}
 	if res.Energy, res.Total, res.Trace, err = rs.settle(st, cfg.Capacity, cfg.Trace); err != nil {

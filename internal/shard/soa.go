@@ -5,7 +5,8 @@ import (
 	"wsnva/internal/sim"
 )
 
-// State is the struct-of-arrays node-state layout for large grids: one
+// State is the fabric's struct-of-arrays node state — liveness gates,
+// battery, and wake bookkeeping; protocol state belongs to the apps. One
 // flat array per field instead of one struct per node, so a pass over a
 // single field (liveness checks on the delivery hot path, the final
 // battery fold) streams through contiguous memory. Fields a shard
@@ -13,13 +14,6 @@ import (
 // makes the layout safe to share across shard goroutines without locks.
 type State struct {
 	N int
-
-	// Position — zero-copy aliases of the deployment's struct-of-arrays
-	// position vectors (deploy.Network.PositionsView). Read-only by
-	// contract: the deployment is immutable after construction, and no
-	// shard code writes positions.
-	X []float64
-	Y []float64
 
 	// Alive is the fail-stop gate (false = radio off), cleared by t=0
 	// crash masks, scheduled mid-run crashes, and battery depletions; it
@@ -47,18 +41,6 @@ type State struct {
 	// never fail-stop on depletion, that is the battery engine's job.
 	Battery []int64
 
-	// Level is the protocol-defined per-node level; the dissemination
-	// app stores the number of distinct floods the node has heard.
-	Level []int32
-
-	// Heard is a per-node bitmask of flood indices already received
-	// (bit j = flood j), the duplicate-suppression state.
-	Heard []uint64
-
-	// FirstAt is the time of the node's first reception (origins: 0),
-	// or -1 if the node was never reached.
-	FirstAt []sim.Time
-
 	// Per-node wake state, written only by the node's owner fabric:
 	// head and tail are the ends of the node's packet chain in its
 	// fabric's inbox log (0: no packet this instant), listed marks a node
@@ -75,18 +57,12 @@ type State struct {
 // NewState builds the SoA layout for a deployment, all nodes alive.
 func NewState(nw *deploy.Network) *State {
 	n := nw.N()
-	xs, ys := nw.PositionsView()
 	st := &State{
 		N:          n,
-		X:          xs,
-		Y:          ys,
 		Alive:      make([]bool, n),
 		Suspended:  make([]bool, n),
 		GaspUntil:  make([]sim.Time, n),
 		Battery:    make([]int64, n),
-		Level:      make([]int32, n),
-		Heard:      make([]uint64, n),
-		FirstAt:    make([]sim.Time, n),
 		head:       make([]int32, n),
 		tail:       make([]int32, n),
 		listed:     make([]bool, n),
@@ -96,7 +72,6 @@ func NewState(nw *deploy.Network) *State {
 	for i := 0; i < n; i++ {
 		st.Alive[i] = true
 		st.GaspUntil[i] = -1
-		st.FirstAt[i] = -1
 	}
 	return st
 }

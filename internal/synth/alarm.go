@@ -32,158 +32,136 @@ type AlarmMsg struct {
 // alarmMsgSize is the cost-model size of one alarm delta: count + box.
 const alarmMsgSize = 3
 
-// AlarmConfig parameterizes the synthesized alarm program for one node.
-type AlarmConfig struct {
-	Hier  *varch.Hierarchy
-	Coord geom.Coord
-	// Hot reports whether this node's reading crosses the alarm threshold.
-	Hot func() bool
-	// Quorum is the number of alarmed cells at which the root raises the
-	// network-wide alarm.
-	Quorum int
-}
-
 // EvacMsg is the evacuation order the root disseminates once the quorum
 // fires; every node's program acknowledges it by entering the evacuating
 // state.
 type EvacMsg struct{}
 
-// Alarm program state variable names.
-const (
-	VarAlarmTotal  = "alarmTotal"  // per-level alarm counts (the root's top slot is global)
-	VarAlarmBox    = "alarmBox"    // bounding boxes per level
-	VarAlarmRaised = "alarmRaised" // root-only: quorum reached
-	VarEvacuating  = "evacuating"  // evacuation order received
-	VarOutbox      = "outbox"      // deltas awaiting transmission
-)
-
-// outItem is a queued delta with its next merge level.
-type outItem struct {
-	msg AlarmMsg
+// AlarmState is one node's variables in the alarm program.
+type AlarmState struct {
+	Coord geom.Coord
+	Start bool
+	// Total counts alarmed cells per level and Box bounds them; the root's
+	// top slot is the global picture.
+	Total []int64
+	Box   []regions.BBox
+	// Raised is set once the root reaches the quorum; Evacuating once the
+	// node receives the evacuation order.
+	Raised     bool
+	Evacuating bool
+	// Outbox holds the deltas awaiting transmission.
+	Outbox []AlarmMsg
 }
 
-// AlarmProgram synthesizes the event-driven alarm program for one node.
-func AlarmProgram(cfg AlarmConfig) *program.Spec {
-	h := cfg.Hier
-	me := cfg.Coord
+// AlarmProgram synthesizes the event-driven alarm program every node of
+// h's grid runs: the start rule samples the node's cell of hot, and the
+// root raises the alarm once quorum cells have reported.
+func AlarmProgram(h *varch.Hierarchy, hot *field.BinaryMap, quorum int) *program.Spec[AlarmState] {
 	maxLevel := h.Levels
-	if cfg.Quorum < 1 {
-		panic(fmt.Sprintf("synth: quorum %d must be positive", cfg.Quorum))
+	if quorum < 1 {
+		panic(fmt.Sprintf("synth: quorum %d must be positive", quorum))
 	}
-	spec := &program.Spec{
-		Title: fmt.Sprintf("alarm@%v", me),
-		Init: func(e *program.Env) {
-			e.Bools[VarStart] = true
-			e.Bools[VarAlarmRaised] = false
-			e.Bools[VarEvacuating] = false
-			e.Objs[VarAlarmTotal] = make([]int64, maxLevel+1)
-			e.Objs[VarAlarmBox] = make([]regions.BBox, maxLevel+1)
-			e.Objs[VarOutbox] = []outItem(nil)
-		},
-	}
-	totals := func(e *program.Env) []int64 { return e.Objs[VarAlarmTotal].([]int64) }
-	boxes := func(e *program.Env) []regions.BBox { return e.Objs[VarAlarmBox].([]regions.BBox) }
 
 	// mergeDelta folds a delta into the node's level record and queues the
 	// upward forward (or raises the alarm at the root).
-	mergeDelta := func(e *program.Env, msg AlarmMsg) {
-		t := totals(e)
-		b := boxes(e)
-		if t[msg.Level] == 0 {
-			b[msg.Level] = msg.Box
+	mergeDelta := func(s *AlarmState, msg AlarmMsg) {
+		if s.Total[msg.Level] == 0 {
+			s.Box[msg.Level] = msg.Box
 		} else {
-			b[msg.Level] = b[msg.Level].Union(msg.Box)
+			s.Box[msg.Level] = s.Box[msg.Level].Union(msg.Box)
 		}
-		t[msg.Level] += int64(msg.Count)
+		s.Total[msg.Level] += int64(msg.Count)
 		if msg.Level < maxLevel {
-			up := AlarmMsg{Count: msg.Count, Box: msg.Box, Level: msg.Level + 1}
-			e.Objs[VarOutbox] = append(e.Objs[VarOutbox].([]outItem), outItem{msg: up})
+			s.Outbox = append(s.Outbox, AlarmMsg{Count: msg.Count, Box: msg.Box, Level: msg.Level + 1})
 		}
 	}
 
-	spec.Rules = []program.Rule{
-		{
-			Name:      "start",
-			Condition: "start = true",
-			Effect:    "start = false\nsense\nif hot: emit delta {1, myCell} toward Leader(1)",
-			Guard:     func(e *program.Env) bool { return e.Bools[VarStart] },
-			Action: func(e *program.Env, fx program.Effector) {
-				e.Bools[VarStart] = false
-				fx.Sense(1)
-				if !cfg.Hot() {
-					return
-				}
-				fx.Compute(1)
-				box := regions.BBox{MinCol: me.Col, MinRow: me.Row, MaxCol: me.Col, MaxRow: me.Row}
-				mergeDelta(e, AlarmMsg{Count: 1, Box: box, Level: 0})
-			},
+	return &program.Spec[AlarmState]{
+		Title: "alarm",
+		Init: func(states []AlarmState) {
+			totals := make([]int64, len(states)*(maxLevel+1))
+			boxes := make([]regions.BBox, len(totals))
+			for i := range states {
+				states[i] = AlarmState{Coord: h.Grid.CoordOf(i), Start: true,
+					Total: levelSlots(totals, i, maxLevel), Box: levelSlots(boxes, i, maxLevel)}
+			}
 		},
-		{
-			Name:      "receive",
-			Condition: "received mAlarm = {count, box, mrecLevel}",
-			Effect:    "alarmTotal[mrecLevel] += count; alarmBox[mrecLevel] ∪= box\nqueue delta for Leader(mrecLevel+1)",
-			Guard: func(e *program.Env) bool {
-				_, ok := e.PeekMsg().(AlarmMsg)
-				return ok
+		Rules: []program.Rule[AlarmState]{
+			{
+				Name:      "start",
+				Condition: "start = true",
+				Effect:    "start = false\nsense\nif hot: emit delta {1, myCell} toward Leader(1)",
+				Guard:     func(s *AlarmState, _ *program.Env) bool { return s.Start },
+				Action: func(s *AlarmState, _ *program.Env, fx program.Effector) {
+					s.Start = false
+					fx.Sense(1)
+					if !hot.At(s.Coord) {
+						return
+					}
+					fx.Compute(1)
+					me := s.Coord
+					box := regions.BBox{MinCol: me.Col, MinRow: me.Row, MaxCol: me.Col, MaxRow: me.Row}
+					mergeDelta(s, AlarmMsg{Count: 1, Box: box, Level: 0})
+				},
 			},
-			Action: func(e *program.Env, fx program.Effector) {
-				msg := e.TakeMsg().(AlarmMsg)
-				fx.Compute(alarmMsgSize)
-				mergeDelta(e, msg)
+			{
+				Name:      "receive",
+				Condition: "received mAlarm = {count, box, mrecLevel}",
+				Effect:    "alarmTotal[mrecLevel] += count; alarmBox[mrecLevel] ∪= box\nqueue delta for Leader(mrecLevel+1)",
+				Guard: func(_ *AlarmState, e *program.Env) bool {
+					_, ok := e.PeekMsg().(AlarmMsg)
+					return ok
+				},
+				Action: func(s *AlarmState, e *program.Env, fx program.Effector) {
+					msg := e.TakeMsg().(AlarmMsg)
+					fx.Compute(alarmMsgSize)
+					mergeDelta(s, msg)
+				},
 			},
-		},
-		{
-			Name:      "evacuate",
-			Condition: "received mEvacuate",
-			Effect:    "evacuating = true",
-			Guard: func(e *program.Env) bool {
-				_, ok := e.PeekMsg().(EvacMsg)
-				return ok
+			{
+				Name:      "evacuate",
+				Condition: "received mEvacuate",
+				Effect:    "evacuating = true",
+				Guard: func(_ *AlarmState, e *program.Env) bool {
+					_, ok := e.PeekMsg().(EvacMsg)
+					return ok
+				},
+				Action: func(s *AlarmState, e *program.Env, fx program.Effector) {
+					e.TakeMsg()
+					s.Evacuating = true
+				},
 			},
-			Action: func(e *program.Env, fx program.Effector) {
-				e.TakeMsg()
-				e.Bools[VarEvacuating] = true
+			{
+				Name:      "forward",
+				Condition: "outbox not empty",
+				Effect: "pop delta; if myCoords = Leader(level) merge locally\n" +
+					"else send delta to Leader(level)",
+				Guard: func(s *AlarmState, _ *program.Env) bool { return len(s.Outbox) > 0 },
+				Action: func(s *AlarmState, _ *program.Env, fx program.Effector) {
+					msg := s.Outbox[0]
+					s.Outbox = s.Outbox[1:]
+					if h.LeaderAt(s.Coord, msg.Level) == s.Coord {
+						// This node leads the next level too: fold locally.
+						mergeDelta(s, msg)
+						return
+					}
+					fx.Send(msg.Level, alarmMsgSize, msg)
+				},
 			},
-		},
-		{
-			Name:      "forward",
-			Condition: "outbox not empty",
-			Effect: "pop delta; if myCoords = Leader(level) merge locally\n" +
-				"else send delta to Leader(level)",
-			Guard: func(e *program.Env) bool { return len(e.Objs[VarOutbox].([]outItem)) > 0 },
-			Action: func(e *program.Env, fx program.Effector) {
-				box := e.Objs[VarOutbox].([]outItem)
-				item := box[0]
-				e.Objs[VarOutbox] = box[1:]
-				if h.LeaderAt(me, item.msg.Level) == me {
-					// This node leads the next level too: fold locally.
-					mergeDelta(e, item.msg)
-					return
-				}
-				fx.Send(item.msg.Level, alarmMsgSize, item.msg)
-			},
-		},
-		{
-			Name:      "quorum",
-			Condition: "alarmTotal[maxrecLevel] >= quorum and not alarmRaised",
-			Effect:    "alarmRaised = true\nexfiltrate {total, box}",
-			Guard: func(e *program.Env) bool {
-				if e.Bools[VarAlarmRaised] {
-					return false
-				}
-				return totals(e)[maxLevel] >= int64(cfg.Quorum)
-			},
-			Action: func(e *program.Env, fx program.Effector) {
-				e.Bools[VarAlarmRaised] = true
-				fx.Exfiltrate(AlarmMsg{
-					Count: int(totals(e)[maxLevel]),
-					Box:   boxes(e)[maxLevel],
-					Level: maxLevel,
-				})
+			{
+				Name:      "quorum",
+				Condition: "alarmTotal[maxrecLevel] >= quorum and not alarmRaised",
+				Effect:    "alarmRaised = true\nexfiltrate {total, box}",
+				Guard: func(s *AlarmState, _ *program.Env) bool {
+					return !s.Raised && s.Total[maxLevel] >= int64(quorum)
+				},
+				Action: func(s *AlarmState, _ *program.Env, fx program.Effector) {
+					s.Raised = true
+					fx.Exfiltrate(AlarmMsg{Count: int(s.Total[maxLevel]), Box: s.Box[maxLevel], Level: maxLevel})
+				},
 			},
 		},
 	}
-	return spec
 }
 
 // AlarmResult is the outcome of one alarm round.
@@ -195,7 +173,7 @@ type AlarmResult struct {
 	RaisedAt    sim.Time
 	RuleFirings int64
 
-	insts []*program.Instance
+	insts []program.Instance[AlarmState]
 }
 
 // EvacuatingCount returns how many nodes have received the evacuation
@@ -203,8 +181,8 @@ type AlarmResult struct {
 // caller can GroupBroadcast an EvacMsg, drain the kernel, and count here.
 func (r *AlarmResult) EvacuatingCount() int {
 	n := 0
-	for _, inst := range r.insts {
-		if inst.Env.Bools[VarEvacuating] {
+	for i := range r.insts {
+		if r.insts[i].State.Evacuating {
 			n++
 		}
 	}
@@ -220,54 +198,17 @@ func RunAlarmOnMachine(vm *varch.Machine, hot *field.BinaryMap, quorum int) (*Al
 		return nil, fmt.Errorf("synth: hot map grid and machine grid differ")
 	}
 	res := &AlarmResult{}
-	insts := make([]*program.Instance, h.Grid.N())
-	rootIdx := h.Grid.Index(h.Root())
-	for _, c := range h.Grid.Coords() {
-		c := c
-		fx := &alarmFx{vm: vm, coord: c, out: res}
-		spec := AlarmProgram(AlarmConfig{
-			Hier:   h,
-			Coord:  c,
-			Hot:    func() bool { return hot.At(c) },
-			Quorum: quorum,
-		})
-		inst := program.NewInstance(spec, fx)
-		insts[h.Grid.Index(c)] = inst
-		vm.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
-		})
-	}
-	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
-	}
+	insts := onMachine(vm, AlarmProgram(h, hot, quorum), func(_ geom.Coord, result any) {
+		msg := result.(AlarmMsg)
+		res.Raised = true
+		res.AtCount = msg.Count
+		res.Box = msg.Box
+		res.RaisedAt = vm.Kernel().Now()
+	})
+	startAll(insts)
 	vm.Kernel().Run()
-	for _, inst := range insts {
-		res.RuleFirings += inst.Fired()
-	}
-	rootTotals := insts[rootIdx].Env.Objs[VarAlarmTotal].([]int64)
-	res.FinalCount = int(rootTotals[h.Levels])
+	res.RuleFirings, _ = program.Fired(insts)
+	res.FinalCount = int(insts[h.Grid.Index(h.Root())].State.Total[h.Levels])
 	res.insts = insts
 	return res, nil
 }
-
-// alarmFx adapts the machine to the alarm program.
-type alarmFx struct {
-	vm    *varch.Machine
-	coord geom.Coord
-	out   *AlarmResult
-}
-
-func (f *alarmFx) Send(level int, size int64, payload any) {
-	f.vm.SendToLeader(f.coord, level, size, payload)
-}
-
-func (f *alarmFx) Exfiltrate(result any) {
-	msg := result.(AlarmMsg)
-	f.out.Raised = true
-	f.out.AtCount = msg.Count
-	f.out.Box = msg.Box
-	f.out.RaisedAt = f.vm.Kernel().Now()
-}
-
-func (f *alarmFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
-func (f *alarmFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }

@@ -158,9 +158,7 @@ func bboxOfMap(m *field.BinaryMap) regions.BBox {
 func TestAlarmListing(t *testing.T) {
 	g := geom.NewSquareGrid(4, 4)
 	h := varch.MustHierarchy(g)
-	spec := AlarmProgram(AlarmConfig{
-		Hier: h, Coord: geom.Coord{}, Hot: func() bool { return false }, Quorum: 2,
-	})
+	spec := AlarmProgram(h, field.FromBits(g, make([]bool, g.N())), 2)
 	listing := spec.Listing()
 	for _, want := range []string{"alarmTotal", "quorum", "exfiltrate"} {
 		if !contains(listing, want) {
@@ -190,5 +188,5 @@ func TestAlarmQuorumValidation(t *testing.T) {
 			t.Error("quorum 0 should panic")
 		}
 	}()
-	AlarmProgram(AlarmConfig{Hier: h, Coord: geom.Coord{}, Hot: func() bool { return false }, Quorum: 0})
+	AlarmProgram(h, field.FromBits(g, make([]bool, g.N())), 0)
 }

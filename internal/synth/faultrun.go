@@ -92,32 +92,6 @@ type FaultResult struct {
 	Stats          varch.FaultStats
 }
 
-// faultFx adapts the machine to program.Effector under faults: unlike the
-// plain driver it accepts exfiltration from any acting root and keeps only
-// the first one (a forced root watchdog may fire after a natural finish).
-type faultFx struct {
-	vm    *varch.Machine
-	coord geom.Coord
-	out   *FaultResult
-}
-
-func (f *faultFx) Send(level int, size int64, payload any) {
-	f.vm.SendToLeader(f.coord, level, size, payload)
-}
-
-func (f *faultFx) Exfiltrate(result any) {
-	if f.out.Final != nil {
-		return
-	}
-	f.out.Final = result.(*regions.Summary)
-	f.out.Completion = f.vm.Kernel().Now()
-	f.out.ExfilCoord = f.coord
-	emitExfiltrate(f.vm, f.coord)
-}
-
-func (f *faultFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
-func (f *faultFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }
-
 // RunWithFaults executes one labeling round on vm under cfg's fault load
 // and returns the (possibly partial) outcome. The round is byte-
 // deterministic: same machine, map, and config always produce the same
@@ -140,18 +114,19 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 	vm.SetFailover(true)
 
 	res := &FaultResult{Crashed: len(cfg.Schedule)}
-	insts := make([]*program.Instance, g.N())
-	for _, c := range g.Coords() {
-		c := c
-		fx := &faultFx{vm: vm, coord: c, out: res}
-		spec := LabelingProgram(Config{Hier: h, Coord: c, Sense: SenseFromMap(m, c)})
-		inst := program.NewInstance(spec, fx)
-		wireTraceHooks(vm, inst, c)
-		insts[g.Index(c)] = inst
-		vm.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
-		})
-	}
+	// Unlike the plain driver, any acting root may exfiltrate, and only the
+	// first result counts (a forced root watchdog may fire after a natural
+	// finish).
+	insts := onMachine(vm, LabelingProgram(h, m), func(c geom.Coord, result any) {
+		if res.Final != nil {
+			return
+		}
+		res.Final = result.(*regions.Summary)
+		res.Completion = vm.Kernel().Now()
+		res.ExfilCoord = c
+		emitExfiltrate(vm, c)
+	})
+	wireTraceHooks(vm, insts)
 
 	injector := fault.NewInjector(vm.Kernel(), g.N())
 	injector.Arm(cfg.Schedule, vm)
@@ -186,17 +161,10 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 	}
 
 	phase(vm, "fault-labeling:start")
-	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
-	}
+	startAll(insts)
 	vm.Kernel().Run()
 	phase(vm, "fault-labeling:end")
-	for _, inst := range insts {
-		res.RuleFirings += inst.Fired()
-		// res only keeps summaries pulled out of the Envs (which survive a
-		// Release), never the instances themselves, so they are recyclable.
-		inst.Release()
-	}
+	res.RuleFirings, _ = program.Fired(insts)
 	if res.Final != nil {
 		res.Coverage = float64(res.Final.CoveredCells()) / float64(g.N())
 	}
@@ -210,27 +178,21 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 // deadline passes. Late arrivals after the deadline merge into the node's
 // state but are never shipped (their quorum slot is disarmed), the standard
 // deadline-protocol trade.
-func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []*program.Instance, res *FaultResult, leader geom.Coord, k int) {
+func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []program.Instance[LabelState], res *FaultResult, leader geom.Coord, k int) {
 	g := h.Grid
-	acting := geom.Coord{Col: -1, Row: -1}
-	for _, c := range h.Followers(leader, k) {
-		if vm.Alive(c) {
-			acting = c
-			break
-		}
-	}
-	if acting.Col < 0 {
+	acting, ok := h.ActingLeader(leader, k, vm.Alive)
+	if !ok {
 		return // the whole block is dead; its data died with it
 	}
 	if k == h.Levels && res.Final != nil {
 		return // the round already exfiltrated; nothing to force
 	}
-	inst := insts[g.Index(acting)]
-	env := inst.Env
-	if int(env.Ints[VarRecLevel]) > k {
+	inst := &insts[g.Index(acting)]
+	s := inst.State
+	if s.RecLevel > k {
 		return // the block finished level k naturally
 	}
-	sg := env.Objs[VarSubGraph].([]*regions.Summary)
+	sg := s.SubGraph
 	for j := 0; j < k; j++ {
 		if sg[j] == nil {
 			continue
@@ -245,13 +207,12 @@ func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []*program.Instan
 	if sg[k] == nil {
 		return // nothing reached this block's level; nothing to ship
 	}
-	mr := env.Objs[VarMsgsRecv].([]int64)
 	for j := 0; j <= k; j++ {
-		mr[j] = -1 // disarm the quorum rule at and below the deadline level
+		s.MsgsRecv[j] = -1 // disarm the quorum rule at and below the deadline level
 	}
-	env.Ints[VarRecLevel] = int64(k)
-	env.Bools[VarDone] = false
-	env.Bools[VarTransmit] = true
+	s.RecLevel = k
+	s.Done = false
+	s.Transmit = true
 	res.ForcedPromotions++
 	if tr := vm.Tracer(); tr != nil {
 		tr.EmitEvent(trace.Event{At: vm.Kernel().Now(), Kind: trace.Protocol,
@@ -261,5 +222,5 @@ func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []*program.Instan
 	if acting != leader {
 		res.LeaderFailovers++
 	}
-	inst.RunToQuiescence(maxQuiescenceSteps)
+	inst.RunToQuiescence()
 }

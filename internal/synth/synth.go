@@ -1,8 +1,8 @@
 // Package synth is the program-synthesis stage of the methodology
 // (Section 4.3): it converts the mapped quad-tree algorithm into the
-// reactive guarded-command program of paper Figure 4, one instance per
-// virtual node, and provides the driver that executes a synthesized
-// program set on the virtual architecture.
+// reactive guarded-command program of paper Figure 4 — one rule set every
+// virtual node runs over its own typed state — and provides the drivers
+// that execute a synthesized program on the virtual architecture.
 //
 // The generated rule set follows Figure 4 clause for clause, with the
 // indexing made self-consistent (the paper's figure increments recLevel in
@@ -34,151 +34,133 @@ type GraphMsg struct {
 	Level  int
 }
 
-// Config parameterizes the synthesized program for one node.
-type Config struct {
-	Hier  *varch.Hierarchy
-	Coord geom.Coord
-	// Sense produces the node's level-0 boundary summary from the sensing
-	// interface ("compute mySubGraph from intra-cell readings").
-	Sense func() *regions.Summary
+// LabelState is one node's variables in the labeling program of Figure 4.
+type LabelState struct {
+	Coord    geom.Coord // myCoords
+	Start    bool
+	Transmit bool
+	Done     bool
+	// RecLevel is the highest level of mySubGraph the node has completed.
+	RecLevel int
+	// SubGraph is mySubGraph and MsgsRecv is msgsReceived, one slot per
+	// level 0..maxrecLevel.
+	SubGraph []*regions.Summary
+	MsgsRecv []int64
 }
 
-// State variable names used by the synthesized program. Exported so tests
-// and tools can inspect node state symbolically.
-const (
-	VarStart    = "start"
-	VarTransmit = "transmit"
-	VarDone     = "done"
-	VarRecLevel = "recLevel"
-	VarMaxLevel = "maxrecLevel"
-	VarSubGraph = "mySubGraph"
-	VarMsgsRecv = "msgsReceived"
-)
+func (s *LabelState) mergeAt(level int, sub *regions.Summary) {
+	if s.SubGraph[level] == nil {
+		s.SubGraph[level] = sub
+	} else {
+		s.SubGraph[level].Merge(sub)
+	}
+}
 
-// LabelingProgram synthesizes the homogeneous-region labeling program for
-// the node at cfg.Coord. The returned Spec is self-contained: it reads and
-// writes only its Env and the Effector.
-func LabelingProgram(cfg Config) *program.Spec {
-	h := cfg.Hier
-	me := cfg.Coord
+// levelSlots returns node i's per-level array, levels+1 slots carved out
+// of all, the backing array every node's shares.
+func levelSlots[T any](all []T, i, levels int) []T {
+	lo, hi := i*(levels+1), (i+1)*(levels+1)
+	return all[lo:hi:hi]
+}
+
+// LabelingProgram synthesizes the homogeneous-region labeling program every
+// node of h's grid runs; the start rule senses the node's cell of m. The
+// rule set reads and writes only the node's state, its inbox, and the
+// Effector.
+func LabelingProgram(h *varch.Hierarchy, m *field.BinaryMap) *program.Spec[LabelState] {
 	maxLevel := h.Levels
-	spec := &program.Spec{
-		Title: fmt.Sprintf("label-regions@%v", me),
-		Init: func(e *program.Env) {
-			e.Bools[VarStart] = true
-			e.Bools[VarTransmit] = false
-			e.Bools[VarDone] = false
-			e.Ints[VarRecLevel] = 0
-			e.Ints[VarMaxLevel] = int64(maxLevel)
-			e.Objs[VarSubGraph] = make([]*regions.Summary, maxLevel+1)
-			e.Objs[VarMsgsRecv] = make([]int64, maxLevel+1)
+	return &program.Spec[LabelState]{
+		Title: "label-regions",
+		Init: func(states []LabelState) {
+			subs := make([]*regions.Summary, len(states)*(maxLevel+1))
+			recv := make([]int64, len(subs))
+			for i := range states {
+				states[i] = LabelState{Coord: h.Grid.CoordOf(i), Start: true,
+					SubGraph: levelSlots(subs, i, maxLevel), MsgsRecv: levelSlots(recv, i, maxLevel)}
+			}
 		},
-	}
-
-	subGraph := func(e *program.Env) []*regions.Summary {
-		return e.Objs[VarSubGraph].([]*regions.Summary)
-	}
-	msgsRecv := func(e *program.Env) []int64 {
-		return e.Objs[VarMsgsRecv].([]int64)
-	}
-	mergeAt := func(e *program.Env, level int, sub *regions.Summary) {
-		sg := subGraph(e)
-		if sg[level] == nil {
-			sg[level] = sub
-		} else {
-			sg[level].Merge(sub)
-		}
-	}
-
-	spec.Rules = []program.Rule{
-		{
-			Name:      "start",
-			Condition: "start = true",
-			Effect: "start = false\ncompute mySubGraph[0] from intra-cell readings\n" +
-				"transmit = true",
-			Guard: func(e *program.Env) bool { return e.Bools[VarStart] },
-			Action: func(e *program.Env, fx program.Effector) {
-				e.Bools[VarStart] = false
-				fx.Sense(1)
-				sub := cfg.Sense()
-				fx.Compute(1)
-				mergeAt(e, 0, sub)
-				e.Bools[VarTransmit] = true
+		Rules: []program.Rule[LabelState]{
+			{
+				Name:      "start",
+				Condition: "start = true",
+				Effect: "start = false\ncompute mySubGraph[0] from intra-cell readings\n" +
+					"transmit = true",
+				Guard: func(s *LabelState, _ *program.Env) bool { return s.Start },
+				Action: func(s *LabelState, _ *program.Env, fx program.Effector) {
+					s.Start = false
+					fx.Sense(1)
+					sub := regions.Leaf(m, s.Coord)
+					fx.Compute(1)
+					s.mergeAt(0, sub)
+					s.Transmit = true
+				},
 			},
-		},
-		{
-			Name:      "receive",
-			Condition: "received mGraph = {senderCoord, msubGraph, mrecLevel}",
-			Effect:    "merge(msubGraph, mySubGraph[mrecLevel])\nmsgsReceived[mrecLevel]++",
-			Guard:     func(e *program.Env) bool { return e.PeekMsg() != nil },
-			Action: func(e *program.Env, fx program.Effector) {
-				msg := e.TakeMsg().(GraphMsg)
-				fx.Compute(msg.Sub.Size())
-				mergeAt(e, msg.Level, msg.Sub)
-				msgsRecv(e)[msg.Level]++
+			{
+				Name:      "receive",
+				Condition: "received mGraph = {senderCoord, msubGraph, mrecLevel}",
+				Effect:    "merge(msubGraph, mySubGraph[mrecLevel])\nmsgsReceived[mrecLevel]++",
+				Guard:     func(_ *LabelState, e *program.Env) bool { return e.PeekMsg() != nil },
+				Action: func(s *LabelState, e *program.Env, fx program.Effector) {
+					msg := e.TakeMsg().(GraphMsg)
+					fx.Compute(msg.Sub.Size())
+					s.mergeAt(msg.Level, msg.Sub)
+					s.MsgsRecv[msg.Level]++
+				},
 			},
-		},
-		{
-			Name:      "transmit",
-			Condition: "transmit = true",
-			Effect: "message = {myCoords, mySubGraph[recLevel], recLevel+1}\n" +
-				"if (recLevel = maxrecLevel)\n  exfiltrate message\n" +
-				"else if (myCoords = Leader(recLevel+1))\n" +
-				"  merge(mySubGraph[recLevel], mySubGraph[recLevel+1]); recLevel++\n" +
-				"else\n  send message to Leader(recLevel+1); halt\ntransmit = false",
-			Guard: func(e *program.Env) bool { return e.Bools[VarTransmit] },
-			Action: func(e *program.Env, fx program.Effector) {
-				e.Bools[VarTransmit] = false
-				level := int(e.Ints[VarRecLevel])
-				sg := subGraph(e)
-				switch {
-				case level == maxLevel:
-					e.Bools[VarDone] = true
-					fx.Exfiltrate(sg[level])
-				case h.LeaderAt(me, level+1) == me:
-					// The self-message of Figure 2's mapping: the parent is
-					// co-located with its NW child, so the contribution is a
-					// local merge, not a transmission.
-					sub := sg[level]
-					sg[level] = nil
-					mergeAt(e, level+1, sub)
-					e.Ints[VarRecLevel] = int64(level + 1)
-				default:
-					sub := sg[level]
-					sg[level] = nil
-					fx.Send(level+1, sub.Size(), GraphMsg{Sender: me, Sub: sub, Level: level + 1})
-					e.Bools[VarDone] = true
-				}
+			{
+				Name:      "transmit",
+				Condition: "transmit = true",
+				Effect: "message = {myCoords, mySubGraph[recLevel], recLevel+1}\n" +
+					"if (recLevel = maxrecLevel)\n  exfiltrate message\n" +
+					"else if (myCoords = Leader(recLevel+1))\n" +
+					"  merge(mySubGraph[recLevel], mySubGraph[recLevel+1]); recLevel++\n" +
+					"else\n  send message to Leader(recLevel+1); halt\ntransmit = false",
+				Guard: func(s *LabelState, _ *program.Env) bool { return s.Transmit },
+				Action: func(s *LabelState, _ *program.Env, fx program.Effector) {
+					s.Transmit = false
+					level := s.RecLevel
+					switch {
+					case level == maxLevel:
+						s.Done = true
+						fx.Exfiltrate(s.SubGraph[level])
+					case h.LeaderAt(s.Coord, level+1) == s.Coord:
+						// The self-message of Figure 2's mapping: the parent is
+						// co-located with its NW child, so the contribution is a
+						// local merge, not a transmission.
+						sub := s.SubGraph[level]
+						s.SubGraph[level] = nil
+						s.mergeAt(level+1, sub)
+						s.RecLevel = level + 1
+					default:
+						sub := s.SubGraph[level]
+						s.SubGraph[level] = nil
+						fx.Send(level+1, sub.Size(), GraphMsg{Sender: s.Coord, Sub: sub, Level: level + 1})
+						s.Done = true
+					}
+				},
 			},
-		},
-		{
-			Name:      "promote",
-			Condition: "msgsReceived[recLevel] = 3 and not done",
-			Effect:    "transmit = true",
-			Guard: func(e *program.Env) bool {
-				if e.Bools[VarDone] || e.Bools[VarTransmit] {
-					return false
-				}
-				level := int(e.Ints[VarRecLevel])
-				if level == 0 || level > maxLevel {
-					return false
-				}
-				return msgsRecv(e)[level] == 3
-			},
-			Action: func(e *program.Env, fx program.Effector) {
-				// Consume the count so the guard cannot refire at this level.
-				msgsRecv(e)[int(e.Ints[VarRecLevel])] = -1
-				e.Bools[VarTransmit] = true
+			{
+				Name:      "promote",
+				Condition: "msgsReceived[recLevel] = 3 and not done",
+				Effect:    "transmit = true",
+				Guard: func(s *LabelState, _ *program.Env) bool {
+					if s.Done || s.Transmit {
+						return false
+					}
+					level := s.RecLevel
+					if level == 0 || level > maxLevel {
+						return false
+					}
+					return s.MsgsRecv[level] == 3
+				},
+				Action: func(s *LabelState, _ *program.Env, fx program.Effector) {
+					// Consume the count so the guard cannot refire at this level.
+					s.MsgsRecv[s.RecLevel] = -1
+					s.Transmit = true
+				},
 			},
 		},
 	}
-	return spec
-}
-
-// SenseFromMap returns a Sense function reading the node's cell from a
-// binary feature map — the simulated sensing interface.
-func SenseFromMap(m *field.BinaryMap, c geom.Coord) func() *regions.Summary {
-	return func() *regions.Summary { return regions.Leaf(m, c) }
 }
 
 // Result is the outcome of one execution round of the synthesized
@@ -193,11 +175,12 @@ type Result struct {
 	ExfilCoord   geom.Coord // node that exfiltrated (must be the root)
 }
 
-// machineFx adapts varch.Machine to program.Effector for one node.
+// machineFx is one node's program.Effector on a varch machine; exfil,
+// shared by the run, receives what the node exfiltrates.
 type machineFx struct {
 	vm    *varch.Machine
 	coord geom.Coord
-	out   *Result
+	exfil func(c geom.Coord, result any)
 }
 
 func (f *machineFx) Send(level int, size int64, payload any) {
@@ -205,14 +188,35 @@ func (f *machineFx) Send(level int, size int64, payload any) {
 }
 
 func (f *machineFx) Exfiltrate(result any) {
-	f.out.Final = result.(*regions.Summary)
-	f.out.Completion = f.vm.Kernel().Now()
-	f.out.ExfilCoord = f.coord
-	emitExfiltrate(f.vm, f.coord)
+	if f.exfil != nil {
+		f.exfil(f.coord, result)
+	}
 }
 
 func (f *machineFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
 func (f *machineFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }
+
+// onMachine instantiates spec on every node of vm, with effectors that act
+// on vm at the node's cell and pass exfiltrated results to exfil, and hands
+// every delivery to the receiving node's instance.
+func onMachine[S any](vm *varch.Machine, spec *program.Spec[S], exfil func(c geom.Coord, result any)) []program.Instance[S] {
+	g := vm.Grid()
+	fxs := make([]machineFx, g.N())
+	insts := program.New(spec, g.N(), func(i int) program.Effector {
+		fxs[i] = machineFx{vm: vm, coord: g.CoordOf(i), exfil: exfil}
+		return &fxs[i]
+	})
+	vm.HandleAll(func(to int, msg varch.Message) { insts[to].OnMessage(msg.Payload) })
+	return insts
+}
+
+// startAll runs every instance to quiescence in node order: the round's t=0
+// rule firings, which schedule its message traffic.
+func startAll[S any](insts []program.Instance[S]) {
+	for i := range insts {
+		insts[i].RunToQuiescence()
+	}
+}
 
 // emitExfiltrate records the out-of-network delivery when tracing is on.
 func emitExfiltrate(vm *varch.Machine, c geom.Coord) {
@@ -235,33 +239,31 @@ func phase(vm *varch.Machine, detail string) {
 		ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Detail: detail})
 }
 
-// wireTraceHooks makes inst's rule firings visible in the machine's trace.
-func wireTraceHooks(vm *varch.Machine, inst *program.Instance, c geom.Coord) {
+// wireTraceHooks makes the instances' rule firings visible in the
+// machine's trace.
+func wireTraceHooks[S any](vm *varch.Machine, insts []program.Instance[S]) {
 	tr := vm.Tracer()
 	if tr == nil {
 		return
 	}
-	idx := vm.Grid().Index(c)
-	inst.SetFireHook(func(rule string) {
+	g := vm.Grid()
+	program.SetFireHook(insts, func(node int, rule string) {
+		c := g.CoordOf(node)
 		tr.EmitEvent(trace.Event{At: vm.Kernel().Now(), Kind: trace.RuleFire,
-			Node: c.String(), ID: idx, Col: c.Col, Row: c.Row,
+			Node: c.String(), ID: node, Col: c.Col, Row: c.Row,
 			PeerCol: -1, PeerRow: -1, Detail: rule})
 	})
 }
-
-// maxQuiescenceSteps bounds rule firings per activation; a correct program
-// fires O(levels) rules per event.
-const maxQuiescenceSteps = 1 << 16
 
 // Transport optionally transforms every GraphMsg between transmission and
 // delivery — the hook integration tests use to force each message through
 // the binary wire codec, proving the serialized form carries the protocol.
 type Transport func(GraphMsg) (GraphMsg, error)
 
-// RunOnMachine synthesizes the labeling program for every node of vm's
-// grid, wires the instances to the machine, executes one full round from
-// time 0, and returns the result. It is experiment E2's engine and the
-// reference implementation the goroutine runtime is checked against.
+// RunOnMachine runs the synthesized labeling program on every node of vm's
+// grid: it executes one full round from time 0 and returns the result. It
+// is experiment E2's engine and the reference implementation the goroutine
+// runtime is checked against.
 func RunOnMachine(vm *varch.Machine, m *field.BinaryMap) (*Result, error) {
 	return RunOnMachineWithTransport(vm, m, nil)
 }
@@ -274,49 +276,31 @@ func RunOnMachineWithTransport(vm *varch.Machine, m *field.BinaryMap, transport 
 		return nil, fmt.Errorf("synth: map grid and machine grid differ")
 	}
 	res := &Result{}
+	insts := onMachine(vm, LabelingProgram(h, m), func(c geom.Coord, result any) {
+		res.Final = result.(*regions.Summary)
+		res.Completion = vm.Kernel().Now()
+		res.ExfilCoord = c
+		emitExfiltrate(vm, c)
+	})
+	wireTraceHooks(vm, insts)
 	var transportErr error
-	insts := make([]*program.Instance, h.Grid.N())
-	for _, c := range h.Grid.Coords() {
-		c := c
-		fx := &machineFx{vm: vm, coord: c, out: res}
-		spec := LabelingProgram(Config{Hier: h, Coord: c, Sense: SenseFromMap(m, c)})
-		inst := program.NewInstance(spec, fx)
-		wireTraceHooks(vm, inst, c)
-		insts[h.Grid.Index(c)] = inst
-		vm.Handle(c, func(msg varch.Message) {
-			payload := msg.Payload
-			if transport != nil {
-				gm, err := transport(payload.(GraphMsg))
-				if err != nil {
-					if transportErr == nil {
-						transportErr = err
-					}
-					return
+	if transport != nil {
+		vm.HandleAll(func(to int, msg varch.Message) {
+			gm, err := transport(msg.Payload.(GraphMsg))
+			if err != nil {
+				if transportErr == nil {
+					transportErr = err
 				}
-				payload = gm
+				return
 			}
-			inst.OnMessage(payload, maxQuiescenceSteps)
+			insts[to].OnMessage(gm)
 		})
 	}
-	// Start every node at t=0; rule firings schedule the message traffic.
 	phase(vm, "labeling:start")
-	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
-	}
+	startAll(insts)
 	vm.Kernel().Run()
 	phase(vm, "labeling:end")
-	for _, inst := range insts {
-		res.RuleFirings += inst.Fired()
-		for i, n := range inst.FiredByRule() {
-			for len(res.RuleCoverage) <= i {
-				res.RuleCoverage = append(res.RuleCoverage, 0)
-			}
-			res.RuleCoverage[i] += n
-		}
-		// The result only holds summaries (which survive a Release), never
-		// the instance or its Env, so the interpreter state is recyclable.
-		inst.Release()
-	}
+	res.RuleFirings, res.RuleCoverage = program.Fired(insts)
 	if transportErr != nil {
 		return nil, transportErr
 	}

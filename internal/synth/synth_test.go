@@ -23,7 +23,7 @@ func newMachine(side int) (*varch.Machine, *cost.Ledger) {
 func TestListingResemblesFigure4(t *testing.T) {
 	g := geom.NewSquareGrid(4, 4)
 	h := varch.MustHierarchy(g)
-	spec := LabelingProgram(Config{Hier: h, Coord: geom.Coord{}, Sense: func() *regions.Summary { return nil }})
+	spec := LabelingProgram(h, field.FromBits(g, make([]bool, g.N())))
 	listing := spec.Listing()
 	for _, want := range []string{
 		"Condition : start = true",

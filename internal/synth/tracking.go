@@ -1,8 +1,6 @@
 package synth
 
 import (
-	"fmt"
-
 	"wsnva/internal/geom"
 	"wsnva/internal/program"
 	"wsnva/internal/varch"
@@ -27,108 +25,98 @@ type TrackReport struct {
 // trackMsgSize is the cost-model size of one report: three moments.
 const trackMsgSize = 3
 
-// TrackingConfig parameterizes the synthesized tracking program for one
-// node.
-type TrackingConfig struct {
-	Hier  *varch.Hierarchy
+// TrackState is one node's variables in the tracking program.
+type TrackState struct {
 	Coord geom.Coord
-	// Strength returns the node's detection strength in [0,1]; zero means
-	// no detection and no traffic.
-	Strength func() float64
+	Start bool
+	// WX, WY and W are the per-level centroid moments Σw·x, Σw·y, Σw; the
+	// root's top slot covers the whole grid.
+	WX, WY, W []int64
+	// Outbox holds the reports awaiting transmission.
+	Outbox []TrackReport
 }
 
-// Tracking program state variable names.
-const (
-	VarTrackWX = "trackWX"
-	VarTrackWY = "trackWY"
-	VarTrackW  = "trackW"
-)
-
-// TrackingProgram synthesizes the per-node tracking program.
-func TrackingProgram(cfg TrackingConfig) *program.Spec {
-	h := cfg.Hier
-	me := cfg.Coord
+// TrackingProgram synthesizes the tracking program every node of h's grid
+// runs: the start rule reads the node's detection strength in [0,1], and
+// zero means no detection and no traffic.
+func TrackingProgram(h *varch.Hierarchy, strength func(c geom.Coord) float64) *program.Spec[TrackState] {
 	maxLevel := h.Levels
-	spec := &program.Spec{
-		Title: fmt.Sprintf("track@%v", me),
-		Init: func(e *program.Env) {
-			e.Bools[VarStart] = true
-			e.Objs[VarTrackWX] = make([]int64, maxLevel+1)
-			e.Objs[VarTrackWY] = make([]int64, maxLevel+1)
-			e.Objs[VarTrackW] = make([]int64, maxLevel+1)
-			e.Objs[VarOutbox] = []TrackReport(nil)
-		},
-	}
-	moments := func(e *program.Env) (wx, wy, w []int64) {
-		return e.Objs[VarTrackWX].([]int64), e.Objs[VarTrackWY].([]int64), e.Objs[VarTrackW].([]int64)
-	}
-	merge := func(e *program.Env, r TrackReport) {
-		wx, wy, w := moments(e)
-		wx[r.Level] += r.WX
-		wy[r.Level] += r.WY
-		w[r.Level] += r.W
+	merge := func(s *TrackState, r TrackReport) {
+		s.WX[r.Level] += r.WX
+		s.WY[r.Level] += r.WY
+		s.W[r.Level] += r.W
 		if r.Level < maxLevel {
 			up := r
 			up.Level = r.Level + 1
-			e.Objs[VarOutbox] = append(e.Objs[VarOutbox].([]TrackReport), up)
+			s.Outbox = append(s.Outbox, up)
 		}
 	}
 
-	spec.Rules = []program.Rule{
-		{
-			Name:      "start",
-			Condition: "start = true",
-			Effect:    "sense; if detecting: emit report {w·x, w·y, w}",
-			Guard:     func(e *program.Env) bool { return e.Bools[VarStart] },
-			Action: func(e *program.Env, fx program.Effector) {
-				e.Bools[VarStart] = false
-				fx.Sense(1)
-				s := cfg.Strength()
-				if s <= 0 {
-					return
-				}
-				fx.Compute(1)
-				w := int64(s * 1000)
-				if w == 0 {
-					w = 1
-				}
-				merge(e, TrackReport{
-					WX: w * int64(me.Col), WY: w * int64(me.Row), W: w, Level: 0,
-				})
-			},
+	return &program.Spec[TrackState]{
+		Title: "track",
+		Init: func(states []TrackState) {
+			wx := make([]int64, len(states)*(maxLevel+1))
+			wy := make([]int64, len(wx))
+			w := make([]int64, len(wx))
+			for i := range states {
+				states[i] = TrackState{Coord: h.Grid.CoordOf(i), Start: true,
+					WX: levelSlots(wx, i, maxLevel), WY: levelSlots(wy, i, maxLevel), W: levelSlots(w, i, maxLevel)}
+			}
 		},
-		{
-			Name:      "receive",
-			Condition: "received mTrack = {wx, wy, w, mrecLevel}",
-			Effect:    "moments[mrecLevel] += report\nqueue report for Leader(mrecLevel+1)",
-			Guard: func(e *program.Env) bool {
-				_, ok := e.PeekMsg().(TrackReport)
-				return ok
+		Rules: []program.Rule[TrackState]{
+			{
+				Name:      "start",
+				Condition: "start = true",
+				Effect:    "sense; if detecting: emit report {w·x, w·y, w}",
+				Guard:     func(s *TrackState, _ *program.Env) bool { return s.Start },
+				Action: func(s *TrackState, _ *program.Env, fx program.Effector) {
+					s.Start = false
+					fx.Sense(1)
+					str := strength(s.Coord)
+					if str <= 0 {
+						return
+					}
+					fx.Compute(1)
+					w := int64(str * 1000)
+					if w == 0 {
+						w = 1
+					}
+					merge(s, TrackReport{
+						WX: w * int64(s.Coord.Col), WY: w * int64(s.Coord.Row), W: w, Level: 0,
+					})
+				},
 			},
-			Action: func(e *program.Env, fx program.Effector) {
-				r := e.TakeMsg().(TrackReport)
-				fx.Compute(trackMsgSize)
-				merge(e, r)
+			{
+				Name:      "receive",
+				Condition: "received mTrack = {wx, wy, w, mrecLevel}",
+				Effect:    "moments[mrecLevel] += report\nqueue report for Leader(mrecLevel+1)",
+				Guard: func(_ *TrackState, e *program.Env) bool {
+					_, ok := e.PeekMsg().(TrackReport)
+					return ok
+				},
+				Action: func(s *TrackState, e *program.Env, fx program.Effector) {
+					r := e.TakeMsg().(TrackReport)
+					fx.Compute(trackMsgSize)
+					merge(s, r)
+				},
 			},
-		},
-		{
-			Name:      "forward",
-			Condition: "outbox not empty",
-			Effect:    "pop report; local merge if I lead its level, else send",
-			Guard:     func(e *program.Env) bool { return len(e.Objs[VarOutbox].([]TrackReport)) > 0 },
-			Action: func(e *program.Env, fx program.Effector) {
-				box := e.Objs[VarOutbox].([]TrackReport)
-				r := box[0]
-				e.Objs[VarOutbox] = box[1:]
-				if h.LeaderAt(me, r.Level) == me {
-					merge(e, r)
-					return
-				}
-				fx.Send(r.Level, trackMsgSize, r)
+			{
+				Name:      "forward",
+				Condition: "outbox not empty",
+				Effect:    "pop report; local merge if I lead its level, else send",
+				Guard:     func(s *TrackState, _ *program.Env) bool { return len(s.Outbox) > 0 },
+				Action: func(s *TrackState, _ *program.Env, fx program.Effector) {
+					r := s.Outbox[0]
+					s.Outbox = s.Outbox[1:]
+					if h.LeaderAt(s.Coord, r.Level) == s.Coord {
+						merge(s, r)
+						return
+					}
+					fx.Send(r.Level, trackMsgSize, r)
+				},
 			},
 		},
 	}
-	return spec
 }
 
 // TrackEstimate is one epoch's position estimate in grid-cell coordinates.
@@ -146,61 +134,31 @@ type TrackEstimate struct {
 func RunTrackingEpoch(vm *varch.Machine, strength func(c geom.Coord) float64) (*TrackEstimate, error) {
 	h := vm.Hier
 	g := h.Grid
-	insts := make([]*program.Instance, g.N())
+	// One sample per node, taken up front so the detector count and the
+	// programs see the same readings.
+	samples := make([]float64, g.N())
 	detectors := 0
-	for _, c := range g.Coords() {
-		c := c
-		fx := &trackFx{vm: vm, coord: c}
-		s := strength(c)
-		if s > 0 {
+	for i := range samples {
+		samples[i] = strength(g.CoordOf(i))
+		if samples[i] > 0 {
 			detectors++
 		}
-		spec := TrackingProgram(TrackingConfig{
-			Hier: h, Coord: c, Strength: func() float64 { return s },
-		})
-		inst := program.NewInstance(spec, fx)
-		insts[g.Index(c)] = inst
-		vm.Handle(c, func(msg varch.Message) {
-			inst.OnMessage(msg.Payload, maxQuiescenceSteps)
-		})
 	}
-	for _, inst := range insts {
-		inst.RunToQuiescence(maxQuiescenceSteps)
-	}
+	// Tracking exfiltrates nothing: the root's moments are read after
+	// quiescence.
+	insts := onMachine(vm, TrackingProgram(h, func(c geom.Coord) float64 { return samples[g.Index(c)] }), nil)
+	startAll(insts)
 	vm.Kernel().Run()
 
 	est := &TrackEstimate{Detectors: detectors}
-	for _, inst := range insts {
-		est.RuleCount += inst.Fired()
-	}
-	rootEnv := insts[g.Index(h.Root())].Env
-	wx := rootEnv.Objs[VarTrackWX].([]int64)[h.Levels]
-	wy := rootEnv.Objs[VarTrackWY].([]int64)[h.Levels]
-	w := rootEnv.Objs[VarTrackW].([]int64)[h.Levels]
+	est.RuleCount, _ = program.Fired(insts)
+	root := insts[g.Index(h.Root())].State
+	wx, wy, w := root.WX[h.Levels], root.WY[h.Levels], root.W[h.Levels]
 	if w > 0 {
 		est.Valid = true
 		est.Col = float64(wx) / float64(w)
 		est.Row = float64(wy) / float64(w)
 		est.Weight = float64(w) / 1000
 	}
-	// The moments have been copied out above; nothing retains the instances
-	// or their Envs past this point, so they go back to the pool.
-	for _, inst := range insts {
-		inst.Release()
-	}
 	return est, nil
 }
-
-// trackFx adapts the machine to the tracking program; tracking exfiltrates
-// nothing — the driver reads the root's moments after quiescence.
-type trackFx struct {
-	vm    *varch.Machine
-	coord geom.Coord
-}
-
-func (f *trackFx) Send(level int, size int64, payload any) {
-	f.vm.SendToLeader(f.coord, level, size, payload)
-}
-func (f *trackFx) Exfiltrate(any)      {}
-func (f *trackFx) Compute(units int64) { f.vm.Compute(f.coord, units) }
-func (f *trackFx) Sense(units int64)   { f.vm.Sense(f.coord, units) }

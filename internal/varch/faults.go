@@ -128,25 +128,22 @@ func (vm *Machine) aliveIdx(i int) bool { return vm.alive == nil || vm.alive[i] 
 func (vm *Machine) FaultStats() FaultStats { return vm.fstats }
 
 // ActingLeaderAt resolves the level-k leader for c under failover: the
-// static leader if it is alive (or failover is off), otherwise the next
-// alive member of the block in row-major grid order — the deterministic
-// promotion rule followers can all evaluate locally, so no agreement
-// traffic is needed. If the whole block is dead, the static leader is
-// returned and the message will evaporate at delivery.
+// static leader if failover is off, otherwise Hierarchy.ActingLeader over
+// the machine's live nodes. If the whole block is dead, the static leader
+// is returned and the message will evaporate at delivery.
 func (vm *Machine) ActingLeaderAt(c geom.Coord, level int) geom.Coord {
 	leader := vm.Hier.LeaderAt(c, level)
-	if !vm.failover || vm.alive == nil || vm.aliveIdx(vm.Hier.Grid.Index(leader)) {
+	if !vm.failover || vm.alive == nil {
 		return leader
 	}
-	for _, m := range vm.Hier.Followers(leader, level) {
-		if vm.aliveIdx(vm.Hier.Grid.Index(m)) {
-			if vm.tracer != nil {
-				vm.tracer.EmitEvent(vm.evt(trace.Failover, m, leader, level, 0, "acting leader"))
-			}
-			return m
-		}
+	acting, ok := vm.Hier.ActingLeader(c, level, vm.Alive)
+	if !ok {
+		return leader
 	}
-	return leader
+	if acting != leader && vm.tracer != nil {
+		vm.tracer.EmitEvent(vm.evt(trace.Failover, acting, leader, level, 0, "acting leader"))
+	}
+	return acting
 }
 
 // flight is one logical message moving under loss and/or ARQ. The same

@@ -112,6 +112,24 @@ func (h *Hierarchy) Followers(leader geom.Coord, level int) []geom.Coord {
 	return out
 }
 
+// ActingLeader returns the first member of the level-k block containing c,
+// in row-major order, for which alive holds: the static leader (the
+// block's NW corner) while it lives, else the follower every member
+// promotes by the same local rule, so failover needs no agreement
+// traffic. ok is false when the whole block is dead.
+func (h *Hierarchy) ActingLeader(c geom.Coord, level int, alive func(geom.Coord) bool) (acting geom.Coord, ok bool) {
+	leader := h.LeaderAt(c, level)
+	if alive(leader) {
+		return leader, true
+	}
+	for _, m := range h.Followers(leader, level) {
+		if alive(m) {
+			return m, true
+		}
+	}
+	return leader, false
+}
+
 // Children returns the four level-(k-1) leaders inside the level-k block
 // led by leader, in quadrant order NW, NE, SW, SE — the quad-tree children
 // of Figure 2. One of them is the leader itself (NW).

@@ -37,6 +37,10 @@ type Machine struct {
 	ledger *cost.Ledger
 
 	handlers []Handler
+
+	// handleAll receives deliveries to nodes without a handler.
+	handleAll func(to int, m Message)
+
 	msgs     int64 // messages accepted by Send
 	hops     int64 // total virtual hops traversed
 	tracer   *trace.Tracer
@@ -155,6 +159,15 @@ func (vm *Machine) Ledger() *cost.Ledger { return vm.ledger }
 // Handle installs the receive handler of the virtual node at c.
 func (vm *Machine) Handle(c geom.Coord, h Handler) {
 	vm.handlers[vm.Hier.Grid.Index(c)] = h
+}
+
+// HandleAll installs one receive handler for every virtual node, called
+// with the receiver's grid index, and drops the per-node handlers; a later
+// Handle overrides it at that node. A program driver wires a whole run
+// with it instead of one closure per node.
+func (vm *Machine) HandleAll(h func(to int, m Message)) {
+	clear(vm.handlers)
+	vm.handleAll = h
 }
 
 // Send is the architecture's point-to-point primitive: it moves a message
@@ -277,6 +290,8 @@ func (vm *Machine) deliver(to geom.Coord, msg Message, sentAt sim.Time) {
 	}
 	if h := vm.handlers[idx]; h != nil {
 		h(msg)
+	} else if vm.handleAll != nil {
+		vm.handleAll(idx, msg)
 	}
 }
 

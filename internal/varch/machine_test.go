@@ -36,6 +36,29 @@ func TestSendDeliversWithManhattanLatency(t *testing.T) {
 	}
 }
 
+// TestHandleAll: one run-wide handler sees every node's deliveries with
+// the receiver's grid index, replaces earlier per-node handlers, and a
+// later Handle overrides it at that node only.
+func TestHandleAll(t *testing.T) {
+	vm, k, _ := newVM(t, 4)
+	g := vm.Grid()
+	a, b := geom.Coord{Col: 1, Row: 2}, geom.Coord{Col: 3, Row: 0}
+	vm.Handle(a, func(Message) { t.Error("per-node handler installed before HandleAll fired") })
+	got := map[int]int{}
+	vm.HandleAll(func(to int, m Message) { got[to] += m.Payload.(int) })
+	override := 0
+	vm.Handle(b, func(m Message) { override += m.Payload.(int) })
+	vm.Send(geom.Coord{}, a, 1, 1)
+	vm.Send(geom.Coord{}, b, 1, 10)
+	k.Run()
+	if len(got) != 1 || got[g.Index(a)] != 1 {
+		t.Errorf("run-wide handler saw %v, want only node %d", got, g.Index(a))
+	}
+	if override != 10 {
+		t.Errorf("later per-node handler got %d, want 10", override)
+	}
+}
+
 func TestSendChargesEveryHop(t *testing.T) {
 	vm, k, l := newVM(t, 4)
 	src := geom.Coord{Col: 0, Row: 0}
