@@ -2,12 +2,13 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt test test-short race race-core race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz examples clean
+.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz examples clean
 
 all: build vet test
 
 # The full pre-merge gate: vet, gofmt, build, an uncached race pass over the
-# concurrency-critical packages, a hazard-heavy multi-worker shard run
+# concurrency-critical packages, the goroutine runtime's E7 loss sweep
+# pinned to its golden at several GOMAXPROCS, a hazard-heavy multi-worker shard run
 # under the race detector, a churned multi-worker shard run plus the
 # churn differential suite under the race detector, the mission server
 # under multi-tenant load with the race detector, the whole test suite
@@ -16,7 +17,7 @@ all: build vet test
 # battery-depletion soak, the observability coverage floor, and the seven
 # examples, which drive the synthesized alarm and tracking programs
 # through their public drivers, before they land.
-check: vet fmt build race-core race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover examples
+check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover examples
 
 build:
 	$(GO) build ./...
@@ -45,6 +46,12 @@ race:
 # inbox handoff under 2 and 4 workers.
 race-core:
 	$(GO) test -race -count=1 ./internal/sim/ ./internal/radio/ ./internal/parallel/ ./internal/shard/
+
+# The goroutine runtime under the race detector: quick E7 (lossy labeling
+# rounds, one goroutine per node) on a 4-worker pool at GOMAXPROCS 1, 2
+# and 8, each table required to equal the committed golden CSV.
+race-runtime:
+	$(GO) test -race -count=1 -run 'TestE7' ./internal/experiments/
 
 # The deployment pipeline under the race detector: the parallel two-pass
 # CSR neighbor construction over bucket rows and the differential test

@@ -23,10 +23,10 @@
 // skipped — their results feed only the physical engine, and at millions of
 // nodes they would dominate the run for output nothing downstream reads.
 //
-// -shards opts the program-injection phase into the sharded parallel
-// kernel (internal/shard): the image dissemination runs on that many
-// spatial shards over -workers goroutines. The default 0 keeps the
-// sequential single-kernel engine; results are identical either way.
+// -shards sets how many spatial shards the program-injection phase runs
+// on (internal/shard): the image dissemination runs on that many shards
+// over -workers goroutines. The default 0 runs it on one shard, a single
+// sequential kernel; results are identical either way.
 //
 // -churn-rate and -duty-cycle inject topology churn. On the physical
 // engine they turn the run into a churn mission: the schedule suspends
@@ -88,7 +88,7 @@ func main() {
 	crashWindow := flag.Int64("crash-window", 32, "crash times are drawn uniformly from [0, window) (shard engine only)")
 	churnRate := flag.Float64("churn-rate", 0, "Poisson sleep/wake churn: expected radio transitions per time unit (physical and shard engines)")
 	dutyCycle := flag.String("duty-cycle", "", "duty-cycle every radio on a staggered period:on schedule, e.g. 64:48 (physical and shard engines)")
-	shards := flag.Int("shards", 0, "run program injection on this many spatial shards (0 = sequential kernel)")
+	shards := flag.Int("shards", 0, "run program injection on this many spatial shards (0 = one, the sequential kernel)")
 	workers := flag.Int("workers", 0, "goroutines driving the shards (0 = one per shard)")
 	traceN := flag.Int("trace", 0, "print the last N virtual-machine events (DES engine only)")
 	traceOut := flag.String("trace-out", "", "export the run's structured trace as JSONL to this file (des and physical engines)")
@@ -115,9 +115,8 @@ func main() {
 		nw.N(), grid.Terrain.Width(), grid.Terrain.Height(), txRange, nw.AvgDegree(), attempts)
 
 	// Program injection: ship the synthesized image to every node before
-	// the runtime-system protocols assume it. The sharded kernel is
-	// opt-in; its result is identical to the sequential engine by
-	// construction (internal/shard's oracle contract).
+	// the runtime-system protocols assume it. Every shard count computes
+	// the identical result (internal/shard's shard-count invariance).
 	inj, err := shard.Run(nw, shard.Config{Origins: []int{0}, PktSize: 8, Shards: *shards, Workers: *workers})
 	if err != nil {
 		log.Fatalf("wsnsim: injection failed: %v", err)

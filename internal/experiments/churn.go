@@ -143,7 +143,7 @@ func E23ChurnRepair(o Options) *stats.Table {
 // the (shards, workers) ladder. Churn transitions are cross-shard events
 // — each lands on its node's owner shard inside the conservative window
 // protocol — and the match column witnesses that every shard count
-// reproduces the single-kernel oracle's checksum exactly, suspends and
+// reproduces the one-shard run's checksum exactly, suspends and
 // resumes included. Wall and malloc readings are process measurements,
 // as in E21/E22, so this table is excluded from the golden-table tests.
 func E24ChurnShardScaling(o Options) *stats.Table {

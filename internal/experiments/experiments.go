@@ -44,7 +44,7 @@ type Options struct {
 	// in parallel_test.go pin this.
 	Pool *parallel.Pool
 	// Shards, when positive, narrows the E21 scaling sweep to the pair
-	// {sequential oracle, Shards shards on a GOMAXPROCS pool} — the knob
+	// {1 shard, Shards shards on a GOMAXPROCS pool} — the knob
 	// benchtab's -shards flag threads through.
 	Shards int
 	// Trace, if non-nil, receives structured events from every engine the

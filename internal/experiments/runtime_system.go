@@ -280,7 +280,7 @@ func E13LossyEmulation(o Options) *stats.Table {
 		}
 		// Flooding baseline on the same deployment and loss rate: repeat
 		// until every node has heard the query at least once or 10 attempts
-		// passed. Each attempt is one single-kernel shard run with its own
+		// passed. Each attempt is one one-shard engine run with its own
 		// loss seed; the channel is keyed by (seed, sender, attempt index),
 		// so reusing a seed would replay the same losses.
 		covered := make([]bool, nw.N())

@@ -18,11 +18,11 @@ import (
 type e21cfg struct{ shards, workers int }
 
 // E21ShardScaling measures the sharded parallel kernel (internal/shard)
-// against its single-kernel oracle: nodes × (shards, workers) versus
-// wall-clock and allocations, on the multi-source dissemination
-// workload. The checksum column witnesses that every configuration of a
-// grid computed the identical result — the speedup is never bought with
-// divergence.
+// against its own one-shard run, the (1,1) row: nodes × (shards,
+// workers) versus wall-clock and allocations, on the multi-source
+// dissemination workload. The checksum column witnesses that every
+// configuration of a grid computed the identical result — the speedup is
+// never bought with divergence.
 //
 // Unlike the other experiments the wall and malloc columns here are
 // measurements of this process, not simulation outputs, so the table is
@@ -84,7 +84,8 @@ func E21ShardScaling(o Options) *stats.Table {
 // battery-depletion scenario, each across the (shards, workers) ladder.
 // The match column witnesses the tentpole claim — counter-keyed loss
 // draws and instant-granularity deaths make every shard count compute
-// the oracle's exact result, so the parallel speedup survives hazards.
+// the one-shard run's exact result, so the parallel speedup survives
+// hazards.
 // Wall and malloc readings are process measurements, as in E21, so this
 // table is also excluded from the golden-table tests.
 func E22HazardScaling(o Options) *stats.Table {

@@ -1,11 +1,11 @@
 // Package radio simulates the physical layer: a broadcast medium over the
 // disk-model connectivity graph of a deployment. Every transmission by a
 // node is heard by all of its one-hop neighbors (the short-range
-// omnidirectional antenna of Section 3.2), after a delay drawn from a
-// configurable delay model, and each delivery is independently dropped with
-// a configurable loss probability — the "latency of message delivery is
-// unpredictable ... some messages might even be dropped" environment that
-// motivates the paper's asynchronous, incremental programming model.
+// omnidirectional antenna of Section 3.2) after the cost model's
+// transmission latency, and each delivery is independently dropped with a
+// configurable loss probability — the "some messages might even be
+// dropped" environment that motivates the paper's asynchronous,
+// incremental programming model.
 //
 // Energy accounting matches the paper's uniform cost model: one transmit
 // charge at the sender per broadcast and one receive charge at every
@@ -20,7 +20,6 @@ import (
 
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
-	"wsnva/internal/metrics"
 	"wsnva/internal/sim"
 	"wsnva/internal/trace"
 )
@@ -34,45 +33,6 @@ type Packet struct {
 
 // Handler consumes a packet at a receiving node.
 type Handler func(p Packet)
-
-// DelayModel maps a transmission to a per-delivery latency.
-type DelayModel interface {
-	// Delay returns the delivery delay for a packet of size units from
-	// one node to a specific neighbor.
-	Delay(size int64, rng *rand.Rand) sim.Time
-}
-
-// UniformDelay charges the cost model's transmission latency for every
-// delivery, with optional uniform jitter in [0, Jitter] to exercise the
-// asynchrony the paper's program model must tolerate.
-type UniformDelay struct {
-	Model  *cost.Model
-	Jitter sim.Time
-}
-
-// Delay implements DelayModel.
-func (d UniformDelay) Delay(size int64, rng *rand.Rand) sim.Time {
-	base := sim.Time(d.Model.TxLatency(size))
-	if d.Jitter > 0 {
-		base += sim.Time(rng.Int63n(int64(d.Jitter) + 1))
-	}
-	return base
-}
-
-// MinDelayer is implemented by delay models that can state a lower
-// bound on every delivery delay they will ever produce. That bound is
-// the conservative lookahead of a parallel simulation: a sharded kernel
-// may safely advance all shards through a window of this width, because
-// nothing sent inside the window can arrive before the window ends.
-type MinDelayer interface {
-	// MinDelay returns the model's minimum delivery delay for any
-	// positive packet size.
-	MinDelay() sim.Time
-}
-
-// MinDelay implements MinDelayer: delay is monotone in size and jitter
-// only ever adds, so the floor is the one-unit transmission latency.
-func (d UniformDelay) MinDelay() sim.Time { return sim.Time(d.Model.TxLatency(1)) }
 
 // LossModel is a pluggable per-delivery loss decision. The medium asks
 // it once per delivery attempt (per neighbor on a broadcast, once on a
@@ -92,7 +52,6 @@ type Medium struct {
 	kernel   *sim.Kernel
 	ledger   *cost.Ledger
 	rng      *rand.Rand
-	delay    DelayModel
 	loss     float64
 	channel  LossModel
 	handlers []Handler
@@ -118,24 +77,15 @@ type Medium struct {
 	dropped   int64 // per-neighbor losses (loss draws and dead receivers)
 
 	// freeDel recycles delivery records (see delivery) so the steady-state
-	// hot path schedules fan-out without allocating; the scratch slices are
-	// per-Broadcast working storage for grouping survivors by delay. None
-	// of this state is live across kernel events, only within one call.
-	freeDel      []*delivery
-	scratchTo    []int
-	scratchDelay []sim.Time
-	scratchTaken []bool
+	// hot path schedules fan-out without allocating.
+	freeDel []*delivery
 
 	tracer *trace.Tracer
-	mTx    *metrics.Counter
-	mRx    *metrics.Counter
-	mDrop  *metrics.Counter
 }
 
 // Config collects the knobs for a Medium.
 type Config struct {
-	Delay DelayModel // nil means UniformDelay over the ledger's model
-	Loss  float64    // per-delivery drop probability in [0,1)
+	Loss float64 // per-delivery drop probability in [0,1)
 	// Channel, when set, replaces the shared-RNG Bernoulli draw with a
 	// pluggable per-delivery loss decision (counter-keyed streams, bursty
 	// chains). Mutually exclusive with Loss.
@@ -153,10 +103,6 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 	}
 	if ledger.N() != nw.N() {
 		panic(fmt.Sprintf("radio: ledger tracks %d nodes, network has %d", ledger.N(), nw.N()))
-	}
-	d := cfg.Delay
-	if d == nil {
-		d = UniformDelay{Model: ledger.Model()}
 	}
 	// The unicast neighbor check binary-searches the adjacency lists, so
 	// their documented sort order is load-bearing; verify it once here
@@ -180,7 +126,6 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 		kernel:   kernel,
 		ledger:   ledger,
 		rng:      rng,
-		delay:    d,
 		loss:     cfg.Loss,
 		channel:  cfg.Channel,
 		handlers: make([]Handler, nw.N()),
@@ -192,18 +137,6 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 // transmission, reception, drop, and kill emits a structured event. All
 // emissions are guarded, so a detached medium pays one pointer compare.
 func (m *Medium) SetTracer(t *trace.Tracer) { m.tracer = t }
-
-// SetMetrics registers the medium's per-node counters (radio.tx, radio.rx,
-// radio.drop) in reg. A nil registry detaches them.
-func (m *Medium) SetMetrics(reg *metrics.Registry) {
-	if reg == nil {
-		m.mTx, m.mRx, m.mDrop = nil, nil, nil
-		return
-	}
-	m.mTx = reg.Counter("radio.tx", m.nw.N())
-	m.mRx = reg.Counter("radio.rx", m.nw.N())
-	m.mDrop = reg.Counter("radio.drop", m.nw.N())
-}
 
 // emit records a structured event for node (and optional peer >= 0),
 // stamped at the kernel's current time. Callers guard with m.tracer != nil.
@@ -328,8 +261,8 @@ func (m *Medium) lossy() bool { return m.channel != nil || m.loss > 0 }
 func (m *Medium) Handle(id int, h Handler) { m.handlers[id] = h }
 
 // delivery is a pooled in-flight transmission: one scheduled kernel event
-// that delivers a packet to every receiver that drew the same delay, in
-// ascending neighbor-ID order. fire is bound to run once, when the record
+// that delivers a packet to every surviving receiver, in ascending
+// neighbor-ID order. fire is bound to run once, when the record
 // is first allocated, so the hot path schedules fan-out with zero
 // per-packet allocations (no closure, no per-neighbor Packet copy).
 type delivery struct {
@@ -365,16 +298,11 @@ func (d *delivery) run() {
 }
 
 // Broadcast transmits a packet of the given size from node from to all of
-// its one-hop neighbors. Delivery to each neighbor is independent: its own
-// delay draw and its own loss draw. Returns the number of neighbors the
-// packet was queued for (i.e., not dropped).
-//
-// Fan-out is batched: neighbors whose delay draws coincide share one
-// scheduled event that delivers to each of them in ascending ID order.
-// Replay is bit-for-bit identical to per-neighbor scheduling — the RNG is
-// consumed in neighbor order exactly as before, neighbors with distinct
-// delays fire at distinct times, and neighbors with equal delays fired in
-// scheduling order, which was ascending-ID too.
+// its one-hop neighbors. Each neighbor draws its own loss decision, in
+// ascending ID order; the survivors share one delivery event at
+// TxLatency(size), which delivers to each of them in ascending ID order.
+// Returns the number of neighbors the packet was queued for (i.e., not
+// dropped).
 func (m *Medium) Broadcast(from int, size int64, payload any) int {
 	if size < 0 {
 		panic(fmt.Sprintf("radio: negative packet size %d", size))
@@ -387,71 +315,24 @@ func (m *Medium) Broadcast(from int, size int64, payload any) int {
 	if m.tracer != nil {
 		m.emit(trace.Tx, from, -1, size, "broadcast")
 	}
-	if m.mTx != nil {
-		m.mTx.Inc(from)
-	}
-	// Pass 1: draw per-neighbor randomness in neighbor order (the exact
-	// stream of the per-event code this replaces), keeping survivors.
-	m.scratchTo = m.scratchTo[:0]
-	m.scratchDelay = m.scratchDelay[:0]
-	uniform := true
+	d := m.newDelivery()
 	for _, nbr := range m.nw.Neighbors(from) {
 		if m.lossy() && m.lost(from, nbr, size) {
 			m.dropped++
 			if m.tracer != nil {
 				m.emit(trace.Drop, nbr, from, size, "lost")
 			}
-			if m.mDrop != nil {
-				m.mDrop.Inc(nbr)
-			}
 			continue
 		}
-		d := m.delay.Delay(size, m.rng)
-		if len(m.scratchDelay) > 0 && d != m.scratchDelay[0] {
-			uniform = false
-		}
-		m.scratchTo = append(m.scratchTo, nbr)
-		m.scratchDelay = append(m.scratchDelay, d)
+		d.to = append(d.to, nbr)
 	}
-	queued := len(m.scratchTo)
+	queued := len(d.to)
 	if queued == 0 {
+		m.freeDel = append(m.freeDel, d)
 		return 0
 	}
-	pkt := Packet{From: from, Size: size, Payload: payload}
-	if uniform {
-		// Jitter-free common case: the whole fan-out is one event.
-		d := m.newDelivery()
-		d.pkt = pkt
-		d.to = append(d.to, m.scratchTo...)
-		m.kernel.After(m.scratchDelay[0], d.fire)
-		return queued
-	}
-	// Jittered case: group survivors sharing a delay, first-occurrence
-	// order. Ascending-ID order within each group falls out of the pass-1
-	// iteration order.
-	if cap(m.scratchTaken) < queued {
-		m.scratchTaken = make([]bool, queued)
-	}
-	taken := m.scratchTaken[:queued]
-	for i := range taken {
-		taken[i] = false
-	}
-	for i := 0; i < queued; i++ {
-		if taken[i] {
-			continue
-		}
-		d := m.newDelivery()
-		d.pkt = pkt
-		d.to = append(d.to, m.scratchTo[i])
-		delay := m.scratchDelay[i]
-		for j := i + 1; j < queued; j++ {
-			if !taken[j] && m.scratchDelay[j] == delay {
-				taken[j] = true
-				d.to = append(d.to, m.scratchTo[j])
-			}
-		}
-		m.kernel.After(delay, d.fire)
-	}
+	d.pkt = Packet{From: from, Size: size, Payload: payload}
+	m.kernel.After(m.latency(size), d.fire)
 	return queued
 }
 
@@ -473,24 +354,24 @@ func (m *Medium) Unicast(from, to int, size int64, payload any) bool {
 	if m.tracer != nil {
 		m.emit(trace.Tx, from, to, size, "unicast")
 	}
-	if m.mTx != nil {
-		m.mTx.Inc(from)
-	}
 	if m.lossy() && m.lost(from, to, size) {
 		m.dropped++
 		if m.tracer != nil {
 			m.emit(trace.Drop, to, from, size, "lost")
-		}
-		if m.mDrop != nil {
-			m.mDrop.Inc(to)
 		}
 		return false
 	}
 	d := m.newDelivery()
 	d.pkt = Packet{From: from, Size: size, Payload: payload}
 	d.to = append(d.to, to)
-	m.kernel.After(m.delay.Delay(size, m.rng), d.fire)
+	m.kernel.After(m.latency(size), d.fire)
 	return true
+}
+
+// latency is every delivery's delay: the cost model's transmission
+// latency for size units.
+func (m *Medium) latency(size int64) sim.Time {
+	return sim.Time(m.ledger.Model().TxLatency(size))
 }
 
 // isNeighbor binary-searches from's adjacency list, which NewMedium
@@ -514,18 +395,12 @@ func (m *Medium) deliver(to int, pkt Packet) {
 			}
 			m.emit(trace.Drop, to, pkt.From, pkt.Size, detail)
 		}
-		if m.mDrop != nil {
-			m.mDrop.Inc(to)
-		}
 		return
 	}
 	m.delivered++
 	m.ledger.Charge(to, cost.Rx, pkt.Size)
 	if m.tracer != nil {
 		m.emit(trace.Rx, to, pkt.From, pkt.Size, "")
-	}
-	if m.mRx != nil {
-		m.mRx.Inc(to)
 	}
 	if h := m.handlers[to]; h != nil {
 		h(pkt)

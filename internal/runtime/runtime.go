@@ -40,24 +40,6 @@ type Config struct {
 	Retries int
 	// Seed drives the loss coin flips (per-sender streams derived from it).
 	Seed int64
-	// Crashed marks nodes (by grid index) as failed-stop for the whole
-	// round: they never start, never receive, and traffic addressed to them
-	// is dropped. Nil means everyone is up.
-	Crashed []bool
-	// Failover redirects leader-addressed sends from a crashed leader to
-	// the first non-crashed member of its block in row-major grid order —
-	// the same deterministic promotion rule the DES machine uses. The
-	// concurrent engine models the steady state after detection; the
-	// detection dynamics themselves (ack timeouts) live in the DES engine
-	// where time is modeled.
-	Failover bool
-	// Budget is the per-node energy budget; a node whose cumulative charge
-	// crosses it fails stop mid-round (it stops sending, stops processing,
-	// and traffic to it is dropped). Zero means unlimited — the exact
-	// pre-battery behavior. Unlike the DES engine, depletion order here
-	// depends on the scheduler: the battery invariants are byte-exact on
-	// the DES engine and statistical on this one.
-	Budget cost.Energy
 	// Tracer, if non-nil, receives structured events from the round. The
 	// concurrent engine has no simulated clock, so every event is stamped
 	// At=0 and ordered by sequence number only; emission order between
@@ -83,8 +65,6 @@ type Result struct {
 	// summary covers — the "how much of the map survived" measure for lossy
 	// rounds. Equals N on success.
 	RootCoverage int
-	// Depleted counts nodes whose energy crossed the budget mid-round.
-	Depleted int
 }
 
 // Runtime executes labeling rounds on a hierarchy with goroutine-per-node
@@ -112,8 +92,8 @@ type nodeFx struct {
 type run struct {
 	hier    *varch.Hierarchy
 	inboxes []chan envelope
-	// pending counts units of outstanding work: one start per live node
-	// plus one per enqueued message. Only processing a unit creates new
+	// pending counts units of outstanding work: one start per node plus
+	// one per enqueued message. Only processing a unit creates new
 	// ones, so once it reaches zero it stays there; done closes quiet at
 	// that moment.
 	pending atomic.Int64
@@ -127,11 +107,6 @@ type run struct {
 	dropped   atomic.Int64
 	loss      float64
 	retries   int
-	crashed   []bool
-	failover  bool
-	budget    int64
-	down      []atomic.Bool // set when a node's charge crosses the budget
-	depleted  atomic.Int64
 	tracer    *trace.Tracer
 }
 
@@ -140,28 +115,6 @@ func (r *run) done() {
 	if r.pending.Add(-1) == 0 {
 		close(r.quiet)
 	}
-}
-
-// dead reports whether a node is out of the round: statically crashed or
-// battery-depleted mid-round.
-func (r *run) dead(idx int) bool {
-	if r.crashed != nil && r.crashed[idx] {
-		return true
-	}
-	return r.budget > 0 && r.down[idx].Load()
-}
-
-// alive reports whether the node at c is still in the round.
-func (r *run) alive(c geom.Coord) bool { return !r.dead(r.hier.Grid.Index(c)) }
-
-// leaderOf resolves the (possibly acting) level-k leader for c.
-func (r *run) leaderOf(c geom.Coord, level int) geom.Coord {
-	if r.failover {
-		if acting, ok := r.hier.ActingLeader(c, level, r.alive); ok {
-			return acting
-		}
-	}
-	return r.hier.LeaderAt(c, level)
 }
 
 // emit sends one structured event to the attached tracer. Callers guard
@@ -179,42 +132,20 @@ func (f *nodeFx) emit(kind trace.Kind, c, peer geom.Coord, level int, bytes int6
 // rtNoPeer marks the absence of a counterpart coordinate.
 var rtNoPeer = geom.Coord{Col: -1, Row: -1}
 
-// charge adds units to a node's energy counter and trips its budget on the
-// crossing charge. Exactly one goroutine observes the crossing (the atomic
-// add is the arbiter), so the depleted count never double-counts. With no
-// budget this is the original bare atomic add.
-func (f *nodeFx) charge(idx int, units int64) {
-	if f.rt.budget > 0 && f.rt.down[idx].Load() {
-		return // dead radios charge nothing
-	}
-	newV := atomic.AddInt64(&f.energy[idx], units)
-	if f.rt.budget > 0 && newV > f.rt.budget && newV-units <= f.rt.budget {
-		f.rt.down[idx].Store(true)
-		f.rt.depleted.Add(1)
-		if f.rt.tracer != nil {
-			f.emit(trace.Deplete, f.grid.CoordOf(idx), rtNoPeer, 0, newV, "budget exhausted")
-		}
-	}
-}
-
 func (f *nodeFx) Send(level int, size int64, payload any) {
-	if f.rt.dead(f.grid.Index(f.coord)) {
-		return // a depleted sender is silent
-	}
-	dst := f.rt.leaderOf(f.coord, level)
+	dst := f.rt.hier.LeaderAt(f.coord, level)
 	route := routing.XYRoute(f.grid, f.coord, dst)
 	// chargeRoute mirrors the DES machine's hop-by-hop accounting, so loss-
 	// and retry-free runs produce identical ledgers across engines.
 	chargeRoute := func(units int64) {
 		for i := 1; i < len(route); i++ {
-			f.charge(f.grid.Index(route[i-1]), units) // tx
-			f.charge(f.grid.Index(route[i]), units)   // rx
+			atomic.AddInt64(&f.energy[f.grid.Index(route[i-1])], units) // tx
+			atomic.AddInt64(&f.energy[f.grid.Index(route[i])], units)   // rx
 		}
 	}
 	if f.rt.tracer != nil {
 		f.emit(trace.Send, f.coord, dst, level, size, "")
 	}
-	dstDead := f.rt.dead(f.grid.Index(dst))
 	delivered := false
 	for attempt := 0; attempt <= f.rt.retries; attempt++ {
 		if attempt > 0 && f.rt.tracer != nil {
@@ -225,15 +156,6 @@ func (f *nodeFx) Send(level int, size int64, payload any) {
 			f.rt.dropped.Add(1)
 			if f.rt.tracer != nil {
 				f.emit(trace.Drop, dst, f.coord, level, size, "lost")
-			}
-			continue
-		}
-		if dstDead {
-			// The packet reached a dead radio: no ack, so every attempt
-			// times out like a loss.
-			f.rt.dropped.Add(1)
-			if f.rt.tracer != nil {
-				f.emit(trace.Drop, dst, f.coord, level, size, "dead receiver")
 			}
 			continue
 		}
@@ -268,11 +190,11 @@ func (f *nodeFx) Exfiltrate(result any) {
 }
 
 func (f *nodeFx) Compute(units int64) {
-	f.charge(f.grid.Index(f.coord), units)
+	atomic.AddInt64(&f.energy[f.grid.Index(f.coord)], units)
 }
 
 func (f *nodeFx) Sense(units int64) {
-	f.charge(f.grid.Index(f.coord), units)
+	atomic.AddInt64(&f.energy[f.grid.Index(f.coord)], units)
 }
 
 // maxWait bounds a round's wall-clock time.
@@ -286,8 +208,6 @@ type GenericResult struct {
 	Stalled            bool
 	Delivered, Dropped int64
 	RuleFirings        int64
-	// Depleted counts nodes whose energy crossed the budget mid-round.
-	Depleted int
 }
 
 // Run executes one labeling round over m. The ledger, if non-nil, receives
@@ -309,20 +229,12 @@ func (rt *Runtime) Run(m *field.BinaryMap, ledger *cost.Ledger, cfg Config) (*Re
 		Delivered:   gr.Delivered,
 		Dropped:     gr.Dropped,
 		RuleFirings: gr.RuleFirings,
-		Depleted:    gr.Depleted,
 	}
 	if len(gr.Exfiltrated) > 0 {
 		res.Final = gr.Exfiltrated[0].(*regions.Summary)
 		res.Stalled = false
 	}
-	// Under failover the acting root holds the best partial summary, not the
-	// (possibly dead) static root.
-	actingRoot := h.Root()
-	if cfg.Failover && cfg.Crashed != nil {
-		r := &run{hier: h, crashed: cfg.Crashed, failover: true}
-		actingRoot = r.leaderOf(h.Root(), h.Levels)
-	}
-	res.RootCoverage = rootCoverage(insts[g.Index(actingRoot)].State, res.Final)
+	res.RootCoverage = rootCoverage(insts[g.Index(h.Root())].State, res.Final)
 	return res, nil
 }
 
@@ -339,35 +251,23 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 	if cfg.Retries < 0 {
 		return nil, nil, fmt.Errorf("runtime: negative retries %d", cfg.Retries)
 	}
-	if cfg.Budget < 0 {
-		return nil, nil, fmt.Errorf("runtime: negative budget %d", cfg.Budget)
-	}
 	n := g.N()
-	if cfg.Crashed != nil && len(cfg.Crashed) != n {
-		return nil, nil, fmt.Errorf("runtime: Crashed tracks %d nodes, grid has %d", len(cfg.Crashed), n)
-	}
 	r := &run{
-		hier:     h,
-		inboxes:  make([]chan envelope, n),
-		quiet:    make(chan struct{}),
-		stop:     make(chan struct{}),
-		loss:     cfg.Loss,
-		retries:  cfg.Retries,
-		crashed:  cfg.Crashed,
-		failover: cfg.Failover,
-		budget:   int64(cfg.Budget),
-		tracer:   cfg.Tracer,
+		hier:    h,
+		inboxes: make([]chan envelope, n),
+		quiet:   make(chan struct{}),
+		stop:    make(chan struct{}),
+		loss:    cfg.Loss,
+		retries: cfg.Retries,
+		tracer:  cfg.Tracer,
 	}
 	if r.tracer != nil {
 		r.tracer.EmitEvent(trace.Event{Kind: trace.Phase,
 			ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
 			Detail: "runtime-round:start"})
 	}
-	if r.budget > 0 {
-		r.down = make([]atomic.Bool, n)
-	}
 	// Inbox capacity: a node receives at most 3 messages per level it
-	// leads, so levels*3+4 can never block a sender for long; capacity
+	// leads, so 3*levels+8 can never block a sender for long; capacity
 	// beyond that only decouples schedules further.
 	capacity := 3*h.Levels + 8
 	for i := range r.inboxes {
@@ -391,44 +291,23 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 		})
 	}
 	var wg sync.WaitGroup
-	alive := int64(0)
-	for idx := 0; idx < n; idx++ {
-		if cfg.Crashed == nil || !cfg.Crashed[idx] {
-			alive++
-		}
-	}
-	r.pending.Store(alive) // one unit of start work per live node
-	if alive == 0 {
-		close(r.quiet)
-	}
-
-	// Crashed nodes still get an instance (so the returned states stay fully
-	// indexed) but never a goroutine: they do no start work, fire no rules,
-	// and their inbox never drains — which is fine, because sends to them
-	// are dropped before enqueueing.
+	r.pending.Store(int64(n)) // one unit of start work per node
 	for idx := range insts {
-		if cfg.Crashed != nil && cfg.Crashed[idx] {
-			continue
-		}
 		wg.Add(1)
-		go func(inst *program.Instance[S], inbox chan envelope, idx int) {
+		go func(inst *program.Instance[S], inbox chan envelope) {
 			defer wg.Done()
 			inst.RunToQuiescence()
 			r.done()
 			for {
 				select {
 				case env := <-inbox:
-					// A node that depleted after the message was enqueued
-					// drops it: the radio is off, the program is gone.
-					if !r.dead(idx) {
-						inst.OnMessage(env.payload)
-					}
+					inst.OnMessage(env.payload)
 					r.done()
 				case <-r.stop:
 					return
 				}
 			}
-		}(&insts[idx], r.inboxes[idx], idx)
+		}(&insts[idx], r.inboxes[idx])
 	}
 
 	// Supervise: stop at global quiescence (no node processing, no message
@@ -456,7 +335,6 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 		Stalled:     len(r.results) == 0,
 		Delivered:   r.delivered.Load(),
 		Dropped:     r.dropped.Load(),
-		Depleted:    int(r.depleted.Load()),
 	}
 	res.RuleFirings, _ = program.Fired(insts)
 	if ledger != nil {

@@ -14,9 +14,9 @@
 //     bytes, byte-identical to the cold run;
 //   - the execution strategy (engine choice, shard count, worker
 //     count) is deliberately excluded from the digest, because the
-//     sharded kernel's oracle contract makes it result-invariant: a
-//     shard-engine request can be served from a cache entry computed
-//     by the single-kernel engine, and vice versa.
+//     shard engine's shard-count invariance makes it result-invariant:
+//     a "shard" request can be served from a cache entry computed by a
+//     "single" one (the same engine on one shard), and vice versa.
 package serve
 
 import (
@@ -73,16 +73,15 @@ func (b *BurstSpec) model() fault.GilbertElliott {
 }
 
 // Spec is one mission request. The zero value normalizes to the default
-// mission: a single-kernel 8x8 blobs labeling run with seed 1 and no
-// hazards.
+// mission: a one-shard 8x8 blobs labeling run with seed 1 and no hazards.
 //
 // Engine, Shards, and Workers are execution strategy: they choose how
-// the answer is computed, never what it is (the shard kernel's
-// differential oracle contract), so Normalize keeps them but Canonical
-// — the digest basis — omits them.
+// the answer is computed, never what it is (the shard engine's
+// shard-count invariance), so Normalize keeps them but Canonical — the
+// digest basis — omits them.
 type Spec struct {
-	// Engine is "single" (the sequential oracle kernel) or "shard" (the
-	// conservative-window parallel kernel).
+	// Engine is "single" (the conservative-window engine on one shard) or
+	// "shard" (the same engine on Shards shards over Workers goroutines).
 	Engine string `json:"engine,omitempty"`
 	// Shards/Workers parameterize the shard engine; ignored on "single".
 	Shards  int `json:"shards,omitempty"`

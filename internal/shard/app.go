@@ -6,11 +6,11 @@ import (
 	"wsnva/internal/sim"
 )
 
-// fabric is what an app running on either engine sees: a simulated
-// clock, a loss-free broadcast primitive, and a single-shot wake timer.
-// Both the sharded engine (shardRun) and the single-kernel oracle
-// (singleFab) implement it, which is what makes the differential tests
-// run one app against both.
+// fabric is what an app sees: a simulated clock, broadcast and unicast
+// primitives, and a single-shot wake timer. Every engine shard
+// (shardRun) implements it, and so does the test-only single-kernel
+// oracle (singleFab, oracle_test.go), which is what lets the
+// differential tests run one app on both.
 //
 // Delivery semantics are batched: the fabric coalesces every input that
 // reaches a node at one instant — all packet deliveries plus an expired
@@ -41,12 +41,12 @@ type fabric interface {
 }
 
 // app is a protocol instance driving a set of nodes. The engine
-// instantiates one app per shard (so counter updates stay un-contended)
-// and the oracle a single one. The per-shard instances of one run share
-// the protocol's per-node state — the flood app's arrays, the labeling
-// app's program instances — and each touches only the slots of nodes it
-// is called for, which its shard owns; counters stay per instance and are
-// folded after the run.
+// instantiates one app per shard (so counter updates stay un-contended);
+// the test oracle instantiates a single one. The per-shard instances of
+// one run share the protocol's per-node state — the flood app's arrays,
+// the labeling app's program instances — and each touches only the slots
+// of nodes it is called for, which its shard owns; counters stay per
+// instance and are folded after the run.
 type app interface {
 	// start runs once per owned node before time advances.
 	start(f fabric, node int)

@@ -12,8 +12,9 @@ import (
 
 // TestChurnDifferential pins the churn path deterministically: a fixed
 // deployment under a duty-cycle schedule must actually flip radios
-// (Suspends and Resumes both nonzero), and every shard count must
-// reproduce the oracle's result, trace, and checksum bit for bit.
+// (Suspends and Resumes both nonzero), and the engine at 1, 2, 4 and 8
+// shards must reproduce the oracle's result, trace, and checksum bit for
+// bit.
 func TestChurnDifferential(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	n := 40
@@ -28,7 +29,7 @@ func TestChurnDifferential(t *testing.T) {
 			churn.Arrivals(20, 2, 6),
 		),
 	}
-	oracle, err := Run(nw, cfg)
+	oracle, err := runOracle(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestChurnDifferential(t *testing.T) {
 		t.Fatalf("churn schedule never fired: suspends=%d resumes=%d",
 			oracle.Suspends, oracle.Resumes)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range diffShards {
 		c := cfg
 		c.Shards = shards
 		c.Workers = 2
@@ -99,9 +100,9 @@ func TestChurnChecksumGate(t *testing.T) {
 	}
 }
 
-// TestChurnDifferentialLabeling runs the labeling machine under churn
-// plus crashes: shard counts must stay deep-equal to the oracle, and
-// the LabelResult must report the transition counts.
+// TestChurnDifferentialLabeling runs the labeling program under churn:
+// the engine at 1, 2, 4 and 8 shards must stay deep-equal to the oracle,
+// and the LabelResult must report the transition counts.
 func TestChurnDifferentialLabeling(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	side := 8
@@ -113,7 +114,7 @@ func TestChurnDifferentialLabeling(t *testing.T) {
 			churn.Arrivals(sim.Time(2*side), 5, 17, 40),
 		),
 	}}
-	oracle, err := RunLabeling(m, cfg)
+	oracle, err := runLabelingOracle(m, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestChurnDifferentialLabeling(t *testing.T) {
 		t.Fatalf("labeling churn counts: suspends=%d resumes=%d, want 3/3",
 			oracle.Suspends, oracle.Resumes)
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range diffShards {
 		c := cfg
 		c.Shards = shards
 		c.Workers = 2
@@ -156,7 +157,7 @@ func TestShardChurnRaceSmoke(t *testing.T) {
 		Seed:    42,
 		Churn:   churn.Poisson(n, 0.3, 80, 99),
 	}
-	oracle, err := Run(nw, cfg)
+	oracle, err := runOracle(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

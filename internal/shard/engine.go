@@ -27,8 +27,8 @@ type xmsg struct {
 	payload any
 }
 
-// hazards bundles the stochastic and fail-stop machinery threaded
-// through both execution paths: the counter-keyed loss channel, the
+// hazards bundles the stochastic and fail-stop machinery a run
+// threads through its fabric: the counter-keyed loss channel, the
 // mid-run crash schedule, and the battery budget (0 disables
 // depletion). A zero value is the loss-free, fault-free fast path.
 type hazards struct {
@@ -190,8 +190,8 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	}
 	// Churn transitions are pre-scheduled the same way — per victim's
 	// owner shard, after the crashes, so a same-instant crash beats a
-	// same-instant sleep or wake by sequence number on both paths (the
-	// oracle arms its injector before scheduling churn too).
+	// same-instant sleep or wake by sequence number (the oracle arms its
+	// injector before scheduling churn too).
 	for _, ce := range hz.churn {
 		ce := ce
 		sr := e.shards[part.Owner[ce.Node]]
@@ -235,7 +235,7 @@ func (s *shardRun) churn(node int, down bool) {
 // node owns (its timer) is cancelled. A node that already depleted
 // emits no second Death, but its owned events are still cancelled,
 // mirroring the oracle's fault.Injector.kill exactly (a timer re-armed
-// during the dying-gasp instant dies here on both paths).
+// during the dying-gasp instant dies here on both).
 func (s *shardRun) kill(node int) {
 	st := s.eng.st
 	if st.Alive[node] {

@@ -19,7 +19,7 @@ import (
 // crash schedule and battery budget. Hazards are rebuilt from the
 // Config for every run — the loss stream carries mutable per-sender
 // RNG state, so sharing one channel across runs would skew the draws.
-func runFuzzHazApp(tb testing.TB, nw *deploy.Network, plan [][]fuzzStep, cfg Config, shards, workers int) (*fuzzApp, runStats) {
+func runFuzzHazApp(tb testing.TB, exec executor, nw *deploy.Network, plan [][]fuzzStep, cfg Config, shards, workers int) (*fuzzApp, runStats) {
 	tb.Helper()
 	hz, err := buildHazards(nw.N(), &cfg)
 	if err != nil {
@@ -28,7 +28,7 @@ func runFuzzHazApp(tb testing.TB, nw *deploy.Network, plan [][]fuzzStep, cfg Con
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	rs, err := execute(nw, st, cost.NewUniform(), shards, workers, mk, hz, nil, 0)
+	rs, err := exec(nw, st, cost.NewUniform(), shards, workers, mk, hz, nil, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -57,9 +57,9 @@ func decodeLoss(data []byte) (Config, []byte, bool) {
 // window edges, with a fuzz-chosen Bernoulli or Gilbert–Elliott loss
 // model. Because loss draws are keyed by (sender, attempt counter)
 // rather than by global schedule order, every shard count must drop
-// exactly the same packets: the oracle and the sharded runs must agree
-// observation-for-observation, and every delivery that does land must
-// still respect send + TxLatency.
+// exactly the same packets: the oracle and the engine at 1, 2, 4 and 8
+// shards must agree observation-for-observation, and every delivery that
+// does land must still respect send + TxLatency.
 func FuzzLossyWindowBoundary(f *testing.F) {
 	f.Add([]byte{0, 20, 7, 0, 1, 1})
 	f.Add([]byte{1, 0, 3, 3, 0, 0, 3, 0, 4, 17, 7, 2})
@@ -75,10 +75,10 @@ func FuzzLossyWindowBoundary(f *testing.F) {
 			return
 		}
 		plan := decodePlan(rest, nw.N())
-		oracle, ostats := runFuzzHazApp(t, nw, plan, cfg, 1, 1)
+		oracle, ostats := runFuzzHazApp(t, oracleExecute, nw, plan, cfg, 1, 1)
 		checkTiming(t, nw, oracle, model)
-		for _, shards := range []int{2, 4} {
-			got, gstats := runFuzzHazApp(t, nw, plan, cfg, shards, 2)
+		for _, shards := range diffShards {
+			got, gstats := runFuzzHazApp(t, execute, nw, plan, cfg, shards, 2)
 			checkTiming(t, nw, got, model)
 			if !reflect.DeepEqual(got.sends, oracle.sends) ||
 				!reflect.DeepEqual(got.recvs, oracle.recvs) ||
@@ -129,8 +129,8 @@ func decodeDeaths(data []byte, n int) (Config, []byte, bool) {
 // crash schedules and battery budgets kill nodes mid-run, possibly at
 // the same instant a window boundary or an in-flight delivery lands.
 // Crashes silence a node immediately; depletions grant the dying gasp
-// for the rest of the instant. Either way, the sharded runs must match
-// the single-kernel oracle exactly.
+// for the rest of the instant. Either way, the engine at 1, 2, 4 and 8
+// shards must match the single-kernel oracle exactly.
 func FuzzMidRunDeath(f *testing.F) {
 	f.Add([]byte{0, 5, 2, 0, 1, 1, 3, 0, 4})
 	f.Add([]byte{9, 1, 1, 1, 1, 1, 2, 1, 1, 5, 2, 3, 9, 0, 1, 23, 6, 4})
@@ -146,10 +146,10 @@ func FuzzMidRunDeath(f *testing.F) {
 			return
 		}
 		plan := decodePlan(rest, nw.N())
-		oracle, ostats := runFuzzHazApp(t, nw, plan, cfg, 1, 1)
+		oracle, ostats := runFuzzHazApp(t, oracleExecute, nw, plan, cfg, 1, 1)
 		checkTiming(t, nw, oracle, model)
-		for _, shards := range []int{2, 4} {
-			got, gstats := runFuzzHazApp(t, nw, plan, cfg, shards, 2)
+		for _, shards := range diffShards {
+			got, gstats := runFuzzHazApp(t, execute, nw, plan, cfg, shards, 2)
 			checkTiming(t, nw, got, model)
 			if !reflect.DeepEqual(got.sends, oracle.sends) ||
 				!reflect.DeepEqual(got.recvs, oracle.recvs) ||
@@ -174,8 +174,9 @@ func FuzzMidRunDeath(f *testing.F) {
 // TestShardFaultsRaceSmoke is the workload behind the race-shard-faults
 // Makefile target: real worker goroutines, a lossy channel, a crash
 // schedule, and depletion all active at once, for both the flood and
-// labeling apps. Under -race this exercises the shared StreamChannel
-// state, the per-shard banks, and the cross-shard outbox handoff.
+// labeling apps, checked against the oracle. Under -race this exercises
+// the shared StreamChannel state, the per-shard banks, and the
+// cross-shard outbox handoff.
 func TestShardFaultsRaceSmoke(t *testing.T) {
 	nw := testNet(t, 200, 60, 10, 23)
 	cfg := Config{
@@ -188,7 +189,7 @@ func TestShardFaultsRaceSmoke(t *testing.T) {
 		Deplete:  true,
 		Trace:    true,
 	}
-	want, err := Run(nw, cfg)
+	want, err := runOracle(nw, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +221,7 @@ func TestShardFaultsRaceSmoke(t *testing.T) {
 		Crashes: fault.At(fault.Crash{Node: 11, At: 4}, fault.Crash{Node: 52, At: 10}),
 		Trace:   true,
 	}}
-	lwant, err := RunLabeling(m, lcfg)
+	lwant, err := runLabelingOracle(m, lcfg)
 	if err != nil {
 		t.Fatal(err)
 	}

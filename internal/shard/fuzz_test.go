@@ -108,12 +108,12 @@ func decodePlan(data []byte, n int) [][]fuzzStep {
 	return plan
 }
 
-func runFuzzApp(tb testing.TB, nw *deploy.Network, plan [][]fuzzStep, shards, workers int) (*fuzzApp, runStats) {
+func runFuzzApp(tb testing.TB, exec executor, nw *deploy.Network, plan [][]fuzzStep, shards, workers int) (*fuzzApp, runStats) {
 	tb.Helper()
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	rs, err := execute(nw, st, cost.NewUniform(), shards, workers, mk, hazards{}, nil, 0)
+	rs, err := exec(nw, st, cost.NewUniform(), shards, workers, mk, hazards{}, nil, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -121,8 +121,8 @@ func runFuzzApp(tb testing.TB, nw *deploy.Network, plan [][]fuzzStep, shards, wo
 }
 
 // FuzzWindowBoundary feeds random broadcast schedules whose deliveries
-// cluster around conservative-window edges and checks, for shard counts
-// {2, 4} against the single-kernel oracle:
+// cluster around conservative-window edges and checks, for the engine at
+// 1, 2, 4 and 8 shards against the single-kernel oracle:
 //
 //   - no delivery arrives earlier than send_time + min_delay (here the
 //     uniform model's TxLatency, so arrival == send + size exactly);
@@ -142,10 +142,10 @@ func FuzzWindowBoundary(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		plan := decodePlan(data, nw.N())
-		oracle, ostats := runFuzzApp(t, nw, plan, 1, 1)
+		oracle, ostats := runFuzzApp(t, oracleExecute, nw, plan, 1, 1)
 		checkTiming(t, nw, oracle, model)
-		for _, shards := range []int{2, 4} {
-			got, gstats := runFuzzApp(t, nw, plan, shards, 2)
+		for _, shards := range diffShards {
+			got, gstats := runFuzzApp(t, execute, nw, plan, shards, 2)
 			checkTiming(t, nw, got, model)
 			if !reflect.DeepEqual(got.sends, oracle.sends) ||
 				!reflect.DeepEqual(got.recvs, oracle.recvs) ||

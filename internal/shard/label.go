@@ -243,12 +243,15 @@ func labelDeployment(g *geom.Grid) *deploy.Network {
 	return deploy.FromAdjacency(pts, g.Terrain, g.CellSide()*1.1, adj)
 }
 
-// RunLabeling executes the quad-tree labeling workload over m's grid.
-// Shards <= 1 runs the single-kernel oracle; larger counts run the
-// conservative-window parallel engine. Both produce identical
-// LabelResults — including byte-identical traces — for the same map
-// and hazard configuration.
+// RunLabeling executes the quad-tree labeling workload over m's grid on
+// the conservative-window engine. Every shard and worker count produces
+// an identical LabelResult — including a byte-identical trace — for the
+// same map and hazard configuration.
 func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
+	return runLabeling(m, cfg, execute)
+}
+
+func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResult, error) {
 	h, err := varch.NewHierarchy(m.Grid)
 	if err != nil {
 		return nil, err
@@ -285,7 +288,7 @@ func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
 		apps = append(apps, a)
 		return a
 	}
-	rs, err := execute(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
+	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
 	if err != nil {
 		return nil, err
 	}

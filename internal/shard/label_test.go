@@ -77,10 +77,10 @@ func TestLabelingMatchesSynthDES(t *testing.T) {
 	}
 }
 
-// TestLabelingShardInvarianceUnderHazards is the issue's acceptance
-// check in miniature: an 8x8 labeling run with nonzero loss and a
-// pinned mid-run death must produce deep-equal results and
-// byte-identical canonical traces for shard counts 1, 2, and 4.
+// TestLabelingShardInvarianceUnderHazards: an 8x8 labeling run with
+// nonzero loss and a pinned mid-run death must produce results deep-equal
+// to the oracle's, and byte-identical canonical traces, at 1, 2, 4 and 8
+// shards.
 func TestLabelingShardInvarianceUnderHazards(t *testing.T) {
 	g := geom.NewSquareGrid(8, 8)
 	rng := rand.New(rand.NewSource(5))
@@ -96,7 +96,7 @@ func TestLabelingShardInvarianceUnderHazards(t *testing.T) {
 		Crashes: fault.At(fault.Crash{Node: 27, At: 3}, fault.Crash{Node: 50, At: 9}),
 		Trace:   true,
 	}}
-	want, err := RunLabeling(m, base)
+	want, err := runLabelingOracle(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestLabelingShardInvarianceUnderHazards(t *testing.T) {
 	if want.Dropped == 0 {
 		t.Fatal("expected lossy drops in the trace")
 	}
-	for _, shards := range []int{1, 2, 4} {
+	for _, shards := range diffShards {
 		cfg := base
 		cfg.Shards, cfg.Workers = shards, 2
 		got, err := RunLabeling(m, cfg)
@@ -127,19 +127,19 @@ func TestLabelingShardInvarianceUnderHazards(t *testing.T) {
 
 // TestLabelingDepletionKillsRun arms a battery budget small enough that
 // relays die mid-reduction: the run must stall deterministically (nil
-// Final) with the same death set at every shard count.
+// Final), and the engine at 1, 2, 4 and 8 shards must match the oracle.
 func TestLabelingDepletionKillsRun(t *testing.T) {
 	g := geom.NewSquareGrid(8, 8)
 	m := field.FromBits(g, make([]bool, g.N()))
 	base := LabelConfig{Config: Config{Capacity: 12, Deplete: true, Trace: true}}
-	want, err := RunLabeling(m, base)
+	want, err := runLabelingOracle(m, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Deaths == 0 {
 		t.Fatal("expected depletions under a 12-unit budget")
 	}
-	for _, shards := range []int{2, 4} {
+	for _, shards := range diffShards {
 		cfg := base
 		cfg.Shards, cfg.Workers = shards, 2
 		got, err := RunLabeling(m, cfg)

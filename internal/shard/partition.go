@@ -7,13 +7,12 @@
 // event in its executed past and the (time, seq) total order within a
 // shard is never violated.
 //
-// The package keeps the existing single-kernel engine — one sim.Kernel
-// driving an unmodified radio.Medium — as the differential oracle:
-// Run with Shards <= 1 takes that path, and the property tests assert
-// that any shard count produces identical results and byte-identical
-// canonical traces. See DESIGN.md "Sharded parallel kernel" for the
-// window-barrier argument and the batch-wake semantics that make the
-// equality hold.
+// Every run takes this engine; one shard is simply the one-tile case.
+// The package's tests keep a second engine — one sim.Kernel driving a
+// radio.Medium — as the differential oracle and assert that every shard
+// count produces results and canonical traces identical to it. See
+// DESIGN.md "Sharded parallel kernel" for the window-barrier argument
+// and the batch-wake semantics that make the equality hold.
 package shard
 
 import (

@@ -30,7 +30,7 @@ func randomMap(side int, rng *rand.Rand) *field.BinaryMap {
 // differential trial: a loss model (none, Bernoulli, or bursty
 // Gilbert–Elliott), a mid-run crash schedule, a battery budget with
 // depletion armed, and a Poisson duty-cycle churn schedule. Every
-// combination must leave the sharded run byte-identical to the oracle.
+// combination must leave the engine's run byte-identical to the oracle's.
 func randomHazards(cfg *Config, n int, rng *rand.Rand) {
 	switch rng.Intn(3) {
 	case 1:
@@ -58,11 +58,11 @@ func randomHazards(cfg *Config, n int, rng *rand.Rand) {
 	}
 }
 
-// TestQuickDifferential is the satellite property test: for random
-// small grids, random seeds, random workloads, random hazard tuples
-// (loss model, crash schedule, battery budget), and shard counts in
-// {1, 2, 4}, the sharded run's output and JSONL trace are byte-identical
-// to the single-machine oracle.
+// TestQuickDifferential is the engine's property test: for random small
+// grids, random seeds, random workloads, random hazard tuples (loss
+// model, crash schedule, battery budget, churn), and shard counts in
+// {1, 2, 4, 8}, the engine's output and JSONL trace are byte-identical
+// to the single-kernel oracle's.
 func TestQuickDifferential(t *testing.T) {
 	count := 30
 	if testing.Short() {
@@ -92,11 +92,11 @@ func TestQuickDifferential(t *testing.T) {
 			Trace:   true,
 		}
 		randomHazards(&cfg, n, rng)
-		oracle, err := Run(nw, cfg)
+		oracle, err := runOracle(nw, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range diffShards {
 			c := cfg
 			c.Shards = shards
 			c.Workers = 1 + rng.Intn(3)
@@ -122,9 +122,9 @@ func TestQuickDifferential(t *testing.T) {
 }
 
 // TestQuickDifferentialLabeling runs the same differential property
-// over the labeling machine: random binary maps, hazards, and shard
-// counts must produce deep-equal label results and byte-identical
-// traces against the oracle.
+// over the labeling program: random binary maps, hazards, and shard
+// counts in {1, 2, 4, 8} must produce deep-equal label results and
+// byte-identical traces against the oracle.
 func TestQuickDifferentialLabeling(t *testing.T) {
 	count := 20
 	if testing.Short() {
@@ -141,11 +141,11 @@ func TestQuickDifferentialLabeling(t *testing.T) {
 		if cfg.Crashes != nil {
 			cfg.Crashes = fault.MustRandom(side*side, 0.08, sim.Time(4*side), rng.Int63())
 		}
-		oracle, err := RunLabeling(m, cfg)
+		oracle, err := runLabelingOracle(m, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, shards := range []int{1, 2, 4} {
+		for _, shards := range diffShards {
 			c := cfg
 			c.Shards = shards
 			c.Workers = 1 + rng.Intn(3)

@@ -8,7 +8,6 @@ import (
 	"wsnva/internal/deploy"
 	"wsnva/internal/fault"
 	"wsnva/internal/parallel"
-	"wsnva/internal/radio"
 	"wsnva/internal/sim"
 	"wsnva/internal/trace"
 )
@@ -17,11 +16,11 @@ import (
 // run. The zero value (plus a deployment) is a valid single-flood,
 // single-shard run on the paper's uniform cost model.
 type Config struct {
-	// Shards is the number of spatial tiles; <= 1 selects the
-	// single-kernel oracle path (today's engine, unmodified).
+	// Shards is the number of spatial tiles the engine runs on; <= 1
+	// means one.
 	Shards int
 	// Workers bounds the parallel.Pool driving the shards; <= 0 means
-	// GOMAXPROCS. Ignored on the oracle path.
+	// GOMAXPROCS.
 	Workers int
 
 	// Floods is the number of concurrent floods K (default 1, max 64)
@@ -40,8 +39,7 @@ type Config struct {
 
 	// Crashes schedules mid-run fail-stop deaths (a schedule entry for a
 	// node in the Crashed mask is ignored — the node is already down).
-	// Crash events fire before any same-instant delivery or wake, on
-	// both execution paths.
+	// Crash events fire before any same-instant delivery or wake.
 	Crashes fault.Schedule
 
 	// Churn schedules reversible radio suspensions and resumptions
@@ -50,8 +48,7 @@ type Config struct {
 	// receives — deliveries drop with "asleep receiver" — but keeps its
 	// state and timers and rejoins silently on resume. Events are
 	// pre-scheduled into each victim's owner shard exactly like Crashes,
-	// so the same schedule replays identically on the oracle and on
-	// every shard count.
+	// so the same schedule replays identically on every shard count.
 	Churn churn.Schedule
 
 	// Loss is the per-delivery Bernoulli drop probability in [0,1),
@@ -98,7 +95,7 @@ type Config struct {
 // Result is the outcome of a run. Everything in it is a deterministic
 // function of the deployment and the workload alone — the same for
 // every shard and worker count — which the differential property tests
-// enforce against the oracle.
+// enforce against a single-kernel oracle.
 type Result struct {
 	Nodes  int
 	Floods int
@@ -121,7 +118,7 @@ type Result struct {
 	// fired Crashes entries, and battery depletions.
 	Deaths int
 	// Suspends and Resumes count churn transitions actually applied (a
-	// sleep of a dead or sleeping node is a no-op on both paths).
+	// sleep of a dead or sleeping node is a no-op).
 	Suspends int64
 	Resumes  int64
 	// Energy is the per-node energy spend; Total its sum.
@@ -211,8 +208,7 @@ func (h *fnv1a) bytes(b []byte) {
 	*h = x
 }
 
-// runStats is what both execution paths report back to Run and
-// RunLabeling.
+// runStats is what an executor reports back to Run and RunLabeling.
 type runStats struct {
 	sent       int64
 	delivered  int64
@@ -224,40 +220,32 @@ type runStats struct {
 	events     []trace.Event
 }
 
-// execute runs mkApp's protocol over the single-kernel oracle (shards <= 1)
-// or the conservative-window engine on shards tiles driven by a pool of
-// workers (<= 0 means GOMAXPROCS). mkApp is called once per shard (once
-// total on the oracle path), sequentially, in shard order. hz carries the
-// loss channel, the mid-run crash schedule, and the depletion budget; both
-// paths thread it through the same gates. It fails only when the trace
-// ring overflowed.
+// executor runs mkApp's protocol over one fabric and reports its totals.
+// execute is the only executor the package runs; the differential tests
+// hand Run's and RunLabeling's bodies a single-kernel oracle instead.
+type executor func(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
+	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error)
+
+// execute runs mkApp's protocol on the conservative-window engine over
+// max(shards, 1) tiles, driven by a pool of workers (<= 0 means
+// GOMAXPROCS). mkApp is called once per shard, sequentially, in shard
+// order. hz carries the loss channel, the mid-run crash schedule, and the
+// depletion budget. It fails only when the trace ring overflowed.
 func execute(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
 	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
-	var rs runStats
+	lookahead := sim.Time(model.TxLatency(1))
+	eng := newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap)
+	rs := runStats{completion: eng.run(crashed), ledger: cost.NewLedger(model, nw.N())}
 	var lost int64
-	if shards <= 1 {
-		fab := newSingleFab(nw, st, model, hz, traceCap)
-		rs.completion = fab.run(mkApp(0), crashed)
-		rs.sent, rs.delivered, rs.dropped = fab.med.Stats()
-		rs.suspends, rs.resumes = fab.suspends, fab.resumes
-		rs.ledger = fab.med.Ledger()
-		rs.events = fab.tracer.Events()
-		lost = fab.tracer.Lost()
-	} else {
-		lookahead := radio.UniformDelay{Model: model}.MinDelay()
-		eng := newEngine(nw, st, NewPartition(nw, shards), model, lookahead, parallel.New(workers), mkApp, hz, traceCap)
-		rs.completion = eng.run(crashed)
-		rs.ledger = cost.NewLedger(model, nw.N())
-		for _, sr := range eng.shards {
-			rs.sent += sr.sent
-			rs.delivered += sr.delivered
-			rs.dropped += sr.dropped
-			rs.suspends += sr.suspends
-			rs.resumes += sr.resumes
-			rs.ledger.Add(sr.ledger)
-			rs.events = append(rs.events, sr.tracer.Events()...)
-			lost += sr.tracer.Lost()
-		}
+	for _, sr := range eng.shards {
+		rs.sent += sr.sent
+		rs.delivered += sr.delivered
+		rs.dropped += sr.dropped
+		rs.suspends += sr.suspends
+		rs.resumes += sr.resumes
+		rs.ledger.Add(sr.ledger)
+		rs.events = append(rs.events, sr.tracer.Events()...)
+		lost += sr.tracer.Lost()
 	}
 	if lost > 0 {
 		return rs, fmt.Errorf("shard: trace ring overflowed, %d events lost", lost)
@@ -284,12 +272,13 @@ func (rs *runStats) settle(st *State, capacity cost.Energy, traced bool) (energy
 	return energy, total, canon, nil
 }
 
-// Run executes the multi-source dissemination workload over nw and
-// returns its result. Shards <= 1 runs the single-kernel oracle;
-// larger counts run the conservative-window parallel engine. Both
-// produce identical Results — including byte-identical traces — for
-// the same deployment and workload.
-func Run(nw *deploy.Network, cfg Config) (*Result, error) {
+// Run executes the multi-source dissemination workload over nw on the
+// conservative-window engine and returns its result. Every shard and
+// worker count produces an identical Result — including a byte-identical
+// trace — for the same deployment and workload.
+func Run(nw *deploy.Network, cfg Config) (*Result, error) { return runFloods(nw, cfg, execute) }
+
+func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 	n := nw.N()
 	if n == 0 {
 		return nil, fmt.Errorf("shard: empty deployment")
@@ -366,7 +355,7 @@ func Run(nw *deploy.Network, cfg Config) (*Result, error) {
 		apps = append(apps, a)
 		return a
 	}
-	rs, err := execute(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
+	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
 	if err != nil {
 		return nil, err
 	}

@@ -49,7 +49,8 @@ func TestPartitionCoversEveryNode(t *testing.T) {
 }
 
 // checkFloodBFS pins a single loss-free flood from node 0 to what a BFS
-// from the origin predicts, at 1 and 2 shards: every node of the
+// from the origin predicts, on the oracle and on the engine at 1 and 2
+// shards: every node of the
 // origin's component forwards once and first hears the flood at
 // depth × hop latency; every broadcast reaches each neighbor, so the
 // duplicates are Σdeg − reached and each component node spends
@@ -84,22 +85,26 @@ func checkFloodBFS(t *testing.T, nw *deploy.Network) int {
 			reached++
 		}
 	}
-	for _, shards := range []int{1, 2} {
-		res, err := Run(nw, Config{Origins: []int{0}, PktSize: size, Shards: shards, Workers: 1})
+	for _, r := range []struct {
+		name   string
+		run    func(*deploy.Network, Config) (*Result, error)
+		shards int
+	}{{"oracle", runOracle, 1}, {"shards=1", Run, 1}, {"shards=2", Run, 2}} {
+		res, err := r.run(nw, Config{Origins: []int{0}, PktSize: size, Shards: r.shards, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Reached[0] != int64(reached) {
-			t.Errorf("shards=%d: reached %d, want %d", shards, res.Reached[0], reached)
+			t.Errorf("%s: reached %d, want %d", r.name, res.Reached[0], reached)
 		}
 		if res.Forwards != int64(reached+1) {
-			t.Errorf("shards=%d: forwards %d, want %d", shards, res.Forwards, reached+1)
+			t.Errorf("%s: forwards %d, want %d", r.name, res.Forwards, reached+1)
 		}
 		if want := int64(sumDeg - reached); res.Ignored != want {
-			t.Errorf("shards=%d: ignored %d, want %d", shards, res.Ignored, want)
+			t.Errorf("%s: ignored %d, want %d", r.name, res.Ignored, want)
 		}
 		if want := sim.Time(maxDepth+1) * hop; res.Completion != want {
-			t.Errorf("shards=%d: completion %d, want %d", shards, res.Completion, want)
+			t.Errorf("%s: completion %d, want %d", r.name, res.Completion, want)
 		}
 		var total cost.Energy
 		for v, d := range depth {
@@ -111,20 +116,20 @@ func checkFloodBFS(t *testing.T, nw *deploy.Network) int {
 			}
 			total += energy
 			if res.Energy[v] != energy || res.FirstAt[v] != first || (res.Heard[v] != 0) != (d >= 0) {
-				t.Fatalf("shards=%d: node %d energy %d first %d heard %b, want %d %d (depth %d)",
-					shards, v, res.Energy[v], res.FirstAt[v], res.Heard[v], energy, first, d)
+				t.Fatalf("%s: node %d energy %d first %d heard %b, want %d %d (depth %d)",
+					r.name, v, res.Energy[v], res.FirstAt[v], res.Heard[v], energy, first, d)
 			}
 		}
 		if res.Total != total {
-			t.Errorf("shards=%d: total energy %d, want %d", shards, res.Total, total)
+			t.Errorf("%s: total energy %d, want %d", r.name, res.Total, total)
 		}
 	}
 	return reached
 }
 
-// TestOracleMatchesFlooder pins the oracle path, the single-kernel
-// flooder every sharded run is compared to, to the BFS prediction on a
-// connected deployment, and checks the 2-shard run agrees with it.
+// TestOracleMatchesFlooder pins the single-kernel oracle, the flooder
+// every engine run is compared to, to the BFS prediction on a connected
+// deployment, and checks the engine at 1 and 2 shards agrees with it.
 func TestOracleMatchesFlooder(t *testing.T) {
 	checkFloodBFS(t, testNet(t, 150, 50, 10, 3))
 }
@@ -157,22 +162,22 @@ func TestFloodBFSPartitioned(t *testing.T) {
 }
 
 // TestShardCountInvariance is the core differential check: the same
-// workload through 1, 2, 4, and 6 shards yields deeply equal results
-// and byte-identical canonical traces.
+// workload through the engine at 1, 2, 4, and 6 shards yields results
+// deeply equal to the oracle's and byte-identical canonical traces.
 func TestShardCountInvariance(t *testing.T) {
 	nw := testNet(t, 180, 55, 10, 11)
 	crashed := make([]bool, nw.N())
 	crashed[17], crashed[90], crashed[140] = true, true, true
 	base := Config{Floods: 3, PktSize: 3, Crashed: crashed, Capacity: 10_000, Trace: true}
 
-	want, err := Run(nw, base)
+	want, err := runOracle(nw, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want.Reached[0] == 0 || want.Trace == nil {
 		t.Fatalf("degenerate oracle run: %+v", want)
 	}
-	for _, shards := range []int{2, 4, 6} {
+	for _, shards := range []int{1, 2, 4, 6} {
 		cfg := base
 		cfg.Shards, cfg.Workers = shards, 1
 		got, err := Run(nw, cfg)
@@ -196,7 +201,7 @@ func TestShardCountInvariance(t *testing.T) {
 // -race to exercise the double-buffered exchange.
 func TestEngineRaceSmokeMultiWorker(t *testing.T) {
 	nw := testNet(t, 300, 70, 10, 5)
-	want, err := Run(nw, Config{Floods: 8, PktSize: 2})
+	want, err := runOracle(nw, Config{Floods: 8, PktSize: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
