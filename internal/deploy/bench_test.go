@@ -1,0 +1,36 @@
+package deploy
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"wsnva/internal/geom"
+	"wsnva/internal/parallel"
+)
+
+// BenchmarkBuildCSR times the CSR build alone, with no pool ("seq") and
+// on a GOMAXPROCS-wide pool like the package's shared one ("pool"), on a
+// ladder from paper-stack's 640-node networks (side 8, density 10)
+// through the 2,048-node floods of serve-cold (side 16, density 8) to
+// 8,192 nodes, at the paper's range of 1.2 cell sides. Each placement is
+// drawn once, outside the timed loop. The pool is made inside each case,
+// so -cpu 1,2 sizes it to each GOMAXPROCS in turn.
+func BenchmarkBuildCSR(b *testing.B) {
+	for _, c := range []struct{ n, side int }{{640, 8}, {1024, 11}, {2048, 16}, {4096, 22}, {8192, 32}} {
+		g := geom.NewSquareGrid(c.side, float64(c.side)*10)
+		nw := NewWithPool(c.n, g.Terrain, g.CellSide()*1.2, UniformRandom{}, rand.New(rand.NewSource(1)), nil)
+		for _, mode := range []string{"seq", "pool"} {
+			b.Run(fmt.Sprintf("n=%d/%s", c.n, mode), func(b *testing.B) {
+				var pool *parallel.Pool
+				if mode == "pool" {
+					pool = parallel.New(0)
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					nw.buildCSR(pool)
+				}
+			})
+		}
+	}
+}

@@ -226,8 +226,8 @@ func clamp(v, lo, hi float64) float64 {
 // New builds a network of n nodes placed by p on terrain with transmission
 // range txRange. Randomness comes from r; placement draws are strictly
 // sequential on r, so positions are a pure function of the rng stream.
-// Neighbor construction parallelizes on a shared pool for large n — the
-// adjacency is byte-identical either way.
+// Neighbor construction parallelizes on a shared pool; the adjacency is
+// byte-identical either way.
 func New(n int, terrain geom.Rect, txRange float64, p Placement, r *rand.Rand) *Network {
 	return NewWithPool(n, terrain, txRange, p, r, sharedPool())
 }

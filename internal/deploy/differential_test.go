@@ -291,11 +291,11 @@ func TestCSRRowsStrictlyIncreasing(t *testing.T) {
 
 // TestParallelBuildMatchesSequential pins pool-independence of the CSR
 // build: the same placement built with a nil pool and a multi-worker pool
-// yields byte-identical networks, including below and above the parallel
-// threshold.
+// yields byte-identical networks, from a few buckets' worth of nodes to
+// thousands.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	pool := parallel.New(4)
-	for _, n := range []int{50, 1200, csrParallelMin + 500} {
+	for _, n := range []int{50, 1200, 4596} {
 		g := geom.NewSquareGrid(8, 80)
 		seq := NewWithPool(n, g.Terrain, g.CellSide()*1.2, UniformRandom{}, rand.New(rand.NewSource(7)), nil)
 		par := NewWithPool(n, g.Terrain, g.CellSide()*1.2, UniformRandom{}, rand.New(rand.NewSource(7)), pool)

@@ -11,22 +11,23 @@ import (
 )
 
 // benchCases are the layer benchmarks' cases: the oracle baseline, then
-// the engine at 1 and 2 shards.
+// the engine at 1, 2 and 4 shards, each on as many workers as shards.
 var benchCases = []struct {
 	name   string
 	exec   executor
 	shards int
-}{{"oracle", oracleExecute, 1}, {"shards=1", execute, 1}, {"shards=2", execute, 2}}
+}{{"oracle", oracleExecute, 1}, {"shards=1", execute, 1}, {"shards=2", execute, 2}, {"shards=4", execute, 4}}
 
 // floodSink keeps BenchmarkShardFlood's results alive.
 var floodSink *Result
 
 // BenchmarkShardFlood times Run on bench/'s flood-scale mission — a
 // side-32 grid at density 16 (16,384 nodes), 2 concurrent floods — on the
-// engine at 1 shard and at 2 shards on 2 workers, with the single-kernel
-// oracle as the baseline case, so the shard layer's ns/op and allocs/op
-// reproduce without the bench/ harness. The deployment is built once,
-// outside the timed loop.
+// engine at 1 shard, 2 shards on 2 workers and 4 shards on 4 workers,
+// with the single-kernel oracle as the baseline case, so the shard
+// layer's ns/op and allocs/op reproduce without the bench/ harness. The
+// 4-shard case crosses shards on about 3.5% of the edges, against 1.5%
+// at 2 shards. The deployment is built once, outside the timed loop.
 func BenchmarkShardFlood(b *testing.B) {
 	const side, density = 32, 16
 	grid := geom.NewSquareGrid(side, float64(side)*10)
@@ -53,8 +54,8 @@ var labelSink *LabelResult
 
 // BenchmarkShardLabel times RunLabeling on serve-cold's labeling shapes —
 // a four-blob field thresholded at 0.5 on grids of side 16, 32 and 64 —
-// on the engine at 1 shard and at 2 shards on 2 workers, with the
-// single-kernel oracle as the baseline case. The field is built once per
+// on benchCases' engine configurations, with the single-kernel oracle as
+// the baseline case. The field is built once per
 // side, outside the timed loop.
 func BenchmarkShardLabel(b *testing.B) {
 	for _, side := range []int{16, 32, 64} {

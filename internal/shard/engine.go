@@ -15,13 +15,21 @@ import (
 	"wsnva/internal/trace"
 )
 
-// xmsg is one cross-shard delivery in flight: queued into the sender
-// shard's outbox row during a window, injected into the destination
-// shard's kernel at the next barrier.
-type xmsg struct {
+// outRow is one (source, destination) cell of the outbox: a record per
+// transmission the source shard sent into the destination shard during
+// one window, and the records' receivers back to back in to, each
+// record's in ascending ID order.
+type outRow struct {
+	recs []xrec
+	to   []int32
+}
+
+// xrec is one transmission's share of an outbox row: the delivery time,
+// the packet, and n, the number of its receivers in the row's to array.
+type xrec struct {
 	at      sim.Time
 	from    int32
-	to      int32
+	n       int32
 	size    int64
 	key     int64
 	payload any
@@ -58,7 +66,9 @@ type hazards struct {
 // queue's (time, seq) order is untouched. The double buffering gives
 // the exchange its happens-before edges for free: a window only reads
 // outbox rows that were completely written before the previous
-// ForEach's WaitGroup barrier.
+// ForEach's WaitGroup barrier. Injection only schedules: a receiver's
+// liveness is judged when the delivery instant runs, after that
+// instant's crash and churn events and possibly in a later window.
 type engine struct {
 	nw        *deploy.Network
 	st        *State
@@ -71,11 +81,12 @@ type engine struct {
 	// never touch the same slot (see fault.StreamChannel).
 	channel *fault.StreamChannel
 	shards  []*shardRun
-	// cur[src][dst] collects messages sent by shard src to shard dst in
-	// the running window; prev holds the previous window's sends and is
-	// drained (and reset) by the destination shards at injection time.
-	cur  [][][]xmsg
-	prev [][][]xmsg
+	// cur[src][dst] collects transmissions sent by shard src into shard
+	// dst in the running window; prev holds the previous window's sends
+	// and is drained (and reset) by the destination shards at injection
+	// time.
+	cur  [][]outRow
+	prev [][]outRow
 }
 
 // shardRun is one shard's private execution state: its kernel, ledger,
@@ -111,11 +122,17 @@ type shardRun struct {
 	drain func()
 
 	freeFan []*fanout
+
+	// txn numbers this shard's broadcasts; open[dst] is the broadcast
+	// whose record is the last one in this shard's outbox row to dst, so
+	// a broadcast opens one record per destination shard.
+	txn  uint64
+	open []uint64
 }
 
-// fanout is a pooled local delivery event: one kernel event delivering
-// a packet to every same-shard receiver in ascending ID order, exactly
-// mirroring radio.Medium's pooled delivery records.
+// fanout is a pooled delivery event: one kernel event delivering a
+// packet to every receiver of one transmission on this shard in
+// ascending ID order — a local fan-out, or an injected outbox record.
 type fanout struct {
 	s       *shardRun
 	from    int32
@@ -152,6 +169,7 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 			ledger: cost.NewLedger(model, nw.N()),
 			nodes:  part.Members[i],
 			in:     inbox{st: st},
+			open:   make([]uint64, s),
 		}
 		sr.drain = func() {
 			sr.last = sr.kern.Now()
@@ -270,10 +288,10 @@ func (s *shardRun) deplete(node int) {
 	}
 }
 
-func makeOutbox(s int) [][][]xmsg {
-	box := make([][][]xmsg, s)
+func makeOutbox(s int) [][]outRow {
+	box := make([][]outRow, s)
 	for i := range box {
-		box[i] = make([][]xmsg, s)
+		box[i] = make([]outRow, s)
 	}
 	return box
 }
@@ -321,7 +339,7 @@ func (e *engine) run(crashed []bool) sim.Time {
 }
 
 // nextTime returns the earliest pending timestamp across all shard
-// kernels and all messages awaiting injection, run at the barrier.
+// kernels and all records awaiting injection, run at the barrier.
 func (e *engine) nextTime() (sim.Time, bool) {
 	var t sim.Time
 	found := false
@@ -332,9 +350,9 @@ func (e *engine) nextTime() (sim.Time, bool) {
 	}
 	for src := range e.prev {
 		for dst := range e.prev[src] {
-			for _, m := range e.prev[src][dst] {
-				if !found || m.at < t {
-					t, found = m.at, true
+			for _, r := range e.prev[src][dst].recs {
+				if !found || r.at < t {
+					t, found = r.at, true
 				}
 			}
 		}
@@ -342,28 +360,30 @@ func (e *engine) nextTime() (sim.Time, bool) {
 	return t, found
 }
 
-// inject schedules every message addressed to this shard from the
-// previous window, in ascending source-shard order (then send order
-// within a source) so event sequence numbers are a deterministic
-// function of the exchange, and resets the drained rows for reuse.
+// inject schedules every record addressed to this shard from the
+// previous window as one pooled fanout at its delivery time, in
+// ascending source-shard order (then send order within a source) so
+// event sequence numbers are a deterministic function of the exchange,
+// and resets the drained rows for reuse, keeping no payload.
 func (s *shardRun) inject() {
 	e := s.eng
 	for src := range e.prev {
-		box := e.prev[src][s.id]
-		for _, m := range box {
-			m := m
-			s.kern.At(m.at, func() {
-				s.last = s.kern.Now()
-				s.deliver(int(m.to), int(m.from), m.size, m.key, m.payload)
-			})
+		row := &e.prev[src][s.id]
+		to := row.to
+		for _, r := range row.recs {
+			f := s.newFanout(r.from, r.size, r.key, r.payload)
+			f.to = append(f.to, to[:r.n]...)
+			to = to[r.n:]
+			s.kern.At(r.at, f.fire)
 		}
-		e.prev[src][s.id] = box[:0]
+		clear(row.recs)
+		row.recs, row.to = row.recs[:0], row.to[:0]
 	}
 }
 
 // broadcast implements fabric: charge the sender, split the fan-out
-// into one pooled local delivery event plus per-destination outbox
-// entries, all at sendTime + TxLatency(size). Loss is drawn per
+// into one pooled local delivery event plus one outbox record per
+// destination shard, all at sendTime + TxLatency(size). Loss is drawn per
 // neighbor in ascending-ID order from the shared counter-keyed channel
 // — the identical draw sequence radio.Medium consumes, because the
 // channel is keyed by the sender's own counter, not by any global
@@ -378,6 +398,7 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 		return 0
 	}
 	s.sent++
+	s.txn++
 	s.ledger.Charge(from, cost.Tx, size)
 	if s.tracer != nil {
 		s.emit(trace.Tx, from, -1, size, "broadcast")
@@ -402,8 +423,13 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 			}
 			local.to = append(local.to, int32(nbr))
 		} else {
-			s.eng.cur[s.id][dst] = append(s.eng.cur[s.id][dst],
-				xmsg{at: at, from: int32(from), to: int32(nbr), size: size, key: key})
+			row := &s.eng.cur[s.id][dst]
+			if s.open[dst] != s.txn {
+				s.open[dst] = s.txn
+				row.recs = append(row.recs, xrec{at: at, from: int32(from), size: size, key: key})
+			}
+			row.recs[len(row.recs)-1].n++
+			row.to = append(row.to, int32(nbr))
 		}
 	}
 	if local != nil {
@@ -446,8 +472,9 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 		f.to = append(f.to, int32(to))
 		s.kern.At(at, f.fire)
 	} else {
-		s.eng.cur[s.id][dst] = append(s.eng.cur[s.id][dst],
-			xmsg{at: at, from: int32(from), to: int32(to), size: size, key: key, payload: payload})
+		row := &s.eng.cur[s.id][dst]
+		row.recs = append(row.recs, xrec{at: at, from: int32(from), n: 1, size: size, key: key, payload: payload})
+		row.to = append(row.to, int32(to))
 	}
 	return true
 }
@@ -465,22 +492,34 @@ func (s *shardRun) newFanout(from int32, size, key int64, payload any) *fanout {
 	return f
 }
 
+// run lands the transmission at each receiver that takes it, storing
+// the packet as one inbox record at the first one and referencing that
+// record for every one.
 func (f *fanout) run() {
 	s := f.s
 	s.last = s.kern.Now()
+	rec := int32(-1)
 	for _, to := range f.to {
-		s.deliver(int(to), int(f.from), f.size, f.key, f.payload)
+		if !s.receive(int(to), int(f.from), f.size) {
+			continue
+		}
+		if rec < 0 {
+			rec = s.in.record(Packet{From: int(f.from), Size: f.size, Key: f.key, Payload: f.payload})
+		}
+		if s.in.ref(int(to), rec) {
+			s.kern.After(0, s.drain)
+		}
 	}
 	f.payload = nil
 	f.to = f.to[:0]
 	s.freeFan = append(s.freeFan, f)
 }
 
-// deliver lands one packet at a receiver this shard owns: liveness is
-// judged at delivery time exactly as radio.Medium does, the receiver is
-// charged Rx, and the packet joins the shard's inbox for the current
-// instant.
-func (s *shardRun) deliver(to, from int, size, key int64, payload any) {
+// receive is a delivery's gate at a receiver this shard owns: liveness
+// is judged at delivery time exactly as radio.Medium does, and a live
+// receiver is charged Rx and traced. It reports whether the receiver
+// takes the packet.
+func (s *shardRun) receive(to, from int, size int64) bool {
 	st := s.eng.st
 	if !st.liveAt(to, s.kern.Now()) {
 		s.dropped++
@@ -493,16 +532,14 @@ func (s *shardRun) deliver(to, from int, size, key int64, payload any) {
 			}
 			s.emit(trace.Drop, to, from, size, detail)
 		}
-		return
+		return false
 	}
 	s.delivered++
 	s.ledger.Charge(to, cost.Rx, size)
 	if s.tracer != nil {
 		s.emit(trace.Rx, to, from, size, "")
 	}
-	if s.in.add(to, Packet{From: from, Size: size, Key: key, Payload: payload}) {
-		s.kern.After(0, s.drain)
-	}
+	return true
 }
 
 func (s *shardRun) now() sim.Time { return s.kern.Now() }

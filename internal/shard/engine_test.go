@@ -1,0 +1,174 @@
+package shard
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"slices"
+	"testing"
+
+	"wsnva/internal/churn"
+	"wsnva/internal/cost"
+	"wsnva/internal/deploy"
+	"wsnva/internal/fault"
+	"wsnva/internal/field"
+	"wsnva/internal/geom"
+	"wsnva/internal/parallel"
+	"wsnva/internal/sim"
+)
+
+// TestBroadcastOpensOneRecordPerDestinationShard: node 0 sits at the
+// center of a 2×2 tiling and its twelve neighbors cycle through the four
+// tiles, so its ascending neighbor list alternates destination shards.
+// Each broadcast must leave exactly one outbox record per remote shard,
+// carrying that shard's receivers in ascending ID order, and the
+// sender's own tile must get nothing in the outbox.
+func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
+	tiles := []geom.Point{{X: 12, Y: 12}, {X: 28, Y: 12}, {X: 12, Y: 28}, {X: 28, Y: 28}}
+	pts := []geom.Point{{X: 20, Y: 20}}
+	for i := 0; i < 12; i++ {
+		q := tiles[i%4]
+		pts = append(pts, geom.Point{X: q.X + float64(i/4), Y: q.Y})
+	}
+	nw := deploy.FromPoints(pts, geom.Rect{MaxX: 40, MaxY: 40}, 15)
+	if nw.Degree(0) != 12 {
+		t.Fatalf("center has %d neighbors, want 12", nw.Degree(0))
+	}
+	model := cost.NewUniform()
+	part := NewPartition(nw, 4)
+	eng := newEngine(nw, NewState(nw), part, model, 1, parallel.New(1),
+		func(int) app { return &recApp{} }, hazards{}, 0)
+	src := eng.shards[part.Owner[0]]
+	sends := []xrec{{size: 2, key: 7}, {size: 3, key: 8}}
+	for _, x := range sends {
+		src.broadcast(0, x.size, x.key)
+	}
+	for dst, row := range eng.cur[src.id] {
+		var want []int32
+		for _, nbr := range nw.Neighbors(0) {
+			if int(part.Owner[nbr]) == dst {
+				want = append(want, int32(nbr))
+			}
+		}
+		if dst == src.id {
+			if len(row.recs) != 0 || len(row.to) != 0 {
+				t.Errorf("shard %d: sender's own tile has %d outbox records", dst, len(row.recs))
+			}
+			continue
+		}
+		if len(want) == 0 {
+			t.Fatalf("shard %d: no receivers; the placement is wrong", dst)
+		}
+		if len(row.recs) != len(sends) {
+			t.Fatalf("shard %d: %d outbox records for %d broadcasts", dst, len(row.recs), len(sends))
+		}
+		for i, r := range row.recs {
+			x := sends[i]
+			at := sim.Time(model.TxLatency(x.size))
+			if r.at != at || r.from != 0 || r.size != x.size || r.key != x.key || int(r.n) != len(want) {
+				t.Errorf("shard %d record %d = %+v, want at %d from 0 size %d key %d n %d", dst, i, r, at, x.size, x.key, len(want))
+			}
+			if got := row.to[i*len(want) : (i+1)*len(want)]; !slices.Equal(got, want) {
+				t.Errorf("shard %d record %d receivers %v, want %v", dst, i, got, want)
+			}
+		}
+	}
+}
+
+// keepEngine is execute that also hands back the engine it ran.
+func keepEngine(eng **engine) executor {
+	return func(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
+		mkApp func(int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+		*eng = newEngine(nw, st, NewPartition(nw, shards), model, sim.Time(model.TxLatency(1)),
+			parallel.New(workers), mkApp, hz, traceCap)
+		return (*eng).execute(crashed)
+	}
+}
+
+// TestInjectedOutboxHoldsNoPayload: after a 4-shard labeling run, whose
+// cross-shard unicasts carry summaries, no outbox row still references a
+// payload anywhere in its capacity.
+func TestInjectedOutboxHoldsNoPayload(t *testing.T) {
+	grid := geom.NewSquareGrid(16, 160)
+	bits := make([]bool, grid.N())
+	for i := range bits {
+		bits[i] = i%3 != 0
+	}
+	var eng *engine
+	if _, err := runLabeling(field.FromBits(grid, bits), LabelConfig{Config: Config{Shards: 4, Workers: 2}}, keepEngine(&eng)); err != nil {
+		t.Fatal(err)
+	}
+	held := 0
+	for _, box := range [][][]outRow{eng.cur, eng.prev} {
+		for _, rows := range box {
+			for _, row := range rows {
+				held += cap(row.recs)
+				for _, r := range row.recs[:cap(row.recs)] {
+					if r.payload != nil {
+						t.Fatal("drained outbox row still references a payload")
+					}
+				}
+			}
+		}
+	}
+	if held == 0 {
+		t.Fatal("no outbox row ever held a record")
+	}
+}
+
+// TestInjectedFanoutSameInstantHazards pins an injected fan-out's
+// liveness check to its delivery instant. Flood origin 0 and its
+// neighbor 2 share the lower left tile; its neighbor 1 lies on another
+// shard of the 1×2 and the 2×2 tiling, and node 3 is reachable only
+// through 1. Node 1 crashes, or falls asleep, at exactly the instant the
+// origin's broadcast reaches it, so the flood must stop there with the
+// matching drop. In the last case an unrelated crash of the isolated
+// node 4 opens a window one instant earlier, so the record is injected a
+// window before it is due.
+func TestInjectedFanoutSameInstantHazards(t *testing.T) {
+	nw := deploy.FromPoints([]geom.Point{{X: 15, Y: 15}, {X: 15, Y: 25}, {X: 10, Y: 12}, {X: 25, Y: 25}, {X: 35, Y: 5}},
+		geom.Rect{MaxX: 40, MaxY: 40}, 11)
+	at := sim.Time(cost.NewUniform().TxLatency(2))
+	for _, c := range []struct {
+		name   string
+		cfg    Config
+		detail string
+	}{
+		{"crash", Config{Crashes: fault.Schedule{{Node: 1, At: at}}}, "dead receiver"},
+		{"sleep", Config{Churn: churn.Schedule{{Node: 1, At: at, Op: churn.Sleep}}}, "asleep receiver"},
+		{"injected a window early", Config{Crashes: fault.Schedule{{Node: 4, At: at - 1}, {Node: 1, At: at}}}, "dead receiver"},
+	} {
+		cfg := c.cfg
+		cfg.Origins, cfg.PktSize, cfg.Trace = []int{0}, 2, true
+		want, err := runOracle(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var drop []byte
+		for _, line := range bytes.Split(want.Trace, []byte("\n")) {
+			if bytes.Contains(line, []byte(`"detail":"`+c.detail+`"`)) {
+				drop = line
+			}
+		}
+		if want.Reached[0] != 1 || !bytes.Contains(drop, []byte(fmt.Sprintf(`"at":%d,`, at))) {
+			t.Fatalf("%s: oracle reached %d with trace\n%s", c.name, want.Reached[0], want.Trace)
+		}
+		for _, shards := range []int{2, 4} {
+			part := NewPartition(nw, shards)
+			if part.Owner[0] == part.Owner[1] || part.Owner[0] != part.Owner[2] {
+				t.Fatalf("shards=%d: placement does not split 0 from 1", shards)
+			}
+			cfg.Shards, cfg.Workers = shards, 2
+			got, err := Run(nw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Trace, want.Trace) {
+				t.Fatalf("%s, shards=%d: trace diverges from oracle\n got:\n%s\nwant:\n%s", c.name, shards, got.Trace, want.Trace)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, shards=%d: result diverges from oracle\n got: %+v\nwant: %+v", c.name, shards, got, want)
+			}
+		}
+	}
+}

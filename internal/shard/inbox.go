@@ -10,11 +10,12 @@ import (
 // fabric's single drain event for that instant wakes each receiving node
 // once.
 //
-// Packets are appended to one per-fabric log, each chained to its
-// receiver's previous entry, so a delivery costs an append instead of a
-// grow of one of n per-node slices. The chain ends and the listed flags
-// live in the run's State (head, tail, listed), written only by the
-// node's owner fabric, so they stay O(n) at any shard count.
+// A transmission's fields are stored once per instant, as one record,
+// however many receivers it reaches; each delivery costs one 8-byte
+// reference (receiver, record) appended to a per-fabric log, plus one
+// increment of the receiver's count. The counts and the listed flags live
+// in the run's State, written only by the node's owner fabric, so they
+// stay O(n) at any shard count.
 //
 // One drain per instant sees every input: all inputs of instant t are
 // queued before any event at t fires (DESIGN.md §7), and the fabric
@@ -24,33 +25,43 @@ import (
 // a drain is a bug and panics.
 type inbox struct {
 	st *State
-	// log holds this instant's packets in delivery order; next[i] is the
-	// reference of the entry after log[i] in its receiver's chain. A
-	// reference is a log index plus one, so 0 ends a chain and the
-	// zeroed State arrays start out empty.
-	log  []Packet
-	next []int32
+	// recs holds this instant's records, one per transmission that
+	// reached a live receiver; log holds one reference per delivery, in
+	// delivery order.
+	recs []Packet
+	log  []delivery
 	// nodes lists each node with input this instant once.
-	nodes    []int32
+	nodes []int32
+	// order and batch are the drain's reused scratch: order holds the
+	// log's record indices grouped by receiver, batch one node's packets.
+	order    []int32
 	batch    []Packet
 	draining bool
 }
 
-// add queues p for node n at the current instant. It reports whether
-// this is the instant's first input, in which case the caller schedules
-// the drain.
-func (ib *inbox) add(n int, p Packet) bool {
+// delivery references one record for one receiver.
+type delivery struct {
+	to  int32
+	rec int32
+}
+
+// add queues p for node n at the current instant, as one record with one
+// reference. It reports whether this is the instant's first input, in
+// which case the caller schedules the drain.
+func (ib *inbox) add(n int, p Packet) bool { return ib.ref(n, ib.record(p)) }
+
+// record stores a transmission's packet for the current instant and
+// returns its index for ref.
+func (ib *inbox) record(p Packet) int32 {
+	ib.recs = push(ib.recs, p)
+	return int32(len(ib.recs) - 1)
+}
+
+// ref queues record rec for node n; the result is add's.
+func (ib *inbox) ref(n int, rec int32) bool {
 	first := ib.list(n)
-	ib.log = push(ib.log, p)
-	ib.next = push(ib.next, 0)
-	ref := int32(len(ib.log))
-	st := ib.st
-	if t := st.tail[n]; t != 0 {
-		ib.next[t-1] = ref
-	} else {
-		st.head[n] = ref
-	}
-	st.tail[n] = ref
+	ib.log = push(ib.log, delivery{to: int32(n), rec: rec})
+	ib.st.count[n]++
 	return first
 }
 
@@ -73,23 +84,46 @@ func (ib *inbox) list(n int) bool {
 	return len(ib.nodes) == 1
 }
 
-// drain wakes every listed node once, in ascending ID order: it gathers
-// the node's chain into the reused batch, sorts it by (From, Key), and
-// calls a.wake with the node's timer flag. A node that is no longer live
-// (a timer re-armed in its dying-gasp instant fires after it went
-// silent) loses its inputs. The drained inbox keeps no payload.
+// drain wakes every listed node once, in ascending ID order. It groups
+// the log by receiver with a counting sort — the listed nodes' counts,
+// prefix-summed in ID order, become offsets into order, and a stable
+// scatter keeps each receiver's deliveries in delivery order — then
+// gathers each node's records into the reused batch, sorts it by
+// (From, Key), and calls a.wake with the node's timer flag. A node that
+// is no longer live (a timer re-armed in its dying-gasp instant fires
+// after it went silent) loses its inputs. The drained inbox keeps no
+// payload.
 func (ib *inbox) drain(f fabric, a app) {
 	ib.draining = true
 	st := ib.st
 	now := f.now()
 	slices.Sort(ib.nodes)
+	var off int32
 	for _, n := range ib.nodes {
+		c := st.count[n]
+		st.count[n] = off
+		off += c
+	}
+	// order follows the log's capacity, so it regrows only when push
+	// has doubled the log.
+	if cap(ib.order) < len(ib.log) {
+		ib.order = make([]int32, cap(ib.log))
+	}
+	order := ib.order[:len(ib.log)]
+	for _, d := range ib.log {
+		order[st.count[d.to]] = d.rec
+		st.count[d.to]++
+	}
+	var start int32
+	for _, n := range ib.nodes {
+		end := st.count[n]
 		b := ib.batch[:0]
-		for ref := st.head[n]; ref != 0; ref = ib.next[ref-1] {
-			b = append(b, ib.log[ref-1])
+		for _, r := range order[start:end] {
+			b = append(b, ib.recs[r])
 		}
+		start = end
 		timer := st.timerFired[n]
-		st.head[n], st.tail[n], st.listed[n], st.timerFired[n] = 0, 0, false, false
+		st.count[n], st.listed[n], st.timerFired[n] = 0, false, false
 		if st.liveAt(int(n), now) {
 			sortPackets(b)
 			a.wake(f, int(n), b, timer)
@@ -97,8 +131,8 @@ func (ib *inbox) drain(f fabric, a app) {
 		clear(b)
 		ib.batch = b
 	}
-	clear(ib.log)
-	ib.log, ib.next, ib.nodes = ib.log[:0], ib.next[:0], ib.nodes[:0]
+	clear(ib.recs)
+	ib.recs, ib.log, ib.nodes = ib.recs[:0], ib.log[:0], ib.nodes[:0]
 	ib.draining = false
 }
 

@@ -138,26 +138,63 @@ func TestInboxDeadNodeLosesInput(t *testing.T) {
 	}
 }
 
-// TestInboxDrainedHoldsNoPayload: after a drain the log, the batch and
-// the per-node State arrays are empty, and no payload is still
-// referenced from the retained capacity.
+// TestInboxSharedRecordReachesEachReceiverOnce stores each transmission
+// once and references it for a random set of receivers: every receiver
+// gets every record it was referenced for exactly once, in its batch's
+// (From, Key) order.
+func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	const n = 40
+	st := inboxState(n)
+	ib := &inbox{st: st}
+	for round := 0; round < 20; round++ {
+		want := make(map[int][]Packet)
+		for from := 0; from < 1+rng.Intn(30); from++ {
+			p := Packet{From: from, Size: 1, Key: int64(rng.Intn(4)), Payload: round}
+			rec := ib.record(p)
+			for _, to := range rng.Perm(n)[:1+rng.Intn(n/2)] {
+				ib.ref(to, rec)
+				want[to] = append(want[to], p)
+			}
+		}
+		a := &recApp{}
+		ib.drain(&stillFab{}, a)
+		if len(a.wakes) != len(want) {
+			t.Fatalf("round %d: %d wakes for %d nodes with input", round, len(a.wakes), len(want))
+		}
+		for _, w := range a.wakes {
+			// Senders were recorded in ascending order, so want is
+			// already in (From, Key) order.
+			if !slices.Equal(w.pkts, want[w.node]) {
+				t.Fatalf("round %d: node %d got %v, want %v", round, w.node, w.pkts, want[w.node])
+			}
+		}
+	}
+}
+
+// TestInboxDrainedHoldsNoPayload: after a drain the record table, the
+// log, the batch and the per-node State arrays are empty, and no payload
+// is still referenced from the retained capacity.
 func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 	st := inboxState(8)
 	ib := &inbox{st: st}
 	for i := 0; i < 50; i++ {
 		ib.add(i%8, Packet{From: i, Size: 1, Payload: &wakeRec{}})
+		rec := ib.record(Packet{From: 50 + i, Size: 1, Payload: &wakeRec{}})
+		ib.ref(i%8, rec)
+		ib.ref((i+3)%8, rec)
 	}
 	ib.drain(&stillFab{}, &recApp{})
-	if len(ib.log) != 0 || len(ib.next) != 0 || len(ib.nodes) != 0 || ib.draining {
-		t.Fatalf("drained inbox: log %d, next %d, nodes %d, draining %v", len(ib.log), len(ib.next), len(ib.nodes), ib.draining)
+	if len(ib.recs) != 0 || len(ib.log) != 0 || len(ib.nodes) != 0 || ib.draining {
+		t.Fatalf("drained inbox: recs %d, log %d, nodes %d, draining %v", len(ib.recs), len(ib.log), len(ib.nodes), ib.draining)
 	}
-	for _, p := range append(ib.log[:cap(ib.log)], ib.batch[:cap(ib.batch)]...) {
+	for _, p := range append(ib.recs[:cap(ib.recs)], ib.batch[:cap(ib.batch)]...) {
 		if p.Payload != nil {
 			t.Fatal("drained inbox still references a payload")
 		}
 	}
 	for v := 0; v < 8; v++ {
-		if st.head[v] != 0 || st.tail[v] != 0 || st.listed[v] || st.timerFired[v] {
+		if st.count[v] != 0 || st.listed[v] || st.timerFired[v] {
 			t.Fatalf("node %d keeps wake state after the drain", v)
 		}
 	}
@@ -169,8 +206,9 @@ type countApp struct{ wakes int }
 func (a *countApp) start(fabric, int)                        {}
 func (a *countApp) wake(_ fabric, _ int, _ []Packet, _ bool) { a.wakes++ }
 
-// TestInboxCycleAllocatesNothing: once the log, batch and node list
-// have grown, an add/drain cycle allocates nothing.
+// TestInboxCycleAllocatesNothing: once the record table, the log, the
+// drain's scratch and the node list have grown, an add/drain cycle with
+// shared records allocates nothing.
 func TestInboxCycleAllocatesNothing(t *testing.T) {
 	const n = 64
 	st := inboxState(n)
@@ -179,6 +217,12 @@ func TestInboxCycleAllocatesNothing(t *testing.T) {
 	cycle := func() {
 		for i := 0; i < 500; i++ {
 			ib.add((i*37)%n, Packet{From: i % 11, Size: 1, Key: int64(i % 3)})
+		}
+		for i := 0; i < 100; i++ {
+			rec := ib.record(Packet{From: 11 + i, Size: 1})
+			for j := 0; j < 6; j++ {
+				ib.ref((i*13+j*7)%n, rec)
+			}
 		}
 		ib.touch(3)
 		ib.drain(fab, a)

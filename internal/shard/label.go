@@ -161,7 +161,8 @@ type LabelResult struct {
 	// (launch hops included).
 	Msgs int64
 	Hops int64
-	// Radio totals, as in Result.
+	// Radio totals, counted as in Result. Labeling only unicasts, so
+	// Sent counts the hops whose sender was live.
 	Sent      int64
 	Delivered int64
 	Dropped   int64

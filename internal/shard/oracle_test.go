@@ -216,9 +216,9 @@ func (f *singleFab) wakeAfter(n int, d sim.Time) sim.Time {
 	return at
 }
 
-// onPacket queues a delivery into the inbox, mirroring shardRun.deliver
-// after the medium has already done the liveness check, the Rx charge,
-// and the trace emission.
+// onPacket queues a delivery into the inbox as one record with one
+// reference: the medium has already done shardRun.receive's part, the
+// liveness check, the Rx charge, and the trace emission.
 func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	var p Packet
 	switch v := pkt.Payload.(type) {

@@ -2,10 +2,10 @@
 // a deployment into rectangular spatial tiles, gives each tile its own
 // ladder event queue (sim.Kernel), and advances all tiles in bounded
 // conservative time windows of width lookahead = the minimum radio delay.
-// Cross-shard deliveries are enqueued into the destination shard's inbox
-// and injected at the next window barrier, so no shard ever receives an
-// event in its executed past and the (time, seq) total order within a
-// shard is never violated.
+// Cross-shard transmissions travel as one outbox record per destination
+// shard and are injected at the next window barrier, so no shard ever
+// receives an event in its executed past and the (time, seq) total order
+// within a shard is never violated.
 //
 // Every run takes this engine; one shard is simply the one-tile case.
 // The package's tests keep a second engine — one sim.Kernel driving a

@@ -107,8 +107,10 @@ type Result struct {
 	// broadcasts performed and duplicate receptions suppressed.
 	Forwards int64
 	Ignored  int64
-	// Radio totals: broadcasts initiated, per-neighbor deliveries,
-	// per-neighbor drops (dead receivers).
+	// Radio totals: Sent counts transmissions by live senders, broadcasts
+	// and unicasts alike; Delivered counts per-receiver deliveries; and
+	// Dropped counts per-receiver drops, from channel losses, dead
+	// receivers and asleep receivers.
 	Sent      int64
 	Delivered int64
 	Dropped   int64
@@ -234,8 +236,12 @@ type executor func(nw *deploy.Network, st *State, model *cost.Model, shards, wor
 func execute(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
 	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
 	lookahead := sim.Time(model.TxLatency(1))
-	eng := newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap)
-	rs := runStats{completion: eng.run(crashed), ledger: cost.NewLedger(model, nw.N())}
+	return newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap).execute(crashed)
+}
+
+// execute runs the engine and folds its shards' totals into one report.
+func (eng *engine) execute(crashed []bool) (runStats, error) {
+	rs := runStats{completion: eng.run(crashed), ledger: cost.NewLedger(eng.model, eng.nw.N())}
 	var lost int64
 	for _, sr := range eng.shards {
 		rs.sent += sr.sent

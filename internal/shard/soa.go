@@ -42,13 +42,12 @@ type State struct {
 	Battery []int64
 
 	// Per-node wake state, written only by the node's owner fabric:
-	// head and tail are the ends of the node's packet chain in its
-	// fabric's inbox log (0: no packet this instant), listed marks a node
-	// the inbox will wake at the current instant, timerSet guards the one
-	// outstanding timer, and timerFired flags a timer that expired at the
-	// current instant.
-	head       []int32
-	tail       []int32
+	// count is the number of packets the node has in its fabric's inbox
+	// at the current instant (the drain borrows it as the node's offset),
+	// listed marks a node the inbox will wake at the current instant,
+	// timerSet guards the one outstanding timer, and timerFired flags a
+	// timer that expired at the current instant.
+	count      []int32
 	listed     []bool
 	timerSet   []bool
 	timerFired []bool
@@ -63,8 +62,7 @@ func NewState(nw *deploy.Network) *State {
 		Suspended:  make([]bool, n),
 		GaspUntil:  make([]sim.Time, n),
 		Battery:    make([]int64, n),
-		head:       make([]int32, n),
-		tail:       make([]int32, n),
+		count:      make([]int32, n),
 		listed:     make([]bool, n),
 		timerSet:   make([]bool, n),
 		timerFired: make([]bool, n),
