@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz examples clean
+.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz fuzz-deploy examples clean
 
 all: build vet test
 
@@ -14,10 +14,11 @@ all: build vet test
 # under multi-tenant load with the race detector, the whole test suite
 # under the race detector, one quick benchmark iteration to catch
 # allocation or wall-time blowups, the bench/ harness's own tests, a
-# battery-depletion soak, the observability coverage floor, and the seven
+# battery-depletion soak, the observability coverage floor, a short fuzz
+# of the CSR neighbor build against its brute-force oracle, and the seven
 # examples, which drive the synthesized alarm and tracking programs
 # through their public drivers, before they land.
-check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover examples
+check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy examples
 
 build:
 	$(GO) build ./...
@@ -53,9 +54,10 @@ race-core:
 race-runtime:
 	$(GO) test -race -count=1 -run 'TestE7' ./internal/experiments/
 
-# The deployment pipeline under the race detector: the parallel two-pass
-# CSR neighbor construction over bucket rows and the differential test
-# pinning it to its sequential twin, under real goroutine interleaving.
+# The deployment pipeline under the race detector: the CSR neighbor build,
+# whose count and fill passes each run one task per bucket row on the
+# pool, and the differential tests pinning it to the pool-less build and
+# the legacy oracle, under real goroutine interleaving.
 race-deploy:
 	$(GO) test -race -count=1 ./internal/deploy/
 
@@ -84,12 +86,13 @@ race-serve:
 
 # Micro-benchmarks only (-run=^$$ skips the unit tests), with allocation
 # counts; short benchtime keeps this a quick regression pass. Drop
-# -benchtime=1x for per-experiment ns/op and allocs/op, and for the
-# shard layer's flood-scale ns/op and B/op (BenchmarkShardFlood);
-# end-to-end and per-layer numbers come from bench/ (bash bench/run.sh,
-# see bench/README.md).
+# -benchtime=1x for per-experiment ns/op and allocs/op, for the shard
+# layer's flood-scale ns/op and B/op (BenchmarkShardFlood), and for the
+# deploy layer's CSR build and validation up to flood-scale's 16,384
+# nodes (BenchmarkBuildCSR, BenchmarkValidate); end-to-end and per-layer
+# numbers come from bench/ (bash bench/run.sh, see bench/README.md).
 bench:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . ./internal/shard/
+	$(GO) test -bench=. -benchmem -benchtime=1x -run=^$$ . ./internal/shard/ ./internal/deploy/
 
 # The bench/ harness is its own module, so the root `go test ./...`
 # never compiles it; its smoke tests catch API it uses going away.
@@ -146,6 +149,11 @@ fuzz:
 	$(GO) test -fuzz FuzzMidRunDeath -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzChurnRepair -fuzztime 30s ./internal/emul/
 	$(GO) test -fuzz FuzzMissionSpec -fuzztime 30s ./internal/serve/
+
+# FuzzCSRNeighbors for 10 s: random point sets and ranges, every CSR row
+# checked against a brute-force O(n²) neighbor scan.
+fuzz-deploy:
+	$(GO) test -run '^$$' -fuzz FuzzCSRNeighbors -fuzztime 10s ./internal/deploy/
 
 examples:
 	$(GO) run ./examples/quickstart

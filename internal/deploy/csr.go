@@ -3,7 +3,6 @@ package deploy
 import (
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 
 	"wsnva/internal/parallel"
@@ -20,17 +19,24 @@ var deployPool = sync.OnceValue(func() *parallel.Pool { return parallel.New(0) }
 func sharedPool() *parallel.Pool { return deployPool() }
 
 // buildCSR constructs the disk-model adjacency (edge iff distance ≤ Range)
-// in compressed-sparse-row form. The algorithm is a uniform spatial hash
-// with bucket side = Range, so candidate neighbors of a node live in its
-// 3×3 bucket neighborhood, followed by two passes over the buckets: one
-// counting per-node degrees, one filling rows into the flat array. Both
-// passes parallelize over bucket grid rows — every worker touches a
-// disjoint set of nodes (a node's row is written only while visiting its
-// own bucket), so the output is independent of worker count and identical
-// to a sequential build. No size is too small for the pool:
-// BenchmarkBuildCSR shows it ahead from 640 nodes up at GOMAXPROCS 2,
-// and level with the sequential build at GOMAXPROCS 1, where it runs
-// inline.
+// in compressed-sparse-row form over a uniform spatial hash with bucket
+// side = Range, so a node's candidate neighbors live in its 3×3 bucket
+// neighborhood. The nodes are counting-sorted once into bucket order
+// (row-major buckets, IDs ascending within each) with their positions
+// copied alongside, which makes a neighborhood three contiguous runs, one
+// per bucket row. Two passes follow, each parallel over bucket rows:
+//
+//   - count: each node scans its three runs for its degree;
+//   - fill: bucket row r walks the senders of rows r−1…r+1 in ascending
+//     ID, a three-way merge of per-row ID lists, and appends each sender
+//     to the rows of its in-range receivers in row r, so every CSR row is
+//     ascending as written.
+//
+// A bucket row's task writes only its own receivers' degrees, cursors and
+// rows, so the output is independent of the pool and identical to a
+// sequential build. No size is too small for the pool: BenchmarkBuildCSR
+// shows it ahead from 640 nodes up at GOMAXPROCS 2, and level with the
+// sequential build at GOMAXPROCS 1, where it runs inline.
 func (nw *Network) buildCSR(pool *parallel.Pool) {
 	n := len(nw.Nodes)
 	nw.off = make([]int32, n+1)
@@ -42,16 +48,17 @@ func (nw *Network) buildCSR(pool *parallel.Pool) {
 	cols := int(nw.Terrain.Width()/bs) + 1
 	rows := int(nw.Terrain.Height()/bs) + 1
 	minX, minY := nw.Terrain.MinX, nw.Terrain.MinY
+	xs, ys := nw.xs, nw.ys
 
-	// Bucket membership as its own CSR, built by counting sort over node
-	// IDs — so each bucket's member list is ascending by construction.
+	// Bucket order: bPtr[b] is bucket b's first position, and position p
+	// holds node ids[p] at (px[p], py[p]). Row r's positions run from
+	// bPtr[r*cols] to bPtr[(r+1)*cols], and rowIDs holds the same nodes
+	// over the same span with IDs ascending.
 	bucketOf := make([]int32, n)
 	bPtr := make([]int32, cols*rows+1)
 	for i := 0; i < n; i++ {
-		bx := int((nw.xs[i] - minX) / bs)
-		by := int((nw.ys[i] - minY) / bs)
-		bx = clampInt(bx, 0, cols-1)
-		by = clampInt(by, 0, rows-1)
+		bx := clampInt(int((xs[i]-minX)/bs), 0, cols-1)
+		by := clampInt(int((ys[i]-minY)/bs), 0, rows-1)
 		b := int32(by*cols + bx)
 		bucketOf[i] = b
 		bPtr[b+1]++
@@ -59,48 +66,58 @@ func (nw *Network) buildCSR(pool *parallel.Pool) {
 	for b := 0; b < cols*rows; b++ {
 		bPtr[b+1] += bPtr[b]
 	}
-	bIDs := make([]int32, n)
+	ids := make([]int32, n)
+	px := make([]float64, n)
+	py := make([]float64, n)
+	rowIDs := make([]int32, n)
 	cursor := make([]int32, cols*rows)
 	copy(cursor, bPtr[:cols*rows])
+	rowCursor := make([]int32, rows)
+	for r := range rowCursor {
+		rowCursor[r] = bPtr[r*cols]
+	}
 	for i := 0; i < n; i++ {
 		b := bucketOf[i]
-		bIDs[cursor[b]] = int32(i)
+		p := cursor[b]
 		cursor[b]++
+		ids[p] = int32(i)
+		px[p], py[p] = xs[i], ys[i]
+		r := b / int32(cols)
+		rowIDs[rowCursor[r]] = int32(i)
+		rowCursor[r]++
 	}
 
-	// Pass 1: count each node's degree. Workers split on bucket grid rows;
-	// a node's counter is only touched by the worker owning its bucket row.
+	// The hit test both passes share, receiver minus sender in that order:
+	// the float64 conversions keep the compiler from fusing either pass's
+	// arithmetic into an FMA, so both passes see the same edges.
 	r2 := nw.Range * nw.Range
-	deg := make([]int32, n)
-	parallel.ForEach(pool, rows, func(by int) {
-		for bx := 0; bx < cols; bx++ {
-			b := by*cols + bx
-			for _, i32 := range bIDs[bPtr[b]:bPtr[b+1]] {
-				i := int(i32)
-				xi, yi := nw.xs[i], nw.ys[i]
+
+	// Pass 1: each receiver's degree, stored at off[id+1].
+	parallel.ForEach(pool, rows, func(r int) {
+		for c := 0; c < cols; c++ {
+			c0, c1 := max(c-1, 0), min(c+1, cols-1)
+			b := r*cols + c
+			for p := bPtr[b]; p < bPtr[b+1]; p++ {
+				x, y := px[p], py[p]
 				d := int32(0)
-				for dy := -1; dy <= 1; dy++ {
-					ny := by + dy
-					if ny < 0 || ny >= rows {
-						continue
-					}
-					for dx := -1; dx <= 1; dx++ {
-						nx := bx + dx
-						if nx < 0 || nx >= cols {
-							continue
-						}
-						nb := ny*cols + nx
-						for _, j32 := range bIDs[bPtr[nb]:bPtr[nb+1]] {
-							j := int(j32)
-							ddx := xi - nw.xs[j]
-							ddy := yi - nw.ys[j]
-							if ddx*ddx+ddy*ddy <= r2 && j != i {
-								d++
-							}
+				for sr := max(r-1, 0); sr <= min(r+1, rows-1); sr++ {
+					lo, hi := bPtr[sr*cols+c0], bPtr[sr*cols+c1+1]
+					sx, sy := px[lo:hi], py[lo:hi]
+					sy = sy[:len(sx)]
+					for q, sxq := range sx {
+						dx, dy := x-sxq, y-sy[q]
+						if float64(dx*dx)+float64(dy*dy) <= r2 {
+							d++
 						}
 					}
 				}
-				deg[i] = d
+				// The scan counted the node itself; take it out by the same
+				// test here rather than with a self check in the loop, which
+				// measured about a third slower.
+				if dx, dy := x-x, y-y; float64(dx*dx)+float64(dy*dy) <= r2 {
+					d--
+				}
+				nw.off[ids[p]+1] = d
 			}
 		}
 	})
@@ -109,63 +126,59 @@ func (nw *Network) buildCSR(pool *parallel.Pool) {
 	// (2^31-1 directed edges ≈ 16 GiB of []int payload — anything bigger
 	// is a misconfigured density, not a workload).
 	total := int64(0)
-	for i := 0; i < n; i++ {
-		total += int64(deg[i])
+	for i := 1; i <= n; i++ {
+		total += int64(nw.off[i])
 		if total > math.MaxInt32 {
 			panic(fmt.Sprintf("deploy: adjacency exceeds %d directed edges; lower the density or range", math.MaxInt32))
 		}
-		nw.off[i+1] = int32(total)
+		nw.off[i] = int32(total)
 	}
 	nw.adj = make([]int, total)
 
-	// Pass 2: fill rows. Same row-ownership argument makes the writes
-	// race-free: node i's segment adj[off[i]:off[i+1]] is written only by
-	// the worker visiting i's own bucket. Candidates arrive in bucket
-	// (dy,dx) order — each bucket's run is ascending but runs interleave —
-	// so rows are sorted afterward, skipping the ones already in order.
-	parallel.ForEach(pool, rows, func(by int) {
-		for bx := 0; bx < cols; bx++ {
-			b := by*cols + bx
-			for _, i32 := range bIDs[bPtr[b]:bPtr[b+1]] {
-				i := int(i32)
-				xi, yi := nw.xs[i], nw.ys[i]
-				w := int(nw.off[i])
-				for dy := -1; dy <= 1; dy++ {
-					ny := by + dy
-					if ny < 0 || ny >= rows {
-						continue
-					}
-					for dx := -1; dx <= 1; dx++ {
-						nx := bx + dx
-						if nx < 0 || nx >= cols {
-							continue
-						}
-						nb := ny*cols + nx
-						for _, j32 := range bIDs[bPtr[nb]:bPtr[nb+1]] {
-							j := int(j32)
-							ddx := xi - nw.xs[j]
-							ddy := yi - nw.ys[j]
-							if ddx*ddx+ddy*ddy <= r2 && j != i {
-								nw.adj[w] = j
-								w++
-							}
-						}
-					}
+	// Pass 2: fill rows. next[p] is the next free slot in node ids[p]'s
+	// row; a miscount between the passes panics below rather than leaving
+	// a corrupted row.
+	next := make([]int32, n)
+	parallel.ForEach(pool, rows, func(r int) {
+		base := r * cols
+		for p := bPtr[base]; p < bPtr[base+cols]; p++ {
+			next[p] = nw.off[ids[p]]
+		}
+		var head, end [3]int32
+		for k := range head {
+			if sr := r - 1 + k; sr >= 0 && sr < rows {
+				head[k], end[k] = bPtr[sr*cols], bPtr[(sr+1)*cols]
+			}
+		}
+		for {
+			k, j := -1, int32(n)
+			for m := range head {
+				if head[m] < end[m] && rowIDs[head[m]] < j {
+					k, j = m, rowIDs[head[m]]
 				}
-				sortRowIfNeeded(nw.adj[nw.off[i]:nw.off[i+1]])
+			}
+			if k < 0 {
+				break
+			}
+			head[k]++
+			c := int(bucketOf[j]) - (r-1+k)*cols
+			x, y := xs[j], ys[j]
+			lo, hi := bPtr[base+max(c-1, 0)], bPtr[base+min(c+1, cols-1)+1]
+			rx, ry, rid, rnext := px[lo:hi], py[lo:hi], ids[lo:hi], next[lo:hi]
+			ry, rid, rnext = ry[:len(rx)], rid[:len(rx)], rnext[:len(rx)]
+			for q, rxq := range rx {
+				dx, dy := rxq-x, ry[q]-y
+				if float64(dx*dx)+float64(dy*dy) <= r2 && rid[q] != j {
+					nw.adj[rnext[q]] = int(j)
+					rnext[q]++
+				}
 			}
 		}
 	})
-}
-
-// sortRowIfNeeded sorts a CSR row ascending, paying for sort.Ints only
-// when a scan actually finds an inversion (single-bucket rows and corner
-// buckets often come out ordered for free).
-func sortRowIfNeeded(row []int) {
-	for k := 1; k < len(row); k++ {
-		if row[k] < row[k-1] {
-			sort.Ints(row)
-			return
+	for p, id := range ids {
+		if next[p] != nw.off[id+1] {
+			panic(fmt.Sprintf("deploy: CSR fill wrote %d neighbors of node %d, counted %d",
+				next[p]-nw.off[id], id, nw.off[id+1]-nw.off[id]))
 		}
 	}
 }

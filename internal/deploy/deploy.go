@@ -7,13 +7,14 @@
 // (uniform random, perturbed grid, clustered), neighbor construction via a
 // uniform spatial hash (O(n) expected instead of O(n²)) into a flat CSR
 // adjacency — one offsets array plus one flat neighbor array for the whole
-// graph, built in parallel over bucket rows for large deployments — and the
-// connectivity predicates the paper assumes: G_r connected, every grid cell
-// occupied, every per-cell induced subgraph connected, and every adjacent
-// cell pair directly linked. The predicates run allocation-free on a
-// reusable Scratch (union-find and bitsets instead of map-based BFS), so
-// Generate can qualify million-node deployments without the validation
-// pass dominating wall time.
+// graph, counted and then filled in ascending order one bucket row per
+// pool task — and the connectivity predicates the paper assumes: G_r
+// connected, every grid cell occupied, every per-cell induced subgraph
+// connected, and every adjacent cell pair directly linked. The predicates
+// run allocation-free on a reusable Scratch (union-find and bitsets
+// instead of map-based BFS) and stop scanning edges once their answer is
+// fixed, so Generate can qualify million-node deployments without the
+// validation pass dominating wall time.
 package deploy
 
 import (

@@ -1,8 +1,10 @@
 package deploy
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wsnva/internal/geom"
@@ -291,42 +293,88 @@ func TestCSRRowsStrictlyIncreasing(t *testing.T) {
 
 // TestParallelBuildMatchesSequential pins pool-independence of the CSR
 // build: the same placement built with a nil pool and a multi-worker pool
-// yields byte-identical networks, from a few buckets' worth of nodes to
-// thousands.
+// yields byte-identical networks equal to the legacy build, from a few
+// buckets' worth of nodes to thousands, on a pool wider than the terrain's
+// bucket-row count, and on a strip one bucket row high.
 func TestParallelBuildMatchesSequential(t *testing.T) {
-	pool := parallel.New(4)
-	for _, n := range []int{50, 1200, 4596} {
-		g := geom.NewSquareGrid(8, 80)
-		seq := NewWithPool(n, g.Terrain, g.CellSide()*1.2, UniformRandom{}, rand.New(rand.NewSource(7)), nil)
-		par := NewWithPool(n, g.Terrain, g.CellSide()*1.2, UniformRandom{}, rand.New(rand.NewSource(7)), pool)
+	square := geom.Rect{MaxX: 80, MaxY: 80} // 7 bucket rows at range 12
+	strip := geom.Rect{MaxX: 320, MaxY: 10} // 1 bucket row
+	for _, c := range []struct {
+		terrain    geom.Rect
+		n, workers int
+	}{{square, 50, 4}, {square, 1200, 4}, {square, 4596, 4}, {square, 1200, 16}, {strip, 600, 4}} {
+		seq := NewWithPool(c.n, c.terrain, 12, UniformRandom{}, rand.New(rand.NewSource(7)), nil)
+		par := NewWithPool(c.n, c.terrain, 12, UniformRandom{}, rand.New(rand.NewSource(7)), parallel.New(c.workers))
 		if !sameNetwork(seq, par) {
-			t.Fatalf("n=%d: parallel build differs from sequential", n)
+			t.Fatalf("%+v: parallel build differs from sequential", c)
+		}
+		for id, want := range legacyBuildNeighbors(seq) {
+			if got := seq.Neighbors(id); !slices.Equal(got, want) {
+				t.Fatalf("%+v: node %d CSR row %v != legacy %v", c, id, got, want)
+			}
 		}
 	}
 }
 
 // TestPredicatesMatchLegacy runs all four validation predicates (plus the
-// path-length metric) against the map-BFS oracles on random deployments.
+// path-length metric) against the map-BFS oracles on random deployments
+// and on hand-placed ones whose deciding edge comes last in the scan, so
+// an early exit taken one edge too soon flips the verdict.
 func TestPredicatesMatchLegacy(t *testing.T) {
 	s := NewScratch()
-	for _, tp := range randomTuples(40, 0xBEEF) {
-		nw, g := tp.build()
+	check := func(label string, nw *Network, g *geom.Grid) {
+		t.Helper()
 		if got, want := s.Connected(nw), legacyConnected(nw); got != want {
-			t.Fatalf("tuple %+v: Connected=%v, legacy=%v", tp, got, want)
+			t.Fatalf("%s: Connected=%v, legacy=%v", label, got, want)
 		}
 		if got, want := nw.OccupancyOK(g), legacyOccupancyOK(nw, g); got != want {
-			t.Fatalf("tuple %+v: OccupancyOK=%v, legacy=%v", tp, got, want)
+			t.Fatalf("%s: OccupancyOK=%v, legacy=%v", label, got, want)
 		}
 		if got, want := s.CellsConnected(nw, g), legacyCellsConnected(nw, g); got != want {
-			t.Fatalf("tuple %+v: CellsConnected=%v, legacy=%v", tp, got, want)
+			t.Fatalf("%s: CellsConnected=%v, legacy=%v", label, got, want)
 		}
 		if got, want := s.AdjacentCellsLinked(nw, g), legacyAdjacentCellsLinked(nw, g); got != want {
-			t.Fatalf("tuple %+v: AdjacentCellsLinked=%v, legacy=%v", tp, got, want)
+			t.Fatalf("%s: AdjacentCellsLinked=%v, legacy=%v", label, got, want)
 		}
 		if legacyCellsConnected(nw, g) {
 			if got, want := s.MaxIntraCellPathLen(nw, g), legacyMaxIntraCellPathLen(nw, g); got != want {
-				t.Fatalf("tuple %+v: MaxIntraCellPathLen=%d, legacy=%d", tp, got, want)
+				t.Fatalf("%s: MaxIntraCellPathLen=%d, legacy=%d", label, got, want)
 			}
+		}
+	}
+	for _, tp := range randomTuples(40, 0xBEEF) {
+		nw, g := tp.build()
+		check(fmt.Sprintf("tuple %+v", tp), nw, g)
+	}
+
+	// Three 10×10 cells in a row, each a chain at range 3.6. Cells 0 and 1
+	// are linked from node 0's row on, and again from node 1's; the only
+	// edge between cells 1 and 2 joins the two highest IDs, 6 and 7.
+	strip := geom.NewGrid(3, 1, geom.Rect{MaxX: 30, MaxY: 10})
+	linked := []geom.Point{{X: 8, Y: 5}, {X: 11, Y: 5}, {X: 5, Y: 5}, {X: 14, Y: 5},
+		{X: 23.5, Y: 5}, {X: 26.5, Y: 5}, {X: 17, Y: 5}, {X: 20.5, Y: 5}}
+	unlinked := slices.Clone(linked)
+	unlinked[7] = geom.Point{X: 21.5, Y: 5} // still beside node 4, now 4.5 from node 6
+	// One cell whose halves {0, 2} and {1, 3} meet only at node 4; a 1×1
+	// grid needs no link, so AdjacentCellsLinked holds even when split.
+	single := geom.NewSquareGrid(1, 10)
+	joined := []geom.Point{{X: 1, Y: 5}, {X: 9, Y: 5}, {X: 3, Y: 5}, {X: 7, Y: 5}, {X: 5, Y: 5}}
+	for _, c := range []struct {
+		name string
+		pts  []geom.Point
+		g    *geom.Grid
+		r    float64
+		want [3]bool // Connected, CellsConnected, AdjacentCellsLinked
+	}{
+		{"linked by the last edge", linked, strip, 3.6, [3]bool{true, true, true}},
+		{"last edge out of range", unlinked, strip, 3.6, [3]bool{false, true, false}},
+		{"halves joined by the last node", joined, single, 2.5, [3]bool{true, true, true}},
+		{"halves without the last node", joined[:4], single, 2.5, [3]bool{false, false, true}},
+	} {
+		nw := FromPoints(c.pts, c.g.Terrain, c.r)
+		check(c.name, nw, c.g)
+		if got := [3]bool{s.Connected(nw), s.CellsConnected(nw, c.g), s.AdjacentCellsLinked(nw, c.g)}; got != c.want {
+			t.Fatalf("%s: predicates %v, want %v", c.name, got, c.want)
 		}
 	}
 }

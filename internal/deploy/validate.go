@@ -145,18 +145,20 @@ func (s *Scratch) prepCells(nw *Network, g *geom.Grid) bool {
 
 // CellsConnected reports whether every cell of g is non-empty and induces
 // a connected subgraph: a single union-find pass over the CSR edges that
-// only merges endpoints sharing a cell, then a component count — exactly
-// one component per cell means every cell subgraph is connected.
+// only merges endpoints sharing a cell, counting components — exactly one
+// component per cell means every cell subgraph is connected. With every
+// cell occupied the count cannot fall below the cell count, so the pass
+// stops as soon as it reaches it.
 func (s *Scratch) CellsConnected(nw *Network, g *geom.Grid) bool {
 	if !s.prepCells(nw, g) {
 		return false
 	}
 	n := nw.N()
 	s.resetUF(n)
-	comps := n
+	comps, cells := n, g.N()
 	off, adj := nw.off, nw.adj
 	cellOf := s.cellOf
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && comps > cells; i++ {
 		ci := cellOf[i]
 		for _, j := range adj[off[i]:off[i+1]] {
 			if cellOf[j] == ci && s.union(int32(i), int32(j)) {
@@ -164,14 +166,15 @@ func (s *Scratch) CellsConnected(nw *Network, g *geom.Grid) bool {
 			}
 		}
 	}
-	return comps == g.N()
+	return comps == cells
 }
 
 // AdjacentCellsLinked reports whether every 4-adjacent cell pair has at
 // least one direct radio edge. One pass over the CSR edges sets two bits
 // per cell in a bitset — "linked to my east neighbor", "linked to my south
-// neighbor" — which covers every unordered adjacent pair; the final scan
-// demands both bits wherever the neighbor exists.
+// neighbor" — which covers every unordered adjacent pair. Only bits of
+// existing pairs are ever set and none is cleared, so the pass counts the
+// required bits down as each is first set and stops at zero.
 func (s *Scratch) AdjacentCellsLinked(nw *Network, g *geom.Grid) bool {
 	s.prepCells(nw, g)
 	cells := g.N()
@@ -180,13 +183,14 @@ func (s *Scratch) AdjacentCellsLinked(nw *Network, g *geom.Grid) bool {
 	for i := range s.linked {
 		s.linked[i] = 0
 	}
+	missing := g.Rows*(cols-1) + cols*(g.Rows-1)
 	n := nw.N()
 	off, adj := nw.off, nw.adj
 	cellOf := s.cellOf
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && missing > 0; i++ {
 		a := cellOf[i]
 		for _, j := range adj[off[i]:off[i+1]] {
-			b := cellOf[int32(j)]
+			b := cellOf[j]
 			if a == b {
 				continue
 			}
@@ -206,24 +210,13 @@ func (s *Scratch) AdjacentCellsLinked(nw *Network, g *geom.Grid) bool {
 			default:
 				continue // diagonal or longer-range crossing: not a 4-adjacency
 			}
-			s.linked[bit>>6] |= 1 << (bit & 63)
-		}
-	}
-	for c := 0; c < cells; c++ {
-		if c%cols != cols-1 { // has an east neighbor
-			bit := 2 * c
-			if s.linked[bit>>6]&(1<<(bit&63)) == 0 {
-				return false
-			}
-		}
-		if c+cols < cells { // has a south neighbor
-			bit := 2*c + 1
-			if s.linked[bit>>6]&(1<<(bit&63)) == 0 {
-				return false
+			if w, m := bit>>6, uint64(1)<<(bit&63); s.linked[w]&m == 0 {
+				s.linked[w] |= m
+				missing--
 			}
 		}
 	}
-	return true
+	return missing == 0
 }
 
 // MaxIntraCellPathLen returns the maximum intra-cell BFS eccentricity over

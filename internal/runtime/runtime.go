@@ -84,8 +84,8 @@ type envelope struct {
 type nodeFx struct {
 	rt     *run
 	coord  geom.Coord
-	rng    *rand.Rand
-	energy []int64 // shared atomic per-node energy counters
+	rng    *rand.Rand // loss coin; nil when Loss == 0
+	energy []int64    // shared atomic per-node energy counters
 	grid   *geom.Grid
 }
 
@@ -279,9 +279,11 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 		fxs[idx] = nodeFx{
 			rt:     r,
 			coord:  g.CoordOf(idx),
-			rng:    rand.New(rand.NewSource(cfg.Seed ^ int64(idx)*0x9e3779b9)),
 			energy: energy,
 			grid:   g,
+		}
+		if cfg.Loss > 0 {
+			fxs[idx].rng = rand.New(rand.NewSource(cfg.Seed ^ int64(idx)*0x9e3779b9))
 		}
 		return &fxs[idx]
 	})
