@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz fuzz-deploy examples clean
+.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz fuzz-deploy examples engines clean
 
 all: build vet test
 
@@ -15,10 +15,11 @@ all: build vet test
 # under the race detector, one quick benchmark iteration to catch
 # allocation or wall-time blowups, the bench/ harness's own tests, a
 # battery-depletion soak, the observability coverage floor, a short fuzz
-# of the CSR neighbor build against its brute-force oracle, and the seven
+# of the CSR neighbor build against its brute-force oracle, the seven
 # examples, which drive the synthesized alarm and tracking programs
-# through their public drivers, before they land.
-check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy examples
+# through their public entry points, and every wsnsim engine end to end,
+# before they land.
+check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy examples engines
 
 build:
 	$(GO) build ./...
@@ -163,6 +164,25 @@ examples:
 	$(GO) run ./examples/wildfire
 	$(GO) run ./examples/clustered
 	$(GO) run ./examples/tracking
+
+# The wsnsim command on every execution engine at side 8: each run must
+# find as many regions as the ground truth, and an unknown engine must be
+# rejected before the deployment phase runs.
+ENGINES = des lockstep goroutine physical shard
+
+engines:
+	@for e in $(ENGINES); do \
+	  out=$$($(GO) run ./cmd/wsnsim -side 8 -engine $$e) || exit 1; \
+	  line=$$(echo "$$out" | grep '^regions found:'); \
+	  echo "$$line" | grep -q '^regions found: \([0-9][0-9]*\) (ground truth \1)$$' || \
+	    { echo "FAIL: -engine $$e: $${line:-no regions line}"; exit 1; }; \
+	  echo "ok   -engine $$e: $$line"; \
+	done
+	@if out=$$($(GO) run ./cmd/wsnsim -side 8 -engine bogus 2>&1); then \
+	  echo "FAIL: -engine bogus exited 0"; exit 1; fi; \
+	if echo "$$out" | grep -q 'deployment:'; then \
+	  echo "FAIL: -engine bogus ran the deployment"; exit 1; fi; \
+	echo "ok   -engine bogus rejected before deployment"
 
 clean:
 	rm -rf results

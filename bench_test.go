@@ -81,7 +81,8 @@ func BenchmarkA1Mappers(b *testing.B)    { benchTable(b, experiments.A1MappingAb
 func BenchmarkA2Workloads(b *testing.B)  { benchTable(b, experiments.A2FieldShapes) }
 func BenchmarkA3CostModels(b *testing.B) { benchTable(b, experiments.A3CostSensitivity) }
 
-// BenchmarkLabelRoundLockstep measures the synchronous engine.
+// BenchmarkLabelRoundLockstep measures a labeling round in the synchronous
+// regime: the DES machine under the step cost profile.
 func BenchmarkLabelRoundLockstep(b *testing.B) {
 	for _, side := range []int{8, 16, 32} {
 		side := side

@@ -52,6 +52,8 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
+	"strings"
 
 	"wsnva/internal/binding"
 	"wsnva/internal/churn"
@@ -74,6 +76,9 @@ import (
 	"wsnva/internal/vtopo"
 )
 
+// engines are the -engine values, in the order the help text lists them.
+var engines = []string{"des", "lockstep", "goroutine", "physical", "shard"}
+
 func main() {
 	side := flag.Int("side", 8, "virtual grid side (power of two)")
 	density := flag.Int("density", 6, "mean physical nodes per grid cell")
@@ -81,7 +86,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "deployment and field seed")
 	fieldName := flag.String("field", "blobs", "phenomenon: blobs, gradient, stripes, solid")
 	thresh := flag.Float64("thresh", 0.5, "feature threshold")
-	engine := flag.String("engine", "des", "execution engine: des, lockstep, goroutine, or physical")
+	engine := flag.String("engine", "des", "execution engine: "+strings.Join(engines, ", "))
 	loss := flag.Float64("loss", 0, "message loss probability (goroutine and shard engines)")
 	retries := flag.Int("retries", 0, "stop-and-wait retransmissions per message (goroutine engine only)")
 	crashFrac := flag.Float64("crash-frac", 0, "fraction of nodes that fail-stop mid-run (shard engine only)")
@@ -94,6 +99,11 @@ func main() {
 	traceOut := flag.String("trace-out", "", "export the run's structured trace as JSONL to this file (des and physical engines)")
 	showMetrics := flag.Bool("metrics", false, "print the per-node metrics snapshot after the run (DES engine only)")
 	flag.Parse()
+	// Reject a misspelled engine before the deployment and set-up phases,
+	// which take minutes at -n in the millions.
+	if !slices.Contains(engines, *engine) {
+		log.Fatalf("wsnsim: unknown engine %q (want one of %s)", *engine, strings.Join(engines, ", "))
+	}
 	if !geom.IsPow2(*side) {
 		log.Fatalf("wsnsim: -side must be a power of two, got %d", *side)
 	}
@@ -341,8 +351,6 @@ func main() {
 		fmt.Printf("labeling (goroutine engine): %d delivered, %d dropped, %d rule firings\n",
 			res.Delivered, res.Dropped, res.RuleFirings)
 		fmt.Printf("energy: total %d\n", ledger.Metrics().Total)
-	default:
-		log.Fatalf("wsnsim: unknown engine %q", *engine)
 	}
 
 	truth := regions.Label(m)

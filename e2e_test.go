@@ -26,8 +26,9 @@ import (
 )
 
 // TestThreeEngineEquivalence runs the same workloads through the DES
-// machine, the lock-step engine, and the goroutine runtime, and requires
-// byte-identical final summaries and identical total energy everywhere.
+// machine, the DES machine under the step profile (lockstep), and the
+// goroutine runtime, and requires byte-identical final summaries and
+// identical total energy everywhere.
 func TestThreeEngineEquivalence(t *testing.T) {
 	for _, side := range []int{4, 8, 16} {
 		for seed := int64(1); seed <= 3; seed++ {

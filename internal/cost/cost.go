@@ -81,6 +81,24 @@ func NewUniform() *Model {
 	return m
 }
 
+// Steps returns the step profile of m: the same energy weights, with
+// Bandwidth = ProcSpeed = 2^50. It is the synchronous (TDMA-style) regime
+// of Section 2 on the one discrete-event machine, where a latency unit is
+// the "step" of Section 4.1:
+//
+//   - moving 1 to 2^50 data units one hop takes one latency unit, and so
+//     does computing on them;
+//   - zero units take zero time.
+//
+// synth's labeling run on the machine discards Compute's latency, and no
+// message it sends is empty (a summary is at least two units), so its
+// completion time under this profile counts the hops on its critical path.
+func (m *Model) Steps() *Model {
+	s := *m
+	s.Bandwidth, s.ProcSpeed = 1<<50, 1<<50
+	return &s
+}
+
 // Validate reports an error if the model is unusable (non-positive divisors
 // or negative energies).
 func (m *Model) Validate() error {

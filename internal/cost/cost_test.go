@@ -49,6 +49,29 @@ func TestCustomModelLatencyCeil(t *testing.T) {
 	}
 }
 
+func TestStepsProfile(t *testing.T) {
+	src := &Model{ProcSpeed: 4, Bandwidth: 3}
+	src.EnergyPerUnit = [numOps]Energy{2, 3, 5, 7, 1}
+	orig := *src
+	s := src.Steps()
+	if err := s.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if s.TxLatency(1) != 1 || s.TxLatency(1<<50) != 1 || s.ComputeLatency(1) != 1 {
+		t.Errorf("one to 2^50 units must take one step: tx(1)=%d tx(2^50)=%d compute(1)=%d",
+			s.TxLatency(1), s.TxLatency(1<<50), s.ComputeLatency(1))
+	}
+	if s.TxLatency(0) != 0 || s.ComputeLatency(0) != 0 {
+		t.Error("zero units must take zero time")
+	}
+	if s.EnergyPerUnit != src.EnergyPerUnit {
+		t.Errorf("energy weights %v, want the source's %v", s.EnergyPerUnit, src.EnergyPerUnit)
+	}
+	if *src != orig {
+		t.Errorf("Steps modified its source: %+v, was %+v", *src, orig)
+	}
+}
+
 func TestModelValidateErrors(t *testing.T) {
 	bad := []*Model{
 		{ProcSpeed: 0, Bandwidth: 1},

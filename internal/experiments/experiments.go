@@ -433,10 +433,11 @@ func E15Lifetime(o Options) *stats.Table {
 	return tab
 }
 
-// E11SyncSteps reproduces the Section 4.1 step-count claim on the
-// synchronous (TDMA-style) engine, where a "step" is exactly one
-// store-and-forward round and message sizes cannot blur the measure: the
-// round count must be Θ(√N) regardless of workload.
+// E11SyncSteps reproduces the Section 4.1 step-count claim in the
+// synchronous (TDMA-style) regime: lockstep runs the DES machine under the
+// step cost profile, where a "step" is exactly one store-and-forward hop
+// and message sizes cannot blur the measure, so the completion time is the
+// round count and must be Θ(√N) regardless of workload.
 func E11SyncSteps(o Options) *stats.Table {
 	tab := stats.NewTable("E11: synchronous engine — store-and-forward rounds vs N",
 		"side", "N", "rounds(bounded)", "rounds(solid)", "rounds/side", "energy = DES")

@@ -8,7 +8,6 @@ import (
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/regions"
-	"wsnva/internal/routing"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
@@ -45,68 +44,66 @@ func TestLockstepMatchesGroundTruth(t *testing.T) {
 }
 
 func TestLockstepAgreesWithDESMachine(t *testing.T) {
-	m := blobMap(8, 17)
-	lockRes, lockLedger := run(t, m)
+	// Same routes, same sizes, same charges: every node's energy, the
+	// message and hop counts and the rule firings must equal the uniform
+	// DES machine's, whatever the per-hop latency.
+	for _, side := range []int{2, 8, 16} {
+		for seed := int64(1); seed <= 3; seed++ {
+			m := blobMap(side, 17*seed)
+			lockRes, lockLedger := run(t, m)
 
-	h := varch.MustHierarchy(m.Grid)
-	desLedger := cost.NewLedger(cost.NewUniform(), m.Grid.N())
-	vm := varch.NewMachine(h, sim.New(), desLedger)
-	desRes, err := synth.RunOnMachine(vm, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !lockRes.Final.Equal(desRes.Final) {
-		t.Error("lockstep and DES disagree on the final summary")
-	}
-	// Same routes, same sizes, same charges: total energy must be identical.
-	if lockLedger.Metrics().Total != desLedger.Metrics().Total {
-		t.Errorf("energy: lockstep %d, DES %d", lockLedger.Metrics().Total, desLedger.Metrics().Total)
-	}
-	if lockRes.RuleFirings != desRes.RuleFirings {
-		t.Errorf("firings: lockstep %d, DES %d", lockRes.RuleFirings, desRes.RuleFirings)
+			h := varch.MustHierarchy(m.Grid)
+			desLedger := cost.NewLedger(cost.NewUniform(), m.Grid.N())
+			vm := varch.NewMachine(h, sim.New(), desLedger)
+			desRes, err := synth.RunOnMachine(vm, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !lockRes.Final.Equal(desRes.Final) {
+				t.Errorf("side %d seed %d: lockstep and DES disagree on the final summary", side, seed)
+			}
+			for i := 0; i < m.Grid.N(); i++ {
+				if lockLedger.Energy(i) != desLedger.Energy(i) {
+					t.Errorf("side %d seed %d node %d: energy lockstep %d, DES %d",
+						side, seed, i, lockLedger.Energy(i), desLedger.Energy(i))
+				}
+			}
+			msgs, hops := vm.Stats()
+			if lockRes.Messages != msgs || lockRes.HopsMoved != hops {
+				t.Errorf("side %d seed %d: lockstep %d msgs / %d hops, DES %d / %d",
+					side, seed, lockRes.Messages, lockRes.HopsMoved, msgs, hops)
+			}
+			if lockRes.RuleFirings != desRes.RuleFirings {
+				t.Errorf("side %d seed %d: firings lockstep %d, DES %d",
+					side, seed, lockRes.RuleFirings, desRes.RuleFirings)
+			}
+		}
 	}
 }
 
 func TestRoundsAreThetaSqrtN(t *testing.T) {
-	// With bounded feature content the round count is the pure distance
-	// measure: sum over levels l of the worst child->parent distance
-	// 2(2^(l-1) - ... ), plus one delivery round per level. For a grid of
-	// side S it must land in [S, 4S] and roughly double per side doubling.
-	rounds := func(side int) int {
+	// A step is one hop, so the round count is the critical path of the
+	// quad-tree reduction: at level l the farthest child sits 2^(l-1) hops
+	// from its leader along each axis, and the levels sum to 2·side − 2.
+	// The measure must not depend on the map: a blob field, an empty map, a
+	// solid map (the largest summaries) and a single feature cell (the
+	// smallest) all take exactly that many rounds.
+	for side := 1; side <= 64; side *= 2 {
+		want := 2*side - 2
 		g := geom.NewSquareGrid(side, float64(side))
-		m := field.FromBits(g, make([]bool, g.N()))
-		m.Bits[0] = true
-		res, _ := run(t, m)
-		return res.Rounds
-	}
-	r4, r8, r16, r32 := rounds(4), rounds(8), rounds(16), rounds(32)
-	for side, r := range map[int]int{4: r4, 8: r8, 16: r16, 32: r32} {
-		if r < side || r > 4*side {
-			t.Errorf("side %d: %d rounds, outside [side, 4*side]", side, r)
+		single := field.FromBits(g, make([]bool, g.N()))
+		single.Bits[0] = true
+		for name, m := range map[string]*field.BinaryMap{
+			"blob":   blobMap(side, int64(side)*7),
+			"empty":  field.FromBits(g, make([]bool, g.N())),
+			"solid":  field.Threshold(field.Constant{Value: 1}, g, 0.5, 0),
+			"single": single,
+		} {
+			res, _ := run(t, m)
+			if res.Rounds != want {
+				t.Errorf("side %d %s map: %d rounds, want 2·side−2 = %d", side, name, res.Rounds, want)
+			}
 		}
-	}
-	for _, pair := range [][2]int{{r4, r8}, {r8, r16}, {r16, r32}} {
-		ratio := float64(pair[1]) / float64(pair[0])
-		if ratio < 1.5 || ratio > 2.5 {
-			t.Errorf("round ratio %v per side doubling, want ~2", ratio)
-		}
-	}
-}
-
-func TestRoundsIndependentOfMessageSize(t *testing.T) {
-	// The step measure must not depend on summary sizes: a solid field
-	// (huge summaries) takes the same rounds as a single-cell field on the
-	// same grid, because both move one hop per round.
-	side := 16
-	g1 := geom.NewSquareGrid(side, float64(side))
-	solid := field.Threshold(field.Constant{Value: 1}, g1, 0.5, 0)
-	resSolid, _ := run(t, solid)
-	g2 := geom.NewSquareGrid(side, float64(side))
-	tiny := field.FromBits(g2, make([]bool, g2.N()))
-	tiny.Bits[0] = true
-	resTiny, _ := run(t, tiny)
-	if resSolid.Rounds != resTiny.Rounds {
-		t.Errorf("rounds depend on payload size: solid %d vs tiny %d", resSolid.Rounds, resTiny.Rounds)
 	}
 }
 
@@ -145,63 +142,6 @@ func TestTrivialGridLockstep(t *testing.T) {
 	}
 	if l.Units(cost.Tx) != 0 {
 		t.Error("no transmissions expected")
-	}
-}
-
-func TestXYRouteMirrorsRoutingPackage(t *testing.T) {
-	g := geom.NewSquareGrid(8, 8)
-	rng := rand.New(rand.NewSource(31))
-	for i := 0; i < 200; i++ {
-		src := geom.Coord{Col: rng.Intn(8), Row: rng.Intn(8)}
-		dst := geom.Coord{Col: rng.Intn(8), Row: rng.Intn(8)}
-		a := xyRoute(g, src, dst)
-		b := routing.XYRoute(g, src, dst)
-		if len(a) != len(b) {
-			t.Fatalf("route lengths differ for %v->%v", src, dst)
-		}
-		for j := range a {
-			if a[j] != b[j] {
-				t.Fatalf("routes differ at %d for %v->%v", j, src, dst)
-			}
-		}
-	}
-}
-
-func TestRunProgramTrackingEpoch(t *testing.T) {
-	// The generic entry point runs a non-exfiltrating program (tracking):
-	// the round loop ends at quiescence and the moments land in the root's
-	// state, matching the DES machine exactly.
-	g := geom.NewSquareGrid(8, 8)
-	h := varch.MustHierarchy(g)
-	strength := func(c geom.Coord) float64 {
-		if c.Col >= 3 && c.Col <= 4 && c.Row >= 3 && c.Row <= 4 {
-			return 1
-		}
-		return 0
-	}
-	desVM := varch.NewMachine(h, sim.New(), cost.NewLedger(cost.NewUniform(), g.N()))
-	desEst, err := synth.RunTrackingEpoch(desVM, strength)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := cost.NewLedger(cost.NewUniform(), g.N())
-	res, insts, err := RunProgram(New(h, l), synth.TrackingProgram(h, strength))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Final != nil {
-		t.Error("tracking exfiltrates nothing")
-	}
-	root := insts[g.Index(h.Root())].State
-	w, wx := root.W[h.Levels], root.WX[h.Levels]
-	if w == 0 {
-		t.Fatal("no detection mass reached the root")
-	}
-	if got := float64(wx) / float64(w); got != desEst.Col {
-		t.Errorf("lockstep centroid col %v, DES %v", got, desEst.Col)
-	}
-	if res.Rounds == 0 {
-		t.Error("reports had to travel")
 	}
 }
 

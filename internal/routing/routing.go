@@ -118,39 +118,11 @@ func (gg GridGraph) Neighbors(id int) []int {
 	return out
 }
 
-// XYRoute returns the dimension-order route from src to dst on grid g:
-// first move along the column axis (east/west), then along the row axis
-// (north/south). The result includes both endpoints and has exactly
-// src.Manhattan(dst)+1 entries — XY routing is minimal on a full grid.
-func XYRoute(g *geom.Grid, src, dst geom.Coord) []geom.Coord {
-	if !g.InBounds(src) || !g.InBounds(dst) {
-		panic(fmt.Sprintf("routing: XYRoute endpoints %v->%v out of bounds", src, dst))
-	}
-	route := []geom.Coord{src}
-	cur := src
-	for cur.Col != dst.Col {
-		if cur.Col < dst.Col {
-			cur = cur.Step(geom.East)
-		} else {
-			cur = cur.Step(geom.West)
-		}
-		route = append(route, cur)
-	}
-	for cur.Row != dst.Row {
-		if cur.Row < dst.Row {
-			cur = cur.Step(geom.South)
-		} else {
-			cur = cur.Step(geom.North)
-		}
-		route = append(route, cur)
-	}
-	return route
-}
-
-// WalkXY visits every hop of the dimension-order route from src to dst in
-// order, calling visit(from, to) once per hop, without materializing the
-// route slice — the allocation-free form of XYRoute for hot paths that
-// only need to charge per-hop costs. It returns the hop count.
+// WalkXY visits every hop of the dimension-order route from src to dst on
+// grid g in order — first along the column axis (east/west), then along
+// the row axis (north/south) — calling visit(from, to) once per hop,
+// without materializing the route. It returns the hop count, which is
+// exactly src.Manhattan(dst): XY routing is minimal on a full grid.
 func WalkXY(g *geom.Grid, src, dst geom.Coord, visit func(from, to geom.Coord)) int {
 	if !g.InBounds(src) || !g.InBounds(dst) {
 		panic(fmt.Sprintf("routing: WalkXY endpoints %v->%v out of bounds", src, dst))

@@ -83,18 +83,36 @@ func TestGridGraphMatchesManhattan(t *testing.T) {
 	}
 }
 
+// walkRoute collects the cells WalkXY visits from src to dst, src first,
+// after checking that consecutive hops chain and that the returned count
+// matches the hops visited.
+func walkRoute(t *testing.T, grid *geom.Grid, src, dst geom.Coord) []geom.Coord {
+	t.Helper()
+	route := []geom.Coord{src}
+	n := WalkXY(grid, src, dst, func(from, to geom.Coord) {
+		if from != route[len(route)-1] {
+			t.Fatalf("hop %v->%v does not start where the last one ended (%v)", from, to, route[len(route)-1])
+		}
+		route = append(route, to)
+	})
+	if n != len(route)-1 {
+		t.Fatalf("WalkXY %v->%v returned %d hops, visited %d", src, dst, n, len(route)-1)
+	}
+	return route
+}
+
 func TestXYRouteMinimal(t *testing.T) {
 	grid := geom.NewSquareGrid(8, 8)
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 500; i++ {
 		src := geom.Coord{Col: rng.Intn(8), Row: rng.Intn(8)}
 		dst := geom.Coord{Col: rng.Intn(8), Row: rng.Intn(8)}
-		route := XYRoute(grid, src, dst)
+		route := walkRoute(t, grid, src, dst)
 		if len(route) != src.Manhattan(dst)+1 {
-			t.Fatalf("route %v->%v has %d nodes, want %d", src, dst, len(route), src.Manhattan(dst)+1)
+			t.Fatalf("route %v->%v has %d hops, want %d", src, dst, len(route)-1, src.Manhattan(dst))
 		}
-		if route[0] != src || route[len(route)-1] != dst {
-			t.Fatalf("route endpoints wrong: %v", route)
+		if route[len(route)-1] != dst {
+			t.Fatalf("route ends at %v, want %v: %v", route[len(route)-1], dst, route)
 		}
 		for j := 1; j < len(route); j++ {
 			if route[j-1].Manhattan(route[j]) != 1 {
@@ -109,7 +127,7 @@ func TestXYRouteMinimal(t *testing.T) {
 
 func TestXYRouteColumnFirst(t *testing.T) {
 	grid := geom.NewSquareGrid(4, 4)
-	route := XYRoute(grid, geom.Coord{Col: 0, Row: 0}, geom.Coord{Col: 2, Row: 2})
+	route := walkRoute(t, grid, geom.Coord{Col: 0, Row: 0}, geom.Coord{Col: 2, Row: 2})
 	// Column moves must all precede row moves.
 	want := []geom.Coord{{Col: 0, Row: 0}, {Col: 1, Row: 0}, {Col: 2, Row: 0}, {Col: 2, Row: 1}, {Col: 2, Row: 2}}
 	if len(route) != len(want) {
@@ -129,7 +147,7 @@ func TestXYRouteOutOfBoundsPanics(t *testing.T) {
 			t.Error("out-of-bounds endpoint should panic")
 		}
 	}()
-	XYRoute(grid, geom.Coord{Col: 0, Row: 0}, geom.Coord{Col: 4, Row: 0})
+	WalkXY(grid, geom.Coord{Col: 0, Row: 0}, geom.Coord{Col: 4, Row: 0}, func(_, _ geom.Coord) {})
 }
 
 func TestNextHopXY(t *testing.T) {

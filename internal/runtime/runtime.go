@@ -134,14 +134,13 @@ var rtNoPeer = geom.Coord{Col: -1, Row: -1}
 
 func (f *nodeFx) Send(level int, size int64, payload any) {
 	dst := f.rt.hier.LeaderAt(f.coord, level)
-	route := routing.XYRoute(f.grid, f.coord, dst)
 	// chargeRoute mirrors the DES machine's hop-by-hop accounting, so loss-
 	// and retry-free runs produce identical ledgers across engines.
 	chargeRoute := func(units int64) {
-		for i := 1; i < len(route); i++ {
-			atomic.AddInt64(&f.energy[f.grid.Index(route[i-1])], units) // tx
-			atomic.AddInt64(&f.energy[f.grid.Index(route[i])], units)   // rx
-		}
+		routing.WalkXY(f.grid, f.coord, dst, func(a, b geom.Coord) {
+			atomic.AddInt64(&f.energy[f.grid.Index(a)], units) // tx
+			atomic.AddInt64(&f.energy[f.grid.Index(b)], units) // rx
+		})
 	}
 	if f.rt.tracer != nil {
 		f.emit(trace.Send, f.coord, dst, level, size, "")
