@@ -10,8 +10,10 @@ import (
 	"math/rand"
 	"testing"
 
+	"wsnva/internal/binding"
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/emul"
 	"wsnva/internal/experiments"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
@@ -234,23 +236,92 @@ func BenchmarkGroundTruthLabel(b *testing.B) {
 	}
 }
 
-// BenchmarkTopologyEmulation measures one full Section 5.1 setup round.
+// BenchmarkTopologyEmulation measures the Section 5 set-up layers: one
+// full Section 5.1 round on a 4x4, 160-node deployment, then the vtopo
+// round, the Section 5.2 election and emul.New on paper-stack's deployment
+// (side 8, 640 nodes, range 1.2 cell sides). Each side-8 case reports the
+// medium's deliveries and the kernel's fired events per op.
 func BenchmarkTopologyEmulation(b *testing.B) {
-	g := geom.NewSquareGrid(4, 40)
-	rng := rand.New(rand.NewSource(4))
-	nw, _, err := deploy.Generate(160, g, 11, deploy.UniformRandom{}, rng, 100)
+	b.Run("4x4", func(b *testing.B) {
+		g := geom.NewSquareGrid(4, 40)
+		rng := rand.New(rand.NewSource(4))
+		nw, _, err := deploy.Generate(160, g, 11, deploy.UniformRandom{}, rng, 100)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			l := cost.NewLedger(cost.NewUniform(), nw.N())
+			med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(5)), radio.Config{})
+			if m := vtopo.New(med, g).Run(); !m.Complete {
+				b.Fatal("incomplete")
+			}
+		}
+	})
+
+	g := geom.NewSquareGrid(8, 80)
+	nw, _, err := deploy.Generate(640, g, g.CellSide()*1.2, deploy.UniformRandom{}, rand.New(rand.NewSource(8)), 100)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l := cost.NewLedger(cost.NewUniform(), nw.N())
-		med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(5)), radio.Config{})
+	newMedium := func() *radio.Medium {
+		return radio.NewMedium(nw, sim.New(), cost.NewLedger(cost.NewUniform(), nw.N()),
+			rand.New(rand.NewSource(9)), radio.Config{})
+	}
+	// layer times one set-up layer per iteration on a fresh medium; run
+	// returns the medium it drove.
+	layer := func(name string, run func() *radio.Medium) {
+		b.Run("side8/"+name, func(b *testing.B) {
+			b.ReportAllocs()
+			var delivered, fired int64
+			for i := 0; i < b.N; i++ {
+				med := run()
+				_, d, _ := med.Stats()
+				delivered += d
+				fired += med.Kernel().Fired()
+			}
+			b.ReportMetric(float64(delivered)/float64(b.N), "deliveries/op")
+			b.ReportMetric(float64(fired)/float64(b.N), "events/op")
+		})
+	}
+	layer("vtopo", func() *radio.Medium {
+		med := newMedium()
 		if m := vtopo.New(med, g).Run(); !m.Complete {
 			b.Fatal("incomplete")
 		}
+		return med
+	})
+	layer("bind", func() *radio.Medium {
+		med := newMedium()
+		if _, _, err := binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g}); err != nil {
+			b.Fatal(err)
+		}
+		return med
+	})
+	// emul.New runs no protocol, so every iteration builds a machine over
+	// one medium that has already run vtopo and the election.
+	med := newMedium()
+	proto := vtopo.New(med, g)
+	proto.Run()
+	bnd, _, err := binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g})
+	if err != nil {
+		b.Fatal(err)
 	}
+	h := varch.MustHierarchy(g)
+	_, delivered0, _ := med.Stats()
+	fired0 := med.Kernel().Fired()
+	b.Run("side8/emul_new", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := emul.New(h, proto, bnd, med); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_, d, _ := med.Stats()
+		b.ReportMetric(float64(d-delivered0)/float64(b.N), "deliveries/op")
+		b.ReportMetric(float64(med.Kernel().Fired()-fired0)/float64(b.N), "events/op")
+	})
 }
 
 // BenchmarkDeploymentGeneration measures placement plus adjacency
