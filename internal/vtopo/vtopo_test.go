@@ -1,7 +1,9 @@
 package vtopo
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"wsnva/internal/cost"
@@ -14,6 +16,12 @@ import (
 // setup builds a dense valid deployment and a fresh protocol over it.
 func setup(t *testing.T, side, nodes int, txRange float64, seed int64) (*Protocol, *deploy.Network, *geom.Grid, *cost.Ledger) {
 	t.Helper()
+	return setupOn(t, side, nodes, txRange, seed, radio.Config{})
+}
+
+// setupOn is setup on a medium configured by cfg.
+func setupOn(t *testing.T, side, nodes int, txRange float64, seed int64, cfg radio.Config) (*Protocol, *deploy.Network, *geom.Grid, *cost.Ledger) {
+	t.Helper()
 	g := geom.NewSquareGrid(side, float64(side)*10)
 	rng := rand.New(rand.NewSource(seed))
 	nw, _, err := deploy.Generate(nodes, g, txRange, deploy.UniformRandom{}, rng, 50)
@@ -21,9 +29,18 @@ func setup(t *testing.T, side, nodes int, txRange float64, seed int64) (*Protoco
 		t.Fatal(err)
 	}
 	l := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(seed+1)), radio.Config{})
+	med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(seed+1)), cfg)
 	return New(med, g), nw, g, l
 }
+
+// switchedLoss loses each delivery with probability one half once on is
+// set, and nothing before.
+type switchedLoss struct {
+	on  bool
+	rng *rand.Rand
+}
+
+func (s *switchedLoss) Lost(from, to int, size int64) bool { return s.on && s.rng.Float64() < 0.5 }
 
 func TestRunConvergesAndCompletes(t *testing.T) {
 	p, _, g, _ := setup(t, 4, 160, 12, 1)
@@ -176,6 +193,47 @@ func TestRouteCellsDeliversAcrossGrid(t *testing.T) {
 	}
 	if _, err := p.RouteCells(src, geom.Coord{Col: 9, Row: 0}, 1); err == nil {
 		t.Error("out-of-bounds destination should error")
+	}
+
+	// Tables converge on a lossless channel, then half the deliveries are
+	// lost: a route stops at its first lost hop, returning the path so
+	// far and an error naming the hop, having charged the hops taken plus
+	// the lost transmission.
+	loss := &switchedLoss{rng: rand.New(rand.NewSource(6))}
+	p, _, _, l = setupOn(t, 4, 200, 11, 6, radio.Config{Channel: loss})
+	if m := p.Run(); !m.Complete {
+		t.Fatal("incomplete")
+	}
+	loss.on = true
+	lost := 0
+	for src := 0; src < 200; src++ {
+		_, _, dropped0 := p.med.Stats()
+		tx0 := l.Units(cost.Tx)
+		path, err := p.RouteCells(src, dst, 5)
+		_, _, dropped := p.med.Stats()
+		if dropped == dropped0 {
+			if err != nil {
+				t.Fatalf("src %d: lossless route failed: %v", src, err)
+			}
+			continue
+		}
+		lost++
+		if err == nil {
+			t.Fatalf("src %d: a hop was lost but RouteCells returned path %v and no error", src, path)
+		}
+		sender := src
+		if len(path) > 0 {
+			sender = path[len(path)-1]
+		}
+		if want := fmt.Sprintf("hop %d->", sender); !strings.Contains(err.Error(), want) {
+			t.Errorf("src %d: error %q does not name the lost hop from %d", src, err, sender)
+		}
+		if got, want := l.Units(cost.Tx)-tx0, int64(len(path)+1)*5; got != want {
+			t.Errorf("src %d: %d tx units for %d hops taken and one lost, want %d", src, got, len(path), want)
+		}
+	}
+	if lost == 0 {
+		t.Fatal("no route lost a hop at loss 0.5")
 	}
 }
 
