@@ -38,7 +38,10 @@ type Machine struct {
 	// intra-cell routing: next-hop tables toward each cell's leader,
 	// computed over the cell-induced subgraphs (the same local knowledge
 	// the Section 5.2 election already spread through each cell).
-	toLeader map[int]int // node -> next hop toward its own cell's leader
+	members  [][]int // per grid index: the cell's nodes in deployment order
+	cell     []int32 // per node: its cell's grid index
+	toLeader []int32 // per node: next hop toward its cell's leader, or noRoute
+	queue    []int32 // relay-tree BFS scratch
 
 	handlers map[geom.Coord]varch.Handler
 	msgs     int64
@@ -91,58 +94,44 @@ type appMsg struct {
 	msg varch.Message
 }
 
+// noRoute marks a node with no relay-tree path to its cell's leader.
+const noRoute = -1
+
 // New assembles the physical machine from an emulated topology and a
 // binding. The vtopo protocol must have Run() to completion; the binding
-// must come from the same medium.
+// must come from the same medium, and every node must be up.
 func New(h *varch.Hierarchy, proto *vtopo.Protocol, bnd *binding.Binding, med *radio.Medium) (*Machine, error) {
+	nw := med.Network()
 	m := &Machine{
 		hier:     h,
 		proto:    proto,
 		bnd:      bnd,
 		med:      med,
-		toLeader: make(map[int]int),
+		members:  nw.CellMembers(h.Grid),
+		cell:     make([]int32, nw.N()),
+		toLeader: make([]int32, nw.N()),
 		handlers: make(map[geom.Coord]varch.Handler),
 	}
-	// Build intra-cell next hops toward each leader with a BFS over the
-	// cell-induced subgraph (every cell is connected by deployment
-	// precondition).
-	nw := med.Network()
-	members := nw.CellMembers(h.Grid)
-	for idx, cellNodes := range members {
+	for idx, cellNodes := range m.members {
+		for _, id := range cellNodes {
+			m.cell[id] = int32(idx)
+			m.toLeader[id] = noRoute
+		}
+	}
+	// Build intra-cell next hops toward each leader (every cell is
+	// connected by deployment precondition).
+	for idx, cellNodes := range m.members {
 		cell := h.Grid.CoordOf(idx)
-		leader, ok := bnd.Leaders[cell]
-		if !ok {
+		if _, ok := bnd.Leaders[cell]; !ok {
 			return nil, fmt.Errorf("emul: cell %v has no bound leader", cell)
 		}
-		inCell := make(map[int]bool, len(cellNodes))
-		for _, id := range cellNodes {
-			inCell[id] = true
-		}
-		// BFS from the leader; parent pointers are the next hops toward it.
-		visited := map[int]bool{leader: true}
-		queue := []int{leader}
-		m.toLeader[leader] = leader
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, u := range nw.Neighbors(v) {
-				if inCell[u] && !visited[u] {
-					visited[u] = true
-					m.toLeader[u] = v
-					queue = append(queue, u)
-				}
-			}
-		}
-		if len(visited) != len(cellNodes) {
+		if m.relayTree(idx) != len(cellNodes) {
 			return nil, fmt.Errorf("emul: cell %v subgraph disconnected", cell)
 		}
 	}
-	// Install the application's radio handler on every node: forward
-	// toward the destination cell, then toward its leader, then deliver.
-	for id := 0; id < nw.N(); id++ {
-		id := id
-		med.Handle(id, func(pkt radio.Packet) { m.onPacket(id, pkt) })
-	}
+	// Install the application's radio receiver: forward toward the
+	// destination cell, then toward its leader, then deliver.
+	med.SetReceiver(m.onPacket)
 	return m, nil
 }
 
@@ -187,8 +176,8 @@ func (m *Machine) forward(id int, env appMsg) {
 	var next int
 	if myCell == env.to {
 		// Intra-cell leg toward the leader.
-		hop, ok := m.toLeader[id]
-		if !ok {
+		hop := int(m.toLeader[id])
+		if hop == noRoute {
 			// Failures cut this relay off from its cell's leader.
 			m.unrouted++
 			if m.tracer != nil {
@@ -220,7 +209,7 @@ func (m *Machine) forward(id int, env appMsg) {
 }
 
 // onPacket receives traffic at a physical node. Protocol packets chain
-// to the routing layer — the machine owns the medium's handlers, and
+// to the routing layer — the machine owns the medium's receiver, and
 // without the chain a repair's adoption cascade would fall on deaf
 // radios — and application traffic is forwarded toward its cell.
 func (m *Machine) onPacket(id int, pkt radio.Packet) {

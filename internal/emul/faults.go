@@ -38,8 +38,7 @@ func (m *Machine) up(id int) bool { return m.med.Alive(id) && !m.med.Suspended(i
 // members either way.
 func (m *Machine) repairRoles(cell geom.Coord) {
 	if cur, ok := m.bnd.Leaders[cell]; ok && !m.up(cur) {
-		idx := m.hier.Grid.Index(cell)
-		for _, cand := range m.med.Network().CellMembers(m.hier.Grid)[idx] {
+		for _, cand := range m.members[m.hier.Grid.Index(cell)] {
 			if m.up(cand) {
 				m.bnd.Leaders[cell] = cand
 				m.failovers++
@@ -65,34 +64,35 @@ func (m *Machine) Unrouted() int64 { return m.unrouted }
 // leader itself is down (the whole cell was lost or sleeps), every entry
 // is removed.
 func (m *Machine) rebuildCell(cell geom.Coord) {
-	nw := m.med.Network()
-	g := m.hier.Grid
-	cellNodes := nw.CellMembers(g)[g.Index(cell)]
-	for _, id := range cellNodes {
-		delete(m.toLeader, id)
+	idx := m.hier.Grid.Index(cell)
+	for _, id := range m.members[idx] {
+		m.toLeader[id] = noRoute
 	}
-	leader := m.bnd.Leaders[cell]
+	m.relayTree(idx)
+}
+
+// relayTree roots the relay tree of the cell at grid index idx at its
+// bound leader: a BFS over the cell's up members, in neighbor order,
+// whose parent pointers are the next hops toward the leader (the leader
+// names itself). Every member must read noRoute on entry. It returns the
+// number of members reached, 0 when the leader is down.
+func (m *Machine) relayTree(idx int) int {
+	leader := m.bnd.Leaders[m.hier.Grid.CoordOf(idx)]
 	if !m.up(leader) {
-		return
+		return 0
 	}
-	inCell := make(map[int]bool, len(cellNodes))
-	for _, id := range cellNodes {
-		if m.up(id) {
-			inCell[id] = true
-		}
-	}
-	visited := map[int]bool{leader: true}
-	queue := []int{leader}
-	m.toLeader[leader] = leader
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range nw.Neighbors(v) {
-			if inCell[u] && !visited[u] {
-				visited[u] = true
+	nw := m.med.Network()
+	m.toLeader[leader] = int32(leader)
+	queue := append(m.queue[:0], int32(leader))
+	for head := 0; head < len(queue); head++ {
+		v := queue[head]
+		for _, u := range nw.Neighbors(int(v)) {
+			if m.cell[u] == int32(idx) && m.toLeader[u] == noRoute && m.up(u) {
 				m.toLeader[u] = v
-				queue = append(queue, u)
+				queue = append(queue, int32(u))
 			}
 		}
 	}
+	m.queue = queue
+	return len(queue)
 }

@@ -110,7 +110,7 @@ func (m *Machine) RunLifetime(cfg LifetimeConfig) (*LifetimeOutcome, error) {
 
 	g := m.hier.Grid
 	n := g.N()
-	rootMembers := m.med.Network().CellMembers(g)[g.Index(m.hier.Root())]
+	rootMembers := m.members[g.Index(m.hier.Root())]
 	rootAlive := func() bool {
 		for _, id := range rootMembers {
 			if m.med.Alive(id) {

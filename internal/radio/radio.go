@@ -10,6 +10,14 @@
 // Energy accounting matches the paper's uniform cost model: one transmit
 // charge at the sender per broadcast and one receive charge at every
 // neighbor that actually receives it.
+//
+// A medium has one receiver, a func(to, pkt) the protocol driving it sets
+// with SetReceiver; it runs once per delivery, after the liveness gate,
+// the Rx charge and the trace events. Each transmission is one kernel
+// event that delivers to its receivers in ascending ID order. On a medium
+// without loss a broadcast reads those receivers straight from the
+// sender's CSR neighbor row; lossy broadcasts and unicasts keep their own
+// list.
 package radio
 
 import (
@@ -31,9 +39,6 @@ type Packet struct {
 	Payload any   // protocol-defined contents
 }
 
-// Handler consumes a packet at a receiving node.
-type Handler func(p Packet)
-
 // LossModel is a pluggable per-delivery loss decision. The medium asks
 // it once per delivery attempt (per neighbor on a broadcast, once on a
 // unicast), in ascending-neighbor order, exactly where the legacy shared
@@ -46,15 +51,17 @@ type LossModel interface {
 
 // Medium is the shared broadcast channel. It is bound to one deployment,
 // one simulation kernel, one ledger, and one RNG; all are injected so
-// experiments stay deterministic.
+// experiments stay deterministic. It hands every delivered packet to one
+// receiver, that of the protocol currently driving it (SetReceiver).
 type Medium struct {
-	nw       *deploy.Network
-	kernel   *sim.Kernel
-	ledger   *cost.Ledger
-	rng      *rand.Rand
-	loss     float64
-	channel  LossModel
-	handlers []Handler
+	nw      *deploy.Network
+	kernel  *sim.Kernel
+	ledger  *cost.Ledger
+	rng     *rand.Rand
+	loss    float64
+	channel LossModel
+	// recv is the one receiver every delivery reaches (nil: all deaf).
+	recv func(to int, pkt Packet)
 	// alive is the per-node fail-stop gate: a dead node neither transmits
 	// nor receives. All nodes start alive; the fault layer flips entries
 	// via Kill and they never come back.
@@ -122,14 +129,13 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 		alive[i] = true
 	}
 	return &Medium{
-		nw:       nw,
-		kernel:   kernel,
-		ledger:   ledger,
-		rng:      rng,
-		loss:     cfg.Loss,
-		channel:  cfg.Channel,
-		handlers: make([]Handler, nw.N()),
-		alive:    alive,
+		nw:      nw,
+		kernel:  kernel,
+		ledger:  ledger,
+		rng:     rng,
+		loss:    cfg.Loss,
+		channel: cfg.Channel,
+		alive:   alive,
 	}
 }
 
@@ -255,20 +261,26 @@ func (m *Medium) lost(from, to int, size int64) bool {
 
 func (m *Medium) lossy() bool { return m.channel != nil || m.loss > 0 }
 
-// Handle registers the receive handler for node id, replacing any previous
-// handler. A nil handler makes the node deaf (it still pays receive energy
-// for packets that arrive while deaf — the radio hardware ran either way).
-func (m *Medium) Handle(id int, h Handler) { m.handlers[id] = h }
+// SetReceiver installs the function that consumes every delivered packet,
+// replacing any previous one: recv(to, pkt) runs at receiver to. A nil
+// receiver makes every node deaf (each still pays receive energy for the
+// packets that arrive — the radio hardware ran either way).
+func (m *Medium) SetReceiver(recv func(to int, pkt Packet)) { m.recv = recv }
 
 // delivery is a pooled in-flight transmission: one scheduled kernel event
 // that delivers a packet to every surviving receiver, in ascending
 // neighbor-ID order. fire is bound to run once, when the record
 // is first allocated, so the hot path schedules fan-out with zero
 // per-packet allocations (no closure, no per-neighbor Packet copy).
+//
+// to is read-only: on a lossless broadcast it is the sender's CSR row
+// itself. Filtered lists are built in own, the record's private buffer,
+// so nothing is ever appended into a row of the network.
 type delivery struct {
 	m    *Medium
 	pkt  Packet
 	to   []int
+	own  []int
 	fire func()
 }
 
@@ -293,14 +305,15 @@ func (d *delivery) run() {
 		d.m.deliver(to, d.pkt)
 	}
 	d.pkt = Packet{}
-	d.to = d.to[:0]
+	d.to = nil
 	d.m.freeDel = append(d.m.freeDel, d)
 }
 
 // Broadcast transmits a packet of the given size from node from to all of
-// its one-hop neighbors. Each neighbor draws its own loss decision, in
-// ascending ID order; the survivors share one delivery event at
-// TxLatency(size), which delivers to each of them in ascending ID order.
+// its one-hop neighbors. On a lossy medium each neighbor draws its own
+// loss decision, in ascending ID order; the survivors share one delivery
+// event at TxLatency(size), which delivers to each of them in ascending ID
+// order. Without loss that event walks the sender's neighbor row in place.
 // Returns the number of neighbors the packet was queued for (i.e., not
 // dropped).
 func (m *Medium) Broadcast(from int, size int64, payload any) int {
@@ -316,18 +329,24 @@ func (m *Medium) Broadcast(from int, size int64, payload any) int {
 		m.emit(trace.Tx, from, -1, size, "broadcast")
 	}
 	d := m.newDelivery()
-	for _, nbr := range m.nw.Neighbors(from) {
-		if m.lossy() && m.lost(from, nbr, size) {
-			m.dropped++
-			if m.tracer != nil {
-				m.emit(trace.Drop, nbr, from, size, "lost")
+	d.to = m.nw.Neighbors(from)
+	if m.lossy() {
+		kept := d.own[:0]
+		for _, nbr := range d.to {
+			if m.lost(from, nbr, size) {
+				m.dropped++
+				if m.tracer != nil {
+					m.emit(trace.Drop, nbr, from, size, "lost")
+				}
+				continue
 			}
-			continue
+			kept = append(kept, nbr)
 		}
-		d.to = append(d.to, nbr)
+		d.own, d.to = kept, kept
 	}
 	queued := len(d.to)
 	if queued == 0 {
+		d.to = nil
 		m.freeDel = append(m.freeDel, d)
 		return 0
 	}
@@ -363,7 +382,8 @@ func (m *Medium) Unicast(from, to int, size int64, payload any) bool {
 	}
 	d := m.newDelivery()
 	d.pkt = Packet{From: from, Size: size, Payload: payload}
-	d.to = append(d.to, to)
+	d.own = append(d.own[:0], to)
+	d.to = d.own
 	m.kernel.After(m.latency(size), d.fire)
 	return true
 }
@@ -385,8 +405,8 @@ func (m *Medium) isNeighbor(from, to int) bool {
 func (m *Medium) deliver(to int, pkt Packet) {
 	if !m.liveAt(to) {
 		// The receiver died or went to sleep while the packet was in
-		// flight: no Rx charge (the radio is off), no handler, counted
-		// as a drop.
+		// flight: no Rx charge (the radio is off), no receiver call,
+		// counted as a drop.
 		m.dropped++
 		if m.tracer != nil {
 			detail := "dead receiver"
@@ -402,8 +422,8 @@ func (m *Medium) deliver(to int, pkt Packet) {
 	if m.tracer != nil {
 		m.emit(trace.Rx, to, pkt.From, pkt.Size, "")
 	}
-	if h := m.handlers[to]; h != nil {
-		h(pkt)
+	if m.recv != nil {
+		m.recv(to, pkt)
 	}
 }
 

@@ -29,10 +29,7 @@ func TestBroadcastReachesOnlyNeighbors(t *testing.T) {
 	nw := chain(t)
 	m, k, _ := newMedium(t, nw, Config{})
 	got := map[int][]int{}
-	for id := 0; id < nw.N(); id++ {
-		id := id
-		m.Handle(id, func(p Packet) { got[id] = append(got[id], p.From) })
-	}
+	m.SetReceiver(func(id int, p Packet) { got[id] = append(got[id], p.From) })
 	m.Broadcast(1, 1, "hello")
 	k.Run()
 	if len(got[0]) != 1 || got[0][0] != 1 {
@@ -69,7 +66,11 @@ func TestBroadcastDelayEqualsTxLatency(t *testing.T) {
 	nw := chain(t)
 	m, k, _ := newMedium(t, nw, Config{})
 	var at sim.Time = -1
-	m.Handle(0, func(Packet) { at = k.Now() })
+	m.SetReceiver(func(to int, _ Packet) {
+		if to == 0 {
+			at = k.Now()
+		}
+	})
 	m.Broadcast(1, 7, nil)
 	k.Run()
 	if at != 7 { // uniform model: b=1, so 7 units take 7 latency
@@ -81,13 +82,16 @@ func TestUnicast(t *testing.T) {
 	nw := chain(t)
 	m, k, l := newMedium(t, nw, Config{})
 	heard := 0
-	m.Handle(2, func(p Packet) {
+	m.SetReceiver(func(to int, p Packet) {
+		if to != 2 {
+			t.Errorf("unicast leaked to node %d", to)
+			return
+		}
 		heard++
 		if p.From != 1 || p.Size != 3 || p.Payload.(string) != "x" {
 			t.Errorf("bad packet %+v", p)
 		}
 	})
-	m.Handle(0, func(Packet) { t.Error("unicast leaked to another neighbor") })
 	if !m.Unicast(1, 2, 3, "x") {
 		t.Error("lossless unicast should report queued")
 	}
@@ -115,9 +119,7 @@ func TestLossDropsSomeDeliveries(t *testing.T) {
 	nw := chain(t)
 	m, k, _ := newMedium(t, nw, Config{Loss: 0.5})
 	received := 0
-	for id := 0; id < nw.N(); id++ {
-		m.Handle(id, func(Packet) { received++ })
-	}
+	m.SetReceiver(func(int, Packet) { received++ })
 	const rounds = 1000
 	for i := 0; i < rounds; i++ {
 		m.Broadcast(1, 1, nil) // 2 potential deliveries per broadcast
@@ -131,7 +133,7 @@ func TestLossDropsSomeDeliveries(t *testing.T) {
 		t.Errorf("delivered %d + dropped %d != %d", delivered, dropped, 2*rounds)
 	}
 	if received != int(delivered) {
-		t.Errorf("handlers saw %d, medium delivered %d", received, delivered)
+		t.Errorf("receiver saw %d, medium delivered %d", received, delivered)
 	}
 	// With p=0.5 over 2000 Bernoulli trials, expect ~1000 ± a wide margin.
 	if delivered < 800 || delivered > 1200 {
@@ -155,7 +157,7 @@ func TestZeroLossDeliversEverything(t *testing.T) {
 func TestDeafNodeStillChargedRx(t *testing.T) {
 	nw := chain(t)
 	m, k, l := newMedium(t, nw, Config{})
-	m.Broadcast(1, 4, nil) // node 0 has no handler
+	m.Broadcast(1, 4, nil) // no receiver is set
 	k.Run()
 	if l.Energy(0) != 4 {
 		t.Errorf("deaf node energy = %d, want 4", l.Energy(0))
@@ -257,15 +259,12 @@ func TestBroadcastBatchDeliveryOrder(t *testing.T) {
 		l := cost.NewLedger(cost.NewUniform(), nw.N())
 		m := NewMedium(nw, k, l, rand.New(rand.NewSource(trial)), Config{Loss: 0.3})
 		var got []int
-		for id := 1; id < nw.N(); id++ {
-			id := id
-			m.Handle(id, func(Packet) {
-				if k.Now() != 4 {
-					t.Fatalf("trial %d: node %d heard the broadcast at %d, want 4", trial, id, k.Now())
-				}
-				got = append(got, id)
-			})
-		}
+		m.SetReceiver(func(id int, _ Packet) {
+			if k.Now() != 4 {
+				t.Fatalf("trial %d: node %d heard the broadcast at %d, want 4", trial, id, k.Now())
+			}
+			got = append(got, id)
+		})
 		queued := m.Broadcast(0, 4, nil)
 		k.Run()
 		if len(got) != queued {
@@ -279,24 +278,48 @@ func TestBroadcastBatchDeliveryOrder(t *testing.T) {
 	}
 }
 
-// TestDeliveryPoolReuse drives enough traffic through a medium to recycle
-// delivery records and checks conservation still holds — the pooled record
-// must be fully reset between flights.
+// TestDeliveryPoolReuse drives enough traffic through a lossless medium to
+// recycle delivery records between broadcasts, whose fan-out reads the
+// sender's CSR row in place, and unicasts, which build their own one-entry
+// receiver list, sent in the same instants with mixed latencies. Every
+// record must be fully reset between flights: no stale payload leaks, each
+// unicast is heard by its addressee alone, conservation holds, and the
+// network's rows are untouched — a record that appended into an aliased
+// row would rewrite them.
 func TestDeliveryPoolReuse(t *testing.T) {
-	nw := chain(t)
+	nw := deploy.New(40, geom.Rect{MaxX: 8, MaxY: 8}, 1.5,
+		deploy.UniformRandom{}, rand.New(rand.NewSource(7)))
+	offsets, elems := nw.CSRView()
+	wantOff := append([]int32(nil), offsets...)
+	wantElems := append([]int(nil), elems...)
 	m, k, _ := newMedium(t, nw, Config{})
+
+	type note struct{ from, to, seq int } // to < 0: a broadcast
 	heard := 0
-	for id := 0; id < nw.N(); id++ {
-		m.Handle(id, func(p Packet) {
-			heard++
-			if p.Payload != "payload" {
-				t.Fatalf("stale payload %v leaked through the pool", p.Payload)
-			}
-		})
-	}
+	m.SetReceiver(func(to int, p Packet) {
+		heard++
+		n, ok := p.Payload.(note)
+		if !ok || n.from != p.From {
+			t.Fatalf("node %d got payload %v from %d: stale payload leaked through the pool", to, p.Payload, p.From)
+		}
+		if n.to >= 0 && n.to != to {
+			t.Fatalf("unicast %d->%d (seq %d) was heard by node %d", n.from, n.to, n.seq, to)
+		}
+	})
+	want, seq := 0, 0
 	for round := 0; round < 50; round++ {
 		for from := 0; from < nw.N(); from++ {
-			m.Broadcast(from, 1, "payload")
+			nbrs := wantElems[wantOff[from]:wantOff[from+1]]
+			size := int64(1 + (from+round)%3)
+			seq++
+			if (from+round)%2 == 0 || len(nbrs) == 0 {
+				want += m.Broadcast(from, size, note{from: from, to: -1, seq: seq})
+				continue
+			}
+			to := nbrs[(round+from)%len(nbrs)]
+			if m.Unicast(from, to, size, note{from: from, to: to, seq: seq}) {
+				want++
+			}
 		}
 		k.Run()
 	}
@@ -304,8 +327,19 @@ func TestDeliveryPoolReuse(t *testing.T) {
 	if dropped != 0 {
 		t.Fatalf("lossless medium dropped %d", dropped)
 	}
-	if int64(heard) != delivered {
-		t.Fatalf("handlers heard %d, medium counted %d", heard, delivered)
+	if int64(heard) != delivered || heard != want {
+		t.Fatalf("receiver heard %d, medium counted %d, %d were queued", heard, delivered, want)
+	}
+	offsets, elems = nw.CSRView()
+	for i := range wantElems {
+		if elems[i] != wantElems[i] {
+			t.Fatalf("CSR element %d changed from %d to %d during the run", i, wantElems[i], elems[i])
+		}
+	}
+	for i := range wantOff {
+		if offsets[i] != wantOff[i] {
+			t.Fatalf("CSR offset %d changed from %d to %d during the run", i, wantOff[i], offsets[i])
+		}
 	}
 }
 
@@ -313,10 +347,7 @@ func TestSuspendSilencesBothDirections(t *testing.T) {
 	nw := chain(t)
 	m, k, l := newMedium(t, nw, Config{})
 	heard := map[int]int{}
-	for id := 0; id < nw.N(); id++ {
-		id := id
-		m.Handle(id, func(p Packet) { heard[id]++ })
-	}
+	m.SetReceiver(func(id int, _ Packet) { heard[id]++ })
 	m.Suspend(1)
 	if !m.Alive(1) || !m.Suspended(1) {
 		t.Fatalf("suspended node: Alive=%v Suspended=%v, want true/true", m.Alive(1), m.Suspended(1))
@@ -347,7 +378,11 @@ func TestResumeRestoresTraffic(t *testing.T) {
 	nw := chain(t)
 	m, k, _ := newMedium(t, nw, Config{})
 	heard := 0
-	m.Handle(1, func(p Packet) { heard++ })
+	m.SetReceiver(func(to int, _ Packet) {
+		if to == 1 {
+			heard++
+		}
+	})
 	m.Suspend(1)
 	m.Resume(1)
 	if m.Suspended(1) {
@@ -369,10 +404,7 @@ func TestResumedNodeByteIdenticalToNeverSlept(t *testing.T) {
 	run := func(sleep bool) (sent, delivered, dropped int64, energy [4]int64, heard [4]int) {
 		nw := chain(t)
 		m, k, l := newMedium(t, nw, Config{Loss: 0.3})
-		for id := 0; id < nw.N(); id++ {
-			id := id
-			m.Handle(id, func(p Packet) { heard[id]++ })
-		}
+		m.SetReceiver(func(id int, _ Packet) { heard[id]++ })
 		m.Broadcast(0, 2, "a")
 		k.Run() // quiesce: nothing in flight
 		if sleep {

@@ -170,10 +170,7 @@ func (f *singleFab) run(a app, crashed []bool) sim.Time {
 			f.resumes++
 		})
 	}
-	for id := 0; id < n; id++ {
-		id := id
-		f.med.Handle(id, func(pkt radio.Packet) { f.onPacket(id, pkt) })
-	}
+	f.med.SetReceiver(f.onPacket)
 	for id := 0; id < n; id++ {
 		a.start(f, id)
 	}
