@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz fuzz-deploy examples engines clean
+.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz fuzz-deploy fuzz-radio examples engines clean
 
 all: build vet test
 
@@ -15,11 +15,12 @@ all: build vet test
 # under the race detector, one quick benchmark iteration to catch
 # allocation or wall-time blowups, the bench/ harness's own tests, a
 # battery-depletion soak, the observability coverage floor, a short fuzz
-# of the CSR neighbor build against its brute-force oracle, the seven
-# examples, which drive the synthesized alarm and tracking programs
+# of the CSR neighbor build against its brute-force oracle, a short fuzz
+# of the radio medium's conservation on lossy and lossless media, the
+# seven examples, which drive the synthesized alarm and tracking programs
 # through their public entry points, and every wsnsim engine end to end,
 # before they land.
-check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy examples engines
+check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines
 
 build:
 	$(GO) build ./...
@@ -155,6 +156,13 @@ fuzz:
 # checked against a brute-force O(n²) neighbor scan.
 fuzz-deploy:
 	$(GO) test -run '^$$' -fuzz FuzzCSRNeighbors -fuzztime 10s ./internal/deploy/
+
+# FuzzMediumConservation for 10 s: random scripts of broadcasts, unicasts
+# and kills, each run at a fuzzed loss and without loss (where broadcasts
+# fan out over the sender's CSR row in place), checking conservation,
+# non-negative energy and undamaged payloads.
+fuzz-radio:
+	$(GO) test -run '^$$' -fuzz FuzzMediumConservation -fuzztime 10s ./internal/radio/
 
 examples:
 	$(GO) run ./examples/quickstart
