@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv report fuzz fuzz-deploy fuzz-radio examples engines clean
+.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv results fuzz fuzz-deploy fuzz-radio examples engines clean
 
 all: build vet test
 
@@ -18,9 +18,10 @@ all: build vet test
 # of the CSR neighbor build against its brute-force oracle, a short fuzz
 # of the radio medium's conservation on lossy and lossless media, the
 # seven examples, which drive the synthesized alarm and tracking programs
-# through their public entry points, and every wsnsim engine end to end,
-# before they land.
-check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines
+# through their public entry points, every wsnsim engine end to end, and
+# results/ regenerated and compared with the committed tables, before they
+# land.
+check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines results
 
 build:
 	$(GO) build ./...
@@ -52,7 +53,8 @@ race-core:
 
 # The goroutine runtime under the race detector: quick E7 (lossy labeling
 # rounds, one goroutine per node) on a 4-worker pool at GOMAXPROCS 1, 2
-# and 8, each table required to equal the committed golden CSV.
+# and 8, each table required to equal E7's block of the quick-tables
+# golden.
 race-runtime:
 	$(GO) test -race -count=1 -run 'TestE7' ./internal/experiments/
 
@@ -88,8 +90,9 @@ race-serve:
 
 # Micro-benchmarks only (-run=^$$ skips the unit tests), with allocation
 # counts; short benchtime keeps this a quick regression pass. Drop
-# -benchtime=1x for per-experiment ns/op and allocs/op, for the shard
-# layer's flood-scale ns/op and B/op (BenchmarkShardFlood), and for the
+# -benchtime=1x for per-experiment ns/op and allocs/op (BenchmarkTables),
+# for the shard layer's flood-scale ns/op and B/op, lossless and under
+# E22's and E24's hazards (BenchmarkShardFlood), and for the
 # deploy layer's CSR build and validation up to flood-scale's 16,384
 # nodes (BenchmarkBuildCSR, BenchmarkValidate); end-to-end and per-layer
 # numbers come from bench/ (bash bench/run.sh, see bench/README.md).
@@ -127,17 +130,19 @@ cover:
 	  if (pct + 0 < floor) { print "FAIL: shard coverage below " floor "% floor"; bad = 1 } } \
 	END { exit bad }'
 
-# Regenerate every experiment table (E1-E26, A1-A3).
+# Regenerate every experiment table (E1-E24, E26, A1-A3).
 tables:
 	$(GO) run ./cmd/benchtab
 
-# Same, writing one CSV per experiment into results/.
+# Same, writing one CSV per experiment and report.md into results/.
 csv:
 	$(GO) run ./cmd/benchtab -out results
 
-# Self-contained markdown report of every experiment.
-report:
-	$(GO) run ./cmd/report -o results/report.md
+# results/ must be exactly what the code prints: regenerate it and fail if
+# any committed file changed or a new one appeared.
+results: csv
+	@test -z "$$(git status --porcelain -- results/)" || \
+	  { git status --porcelain -- results/; echo "FAIL: make csv changed results/"; exit 1; }
 
 fuzz:
 	$(GO) test -fuzz FuzzDecodeSummary -fuzztime 30s ./internal/wire/
@@ -192,5 +197,9 @@ engines:
 	  echo "FAIL: -engine bogus ran the deployment"; exit 1; fi; \
 	echo "ok   -engine bogus rejected before deployment"
 
+# Build output only: the bench/ build directory and the binaries
+# `go build ./cmd/<name>` leaves in the repository root. results/ is
+# committed data and stays.
 clean:
-	rm -rf results
+	rm -rf .bench_build
+	rm -f benchtab synthesize topoviz tracecat wsnserve wsnsim

@@ -1,8 +1,8 @@
-// Package wsnva_test is the benchmark harness: one testing.B target per
-// experiment table in DESIGN.md's index (BenchmarkE1…BenchmarkE10, plus the
-// A-series ablations), and micro-benchmarks for the hot substrate paths.
-// Run `go test -bench=. -benchmem` here, or `go run ./cmd/benchtab` for the
-// full printed tables.
+// Package wsnva_test is the benchmark harness: BenchmarkTables times every
+// quick experiment table in experiments.All, one sub-benchmark per ID
+// (go test -bench 'Tables/E7'), and micro-benchmarks cover the hot
+// substrate paths. Run `go test -bench=. -benchmem` here, or
+// `go run ./cmd/benchtab` for the full printed tables.
 package wsnva_test
 
 import (
@@ -30,58 +30,22 @@ import (
 	"wsnva/internal/wire"
 )
 
-var quick = experiments.Options{Quick: true}
-
-// benchTable runs an experiment-table generator once per iteration and
-// keeps the result alive.
-func benchTable(b *testing.B, f func(experiments.Options) *stats.Table) {
-	b.Helper()
-	b.ReportAllocs()
-	var sink *stats.Table
-	for i := 0; i < b.N; i++ {
-		sink = f(quick)
+// BenchmarkTables runs each quick experiment table once per iteration,
+// one sub-benchmark per entry of experiments.All.
+func BenchmarkTables(b *testing.B) {
+	for _, e := range experiments.All {
+		b.Run(e.ID, func(b *testing.B) {
+			b.ReportAllocs()
+			var sink *stats.Table
+			for i := 0; i < b.N; i++ {
+				sink = e.Run(experiments.Options{Quick: true})
+			}
+			if sink.NumRows() == 0 {
+				b.Fatal("empty table")
+			}
+		})
 	}
-	if sink.NumRows() == 0 {
-		b.Fatal("empty table")
-	}
 }
-
-func BenchmarkE1Mapping(b *testing.B)         { benchTable(b, experiments.E1Mapping) }
-func BenchmarkE2Steps(b *testing.B)           { benchTable(b, experiments.E2Steps) }
-func BenchmarkE3DCvsCentral(b *testing.B)     { benchTable(b, experiments.E3DCvsCentral) }
-func BenchmarkE4Balance(b *testing.B)         { benchTable(b, experiments.E4Balance) }
-func BenchmarkE5Emulation(b *testing.B)       { benchTable(b, experiments.E5Emulation) }
-func BenchmarkE6Election(b *testing.B)        { benchTable(b, experiments.E6Election) }
-func BenchmarkE7Loss(b *testing.B)            { benchTable(b, experiments.E7Loss) }
-func BenchmarkE8Correspondence(b *testing.B)  { benchTable(b, experiments.E8Correspondence) }
-func BenchmarkE9Collectives(b *testing.B)     { benchTable(b, experiments.E9Collectives) }
-func BenchmarkE10Churn(b *testing.B)          { benchTable(b, experiments.E10Churn) }
-func BenchmarkE11SyncSteps(b *testing.B)      { benchTable(b, experiments.E11SyncSteps) }
-func BenchmarkE12TreeTopology(b *testing.B)   { benchTable(b, experiments.E12TreeTopology) }
-func BenchmarkE13LossyEmulation(b *testing.B) { benchTable(b, experiments.E13LossyEmulation) }
-func BenchmarkE14AlarmApp(b *testing.B)       { benchTable(b, experiments.E14AlarmApp) }
-func BenchmarkE15Lifetime(b *testing.B)       { benchTable(b, experiments.E15Lifetime) }
-func BenchmarkE16WholeApp(b *testing.B)       { benchTable(b, experiments.E16WholeApp) }
-func BenchmarkE17FailureSweep(b *testing.B)   { benchTable(b, experiments.E17FailureSweep) }
-func BenchmarkE18ReliableDelivery(b *testing.B) {
-	benchTable(b, experiments.E18ReliableDelivery)
-}
-func BenchmarkE19NetworkLifetime(b *testing.B) {
-	benchTable(b, experiments.E19NetworkLifetime)
-}
-func BenchmarkE20DepletionARQ(b *testing.B)  { benchTable(b, experiments.E20DepletionARQ) }
-func BenchmarkE21ShardScaling(b *testing.B)  { benchTable(b, experiments.E21ShardScaling) }
-func BenchmarkE22HazardScaling(b *testing.B) { benchTable(b, experiments.E22HazardScaling) }
-func BenchmarkE23ChurnRepair(b *testing.B)   { benchTable(b, experiments.E23ChurnRepair) }
-func BenchmarkE24ChurnShardScaling(b *testing.B) {
-	benchTable(b, experiments.E24ChurnShardScaling)
-}
-func BenchmarkE26DeployGeneration(b *testing.B) {
-	benchTable(b, experiments.E26DeployGeneration)
-}
-func BenchmarkA1Mappers(b *testing.B)    { benchTable(b, experiments.A1MappingAblation) }
-func BenchmarkA2Workloads(b *testing.B)  { benchTable(b, experiments.A2FieldShapes) }
-func BenchmarkA3CostModels(b *testing.B) { benchTable(b, experiments.A3CostSensitivity) }
 
 // BenchmarkLabelRoundLockstep measures a labeling round in the synchronous
 // regime: the DES machine under the step cost profile.

@@ -3,8 +3,6 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"wsnva/internal/binding"
 	"wsnva/internal/churn"
@@ -144,11 +142,10 @@ func E23ChurnRepair(o Options) *stats.Table {
 // — each lands on its node's owner shard inside the conservative window
 // protocol — and the match column witnesses that every shard count
 // reproduces the one-shard run's checksum exactly, suspends and
-// resumes included. Wall and malloc readings are process measurements,
-// as in E21/E22, so this table is excluded from the golden-table tests.
+// resumes included.
 func E24ChurnShardScaling(o Options) *stats.Table {
 	tab := stats.NewTable("E24: sharded kernel scaling under churn — Poisson sleep/wake as cross-shard events",
-		"nodes", "hazard", "shards", "workers", "wall ms", "suspends", "resumes", "drops", "speedup", "match", "checksum")
+		"nodes", "hazard", "shards", "workers", "suspends", "resumes", "drops", "match", "checksum")
 
 	grids := []int{2000, 8000}
 	floods := 16
@@ -158,25 +155,15 @@ func E24ChurnShardScaling(o Options) *stats.Table {
 		floods = 8
 		configs = []e21cfg{{1, 1}, {4, 2}}
 	}
-	if o.Shards > 0 {
-		configs = []e21cfg{{1, 1}, {o.Shards, 0}}
-	}
-
-	for _, n := range grids {
-		nw := e21net(n)
+	shardLadder(o, tab, grids, floods, configs, func(n int) []scenario {
 		// The Poisson rate scales with the network (n/100 expected
 		// transitions per time unit over an 80-tick window), so the
 		// disturbance is a constant fraction of the deployment at every
 		// grid size — churn that stayed at a fixed absolute rate would
 		// vanish relative to an 8000-node run.
 		sched := churn.Poisson(n, float64(n)/100, 80, 7)
-		scenarios := []struct {
-			name string
-			cfg  shard.Config
-		}{
-			{"poisson n/100", shard.Config{
-				Churn: sched,
-			}},
+		return []scenario{
+			{"poisson n/100", shard.Config{Churn: sched}},
 			{"churn+loss+crash", shard.Config{
 				Churn:   sched,
 				Loss:    0.1,
@@ -184,32 +171,6 @@ func E24ChurnShardScaling(o Options) *stats.Table {
 				Crashes: fault.MustRandom(n, 0.03, 50, 7),
 			}},
 		}
-		for _, sc := range scenarios {
-			var base float64
-			var oracle uint64
-			for i, c := range configs {
-				cfg := sc.cfg
-				cfg.Shards, cfg.Workers = c.shards, c.workers
-				cfg.Floods, cfg.PktSize = floods, 2
-				runtime.GC()
-				t0 := time.Now()
-				res, err := shard.Run(nw, cfg)
-				wall := time.Since(t0)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: E24 n=%d %s shards=%d: %v", n, sc.name, c.shards, err))
-				}
-				ms := float64(wall.Nanoseconds()) / 1e6
-				if i == 0 {
-					base = ms
-					oracle = res.Checksum()
-				}
-				tab.AddRow(n, sc.name, c.shards, c.workers, ms,
-					res.Suspends, res.Resumes, res.Dropped,
-					stats.Ratio(base, ms),
-					res.Checksum() == oracle,
-					fmt.Sprintf("%016x", res.Checksum()))
-			}
-		}
-	}
+	}, func(res *shard.Result) []any { return []any{res.Suspends, res.Resumes, res.Dropped} })
 	return tab
 }

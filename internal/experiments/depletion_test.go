@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"os"
-	"path/filepath"
 	"testing"
 
 	"wsnva/internal/battery"
@@ -10,29 +9,6 @@ import (
 	"wsnva/internal/fault"
 	"wsnva/internal/synth"
 )
-
-// TestE19GoldenCSV pins the quick lifetime sweep byte-for-byte: deploys,
-// elections, depletion order, and rotation decisions are all pure functions
-// of the seeds. Regenerate deliberately with
-// UPDATE_GOLDEN=1 go test ./internal/experiments after an intentional
-// behavior change.
-func TestE19GoldenCSV(t *testing.T) {
-	got := E19NetworkLifetime(Options{Quick: true}).CSV()
-	path := filepath.Join("testdata", "e19_quick.golden.csv")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("E19 quick CSV drifted from golden file %s\n--- got ---\n%s--- want ---\n%s",
-			path, got, want)
-	}
-}
 
 // TestE19RotationExtendsLifetime is the sweep's headline claim checked
 // directly on the mission driver: at every budget, rotating executors onto

@@ -1,14 +1,16 @@
 // Package experiments implements the reproduction harness: one function per
-// experiment in DESIGN.md's per-experiment index (E1–E21 plus the A-series
-// ablations), each returning a printable table. cmd/benchtab prints them
-// all; bench_test.go wraps each in a testing.B benchmark; EXPERIMENTS.md
-// records the observed outputs against the paper's claims.
+// experiment, listed in All (E1–E24, E26 and the A-series ablations), each
+// returning a printable table. cmd/benchtab prints them all; bench_test.go
+// times each as a sub-benchmark of BenchmarkTables; EXPERIMENTS.md records
+// the observed outputs against the paper's claims.
 //
 // The paper (a methodology paper) has no quantitative tables of its own;
 // each experiment here reproduces either one of its conceptual figures as
 // an executable artifact (E1, E2) or one of its explicit analytical claims
-// (E3–E10). All experiments are deterministic: fixed seeds, integer cost
-// units.
+// (E3–E16), or measures an extension (E17 on). Every table is a pure
+// function of its seeds: fixed seeds, integer cost units, and no reading
+// of the clock or the process, so the quick tables are pinned by one
+// golden file.
 package experiments
 
 import (
@@ -40,13 +42,9 @@ type Options struct {
 	// Pool fans the independent rows and trials of each experiment out
 	// across worker goroutines. nil (or a 1-worker pool) runs sequentially.
 	// Results are always emitted in submission order, so the output table
-	// is byte-identical whatever the worker count — the determinism tests
-	// in parallel_test.go pin this.
+	// is byte-identical whatever the worker count — the quick-table golden
+	// test runs with and without a pool to pin this.
 	Pool *parallel.Pool
-	// Shards, when positive, narrows the E21 scaling sweep to the pair
-	// {1 shard, Shards shards on a GOMAXPROCS pool} — the knob
-	// benchtab's -shards flag threads through.
-	Shards int
 	// Trace, if non-nil, receives structured events from every engine the
 	// experiment drives (machines, ledgers, banks, media). Nil — the default
 	// and what benchtab uses — keeps every run untraced and byte-identical
@@ -54,6 +52,46 @@ type Options struct {
 	// concurrent sweep tasks interleave in scheduler order; trace one row at
 	// a time (or run sequentially) when event order matters.
 	Trace *trace.Tracer
+}
+
+// Experiment is one entry of the registry: its ID, the paper claim (or
+// extension) its table witnesses, and the function that builds the table.
+type Experiment struct {
+	ID, Claim string
+	Run       func(Options) *stats.Table
+}
+
+// All is every experiment in print order. cmd/benchtab, the quick-table
+// golden test and BenchmarkTables all read this list.
+var All = []Experiment{
+	{"E1", "Figures 2/3: quad-tree mapping with both design constraints", E1Mapping},
+	{"E2", "Section 4.1: O(√N) completion for bounded features, engine agreement", E2Steps},
+	{"E3", "Section 2: divide-and-conquer vs centralized trade", E3DCvsCentral},
+	{"E4", "Section 2: energy balance and extrapolated lifetime", E4Balance},
+	{"E5", "Section 5.1: topology-emulation efficiency claims (i)-(iii)", E5Emulation},
+	{"E6", "Section 5.2: closest-to-center leader election", E6Election},
+	{"E7", "Section 4.3: loss tolerance, with and without ARQ", E7Loss},
+	{"E8", "Sections 2/5: analysis vs emulated measurement", E8Correspondence},
+	{"E9", "Section 3.2: collective primitive costs", E9Collectives},
+	{"E10", "Section 5.1: incremental churn repair", E10Churn},
+	{"E11", "Section 4.1: synchronous step count is Θ(√N)", E11SyncSteps},
+	{"E12", "Section 3.2: tree topology for non-uniform deployments", E12TreeTopology},
+	{"E13", "Section 5.1: emulation under radio loss + flooding baseline", E13LossyEmulation},
+	{"E14", "Section 4.1: event-driven alarm vs periodic labeling", E14AlarmApp},
+	{"E15", "Section 2: simulated lifetime to first node death", E15Lifetime},
+	{"E16", "Sections 2/5: whole-application correspondence, virtual vs physical runtime", E16WholeApp},
+	{"E17", "Extension: labeling under fail-stop crashes with watchdog failover", E17FailureSweep},
+	{"E18", "Extension: stop-and-wait ARQ under loss and crashes", E18ReliableDelivery},
+	{"E19", "Extension: network lifetime under battery depletion, static vs rotated leaders", E19NetworkLifetime},
+	{"E20", "Extension: ARQ under loss accelerates battery depletion", E20DepletionARQ},
+	{"E21", "Extension: the sharded kernel computes one checksum at every shard and worker count", E21ShardScaling},
+	{"E22", "Extension: sharded kernel parity under lossy channels, crashes and depletion", E22HazardScaling},
+	{"E23", "Extension: incremental repair cost and re-convergence latency vs churn rate", E23ChurnRepair},
+	{"E24", "Extension: sharded kernel parity under Poisson sleep/wake churn", E24ChurnShardScaling},
+	{"E26", "Extension: deployment generation at scale, parallel CSR build equal to sequential", E26DeployGeneration},
+	{"A1", "Ablation: mapping strategies", A1MappingAblation},
+	{"A2", "Ablation: workload shapes", A2FieldShapes},
+	{"A3", "Ablation: cost-model sensitivity", A3CostSensitivity},
 }
 
 func sides(o Options, full ...int) []int {

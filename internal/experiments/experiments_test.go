@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"wsnva/internal/stats"
 )
 
 // All experiment tables must build without panicking, contain data rows,
@@ -182,33 +184,44 @@ func TestE16Table(t *testing.T) {
 	}
 }
 
-// TestE22Table pins the hazard scaling sweep's correctness column: every
-// (hazard, shards, workers) cell must reproduce its scenario oracle's
-// checksum, and the hazard machinery must actually bite (lossy scenarios
-// drop packets, the crash+deplete scenario kills nodes).
-func TestE22Table(t *testing.T) {
-	tab := E22HazardScaling(Options{Quick: true})
-	if tab.NumRows() != 6 { // 1 grid x 3 hazard scenarios x 2 configs
-		t.Fatalf("rows = %d, want 6", tab.NumRows())
-	}
-	out := tab.String()
-	if strings.Contains(out, "false") {
-		t.Errorf("a sharded hazard run diverged from its oracle:\n%s", out)
-	}
-	for _, hazard := range []string{"bernoulli", "burst", "crash+deplete"} {
-		if !strings.Contains(out, hazard) {
-			t.Errorf("scenario %q missing:\n%s", hazard, out)
-		}
+// TestShardScalingTables pins the shard ladders' correctness columns:
+// every (scenario, shards, workers) row must reproduce its scenario's
+// one-shard checksum, and every hazard scenario must be present.
+func TestShardScalingTables(t *testing.T) {
+	for _, tc := range []struct {
+		id        string
+		run       func(Options) *stats.Table
+		rows      int // quick: 1 grid x scenarios x 2 configs
+		scenarios []string
+	}{
+		{"E21", E21ShardScaling, 2, nil},
+		{"E22", E22HazardScaling, 6, []string{"bernoulli", "burst", "crash+deplete"}},
+		{"E24", E24ChurnShardScaling, 4, []string{"poisson", "churn+loss+crash"}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			tab := tc.run(Options{Quick: true})
+			if tab.NumRows() != tc.rows {
+				t.Fatalf("rows = %d, want %d", tab.NumRows(), tc.rows)
+			}
+			out := tab.String()
+			if strings.Contains(out, "false") {
+				t.Errorf("a sharded run diverged from its one-shard checksum:\n%s", out)
+			}
+			for _, sc := range tc.scenarios {
+				if !strings.Contains(out, sc) {
+					t.Errorf("scenario %q missing:\n%s", sc, out)
+				}
+			}
+		})
 	}
 }
 
 // TestE26Table pins the deployment-scaling sweep's correctness column:
-// every parallel build must deep-equal its sequential twin (the wall
-// columns are process measurements and are not asserted).
+// every parallel build must deep-equal its sequential twin.
 func TestE26Table(t *testing.T) {
 	tab := E26DeployGeneration(Options{Quick: true})
-	if tab.NumRows() != 5 { // 2 build tiers x 2 modes + 1 gen tier
-		t.Fatalf("rows = %d, want 5", tab.NumRows())
+	if tab.NumRows() != 3 { // 2 build tiers + 1 gen tier
+		t.Fatalf("rows = %d, want 3", tab.NumRows())
 	}
 	if out := tab.String(); strings.Contains(out, "false") {
 		t.Errorf("a parallel deployment diverged from its sequential twin:\n%s", out)

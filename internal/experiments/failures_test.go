@@ -1,36 +1,11 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
 	"testing"
 
 	"wsnva/internal/fault"
 	"wsnva/internal/synth"
 )
-
-// TestE17GoldenCSV pins the failure sweep byte-for-byte against a committed
-// golden file: crash schedules, watchdog timing, and energy accounting are
-// all pure functions of the seeds, so the quick table must never drift.
-// Regenerate deliberately with UPDATE_GOLDEN=1 go test ./internal/experiments
-// after an intentional behavior change.
-func TestE17GoldenCSV(t *testing.T) {
-	got := E17FailureSweep(Options{Quick: true}).CSV()
-	path := filepath.Join("testdata", "e17_quick.golden.csv")
-	if os.Getenv("UPDATE_GOLDEN") != "" {
-		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != string(want) {
-		t.Fatalf("E17 quick CSV drifted from golden file %s\n--- got ---\n%s--- want ---\n%s",
-			path, got, want)
-	}
-}
 
 // TestE17CoverageMonotone checks the sweep's headline property directly on
 // the driver: because crash sets are nested (a higher fraction only adds

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"time"
 
 	"wsnva/internal/deploy"
 	"wsnva/internal/fault"
 	"wsnva/internal/geom"
+	"wsnva/internal/parallel"
 	"wsnva/internal/shard"
 	"wsnva/internal/stats"
 )
@@ -17,24 +16,15 @@ import (
 // e21cfg is one execution strategy in the E21 sweep.
 type e21cfg struct{ shards, workers int }
 
-// E21ShardScaling measures the sharded parallel kernel (internal/shard)
-// against its own one-shard run, the (1,1) row: nodes × (shards,
-// workers) versus wall-clock and allocations, on the multi-source
-// dissemination workload. The checksum column witnesses that every
-// configuration of a grid computed the identical result — the speedup is
-// never bought with divergence.
-//
-// Unlike the other experiments the wall and malloc columns here are
-// measurements of this process, not simulation outputs, so the table is
-// not byte-deterministic and is excluded from the golden-table tests;
-// rows run sequentially (never on the options pool) so the readings
-// attribute to one configuration at a time. Shard-level parallelism
-// only buys wall time on multi-core hosts — on a single-core container
-// the sweep records the bookkeeping overhead instead; EXPERIMENTS.md
-// discusses the observed numbers.
+// E21ShardScaling runs the sharded parallel kernel (internal/shard) on the
+// multi-source dissemination workload across nodes × (shards, workers).
+// The match column witnesses that every configuration of a grid computes
+// the checksum of its one-shard run, the (1,1) row: the shard count never
+// changes the answer. Its wall time and allocations are timed by
+// BenchmarkShardFlood in internal/shard, not here.
 func E21ShardScaling(o Options) *stats.Table {
 	tab := stats.NewTable("E21: sharded kernel scaling — multi-source dissemination, conservative windows (lookahead = min radio delay)",
-		"nodes", "floods", "shards", "workers", "wall ms", "mallocs", "speedup", "checksum")
+		"nodes", "floods", "shards", "workers", "match", "checksum")
 
 	grids := []int{2000, 8000}
 	floods := 16
@@ -44,37 +34,9 @@ func E21ShardScaling(o Options) *stats.Table {
 		floods = 8
 		configs = []e21cfg{{1, 1}, {4, 2}}
 	}
-	if o.Shards > 0 {
-		configs = []e21cfg{{1, 1}, {o.Shards, 0}}
-	}
-
-	for _, n := range grids {
-		nw := e21net(n)
-		var base float64
-		for i, c := range configs {
-			runtime.GC()
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			t0 := time.Now()
-			res, err := shard.Run(nw, shard.Config{
-				Shards: c.shards, Workers: c.workers,
-				Floods: floods, PktSize: 2,
-			})
-			wall := time.Since(t0)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				panic(fmt.Sprintf("experiments: E21 n=%d shards=%d: %v", n, c.shards, err))
-			}
-			ms := float64(wall.Nanoseconds()) / 1e6
-			if i == 0 {
-				base = ms
-			}
-			tab.AddRow(n, floods, c.shards, c.workers, ms,
-				int64(after.Mallocs-before.Mallocs),
-				stats.Ratio(base, ms),
-				fmt.Sprintf("%016x", res.Checksum()))
-		}
-	}
+	shardLadder(o, tab, grids, floods, configs, func(int) []scenario {
+		return []scenario{{floods, shard.Config{}}}
+	}, func(*shard.Result) []any { return nil })
 	return tab
 }
 
@@ -84,13 +46,10 @@ func E21ShardScaling(o Options) *stats.Table {
 // battery-depletion scenario, each across the (shards, workers) ladder.
 // The match column witnesses the tentpole claim — counter-keyed loss
 // draws and instant-granularity deaths make every shard count compute
-// the one-shard run's exact result, so the parallel speedup survives
-// hazards.
-// Wall and malloc readings are process measurements, as in E21, so this
-// table is also excluded from the golden-table tests.
+// the one-shard run's exact result.
 func E22HazardScaling(o Options) *stats.Table {
 	tab := stats.NewTable("E22: sharded kernel scaling under hazards — lossy channels, mid-run crashes, battery depletion",
-		"nodes", "hazard", "shards", "workers", "wall ms", "drops", "deaths", "speedup", "match", "checksum")
+		"nodes", "hazard", "shards", "workers", "drops", "deaths", "match", "checksum")
 
 	grids := []int{2000, 8000}
 	floods := 16
@@ -100,16 +59,8 @@ func E22HazardScaling(o Options) *stats.Table {
 		floods = 8
 		configs = []e21cfg{{1, 1}, {4, 2}}
 	}
-	if o.Shards > 0 {
-		configs = []e21cfg{{1, 1}, {o.Shards, 0}}
-	}
-
-	for _, n := range grids {
-		nw := e21net(n)
-		scenarios := []struct {
-			name string
-			cfg  shard.Config
-		}{
+	shardLadder(o, tab, grids, floods, configs, func(n int) []scenario {
+		return []scenario{
 			{"bernoulli 0.15", shard.Config{Loss: 0.15, Seed: 7}},
 			{"burst GE", shard.Config{Burst: fault.DefaultBurst(), Seed: 7}},
 			{"crash+deplete", shard.Config{
@@ -118,34 +69,55 @@ func E22HazardScaling(o Options) *stats.Table {
 				Deplete:  true,
 			}},
 		}
-		for _, sc := range scenarios {
-			var base float64
-			var oracle uint64
-			for i, c := range configs {
-				cfg := sc.cfg
-				cfg.Shards, cfg.Workers = c.shards, c.workers
-				cfg.Floods, cfg.PktSize = floods, 2
-				runtime.GC()
-				t0 := time.Now()
-				res, err := shard.Run(nw, cfg)
-				wall := time.Since(t0)
-				if err != nil {
-					panic(fmt.Sprintf("experiments: E22 n=%d %s shards=%d: %v", n, sc.name, c.shards, err))
-				}
-				ms := float64(wall.Nanoseconds()) / 1e6
-				if i == 0 {
-					base = ms
-					oracle = res.Checksum()
-				}
-				tab.AddRow(n, sc.name, c.shards, c.workers, ms,
-					res.Dropped, res.Deaths,
-					stats.Ratio(base, ms),
-					res.Checksum() == oracle,
-					fmt.Sprintf("%016x", res.Checksum()))
-			}
+	}, func(res *shard.Result) []any { return []any{res.Dropped, res.Deaths} })
+	return tab
+}
+
+// scenario is one row group of a shard ladder: the label printed in the
+// table's second column and the hazards armed on every configuration.
+type scenario struct {
+	label any
+	cfg   shard.Config
+}
+
+// shardLadder runs each grid's scenarios on its e21net deployment across
+// configs, one sweep task per (grid, scenario). A row holds the node
+// count, the scenario label, shards and workers, then cols' cells, then
+// match — whether the row's checksum equals the scenario's first
+// configuration's — and the checksum.
+func shardLadder(o Options, tab *stats.Table, grids []int, floods int, configs []e21cfg,
+	scenarios func(n int) []scenario, cols func(*shard.Result) []any) {
+	type task struct {
+		nw *deploy.Network
+		sc scenario
+	}
+	var tasks []task
+	for _, nw := range parallel.Map(o.Pool, len(grids), func(i int) *deploy.Network { return e21net(grids[i]) }) {
+		for _, sc := range scenarios(nw.N()) {
+			tasks = append(tasks, task{nw, sc})
 		}
 	}
-	return tab
+	sweep(o, tab, len(tasks), func(i int) rows {
+		t := tasks[i]
+		var out rows
+		var first uint64
+		for j, c := range configs {
+			cfg := t.sc.cfg
+			cfg.Shards, cfg.Workers = c.shards, c.workers
+			cfg.Floods, cfg.PktSize = floods, 2
+			res, err := shard.Run(t.nw, cfg)
+			if err != nil {
+				panic(fmt.Sprintf("experiments: %s n=%d %v shards=%d: %v", tab.Title, t.nw.N(), t.sc.label, c.shards, err))
+			}
+			sum := res.Checksum()
+			if j == 0 {
+				first = sum
+			}
+			row := append([]any{t.nw.N(), t.sc.label, c.shards, c.workers}, cols(res)...)
+			out = append(out, append(row, sum == first, fmt.Sprintf("%016x", sum)))
+		}
+		return out
+	})
 }
 
 // e21net builds a constant-density deployment (about 12 neighbors per

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"wsnva/internal/churn"
 	"wsnva/internal/deploy"
+	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 )
@@ -27,7 +29,11 @@ var floodSink *Result
 // with the single-kernel oracle as the baseline case, so the shard
 // layer's ns/op and allocs/op reproduce without the bench/ harness. The
 // 4-shard case crosses shards on about 3.5% of the edges, against 1.5%
-// at 2 shards. The deployment is built once, outside the timed loop.
+// at 2 shards. The lossless cases carry their bare names; the same cases
+// then run under E22's hazards (a Bernoulli 0.15 channel, the
+// Gilbert–Elliott burst channel, crashes plus battery depletion) and
+// E24's (Poisson churn, and churn with loss and crashes), named
+// <hazard>/<case>. The deployment is built once, outside the timed loop.
 func BenchmarkShardFlood(b *testing.B) {
 	const side, density = 32, 16
 	grid := geom.NewSquareGrid(side, float64(side)*10)
@@ -36,16 +42,31 @@ func BenchmarkShardFlood(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, c := range benchCases {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			cfg := Config{Floods: 2, Shards: c.shards, Workers: c.shards}
-			for i := 0; i < b.N; i++ {
-				if floodSink, err = runFloods(nw, cfg, c.exec); err != nil {
-					b.Fatal(err)
+	n := nw.N()
+	sched := churn.Poisson(n, float64(n)/100, 80, 7)
+	for _, h := range []struct {
+		prefix string
+		cfg    Config
+	}{
+		{"", Config{}},
+		{"bernoulli/", Config{Loss: 0.15, Seed: 7}},
+		{"burst/", Config{Burst: fault.DefaultBurst(), Seed: 7}},
+		{"crash+deplete/", Config{Crashes: fault.MustRandom(n, 0.05, 50, 7), Capacity: 400, Deplete: true}},
+		{"poisson/", Config{Churn: sched}},
+		{"churn+loss+crash/", Config{Churn: sched, Loss: 0.1, Seed: 7, Crashes: fault.MustRandom(n, 0.03, 50, 7)}},
+	} {
+		for _, c := range benchCases {
+			b.Run(h.prefix+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				cfg := h.cfg
+				cfg.Floods, cfg.Shards, cfg.Workers = 2, c.shards, c.shards
+				for i := 0; i < b.N; i++ {
+					if floodSink, err = runFloods(nw, cfg, c.exec); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
