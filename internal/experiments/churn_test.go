@@ -6,6 +6,11 @@ import (
 	"testing"
 )
 
+// TestE23GoldenCSV pins the churn repair sweep byte-for-byte against its
+// block of the quick-tables golden: disturbance schedules, repair traffic,
+// and re-convergence latencies are pure functions of the seeds.
+func TestE23GoldenCSV(t *testing.T) { checkQuickGolden(t, "E23") }
+
 // TestE23Recovered checks the sweep's headline property directly: the
 // recovery predicate holds and the final round covers the full grid at
 // every churn rate in the quick sweep.

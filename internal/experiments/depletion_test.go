@@ -10,6 +10,11 @@ import (
 	"wsnva/internal/synth"
 )
 
+// TestE19GoldenCSV pins the quick lifetime sweep byte-for-byte against its
+// block of the quick-tables golden: deploys, elections, depletion order,
+// and rotation decisions are all pure functions of the seeds.
+func TestE19GoldenCSV(t *testing.T) { checkQuickGolden(t, "E19") }
+
 // TestE19RotationExtendsLifetime is the sweep's headline claim checked
 // directly on the mission driver: at every budget, rotating executors onto
 // the highest-residual member delays the first depletion (in rounds) at

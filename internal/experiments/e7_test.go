@@ -8,11 +8,16 @@ import (
 	"wsnva/internal/parallel"
 )
 
+// TestE7GoldenCSV pins the goroutine runtime's loss sweep byte-for-byte
+// against its block of the quick-tables golden: every loss draw comes from
+// its sender's own seeded stream, consumed in that sender's own order, so
+// the quick table is a pure function of the seeds.
+func TestE7GoldenCSV(t *testing.T) { checkQuickGolden(t, "E7") }
+
 // TestE7SchedulerIndependent rebuilds quick E7 on a 4-worker pool at
-// GOMAXPROCS 1, 2 and 8: every loss draw comes from its sender's own
-// seeded stream, consumed in that sender's own order, so however the Go
-// scheduler interleaves the goroutine-per-node rounds, every table must
-// equal E7's block of the quick-tables golden.
+// GOMAXPROCS 1, 2 and 8: however the Go scheduler interleaves the
+// goroutine-per-node rounds, every table must equal E7's block of the
+// quick-tables golden.
 func TestE7SchedulerIndependent(t *testing.T) {
 	want := goldenBlock(readTablesGolden(t), "E7")
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))

@@ -43,7 +43,7 @@ type Options struct {
 	// across worker goroutines. nil (or a 1-worker pool) runs sequentially.
 	// Results are always emitted in submission order, so the output table
 	// is byte-identical whatever the worker count — the quick-table golden
-	// test runs with and without a pool to pin this.
+	// tests run with and without a pool to pin this.
 	Pool *parallel.Pool
 	// Trace, if non-nil, receives structured events from every engine the
 	// experiment drives (machines, ledgers, banks, media). Nil — the default

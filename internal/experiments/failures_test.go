@@ -7,6 +7,12 @@ import (
 	"wsnva/internal/synth"
 )
 
+// TestE17GoldenCSV pins the failure sweep byte-for-byte against its block
+// of the quick-tables golden: crash schedules, watchdog timing, and energy
+// accounting are all pure functions of the seeds, so the quick table must
+// never drift.
+func TestE17GoldenCSV(t *testing.T) { checkQuickGolden(t, "E17") }
+
 // TestE17CoverageMonotone checks the sweep's headline property directly on
 // the driver: because crash sets are nested (a higher fraction only adds
 // victims), exfiltrated coverage is non-increasing in the crash fraction.
