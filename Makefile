@@ -112,11 +112,13 @@ soak:
 	SOAK_SEEDS=40 $(GO) test -run TestDepletionSoak -count=1 ./internal/experiments/
 
 # Coverage floors: the trace/metrics/check packages are the repo's
-# verification substrate and are gated at 75%; the sharded kernel is the
-# differential-conformance tentpole and carries its own 80% floor.
+# verification substrate and are gated at 75%; the sharded kernel (the
+# differential-conformance tentpole) and the DES machine (whose one
+# transmission path every fault test drives) carry an 80% floor.
 COVER_PKGS = ./internal/trace/ ./internal/trace/check/ ./internal/metrics/
 COVER_FLOOR = 75.0
-SHARD_COVER_FLOOR = 80.0
+ENGINE_COVER_PKGS = ./internal/shard/ ./internal/varch/
+ENGINE_COVER_FLOOR = 80.0
 
 cover:
 	@$(GO) test -cover $(COVER_PKGS) | awk -v floor=$(COVER_FLOOR) '\
@@ -124,10 +126,10 @@ cover:
 	/coverage:/ { pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
 	  if (pct + 0 < floor) { print "FAIL: coverage below " floor "% floor"; bad = 1 } } \
 	END { exit bad }'
-	@$(GO) test -cover ./internal/shard/ | awk -v floor=$(SHARD_COVER_FLOOR) '\
+	@$(GO) test -cover $(ENGINE_COVER_PKGS) | awk -v floor=$(ENGINE_COVER_FLOOR) '\
 	{ print } \
 	/coverage:/ { pct = $$0; sub(/.*coverage: /, "", pct); sub(/%.*/, "", pct); \
-	  if (pct + 0 < floor) { print "FAIL: shard coverage below " floor "% floor"; bad = 1 } } \
+	  if (pct + 0 < floor) { print "FAIL: coverage below " floor "% floor"; bad = 1 } } \
 	END { exit bad }'
 
 # Regenerate every experiment table (E1-E24, E26, A1-A3).
@@ -179,8 +181,9 @@ examples:
 	$(GO) run ./examples/tracking
 
 # The wsnsim command on every execution engine at side 8: each run must
-# find as many regions as the ground truth, and an unknown engine must be
-# rejected before the deployment phase runs.
+# find as many regions as the ground truth, an unknown engine must be
+# rejected before the deployment phase runs, and a NaN loss probability
+# must fail the goroutine and shard engines instead of running lossless.
 ENGINES = des lockstep goroutine physical shard
 
 engines:
@@ -196,6 +199,11 @@ engines:
 	if echo "$$out" | grep -q 'deployment:'; then \
 	  echo "FAIL: -engine bogus ran the deployment"; exit 1; fi; \
 	echo "ok   -engine bogus rejected before deployment"
+	@for e in goroutine shard; do \
+	  if $(GO) run ./cmd/wsnsim -side 8 -engine $$e -loss NaN >/dev/null 2>&1; then \
+	    echo "FAIL: -engine $$e -loss NaN exited 0"; exit 1; fi; \
+	  echo "ok   -engine $$e -loss NaN rejected"; \
+	done
 
 # Build output only: the bench/ build directory and the binaries
 # `go build ./cmd/<name>` leaves in the repository root. results/ is

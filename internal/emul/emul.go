@@ -43,7 +43,9 @@ type Machine struct {
 	toLeader []int32 // per node: next hop toward its cell's leader, or noRoute
 	queue    []int32 // relay-tree BFS scratch
 
-	handlers map[geom.Coord]varch.Handler
+	// recv receives every delivered application message, with the
+	// destination's grid index (nil: every virtual node is deaf).
+	recv     func(to int, msg varch.Message)
 	msgs     int64
 	physHops int64
 
@@ -110,7 +112,6 @@ func New(h *varch.Hierarchy, proto *vtopo.Protocol, bnd *binding.Binding, med *r
 		members:  nw.CellMembers(h.Grid),
 		cell:     make([]int32, nw.N()),
 		toLeader: make([]int32, nw.N()),
-		handlers: make(map[geom.Coord]varch.Handler),
 	}
 	for idx, cellNodes := range m.members {
 		for _, id := range cellNodes {
@@ -135,9 +136,11 @@ func New(h *varch.Hierarchy, proto *vtopo.Protocol, bnd *binding.Binding, med *r
 	return m, nil
 }
 
-// Handle installs the virtual node handler; it runs on the cell's elected
-// leader.
-func (m *Machine) Handle(c geom.Coord, h varch.Handler) { m.handlers[c] = h }
+// SetReceiver installs the function that consumes every application
+// message delivered to a virtual node, replacing any previous one:
+// recv(to, msg) runs, with the destination's grid index, on that cell's
+// elected leader. A nil receiver makes every virtual node deaf.
+func (m *Machine) SetReceiver(recv func(to int, msg varch.Message)) { m.recv = recv }
 
 // Kernel returns the simulation kernel (shared with the medium).
 func (m *Machine) Kernel() *sim.Kernel { return m.med.Kernel() }
@@ -145,7 +148,7 @@ func (m *Machine) Kernel() *sim.Kernel { return m.med.Kernel() }
 // Send moves a virtual message between virtual nodes over the physical
 // network: the source cell's leader forwards it along the emulated grid
 // route; the first node reached in the destination cell relays it up the
-// intra-cell tree to the destination leader, which runs the handler.
+// intra-cell tree to the destination leader, which runs the receiver.
 func (m *Machine) Send(from, to geom.Coord, size int64, payload any) {
 	src, ok := m.bnd.Leaders[from]
 	if !ok {
@@ -223,7 +226,7 @@ func (m *Machine) onPacket(id int, pkt radio.Packet) {
 	m.forward(id, env)
 }
 
-// dispatch hands a message to the destination virtual node's handler. A
+// dispatch hands a message to the destination virtual node's receiver. A
 // leader that died or was deposed while the message was in flight drops it
 // — the virtual process has moved (or died) with its executor.
 func (m *Machine) dispatch(id int, env appMsg) {
@@ -237,8 +240,8 @@ func (m *Machine) dispatch(id int, env appMsg) {
 	if m.tracer != nil {
 		m.tracer.EmitEvent(m.vevt(trace.Deliver, env.to, env.msg.From, env.msg.Size, ""))
 	}
-	if h := m.handlers[env.to]; h != nil {
-		h(env.msg)
+	if m.recv != nil {
+		m.recv(m.hier.Grid.Index(env.to), env.msg)
 	}
 }
 
@@ -325,10 +328,7 @@ func RunProgram[S any](m *Machine, spec *program.Spec[S]) (*Result, []program.In
 				PeerCol: -1, PeerRow: -1, Detail: rule})
 		})
 	}
-	for i := range insts {
-		inst := &insts[i]
-		m.Handle(g.CoordOf(i), func(msg varch.Message) { inst.OnMessage(msg.Payload) })
-	}
+	m.SetReceiver(func(to int, msg varch.Message) { insts[to].OnMessage(msg.Payload) })
 	m.vphase("emul-round:start")
 	for i := range insts {
 		insts[i].RunToQuiescence()

@@ -107,11 +107,13 @@ func TestPhysicalCostsExceedVirtualModestly(t *testing.T) {
 
 func TestPhysicalSendDeliversAtLeaders(t *testing.T) {
 	m, h, _, nw := stack(t, 4, 6, 9)
-	_ = h
 	from := geom.Coord{Col: 3, Row: 3}
 	to := geom.Coord{Col: 0, Row: 0}
 	delivered := false
-	m.Handle(to, func(msg varch.Message) {
+	m.SetReceiver(func(at int, msg varch.Message) {
+		if at != h.Grid.Index(to) {
+			t.Errorf("delivered at node %d, want %d", at, h.Grid.Index(to))
+		}
 		delivered = true
 		if msg.From != from || msg.Size != 5 || msg.Payload.(string) != "pkt" {
 			t.Errorf("bad message %+v", msg)
@@ -129,7 +131,7 @@ func TestPhysicalSendDeliversAtLeaders(t *testing.T) {
 	}
 	// Self-send is free and immediate.
 	selfHeard := false
-	m.Handle(from, func(varch.Message) { selfHeard = true })
+	m.SetReceiver(func(at int, _ varch.Message) { selfHeard = at == h.Grid.Index(from) })
 	m.Send(from, from, 99, nil)
 	m.Kernel().Run()
 	if !selfHeard {
@@ -141,7 +143,7 @@ func TestSendToLeaderPhysical(t *testing.T) {
 	m, h, _, _ := stack(t, 4, 6, 11)
 	heard := false
 	leader := h.LeaderAt(geom.Coord{Col: 3, Row: 1}, 1)
-	m.Handle(leader, func(msg varch.Message) { heard = true })
+	m.SetReceiver(func(at int, _ varch.Message) { heard = at == h.Grid.Index(leader) })
 	m.SendToLeader(geom.Coord{Col: 3, Row: 1}, 1, 2, nil)
 	m.Kernel().Run()
 	if !heard {

@@ -157,6 +157,15 @@ type e20Channel struct {
 	burst *fault.GilbertElliott
 }
 
+// channel starts one round's loss channel: the burst chain seeded 97, or
+// the Bernoulli coin seeded 41.
+func (c e20Channel) channel() fault.Channel {
+	if c.burst != nil {
+		return c.burst.Process(97)
+	}
+	return bernoulli(c.loss, 41)
+}
+
 // e20Channels pairs Bernoulli points against a Gilbert–Elliott burst
 // channel of comparable stationary rate, so the table separates "how much
 // is lost" from "how the losses cluster".
@@ -193,18 +202,11 @@ func E20DepletionARQ(o Options) *stats.Table {
 		rel := arqs[(i/len(budgets))%len(arqs)]
 		budget := budgets[i%len(budgets)]
 		n := 8 * 8
-		cfg := synth.FaultConfig{
+		res, vm := faultRound(8, 7, synth.FaultConfig{
+			Channel:     ch.channel(),
 			Reliability: rel,
 			Battery:     battery.Uniform(n, budget),
-		}
-		if ch.burst != nil {
-			cfg.Burst = ch.burst
-			cfg.BurstSeed = 97
-		} else {
-			cfg.Loss = ch.loss
-			cfg.LossSeed = 41
-		}
-		res, vm := faultRound(8, 7, cfg, o.Trace)
+		}, o.Trace)
 		arqLabel := "off"
 		if rel.Enabled() {
 			arqLabel = "on"
@@ -235,8 +237,7 @@ func depletionSoakRound(seed int64) error {
 	n := 8 * 8
 	bank := battery.Uniform(n, budget)
 	res, vm := faultRound(8, 7, synth.FaultConfig{
-		Loss:        loss,
-		LossSeed:    seed * 3,
+		Channel:     bernoulli(loss, seed*3),
 		Reliability: rel,
 		Battery:     bank,
 	}, nil)

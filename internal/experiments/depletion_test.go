@@ -77,18 +77,19 @@ func TestE19LifetimeMonotoneInBudget(t *testing.T) {
 func TestE20ARQAcceleratesDepletion(t *testing.T) {
 	burst := fault.DefaultBurst()
 	cases := []struct {
-		name string
-		cfg  synth.FaultConfig
+		name    string
+		channel func() fault.Channel
 	}{
-		{"bernoulli", synth.FaultConfig{Loss: 0.2, LossSeed: 41}},
-		{"burst", synth.FaultConfig{Burst: &burst, BurstSeed: 97}},
+		{"bernoulli", func() fault.Channel { return bernoulli(0.2, 41) }},
+		{"burst", func() fault.Channel { return burst.Process(97) }},
 	}
 	for _, tc := range cases {
 		run := func(rel fault.Reliability) (int, cost.Energy) {
-			cfg := tc.cfg
-			cfg.Reliability = rel
-			cfg.Battery = battery.Uniform(64, 100)
-			res, vm := faultRound(8, 7, cfg, nil)
+			res, vm := faultRound(8, 7, synth.FaultConfig{
+				Channel:     tc.channel(),
+				Reliability: rel,
+				Battery:     battery.Uniform(64, 100),
+			}, nil)
 			return res.Depleted, vm.Ledger().Total()
 		}
 		plainDead, plainEnergy := run(fault.Reliability{})

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math/rand"
+
 	"wsnva/internal/cost"
 	"wsnva/internal/fault"
 	"wsnva/internal/sim"
@@ -50,6 +52,12 @@ func faultRound(side int, mapSeed int64, cfg synth.FaultConfig, tr *trace.Tracer
 	return res, vm
 }
 
+// bernoulli returns a Bernoulli loss channel at rate p over a fresh rand
+// source seeded with seed.
+func bernoulli(p float64, seed int64) fault.Channel {
+	return fault.NewBernoulli(p, rand.New(rand.NewSource(seed)))
+}
+
 // E17FailureSweep sweeps the crash fraction and reports how the labeling
 // round degrades: coverage (fraction of the map the exfiltrated summary
 // accounts for), forced promotions and leader failovers (the watchdog
@@ -94,8 +102,7 @@ func E18ReliableDelivery(o Options) *stats.Table {
 		n := side * side
 		res, vm := faultRound(side, 7, synth.FaultConfig{
 			Schedule:    fault.MustRandom(n, 0.1, crashWindow, 1000+int64(side)),
-			Loss:        loss,
-			LossSeed:    33 + int64(side),
+			Channel:     bernoulli(loss, 33+int64(side)),
 			Reliability: rel,
 		}, o.Trace)
 		msgs, _ := vm.Stats()

@@ -40,8 +40,7 @@ func TestE18ARQNeverWorseDelivery(t *testing.T) {
 		run := func(rel fault.Reliability) int64 {
 			res, _ := faultRound(8, 7, synth.FaultConfig{
 				Schedule:    fault.MustRandom(64, 0.1, crashWindow, 1008),
-				Loss:        loss,
-				LossSeed:    41,
+				Channel:     bernoulli(loss, 41),
 				Reliability: rel,
 			}, nil)
 			return res.Stats.Delivered

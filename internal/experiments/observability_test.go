@@ -96,14 +96,12 @@ func TestInvariantFaultSweeps(t *testing.T) {
 	})
 	invariantRound(t, "E18-arq-loss", synth.FaultConfig{
 		Schedule:    fault.MustRandom(n, 0.1, crashWindow, 1000+8),
-		Loss:        0.1,
-		LossSeed:    33 + 8,
+		Channel:     bernoulli(0.1, 33+8),
 		Reliability: fault.DefaultReliability(),
 	})
 	burst := fault.DefaultBurst()
 	invariantRound(t, "E20-depletion-burst", synth.FaultConfig{
-		Burst:       &burst,
-		BurstSeed:   97,
+		Channel:     burst.Process(97),
 		Reliability: fault.DefaultReliability(),
 		Battery:     battery.Uniform(n, 100),
 	})

@@ -361,6 +361,38 @@ func (r Reliability) AckUnits() int64 {
 	return r.AckSize
 }
 
+// Channel is the one loss decision every engine draws from: Lost is asked
+// once per transmission attempt, in the engine's attempt order, and
+// reports whether that attempt is lost. Bernoulli draws from a shared
+// rand.Rand, BurstChannel runs one Gilbert–Elliott chain, and
+// StreamChannel keys every draw to its sender's own counter, which makes
+// the loss pattern schedule-independent for the sharded kernel.
+type Channel interface {
+	Lost(from, to int, size int64) bool
+}
+
+// Bernoulli loses every attempt independently with probability p, drawn
+// from one seeded rand.Rand in attempt order. At p = 0 it draws nothing.
+type Bernoulli struct {
+	p   float64
+	rng *rand.Rand
+}
+
+// NewBernoulli returns the independent-loss channel over rng. It panics on
+// a p outside [0,1) or NaN, and on a positive p without a random source.
+func NewBernoulli(p float64, rng *rand.Rand) *Bernoulli {
+	if math.IsNaN(p) || p < 0 || p >= 1 {
+		panic(fmt.Sprintf("fault: loss probability %v out of [0,1)", p))
+	}
+	if p > 0 && rng == nil {
+		panic("fault: loss needs a random source")
+	}
+	return &Bernoulli{p: p, rng: rng}
+}
+
+// Lost implements Channel.
+func (b *Bernoulli) Lost(_, _ int, _ int64) bool { return b.p > 0 && b.rng.Float64() < b.p }
+
 // GilbertElliott parameterizes the classic two-state bursty-loss channel:
 // a Markov chain alternating between a Good state (low loss) and a Bad
 // state (high loss — a fade, a collision storm, an interferer). Unlike the
@@ -450,8 +482,9 @@ func (g GilbertElliott) Process(seed int64) *BurstChannel {
 // Lost draws one transmission attempt: the chain advances one step, then
 // the attempt is lost with the current state's loss probability. Two RNG
 // draws per attempt, always, so the stream stays aligned whatever path the
-// chain takes.
-func (c *BurstChannel) Lost() bool {
+// chain takes. One chain serves every link, so the endpoints and size are
+// ignored.
+func (c *BurstChannel) Lost(_, _ int, _ int64) bool {
 	flip := c.rng.Float64()
 	if c.bad {
 		if flip < c.params.PBadGood {
@@ -471,9 +504,6 @@ func (c *BurstChannel) Lost() bool {
 	}
 	return lost
 }
-
-// Bad reports whether the chain is currently in the Bad state.
-func (c *BurstChannel) Bad() bool { return c.bad }
 
 // Stats returns attempts drawn and attempts lost so far.
 func (c *BurstChannel) Stats() (draws, losses int64) { return c.draws, c.losses }

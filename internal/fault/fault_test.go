@@ -3,6 +3,7 @@ package fault
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"wsnva/internal/sim"
@@ -152,7 +153,7 @@ func TestBurstChannelDeterministic(t *testing.T) {
 		c := DefaultBurst().Process(seed)
 		seq := make([]bool, 4096)
 		for i := range seq {
-			seq[i] = c.Lost()
+			seq[i] = c.Lost(0, 1, 1)
 		}
 		return seq
 	}
@@ -185,7 +186,7 @@ func TestBurstChannelClusters(t *testing.T) {
 	losses, pairs, lossThenLoss := 0, 0, 0
 	prev := false
 	for i := 0; i < draws; i++ {
-		lost := c.Lost()
+		lost := c.Lost(0, 1, 1)
 		if lost {
 			losses++
 		}
@@ -304,6 +305,44 @@ func TestInjectorSuspendRangePanics(t *testing.T) {
 			defer func() {
 				if recover() == nil {
 					t.Error("out-of-range suspend/resume did not panic")
+				}
+			}()
+			f()
+		}()
+	}
+}
+
+// TestBernoulliChannel: the channel makes exactly the draw rng.Float64() < p
+// per attempt, draws nothing at p = 0, and rejects a p outside [0,1), NaN,
+// or a positive p without a random source.
+func TestBernoulliChannel(t *testing.T) {
+	ref := rand.New(rand.NewSource(5))
+	c := NewBernoulli(0.3, rand.New(rand.NewSource(5)))
+	for i := 0; i < 1000; i++ {
+		if got, want := c.Lost(i, i+1, 1), ref.Float64() < 0.3; got != want {
+			t.Fatalf("draw %d = %v, want %v", i, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(5))
+	idle := NewBernoulli(0, rng)
+	for i := 0; i < 10; i++ {
+		if idle.Lost(0, 1, 1) {
+			t.Fatal("a zero-loss channel lost an attempt")
+		}
+	}
+	if got, want := rng.Float64(), rand.New(rand.NewSource(5)).Float64(); got != want {
+		t.Error("a zero-loss channel consumed its random source")
+	}
+	for name, f := range map[string]func(){
+		"p=1":        func() { NewBernoulli(1, rng) },
+		"p<0":        func() { NewBernoulli(-0.1, rng) },
+		"p NaN":      func() { NewBernoulli(math.NaN(), rng) },
+		"nil source": func() { NewBernoulli(0.1, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
 				}
 			}()
 			f()

@@ -23,19 +23,18 @@ import (
 //     draws per attempt, always, mirroring BurstChannel.Lost so the
 //     per-node streams stay aligned whatever path the chain takes.
 //
-// Concurrency: all mutable state (draw counters, chain states, loss
-// tallies) is indexed by sender, and in the sharded engine every draw
-// for a node is made by the node's owner shard, so distinct shards never
-// touch the same slot. There is deliberately no aggregate counter.
+// Concurrency: all mutable state (draw counters, chain states) is indexed
+// by sender, and in the sharded engine every draw for a node is made by
+// the node's owner shard, so distinct shards never touch the same slot.
+// There is deliberately no aggregate counter.
 type StreamChannel struct {
 	seed   uint64
 	p      float64 // Bernoulli loss probability
 	burst  bool
 	params GilbertElliott
 
-	ctr    []uint64 // per-sender draw counter
-	bad    []bool   // per-sender Gilbert–Elliott state
-	losses []int64  // per-sender attempts lost
+	ctr []uint64 // per-sender draw counter
+	bad []bool   // per-sender Gilbert–Elliott state
 }
 
 // NewBernoulliStream returns an independent-loss channel over n senders:
@@ -49,10 +48,9 @@ func NewBernoulliStream(n int, p float64, seed int64) (*StreamChannel, error) {
 		return nil, fmt.Errorf("fault: stream loss probability %v out of [0,1)", p)
 	}
 	return &StreamChannel{
-		seed:   uint64(seed),
-		p:      p,
-		ctr:    make([]uint64, n),
-		losses: make([]int64, n),
+		seed: uint64(seed),
+		p:    p,
+		ctr:  make([]uint64, n),
 	}, nil
 }
 
@@ -72,17 +70,15 @@ func (g GilbertElliott) Stream(n int, seed int64) (*StreamChannel, error) {
 		params: g,
 		ctr:    make([]uint64, n),
 		bad:    make([]bool, n),
-		losses: make([]int64, n),
 	}, nil
 }
 
 // Lost draws one delivery attempt on behalf of sender from. The decision
 // is keyed entirely by (seed, from, draw index); to and size are part of
-// the signature so the channel can slot in as radio.Medium's LossModel,
-// but they do not enter the hash — both engines evaluate a sender's
-// attempts in the same order, which is the only alignment needed.
-func (c *StreamChannel) Lost(from, to int, size int64) bool {
-	_, _ = to, size
+// the Channel signature but do not enter the hash — both engines evaluate
+// a sender's attempts in the same order, which is the only alignment
+// needed.
+func (c *StreamChannel) Lost(from, _ int, _ int64) bool {
 	var p float64
 	if c.burst {
 		flip := c.draw(from)
@@ -100,11 +96,7 @@ func (c *StreamChannel) Lost(from, to int, size int64) bool {
 	} else {
 		p = c.p
 	}
-	lost := c.draw(from) < p
-	if lost {
-		c.losses[from]++
-	}
-	return lost
+	return c.draw(from) < p
 }
 
 // draw consumes the sender's next counter slot and maps it to [0, 1).
@@ -118,23 +110,4 @@ func (c *StreamChannel) draw(node int) float64 {
 	z *= 0x94D049BB133111EB
 	z ^= z >> 31
 	return float64(z>>11) / (1 << 53)
-}
-
-// N returns the number of senders the channel tracks.
-func (c *StreamChannel) N() int { return len(c.ctr) }
-
-// Draws returns how many decisions have been made on node's stream.
-func (c *StreamChannel) Draws(node int) uint64 { return c.ctr[node] }
-
-// Losses returns how many of node's attempts were lost.
-func (c *StreamChannel) Losses(node int) int64 { return c.losses[node] }
-
-// TotalLosses sums per-sender losses; call only after the run (the
-// per-sender slots are owned by shard goroutines while one is live).
-func (c *StreamChannel) TotalLosses() int64 {
-	var t int64
-	for _, l := range c.losses {
-		t += l
-	}
-	return t
 }

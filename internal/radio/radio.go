@@ -28,6 +28,7 @@ import (
 
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/fault"
 	"wsnva/internal/sim"
 	"wsnva/internal/trace"
 )
@@ -39,27 +40,19 @@ type Packet struct {
 	Payload any   // protocol-defined contents
 }
 
-// LossModel is a pluggable per-delivery loss decision. The medium asks
-// it once per delivery attempt (per neighbor on a broadcast, once on a
-// unicast), in ascending-neighbor order, exactly where the legacy shared
-// RNG draw happened. Implementations whose decisions are keyed by the
-// sender's own draw counter — fault.StreamChannel — make the loss
-// pattern schedule-independent, which the sharded kernel requires.
-type LossModel interface {
-	Lost(from, to int, size int64) bool
-}
-
 // Medium is the shared broadcast channel. It is bound to one deployment,
-// one simulation kernel, one ledger, and one RNG; all are injected so
-// experiments stay deterministic. It hands every delivered packet to one
-// receiver, that of the protocol currently driving it (SetReceiver).
+// one simulation kernel, one ledger, and one loss channel; all are
+// injected so experiments stay deterministic. It hands every delivered
+// packet to one receiver, that of the protocol currently driving it
+// (SetReceiver).
 type Medium struct {
-	nw      *deploy.Network
-	kernel  *sim.Kernel
-	ledger  *cost.Ledger
-	rng     *rand.Rand
-	loss    float64
-	channel LossModel
+	nw     *deploy.Network
+	kernel *sim.Kernel
+	ledger *cost.Ledger
+	// channel draws every delivery attempt's loss, once per neighbor on a
+	// broadcast and once on a unicast, in ascending-neighbor order; nil
+	// is lossless and draws nothing.
+	channel fault.Channel
 	// recv is the one receiver every delivery reaches (nil: all deaf).
 	recv func(to int, pkt Packet)
 	// alive is the per-node fail-stop gate: a dead node neither transmits
@@ -93,20 +86,22 @@ type Medium struct {
 // Config collects the knobs for a Medium.
 type Config struct {
 	Loss float64 // per-delivery drop probability in [0,1)
-	// Channel, when set, replaces the shared-RNG Bernoulli draw with a
-	// pluggable per-delivery loss decision (counter-keyed streams, bursty
+	// Channel, when set, replaces the Bernoulli draw over the medium's
+	// rng with another loss decision (counter-keyed streams, bursty
 	// chains). Mutually exclusive with Loss.
-	Channel LossModel
+	Channel fault.Channel
 }
 
 // NewMedium builds a broadcast medium over nw driven by kernel, charging
-// energy to ledger, with randomness from rng.
+// energy to ledger. A nonzero cfg.Loss becomes a fault.Bernoulli channel
+// drawing from rng.
 func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng *rand.Rand, cfg Config) *Medium {
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
-		panic(fmt.Sprintf("radio: loss probability %v out of [0,1)", cfg.Loss))
-	}
-	if cfg.Channel != nil && cfg.Loss > 0 {
-		panic("radio: Config.Loss and Config.Channel are mutually exclusive")
+	channel := cfg.Channel
+	if cfg.Loss != 0 {
+		if channel != nil {
+			panic("radio: Config.Loss and Config.Channel are mutually exclusive")
+		}
+		channel = fault.NewBernoulli(cfg.Loss, rng)
 	}
 	if ledger.N() != nw.N() {
 		panic(fmt.Sprintf("radio: ledger tracks %d nodes, network has %d", ledger.N(), nw.N()))
@@ -132,9 +127,7 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 		nw:      nw,
 		kernel:  kernel,
 		ledger:  ledger,
-		rng:     rng,
-		loss:    cfg.Loss,
-		channel: cfg.Channel,
+		channel: channel,
 		alive:   alive,
 	}
 }
@@ -249,18 +242,6 @@ func (m *Medium) liveAt(node int) bool {
 	return m.gasp != nil && m.gasp[node] >= 0 && m.kernel.Now() <= m.gasp[node]
 }
 
-// lost draws one delivery attempt's loss decision: the pluggable channel
-// when configured, else the legacy shared-RNG Bernoulli draw. Callers
-// guard with m.lossy() so the zero-loss fast path consumes nothing.
-func (m *Medium) lost(from, to int, size int64) bool {
-	if m.channel != nil {
-		return m.channel.Lost(from, to, size)
-	}
-	return m.rng.Float64() < m.loss
-}
-
-func (m *Medium) lossy() bool { return m.channel != nil || m.loss > 0 }
-
 // SetReceiver installs the function that consumes every delivered packet,
 // replacing any previous one: recv(to, pkt) runs at receiver to. A nil
 // receiver makes every node deaf (each still pays receive energy for the
@@ -330,10 +311,10 @@ func (m *Medium) Broadcast(from int, size int64, payload any) int {
 	}
 	d := m.newDelivery()
 	d.to = m.nw.Neighbors(from)
-	if m.lossy() {
+	if m.channel != nil {
 		kept := d.own[:0]
 		for _, nbr := range d.to {
-			if m.lost(from, nbr, size) {
+			if m.channel.Lost(from, nbr, size) {
 				m.dropped++
 				if m.tracer != nil {
 					m.emit(trace.Drop, nbr, from, size, "lost")
@@ -373,7 +354,7 @@ func (m *Medium) Unicast(from, to int, size int64, payload any) bool {
 	if m.tracer != nil {
 		m.emit(trace.Tx, from, to, size, "unicast")
 	}
-	if m.lossy() && m.lost(from, to, size) {
+	if m.channel != nil && m.channel.Lost(from, to, size) {
 		m.dropped++
 		if m.tracer != nil {
 			m.emit(trace.Drop, to, from, size, "lost")

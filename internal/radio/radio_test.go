@@ -1,11 +1,13 @@
 package radio
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/fault"
 	"wsnva/internal/geom"
 	"wsnva/internal/sim"
 )
@@ -170,8 +172,12 @@ func TestConfigValidation(t *testing.T) {
 	l := cost.NewLedger(cost.NewUniform(), nw.N())
 	rng := rand.New(rand.NewSource(1))
 	for name, f := range map[string]func(){
-		"loss=1":          func() { NewMedium(nw, k, l, rng, Config{Loss: 1}) },
-		"loss<0":          func() { NewMedium(nw, k, l, rng, Config{Loss: -0.1}) },
+		"loss=1":   func() { NewMedium(nw, k, l, rng, Config{Loss: 1}) },
+		"loss<0":   func() { NewMedium(nw, k, l, rng, Config{Loss: -0.1}) },
+		"loss NaN": func() { NewMedium(nw, k, l, rng, Config{Loss: math.NaN()}) },
+		"loss and channel": func() {
+			NewMedium(nw, k, l, rng, Config{Loss: 0.1, Channel: fault.NewBernoulli(0.1, rng)})
+		},
 		"ledger mismatch": func() { NewMedium(nw, k, cost.NewLedger(cost.NewUniform(), 2), rng, Config{}) },
 	} {
 		func() {

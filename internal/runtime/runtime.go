@@ -11,6 +11,7 @@ package runtime
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -244,7 +245,7 @@ func (rt *Runtime) Run(m *field.BinaryMap, ledger *cost.Ledger, cfg Config) (*Re
 func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, cfg Config) (*GenericResult, []program.Instance[S], error) {
 	h := rt.hier
 	g := h.Grid
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
+	if math.IsNaN(cfg.Loss) || cfg.Loss < 0 || cfg.Loss >= 1 {
 		return nil, nil, fmt.Errorf("runtime: loss %v out of [0,1)", cfg.Loss)
 	}
 	if cfg.Retries < 0 {

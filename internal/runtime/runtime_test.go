@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -264,6 +265,9 @@ func TestConfigValidation(t *testing.T) {
 	h := varch.MustHierarchy(m.Grid)
 	if _, err := New(h).Run(m, nil, Config{Loss: 1.0}); err == nil {
 		t.Error("loss=1 should be rejected")
+	}
+	if _, err := New(h).Run(m, nil, Config{Loss: math.NaN()}); err == nil {
+		t.Error("NaN loss should be rejected")
 	}
 	if _, err := New(h).Run(m, nil, Config{Retries: -1}); err == nil {
 		t.Error("negative retries should be rejected")

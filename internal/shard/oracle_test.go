@@ -82,7 +82,7 @@ type wirePkt struct {
 func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, traceCap int) *singleFab {
 	kern := sim.New()
 	ledger := cost.NewLedger(model, nw.N())
-	var ch radio.LossModel
+	var ch fault.Channel
 	if hz.channel != nil {
 		ch = hz.channel
 	}

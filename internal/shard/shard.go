@@ -2,6 +2,7 @@ package shard
 
 import (
 	"fmt"
+	"math"
 
 	"wsnva/internal/churn"
 	"wsnva/internal/cost"
@@ -401,7 +402,7 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 // the depletion budget.
 func buildHazards(n int, cfg *Config) (hazards, error) {
 	var hz hazards
-	if cfg.Loss < 0 || cfg.Loss >= 1 {
+	if math.IsNaN(cfg.Loss) || cfg.Loss < 0 || cfg.Loss >= 1 {
 		return hz, fmt.Errorf("shard: loss probability %v out of [0,1)", cfg.Loss)
 	}
 	if cfg.Loss > 0 && cfg.Burst.Enabled() {

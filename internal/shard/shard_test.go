@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -255,6 +256,7 @@ func TestConfigValidation(t *testing.T) {
 		{Crashed: make([]bool, 3)},
 		{Loss: -0.1},
 		{Loss: 1},
+		{Loss: math.NaN()},
 		{Loss: 0.2, Burst: fault.DefaultBurst()},
 		{Burst: fault.GilbertElliott{PGoodBad: 2, LossBad: 0.5}},
 		{Deplete: true},

@@ -9,7 +9,7 @@
 //     leader, the first alive member of the block in row-major grid order.
 //     Every follower can evaluate the same rule locally after a timeout, so
 //     the redirected quorum traffic re-converges without any agreement
-//     protocol. This is varch.Machine.SetFailover.
+//     protocol. This is varch.Machine.ActingLeaderAt.
 //
 //   - per-level deadlines (protocol level): the acting level-k leader of
 //     every block carries a watchdog at k·LevelDeadline. If the quorum
@@ -21,7 +21,6 @@ package synth
 
 import (
 	"fmt"
-	"math/rand"
 
 	"wsnva/internal/battery"
 	"wsnva/internal/fault"
@@ -38,14 +37,9 @@ import (
 type FaultConfig struct {
 	// Schedule lists the fail-stop crashes to inject.
 	Schedule fault.Schedule
-	// Loss is the per-attempt message loss probability, drawn from a
-	// rand source seeded with LossSeed. Zero disables loss.
-	Loss     float64
-	LossSeed int64
-	// Burst, if non-nil, replaces Bernoulli loss with a Gilbert–Elliott
-	// burst channel seeded with BurstSeed (Loss/LossSeed are then ignored).
-	Burst     *fault.GilbertElliott
-	BurstSeed int64
+	// Channel draws every transmission attempt's loss (nil: lossless):
+	// a fault.NewBernoulli coin or a GilbertElliott.Process burst chain.
+	Channel fault.Channel
 	// Reliability arms the ARQ policy on the machine (zero value: off).
 	Reliability fault.Reliability
 	// Battery, if non-nil, meters every ledger charge and fail-stops nodes
@@ -102,16 +96,8 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 	if m.Grid != g {
 		return nil, fmt.Errorf("synth: map grid and machine grid differ")
 	}
-	if cfg.Burst != nil {
-		if err := cfg.Burst.Validate(); err != nil {
-			return nil, err
-		}
-		vm.SetBurstLoss(cfg.Burst.Process(cfg.BurstSeed))
-	} else if cfg.Loss > 0 {
-		vm.SetLoss(cfg.Loss, rand.New(rand.NewSource(cfg.LossSeed)))
-	}
+	vm.SetChannel(cfg.Channel)
 	vm.SetReliability(cfg.Reliability)
-	vm.SetFailover(true)
 
 	res := &FaultResult{Crashed: len(cfg.Schedule)}
 	// Unlike the plain driver, any acting root may exfiltrate, and only the

@@ -136,8 +136,7 @@ func TestRunWithFaultsDeterministic(t *testing.T) {
 		vm := faultMachine(m)
 		res, err := RunWithFaults(vm, m, FaultConfig{
 			Schedule:      fault.MustRandom(vm.Grid().N(), 0.15, 50, 99),
-			Loss:          0.1,
-			LossSeed:      7,
+			Channel:       fault.NewBernoulli(0.1, rand.New(rand.NewSource(7))),
 			Reliability:   fault.DefaultReliability(),
 			LevelDeadline: DefaultLevelDeadline(vm),
 		})
@@ -228,7 +227,7 @@ func TestNoEventFiresAtDeadNode(t *testing.T) {
 			t.Fatal(err)
 		}
 		_ = res
-		// Handlers were installed by RunWithFaults; re-wrap is impossible
+		// The receiver was installed by RunWithFaults; re-wrap is impossible
 		// post-hoc, so assert via the machine's own invariant instead: a
 		// dead node must show Alive == false and the per-node fired work is
 		// visible through the fault counters. The strong per-event check
@@ -255,21 +254,17 @@ func TestHandlersNeverFireAtDeadNodes(t *testing.T) {
 		for _, c := range sched {
 			dead[c.Node] = c.At
 		}
-		for _, c := range g.Coords() {
-			c := c
-			idx := g.Index(c)
-			vm.Handle(c, func(m varch.Message) {
-				if at, isDead := dead[idx]; isDead && k.Now() >= at {
-					t.Fatalf("seed %d: handler fired at node %d at t=%d, dead since %d",
-						seed, idx, k.Now(), at)
-				}
-			})
-		}
+		vm.SetReceiver(func(to int, _ varch.Message) {
+			if at, isDead := dead[to]; isDead && k.Now() >= at {
+				t.Fatalf("seed %d: handler fired at node %d at t=%d, dead since %d",
+					seed, to, k.Now(), at)
+			}
+		})
 		in := fault.NewInjector(k, g.N())
 		in.Arm(sched, vm)
 		// Blast traffic at every node from every corner across the window.
 		rng := rand.New(rand.NewSource(seed))
-		vm.SetLoss(0.1, rng)
+		vm.SetChannel(fault.NewBernoulli(0.1, rng))
 		vm.SetReliability(fault.DefaultReliability())
 		for i := 0; i < 200; i++ {
 			from := g.Coords()[rng.Intn(g.N())]

@@ -206,7 +206,7 @@ func onMachine[S any](vm *varch.Machine, spec *program.Spec[S], exfil func(c geo
 		fxs[i] = machineFx{vm: vm, coord: g.CoordOf(i), exfil: exfil}
 		return &fxs[i]
 	})
-	vm.HandleAll(func(to int, msg varch.Message) { insts[to].OnMessage(msg.Payload) })
+	vm.SetReceiver(func(to int, msg varch.Message) { insts[to].OnMessage(msg.Payload) })
 	return insts
 }
 
@@ -285,7 +285,7 @@ func RunOnMachineWithTransport(vm *varch.Machine, m *field.BinaryMap, transport 
 	wireTraceHooks(vm, insts)
 	var transportErr error
 	if transport != nil {
-		vm.HandleAll(func(to int, msg varch.Message) {
+		vm.SetReceiver(func(to int, msg varch.Message) {
 			gm, err := transport(msg.Payload.(GraphMsg))
 			if err != nil {
 				if transportErr == nil {

@@ -41,14 +41,11 @@ func driveBatteryTraffic(seed int64, count int, bank *battery.Bank) (*Machine, [
 		})
 	}
 	var got []arrival
-	for _, c := range g.Coords() {
-		c := c
-		vm.Handle(c, func(m Message) {
-			got = append(got, arrival{to: c, from: m.From, at: k.Now()})
-		})
-	}
+	vm.SetReceiver(func(to int, m Message) {
+		got = append(got, arrival{to: g.CoordOf(to), from: m.From, at: k.Now()})
+	})
 	rng := rand.New(rand.NewSource(seed))
-	vm.SetLoss(0.1, rand.New(rand.NewSource(seed*7+1)))
+	vm.SetChannel(fault.NewBernoulli(0.1, rand.New(rand.NewSource(seed*7+1))))
 	for i := 0; i < count; i++ {
 		from := g.Coords()[rng.Intn(g.N())]
 		to := g.Coords()[rng.Intn(g.N())]

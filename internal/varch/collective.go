@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"wsnva/internal/cost"
 	"wsnva/internal/geom"
-	"wsnva/internal/routing"
 	"wsnva/internal/sim"
 	"wsnva/internal/trace"
 )
@@ -102,7 +100,7 @@ func (vm *Machine) reduce(leader geom.Coord, level int, vals Values, strat Strat
 			if m == leader {
 				continue
 			}
-			_, lat, ok := vm.chargeRoute(m, leader, 1)
+			lat, ok := vm.transfer(m, leader, 1)
 			if !ok {
 				continue
 			}
@@ -130,7 +128,7 @@ func (vm *Machine) reduce(leader geom.Coord, level int, vals Values, strat Strat
 				acc := partial[children[0]]
 				received := int64(0)
 				for _, ch := range children[1:] {
-					_, lat, ok := vm.chargeRoute(ch, sub, 1)
+					lat, ok := vm.transfer(ch, sub, 1)
 					if ok {
 						if lat > levelLat {
 							levelLat = lat
@@ -165,7 +163,7 @@ func (vm *Machine) GroupSort(leader geom.Coord, level int, vals Values, strat St
 		members := h.Followers(leader, level)
 		for _, m := range members {
 			if m != leader {
-				_, lat, ok := vm.chargeRoute(m, leader, 1)
+				lat, ok := vm.transfer(m, leader, 1)
 				if !ok {
 					continue
 				}
@@ -192,7 +190,7 @@ func (vm *Machine) GroupSort(leader geom.Coord, level int, vals Values, strat St
 						delete(sets, ch)
 						continue
 					}
-					_, lat, ok := vm.chargeRoute(ch, sub, int64(len(sets[ch])))
+					lat, ok := vm.transfer(ch, sub, int64(len(sets[ch])))
 					if ok {
 						if lat > levelLat {
 							levelLat = lat
@@ -232,95 +230,47 @@ func (vm *Machine) GroupRank(leader geom.Coord, level int, vals Values, value in
 	return below + 1, lat
 }
 
-// chargeRoute charges a size-unit message along the XY route from one node
-// to another and returns the energy and latency consumed plus whether the
-// message was delivered. Unlike Send it is synchronous — collectives model
-// their own schedule — so the fault layer is applied inline: a dead sender
-// transmits nothing, every attempt draws the loss coin, the ARQ (when
-// enabled) retransmits after the modeled backoff and pays the reverse-route
-// acknowledgment on success, and a dead receiver drops the delivery.
-func (vm *Machine) chargeRoute(from, to geom.Coord, size int64) (cost.Energy, sim.Time, bool) {
-	g := vm.Hier.Grid
-	hops := from.Manhattan(to)
-	if hops == 0 {
-		return 0, 0, vm.aliveIdx(g.Index(from))
+// transfer moves one size-unit message of a collective from one node to
+// another and returns its latency plus whether it was delivered. It is
+// synchronous — collectives model their own schedule — so the attempts
+// Send would schedule are summed instead: a dead sender transmits nothing,
+// every attempt is charged and draws the loss channel, the ARQ (when
+// enabled) adds its backoff before each retransmission and the
+// reverse-route acknowledgment on success, and a dead receiver drops the
+// delivery.
+func (vm *Machine) transfer(from, to geom.Coord, size int64) (sim.Time, bool) {
+	if from == to {
+		return 0, vm.aliveIdx(vm.Hier.Grid.Index(from))
 	}
-	if !vm.aliveIdx(g.Index(from)) {
-		vm.fstats.Suppressed++
-		if vm.tracer != nil {
-			vm.tracer.EmitEvent(vm.evt(trace.Drop, from, to, 0, size, "suppressed"))
-		}
-		return 0, 0, false
+	if !vm.accept(from, to, 0, size, "route") {
+		return 0, false
 	}
-	vm.msgs++
-	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Send, from, to, 0, size, "route"))
-	}
-	if vm.mSend != nil {
-		vm.mSend.Inc(g.Index(from))
-	}
-	hopLat := sim.Time(hops) * sim.Time(vm.ledger.Model().TxLatency(size))
-	var e cost.Energy
 	var lat sim.Time
-	maxAttempts := 1
-	if vm.loss > 0 && vm.reliable.Enabled() {
-		maxAttempts = vm.reliable.MaxRetries + 1
-	}
-	sent := false
-	for a := 1; a <= maxAttempts; a++ {
-		routing.WalkXY(g, from, to, func(p, q geom.Coord) {
-			e += vm.ledger.ChargeTransfer(g.Index(p), g.Index(q), size)
-		})
-		vm.hops += int64(hops)
+	for a := 0; ; a++ {
+		hopLat, lost := vm.attempt(from, to, 0, size)
 		lat += hopLat
-		if a > 1 {
-			vm.fstats.Retransmissions++
-			if vm.tracer != nil {
-				vm.tracer.EmitEvent(vm.evt(trace.Retry, from, to, 0, size, ""))
-			}
+		if !lost {
+			break
 		}
-		if vm.loss > 0 && vm.lossRNG.Float64() < vm.loss {
-			vm.fstats.Lost++
-			if vm.tracer != nil {
-				vm.tracer.EmitEvent(vm.evt(trace.Drop, to, from, 0, size, "lost"))
-			}
-			if a < maxAttempts {
-				lat += vm.reliable.Backoff(a)
-			}
-			continue
+		if !vm.reliable.Enabled() || a == vm.reliable.MaxRetries {
+			return lat, false
 		}
-		sent = true
-		break
-	}
-	if !sent {
-		return e, lat, false
-	}
-	if !vm.aliveIdx(g.Index(to)) {
-		vm.fstats.DeadDrops++
+		lat += vm.reliable.Backoff(a + 1)
+		vm.fstats.Retransmissions++
 		if vm.tracer != nil {
-			vm.tracer.EmitEvent(vm.evt(trace.Drop, to, from, 0, size, "dead receiver"))
+			vm.tracer.EmitEvent(vm.evt(trace.Retry, from, to, 0, size, ""))
 		}
-		return e, lat, false
+	}
+	idx := vm.Hier.Grid.Index(to)
+	if !vm.aliveIdx(idx) {
+		vm.deadDrop(to, from, 0, size)
+		return lat, false
 	}
 	if vm.reliable.Enabled() {
-		ack := vm.reliable.AckUnits()
-		routing.WalkXY(g, to, from, func(p, q geom.Coord) {
-			e += vm.ledger.ChargeTransfer(g.Index(p), g.Index(q), ack)
-		})
-		vm.fstats.Acks++
-		if vm.tracer != nil {
-			vm.tracer.EmitEvent(vm.evt(trace.Ack, to, from, 0, ack, ""))
-		}
-		lat += sim.Time(hops) * sim.Time(vm.ledger.Model().TxLatency(ack))
+		lat += vm.ack(to, from, 0)
 	}
-	vm.fstats.Delivered++
-	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Deliver, to, from, 0, size, "route"))
-	}
-	if vm.mDeliver != nil {
-		vm.mDeliver.Inc(g.Index(to))
-	}
-	return e, lat, true
+	vm.delivered(idx, to, from, size, "route")
+	return lat, true
 }
 
 // leadersWithin returns the level-s leaders inside the level-k block led by

@@ -17,8 +17,9 @@ import (
 // convergecast: the payload descends the sub-hierarchy one level at a time
 // (leader → its 4 level-(k-1) sub-leaders → … → all members), so every
 // transfer is short and the cost is balanced instead of radiating every
-// copy from the leader. Returns the modeled completion latency; handlers
-// of member nodes fire through the normal delivery path.
+// copy from the leader. Returns the modeled completion latency; each
+// member the payload reached gets it through the machine's receiver at
+// that time, in Followers order.
 func (vm *Machine) GroupBroadcast(leader geom.Coord, level int, size int64, payload any) sim.Time {
 	h := vm.Hier
 	if !h.IsLeader(leader, level) {
@@ -32,7 +33,7 @@ func (vm *Machine) GroupBroadcast(leader geom.Coord, level int, size int64, payl
 		for _, holder := range holders {
 			for _, ch := range h.Children(holder, s) {
 				if ch != holder {
-					_, lat, ok := vm.chargeRoute(holder, ch, size)
+					lat, ok := vm.transfer(holder, ch, size)
 					if !ok {
 						// The transfer died (lost, or ch crashed): ch and its
 						// whole sub-block never see the payload.
@@ -49,25 +50,26 @@ func (vm *Machine) GroupBroadcast(leader geom.Coord, level int, size int64, payl
 		total += levelLat
 	}
 	// Deliver to every member the dissemination reached (including the
-	// leader) at the modeled time. With the fault layer idle every member is
-	// reached and no tracking set is built — the fault-free path stays
-	// allocation-identical.
+	// leader) at the modeled time, each copy one settled flight: the
+	// transfers above already paid its route, losses and acks. With the
+	// fault layer idle every member is reached and no tracking set is
+	// built.
 	var reached map[geom.Coord]bool
-	if vm.alive != nil || vm.loss > 0 {
+	if vm.alive != nil || vm.channel != nil {
 		reached = make(map[geom.Coord]bool, len(holders))
 		for _, hd := range holders {
 			reached[hd] = true
 		}
 	}
 	g := h.Grid
-	sentAt := vm.kernel.Now()
+	at := vm.kernel.Now() + total
 	for _, m := range h.Followers(leader, level) {
 		if reached != nil && !reached[m] {
 			continue
 		}
-		m := m
-		msg := Message{From: leader, Size: size, Payload: payload}
-		vm.kernel.AtOwned(g.Index(m), sentAt+total, func() { vm.deliver(m, msg, sentAt) })
+		f := vm.newFlight(leader, m, 0, size, payload)
+		f.settled = true
+		vm.kernel.AtOwned(g.Index(m), at, f.arriveFn)
 	}
 	return total
 }

@@ -12,15 +12,13 @@ func TestGroupBroadcastReachesAllMembers(t *testing.T) {
 	h := vm.Hier
 	leader := geom.Coord{Col: 4, Row: 4}
 	heard := map[geom.Coord]int{}
-	for _, m := range h.Followers(leader, 2) {
-		m := m
-		vm.Handle(m, func(msg Message) {
-			heard[m]++
-			if msg.From != leader || msg.Payload.(string) != "cfg" {
-				t.Errorf("bad message at %v: %+v", m, msg)
-			}
-		})
-	}
+	vm.SetReceiver(func(to int, msg Message) {
+		m := h.Grid.CoordOf(to)
+		heard[m]++
+		if msg.From != leader || msg.Payload.(string) != "cfg" {
+			t.Errorf("bad message at %v: %+v", m, msg)
+		}
+	})
 	lat := vm.GroupBroadcast(leader, 2, 3, "cfg")
 	k.Run()
 	if len(heard) != 16 {
@@ -39,7 +37,7 @@ func TestGroupBroadcastReachesAllMembers(t *testing.T) {
 func TestGroupBroadcastOutsideGroupSilent(t *testing.T) {
 	vm, k, _ := newVM(t, 8)
 	outside := geom.Coord{Col: 0, Row: 0}
-	vm.Handle(outside, func(Message) { t.Error("node outside the group heard the broadcast") })
+	receiveAt(vm, outside, func(Message) { t.Error("node outside the group heard the broadcast") })
 	vm.GroupBroadcast(geom.Coord{Col: 4, Row: 4}, 2, 1, nil)
 	k.Run()
 }
@@ -82,16 +80,14 @@ func TestBarrier(t *testing.T) {
 	vm, k, l := newVM(t, 8)
 	h := vm.Hier
 	released := 0
-	for _, m := range h.Followers(h.Root(), 3) {
-		vm.Handle(m, func(msg Message) {
-			if rel, ok := msg.Payload.(barrierRelease); ok {
-				if rel.level != 3 {
-					t.Errorf("release level = %d", rel.level)
-				}
-				released++
+	vm.SetReceiver(func(_ int, msg Message) {
+		if rel, ok := msg.Payload.(barrierRelease); ok {
+			if rel.level != 3 {
+				t.Errorf("release level = %d", rel.level)
 			}
-		})
-	}
+			released++
+		}
+	})
 	lat := vm.Barrier(h.Root(), 3)
 	k.Run()
 	if released != 64 {

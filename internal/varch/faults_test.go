@@ -14,7 +14,7 @@ func TestDeadSenderSuppressed(t *testing.T) {
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 3, Row: 0}
 	delivered := false
-	vm.Handle(dst, func(Message) { delivered = true })
+	receiveAt(vm, dst, func(Message) { delivered = true })
 	vm.KillCoord(src)
 	vm.Send(src, dst, 1, nil)
 	k.Run()
@@ -37,7 +37,7 @@ func TestDeadReceiverDropsDelivery(t *testing.T) {
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 3, Row: 0}
 	delivered := false
-	vm.Handle(dst, func(Message) { delivered = true })
+	receiveAt(vm, dst, func(Message) { delivered = true })
 	vm.KillCoord(dst)
 	vm.Send(src, dst, 1, nil)
 	k.Run()
@@ -58,7 +58,7 @@ func TestCrashMidFlightCancelsDelivery(t *testing.T) {
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 3, Row: 0} // 3 hops, unit size: arrives at t=3
 	delivered := false
-	vm.Handle(dst, func(Message) { delivered = true })
+	receiveAt(vm, dst, func(Message) { delivered = true })
 	in := fault.NewInjector(k, g.N())
 	in.Arm(fault.At(fault.Crash{Node: g.Index(dst), At: 1}), vm)
 	vm.Send(src, dst, 1, nil)
@@ -87,12 +87,12 @@ func TestReliableDeliveryExactRetryCount(t *testing.T) {
 	}
 
 	vm, k, _ := newVM(t, 4)
-	vm.SetLoss(loss, rand.New(rand.NewSource(seed)))
+	vm.SetChannel(fault.NewBernoulli(loss, rand.New(rand.NewSource(seed))))
 	vm.SetReliability(fault.Reliability{MaxRetries: 3, Timeout: 8, MaxBackoff: 64, AckSize: 1})
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 2, Row: 0}
 	delivered := 0
-	vm.Handle(dst, func(Message) { delivered++ })
+	receiveAt(vm, dst, func(Message) { delivered++ })
 	vm.Send(src, dst, 1, nil)
 	k.Run()
 	s := vm.FaultStats()
@@ -114,11 +114,10 @@ func TestReliableDeliveryEnergyAccounting(t *testing.T) {
 	// One clean reliable send over 2 hops, unit payload, unit ack: the data
 	// costs 2 hops x 2 units, the ack the same back, total 8.
 	vm, k, l := newVM(t, 4)
-	vm.SetLoss(0.5, rand.New(rand.NewSource(3)))
+	vm.SetChannel(fault.NewBernoulli(0.5, rand.New(rand.NewSource(3))))
 	vm.SetReliability(fault.Reliability{MaxRetries: 5, Timeout: 8, AckSize: 1})
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 2, Row: 0}
-	vm.Handle(dst, func(Message) {})
 	vm.Send(src, dst, 1, nil)
 	k.Run()
 	s := vm.FaultStats()
@@ -136,7 +135,7 @@ func TestReliabilityGivesUpAfterMaxRetries(t *testing.T) {
 	// An always-dead receiver never acks; the sender must stop after
 	// MaxRetries retransmissions, not spin forever.
 	vm, k, _ := newVM(t, 4)
-	vm.SetLoss(0.5, rand.New(rand.NewSource(7)))
+	vm.SetChannel(fault.NewBernoulli(0.5, rand.New(rand.NewSource(7))))
 	vm.SetReliability(fault.Reliability{MaxRetries: 3, Timeout: 8, MaxBackoff: 64})
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 3, Row: 3}
@@ -154,7 +153,6 @@ func TestReliabilityGivesUpAfterMaxRetries(t *testing.T) {
 
 func TestActingLeaderPromotion(t *testing.T) {
 	vm, _, _ := newVM(t, 4)
-	vm.SetFailover(true)
 	member := geom.Coord{Col: 3, Row: 3}
 	leader := vm.Hier.LeaderAt(member, 2) // (0,0)
 	if got := vm.ActingLeaderAt(member, 2); got != leader {
@@ -172,22 +170,16 @@ func TestActingLeaderPromotion(t *testing.T) {
 	if got := vm.ActingLeaderAt(member, 2); got != (geom.Coord{Col: 0, Row: 1}) {
 		t.Errorf("acting leader = %v, want (0,1)", got)
 	}
-	// Without failover the static leader is returned even when dead.
-	vm.SetFailover(false)
-	if got := vm.ActingLeaderAt(member, 2); got != leader {
-		t.Errorf("acting leader = %v with failover off, want static %v", got, leader)
-	}
 }
 
 func TestSendToLeaderFailsOver(t *testing.T) {
 	vm, k, _ := newVM(t, 4)
-	vm.SetFailover(true)
 	member := geom.Coord{Col: 2, Row: 2}
 	leader := vm.Hier.LeaderAt(member, 2)
 	acting := geom.Coord{Col: 1, Row: 0}
 	vm.KillCoord(leader)
 	got := geom.Coord{Col: -1, Row: -1}
-	vm.Handle(acting, func(m Message) { got = m.From })
+	receiveAt(vm, acting, func(m Message) { got = m.From })
 	vm.SendToLeader(member, 2, 1, nil)
 	k.Run()
 	if got != member {
@@ -216,10 +208,7 @@ func TestGroupBroadcastSkipsDeadSubtree(t *testing.T) {
 	deadSub := geom.Coord{Col: 2, Row: 2}
 	vm.KillCoord(deadSub)
 	got := make(map[geom.Coord]bool)
-	for _, m := range vm.Hier.Followers(leader, 2) {
-		m := m
-		vm.Handle(m, func(Message) { got[m] = true })
-	}
+	vm.SetReceiver(func(to int, _ Message) { got[vm.Grid().CoordOf(to)] = true })
 	vm.GroupBroadcast(leader, 2, 1, "x")
 	k.Run()
 	if len(got) != 12 {
@@ -233,18 +222,16 @@ func TestGroupBroadcastSkipsDeadSubtree(t *testing.T) {
 }
 
 func TestFaultFreeMachineMatchesBaseline(t *testing.T) {
-	// The fault machinery armed-but-idle (failover on, reliability off, no
-	// kills, no loss) must not perturb delivery times, energy, or counters.
+	// The fault machinery armed-but-idle (a channel that never loses,
+	// reliability off, no kills) must not perturb delivery times, energy,
+	// or counters.
 	run := func(arm bool) (sim.Time, int64, int64) {
 		vm, k, l := newVM(t, 8)
 		if arm {
-			vm.SetFailover(true)
-			vm.SetLoss(0, nil)
+			vm.SetChannel(fault.NewBernoulli(0, nil))
 		}
 		var last sim.Time
-		for _, m := range vm.Hier.Followers(geom.Coord{}, 3) {
-			vm.Handle(m, func(Message) { last = k.Now() })
-		}
+		vm.SetReceiver(func(int, Message) { last = k.Now() })
 		vm.SendToLeader(geom.Coord{Col: 7, Row: 5}, 3, 2, nil)
 		vm.GroupSum(geom.Coord{}, 3, func(geom.Coord) int64 { return 2 }, Convergecast)
 		vm.GroupBroadcast(geom.Coord{}, 3, 1, nil)
@@ -258,5 +245,33 @@ func TestFaultFreeMachineMatchesBaseline(t *testing.T) {
 	if t1 != t2 || m1 != m2 || e1 != e2 {
 		t.Errorf("armed-idle fault layer changed behavior: (%d,%d,%d) vs (%d,%d,%d)",
 			t1, m1, e1, t2, m2, e2)
+	}
+}
+
+// TestCollectivesDrawFromTheChannel: a collective's transfers and a group
+// broadcast's copies draw their loss from whatever channel is set, a
+// Gilbert–Elliott chain as much as a Bernoulli coin.
+func TestCollectivesDrawFromTheChannel(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		channel fault.Channel
+	}{
+		{"bernoulli", fault.NewBernoulli(0.9, rand.New(rand.NewSource(1)))},
+		{"burst", fault.GilbertElliott{LossGood: 0.9}.Process(1)},
+	} {
+		vm, k, _ := newVM(t, 8)
+		vm.SetChannel(tc.channel)
+		root := vm.Hier.Root()
+		sum, _ := vm.GroupSum(root, 3, func(geom.Coord) int64 { return 1 }, Direct)
+		if lost := vm.FaultStats().Lost; sum >= 64 || lost == 0 {
+			t.Errorf("%s: GroupSum = %d with %d losses, want < 64 with losses", tc.name, sum, lost)
+		}
+		reached := 0
+		vm.SetReceiver(func(int, Message) { reached++ })
+		vm.GroupBroadcast(root, 3, 1, nil)
+		k.Run()
+		if reached >= 64 {
+			t.Errorf("%s: GroupBroadcast reached %d of 64 members through a 90%%-lossy channel", tc.name, reached)
+		}
 	}
 }

@@ -21,9 +21,6 @@ type Message struct {
 	Payload any        // application contents
 }
 
-// Handler consumes messages arriving at a virtual node.
-type Handler func(m Message)
-
 // Machine is the virtual architecture's abstract machine: an oriented grid
 // of virtual nodes exchanging messages under the uniform cost model. It is
 // deliberately ignorant of the physical network — that is the whole point
@@ -36,10 +33,9 @@ type Machine struct {
 	kernel *sim.Kernel
 	ledger *cost.Ledger
 
-	handlers []Handler
-
-	// handleAll receives deliveries to nodes without a handler.
-	handleAll func(to int, m Message)
+	// recv receives every delivery, with the receiver's grid index (nil:
+	// every node is deaf).
+	recv func(to int, m Message)
 
 	msgs     int64 // messages accepted by Send
 	hops     int64 // total virtual hops traversed
@@ -51,23 +47,19 @@ type Machine struct {
 	jitter    sim.Time
 	jitterRNG *rand.Rand
 
-	// freeVD recycles delivery records for the fault-free send paths, so the
-	// per-message cost of scheduling a delivery is one kernel event and zero
-	// heap allocations. Records owned by a node that crashes are cancelled
-	// inside the kernel and simply become garbage — CancelOwner cannot tell
-	// us, and leaking a handful of records on the (rare) crash path is
-	// cheaper than tracking them.
-	freeVD []*vdelivery
+	// freeFlights recycles flights, so a fault-free message costs one
+	// kernel event and no heap allocation. A flight whose events a crash
+	// cancelled inside the kernel never comes back and becomes garbage:
+	// CancelOwner cannot tell us, and leaking a few records on the crash
+	// path is cheaper than tracking them.
+	freeFlights []*flight
 
 	// Fault layer (see faults.go). alive == nil means no node has ever been
 	// killed — the common case, kept nil so the hot path pays one pointer
 	// compare.
 	alive    []bool
-	loss     float64
-	lossRNG  *rand.Rand
-	burst    *fault.BurstChannel
+	channel  fault.Channel
 	reliable fault.Reliability
-	failover bool
 	fstats   FaultStats
 }
 
@@ -126,11 +118,12 @@ func (vm *Machine) SetJitter(j sim.Time, rng *rand.Rand) {
 	vm.jitterRNG = rng
 }
 
-func (vm *Machine) delay(base sim.Time) sim.Time {
-	if vm.jitter > 0 {
-		base += sim.Time(vm.jitterRNG.Int63n(int64(vm.jitter) + 1))
+// jitterDraw returns one delivery's extra delay (0 without jitter).
+func (vm *Machine) jitterDraw() sim.Time {
+	if vm.jitter == 0 {
+		return 0
 	}
-	return base
+	return sim.Time(vm.jitterRNG.Int63n(int64(vm.jitter) + 1))
 }
 
 // NewMachine builds a virtual machine over hierarchy h, driven by kernel
@@ -139,12 +132,7 @@ func NewMachine(h *Hierarchy, kernel *sim.Kernel, ledger *cost.Ledger) *Machine 
 	if ledger.N() != h.Grid.N() {
 		panic(fmt.Sprintf("varch: ledger tracks %d nodes, grid has %d", ledger.N(), h.Grid.N()))
 	}
-	return &Machine{
-		Hier:     h,
-		kernel:   kernel,
-		ledger:   ledger,
-		handlers: make([]Handler, h.Grid.N()),
-	}
+	return &Machine{Hier: h, kernel: kernel, ledger: ledger}
 }
 
 // Grid returns the machine's virtual topology.
@@ -156,19 +144,10 @@ func (vm *Machine) Kernel() *sim.Kernel { return vm.kernel }
 // Ledger returns the machine's energy ledger.
 func (vm *Machine) Ledger() *cost.Ledger { return vm.ledger }
 
-// Handle installs the receive handler of the virtual node at c.
-func (vm *Machine) Handle(c geom.Coord, h Handler) {
-	vm.handlers[vm.Hier.Grid.Index(c)] = h
-}
-
-// HandleAll installs one receive handler for every virtual node, called
-// with the receiver's grid index, and drops the per-node handlers; a later
-// Handle overrides it at that node. A program driver wires a whole run
-// with it instead of one closure per node.
-func (vm *Machine) HandleAll(h func(to int, m Message)) {
-	clear(vm.handlers)
-	vm.handleAll = h
-}
+// SetReceiver installs the function that consumes every delivered
+// message, replacing any previous one: recv(to, m) runs with the
+// receiver's grid index. A nil receiver makes every node deaf.
+func (vm *Machine) SetReceiver(recv func(to int, m Message)) { vm.recv = recv }
 
 // Send is the architecture's point-to-point primitive: it moves a message
 // from one virtual node to another along the XY shortest-path route,
@@ -191,107 +170,267 @@ func (vm *Machine) sendMsg(from, to geom.Coord, level int, size int64, payload a
 	if size < 0 {
 		panic(fmt.Sprintf("varch: negative message size %d", size))
 	}
-	if !vm.aliveIdx(g.Index(from)) {
+	if !vm.accept(from, to, level, size, "") {
+		return
+	}
+	f := vm.newFlight(from, to, level, size, payload)
+	if from == to {
+		// Self-delivery crosses no radio: no loss draw, no retry, no ack,
+		// but the arrival is owned by the receiver so a crash still cancels
+		// it.
+		f.settled = true
+		vm.kernel.AfterOwned(g.Index(to), vm.jitterDraw(), f.arriveFn)
+		return
+	}
+	vm.launch(f)
+}
+
+// accept admits a message from a live sender, counting and tracing it as
+// sent; a dead sender's message is suppressed and accept reports false.
+func (vm *Machine) accept(from, to geom.Coord, level int, size int64, detail string) bool {
+	idx := vm.Hier.Grid.Index(from)
+	if !vm.aliveIdx(idx) {
 		vm.fstats.Suppressed++
 		if vm.tracer != nil {
 			vm.tracer.EmitEvent(vm.evt(trace.Drop, from, to, level, size, "suppressed"))
 		}
-		return
+		return false
 	}
 	vm.msgs++
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Send, from, to, level, size, ""))
+		vm.tracer.EmitEvent(vm.evt(trace.Send, from, to, level, size, detail))
 	}
 	if vm.mSend != nil {
-		vm.mSend.Inc(g.Index(from))
+		vm.mSend.Inc(idx)
 	}
-	sentAt := vm.kernel.Now()
-	msg := Message{From: from, Size: size, Payload: payload}
-	hops := from.Manhattan(to)
-	if hops == 0 {
-		// Self-delivery crosses no radio: loss and ARQ do not apply, but the
-		// event is owned by the receiver so a crash still cancels it.
-		vm.kernel.AfterOwned(g.Index(to), vm.delay(0), vm.newDelivery(to, msg, sentAt).fire)
-		return
-	}
-	if vm.loss == 0 && vm.burst == nil && !vm.reliable.Enabled() {
-		// Fast path: identical charges and timing to the fault-free machine.
-		routing.WalkXY(g, from, to, func(a, b geom.Coord) {
-			vm.ledger.ChargeTransfer(g.Index(a), g.Index(b), size)
-		})
-		vm.hops += int64(hops)
-		base := sim.Time(hops) * sim.Time(vm.ledger.Model().TxLatency(size))
-		vm.kernel.AfterOwned(g.Index(to), vm.delay(base), vm.newDelivery(to, msg, sentAt).fire)
-		return
-	}
-	vm.launch(&flight{from: from, to: to, level: level, size: size, msg: msg, sentAt: sentAt})
-}
-
-// vdelivery is a pooled in-flight delivery: the fields a delivery event
-// needs, with a fire func bound once at allocation so scheduling one costs
-// no closure. It recycles itself into the machine's free list before
-// invoking deliver, so cascading sends from inside a handler can reuse it
-// immediately.
-type vdelivery struct {
-	vm     *Machine
-	to     geom.Coord
-	msg    Message
-	sentAt sim.Time
-	fire   func()
-}
-
-func (vm *Machine) newDelivery(to geom.Coord, msg Message, sentAt sim.Time) *vdelivery {
-	var d *vdelivery
-	if n := len(vm.freeVD); n > 0 {
-		d = vm.freeVD[n-1]
-		vm.freeVD = vm.freeVD[:n-1]
-	} else {
-		d = &vdelivery{vm: vm}
-		d.fire = d.run
-	}
-	d.to, d.msg, d.sentAt = to, msg, sentAt
-	return d
-}
-
-func (d *vdelivery) run() {
-	vm, to, msg, sentAt := d.vm, d.to, d.msg, d.sentAt
-	d.msg = Message{}
-	vm.freeVD = append(vm.freeVD, d)
-	vm.deliver(to, msg, sentAt)
+	return true
 }
 
 // SendToLeader is the group-communication primitive of Section 3.2: it
 // addresses the sender's level-k leader as a logical entity. The middleware
-// resolves the leader's identity from the sender's own coordinates — under
-// failover, the acting leader, so the primitive keeps working after the
-// static leader dies.
+// resolves the leader's identity from the sender's own coordinates — once
+// nodes have died, the acting leader, so the primitive keeps working after
+// the static leader dies.
 func (vm *Machine) SendToLeader(from geom.Coord, level int, size int64, payload any) {
 	vm.sendMsg(from, vm.ActingLeaderAt(from, level), level, size, payload)
 }
 
-func (vm *Machine) deliver(to geom.Coord, msg Message, sentAt sim.Time) {
-	idx := vm.Hier.Grid.Index(to)
-	if !vm.aliveIdx(idx) {
-		vm.fstats.DeadDrops++
-		if vm.tracer != nil {
-			vm.tracer.EmitEvent(vm.evt(trace.Drop, to, msg.From, 0, msg.Size, "dead receiver"))
+// flight is one message the machine delivers. Every delivery is the
+// arrival of a flight: a send's, a self-send's and each member's copy of a
+// group broadcast. Flights are pooled, with their arrival func bound once,
+// and go back to the pool as soon as none of their events is queued.
+// Every message takes one, so the record stays at 96 bytes: level is an
+// int32 and the ARQ's state lives apart.
+type flight struct {
+	vm     *Machine
+	to     geom.Coord
+	msg    Message  // carries the sender (From) and the size
+	sentAt sim.Time // original send time, for end-to-end latency metrics
+	level  int32    // leader level the message was addressed at; 0: plain send
+	// settled marks a flight whose arrival only hands the message over: a
+	// self-send, or a group-broadcast copy whose route the collective
+	// already charged. It draws no loss, arms no retry and owes no ack.
+	settled  bool
+	arriveFn func()
+	arq      *arq // from the flight's first retry timer on
+}
+
+// arq is a flight's stop-and-wait state, allocated at its first retry
+// timer and kept with the flight through the pool. The same flight is
+// relaunched for every retransmission; the handles let a successful
+// arrival cancel the pending retry and a firing retry abandon the copy
+// still in the air, so at most one copy of a message is ever in flight. A
+// handle whose event fired or was cancelled stays inert (see sim.Handle),
+// so none is ever cleared.
+type arq struct {
+	attempt  int // retransmissions so far
+	delivery sim.Handle
+	retry    sim.Handle
+	retryFn  func()
+}
+
+func (vm *Machine) newFlight(from, to geom.Coord, level int, size int64, payload any) *flight {
+	var f *flight
+	if n := len(vm.freeFlights); n > 0 {
+		f = vm.freeFlights[n-1]
+		vm.freeFlights = vm.freeFlights[:n-1]
+	} else {
+		f = &flight{vm: vm}
+		f.arriveFn = f.arrive
+	}
+	f.to, f.level, f.settled = to, int32(level), false
+	f.msg = Message{From: from, Size: size, Payload: payload}
+	f.sentAt = vm.kernel.Now()
+	return f
+}
+
+// free returns f to the pool; none of its events may still be queued.
+func (vm *Machine) free(f *flight) {
+	f.msg = Message{}
+	if f.arq != nil {
+		f.arq.attempt = 0
+	}
+	vm.freeFlights = append(vm.freeFlights, f)
+}
+
+// launch transmits one attempt: it charges the full route, draws the loss,
+// schedules the arrival (owned by the destination, so a crash cancels it)
+// and, if the ARQ has retries left, the retry timer (owned by the sender).
+func (vm *Machine) launch(f *flight) {
+	g := vm.Hier.Grid
+	wait := vm.jitterDraw()
+	from := f.msg.From
+	lat, lost := vm.attempt(from, f.to, int(f.level), f.msg.Size)
+	var delivery sim.Handle
+	if !lost {
+		delivery = vm.kernel.AfterOwned(g.Index(f.to), lat+wait, f.arriveFn)
+	}
+	// The sender may have depleted mid-transfer (its own Tx charge crossed
+	// the budget): its owned events were already cancelled, so scheduling a
+	// retry now would escape the fail-stop. A dead sender gets no timer.
+	r := f.arq
+	if vm.reliable.Enabled() && (r == nil || r.attempt < vm.reliable.MaxRetries) && vm.aliveIdx(g.Index(from)) {
+		if r == nil {
+			r = &arq{}
+			r.retryFn = f.retransmit
+			f.arq = r
+		}
+		r.delivery = delivery
+		r.retry = vm.kernel.AfterOwned(g.Index(from), vm.reliable.Backoff(r.attempt+1), r.retryFn)
+		return
+	}
+	if lost {
+		vm.free(f) // no copy in the air and no timer to resend it
+	}
+}
+
+// attempt moves one copy of a size-unit message along the XY route between
+// two nodes: it charges every hop and draws the copy's loss from the
+// channel. It returns the route's latency and whether the copy was lost.
+// Sends and collectives both transmit through it.
+func (vm *Machine) attempt(from, to geom.Coord, level int, size int64) (sim.Time, bool) {
+	g := vm.Hier.Grid
+	routing.WalkXY(g, from, to, func(a, b geom.Coord) {
+		vm.ledger.ChargeTransfer(g.Index(a), g.Index(b), size)
+	})
+	hops := from.Manhattan(to)
+	vm.hops += int64(hops)
+	lat := sim.Time(hops) * sim.Time(vm.ledger.Model().TxLatency(size))
+	if vm.channel == nil || !vm.channel.Lost(g.Index(from), g.Index(to), size) {
+		return lat, false
+	}
+	vm.fstats.Lost++
+	if vm.tracer != nil {
+		vm.tracer.EmitEvent(vm.evt(trace.Drop, to, from, level, size, "lost"))
+	}
+	return lat, true
+}
+
+// ack charges the acknowledgment of a delivered message along the XY route
+// from its receiver back to its sender and returns the ack's latency.
+func (vm *Machine) ack(rcv, snd geom.Coord, level int) sim.Time {
+	g := vm.Hier.Grid
+	units := vm.reliable.AckUnits()
+	routing.WalkXY(g, rcv, snd, func(a, b geom.Coord) {
+		vm.ledger.ChargeTransfer(g.Index(a), g.Index(b), units)
+	})
+	vm.fstats.Acks++
+	if vm.tracer != nil {
+		vm.tracer.EmitEvent(vm.evt(trace.Ack, rcv, snd, level, units, ""))
+	}
+	return sim.Time(rcv.Manhattan(snd)) * sim.Time(vm.ledger.Model().TxLatency(units))
+}
+
+// retransmit fires when the retry timer outlives the acknowledgment: the
+// in-flight copy (if any — it may have been lost, or be crawling slower
+// than the timeout) is abandoned and the message is sent again. A leader-
+// addressed message re-resolves the acting leader first: the silent ack
+// window IS the failure detector, so a dead leader's traffic re-routes to
+// its promoted successor instead of being retried into a void.
+func (f *flight) retransmit() {
+	vm, r, from := f.vm, f.arq, f.msg.From
+	if !vm.aliveIdx(vm.Hier.Grid.Index(from)) {
+		// The sender died; its retries die with it.
+		if !r.delivery.Pending() {
+			vm.free(f)
 		}
 		return
 	}
-	vm.fstats.Delivered++
+	vm.kernel.Cancel(r.delivery)
+	r.attempt++
+	vm.fstats.Retransmissions++
+	if f.level > 0 {
+		f.to = vm.ActingLeaderAt(from, int(f.level))
+	}
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Deliver, to, msg.From, 0, msg.Size, ""))
+		vm.tracer.EmitEvent(vm.evt(trace.Retry, from, f.to, int(f.level), f.msg.Size, ""))
 	}
-	if vm.mDeliver != nil {
-		vm.mDeliver.Inc(idx)
+	vm.launch(f)
+}
+
+// arrive completes one attempt at the destination. A dead destination
+// drops the message (the retry timer, if armed, will resend); an alive one
+// acknowledges (cancelling the retry) and takes delivery.
+func (f *flight) arrive() {
+	vm := f.vm
+	idx := vm.Hier.Grid.Index(f.to)
+	if !f.settled {
+		if !vm.aliveIdx(idx) {
+			vm.deadDrop(f.to, f.msg.From, int(f.level), f.msg.Size)
+			if f.arq == nil || !f.arq.retry.Pending() {
+				vm.free(f)
+			}
+			return
+		}
+		if f.arq != nil {
+			vm.kernel.Cancel(f.arq.retry)
+		}
+		if vm.reliable.Enabled() {
+			vm.ack(f.to, f.msg.From, int(f.level))
+		}
 	}
+	// Back to the pool before the receiver runs, so the sends it makes can
+	// reuse the flight at once.
+	to, msg, sentAt := f.to, f.msg, f.sentAt
+	vm.free(f)
+	vm.deliver(idx, to, msg, sentAt)
+}
+
+// deliver hands msg to the receiver at to (grid index idx), unless to died
+// on the way (a settled arrival, or the acknowledgment's charge depleted
+// it).
+func (vm *Machine) deliver(idx int, to geom.Coord, msg Message, sentAt sim.Time) {
+	if !vm.aliveIdx(idx) {
+		vm.deadDrop(to, msg.From, 0, msg.Size)
+		return
+	}
+	vm.delivered(idx, to, msg.From, msg.Size, "")
 	if vm.hLatency != nil {
 		vm.hLatency.Observe(int64(vm.kernel.Now() - sentAt))
 	}
-	if h := vm.handlers[idx]; h != nil {
-		h(msg)
-	} else if vm.handleAll != nil {
-		vm.handleAll(idx, msg)
+	if vm.recv != nil {
+		vm.recv(idx, msg)
+	}
+}
+
+// deadDrop counts and traces a message from one node that found the node
+// at to dead.
+func (vm *Machine) deadDrop(to, from geom.Coord, level int, size int64) {
+	vm.fstats.DeadDrops++
+	if vm.tracer != nil {
+		vm.tracer.EmitEvent(vm.evt(trace.Drop, to, from, level, size, "dead receiver"))
+	}
+}
+
+// delivered counts and traces one message handed over at to (grid index
+// idx).
+func (vm *Machine) delivered(idx int, to, from geom.Coord, size int64, detail string) {
+	vm.fstats.Delivered++
+	if vm.tracer != nil {
+		vm.tracer.EmitEvent(vm.evt(trace.Deliver, to, from, 0, size, detail))
+	}
+	if vm.mDeliver != nil {
+		vm.mDeliver.Inc(idx)
 	}
 }
 

@@ -18,13 +18,23 @@ func newVM(t *testing.T, side int) (*Machine, *sim.Kernel, *cost.Ledger) {
 	return NewMachine(h, k, l), k, l
 }
 
+// receiveAt installs a receiver that runs h for the deliveries to c only.
+func receiveAt(vm *Machine, c geom.Coord, h func(Message)) {
+	idx := vm.Grid().Index(c)
+	vm.SetReceiver(func(to int, m Message) {
+		if to == idx {
+			h(m)
+		}
+	})
+}
+
 func TestSendDeliversWithManhattanLatency(t *testing.T) {
 	vm, k, _ := newVM(t, 4)
 	src := geom.Coord{Col: 0, Row: 0}
 	dst := geom.Coord{Col: 3, Row: 2}
 	var at sim.Time = -1
 	var got Message
-	vm.Handle(dst, func(m Message) { at = k.Now(); got = m })
+	receiveAt(vm, dst, func(m Message) { at = k.Now(); got = m })
 	vm.Send(src, dst, 2, "payload")
 	k.Run()
 	// 5 hops x 2 latency units per hop (size 2, b=1).
@@ -36,26 +46,20 @@ func TestSendDeliversWithManhattanLatency(t *testing.T) {
 	}
 }
 
-// TestHandleAll: one run-wide handler sees every node's deliveries with
-// the receiver's grid index, replaces earlier per-node handlers, and a
-// later Handle overrides it at that node only.
+// TestHandleAll: the one receiver sees every node's deliveries with the
+// receiver's grid index, and installing it replaces the previous one.
 func TestHandleAll(t *testing.T) {
 	vm, k, _ := newVM(t, 4)
 	g := vm.Grid()
 	a, b := geom.Coord{Col: 1, Row: 2}, geom.Coord{Col: 3, Row: 0}
-	vm.Handle(a, func(Message) { t.Error("per-node handler installed before HandleAll fired") })
+	vm.SetReceiver(func(int, Message) { t.Error("replaced receiver fired") })
 	got := map[int]int{}
-	vm.HandleAll(func(to int, m Message) { got[to] += m.Payload.(int) })
-	override := 0
-	vm.Handle(b, func(m Message) { override += m.Payload.(int) })
+	vm.SetReceiver(func(to int, m Message) { got[to] += m.Payload.(int) })
 	vm.Send(geom.Coord{}, a, 1, 1)
 	vm.Send(geom.Coord{}, b, 1, 10)
 	k.Run()
-	if len(got) != 1 || got[g.Index(a)] != 1 {
-		t.Errorf("run-wide handler saw %v, want only node %d", got, g.Index(a))
-	}
-	if override != 10 {
-		t.Errorf("later per-node handler got %d, want 10", override)
+	if len(got) != 2 || got[g.Index(a)] != 1 || got[g.Index(b)] != 10 {
+		t.Errorf("receiver saw %v, want 1 at node %d and 10 at node %d", got, g.Index(a), g.Index(b))
 	}
 }
 
@@ -85,7 +89,7 @@ func TestSendToSelfFreeAndImmediate(t *testing.T) {
 	vm, k, l := newVM(t, 4)
 	c := geom.Coord{Col: 1, Row: 1}
 	delivered := false
-	vm.Handle(c, func(m Message) {
+	receiveAt(vm, c, func(m Message) {
 		delivered = true
 		if k.Now() != 0 {
 			t.Errorf("self-delivery at t=%d, want 0", k.Now())
@@ -106,7 +110,7 @@ func TestSendToLeader(t *testing.T) {
 	from := geom.Coord{Col: 3, Row: 3}
 	leader := geom.Coord{Col: 2, Row: 2}
 	heard := false
-	vm.Handle(leader, func(m Message) {
+	receiveAt(vm, leader, func(m Message) {
 		heard = true
 		if m.From != from {
 			t.Errorf("From = %v", m.From)
@@ -125,7 +129,7 @@ func TestPredictMatchesExecution(t *testing.T) {
 	to := geom.Coord{Col: 1, Row: 2}
 	predE, predL := vm.PredictSendCost(from, to, 4)
 	var at sim.Time
-	vm.Handle(to, func(Message) { at = k.Now() })
+	receiveAt(vm, to, func(Message) { at = k.Now() })
 	vm.Send(from, to, 4, nil)
 	k.Run()
 	if cost.Energy(l.Metrics().Total) != predE {

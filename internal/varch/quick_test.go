@@ -31,12 +31,9 @@ func driveRandomTraffic(seed int64, count int, rel fault.Reliability) ([]arrival
 	vm.SetReliability(rel)
 	k := vm.Kernel()
 	var got []arrival
-	for _, c := range g.Coords() {
-		c := c
-		vm.Handle(c, func(m Message) {
-			got = append(got, arrival{to: c, from: m.From, at: k.Now()})
-		})
-	}
+	vm.SetReceiver(func(to int, m Message) {
+		got = append(got, arrival{to: g.CoordOf(to), from: m.From, at: k.Now()})
+	})
 	rng := rand.New(rand.NewSource(seed))
 	for i := 0; i < count; i++ {
 		from := g.Coords()[rng.Intn(g.N())]
@@ -93,19 +90,15 @@ func TestQuickDeathIsFinal(t *testing.T) {
 			deadAt[c.Node] = c.At
 		}
 		ok := true
-		for _, c := range g.Coords() {
-			idx := g.Index(c)
-			vm.Handle(c, func(Message) {
-				if at, dead := deadAt[idx]; dead && k.Now() >= at {
-					ok = false
-				}
-			})
-		}
+		vm.SetReceiver(func(to int, _ Message) {
+			if at, dead := deadAt[to]; dead && k.Now() >= at {
+				ok = false
+			}
+		})
 		fault.NewInjector(k, g.N()).Arm(sched, vm)
 		rng := rand.New(rand.NewSource(seed))
-		vm.SetLoss(0.15, rng)
+		vm.SetChannel(fault.NewBernoulli(0.15, rng))
 		vm.SetReliability(fault.DefaultReliability())
-		vm.SetFailover(true)
 		for i := 0; i < int(volume%64)+8; i++ {
 			from := g.Coords()[rng.Intn(g.N())]
 			level := rng.Intn(3) + 1
