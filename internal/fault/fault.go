@@ -466,8 +466,6 @@ type BurstChannel struct {
 	params GilbertElliott
 	rng    *rand.Rand
 	bad    bool
-	losses int64
-	draws  int64
 }
 
 // Process starts the chain in the Good state with a seeded RNG. It panics
@@ -497,13 +495,5 @@ func (c *BurstChannel) Lost(_, _ int, _ int64) bool {
 	if c.bad {
 		p = c.params.LossBad
 	}
-	lost := c.rng.Float64() < p
-	c.draws++
-	if lost {
-		c.losses++
-	}
-	return lost
+	return c.rng.Float64() < p
 }
-
-// Stats returns attempts drawn and attempts lost so far.
-func (c *BurstChannel) Stats() (draws, losses int64) { return c.draws, c.losses }

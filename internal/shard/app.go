@@ -7,10 +7,10 @@ import (
 )
 
 // fabric is what an app sees: a simulated clock, broadcast and unicast
-// primitives, and a single-shot wake timer. Every engine shard
-// (shardRun) implements it, and so does the test-only single-kernel
-// oracle (singleFab, oracle_test.go), which is what lets the
-// differential tests run one app on both.
+// primitives, and a single-shot wake timer, all in node IDs. Every
+// engine shard (shardRun) implements it, and so does the test-only
+// single-kernel oracle (singleFab, oracle_test.go), which is what lets
+// the differential tests run one app on both.
 //
 // Delivery semantics are batched: the fabric coalesces every input that
 // reaches a node at one instant — all packet deliveries plus an expired
@@ -43,17 +43,19 @@ type fabric interface {
 // app is a protocol instance driving a set of nodes. The engine
 // instantiates one app per shard (so counter updates stay un-contended);
 // the test oracle instantiates a single one. The per-shard instances of
-// one run share the protocol's per-node state — the flood app's arrays,
-// the labeling app's program instances — and each touches only the slots
-// of nodes it is called for, which its shard owns; counters stay per
-// instance and are folded after the run.
+// one run share the protocol's per-node state, indexed by node ID — the
+// flood app's arrays, the labeling app's program instances — and each
+// touches only the entries of nodes it is called for, which its shard
+// owns; counters stay per instance and are folded after the run.
 type app interface {
 	// start runs once per owned node before time advances.
 	start(f fabric, node int)
 	// wake delivers the node's coalesced inputs at the current instant:
-	// pkts sorted by (From, Key), and timer reporting whether the
-	// node's single-shot timer expired at this instant.
-	wake(f fabric, node int, pkts []Packet, timer bool)
+	// its packets are recs[batch[0]], recs[batch[1]], … in (From, Key)
+	// order, indices into the instant's record table, and timer reports
+	// whether the node's single-shot timer expired at this instant. Both
+	// slices belong to the fabric and are reused after the call.
+	wake(f fabric, node int, recs []Packet, batch []int32, timer bool)
 }
 
 // dissApp is the multi-source dissemination protocol the sharded kernel
@@ -126,10 +128,11 @@ func (a *dissApp) start(f fabric, node int) {
 // re-broadcast, duplicates suppressed. The batch arrives sorted by
 // (From, Key) and every update below commutes across nodes, so the
 // result is independent of how deliveries interleaved across shards.
-func (a *dissApp) wake(f fabric, node int, pkts []Packet, timer bool) {
+func (a *dissApp) wake(f fabric, node int, recs []Packet, batch []int32, timer bool) {
 	_ = timer // the dissemination protocol is purely reactive
 	fs := a.fs
-	for _, p := range pkts {
+	for _, r := range batch {
+		p := &recs[r]
 		bit := uint64(1) << uint(p.Key)
 		if fs.heard[node]&bit != 0 {
 			a.ignored++

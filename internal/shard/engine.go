@@ -17,7 +17,7 @@ import (
 
 // outRow is one (source, destination) cell of the outbox: a record per
 // transmission the source shard sent into the destination shard during
-// one window, and the records' receivers back to back in to, each
+// one window, and the records' receiver slots back to back in to, each
 // record's in ascending ID order.
 type outRow struct {
 	recs []xrec
@@ -25,7 +25,8 @@ type outRow struct {
 }
 
 // xrec is one transmission's share of an outbox row: the delivery time,
-// the packet, and n, the number of its receivers in the row's to array.
+// the packet (from is the sender's ID), and n, the number of its
+// receivers in the row's to array.
 type xrec struct {
 	at      sim.Time
 	from    int32
@@ -78,9 +79,16 @@ type engine struct {
 	pool      *parallel.Pool
 	// channel is shared by every shard: all of its mutable state is
 	// per-sender, and only a node's owner shard draws for it, so shards
-	// never touch the same slot (see fault.StreamChannel).
+	// never touch the same entry (see fault.StreamChannel).
 	channel *fault.StreamChannel
 	shards  []*shardRun
+	// off and nbr are the CSR in slot space: slot v's neighbors' slots
+	// are nbr[off[v]:off[v+1]], in ascending order of their IDs, so loss
+	// draws and fan-outs keep the oracle's order. interior[v] reports
+	// that all of them are on v's shard. Each shard fills its own rows.
+	off      []int32
+	nbr      []int32
+	interior []bool
 	// cur[src][dst] collects transmissions sent by shard src into shard
 	// dst in the running window; prev holds the previous window's sends
 	// and is drained (and reset) by the destination shards at injection
@@ -94,18 +102,20 @@ type engine struct {
 // only by the goroutine running the shard's window (plus the sequential
 // barrier), so none of it needs locks.
 type shardRun struct {
-	eng    *engine
-	id     int
-	kern   *sim.Kernel
-	ledger *cost.Ledger
-	tracer *trace.Tracer
-	app    app
-	nodes  []int32
-	// bank meters this shard's ledger when depletion is armed. Each
-	// shard has its own full-width bank, but a node's every charge (Tx
-	// at its sends, Rx at its deliveries) lands on its owner shard's
-	// ledger, so exactly one bank observes each node's complete drain
-	// sequence — the same sequence the oracle's single bank sees.
+	eng  *engine
+	id   int
+	kern *sim.Kernel
+	// The shard owns the slots [start, end). Its ledger (nil when the
+	// range is empty) covers exactly those, indexed by slot − start.
+	start, end int32
+	ledger     *cost.Ledger
+	tracer     *trace.Tracer
+	app        app
+	// bank meters this shard's ledger when depletion is armed, over the
+	// ledger's range. A node's every charge (Tx at its sends, Rx at its
+	// deliveries) lands on its owner shard's ledger, so exactly one bank
+	// observes each node's complete drain sequence — the same sequence
+	// the oracle's single bank sees.
 	bank *battery.Bank
 
 	sent      int64
@@ -133,6 +143,11 @@ type shardRun struct {
 // fanout is a pooled delivery event: one kernel event delivering a
 // packet to every receiver of one transmission on this shard in
 // ascending ID order — a local fan-out, or an injected outbox record.
+//
+// to holds receiver slots and is read-only: on a lossless broadcast
+// from an interior node it is the sender's slot row itself. Filtered
+// lists are built in own, the record's private buffer, so nothing is
+// ever appended into a row.
 type fanout struct {
 	s       *shardRun
 	from    int32
@@ -140,6 +155,7 @@ type fanout struct {
 	key     int64
 	payload any
 	to      []int32
+	own     []int32
 	fire    func()
 }
 
@@ -148,7 +164,7 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	if lookahead < 1 {
 		panic(fmt.Sprintf("shard: lookahead %d must be at least one time unit", lookahead))
 	}
-	s := part.Shards
+	s, n := part.Shards, nw.N()
 	e := &engine{
 		nw:        nw,
 		st:        st,
@@ -160,16 +176,22 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 		shards:    make([]*shardRun, s),
 		cur:       makeOutbox(s),
 		prev:      makeOutbox(s),
+		off:       make([]int32, n+1),
+		interior:  make([]bool, n),
 	}
+	for v, id := range part.ID {
+		e.off[v+1] = e.off[v] + int32(nw.Degree(int(id)))
+	}
+	e.nbr = make([]int32, e.off[n])
 	for i := 0; i < s; i++ {
 		sr := &shardRun{
-			eng:    e,
-			id:     i,
-			kern:   sim.New(),
-			ledger: cost.NewLedger(model, nw.N()),
-			nodes:  part.Members[i],
-			in:     inbox{st: st},
-			open:   make([]uint64, s),
+			eng:   e,
+			id:    i,
+			kern:  sim.New(),
+			start: part.Start[i],
+			end:   part.Start[i+1],
+			in:    inbox{st: st, id: part.ID},
+			open:  make([]uint64, s),
 		}
 		sr.drain = func() {
 			sr.last = sr.kern.Now()
@@ -179,18 +201,21 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 			sr.tracer = trace.New(traceCap)
 			sr.tracer.SetSink(hz.sink)
 		}
-		if hz.capacity > 0 {
-			sr.bank = battery.Uniform(nw.N(), hz.capacity)
-			sr.bank.Gasp(sr.kern.Now)
-			sr.bank.OnDeplete(sr.deplete)
-			if sr.tracer != nil {
-				sr.bank.SetTracer(sr.tracer, sr.kern.Now)
+		if size := int(sr.end - sr.start); size > 0 {
+			sr.ledger = cost.NewLedger(model, size)
+			if hz.capacity > 0 {
+				// No bank tracer: it would name the local index. deplete
+				// emits the Deplete event under the node's ID instead.
+				sr.bank = battery.Uniform(size, hz.capacity)
+				sr.bank.Gasp(sr.kern.Now)
+				sr.bank.OnDeplete(sr.deplete)
+				sr.ledger.SetMeter(sr.bank)
 			}
-			sr.ledger.SetMeter(sr.bank)
 		}
 		sr.app = mkApp(i)
 		e.shards[i] = sr
 	}
+	parallel.ForEach(pool, s, func(i int) { e.shards[i].fillRows() })
 	// Mid-run crashes are known up front and only touch owner-shard
 	// state, so they are pre-scheduled into each victim's owner kernel —
 	// no cross-shard traffic needed. Scheduling them here, before the
@@ -221,26 +246,51 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	return e
 }
 
+// fillRows writes the slot rows of the shard's own range: each
+// neighbor's slot, in the network's ascending-ID row order, and whether
+// the row stays on the shard.
+func (s *shardRun) fillRows() {
+	e := s.eng
+	slot := e.part.Slot
+	for v := s.start; v < s.end; v++ {
+		ids := e.nw.Neighbors(int(e.part.ID[v]))
+		row := e.nbr[e.off[v]:e.off[v+1]]
+		row = row[:len(ids)] // same length; drops the loop's bounds check
+		in := true
+		for i, id := range ids {
+			u := slot[id]
+			row[i] = u
+			if !s.owns(u) {
+				in = false
+			}
+		}
+		e.interior[v] = in
+	}
+}
+
+// owns reports whether slot v is on this shard.
+func (s *shardRun) owns(v int32) bool { return v >= s.start && v < s.end }
+
 // churn applies one reversible radio transition, mirroring
 // radio.Medium.Suspend/Resume: a sleep of a dead or sleeping node and a
 // wake of a dead or awake node are silent no-ops.
 func (s *shardRun) churn(node int, down bool) {
-	st := s.eng.st
+	st, v := s.eng.st, s.eng.part.Slot[node]
 	if down {
-		if !st.Alive[node] || st.Suspended[node] {
+		if !st.Alive[v] || st.Suspended[v] {
 			return
 		}
-		st.Suspended[node] = true
+		st.Suspended[v] = true
 		s.suspends++
 		if s.tracer != nil {
 			s.emit(trace.Sleep, node, -1, 0, "radio sleep")
 		}
 		return
 	}
-	if !st.Alive[node] || !st.Suspended[node] {
+	if !st.Alive[v] || !st.Suspended[v] {
 		return
 	}
-	st.Suspended[node] = false
+	st.Suspended[v] = false
 	s.resumes++
 	if s.tracer != nil {
 		s.emit(trace.Wake, node, -1, 0, "radio wake")
@@ -255,14 +305,14 @@ func (s *shardRun) churn(node int, down bool) {
 // mirroring the oracle's fault.Injector.kill exactly (a timer re-armed
 // during the dying-gasp instant dies here on both).
 func (s *shardRun) kill(node int) {
-	st := s.eng.st
-	if st.Alive[node] {
-		st.Alive[node] = false
+	st, v := s.eng.st, s.eng.part.Slot[node]
+	if st.Alive[v] {
+		st.Alive[v] = false
 		if s.tracer != nil {
 			s.emit(trace.Death, node, -1, 0, "radio off")
 		}
 	}
-	st.timerSet[node] = false
+	st.timerSet[v] = false
 	s.kern.CancelOwner(node)
 }
 
@@ -275,14 +325,21 @@ func (s *shardRun) kill(node int) {
 // injection assigns late sequence numbers), so cancelling would make
 // the dying wake's timer flag depend on the shard count. Instead the
 // gasp covers the whole instant — a timer stamped now still fires —
-// and any later timer is swallowed by the drain's liveness gate.
-func (s *shardRun) deplete(node int) {
-	st := s.eng.st
-	if !st.Alive[node] {
+// and any later timer is swallowed by the drain's liveness gate. The
+// bank calls it with the ledger's index, slot − start; it emits the
+// bank's Deplete event (in gasp mode the budget, not the drain) under
+// the node's ID.
+func (s *shardRun) deplete(i int) {
+	st, v := s.eng.st, s.start+int32(i)
+	node := int(s.eng.part.ID[v])
+	if s.tracer != nil {
+		s.emit(trace.Deplete, node, -1, int64(s.bank.Capacity(i)), "battery exhausted")
+	}
+	if !st.Alive[v] {
 		return
 	}
-	st.Alive[node] = false
-	st.GaspUntil[node] = s.kern.Now()
+	st.Alive[v] = false
+	st.GaspUntil[v] = s.kern.Now()
 	if s.tracer != nil {
 		s.emit(trace.Death, node, -1, 0, "radio off")
 	}
@@ -301,7 +358,7 @@ func makeOutbox(s int) [][]outRow {
 func (e *engine) run(crashed []bool) sim.Time {
 	for i, dead := range crashed {
 		if dead {
-			e.st.Alive[i] = false
+			e.st.Alive[e.part.Slot[i]] = false
 			sr := e.shards[e.part.Owner[i]]
 			if sr.tracer != nil {
 				sr.emit(trace.Death, i, -1, 0, "radio off")
@@ -312,8 +369,8 @@ func (e *engine) run(crashed []bool) sim.Time {
 	// only owner-shard state and its own outbox row.
 	parallel.ForEach(e.pool, len(e.shards), func(i int) {
 		sr := e.shards[i]
-		for _, n := range sr.nodes {
-			sr.app.start(sr, int(n))
+		for v := sr.start; v < sr.end; v++ {
+			sr.app.start(sr, int(e.part.ID[v]))
 		}
 	})
 	for {
@@ -372,7 +429,8 @@ func (s *shardRun) inject() {
 		to := row.to
 		for _, r := range row.recs {
 			f := s.newFanout(r.from, r.size, r.key, r.payload)
-			f.to = append(f.to, to[:r.n]...)
+			f.own = append(f.own, to[:r.n]...)
+			f.to = f.own
 			to = to[r.n:]
 			s.kern.At(r.at, f.fire)
 		}
@@ -387,52 +445,64 @@ func (s *shardRun) inject() {
 // neighbor in ascending-ID order from the shared counter-keyed channel
 // — the identical draw sequence radio.Medium consumes, because the
 // channel is keyed by the sender's own counter, not by any global
-// schedule. Returns the number of neighbors the packet was queued for,
-// losses excluded, matching Medium.Broadcast.
+// schedule. A lossless broadcast from an interior node fans out from
+// its slot row in place. Returns the number of neighbors the packet was
+// queued for, losses excluded, matching Medium.Broadcast.
 func (s *shardRun) broadcast(from int, size, key int64) int {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
 	}
-	st := s.eng.st
-	if !st.liveAt(from, s.kern.Now()) {
+	e := s.eng
+	v := e.part.Slot[from]
+	if !e.st.liveAt(v, s.kern.Now()) {
 		return 0
 	}
 	s.sent++
 	s.txn++
-	s.ledger.Charge(from, cost.Tx, size)
+	s.ledger.Charge(int(v-s.start), cost.Tx, size)
 	if s.tracer != nil {
 		s.emit(trace.Tx, from, -1, size, "broadcast")
 	}
-	at := s.kern.Now() + sim.Time(s.eng.model.TxLatency(size))
-	owner := s.eng.part.Owner
-	ch := s.eng.channel
+	at := s.kern.Now() + sim.Time(e.model.TxLatency(size))
+	row := e.nbr[e.off[v]:e.off[v+1]]
+	ch := e.channel
+	if ch == nil && e.interior[v] {
+		if len(row) > 0 {
+			f := s.newFanout(int32(from), size, key, nil)
+			f.to = row
+			s.kern.At(at, f.fire)
+		}
+		return len(row)
+	}
 	var local *fanout
 	queued := 0
-	for _, nbr := range s.eng.nw.Neighbors(from) {
-		if ch != nil && ch.Lost(from, nbr, size) {
+	for _, u := range row {
+		if ch != nil && ch.Lost(from, int(e.part.ID[u]), size) {
 			s.dropped++
 			if s.tracer != nil {
-				s.emit(trace.Drop, nbr, from, size, "lost")
+				s.emit(trace.Drop, int(e.part.ID[u]), from, size, "lost")
 			}
 			continue
 		}
 		queued++
-		if dst := owner[nbr]; int(dst) == s.id {
+		if s.owns(u) {
 			if local == nil {
 				local = s.newFanout(int32(from), size, key, nil)
 			}
-			local.to = append(local.to, int32(nbr))
+			local.own = append(local.own, u)
 		} else {
-			row := &s.eng.cur[s.id][dst]
+			dst := e.part.Owner[e.part.ID[u]]
+			out := &e.cur[s.id][dst]
 			if s.open[dst] != s.txn {
 				s.open[dst] = s.txn
-				row.recs = append(row.recs, xrec{at: at, from: int32(from), size: size, key: key})
+				out.recs = append(out.recs, xrec{at: at, from: int32(from), size: size, key: key})
 			}
-			row.recs[len(row.recs)-1].n++
-			row.to = append(row.to, int32(nbr))
+			out.recs[len(out.recs)-1].n++
+			out.to = append(out.to, u)
 		}
 	}
 	if local != nil {
+		local.to = local.own
 		s.kern.At(at, local.fire)
 	}
 	return queued
@@ -450,12 +520,13 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 	if i := sort.SearchInts(nbrs, to); i >= len(nbrs) || nbrs[i] != to {
 		panic(fmt.Sprintf("shard: unicast %d->%d between non-neighbors", from, to))
 	}
-	st := s.eng.st
-	if !st.liveAt(from, s.kern.Now()) {
+	p := s.eng.part
+	v := p.Slot[from]
+	if !s.eng.st.liveAt(v, s.kern.Now()) {
 		return false
 	}
 	s.sent++
-	s.ledger.Charge(from, cost.Tx, size)
+	s.ledger.Charge(int(v-s.start), cost.Tx, size)
 	if s.tracer != nil {
 		s.emit(trace.Tx, from, to, size, "unicast")
 	}
@@ -467,14 +538,15 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 		return false
 	}
 	at := s.kern.Now() + sim.Time(s.eng.model.TxLatency(size))
-	if dst := s.eng.part.Owner[to]; int(dst) == s.id {
+	if u := p.Slot[to]; s.owns(u) {
 		f := s.newFanout(int32(from), size, key, payload)
-		f.to = append(f.to, int32(to))
+		f.own = append(f.own, u)
+		f.to = f.own
 		s.kern.At(at, f.fire)
 	} else {
-		row := &s.eng.cur[s.id][dst]
-		row.recs = append(row.recs, xrec{at: at, from: int32(from), n: 1, size: size, key: key, payload: payload})
-		row.to = append(row.to, int32(to))
+		out := &s.eng.cur[s.id][p.Owner[to]]
+		out.recs = append(out.recs, xrec{at: at, from: int32(from), n: 1, size: size, key: key, payload: payload})
+		out.to = append(out.to, u)
 	}
 	return true
 }
@@ -499,45 +571,44 @@ func (f *fanout) run() {
 	s := f.s
 	s.last = s.kern.Now()
 	rec := int32(-1)
-	for _, to := range f.to {
-		if !s.receive(int(to), int(f.from), f.size) {
+	for _, u := range f.to {
+		if !s.receive(u, int(f.from), f.size) {
 			continue
 		}
 		if rec < 0 {
 			rec = s.in.record(Packet{From: int(f.from), Size: f.size, Key: f.key, Payload: f.payload})
 		}
-		if s.in.ref(int(to), rec) {
+		if s.in.ref(u, rec) {
 			s.kern.After(0, s.drain)
 		}
 	}
-	f.payload = nil
-	f.to = f.to[:0]
+	f.payload, f.to, f.own = nil, nil, f.own[:0]
 	s.freeFan = append(s.freeFan, f)
 }
 
-// receive is a delivery's gate at a receiver this shard owns: liveness
-// is judged at delivery time exactly as radio.Medium does, and a live
-// receiver is charged Rx and traced. It reports whether the receiver
-// takes the packet.
-func (s *shardRun) receive(to, from int, size int64) bool {
+// receive is a delivery's gate at a receiver slot this shard owns:
+// liveness is judged at delivery time exactly as radio.Medium does, and
+// a live receiver is charged Rx and traced. It reports whether the
+// receiver takes the packet.
+func (s *shardRun) receive(v int32, from int, size int64) bool {
 	st := s.eng.st
-	if !st.liveAt(to, s.kern.Now()) {
+	if !st.liveAt(v, s.kern.Now()) {
 		s.dropped++
 		if s.tracer != nil {
 			// Same split as radio.Medium: an alive-but-suspended receiver
 			// reports the reversible drop reason.
 			detail := "dead receiver"
-			if st.Alive[to] {
+			if st.Alive[v] {
 				detail = "asleep receiver"
 			}
-			s.emit(trace.Drop, to, from, size, detail)
+			s.emit(trace.Drop, int(s.eng.part.ID[v]), from, size, detail)
 		}
 		return false
 	}
 	s.delivered++
-	s.ledger.Charge(to, cost.Rx, size)
+	s.ledger.Charge(int(v-s.start), cost.Rx, size)
 	if s.tracer != nil {
-		s.emit(trace.Rx, to, from, size, "")
+		s.emit(trace.Rx, int(s.eng.part.ID[v]), from, size, "")
 	}
 	return true
 }
@@ -548,11 +619,11 @@ func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
 	if d <= 0 {
 		panic(fmt.Sprintf("shard: wake delay %d must be positive", d))
 	}
-	st := s.eng.st
-	if st.timerSet[n] {
+	st, v := s.eng.st, s.eng.part.Slot[n]
+	if st.timerSet[v] {
 		panic(fmt.Sprintf("shard: node %d already has a pending timer", n))
 	}
-	st.timerSet[n] = true
+	st.timerSet[v] = true
 	at := s.kern.Now() + d
 	// The timer is the node's owned event: a crash cancels it via
 	// CancelOwner (the crash event's low sequence number makes that
@@ -561,8 +632,8 @@ func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
 	// an already-accumulated batch.
 	s.kern.AfterOwned(n, d, func() {
 		s.last = s.kern.Now()
-		st.timerSet[n] = false
-		if s.in.touch(n) {
+		st.timerSet[v] = false
+		if s.in.touch(v) {
 			s.kern.After(0, s.drain)
 		}
 	})
@@ -571,6 +642,7 @@ func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
 
 // emit mirrors radio.Medium's structured-event shape field for field,
 // so canonicalized sharded traces are byte-identical to oracle traces.
+// node and peer are IDs.
 func (s *shardRun) emit(kind trace.Kind, node, peer int, size int64, detail string) {
 	e := trace.Event{At: s.kern.Now(), Kind: kind,
 		Node: "#" + strconv.Itoa(node), ID: node,

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"reflect"
 	"slices"
 	"testing"
@@ -21,8 +22,9 @@ import (
 // center of a 2×2 tiling and its twelve neighbors cycle through the four
 // tiles, so its ascending neighbor list alternates destination shards.
 // Each broadcast must leave exactly one outbox record per remote shard,
-// carrying that shard's receivers in ascending ID order, and the
-// sender's own tile must get nothing in the outbox.
+// carrying that shard's receivers (as slots, mapped back to IDs here) in
+// ascending ID order, and the sender's own tile must get nothing in the
+// outbox.
 func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 	tiles := []geom.Point{{X: 12, Y: 12}, {X: 28, Y: 12}, {X: 12, Y: 28}, {X: 28, Y: 28}}
 	pts := []geom.Point{{X: 20, Y: 20}}
@@ -68,7 +70,11 @@ func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 			if r.at != at || r.from != 0 || r.size != x.size || r.key != x.key || int(r.n) != len(want) {
 				t.Errorf("shard %d record %d = %+v, want at %d from 0 size %d key %d n %d", dst, i, r, at, x.size, x.key, len(want))
 			}
-			if got := row.to[i*len(want) : (i+1)*len(want)]; !slices.Equal(got, want) {
+			var got []int32
+			for _, v := range row.to[i*len(want) : (i+1)*len(want)] {
+				got = append(got, part.ID[v])
+			}
+			if !slices.Equal(got, want) {
 				t.Errorf("shard %d record %d receivers %v, want %v", dst, i, got, want)
 			}
 		}
@@ -170,5 +176,80 @@ func TestInjectedFanoutSameInstantHazards(t *testing.T) {
 				t.Fatalf("%s, shards=%d: result diverges from oracle\n got: %+v\nwant: %+v", c.name, shards, got, want)
 			}
 		}
+	}
+}
+
+// TestShardsOwnTheirSlotRanges pins the layout's contract at 1, 2, 4
+// and 8 shards, after a run that depletes batteries and fans out in
+// place: the shards' slot ranges tile [0, n) in shard order and hold
+// exactly their nodes; each shard's ledger and bank cover exactly its
+// own range (none for an empty tile), so fabric state stays O(n) at any
+// shard count; and every slot row still lists its node's neighbors'
+// slots in the network's order, its interior flag telling whether they
+// all stay on the shard. The nodes fill only the terrain's left half,
+// so the right-hand tiles at 4 and 8 shards are empty.
+func TestShardsOwnTheirSlotRanges(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	pts := make([]geom.Point, 300)
+	for i := range pts {
+		pts[i] = geom.Point{X: 34 * rng.Float64(), Y: 70 * rng.Float64()}
+	}
+	nw := deploy.FromPoints(pts, geom.Rect{MaxX: 70, MaxY: 70}, 10)
+	empty := 0
+	for _, shards := range diffShards {
+		var eng *engine
+		cfg := Config{Floods: 4, Shards: shards, Workers: 2, Capacity: 40, Deplete: true}
+		res, err := runFloods(nw, cfg, keepEngine(&eng))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Deaths == 0 {
+			t.Fatalf("shards=%d: no depletion under a budget of %d", shards, cfg.Capacity)
+		}
+		p := eng.part
+		next := int32(0)
+		for i, sr := range eng.shards {
+			if sr.start != next || sr.end < sr.start || sr.start != p.Start[i] || sr.end != p.Start[i+1] {
+				t.Fatalf("shards=%d: shard %d owns [%d, %d) after slot %d", shards, i, sr.start, sr.end, next)
+			}
+			next = sr.end
+			size := int(sr.end - sr.start)
+			if size == 0 {
+				if sr.ledger != nil || sr.bank != nil {
+					t.Fatalf("shards=%d: empty shard %d holds a ledger or bank", shards, i)
+				}
+				empty++
+				continue
+			}
+			if sr.ledger.N() != size || sr.bank.N() != size {
+				t.Fatalf("shards=%d: shard %d owns %d slots, ledger %d, bank %d", shards, i, size, sr.ledger.N(), sr.bank.N())
+			}
+			for v := sr.start; v < sr.end; v++ {
+				if p.Owner[p.ID[v]] != int32(i) {
+					t.Fatalf("shards=%d: slot %d (node %d) on shard %d, owner %d", shards, v, p.ID[v], i, p.Owner[p.ID[v]])
+				}
+				in := true
+				row := eng.nbr[eng.off[v]:eng.off[v+1]]
+				ids := nw.Neighbors(int(p.ID[v]))
+				if len(row) != len(ids) {
+					t.Fatalf("shards=%d: slot %d has %d neighbors, node %d has %d", shards, v, len(row), p.ID[v], len(ids))
+				}
+				for j, u := range row {
+					if int(p.ID[u]) != ids[j] {
+						t.Fatalf("shards=%d: slot %d's row %v does not map to node %d's %v", shards, v, row, p.ID[v], ids)
+					}
+					in = in && sr.owns(u)
+				}
+				if eng.interior[v] != in {
+					t.Fatalf("shards=%d: slot %d interior %v, want %v", shards, v, eng.interior[v], in)
+				}
+			}
+		}
+		if int(next) != nw.N() {
+			t.Fatalf("shards=%d: slot ranges end at %d of %d", shards, next, nw.N())
+		}
+	}
+	if empty == 0 {
+		t.Fatal("no partition left a tile empty")
 	}
 }

@@ -91,9 +91,9 @@ func FuzzLossyWindowBoundary(f *testing.F) {
 				t.Fatalf("shards=%d: lossy stats diverge: %+v vs %+v", shards, gstats, ostats)
 			}
 			for i := 0; i < nw.N(); i++ {
-				if gstats.ledger.Energy(i) != ostats.ledger.Energy(i) {
+				if gstats.energy[i] != ostats.energy[i] {
 					t.Fatalf("shards=%d: node %d energy %d vs %d",
-						shards, i, gstats.ledger.Energy(i), ostats.ledger.Energy(i))
+						shards, i, gstats.energy[i], ostats.energy[i])
 				}
 			}
 		}
@@ -162,9 +162,9 @@ func FuzzMidRunDeath(f *testing.F) {
 				t.Fatalf("shards=%d: stats diverge under deaths: %+v vs %+v", shards, gstats, ostats)
 			}
 			for i := 0; i < nw.N(); i++ {
-				if gstats.ledger.Energy(i) != ostats.ledger.Energy(i) {
+				if gstats.energy[i] != ostats.energy[i] {
 					t.Fatalf("shards=%d: node %d energy %d vs %d",
-						shards, i, gstats.ledger.Energy(i), ostats.ledger.Energy(i))
+						shards, i, gstats.energy[i], ostats.energy[i])
 				}
 			}
 		}

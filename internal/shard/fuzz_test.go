@@ -56,10 +56,11 @@ func (a *fuzzApp) start(f fabric, node int) {
 	}
 }
 
-func (a *fuzzApp) wake(f fabric, node int, pkts []Packet, timer bool) {
+func (a *fuzzApp) wake(f fabric, node int, recs []Packet, batch []int32, timer bool) {
 	now := f.now()
 	a.wakes[node] = append(a.wakes[node], now)
-	for _, p := range pkts {
+	for _, r := range batch {
+		p := &recs[r]
 		a.recvs[node] = append(a.recvs[node],
 			fuzzRecv{at: now, from: p.From, key: p.Key, size: p.Size})
 	}
@@ -157,9 +158,9 @@ func FuzzWindowBoundary(f *testing.F) {
 				t.Fatalf("shards=%d: stats diverge: %+v vs %+v", shards, gstats, ostats)
 			}
 			for i := 0; i < nw.N(); i++ {
-				if gstats.ledger.Energy(i) != ostats.ledger.Energy(i) {
+				if gstats.energy[i] != ostats.energy[i] {
 					t.Fatalf("shards=%d: node %d energy %d vs %d",
-						shards, i, gstats.ledger.Energy(i), ostats.ledger.Energy(i))
+						shards, i, gstats.energy[i], ostats.energy[i])
 				}
 			}
 		}

@@ -19,7 +19,7 @@ func (f *stillFab) broadcast(int, int64, int64) int          { panic("stillFab: 
 func (f *stillFab) unicast(int, int, int64, int64, any) bool { panic("stillFab: unicast") }
 func (f *stillFab) wakeAfter(int, sim.Time) sim.Time         { panic("stillFab: wakeAfter") }
 
-// wakeRec is one wake as the app saw it, its batch copied.
+// wakeRec is one wake as the app saw it, its batch's packets copied.
 type wakeRec struct {
 	node  int
 	pkts  []Packet
@@ -34,8 +34,12 @@ type recApp struct {
 
 func (a *recApp) start(fabric, int) {}
 
-func (a *recApp) wake(_ fabric, node int, pkts []Packet, timer bool) {
-	a.wakes = append(a.wakes, wakeRec{node, slices.Clone(pkts), timer})
+func (a *recApp) wake(_ fabric, node int, recs []Packet, batch []int32, timer bool) {
+	pkts := make([]Packet, len(batch))
+	for i, r := range batch {
+		pkts[i] = recs[r]
+	}
+	a.wakes = append(a.wakes, wakeRec{node, pkts, timer})
 	if a.during != nil {
 		a.during(node)
 	}
@@ -50,47 +54,62 @@ func inboxState(n int) *State {
 // TestInboxWakesInIDOrderWithSortedBatches adds packets to random nodes
 // in random order and checks the drain: each listed node is woken once,
 // in ascending ID order, with exactly its packets sorted by (From, Key).
+// It runs on the identity layout and on a shuffled one, where the inbox
+// is fed slots and must still wake by ID.
 func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 40
-	st := inboxState(n)
-	ib := &inbox{st: st}
-	for round := 0; round < 20; round++ {
-		want := make(map[int][]Packet)
-		firsts := 0
-		for i := 0; i < 1+rng.Intn(200); i++ {
-			to := rng.Intn(n)
-			p := Packet{From: rng.Intn(n), Size: 1, Key: int64(rng.Intn(4)), Payload: i}
-			want[to] = append(want[to], p)
-			if ib.add(to, p) {
-				firsts++
-			}
+	for _, id := range [][]int32{identity(n), shuffled(n, rng)} {
+		slot := make([]int32, n)
+		for v, node := range id {
+			slot[node] = int32(v)
 		}
-		if firsts != 1 {
-			t.Fatalf("round %d: %d adds reported the instant's first input, want 1", round, firsts)
-		}
-		a := &recApp{}
-		ib.drain(&stillFab{}, a)
-		if len(a.wakes) != len(want) {
-			t.Fatalf("round %d: %d wakes for %d nodes with input", round, len(a.wakes), len(want))
-		}
-		for i, w := range a.wakes {
-			if i > 0 && w.node <= a.wakes[i-1].node {
-				t.Fatalf("round %d: node %d woke after node %d", round, w.node, a.wakes[i-1].node)
-			}
-			for j := 1; j < len(w.pkts); j++ {
-				if less(w.pkts[j], w.pkts[j-1]) {
-					t.Fatalf("round %d: node %d batch not sorted by (From, Key): %v", round, w.node, w.pkts)
+		st := inboxState(n)
+		ib := &inbox{st: st, id: id}
+		for round := 0; round < 20; round++ {
+			want := make(map[int][]Packet)
+			firsts := 0
+			for i := 0; i < 1+rng.Intn(200); i++ {
+				to := rng.Intn(n)
+				p := Packet{From: rng.Intn(n), Size: 1, Key: int64(rng.Intn(4)), Payload: i}
+				want[to] = append(want[to], p)
+				if ib.add(slot[to], p) {
+					firsts++
 				}
 			}
-			// (From, Key) may repeat here, so compare in add order.
-			got := slices.Clone(w.pkts)
-			slices.SortFunc(got, func(x, y Packet) int { return x.Payload.(int) - y.Payload.(int) })
-			if !slices.Equal(got, want[w.node]) || w.timer {
-				t.Fatalf("round %d: node %d got %v (timer %v), want %v", round, w.node, got, w.timer, want[w.node])
+			if firsts != 1 {
+				t.Fatalf("round %d: %d adds reported the instant's first input, want 1", round, firsts)
+			}
+			a := &recApp{}
+			ib.drain(&stillFab{}, a)
+			if len(a.wakes) != len(want) {
+				t.Fatalf("round %d: %d wakes for %d nodes with input", round, len(a.wakes), len(want))
+			}
+			for i, w := range a.wakes {
+				if i > 0 && w.node <= a.wakes[i-1].node {
+					t.Fatalf("round %d: node %d woke after node %d", round, w.node, a.wakes[i-1].node)
+				}
+				for j := 1; j < len(w.pkts); j++ {
+					if less(&w.pkts[j], &w.pkts[j-1]) {
+						t.Fatalf("round %d: node %d batch not sorted by (From, Key): %v", round, w.node, w.pkts)
+					}
+				}
+				// (From, Key) may repeat here, so compare in add order.
+				got := slices.Clone(w.pkts)
+				slices.SortFunc(got, func(x, y Packet) int { return x.Payload.(int) - y.Payload.(int) })
+				if !slices.Equal(got, want[w.node]) || w.timer {
+					t.Fatalf("round %d: node %d got %v (timer %v), want %v", round, w.node, got, w.timer, want[w.node])
+				}
 			}
 		}
 	}
+}
+
+// shuffled is a random slot-to-ID map on n nodes.
+func shuffled(n int, rng *rand.Rand) []int32 {
+	id := identity(n)
+	rng.Shuffle(n, func(i, j int) { id[i], id[j] = id[j], id[i] })
+	return id
 }
 
 // TestInboxTimerOnlyWake: a touch with no packet wakes the node with an
@@ -98,7 +117,7 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 // packets sets the flag on the same wake.
 func TestInboxTimerOnlyWake(t *testing.T) {
 	st := inboxState(4)
-	ib := &inbox{st: st}
+	ib := &inbox{st: st, id: identity(4)}
 	if !ib.touch(2) {
 		t.Fatal("first touch of the instant did not ask for a drain")
 	}
@@ -125,7 +144,7 @@ func TestInboxTimerOnlyWake(t *testing.T) {
 func TestInboxDeadNodeLosesInput(t *testing.T) {
 	st := inboxState(3)
 	st.Alive[1] = false
-	ib := &inbox{st: st}
+	ib := &inbox{st: st, id: identity(3)}
 	ib.touch(1)
 	ib.touch(2)
 	a := &recApp{}
@@ -146,14 +165,14 @@ func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 40
 	st := inboxState(n)
-	ib := &inbox{st: st}
+	ib := &inbox{st: st, id: identity(n)}
 	for round := 0; round < 20; round++ {
 		want := make(map[int][]Packet)
 		for from := 0; from < 1+rng.Intn(30); from++ {
 			p := Packet{From: from, Size: 1, Key: int64(rng.Intn(4)), Payload: round}
 			rec := ib.record(p)
 			for _, to := range rng.Perm(n)[:1+rng.Intn(n/2)] {
-				ib.ref(to, rec)
+				ib.ref(int32(to), rec)
 				want[to] = append(want[to], p)
 			}
 		}
@@ -173,14 +192,14 @@ func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 }
 
 // TestInboxDrainedHoldsNoPayload: after a drain the record table, the
-// log, the batch and the per-node State arrays are empty, and no payload
-// is still referenced from the retained capacity.
+// log and the per-node State arrays are empty, and no payload is still
+// referenced from the retained capacity.
 func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 	st := inboxState(8)
-	ib := &inbox{st: st}
-	for i := 0; i < 50; i++ {
-		ib.add(i%8, Packet{From: i, Size: 1, Payload: &wakeRec{}})
-		rec := ib.record(Packet{From: 50 + i, Size: 1, Payload: &wakeRec{}})
+	ib := &inbox{st: st, id: identity(8)}
+	for i := int32(0); i < 50; i++ {
+		ib.add(i%8, Packet{From: int(i), Size: 1, Payload: &wakeRec{}})
+		rec := ib.record(Packet{From: 50 + int(i), Size: 1, Payload: &wakeRec{}})
 		ib.ref(i%8, rec)
 		ib.ref((i+3)%8, rec)
 	}
@@ -188,7 +207,7 @@ func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 	if len(ib.recs) != 0 || len(ib.log) != 0 || len(ib.nodes) != 0 || ib.draining {
 		t.Fatalf("drained inbox: recs %d, log %d, nodes %d, draining %v", len(ib.recs), len(ib.log), len(ib.nodes), ib.draining)
 	}
-	for _, p := range append(ib.recs[:cap(ib.recs)], ib.batch[:cap(ib.batch)]...) {
+	for _, p := range ib.recs[:cap(ib.recs)] {
 		if p.Payload != nil {
 			t.Fatal("drained inbox still references a payload")
 		}
@@ -203,8 +222,8 @@ func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 // countApp counts wakes without allocating.
 type countApp struct{ wakes int }
 
-func (a *countApp) start(fabric, int)                        {}
-func (a *countApp) wake(_ fabric, _ int, _ []Packet, _ bool) { a.wakes++ }
+func (a *countApp) start(fabric, int)                         {}
+func (a *countApp) wake(fabric, int, []Packet, []int32, bool) { a.wakes++ }
 
 // TestInboxCycleAllocatesNothing: once the record table, the log, the
 // drain's scratch and the node list have grown, an add/drain cycle with
@@ -212,16 +231,16 @@ func (a *countApp) wake(_ fabric, _ int, _ []Packet, _ bool) { a.wakes++ }
 func TestInboxCycleAllocatesNothing(t *testing.T) {
 	const n = 64
 	st := inboxState(n)
-	ib := &inbox{st: st}
+	ib := &inbox{st: st, id: identity(n)}
 	fab, a := &stillFab{}, &countApp{}
 	cycle := func() {
 		for i := 0; i < 500; i++ {
-			ib.add((i*37)%n, Packet{From: i % 11, Size: 1, Key: int64(i % 3)})
+			ib.add(int32(i*37%n), Packet{From: i % 11, Size: 1, Key: int64(i % 3)})
 		}
 		for i := 0; i < 100; i++ {
 			rec := ib.record(Packet{From: 11 + i, Size: 1})
 			for j := 0; j < 6; j++ {
-				ib.ref((i*13+j*7)%n, rec)
+				ib.ref(int32((i*13+j*7)%n), rec)
 			}
 		}
 		ib.touch(3)
@@ -241,7 +260,7 @@ func TestInboxInputDuringDrainPanics(t *testing.T) {
 		"touch": func(ib *inbox) { ib.touch(0) },
 	} {
 		st := inboxState(2)
-		ib := &inbox{st: st}
+		ib := &inbox{st: st, id: identity(2)}
 		ib.touch(1)
 		a := &recApp{during: func(int) { input(ib) }}
 		func() {

@@ -84,10 +84,11 @@ func (a *relayApp) start(f fabric, node int) {
 // wake handles the node's coalesced deliveries in batch order: summaries
 // addressed elsewhere are relayed one hop, the rest go to the node's
 // instance.
-func (a *relayApp) wake(_ fabric, node int, pkts []Packet, _ bool) {
+func (a *relayApp) wake(_ fabric, node int, recs []Packet, batch []int32, _ bool) {
 	h := a.run.h
 	me := h.Grid.CoordOf(node)
-	for _, p := range pkts {
+	for _, r := range batch {
+		p := &recs[r]
 		msg := p.Payload.(synth.GraphMsg)
 		if dst := h.LeaderAt(msg.Sender, msg.Level); dst != me {
 			a.hop(node, me, dst, p.Size, p.Key, p.Payload)
@@ -311,9 +312,9 @@ func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResu
 		Deaths:     st.Deaths(),
 		Suspends:   rs.suspends,
 		Resumes:    rs.resumes,
-		Battery:    st.Battery,
+		Energy:     rs.energy,
 	}
-	if res.Energy, res.Total, res.Trace, err = rs.settle(st, cfg.Capacity, cfg.Trace); err != nil {
+	if res.Total, res.Battery, res.Trace, err = rs.settle(cfg.Capacity, cfg.Trace); err != nil {
 		return nil, err
 	}
 	return res, nil

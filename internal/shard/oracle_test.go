@@ -37,7 +37,10 @@ func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
 	rs := runStats{completion: fab.run(mkApp(0), crashed)}
 	rs.sent, rs.delivered, rs.dropped = fab.med.Stats()
 	rs.suspends, rs.resumes = fab.suspends, fab.resumes
-	rs.ledger = fab.med.Ledger()
+	rs.energy = make([]cost.Energy, nw.N())
+	for i := range rs.energy {
+		rs.energy[i] = fab.med.Ledger().Energy(i)
+	}
 	rs.events = fab.tracer.Events()
 	if lost := fab.tracer.Lost(); lost > 0 {
 		return rs, fmt.Errorf("shard: oracle trace ring overflowed, %d events lost", lost)
@@ -49,7 +52,8 @@ func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
 // over a second engine — one sim.Kernel driving a radio.Medium, with the
 // stock fault.Injector arming mid-run crashes and a stock battery.Bank
 // metering the ledger. An engine run at any shard count must match this
-// fabric bit for bit; the differential tests hold it to that.
+// fabric bit for bit; the differential tests hold it to that. It runs on
+// the identity layout: its State and inbox are indexed by node ID.
 //
 // The medium's own RNG is never consumed: loss comes from the
 // counter-keyed StreamChannel (shared with the engine), whose draws are a
@@ -87,7 +91,7 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, 
 		ch = hz.channel
 	}
 	med := radio.NewMedium(nw, kern, ledger, rand.New(rand.NewSource(1)), radio.Config{Channel: ch})
-	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st}}
+	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st, id: identity(nw.N())}}
 	f.drain = func() { f.in.drain(f, f.app) }
 	if traceCap > 0 {
 		f.tracer = trace.New(traceCap)
@@ -206,7 +210,7 @@ func (f *singleFab) wakeAfter(n int, d sim.Time) sim.Time {
 	// Owned, so a crash or depletion cancels it — matching the engine.
 	kern.AfterOwned(n, d, func() {
 		f.st.timerSet[n] = false
-		if f.in.touch(n) {
+		if f.in.touch(int32(n)) {
 			kern.After(0, f.drain)
 		}
 	})
@@ -226,7 +230,16 @@ func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	default:
 		panic(fmt.Sprintf("shard: oracle received foreign payload %T", pkt.Payload))
 	}
-	if f.in.add(id, p) {
+	if f.in.add(int32(id), p) {
 		f.med.Kernel().After(0, f.drain)
 	}
+}
+
+// identity is the identity layout's slot-to-ID map on n nodes.
+func identity(n int) []int32 {
+	id := make([]int32, n)
+	for i := range id {
+		id[i] = int32(i)
+	}
+	return id
 }

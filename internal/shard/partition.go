@@ -22,22 +22,36 @@ import (
 )
 
 // Partition assigns every node of a deployment to one of Shards
-// rectangular tiles covering the terrain. Tiles form a Cols×Rows grid of
-// equal-area rectangles; a node belongs to the tile containing its
-// position. Tiles may be empty (a shard with no nodes simply stays idle).
+// rectangular tiles covering the terrain, and lays the nodes out in
+// slots: each shard owns one contiguous slot range, and within it the
+// nodes are in spatial order. Tiles form a Cols×Rows grid of equal-area
+// rectangles; a node belongs to the tile containing its position. Tiles
+// may be empty (a shard with no nodes simply stays idle).
+//
+// The engine indexes its delivery path by slot (DESIGN.md §7): State,
+// the inboxes, the shards' ledgers and banks, and the slot-space
+// neighbor rows. Node IDs stay at the edges — the app contract, the loss
+// streams, the schedules, traces and results.
 type Partition struct {
 	Shards int
 	Cols   int
 	Rows   int
-	// Owner[node] is the shard index owning the node.
+	// Owner[id] is the shard index owning node id.
 	Owner []int32
-	// Members[shard] lists the shard's nodes in ascending ID order.
-	Members [][]int32
+	// Slot[id] is node id's slot and ID[slot] the node in a slot.
+	Slot []int32
+	ID   []int32
+	// Start[s] is shard s's first slot: it owns [Start[s], Start[s+1]),
+	// and Start[Shards] is the node count.
+	Start []int32
 }
 
 // NewPartition tiles the deployment terrain into shards rectangles,
-// choosing the most square Cols×Rows factorization (Cols ≤ Rows), and
-// assigns every node to its containing tile.
+// choosing the most square Cols×Rows factorization (Cols ≤ Rows),
+// assigns every node to its containing tile, and orders the slots by
+// shard, then by bucket of deploy's spatial hash (side Range, buckets
+// row-major), then by ID within a bucket. It is the one place that
+// decides the layout.
 func NewPartition(nw *deploy.Network, shards int) *Partition {
 	if shards <= 0 {
 		panic(fmt.Sprintf("shard: need positive shard count, got %d", shards))
@@ -49,17 +63,12 @@ func NewPartition(nw *deploy.Network, shards int) *Partition {
 		}
 	}
 	rows := shards / cols
-	p := &Partition{
-		Shards:  shards,
-		Cols:    cols,
-		Rows:    rows,
-		Owner:   make([]int32, nw.N()),
-		Members: make([][]int32, shards),
-	}
+	n := nw.N()
+	owner := make([]int32, n)
 	t := nw.Terrain
 	w, h := t.Width(), t.Height()
 	xs, ys := nw.PositionsView()
-	for i := 0; i < nw.N(); i++ {
+	for i := 0; i < n; i++ {
 		col, row := 0, 0
 		if w > 0 {
 			col = clampInt(int(float64(cols)*(xs[i]-t.MinX)/w), 0, cols-1)
@@ -67,11 +76,63 @@ func NewPartition(nw *deploy.Network, shards int) *Partition {
 		if h > 0 {
 			row = clampInt(int(float64(rows)*(ys[i]-t.MinY)/h), 0, rows-1)
 		}
-		s := int32(row*cols + col)
-		p.Owner[i] = s
-		p.Members[s] = append(p.Members[s], int32(i))
+		owner[i] = int32(row*cols + col)
+	}
+	// The bucket grid of deploy's CSR build: a node's neighbors lie in
+	// its 3×3 bucket neighborhood, so they take three short slot runs.
+	bucket := make([]int32, n)
+	buckets := 1
+	if bs := nw.Range; bs > 0 {
+		bc, br := int(w/bs)+1, int(h/bs)+1
+		buckets = bc * br
+		for i := 0; i < n; i++ {
+			bx := clampInt(int((xs[i]-t.MinX)/bs), 0, bc-1)
+			by := clampInt(int((ys[i]-t.MinY)/bs), 0, br-1)
+			bucket[i] = int32(by*bc + bx)
+		}
+	}
+	p := newLayout(shards, owner, bucket, buckets)
+	p.Cols, p.Rows = cols, rows
+	return p
+}
+
+// newLayout builds the slot maps of a partition: the slots run through
+// the shards in order, and within a shard by rank (ranks in [0, ranks)),
+// ties by ID. Two stable counting sorts, by rank and then by owner.
+func newLayout(shards int, owner, rank []int32, ranks int) *Partition {
+	n := len(owner)
+	p := &Partition{Shards: shards, Owner: owner, Slot: make([]int32, n),
+		ID: countingSort(owner, shards, countingSort(rank, ranks, nil)), Start: make([]int32, shards+1)}
+	for s, id := range p.ID {
+		p.Slot[id] = int32(s)
+		p.Start[owner[id]+1]++
+	}
+	for s := 0; s < shards; s++ {
+		p.Start[s+1] += p.Start[s]
 	}
 	return p
+}
+
+// countingSort returns the IDs in order (nil: ascending) stably sorted by
+// key[id], keys in [0, keys).
+func countingSort(key []int32, keys int, order []int32) []int32 {
+	next := make([]int32, keys+1)
+	for _, k := range key {
+		next[k+1]++
+	}
+	for k := 0; k < keys; k++ {
+		next[k+1] += next[k]
+	}
+	out := make([]int32, len(key))
+	for i := range key {
+		id := int32(i)
+		if order != nil {
+			id = order[i]
+		}
+		out[next[key[id]]] = id
+		next[key[id]]++
+	}
+	return out
 }
 
 func clampInt(v, lo, hi int) int {

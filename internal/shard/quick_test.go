@@ -13,6 +13,7 @@ import (
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
+	"wsnva/internal/parallel"
 	"wsnva/internal/sim"
 )
 
@@ -184,4 +185,92 @@ func connectedNet(t *testing.T, n int, rng *rand.Rand) *deploy.Network {
 	}
 	t.Fatalf("no connected %d-node deployment in 50 attempts", n)
 	return nil
+}
+
+// randomPartition gives every node a random owner among shards and each
+// shard's slots a random order: a layout no tiling produces, with nearly
+// every edge crossing shards.
+func randomPartition(n, shards int, rng *rand.Rand) *Partition {
+	owner := make([]int32, n)
+	for i := range owner {
+		owner[i] = int32(rng.Intn(shards))
+	}
+	rank := make([]int32, n)
+	for i, r := range rng.Perm(n) {
+		rank[i] = int32(r)
+	}
+	return newLayout(shards, owner, rank, n)
+}
+
+// onPartition is execute on part instead of NewPartition's tiles.
+func onPartition(part *Partition) executor {
+	return func(nw *deploy.Network, st *State, model *cost.Model, _, workers int,
+		mkApp func(int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+		return newEngine(nw, st, part, model, sim.Time(model.TxLatency(1)),
+			parallel.New(workers), mkApp, hz, traceCap).execute(crashed)
+	}
+}
+
+// TestQuickPartitionInvariance: results do not depend on the layout.
+// Floods and labeling runs, lossless and under a random hazard tuple, on
+// random partitions of 2, 4 and 8 shards driven by 2 or 4 workers, give
+// the oracle's result and canonical trace.
+func TestQuickPartitionInvariance(t *testing.T) {
+	count := 30
+	if testing.Short() {
+		count = 8
+	}
+	prop := func(seed uint32) bool {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		n := 25 + rng.Intn(46)
+		nw := connectedNet(t, n, rng)
+		side := []int{4, 8}[rng.Intn(2)]
+		m := randomMap(side, rng)
+		for _, hazardous := range []bool{false, true} {
+			cfg := Config{Origins: []int{rng.Intn(n), rng.Intn(n)}, PktSize: 1 + int64(rng.Intn(4)), Trace: true}
+			lcfg := LabelConfig{Config: Config{Trace: true}}
+			if hazardous {
+				randomHazards(&cfg, n, rng)
+				randomHazards(&lcfg.Config, side*side, rng)
+				if lcfg.Crashes != nil {
+					lcfg.Crashes = fault.MustRandom(side*side, 0.08, sim.Time(4*side), rng.Int63())
+				}
+			}
+			want, err := runOracle(nw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			lwant, err := runLabelingOracle(m, lcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, shards := range []int{2, 4, 8} {
+				workers := 2 + 2*rng.Intn(2)
+				c := cfg
+				c.Shards, c.Workers = shards, workers
+				got, err := runFloods(nw, c, onPartition(randomPartition(n, shards, rng)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.Trace, want.Trace) || !reflect.DeepEqual(got, want) {
+					t.Logf("seed=%d shards=%d hazards=%v: flood diverges from the oracle", seed, shards, hazardous)
+					return false
+				}
+				lc := lcfg
+				lc.Shards, lc.Workers = shards, workers
+				lgot, err := runLabeling(m, lc, onPartition(randomPartition(side*side, shards, rng)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(lgot.Trace, lwant.Trace) || !reflect.DeepEqual(lgot, lwant) {
+					t.Logf("seed=%d shards=%d hazards=%v: labeling diverges from the oracle", seed, shards, hazardous)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: count}); err != nil {
+		t.Fatal(err)
+	}
 }

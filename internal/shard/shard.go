@@ -65,7 +65,7 @@ type Config struct {
 	// Seed keys the loss channel's per-sender streams.
 	Seed int64
 
-	// Capacity is the per-node energy budget used to fill the SoA
+	// Capacity is the per-node energy budget used to fill the result's
 	// Battery field after the run (remaining = capacity − spent).
 	Capacity cost.Energy
 
@@ -133,8 +133,8 @@ type Result struct {
 	Heard   []uint64
 	Level   []int32
 	FirstAt []sim.Time
-	// Battery is the remaining budget per node (an alias of the run's
-	// State.Battery).
+	// Battery is the remaining budget per node, Config.Capacity minus
+	// Energy.
 	Battery []int64
 	// Trace is the canonical JSONL trace (nil unless Config.Trace).
 	Trace []byte
@@ -219,7 +219,7 @@ type runStats struct {
 	suspends   int64
 	resumes    int64
 	completion sim.Time
-	ledger     *cost.Ledger
+	energy     []cost.Energy // per node, in ID order
 	events     []trace.Event
 }
 
@@ -240,9 +240,10 @@ func execute(nw *deploy.Network, st *State, model *cost.Model, shards, workers i
 	return newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap).execute(crashed)
 }
 
-// execute runs the engine and folds its shards' totals into one report.
+// execute runs the engine and folds its shards' totals into one report,
+// the shards' slot-indexed ledgers into one energy vector in ID order.
 func (eng *engine) execute(crashed []bool) (runStats, error) {
-	rs := runStats{completion: eng.run(crashed), ledger: cost.NewLedger(eng.model, eng.nw.N())}
+	rs := runStats{completion: eng.run(crashed), energy: make([]cost.Energy, eng.nw.N())}
 	var lost int64
 	for _, sr := range eng.shards {
 		rs.sent += sr.sent
@@ -250,7 +251,9 @@ func (eng *engine) execute(crashed []bool) (runStats, error) {
 		rs.dropped += sr.dropped
 		rs.suspends += sr.suspends
 		rs.resumes += sr.resumes
-		rs.ledger.Add(sr.ledger)
+		for v := sr.start; v < sr.end; v++ {
+			rs.energy[eng.part.ID[v]] = sr.ledger.Energy(int(v - sr.start))
+		}
 		rs.events = append(rs.events, sr.tracer.Events()...)
 		lost += sr.tracer.Lost()
 	}
@@ -260,23 +263,21 @@ func (eng *engine) execute(crashed []bool) (runStats, error) {
 	return rs, nil
 }
 
-// settle turns the run's ledger into the per-node energy spend and its
-// total, writes the remaining battery (capacity − spent) into st.Battery,
-// and encodes the canonical trace when traced.
-func (rs *runStats) settle(st *State, capacity cost.Energy, traced bool) (energy []cost.Energy, total cost.Energy, canon []byte, err error) {
-	energy = make([]cost.Energy, len(st.Battery))
-	for i := range energy {
-		e := rs.ledger.Energy(i)
-		energy[i] = e
+// settle totals the run's per-node energy spend, computes the remaining
+// battery (capacity − spent) per node, and encodes the canonical trace
+// when traced.
+func (rs *runStats) settle(capacity cost.Energy, traced bool) (total cost.Energy, battery []int64, canon []byte, err error) {
+	battery = make([]int64, len(rs.energy))
+	for i, e := range rs.energy {
 		total += e
-		st.Battery[i] = int64(capacity) - int64(e)
+		battery[i] = int64(capacity) - int64(e)
 	}
 	if traced {
 		if canon, err = encodeCanonical(rs.events); err != nil {
-			return nil, 0, nil, err
+			return 0, nil, nil, err
 		}
 	}
-	return energy, total, canon, nil
+	return total, battery, canon, nil
 }
 
 // Run executes the multi-source dissemination workload over nw on the
@@ -388,9 +389,9 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 		Heard:      fs.heard,
 		Level:      fs.level,
 		FirstAt:    fs.firstAt,
-		Battery:    st.Battery,
+		Energy:     rs.energy,
 	}
-	if res.Energy, res.Total, res.Trace, err = rs.settle(st, cfg.Capacity, cfg.Trace); err != nil {
+	if res.Total, res.Battery, res.Trace, err = rs.settle(cfg.Capacity, cfg.Trace); err != nil {
 		return nil, err
 	}
 	return res, nil

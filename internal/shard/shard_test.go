@@ -24,27 +24,39 @@ func testNet(t testing.TB, n int, side, rng float64, seed int64) *deploy.Network
 	return nw
 }
 
+// TestPartitionCoversEveryNode: every node has one slot, the shards'
+// slot ranges run through [0, n) in shard order, and each range holds
+// exactly its tile's nodes, in spatial-bucket order and by ID within a
+// bucket.
 func TestPartitionCoversEveryNode(t *testing.T) {
 	nw := testNet(t, 200, 60, 9, 7)
+	cols := int(nw.Terrain.Width()/nw.Range) + 1
+	xs, ys := nw.PositionsView()
+	bucket := func(id int32) int { return int(ys[id]/nw.Range)*cols + int(xs[id]/nw.Range) }
 	for _, shards := range []int{1, 2, 3, 4, 6, 9, 16} {
 		p := NewPartition(nw, shards)
 		if p.Cols*p.Rows != shards {
 			t.Fatalf("shards=%d: %dx%d tiles", shards, p.Cols, p.Rows)
 		}
-		seen := 0
-		for s, members := range p.Members {
-			for i, id := range members {
-				if p.Owner[id] != int32(s) {
-					t.Fatalf("node %d in Members[%d] but Owner says %d", id, s, p.Owner[id])
-				}
-				if i > 0 && members[i-1] >= id {
-					t.Fatalf("Members[%d] not ascending at %d", s, i)
-				}
-				seen++
-			}
+		if p.Start[0] != 0 || int(p.Start[shards]) != nw.N() {
+			t.Fatalf("shards=%d: slot ranges span [%d, %d), want [0, %d)", shards, p.Start[0], p.Start[shards], nw.N())
 		}
-		if seen != nw.N() {
-			t.Fatalf("shards=%d: %d of %d nodes assigned", shards, seen, nw.N())
+		for s := 0; s < shards; s++ {
+			for v := p.Start[s]; v < p.Start[s+1]; v++ {
+				id := p.ID[v]
+				if p.Slot[id] != v {
+					t.Fatalf("shards=%d: ID[%d] = %d but Slot[%d] = %d", shards, v, id, id, p.Slot[id])
+				}
+				if p.Owner[id] != int32(s) {
+					t.Fatalf("node %d in shard %d's range but Owner says %d", id, s, p.Owner[id])
+				}
+				if v > p.Start[s] {
+					prev := p.ID[v-1]
+					if b, pb := bucket(id), bucket(prev); b < pb || b == pb && id < prev {
+						t.Fatalf("shards=%d: slot %d (node %d, bucket %d) after node %d (bucket %d)", shards, v, id, b, prev, pb)
+					}
+				}
+			}
 		}
 	}
 }

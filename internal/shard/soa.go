@@ -5,13 +5,15 @@ import (
 	"wsnva/internal/sim"
 )
 
-// State is the fabric's struct-of-arrays node state — liveness gates,
-// battery, and wake bookkeeping; protocol state belongs to the apps. One
-// flat array per field instead of one struct per node, so a pass over a
-// single field (liveness checks on the delivery hot path, the final
-// battery fold) streams through contiguous memory. Fields a shard
-// mutates are only ever touched for nodes the shard owns, which is what
-// makes the layout safe to share across shard goroutines without locks.
+// State is the fabric's struct-of-arrays node state — liveness gates
+// and wake bookkeeping; protocol state belongs to the apps. One flat
+// array per field instead of one struct per node, every one indexed by
+// slot (Partition): a sender's receivers sit in a few short runs of
+// each array, and each shard's slots are one contiguous range, so shards
+// write disjoint cache lines. Fields a shard mutates are only ever
+// touched for slots the shard owns, which is what makes the layout safe
+// to share across shard goroutines without locks. The test oracle runs
+// on the identity layout, slot = ID.
 type State struct {
 	N int
 
@@ -34,13 +36,6 @@ type State struct {
 	// at its crash instant already.
 	GaspUntil []sim.Time
 
-	// Battery is the remaining energy budget per node under
-	// Config.Capacity, filled in after the run from the folded ledger
-	// (capacity − energy spent). With the zero-capacity default it is
-	// simply the negated spend: a pure accounting view — sharded runs
-	// never fail-stop on depletion, that is the battery engine's job.
-	Battery []int64
-
 	// Per-node wake state, written only by the node's owner fabric:
 	// count is the number of packets the node has in its fabric's inbox
 	// at the current instant (the drain borrows it as the node's offset),
@@ -61,7 +56,6 @@ func NewState(nw *deploy.Network) *State {
 		Alive:      make([]bool, n),
 		Suspended:  make([]bool, n),
 		GaspUntil:  make([]sim.Time, n),
-		Battery:    make([]int64, n),
 		count:      make([]int32, n),
 		listed:     make([]bool, n),
 		timerSet:   make([]bool, n),
@@ -74,16 +68,16 @@ func NewState(nw *deploy.Network) *State {
 	return st
 }
 
-// liveAt is the transmission/reception gate at instant now: up and not
-// suspended, or depleting at this very instant (the dying gasp). The
+// liveAt is a slot's transmission/reception gate at instant now: up and
+// not suspended, or depleting at this very instant (the dying gasp). The
 // branch order mirrors radio.Medium.liveAt exactly: for an alive node
 // only the suspension flag matters, and a dead node's gasp overrides
 // whatever suspension state it died with.
-func (st *State) liveAt(n int, now sim.Time) bool {
-	if st.Alive[n] {
-		return !st.Suspended[n]
+func (st *State) liveAt(slot int32, now sim.Time) bool {
+	if st.Alive[slot] {
+		return !st.Suspended[slot]
 	}
-	return st.GaspUntil[n] >= 0 && now <= st.GaspUntil[n]
+	return st.GaspUntil[slot] >= 0 && now <= st.GaspUntil[slot]
 }
 
 // Deaths counts nodes that are down (crashed at t=0, crashed mid-run,
@@ -112,19 +106,20 @@ type Packet struct {
 	Payload any
 }
 
-// sortPackets orders a wake batch by (From, Key). Batches reach the
-// node's degree, but they arrive almost sorted — nodes wake in ID order
-// and every fan-out delivers in ID order — so insertion sort runs in
-// near-linear time and beats a general sort here.
-func sortPackets(p []Packet) {
-	for i := 1; i < len(p); i++ {
-		for j := i; j > 0 && less(p[j], p[j-1]); j-- {
-			p[j], p[j-1] = p[j-1], p[j]
+// sortBatch orders a wake batch, indices into the instant's record
+// table, by (From, Key). Batches reach the node's degree, but they arrive
+// almost sorted — nodes wake in ID order and every fan-out delivers in
+// ID order — so insertion sort runs in near-linear time and beats a
+// general sort here.
+func sortBatch(recs []Packet, b []int32) {
+	for i := 1; i < len(b); i++ {
+		for j := i; j > 0 && less(&recs[b[j]], &recs[b[j-1]]); j-- {
+			b[j], b[j-1] = b[j-1], b[j]
 		}
 	}
 }
 
-func less(a, b Packet) bool {
+func less(a, b *Packet) bool {
 	if a.From != b.From {
 		return a.From < b.From
 	}
