@@ -6,22 +6,21 @@ GO ?= go
 
 all: build vet test
 
-# The full pre-merge gate: vet, gofmt, build, an uncached race pass over the
-# concurrency-critical packages, the goroutine runtime's E7 loss sweep
-# pinned to its golden at several GOMAXPROCS, a hazard-heavy multi-worker shard run
-# under the race detector, a churned multi-worker shard run plus the
-# churn differential suite under the race detector, the mission server
-# under multi-tenant load with the race detector, the whole test suite
-# under the race detector, one quick benchmark iteration to catch
-# allocation or wall-time blowups, the bench/ harness's own tests, a
-# battery-depletion soak, the observability coverage floor, a short fuzz
-# of the CSR neighbor build against its brute-force oracle, a short fuzz
-# of the radio medium's conservation on lossy and lossless media, the
-# seven examples, which drive the synthesized alarm and tracking programs
-# through their public entry points, every wsnsim engine end to end, and
-# results/ regenerated and compared with the committed tables, before they
-# land.
-check: vet fmt build race-core race-runtime race-deploy race-shard-faults race-churn race-serve race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines results
+# The full pre-merge gate: vet, gofmt, build, one uncached pass of the
+# whole test suite under the race detector (which takes in every focused
+# race-* target below: the event kernel, radio medium, worker pool and
+# sharded kernel, the goroutine runtime's E7 sweep pinned to its golden at
+# several GOMAXPROCS, the deployment pipeline, the hazard-heavy and
+# churned multi-worker shard runs, and the mission server under
+# multi-tenant load), one quick benchmark iteration to catch allocation or
+# wall-time blowups, the bench/ harness's own tests, a battery-depletion
+# soak, the observability coverage floor, a short fuzz of the CSR neighbor
+# build against its brute-force oracle, a short fuzz of the radio medium's
+# conservation on lossy and lossless media, the seven examples, which
+# drive the synthesized alarm and tracking programs through their public
+# entry points, every wsnsim engine end to end, and results/ regenerated
+# and compared with the committed tables, before they land.
+check: vet fmt build race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines results
 
 build:
 	$(GO) build ./...
@@ -39,13 +38,15 @@ test:
 test-short:
 	$(GO) test -short ./...
 
+# The whole suite under the race detector, fresh (-count=1, never
+# cached). Every race-* target below selects a subset of it; they stay
+# for focused runs.
 race:
-	$(GO) test -race ./...
+	$(GO) test -race -count=1 ./...
 
 # The event kernel, the radio medium, the worker pool, and the sharded
 # parallel kernel are where a data race would silently break
-# determinism, so they get a fresh (-count=1, never cached) race pass
-# on every check. The shard package includes a dedicated multi-worker
+# determinism. The shard package includes a dedicated multi-worker
 # run (TestEngineRaceSmokeMultiWorker) exercising the window-barrier
 # inbox handoff under 2 and 4 workers.
 race-core:

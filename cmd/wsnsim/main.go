@@ -150,7 +150,7 @@ func main() {
 	)
 	if *engine != "shard" {
 		physLedger = cost.NewLedger(cost.NewUniform(), nw.N())
-		med = radio.NewMedium(nw, sim.New(), physLedger, rand.New(rand.NewSource(*seed+1)), radio.Config{})
+		med = radio.NewMedium(nw, sim.New(), physLedger, nil, radio.Config{})
 		proto = vtopo.New(med, grid)
 		em := proto.Run()
 		fmt.Printf("topology emulation: %d broadcasts, setup time %d, complete=%v\n",

@@ -37,8 +37,7 @@ func churnStack(side, perCell int, seed int64) (*emul.Machine, *field.BinaryMap,
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	med := radio.NewMedium(nw, sim.New(), cost.NewLedger(cost.NewUniform(), nw.N()),
-		rand.New(rand.NewSource(seed+1)), radio.Config{})
+	med := radio.NewMedium(nw, sim.New(), cost.NewLedger(cost.NewUniform(), nw.N()), nil, radio.Config{})
 	proto := vtopo.New(med, g)
 	if m := proto.Run(); !m.Complete {
 		panic("experiments: emulation incomplete")

@@ -65,7 +65,7 @@ func lifetimeMission(budget cost.Energy, rotate bool, tr *trace.Tracer) (*emul.L
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	l := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(12)), radio.Config{})
+	med := radio.NewMedium(nw, sim.New(), l, nil, radio.Config{})
 	proto := vtopo.New(med, g)
 	if m := proto.Run(); !m.Complete {
 		panic("experiments: emulation incomplete")

@@ -31,7 +31,7 @@ func physSetup(side, perCell int, txRange float64, seed int64) (*deploy.Network,
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
 	l := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(seed+1)), radio.Config{})
+	med := radio.NewMedium(nw, sim.New(), l, nil, radio.Config{})
 	return nw, g, med, l
 }
 
@@ -195,7 +195,7 @@ func E12TreeTopology(o Options) *stats.Table {
 			}
 			out := trialResult{connected: true, occOK: nw.OccupancyOK(g)}
 			l := cost.NewLedger(cost.NewUniform(), nw.N())
-			med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(int64(trial)+500)), radio.Config{})
+			med := radio.NewMedium(nw, sim.New(), l, nil, radio.Config{})
 			med.SetTracer(o.Trace)
 			p := vtree.New(med)
 			m := p.Build(0)
@@ -335,7 +335,7 @@ func E16WholeApp(o Options) *stats.Table {
 			panic(err)
 		}
 		physLedger := cost.NewLedger(cost.NewUniform(), nw.N())
-		med := radio.NewMedium(nw, sim.New(), physLedger, rand.New(rand.NewSource(tc.seed+1)), radio.Config{})
+		med := radio.NewMedium(nw, sim.New(), physLedger, nil, radio.Config{})
 		proto := vtopo.New(med, g)
 		if m := proto.Run(); !m.Complete {
 			panic("experiments: emulation incomplete")

@@ -94,7 +94,8 @@ type Config struct {
 
 // NewMedium builds a broadcast medium over nw driven by kernel, charging
 // energy to ledger. A nonzero cfg.Loss becomes a fault.Bernoulli channel
-// drawing from rng.
+// drawing from rng; rng is read for nothing else, so it may be nil when
+// cfg.Loss is 0.
 func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng *rand.Rand, cfg Config) *Medium {
 	channel := cfg.Channel
 	if cfg.Loss != 0 {

@@ -181,6 +181,17 @@ type Summary struct {
 	grid    *geom.Grid
 	covered []gridRect
 	regions []*Region
+	leaf    leafStore
+}
+
+// leafStore is the storage LeafInto builds a one-cell summary in: its one
+// coverage rectangle, its region pointer, its region and that region's
+// border cell. A leaf's slices point here until a merge outgrows them.
+type leafStore struct {
+	rect   [1]gridRect
+	ptr    [1]*Region
+	region Region
+	cell   [1]geom.Coord
 }
 
 // gridRect is a rectangle of grid cells, [Col0,Col0+Cols) × [Row0,Row0+Rows).
@@ -197,20 +208,26 @@ func (r gridRect) area() int { return r.Cols * r.Rows }
 // Leaf builds the level-0 summary for a single cell of the binary map: one
 // open region if the cell is a feature cell, none otherwise.
 func Leaf(m *field.BinaryMap, c geom.Coord) *Summary {
-	s := &Summary{
-		grid:    m.Grid,
-		covered: []gridRect{{Col0: c.Col, Row0: c.Row, Cols: 1, Rows: 1}},
-	}
+	return LeafInto(new(Summary), m, c)
+}
+
+// LeafInto builds Leaf(m, c) in dst's own storage and returns dst, so a
+// caller that already holds a Summary (a node's state, say) pays no heap
+// object for the leaf. The built summary's slices point into *dst: it must
+// never be copied by value afterwards. Merge moves them to fresh arrays as
+// they grow, and may write into dst's region after dst has been merged
+// into another summary.
+func LeafInto(dst *Summary, m *field.BinaryMap, c geom.Coord) *Summary {
+	l := &dst.leaf
+	l.rect[0] = gridRect{Col0: c.Col, Row0: c.Row, Cols: 1, Rows: 1}
+	dst.grid, dst.covered, dst.regions = m.Grid, l.rect[:], nil
 	if m.At(c) {
-		s.regions = append(s.regions, &Region{
-			Label:  m.Grid.Index(c),
-			Cells:  1,
-			Box:    bboxOf(c),
-			Border: []geom.Coord{c},
-		})
-		s.normalize()
+		l.cell[0] = c
+		l.region = Region{Label: m.Grid.Index(c), Cells: 1, Box: bboxOf(c), Border: l.cell[:]}
+		l.ptr[0] = &l.region
+		dst.regions = l.ptr[:]
 	}
-	return s
+	return dst
 }
 
 // LeafBlock builds a summary for a rectangular block of cells directly from
@@ -348,6 +365,13 @@ func (s *Summary) Size() int64 {
 // 4-adjacent), which is what the asynchronous incremental program model of
 // Section 4.3 requires. The argument must not be used afterwards.
 func (s *Summary) Merge(other *Summary) {
+	sc := mergePool.Get().(*mergeScratch)
+	s.merge(other, sc)
+	mergePool.Put(sc)
+}
+
+// merge is Merge with its working state in sc.
+func (s *Summary) merge(other *Summary, sc *mergeScratch) {
 	if s.grid != other.grid {
 		panic("regions: merging summaries over different grids")
 	}
@@ -366,14 +390,14 @@ func (s *Summary) Merge(other *Summary) {
 	// (by grid index — coverages are disjoint, so a cell belongs to at most
 	// one region's border) to its region's slot, then union slots across
 	// adjacent cells. All scratch state is pooled: the merge tree of one
-	// labeling round runs thousands of merges and must not pay a map, a DSU,
-	// and a rebuild table per call.
-	sc := mergePool.Get().(*mergeScratch)
+	// labeling round runs thousands of merges and must not pay a slot
+	// table, a DSU, and a rebuild table per call, nor clear a table the
+	// size of the grid.
 	g := s.grid
-	clear(sc.slot)
+	sc.begin(g.N())
 	for i, r := range s.regions {
 		for _, c := range r.Border {
-			sc.slot[g.Index(c)] = i
+			sc.slots[g.Index(c)] = slotEntry{stamp: sc.gen, slot: int32(i)}
 		}
 	}
 	sc.dsu.Reset(len(s.regions))
@@ -384,8 +408,8 @@ func (s *Summary) Merge(other *Summary) {
 				if !g.InBounds(n) {
 					continue
 				}
-				if j, ok := sc.slot[g.Index(n)]; ok && j != i {
-					sc.dsu.Union(i, j)
+				if e := sc.slots[g.Index(n)]; e.stamp == sc.gen && int(e.slot) != i {
+					sc.dsu.Union(i, int(e.slot))
 				}
 			}
 		}
@@ -436,20 +460,46 @@ func (s *Summary) Merge(other *Summary) {
 		}
 		s.regions = append(s.regions, r)
 	}
-	mergePool.Put(sc)
 	s.normalize()
 }
 
 // mergeScratch holds the per-merge working state Merge reuses through a
-// sync.Pool: the border-cell → region-slot index, the union-find, and the
-// root rebuild table.
+// sync.Pool: the border-cell → region-slot table, the union-find, and the
+// root rebuild table. The slot table has one entry per cell of the largest
+// grid the scratch has served (a smaller grid uses a prefix), and an entry
+// counts only while its stamp equals the current merge's generation, so a
+// merge costs its own border and never clears the table.
 type mergeScratch struct {
-	slot   map[int]int
+	slots  []slotEntry
+	gen    uint32
 	dsu    DSU
 	byRoot []*Region
 }
 
-var mergePool = sync.Pool{New: func() any { return &mergeScratch{slot: make(map[int]int)} }}
+// slotEntry maps a border cell to its region's slot in the merge whose
+// generation is stamp.
+type slotEntry struct {
+	stamp uint32
+	slot  int32
+}
+
+// begin starts a merge over a grid of n cells: it grows the slot table to
+// n cells if it is smaller and moves to a new generation, retiring every
+// entry at once. When the generation wraps it clears the table and
+// restarts at 1, or an entry stamped 2^32 merges ago would read as
+// current.
+func (sc *mergeScratch) begin(n int) {
+	if len(sc.slots) < n {
+		sc.slots = make([]slotEntry, n)
+	}
+	sc.gen++
+	if sc.gen == 0 {
+		clear(sc.slots)
+		sc.gen = 1
+	}
+}
+
+var mergePool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // coalesce joins coverage rectangles that share a full edge until no two
 // do. Without it a level-k quad-tree summary would carry 4^k unit

@@ -1,6 +1,7 @@
 package regions
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -84,20 +85,35 @@ func TestLabelCanonicalAndSizes(t *testing.T) {
 func TestLeafSummary(t *testing.T) {
 	g := geom.NewSquareGrid(4, 4)
 	m := field.Parse(g, "#...", "....", "....", "....")
-	feat := Leaf(m, geom.Coord{Col: 0, Row: 0})
-	if feat.Count() != 1 || feat.TotalCells() != 1 {
-		t.Errorf("feature leaf: %v", feat)
+	feature, background := geom.Coord{Col: 0, Row: 0}, geom.Coord{Col: 1, Row: 0}
+	var dst [2]Summary
+	builds := []struct {
+		name     string
+		feat, bg *Summary
+	}{
+		{"Leaf", Leaf(m, feature), Leaf(m, background)},
+		{"LeafInto", LeafInto(&dst[0], m, feature), LeafInto(&dst[1], m, background)},
 	}
-	r := feat.Regions()[0]
-	if r.Label != 0 || r.Closed || len(r.Border) != 1 {
-		t.Errorf("region = %+v", r)
+	for _, b := range builds {
+		if b.feat.Count() != 1 || b.feat.TotalCells() != 1 {
+			t.Errorf("%s: feature leaf: %v", b.name, b.feat)
+		}
+		r := b.feat.Regions()[0]
+		if r.Label != 0 || r.Closed || len(r.Border) != 1 || r.Border[0] != feature {
+			t.Errorf("%s: region = %+v", b.name, r)
+		}
+		if b.bg.Count() != 0 {
+			t.Errorf("%s: background leaf has %d regions", b.name, b.bg.Count())
+		}
+		if b.feat.CoveredCells() != 1 || b.bg.CoveredCells() != 1 {
+			t.Errorf("%s: leaf covers one cell", b.name)
+		}
 	}
-	bg := Leaf(m, geom.Coord{Col: 1, Row: 0})
-	if bg.Count() != 0 {
-		t.Errorf("background leaf has %d regions", bg.Count())
+	if builds[1].feat != &dst[0] || builds[1].bg != &dst[1] {
+		t.Error("LeafInto must build in and return dst")
 	}
-	if bg.CoveredCells() != 1 {
-		t.Error("leaf covers one cell")
+	if !builds[1].feat.Equal(builds[0].feat) || !builds[1].bg.Equal(builds[0].bg) {
+		t.Error("LeafInto differs from Leaf")
 	}
 }
 
@@ -399,5 +415,76 @@ func TestQuadTreeCoverageStaysSmall(t *testing.T) {
 	}
 	if root := build(0, 0, 16); !root.Equal(LeafBlock(m, 0, 0, 16, 16)) {
 		t.Error("quad-tree merge differs from labeling the whole grid")
+	}
+}
+
+// quadMerge merges the leaves of m's square grid bottom-up over the
+// quad-tree, each block's four children arriving in an order drawn from
+// rng, with every merge working in sc.
+func quadMerge(m *field.BinaryMap, rng *rand.Rand, sc *mergeScratch) *Summary {
+	var build func(col, row, side int) *Summary
+	build = func(col, row, side int) *Summary {
+		if side == 1 {
+			return Leaf(m, geom.Coord{Col: col, Row: row})
+		}
+		h := side / 2
+		kids := []*Summary{build(col, row, h), build(col+h, row, h), build(col, row+h, h), build(col+h, row+h, h)}
+		rng.Shuffle(len(kids), func(i, j int) { kids[i], kids[j] = kids[j], kids[i] })
+		for _, k := range kids[1:] {
+			kids[0].merge(k, sc)
+		}
+		return kids[0]
+	}
+	return build(0, 0, m.Grid.Cols)
+}
+
+// One merge scratch serves every grid size, as the pooled one does for a
+// server labeling side-8, side-64 and side-16 maps in turn: its slot table
+// grows to the largest grid, and a smaller grid afterwards must read only
+// the entries of its own merges from the table's prefix. The scratch is
+// explicit because a sync.Pool may drop what it holds.
+func TestMergeScratchAcrossGridSizes(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	sc := new(mergeScratch)
+	for _, side := range []int{8, 64, 16} {
+		g := geom.NewSquareGrid(side, float64(side))
+		m := field.Threshold(field.RandomBlobs(4, g.Terrain, float64(side)/8, float64(side)/5, rng), g, 0.5, 0)
+		got := quadMerge(m, rng, sc)
+		if !got.Equal(LeafBlock(m, 0, 0, side, side)) {
+			t.Errorf("side %d: merged leaves differ from labeling the whole grid", side)
+		}
+		if got.Count() != Label(m).Count {
+			t.Errorf("side %d: count %d, truth %d", side, got.Count(), Label(m).Count)
+		}
+	}
+}
+
+// The merge generation wraps after 2^32 merges. One map merged at
+// generations 1..k, then another map on the same grid merged through the
+// wrap, must each give its own labeling: a table that kept its stamps
+// across the wrap would read the first map's entries as the second's.
+// The second pass needs another map: on the same map, the same quad-tree
+// schedule rewrites every border cell before its stale stamp comes round.
+func TestMergeScratchAcrossGenerationWrap(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	g := geom.NewSquareGrid(16, 16)
+	sc := new(mergeScratch)
+	pass := func(name string) {
+		bits := make([]bool, g.N())
+		for i := range bits {
+			bits[i] = rng.Intn(2) == 0
+		}
+		m := field.FromBits(g, bits)
+		got := quadMerge(m, rng, sc)
+		if !got.Equal(LeafBlock(m, 0, 0, 16, 16)) || got.Count() != Label(m).Count {
+			t.Fatalf("%s: merged leaves differ from labeling the whole grid", name)
+		}
+	}
+	pass("generations 1..k")
+	k := sc.gen
+	sc.gen = math.MaxUint32
+	pass("through the wrap")
+	if sc.gen != k {
+		t.Fatalf("the pass through the wrap ended at generation %d, want %d", sc.gen, k)
 	}
 }

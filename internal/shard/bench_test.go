@@ -76,24 +76,43 @@ var labelSink *LabelResult
 // BenchmarkShardLabel times RunLabeling on serve-cold's labeling shapes —
 // a four-blob field thresholded at 0.5 on grids of side 16, 32 and 64 —
 // on benchCases' engine configurations, with the single-kernel oracle as
-// the baseline case. The field is built once per
-// side, outside the timed loop.
+// the baseline case. The fields are built once, outside the timed loop.
+// The per-side cases run in ascending size; mixed/shards=1 labels the
+// side-64, side-16 and side-32 maps in turn per op on the 1-shard engine,
+// so one pooled merge scratch serves every size, as it does under
+// serve-cold's mix.
 func BenchmarkShardLabel(b *testing.B) {
-	for _, side := range []int{16, 32, 64} {
+	sides := []int{16, 32, 64}
+	maps := make(map[int]*field.BinaryMap, len(sides))
+	for _, side := range sides {
 		grid := geom.NewSquareGrid(side, float64(side)*10)
 		w := grid.Terrain.Width()
-		m := field.Threshold(field.RandomBlobs(4, grid.Terrain, w/10, w/6, rand.New(rand.NewSource(1))), grid, 0.5, 0)
+		maps[side] = field.Threshold(field.RandomBlobs(4, grid.Terrain, w/10, w/6, rand.New(rand.NewSource(1))), grid, 0.5, 0)
+	}
+	for _, side := range sides {
 		for _, c := range benchCases {
 			b.Run(fmt.Sprintf("side=%d/%s", side, c.name), func(b *testing.B) {
 				b.ReportAllocs()
 				cfg := LabelConfig{Config: Config{Shards: c.shards, Workers: c.shards}}
 				for i := 0; i < b.N; i++ {
 					var err error
-					if labelSink, err = runLabeling(m, cfg, c.exec); err != nil {
+					if labelSink, err = runLabeling(maps[side], cfg, c.exec); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
 		}
 	}
+	b.Run("mixed/shards=1", func(b *testing.B) {
+		b.ReportAllocs()
+		cfg := LabelConfig{Config: Config{Shards: 1, Workers: 1}}
+		for i := 0; i < b.N; i++ {
+			for _, side := range []int{64, 16, 32} {
+				var err error
+				if labelSink, err = runLabeling(maps[side], cfg, execute); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	})
 }

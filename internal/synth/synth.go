@@ -46,6 +46,12 @@ type LabelState struct {
 	// level 0..maxrecLevel.
 	SubGraph []*regions.Summary
 	MsgsRecv []int64
+	// leaf is the storage the start rule builds mySubGraph[0] in, so a
+	// run's leaves live in the states slice program.New allocates once.
+	// The leaf's slices point into the state, so a state must not be
+	// copied by value once its start rule has run, and a merge at the
+	// parent may write into a sender's leaf after the sender halted.
+	leaf regions.Summary
 }
 
 func (s *LabelState) mergeAt(level int, sub *regions.Summary) {
@@ -89,7 +95,7 @@ func LabelingProgram(h *varch.Hierarchy, m *field.BinaryMap) *program.Spec[Label
 				Action: func(s *LabelState, _ *program.Env, fx program.Effector) {
 					s.Start = false
 					fx.Sense(1)
-					sub := regions.Leaf(m, s.Coord)
+					sub := regions.LeafInto(&s.leaf, m, s.Coord)
 					fx.Compute(1)
 					s.mergeAt(0, sub)
 					s.Transmit = true
