@@ -116,11 +116,13 @@ soak:
 
 # Coverage floors: the trace/metrics/check packages are the repo's
 # verification substrate and are gated at 75%; the sharded kernel (the
-# differential-conformance tentpole) and the DES machine (whose one
-# transmission path every fault test drives) carry an 80% floor.
+# differential-conformance tentpole), the DES machine (whose one
+# transmission path every fault test drives) and the deployment package
+# (whose neighbor rows and bucket order every shard delivery and slot
+# layout reads in place) carry an 80% floor.
 COVER_PKGS = ./internal/trace/ ./internal/trace/check/ ./internal/metrics/
 COVER_FLOOR = 75.0
-ENGINE_COVER_PKGS = ./internal/shard/ ./internal/varch/
+ENGINE_COVER_PKGS = ./internal/shard/ ./internal/varch/ ./internal/deploy/
 ENGINE_COVER_FLOOR = 80.0
 
 cover:

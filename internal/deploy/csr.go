@@ -18,13 +18,52 @@ var deployPool = sync.OnceValue(func() *parallel.Pool { return parallel.New(0) }
 // sharedPool returns the package-wide pool for implicit parallel builds.
 func sharedPool() *parallel.Pool { return deployPool() }
 
+// bucketize sorts the nodes into bucket order over a uniform spatial hash
+// with bucket side = Range: buckets row-major over the terrain, IDs
+// ascending within each (one bucket when Range is not positive). It keeps
+// the order in nw.order and returns the bucket grid, each node's bucket,
+// and bPtr, where bucket b holds order[bPtr[b]:bPtr[b+1]]. Every
+// constructor runs it, so every network carries its order.
+func (nw *Network) bucketize() (cols, rows int, bucketOf, bPtr []int32) {
+	n := len(nw.Nodes)
+	bs := nw.Range
+	cols, rows = 1, 1
+	if bs > 0 {
+		cols = int(nw.Terrain.Width()/bs) + 1
+		rows = int(nw.Terrain.Height()/bs) + 1
+	}
+	minX, minY := nw.Terrain.MinX, nw.Terrain.MinY
+	bucketOf = make([]int32, n)
+	bPtr = make([]int32, cols*rows+1)
+	for i := 0; i < n; i++ {
+		b := int32(0)
+		if bs > 0 {
+			bx := clampInt(int((nw.xs[i]-minX)/bs), 0, cols-1)
+			by := clampInt(int((nw.ys[i]-minY)/bs), 0, rows-1)
+			b = int32(by*cols + bx)
+		}
+		bucketOf[i] = b
+		bPtr[b+1]++
+	}
+	for b := 0; b < cols*rows; b++ {
+		bPtr[b+1] += bPtr[b]
+	}
+	nw.order = make([]int32, n)
+	cursor := make([]int32, cols*rows)
+	copy(cursor, bPtr[:cols*rows])
+	for i, b := range bucketOf {
+		nw.order[cursor[b]] = int32(i)
+		cursor[b]++
+	}
+	return cols, rows, bucketOf, bPtr
+}
+
 // buildCSR constructs the disk-model adjacency (edge iff distance ≤ Range)
-// in compressed-sparse-row form over a uniform spatial hash with bucket
-// side = Range, so a node's candidate neighbors live in its 3×3 bucket
-// neighborhood. The nodes are counting-sorted once into bucket order
-// (row-major buckets, IDs ascending within each) with their positions
-// copied alongside, which makes a neighborhood three contiguous runs, one
-// per bucket row. Two passes follow, each parallel over bucket rows:
+// in compressed-sparse-row form over the bucket order, so a node's
+// candidate neighbors live in its 3×3 bucket neighborhood. The nodes'
+// positions are copied alongside the order, which makes a neighborhood
+// three contiguous runs, one per bucket row. Two passes follow, each
+// parallel over bucket rows:
 //
 //   - count: each node scans its three runs for its degree;
 //   - fill: bucket row r walks the senders of rows r−1…r+1 in ascending
@@ -39,49 +78,29 @@ func sharedPool() *parallel.Pool { return deployPool() }
 // sequential build at GOMAXPROCS 1, where it runs inline.
 func (nw *Network) buildCSR(pool *parallel.Pool) {
 	n := len(nw.Nodes)
+	cols, rows, bucketOf, bPtr := nw.bucketize()
 	nw.off = make([]int32, n+1)
 	if n == 0 {
 		nw.adj = nil
 		return
 	}
-	bs := nw.Range
-	cols := int(nw.Terrain.Width()/bs) + 1
-	rows := int(nw.Terrain.Height()/bs) + 1
-	minX, minY := nw.Terrain.MinX, nw.Terrain.MinY
 	xs, ys := nw.xs, nw.ys
 
-	// Bucket order: bPtr[b] is bucket b's first position, and position p
-	// holds node ids[p] at (px[p], py[p]). Row r's positions run from
-	// bPtr[r*cols] to bPtr[(r+1)*cols], and rowIDs holds the same nodes
-	// over the same span with IDs ascending.
-	bucketOf := make([]int32, n)
-	bPtr := make([]int32, cols*rows+1)
-	for i := 0; i < n; i++ {
-		bx := clampInt(int((xs[i]-minX)/bs), 0, cols-1)
-		by := clampInt(int((ys[i]-minY)/bs), 0, rows-1)
-		b := int32(by*cols + bx)
-		bucketOf[i] = b
-		bPtr[b+1]++
-	}
-	for b := 0; b < cols*rows; b++ {
-		bPtr[b+1] += bPtr[b]
-	}
-	ids := make([]int32, n)
+	// Position p of the bucket order holds node ids[p] at (px[p], py[p]).
+	// Row r's positions run from bPtr[r*cols] to bPtr[(r+1)*cols], and
+	// rowIDs holds the same nodes over the same span with IDs ascending.
+	ids := nw.order
 	px := make([]float64, n)
 	py := make([]float64, n)
+	for p, id := range ids {
+		px[p], py[p] = xs[id], ys[id]
+	}
 	rowIDs := make([]int32, n)
-	cursor := make([]int32, cols*rows)
-	copy(cursor, bPtr[:cols*rows])
 	rowCursor := make([]int32, rows)
 	for r := range rowCursor {
 		rowCursor[r] = bPtr[r*cols]
 	}
-	for i := 0; i < n; i++ {
-		b := bucketOf[i]
-		p := cursor[b]
-		cursor[b]++
-		ids[p] = int32(i)
-		px[p], py[p] = xs[i], ys[i]
+	for i, b := range bucketOf {
 		r := b / int32(cols)
 		rowIDs[rowCursor[r]] = int32(i)
 		rowCursor[r]++
@@ -123,8 +142,8 @@ func (nw *Network) buildCSR(pool *parallel.Pool) {
 	})
 
 	// Prefix-sum degrees into row offsets, guarding the int32 offset space
-	// (2^31-1 directed edges ≈ 16 GiB of []int payload — anything bigger
-	// is a misconfigured density, not a workload).
+	// (2^31-1 directed edges ≈ 8 GiB of neighbor IDs — anything bigger is
+	// a misconfigured density, not a workload).
 	total := int64(0)
 	for i := 1; i <= n; i++ {
 		total += int64(nw.off[i])
@@ -133,7 +152,7 @@ func (nw *Network) buildCSR(pool *parallel.Pool) {
 		}
 		nw.off[i] = int32(total)
 	}
-	nw.adj = make([]int, total)
+	nw.adj = make([]int32, total)
 
 	// Pass 2: fill rows. next[p] is the next free slot in node ids[p]'s
 	// row; a miscount between the passes panics below rather than leaving
@@ -169,7 +188,7 @@ func (nw *Network) buildCSR(pool *parallel.Pool) {
 			for q, rxq := range rx {
 				dx, dy := rxq-x, ry[q]-y
 				if float64(dx*dx)+float64(dy*dy) <= r2 && rid[q] != j {
-					nw.adj[rnext[q]] = int(j)
+					nw.adj[rnext[q]] = j
 					rnext[q]++
 				}
 			}

@@ -11,10 +11,10 @@
 // pool task — and the connectivity predicates the paper assumes: G_r
 // connected, every grid cell occupied, every per-cell induced subgraph
 // connected, and every adjacent cell pair directly linked. The predicates
-// run allocation-free on a reusable Scratch (union-find and bitsets
-// instead of map-based BFS) and stop scanning edges once their answer is
-// fixed, so Generate can qualify million-node deployments without the
-// validation pass dominating wall time.
+// run allocation-free on a reusable Scratch (union-find and a cell-
+// membership CSR instead of map-based BFS) and stop scanning edges once
+// their answer is fixed, so Generate can qualify million-node
+// deployments without the validation pass dominating wall time.
 package deploy
 
 import (
@@ -35,18 +35,19 @@ type Node struct {
 // Network is an immutable physical deployment plus its connectivity graph.
 //
 // Adjacency is stored in compressed-sparse-row form: off has one entry per
-// node plus a terminator, and adj holds every neighbor list back to back,
-// each row sorted ascending. Neighbors(id) is a zero-copy subslice of adj,
-// so the legacy [][]int-style API survives without per-node allocations.
-// Positions are additionally kept as flat xs/ys arrays (struct-of-arrays),
-// which the sharded kernel aliases instead of copying.
+// node plus a terminator, and adj holds every neighbor list back to back
+// as int32 IDs, each row sorted ascending. Neighbors(id) is a zero-copy
+// subslice of adj. Positions are additionally kept as flat xs/ys arrays
+// (struct-of-arrays), and the nodes' spatial bucket order is kept from
+// construction; the sharded kernel reads all three in place.
 type Network struct {
 	Nodes   []Node
 	Range   float64
 	Terrain geom.Rect
 
 	off    []int32 // CSR row offsets, len N()+1
-	adj    []int   // CSR neighbor IDs, len = number of directed edges
+	adj    []int32 // CSR neighbor IDs, len = number of directed edges
+	order  []int32 // node IDs in bucket order (see bucketize)
 	xs, ys []float64
 }
 
@@ -277,7 +278,9 @@ func fromPlaced(pts []geom.Point, terrain geom.Rect, txRange float64) *Network {
 // would not produce — including deliberately malformed ones: adj is taken
 // as given (flattened into the CSR arrays row by row, order preserved), so
 // a caller can hand the radio layer an unsorted list and assert it gets
-// rejected. adj must have one entry per point; entries may be nil.
+// rejected. adj must have one entry per point; entries may be nil. The
+// bucket order is computed from the positions and txRange as for a
+// disk-model network.
 func FromAdjacency(pts []geom.Point, terrain geom.Rect, txRange float64, adj [][]int) *Network {
 	if len(adj) != len(pts) {
 		panic(fmt.Sprintf("deploy: %d adjacency lists for %d nodes", len(adj), len(pts)))
@@ -288,11 +291,14 @@ func FromAdjacency(pts []geom.Point, terrain geom.Rect, txRange float64, adj [][
 		total += len(row)
 	}
 	nw.off = make([]int32, len(adj)+1)
-	nw.adj = make([]int, 0, total)
+	nw.adj = make([]int32, 0, total)
 	for i, row := range adj {
-		nw.adj = append(nw.adj, row...)
+		for _, j := range row {
+			nw.adj = append(nw.adj, int32(j))
+		}
 		nw.off[i+1] = int32(len(nw.adj))
 	}
+	nw.bucketize()
 	return nw
 }
 
@@ -302,7 +308,7 @@ func (nw *Network) N() int { return len(nw.Nodes) }
 // Neighbors returns the sorted IDs of nodes within range of node id (the
 // NBR_i of Section 5.1) as a zero-copy view of the CSR row. The caller
 // must not modify the returned slice.
-func (nw *Network) Neighbors(id int) []int { return nw.adj[nw.off[id]:nw.off[id+1]] }
+func (nw *Network) Neighbors(id int) []int32 { return nw.adj[nw.off[id]:nw.off[id+1]] }
 
 // Degree returns the number of neighbors of node id.
 func (nw *Network) Degree(id int) int { return int(nw.off[id+1] - nw.off[id]) }
@@ -310,9 +316,17 @@ func (nw *Network) Degree(id int) int { return int(nw.off[id+1] - nw.off[id]) }
 // CSRView exposes the raw compressed-sparse-row adjacency: offsets has
 // N()+1 entries and elems[offsets[i]:offsets[i+1]] is node i's neighbor
 // row. Consumers that stream the whole edge set (the radio layer's sort
-// check, the sharded kernel) read it directly instead of re-slicing per
-// node. Both slices are shared with the network — read only.
-func (nw *Network) CSRView() (offsets []int32, elems []int) { return nw.off, nw.adj }
+// check) read it directly instead of re-slicing per node. Both slices are
+// shared with the network — read only.
+func (nw *Network) CSRView() (offsets, elems []int32) { return nw.off, nw.adj }
+
+// BucketOrder returns every node ID once, in the spatial order the
+// network was built in: buckets of side Range, row-major over the
+// terrain, IDs ascending within a bucket (all nodes in one bucket when
+// Range is not positive). A node's neighbors lie in its 3×3 bucket
+// neighborhood, so they sit in a few short runs of the order; the
+// sharded kernel lays its slots out along it. Shared — read only.
+func (nw *Network) BucketOrder() []int32 { return nw.order }
 
 // PositionsView exposes the flat struct-of-arrays position vectors
 // (xs[i], ys[i] = node i's coordinates). The sharded kernel's SoA state

@@ -119,10 +119,10 @@ func TestNeighborsMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	nw := New(300, terrain(100), 12, UniformRandom{}, rng)
 	for i := 0; i < nw.N(); i++ {
-		want := map[int]bool{}
+		want := map[int32]bool{}
 		for j := 0; j < nw.N(); j++ {
 			if j != i && nw.Nodes[i].Pos.Dist(nw.Nodes[j].Pos) <= nw.Range {
-				want[j] = true
+				want[int32(j)] = true
 			}
 		}
 		got := nw.Neighbors(i)
@@ -149,8 +149,8 @@ func TestNeighborsSortedAndSymmetric(t *testing.T) {
 		}
 		for _, j := range nbrs {
 			back := false
-			for _, b := range nw.Neighbors(j) {
-				if b == i {
+			for _, b := range nw.Neighbors(int(j)) {
+				if int(b) == i {
 					back = true
 				}
 			}
@@ -356,7 +356,7 @@ func TestFromAdjacency(t *testing.T) {
 			t.Fatalf("node %d neighbors = %v, want %v", id, got, adj[id])
 		}
 		for i := range got {
-			if got[i] != adj[id][i] {
+			if int(got[i]) != adj[id][i] {
 				t.Fatalf("node %d neighbors = %v, want %v", id, got, adj[id])
 			}
 		}

@@ -79,6 +79,15 @@ func legacyBuildNeighbors(nw *Network) [][]int {
 	return neighbors
 }
 
+// ints widens a CSR row to the []int the legacy oracles speak.
+func ints(row []int32) []int {
+	out := make([]int, len(row))
+	for i, v := range row {
+		out[i] = int(v)
+	}
+	return out
+}
+
 // legacyComponentSize is the old map-BFS component walk, restricted to the
 // member set when member != nil.
 func legacyComponentSize(nw *Network, start int, member map[int]bool) int {
@@ -87,7 +96,7 @@ func legacyComponentSize(nw *Network, start int, member map[int]bool) int {
 	for len(queue) > 0 {
 		v := queue[0]
 		queue = queue[1:]
-		for _, u := range nw.Neighbors(v) {
+		for _, u := range ints(nw.Neighbors(v)) {
 			if member != nil && !member[u] {
 				continue
 			}
@@ -171,7 +180,7 @@ func legacyMaxIntraCellPathLen(nw *Network, g *geom.Grid) int {
 			for len(queue) > 0 {
 				v := queue[0]
 				queue = queue[1:]
-				for _, u := range nw.Neighbors(v) {
+				for _, u := range ints(nw.Neighbors(v)) {
 					if !member[u] {
 						continue
 					}
@@ -259,7 +268,7 @@ func TestCSRMatchesLegacyBuild(t *testing.T) {
 		nw, _ := tp.build()
 		want := legacyBuildNeighbors(nw)
 		for id := 0; id < nw.N(); id++ {
-			got := nw.Neighbors(id)
+			got := ints(nw.Neighbors(id))
 			if len(got) == 0 && len(want[id]) == 0 {
 				continue
 			}
@@ -309,7 +318,7 @@ func TestParallelBuildMatchesSequential(t *testing.T) {
 			t.Fatalf("%+v: parallel build differs from sequential", c)
 		}
 		for id, want := range legacyBuildNeighbors(seq) {
-			if got := seq.Neighbors(id); !slices.Equal(got, want) {
+			if got := ints(seq.Neighbors(id)); !slices.Equal(got, want) {
 				t.Fatalf("%+v: node %d CSR row %v != legacy %v", c, id, got, want)
 			}
 		}
@@ -359,6 +368,10 @@ func TestPredicatesMatchLegacy(t *testing.T) {
 	// grid needs no link, so AdjacentCellsLinked holds even when split.
 	single := geom.NewSquareGrid(1, 10)
 	joined := []geom.Point{{X: 1, Y: 5}, {X: 9, Y: 5}, {X: 3, Y: 5}, {X: 7, Y: 5}, {X: 5, Y: 5}}
+	// Two cells: the west one holds 0, 1 and 3 in a chain at range 3.5,
+	// and only its last member, 3, reaches the east cell (node 4).
+	pair := geom.NewGrid(2, 1, geom.Rect{MaxX: 20, MaxY: 10})
+	lastMember := []geom.Point{{X: 1, Y: 5}, {X: 4, Y: 5}, {X: 13.5, Y: 5}, {X: 7.5, Y: 5}, {X: 10.5, Y: 5}}
 	for _, c := range []struct {
 		name string
 		pts  []geom.Point
@@ -370,10 +383,31 @@ func TestPredicatesMatchLegacy(t *testing.T) {
 		{"last edge out of range", unlinked, strip, 3.6, [3]bool{false, true, false}},
 		{"halves joined by the last node", joined, single, 2.5, [3]bool{true, true, true}},
 		{"halves without the last node", joined[:4], single, 2.5, [3]bool{false, false, true}},
+		{"linked by the west cell's last member", lastMember, pair, 3.5, [3]bool{true, true, true}},
 	} {
 		nw := FromPoints(c.pts, c.g.Terrain, c.r)
 		check(c.name, nw, c.g)
 		if got := [3]bool{s.Connected(nw), s.CellsConnected(nw, c.g), s.AdjacentCellsLinked(nw, c.g)}; got != c.want {
+			t.Fatalf("%s: predicates %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// The same nodes with directed FromAdjacency edges, so that only one
+	// walk of the per-cell scan can find the pair's link: the edge runs
+	// from the west cell's last member east, from the east cell's last
+	// member back, or not at all. The predicates read an edge either way
+	// (the legacy map wants both directions, so it is no oracle here).
+	for _, c := range []struct {
+		name string
+		adj  [][]int
+		want [3]bool
+	}{
+		{"linked only by the west cell's last member", [][]int{{1}, {0, 3}, {4}, {1, 4}, {2}}, [3]bool{true, true, true}},
+		{"linked only from the east cell back", [][]int{{1}, {0, 3}, {4}, {1}, {2, 3}}, [3]bool{true, true, true}},
+		{"directed, unlinked", [][]int{{1}, {0, 3}, {4}, {1}, {2}}, [3]bool{false, true, false}},
+	} {
+		nw := FromAdjacency(lastMember, pair.Terrain, 3.5, c.adj)
+		if got := [3]bool{s.Connected(nw), s.CellsConnected(nw, pair), s.AdjacentCellsLinked(nw, pair)}; got != c.want {
 			t.Fatalf("%s: predicates %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -2,7 +2,7 @@ package deploy
 
 import (
 	"encoding/binary"
-	"sort"
+	"slices"
 	"testing"
 
 	"wsnva/internal/geom"
@@ -12,6 +12,8 @@ import (
 // and holds the CSR adjacency to its three invariants against a brute-
 // force O(n²) reference: every row strictly increasing, the relation
 // symmetric, and membership exactly "distance ≤ range, excluding self".
+// The kept bucket order must list every ID once, with bucket keys (side
+// range, row-major) non-decreasing and IDs ascending within a bucket.
 func FuzzCSRNeighbors(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -62,19 +64,43 @@ func FuzzCSRNeighbors(f *testing.F) {
 			// Range-correctness and symmetry against brute force.
 			for j := 0; j < n; j++ {
 				want := i != j && pts[i].Dist2(pts[j]) <= r2
-				got := sort.SearchInts(row, j) < len(row) && row[sort.SearchInts(row, j)] == j
+				_, got := slices.BinarySearch(row, int32(j))
 				if got != want {
 					t.Fatalf("edge (%d,%d): CSR=%v, brute-force=%v (dist2=%v r2=%v)",
 						i, j, got, want, pts[i].Dist2(pts[j]), r2)
 				}
-				if got {
-					rev := adj[off[j]:off[j+1]]
-					k := sort.SearchInts(rev, i)
-					if k >= len(rev) || rev[k] != i {
-						t.Fatalf("edge (%d,%d) present but (%d,%d) missing", i, j, j, i)
-					}
+				if _, back := slices.BinarySearch(adj[off[j]:off[j+1]], int32(i)); got && !back {
+					t.Fatalf("edge (%d,%d) present but (%d,%d) missing", i, j, j, i)
 				}
 			}
 		}
+
+		order := nw.BucketOrder()
+		cols := int(terrainSide/txRange) + 1
+		key := func(id int32) int {
+			bx := min(int(pts[id].X/txRange), cols-1)
+			by := min(int(pts[id].Y/txRange), cols-1)
+			return by*cols + bx
+		}
+		sorted := slices.Clone(order)
+		slices.Sort(sorted)
+		if !slices.Equal(sorted, ids(n)) {
+			t.Fatalf("bucket order %v is not a permutation of %d IDs", order, n)
+		}
+		for p := 1; p < len(order); p++ {
+			a, b := order[p-1], order[p]
+			if key(a) > key(b) || key(a) == key(b) && a > b {
+				t.Fatalf("bucket order: node %d (bucket %d) before node %d (bucket %d)", a, key(a), b, key(b))
+			}
+		}
 	})
+}
+
+// ids returns 0, 1, …, n−1.
+func ids(n int) []int32 {
+	out := make([]int32, n)
+	for i := range out {
+		out[i] = int32(i)
+	}
+	return out
 }

@@ -7,7 +7,7 @@ import (
 )
 
 // Scratch holds the reusable working storage for the validation predicates
-// (union-find forest, cell-membership CSR, link bitset, BFS buffers). A
+// (union-find forest, cell-membership CSR, BFS buffers). A
 // single Scratch amortizes all allocations across repeated validations —
 // Generate qualifies every candidate deployment with one — so after the
 // first call at a given size the predicates allocate nothing. A Scratch is
@@ -17,7 +17,8 @@ import (
 // constructor (New, FromPoints) guarantees. FromAdjacency can build
 // directed graphs; on those the union-find predicates compute connectivity
 // of the symmetrized graph, which may differ from the legacy directed-BFS
-// reading. Directed adjacency is outside the predicates' contract.
+// reading, and AdjacentCellsLinked counts a pair linked by an edge either
+// way. Directed adjacency is otherwise outside the predicates' contract.
 type Scratch struct {
 	parent []int32 // union-find forest, one entry per node
 
@@ -25,8 +26,6 @@ type Scratch struct {
 	cellPtr  []int32 // cell CSR offsets, len cells+1
 	cellIDs  []int32 // node IDs grouped by cell, ascending within each
 	cellCurs []int32 // counting-sort cursors
-
-	linked []uint64 // 2 bits per cell: east-link, south-link
 
 	dist  []int32 // BFS hop counts, valid where mark[i] == epoch
 	mark  []int32 // BFS visit stamps
@@ -43,13 +42,6 @@ func NewScratch() *Scratch { return &Scratch{} }
 func growI32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n)
-	}
-	return s[:n]
-}
-
-func growU64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n)
 	}
 	return s[:n]
 }
@@ -101,7 +93,7 @@ func (s *Scratch) Connected(nw *Network) bool {
 	off, adj := nw.off, nw.adj
 	for i := 0; i < n && comps > 1; i++ {
 		for _, j := range adj[off[i]:off[i+1]] {
-			if s.union(int32(i), int32(j)) {
+			if s.union(int32(i), j) {
 				comps--
 			}
 		}
@@ -161,7 +153,7 @@ func (s *Scratch) CellsConnected(nw *Network, g *geom.Grid) bool {
 	for i := 0; i < n && comps > cells; i++ {
 		ci := cellOf[i]
 		for _, j := range adj[off[i]:off[i+1]] {
-			if cellOf[j] == ci && s.union(int32(i), int32(j)) {
+			if cellOf[j] == ci && s.union(int32(i), j) {
 				comps--
 			}
 		}
@@ -170,53 +162,48 @@ func (s *Scratch) CellsConnected(nw *Network, g *geom.Grid) bool {
 }
 
 // AdjacentCellsLinked reports whether every 4-adjacent cell pair has at
-// least one direct radio edge. One pass over the CSR edges sets two bits
-// per cell in a bitset — "linked to my east neighbor", "linked to my south
-// neighbor" — which covers every unordered adjacent pair. Only bits of
-// existing pairs are ever set and none is cleared, so the pass counts the
-// required bits down as each is first set and stops at zero.
+// least one direct radio edge. Each cell walks its members' rows until it
+// has found an edge into its east and its south neighbor cell, which
+// covers every unordered adjacent pair once. A pair counts when an edge
+// runs either way, so before failing a pair the walk looks for an edge
+// back from the other cell's members; on a symmetric adjacency that
+// second walk only confirms the failure.
 func (s *Scratch) AdjacentCellsLinked(nw *Network, g *geom.Grid) bool {
 	s.prepCells(nw, g)
-	cells := g.N()
-	cols := g.Cols
-	s.linked = growU64(s.linked, (2*cells+63)/64)
-	for i := range s.linked {
-		s.linked[i] = 0
-	}
-	missing := g.Rows*(cols-1) + cols*(g.Rows-1)
-	n := nw.N()
-	off, adj := nw.off, nw.adj
-	cellOf := s.cellOf
-	for i := 0; i < n && missing > 0; i++ {
-		a := cellOf[i]
-		for _, j := range adj[off[i]:off[i+1]] {
-			b := cellOf[j]
-			if a == b {
-				continue
+	cols, rows := int32(g.Cols), int32(g.Rows)
+	for c := int32(0); c < int32(g.N()); c++ {
+		east, south := c%cols < cols-1, c/cols < rows-1
+		needE, needS := east, south
+		for _, i := range s.cellIDs[s.cellPtr[c]:s.cellPtr[c+1]] {
+			if !needE && !needS {
+				break
 			}
-			lo, hi := a, b
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			var bit int32
-			switch hi - lo {
-			case 1:
-				if int(lo)%cols == cols-1 {
-					continue // row wrap: horizontally consecutive indexes, not adjacent cells
+			for _, j := range nw.Neighbors(int(i)) {
+				switch b := s.cellOf[j]; {
+				case east && b == c+1:
+					needE = false
+				case b == c+cols:
+					needS = false
 				}
-				bit = 2 * lo // east link
-			case int32(cols):
-				bit = 2*lo + 1 // south link
-			default:
-				continue // diagonal or longer-range crossing: not a 4-adjacency
 			}
-			if w, m := bit>>6, uint64(1)<<(bit&63); s.linked[w]&m == 0 {
-				s.linked[w] |= m
-				missing--
+		}
+		if needE && !s.linksInto(nw, c+1, c) || needS && !s.linksInto(nw, c+cols, c) {
+			return false
+		}
+	}
+	return true
+}
+
+// linksInto reports whether some member of cell a has an edge into cell b.
+func (s *Scratch) linksInto(nw *Network, a, b int32) bool {
+	for _, i := range s.cellIDs[s.cellPtr[a]:s.cellPtr[a+1]] {
+		for _, j := range nw.Neighbors(int(i)) {
+			if s.cellOf[j] == b {
+				return true
 			}
 		}
 	}
-	return missing == 0
+	return false
 }
 
 // MaxIntraCellPathLen returns the maximum intra-cell BFS eccentricity over
@@ -266,7 +253,7 @@ func (s *Scratch) MaxIntraCellPathLen(nw *Network, g *geom.Grid) int {
 					if dv+1 > maxLen {
 						maxLen = dv + 1
 					}
-					s.queue[tail] = int32(u)
+					s.queue[tail] = u
 					tail++
 				}
 			}

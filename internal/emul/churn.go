@@ -299,7 +299,8 @@ func (m *Machine) recovered(cells []geom.Coord) bool {
 					continue
 				}
 				// NULL entry: locally unsatisfiable, or a miss?
-				for _, nbr := range nw.Neighbors(id) {
+				for _, v := range nw.Neighbors(id) {
+					nbr := int(v)
 					if !m.up(nbr) {
 						continue
 					}

@@ -87,9 +87,9 @@ func (m *Machine) relayTree(idx int) int {
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		for _, u := range nw.Neighbors(int(v)) {
-			if m.cell[u] == int32(idx) && m.toLeader[u] == noRoute && m.up(u) {
+			if m.cell[u] == int32(idx) && m.toLeader[u] == noRoute && m.up(int(u)) {
 				m.toLeader[u] = v
-				queue = append(queue, int32(u))
+				queue = append(queue, u)
 			}
 		}
 	}

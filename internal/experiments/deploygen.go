@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"wsnva/internal/deploy"
 	"wsnva/internal/geom"
@@ -70,18 +71,5 @@ func sameDeployment(a, b *deploy.Network) bool {
 	}
 	aOff, aAdj := a.CSRView()
 	bOff, bAdj := b.CSRView()
-	if len(aOff) != len(bOff) || len(aAdj) != len(bAdj) {
-		return false
-	}
-	for i := range aOff {
-		if aOff[i] != bOff[i] {
-			return false
-		}
-	}
-	for i := range aAdj {
-		if aAdj[i] != bAdj[i] {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(aOff, bOff) && slices.Equal(aAdj, bAdj)
 }

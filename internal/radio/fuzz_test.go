@@ -84,7 +84,7 @@ func FuzzMediumConservation(f *testing.F) {
 					if med.Alive(from) {
 						attempts++
 					}
-					med.Unicast(from, to, size, enc)
+					med.Unicast(from, int(to), size, enc)
 				}
 			}
 			kernel.Run()

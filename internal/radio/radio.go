@@ -23,7 +23,7 @@ package radio
 import (
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 	"strconv"
 
 	"wsnva/internal/cost"
@@ -261,8 +261,8 @@ func (m *Medium) SetReceiver(recv func(to int, pkt Packet)) { m.recv = recv }
 type delivery struct {
 	m    *Medium
 	pkt  Packet
-	to   []int
-	own  []int
+	to   []int32
+	own  []int32
 	fire func()
 }
 
@@ -284,7 +284,7 @@ func (m *Medium) newDelivery() *delivery {
 // per-neighbor events it replaces did.
 func (d *delivery) run() {
 	for _, to := range d.to {
-		d.m.deliver(to, d.pkt)
+		d.m.deliver(int(to), d.pkt)
 	}
 	d.pkt = Packet{}
 	d.to = nil
@@ -315,10 +315,10 @@ func (m *Medium) Broadcast(from int, size int64, payload any) int {
 	if m.channel != nil {
 		kept := d.own[:0]
 		for _, nbr := range d.to {
-			if m.channel.Lost(from, nbr, size) {
+			if m.channel.Lost(from, int(nbr), size) {
 				m.dropped++
 				if m.tracer != nil {
-					m.emit(trace.Drop, nbr, from, size, "lost")
+					m.emit(trace.Drop, int(nbr), from, size, "lost")
 				}
 				continue
 			}
@@ -364,7 +364,7 @@ func (m *Medium) Unicast(from, to int, size int64, payload any) bool {
 	}
 	d := m.newDelivery()
 	d.pkt = Packet{From: from, Size: size, Payload: payload}
-	d.own = append(d.own[:0], to)
+	d.own = append(d.own[:0], int32(to))
 	d.to = d.own
 	m.kernel.After(m.latency(size), d.fire)
 	return true
@@ -379,9 +379,8 @@ func (m *Medium) latency(size int64) sim.Time {
 // isNeighbor binary-searches from's adjacency list, which NewMedium
 // verified is strictly ascending.
 func (m *Medium) isNeighbor(from, to int) bool {
-	nbrs := m.nw.Neighbors(from)
-	i := sort.SearchInts(nbrs, to)
-	return i < len(nbrs) && nbrs[i] == to
+	_, ok := slices.BinarySearch(m.nw.Neighbors(from), int32(to))
+	return ok
 }
 
 func (m *Medium) deliver(to int, pkt Packet) {

@@ -240,7 +240,7 @@ func TestIsNeighborMatchesLinearScan(t *testing.T) {
 	for from := 0; from < nw.N(); from++ {
 		want := map[int]bool{}
 		for _, n := range nw.Neighbors(from) {
-			want[n] = true
+			want[int(n)] = true
 		}
 		for to := 0; to < nw.N(); to++ {
 			if got := m.isNeighbor(from, to); got != want[to] {
@@ -297,7 +297,7 @@ func TestDeliveryPoolReuse(t *testing.T) {
 		deploy.UniformRandom{}, rand.New(rand.NewSource(7)))
 	offsets, elems := nw.CSRView()
 	wantOff := append([]int32(nil), offsets...)
-	wantElems := append([]int(nil), elems...)
+	wantElems := append([]int32(nil), elems...)
 	m, k, _ := newMedium(t, nw, Config{})
 
 	type note struct{ from, to, seq int } // to < 0: a broadcast
@@ -322,7 +322,7 @@ func TestDeliveryPoolReuse(t *testing.T) {
 				want += m.Broadcast(from, size, note{from: from, to: -1, seq: seq})
 				continue
 			}
-			to := nbrs[(round+from)%len(nbrs)]
+			to := int(nbrs[(round+from)%len(nbrs)])
 			if m.Unicast(from, to, size, note{from: from, to: to, seq: seq}) {
 				want++
 			}

@@ -16,7 +16,7 @@ import (
 // deploy.Network and the grid adapters below satisfy it.
 type Graph interface {
 	N() int
-	Neighbors(id int) []int
+	Neighbors(id int) []int32
 }
 
 // BFS computes single-source shortest hop counts on g. Unreachable nodes
@@ -40,7 +40,7 @@ func BFS(g Graph, src int) (dist, parent []int) {
 			if dist[u] == -1 {
 				dist[u] = dist[v] + 1
 				parent[u] = v
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}
@@ -107,12 +107,12 @@ type GridGraph struct {
 func (gg GridGraph) N() int { return gg.G.N() }
 
 // Neighbors implements Graph.
-func (gg GridGraph) Neighbors(id int) []int {
+func (gg GridGraph) Neighbors(id int) []int32 {
 	c := gg.G.CoordOf(id)
-	var out []int
+	var out []int32
 	for d := geom.North; d < geom.NumDirs; d++ {
 		if n := c.Step(d); gg.G.InBounds(n) {
-			out = append(out, gg.G.Index(n))
+			out = append(out, int32(gg.G.Index(n)))
 		}
 	}
 	return out

@@ -9,10 +9,10 @@ import (
 )
 
 // adjGraph is a simple explicit-adjacency Graph for tests.
-type adjGraph [][]int
+type adjGraph [][]int32
 
-func (g adjGraph) N() int                 { return len(g) }
-func (g adjGraph) Neighbors(id int) []int { return g[id] }
+func (g adjGraph) N() int                   { return len(g) }
+func (g adjGraph) Neighbors(id int) []int32 { return g[id] }
 
 func TestBFSOnChain(t *testing.T) {
 	g := adjGraph{{1}, {0, 2}, {1, 3}, {2}}
@@ -192,7 +192,7 @@ func TestTableRoutesAreShortest(t *testing.T) {
 		for j := 1; j < len(route); j++ {
 			adjacent := false
 			for _, n := range nw.Neighbors(route[j-1]) {
-				if n == route[j] {
+				if int(n) == route[j] {
 					adjacent = true
 				}
 			}

@@ -76,6 +76,24 @@ func getPath(t *testing.T, ts *httptest.Server, path string) (*http.Response, []
 	return resp, body
 }
 
+// TestE2EDefaultFloodDensityDeploys: a flood mission that names no
+// density deploys at sides 16 and 32 (at the old default of 4 it found
+// no valid deployment there and answered 422), and at side 64 the
+// default is refused up front with the node limit as its reason.
+func TestE2EDefaultFloodDensityDeploys(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, side := range []int{16, 32} {
+		resp, body := postMission(t, ts, "", fmt.Sprintf(`{"workload":"flood","side":%d,"seed":3}`, side), "")
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("side %d default flood: status %d: %s", side, resp.StatusCode, body)
+		}
+	}
+	resp, body := postMission(t, ts, "", `{"workload":"flood","side":64,"seed":3}`, "")
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("node service limit")) {
+		t.Fatalf("side 64 default flood: status %d: %s", resp.StatusCode, body)
+	}
+}
+
 // TestE2ELifecycle walks one mission through the whole service: cold
 // submission, cache-hit resubmission, digest fetch, trace fetch, stats
 // — and pins the served bytes to the CLI oneshot path.

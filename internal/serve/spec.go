@@ -101,7 +101,8 @@ type Spec struct {
 	Field  string  `json:"field,omitempty"`
 	Thresh float64 `json:"thresh,omitempty"`
 
-	// Flood-only knobs: deployment density, concurrent floods, payload.
+	// Flood-only knobs: deployment density (nodes per cell, default 8),
+	// concurrent floods, payload.
 	Density int   `json:"density,omitempty"`
 	Floods  int   `json:"floods,omitempty"`
 	PktSize int64 `json:"pkt_size,omitempty"`
@@ -173,8 +174,11 @@ func (s Spec) Normalize() Spec {
 		s.Density, s.Floods, s.PktSize = 0, 0, 0
 	case "flood":
 		s.Field, s.Thresh = "", 0
+		// At 4 nodes per cell a flood at side 16 or more found no valid
+		// deployment in its attempts; 8 deploys at every side up to 32,
+		// and side 64 exceeds MaxNodes, which Validate names.
 		if s.Density == 0 {
-			s.Density = 4
+			s.Density = 8
 		}
 		if s.Floods == 0 {
 			s.Floods = 1

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 
 	"wsnva/internal/battery"
@@ -17,8 +17,8 @@ import (
 
 // outRow is one (source, destination) cell of the outbox: a record per
 // transmission the source shard sent into the destination shard during
-// one window, and the records' receiver slots back to back in to, each
-// record's in ascending ID order.
+// one window, and the records' receiver IDs back to back in to, each
+// record's in ascending order.
 type outRow struct {
 	recs []xrec
 	to   []int32
@@ -82,12 +82,8 @@ type engine struct {
 	// never touch the same entry (see fault.StreamChannel).
 	channel *fault.StreamChannel
 	shards  []*shardRun
-	// off and nbr are the CSR in slot space: slot v's neighbors' slots
-	// are nbr[off[v]:off[v+1]], in ascending order of their IDs, so loss
-	// draws and fan-outs keep the oracle's order. interior[v] reports
-	// that all of them are on v's shard. Each shard fills its own rows.
-	off      []int32
-	nbr      []int32
+	// interior[v] reports that every neighbor of slot v's node is on v's
+	// shard. Each shard marks its own slots.
 	interior []bool
 	// cur[src][dst] collects transmissions sent by shard src into shard
 	// dst in the running window; prev holds the previous window's sends
@@ -144,10 +140,10 @@ type shardRun struct {
 // packet to every receiver of one transmission on this shard in
 // ascending ID order — a local fan-out, or an injected outbox record.
 //
-// to holds receiver slots and is read-only: on a lossless broadcast
-// from an interior node it is the sender's slot row itself. Filtered
-// lists are built in own, the record's private buffer, so nothing is
-// ever appended into a row.
+// to holds receiver IDs and is read-only: on a lossless broadcast from
+// an interior node it is the sender's row of the deployment itself.
+// Filtered lists are built in own, the record's private buffer, so
+// nothing is ever appended into a row.
 type fanout struct {
 	s       *shardRun
 	from    int32
@@ -164,7 +160,7 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	if lookahead < 1 {
 		panic(fmt.Sprintf("shard: lookahead %d must be at least one time unit", lookahead))
 	}
-	s, n := part.Shards, nw.N()
+	s := part.Shards
 	e := &engine{
 		nw:        nw,
 		st:        st,
@@ -176,13 +172,8 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 		shards:    make([]*shardRun, s),
 		cur:       makeOutbox(s),
 		prev:      makeOutbox(s),
-		off:       make([]int32, n+1),
-		interior:  make([]bool, n),
+		interior:  make([]bool, nw.N()),
 	}
-	for v, id := range part.ID {
-		e.off[v+1] = e.off[v] + int32(nw.Degree(int(id)))
-	}
-	e.nbr = make([]int32, e.off[n])
 	for i := 0; i < s; i++ {
 		sr := &shardRun{
 			eng:   e,
@@ -215,7 +206,7 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 		sr.app = mkApp(i)
 		e.shards[i] = sr
 	}
-	parallel.ForEach(pool, s, func(i int) { e.shards[i].fillRows() })
+	parallel.ForEach(pool, s, func(i int) { e.shards[i].markInterior() })
 	// Mid-run crashes are known up front and only touch owner-shard
 	// state, so they are pre-scheduled into each victim's owner kernel —
 	// no cross-shard traffic needed. Scheduling them here, before the
@@ -246,30 +237,21 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	return e
 }
 
-// fillRows writes the slot rows of the shard's own range: each
-// neighbor's slot, in the network's ascending-ID row order, and whether
-// the row stays on the shard.
-func (s *shardRun) fillRows() {
+// markInterior sets the interior flags of the shard's own slots.
+func (s *shardRun) markInterior() {
 	e := s.eng
-	slot := e.part.Slot
+	owner, me := e.part.Owner, int32(s.id)
 	for v := s.start; v < s.end; v++ {
-		ids := e.nw.Neighbors(int(e.part.ID[v]))
-		row := e.nbr[e.off[v]:e.off[v+1]]
-		row = row[:len(ids)] // same length; drops the loop's bounds check
 		in := true
-		for i, id := range ids {
-			u := slot[id]
-			row[i] = u
-			if !s.owns(u) {
+		for _, id := range e.nw.Neighbors(int(e.part.ID[v])) {
+			if owner[id] != me {
 				in = false
+				break
 			}
 		}
 		e.interior[v] = in
 	}
 }
-
-// owns reports whether slot v is on this shard.
-func (s *shardRun) owns(v int32) bool { return v >= s.start && v < s.end }
 
 // churn applies one reversible radio transition, mirroring
 // radio.Medium.Suspend/Resume: a sleep of a dead or sleeping node and a
@@ -446,8 +428,9 @@ func (s *shardRun) inject() {
 // — the identical draw sequence radio.Medium consumes, because the
 // channel is keyed by the sender's own counter, not by any global
 // schedule. A lossless broadcast from an interior node fans out from
-// its slot row in place. Returns the number of neighbors the packet was
-// queued for, losses excluded, matching Medium.Broadcast.
+// the sender's row of the deployment in place. Returns the number of
+// neighbors the packet was queued for, losses excluded, matching
+// Medium.Broadcast.
 func (s *shardRun) broadcast(from int, size, key int64) int {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
@@ -464,7 +447,7 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 		s.emit(trace.Tx, from, -1, size, "broadcast")
 	}
 	at := s.kern.Now() + sim.Time(e.model.TxLatency(size))
-	row := e.nbr[e.off[v]:e.off[v+1]]
+	row := e.nw.Neighbors(from)
 	ch := e.channel
 	if ch == nil && e.interior[v] {
 		if len(row) > 0 {
@@ -476,29 +459,28 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 	}
 	var local *fanout
 	queued := 0
-	for _, u := range row {
-		if ch != nil && ch.Lost(from, int(e.part.ID[u]), size) {
+	for _, id := range row {
+		if ch != nil && ch.Lost(from, int(id), size) {
 			s.dropped++
 			if s.tracer != nil {
-				s.emit(trace.Drop, int(e.part.ID[u]), from, size, "lost")
+				s.emit(trace.Drop, int(id), from, size, "lost")
 			}
 			continue
 		}
 		queued++
-		if s.owns(u) {
+		if dst := e.part.Owner[id]; dst == int32(s.id) {
 			if local == nil {
 				local = s.newFanout(int32(from), size, key, nil)
 			}
-			local.own = append(local.own, u)
+			local.own = append(local.own, id)
 		} else {
-			dst := e.part.Owner[e.part.ID[u]]
 			out := &e.cur[s.id][dst]
 			if s.open[dst] != s.txn {
 				s.open[dst] = s.txn
 				out.recs = append(out.recs, xrec{at: at, from: int32(from), size: size, key: key})
 			}
 			out.recs[len(out.recs)-1].n++
-			out.to = append(out.to, u)
+			out.to = append(out.to, id)
 		}
 	}
 	if local != nil {
@@ -516,8 +498,7 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
 	}
-	nbrs := s.eng.nw.Neighbors(from)
-	if i := sort.SearchInts(nbrs, to); i >= len(nbrs) || nbrs[i] != to {
+	if _, ok := slices.BinarySearch(s.eng.nw.Neighbors(from), int32(to)); !ok {
 		panic(fmt.Sprintf("shard: unicast %d->%d between non-neighbors", from, to))
 	}
 	p := s.eng.part
@@ -538,15 +519,15 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 		return false
 	}
 	at := s.kern.Now() + sim.Time(s.eng.model.TxLatency(size))
-	if u := p.Slot[to]; s.owns(u) {
+	if dst := p.Owner[to]; dst == int32(s.id) {
 		f := s.newFanout(int32(from), size, key, payload)
-		f.own = append(f.own, u)
+		f.own = append(f.own, int32(to))
 		f.to = f.own
 		s.kern.At(at, f.fire)
 	} else {
-		out := &s.eng.cur[s.id][p.Owner[to]]
+		out := &s.eng.cur[s.id][dst]
 		out.recs = append(out.recs, xrec{at: at, from: int32(from), n: 1, size: size, key: key, payload: payload})
-		out.to = append(out.to, u)
+		out.to = append(out.to, int32(to))
 	}
 	return true
 }
@@ -566,12 +547,14 @@ func (s *shardRun) newFanout(from int32, size, key int64, payload any) *fanout {
 
 // run lands the transmission at each receiver that takes it, storing
 // the packet as one inbox record at the first one and referencing that
-// record for every one.
+// record for every one. Each receiver's ID maps to its slot here.
 func (f *fanout) run() {
 	s := f.s
 	s.last = s.kern.Now()
+	slot := s.eng.part.Slot
 	rec := int32(-1)
-	for _, u := range f.to {
+	for _, id := range f.to {
+		u := slot[id]
 		if !s.receive(u, int(f.from), f.size) {
 			continue
 		}

@@ -22,9 +22,8 @@ import (
 // center of a 2×2 tiling and its twelve neighbors cycle through the four
 // tiles, so its ascending neighbor list alternates destination shards.
 // Each broadcast must leave exactly one outbox record per remote shard,
-// carrying that shard's receivers (as slots, mapped back to IDs here) in
-// ascending ID order, and the sender's own tile must get nothing in the
-// outbox.
+// carrying that shard's receiver IDs in ascending order, and the
+// sender's own tile must get nothing in the outbox.
 func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 	tiles := []geom.Point{{X: 12, Y: 12}, {X: 28, Y: 12}, {X: 12, Y: 28}, {X: 28, Y: 28}}
 	pts := []geom.Point{{X: 20, Y: 20}}
@@ -49,7 +48,7 @@ func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 		var want []int32
 		for _, nbr := range nw.Neighbors(0) {
 			if int(part.Owner[nbr]) == dst {
-				want = append(want, int32(nbr))
+				want = append(want, nbr)
 			}
 		}
 		if dst == src.id {
@@ -70,11 +69,7 @@ func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 			if r.at != at || r.from != 0 || r.size != x.size || r.key != x.key || int(r.n) != len(want) {
 				t.Errorf("shard %d record %d = %+v, want at %d from 0 size %d key %d n %d", dst, i, r, at, x.size, x.key, len(want))
 			}
-			var got []int32
-			for _, v := range row.to[i*len(want) : (i+1)*len(want)] {
-				got = append(got, part.ID[v])
-			}
-			if !slices.Equal(got, want) {
+			if got := row.to[i*len(want) : (i+1)*len(want)]; !slices.Equal(got, want) {
 				t.Errorf("shard %d record %d receivers %v, want %v", dst, i, got, want)
 			}
 		}
@@ -184,10 +179,11 @@ func TestInjectedFanoutSameInstantHazards(t *testing.T) {
 // place: the shards' slot ranges tile [0, n) in shard order and hold
 // exactly their nodes; each shard's ledger and bank cover exactly its
 // own range (none for an empty tile), so fabric state stays O(n) at any
-// shard count; and every slot row still lists its node's neighbors'
-// slots in the network's order, its interior flag telling whether they
-// all stay on the shard. The nodes fill only the terrain's left half,
-// so the right-hand tiles at 4 and 8 shards are empty.
+// shard count; each slot's interior flag tells whether all of its node's
+// neighbors stay on the shard; and the deployment's rows, which the
+// fan-outs read in place, are unchanged. The nodes fill only the
+// terrain's left half, so the right-hand tiles at 4 and 8 shards are
+// empty.
 func TestShardsOwnTheirSlotRanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := make([]geom.Point, 300)
@@ -195,6 +191,8 @@ func TestShardsOwnTheirSlotRanges(t *testing.T) {
 		pts[i] = geom.Point{X: 34 * rng.Float64(), Y: 70 * rng.Float64()}
 	}
 	nw := deploy.FromPoints(pts, geom.Rect{MaxX: 70, MaxY: 70}, 10)
+	_, adj := nw.CSRView()
+	rows := slices.Clone(adj)
 	empty := 0
 	for _, shards := range diffShards {
 		var eng *engine
@@ -229,16 +227,8 @@ func TestShardsOwnTheirSlotRanges(t *testing.T) {
 					t.Fatalf("shards=%d: slot %d (node %d) on shard %d, owner %d", shards, v, p.ID[v], i, p.Owner[p.ID[v]])
 				}
 				in := true
-				row := eng.nbr[eng.off[v]:eng.off[v+1]]
-				ids := nw.Neighbors(int(p.ID[v]))
-				if len(row) != len(ids) {
-					t.Fatalf("shards=%d: slot %d has %d neighbors, node %d has %d", shards, v, len(row), p.ID[v], len(ids))
-				}
-				for j, u := range row {
-					if int(p.ID[u]) != ids[j] {
-						t.Fatalf("shards=%d: slot %d's row %v does not map to node %d's %v", shards, v, row, p.ID[v], ids)
-					}
-					in = in && sr.owns(u)
+				for _, u := range nw.Neighbors(int(p.ID[v])) {
+					in = in && p.Owner[u] == int32(i)
 				}
 				if eng.interior[v] != in {
 					t.Fatalf("shards=%d: slot %d interior %v, want %v", shards, v, eng.interior[v], in)
@@ -247,6 +237,9 @@ func TestShardsOwnTheirSlotRanges(t *testing.T) {
 		}
 		if int(next) != nw.N() {
 			t.Fatalf("shards=%d: slot ranges end at %d of %d", shards, next, nw.N())
+		}
+		if !slices.Equal(adj, rows) {
+			t.Fatalf("shards=%d: the run changed the deployment's rows", shards)
 		}
 	}
 	if empty == 0 {

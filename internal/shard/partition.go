@@ -17,6 +17,7 @@ package shard
 
 import (
 	"fmt"
+	"slices"
 
 	"wsnva/internal/deploy"
 )
@@ -28,10 +29,10 @@ import (
 // rectangles; a node belongs to the tile containing its position. Tiles
 // may be empty (a shard with no nodes simply stays idle).
 //
-// The engine indexes its delivery path by slot (DESIGN.md §7): State,
-// the inboxes, the shards' ledgers and banks, and the slot-space
-// neighbor rows. Node IDs stay at the edges — the app contract, the loss
-// streams, the schedules, traces and results.
+// The engine indexes its per-node state by slot (DESIGN.md §7): State,
+// the inboxes, and the shards' ledgers and banks. Node IDs stay at the
+// edges — the app contract, the neighbor rows, the loss streams, the
+// schedules, traces and results.
 type Partition struct {
 	Shards int
 	Cols   int
@@ -49,9 +50,8 @@ type Partition struct {
 // NewPartition tiles the deployment terrain into shards rectangles,
 // choosing the most square Cols×Rows factorization (Cols ≤ Rows),
 // assigns every node to its containing tile, and orders the slots by
-// shard, then by bucket of deploy's spatial hash (side Range, buckets
-// row-major), then by ID within a bucket. It is the one place that
-// decides the layout.
+// shard, then in the deployment's bucket order (Network.BucketOrder:
+// bucket, then ID). It is the one place that decides the layout.
 func NewPartition(nw *deploy.Network, shards int) *Partition {
 	if shards <= 0 {
 		panic(fmt.Sprintf("shard: need positive shard count, got %d", shards))
@@ -78,61 +78,31 @@ func NewPartition(nw *deploy.Network, shards int) *Partition {
 		}
 		owner[i] = int32(row*cols + col)
 	}
-	// The bucket grid of deploy's CSR build: a node's neighbors lie in
-	// its 3×3 bucket neighborhood, so they take three short slot runs.
-	bucket := make([]int32, n)
-	buckets := 1
-	if bs := nw.Range; bs > 0 {
-		bc, br := int(w/bs)+1, int(h/bs)+1
-		buckets = bc * br
-		for i := 0; i < n; i++ {
-			bx := clampInt(int((xs[i]-t.MinX)/bs), 0, bc-1)
-			by := clampInt(int((ys[i]-t.MinY)/bs), 0, br-1)
-			bucket[i] = int32(by*bc + bx)
-		}
-	}
-	p := newLayout(shards, owner, bucket, buckets)
+	p := newLayout(shards, owner, nw.BucketOrder())
 	p.Cols, p.Rows = cols, rows
 	return p
 }
 
 // newLayout builds the slot maps of a partition: the slots run through
-// the shards in order, and within a shard by rank (ranks in [0, ranks)),
-// ties by ID. Two stable counting sorts, by rank and then by owner.
-func newLayout(shards int, owner, rank []int32, ranks int) *Partition {
+// the shards in turn, and within a shard follow order, a permutation of
+// the IDs. One stable pass splits order by owner.
+func newLayout(shards int, owner, order []int32) *Partition {
 	n := len(owner)
 	p := &Partition{Shards: shards, Owner: owner, Slot: make([]int32, n),
-		ID: countingSort(owner, shards, countingSort(rank, ranks, nil)), Start: make([]int32, shards+1)}
-	for s, id := range p.ID {
-		p.Slot[id] = int32(s)
-		p.Start[owner[id]+1]++
+		ID: make([]int32, n), Start: make([]int32, shards+1)}
+	for _, s := range owner {
+		p.Start[s+1]++
 	}
 	for s := 0; s < shards; s++ {
 		p.Start[s+1] += p.Start[s]
 	}
+	next := slices.Clone(p.Start[:shards])
+	for _, id := range order {
+		v := next[owner[id]]
+		next[owner[id]]++
+		p.ID[v], p.Slot[id] = id, v
+	}
 	return p
-}
-
-// countingSort returns the IDs in order (nil: ascending) stably sorted by
-// key[id], keys in [0, keys).
-func countingSort(key []int32, keys int, order []int32) []int32 {
-	next := make([]int32, keys+1)
-	for _, k := range key {
-		next[k+1]++
-	}
-	for k := 0; k < keys; k++ {
-		next[k+1] += next[k]
-	}
-	out := make([]int32, len(key))
-	for i := range key {
-		id := int32(i)
-		if order != nil {
-			id = order[i]
-		}
-		out[next[key[id]]] = id
-		next[key[id]]++
-	}
-	return out
 }
 
 func clampInt(v, lo, hi int) int {

@@ -195,11 +195,11 @@ func randomPartition(n, shards int, rng *rand.Rand) *Partition {
 	for i := range owner {
 		owner[i] = int32(rng.Intn(shards))
 	}
-	rank := make([]int32, n)
-	for i, r := range rng.Perm(n) {
-		rank[i] = int32(r)
+	order := make([]int32, n)
+	for i, id := range rng.Perm(n) {
+		order[i] = int32(id)
 	}
-	return newLayout(shards, owner, rank, n)
+	return newLayout(shards, owner, order)
 }
 
 // onPartition is execute on part instead of NewPartition's tiles.

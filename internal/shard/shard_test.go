@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"wsnva/internal/cost"
@@ -61,6 +62,34 @@ func TestPartitionCoversEveryNode(t *testing.T) {
 	}
 }
 
+// TestPartitionFollowsDeployOrder: the layout is the deployment's own
+// bucket order split by shard. At one shard the slots are that order
+// exactly; at 2 and 4 shards each shard's range is the order filtered to
+// the shard's nodes. Checked on a random deployment and on the labeling
+// grid, which FromAdjacency builds.
+func TestPartitionFollowsDeployOrder(t *testing.T) {
+	for _, nw := range []*deploy.Network{testNet(t, 300, 60, 9, 11), labelDeployment(geom.NewSquareGrid(12, 120))} {
+		order := nw.BucketOrder()
+		if p := NewPartition(nw, 1); !slices.Equal(p.ID, order) {
+			t.Fatalf("n=%d, 1 shard: slots %v, bucket order %v", nw.N(), p.ID, order)
+		}
+		for _, shards := range []int{2, 4} {
+			p := NewPartition(nw, shards)
+			for s := 0; s < shards; s++ {
+				var want []int32
+				for _, id := range order {
+					if p.Owner[id] == int32(s) {
+						want = append(want, id)
+					}
+				}
+				if got := p.ID[p.Start[s]:p.Start[s+1]]; len(want) == 0 || !slices.Equal(got, want) {
+					t.Fatalf("n=%d, shards=%d: shard %d's slots %v, bucket order filtered %v", nw.N(), shards, s, got, want)
+				}
+			}
+		}
+	}
+}
+
 // checkFloodBFS pins a single loss-free flood from node 0 to what a BFS
 // from the origin predicts, on the oracle and on the engine at 1 and 2
 // shards: every node of the
@@ -88,7 +117,7 @@ func checkFloodBFS(t *testing.T, nw *deploy.Network) int {
 		for _, u := range nw.Neighbors(v) {
 			if depth[u] < 0 {
 				depth[u] = depth[v] + 1
-				queue = append(queue, u)
+				queue = append(queue, int(u))
 			}
 		}
 	}

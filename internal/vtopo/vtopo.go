@@ -121,7 +121,7 @@ func (p *Protocol) seedBase(id int) {
 		}
 		for _, nbr := range nw.Neighbors(id) {
 			if !p.dead[nbr] && p.cellOf[nbr] == adj {
-				p.tables[id][d] = nbr
+				p.tables[id][d] = int(nbr)
 				break
 			}
 		}
@@ -255,7 +255,7 @@ func (p *Protocol) RepairIncremental() Metrics {
 		deadCells[p.cellOf[id]] = true
 		for _, nbr := range nw.Neighbors(id) {
 			if !p.dead[nbr] {
-				affected[nbr] = true
+				affected[int(nbr)] = true
 			}
 		}
 	}
@@ -289,7 +289,7 @@ func (p *Protocol) RepairAround(disturbed ...int) Metrics {
 		cells[p.cellOf[id]] = true
 		for _, nbr := range nw.Neighbors(id) {
 			if !p.dead[nbr] {
-				affected[nbr] = true
+				affected[int(nbr)] = true
 			}
 		}
 		if !p.dead[id] {
@@ -304,8 +304,8 @@ func (p *Protocol) RepairAround(disturbed ...int) Metrics {
 	teachers := make(map[int]bool)
 	for id := range affected {
 		for _, nbr := range nw.Neighbors(id) {
-			if !p.dead[nbr] && !affected[nbr] && p.cellOf[nbr] == p.cellOf[id] {
-				teachers[nbr] = true
+			if !p.dead[nbr] && !affected[int(nbr)] && p.cellOf[nbr] == p.cellOf[id] {
+				teachers[int(nbr)] = true
 			}
 		}
 	}

@@ -174,7 +174,7 @@ func TestRouteCellsDeliversAcrossGrid(t *testing.T) {
 	for _, next := range path {
 		ok := false
 		for _, nbr := range nw.Neighbors(cur) {
-			if nbr == next {
+			if int(nbr) == next {
 				ok = true
 			}
 		}

@@ -213,7 +213,7 @@ func (p *Protocol) Validate() error {
 		}
 		neighbor := false
 		for _, n := range nw.Neighbors(id) {
-			if n == par {
+			if int(n) == par {
 				neighbor = true
 			}
 		}
