@@ -69,12 +69,16 @@ race-deploy:
 # The fault plane under the race detector: a multi-worker sharded run
 # with the lossy channel, a crash schedule, and battery depletion all
 # armed (TestShardFaultsRaceSmoke), plus the hazard differential
-# property suite and the partition property (random owners and slot
-# orders on 2 and 4 workers). The shared StreamChannel, the per-shard
-# banks, the shards' disjoint slot ranges, and the dying-gasp paths all
-# execute under real goroutine interleaving.
+# property suite, the partition property (random owners and slot orders
+# on 2 and 4 workers), and the two tests that pin the drain's one
+# liveness gate and one summed Rx charge per node at a hazard instant
+# (TestInjectedFanoutSameInstantHazards: a receiver crashing or falling
+# asleep as an injected fan-out reaches it; TestSameInstantReceptionsChargeOnce:
+# a budget running out inside one node's same-instant batch). The shared
+# StreamChannel, the per-shard banks, the shards' disjoint slot ranges,
+# and the dying-gasp paths all execute under real goroutine interleaving.
 race-shard-faults:
-	$(GO) test -race -count=1 -run 'TestShardFaultsRaceSmoke|TestQuickDifferential|TestQuickPartitionInvariance' ./internal/shard/
+	$(GO) test -race -count=1 -run 'TestShardFaultsRaceSmoke|TestQuickDifferential|TestQuickPartitionInvariance|TestInjectedFanoutSameInstantHazards|TestSameInstantReceptionsChargeOnce' ./internal/shard/
 
 # The churn plane under the race detector: an 8-shard 4-worker run with
 # a Poisson sleep/wake schedule armed (TestShardChurnRaceSmoke), the

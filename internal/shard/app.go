@@ -38,6 +38,10 @@ type fabric interface {
 	// wakeAfter arms the node's single-shot timer d > 0 units from now;
 	// at most one may be outstanding per node.
 	wakeAfter(node int, d sim.Time) sim.Time
+	// land takes slot v's batch at the current instant and whether v is
+	// live, once per listed node before its wake: the receptions' (or
+	// drops') counts, Rx charge and trace events are due here.
+	land(v int32, recs []Packet, batch []int32, live bool)
 }
 
 // app is a protocol instance driving a set of nodes. The engine
@@ -131,14 +135,15 @@ func (a *dissApp) start(f fabric, node int) {
 func (a *dissApp) wake(f fabric, node int, recs []Packet, batch []int32, timer bool) {
 	_ = timer // the dissemination protocol is purely reactive
 	fs := a.fs
+	heard, ignored := fs.heard[node], int64(0)
 	for _, r := range batch {
 		p := &recs[r]
 		bit := uint64(1) << uint(p.Key)
-		if fs.heard[node]&bit != 0 {
-			a.ignored++
+		if heard&bit != 0 {
+			ignored++
 			continue
 		}
-		fs.heard[node] |= bit
+		heard |= bit
 		fs.level[node]++
 		if fs.firstAt[node] < 0 {
 			fs.firstAt[node] = f.now()
@@ -147,6 +152,8 @@ func (a *dissApp) wake(f fabric, node int, recs []Packet, batch []int32, timer b
 		a.forwards++
 		f.broadcast(node, p.Size, p.Key)
 	}
+	fs.heard[node] = heard
+	a.ignored += ignored
 }
 
 // fold accumulates another instance's counters (used to merge the

@@ -83,7 +83,7 @@ type engine struct {
 	channel *fault.StreamChannel
 	shards  []*shardRun
 	// interior[v] reports that every neighbor of slot v's node is on v's
-	// shard. Each shard marks its own slots.
+	// shard. Each shard marks its own slots; one shard has no border.
 	interior []bool
 	// cur[src][dst] collects transmissions sent by shard src into shard
 	// dst in the running window; prev holds the previous window's sends
@@ -109,7 +109,7 @@ type shardRun struct {
 	app        app
 	// bank meters this shard's ledger when depletion is armed, over the
 	// ledger's range. A node's every charge (Tx at its sends, Rx at its
-	// deliveries) lands on its owner shard's ledger, so exactly one bank
+	// instant's drain) lands on its owner shard's ledger, so exactly one bank
 	// observes each node's complete drain sequence — the same sequence
 	// the oracle's single bank sees.
 	bank *battery.Bank
@@ -184,10 +184,8 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 			in:    inbox{st: st, id: part.ID},
 			open:  make([]uint64, s),
 		}
-		sr.drain = func() {
-			sr.last = sr.kern.Now()
-			sr.in.drain(sr, sr.app)
-		}
+		// The drain's first input already stamped last with its instant.
+		sr.drain = func() { sr.in.drain(sr, sr.app) }
 		if traceCap > 0 {
 			sr.tracer = trace.New(traceCap)
 			sr.tracer.SetSink(hz.sink)
@@ -237,13 +235,18 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	return e
 }
 
-// markInterior sets the interior flags of the shard's own slots.
+// markInterior sets the interior flags of the shard's own slots. A lone
+// shard owns every neighbor, so it reads no row.
 func (s *shardRun) markInterior() {
 	e := s.eng
 	owner, me := e.part.Owner, int32(s.id)
 	for v := s.start; v < s.end; v++ {
+		var row []int32
+		if e.part.Shards > 1 {
+			row = e.nw.Neighbors(int(e.part.ID[v]))
+		}
 		in := true
-		for _, id := range e.nw.Neighbors(int(e.part.ID[v])) {
+		for _, id := range row {
 			if owner[id] != me {
 				in = false
 				break
@@ -545,23 +548,16 @@ func (s *shardRun) newFanout(from int32, size, key int64, payload any) *fanout {
 	return f
 }
 
-// run lands the transmission at each receiver that takes it, storing
-// the packet as one inbox record at the first one and referencing that
-// record for every one. Each receiver's ID maps to its slot here.
+// run stores the transmission as one inbox record and queues it for
+// each receiver, whose ID maps to its slot here. Liveness, the Rx charge
+// and the trace wait for the drain (land).
 func (f *fanout) run() {
 	s := f.s
 	s.last = s.kern.Now()
 	slot := s.eng.part.Slot
-	rec := int32(-1)
+	s.in.record(Packet{From: int(f.from), Size: f.size, Key: f.key, Payload: f.payload})
 	for _, id := range f.to {
-		u := slot[id]
-		if !s.receive(u, int(f.from), f.size) {
-			continue
-		}
-		if rec < 0 {
-			rec = s.in.record(Packet{From: int(f.from), Size: f.size, Key: f.key, Payload: f.payload})
-		}
-		if s.in.ref(u, rec) {
+		if s.in.ref(slot[id]) {
 			s.kern.After(0, s.drain)
 		}
 	}
@@ -569,31 +565,32 @@ func (f *fanout) run() {
 	s.freeFan = append(s.freeFan, f)
 }
 
-// receive is a delivery's gate at a receiver slot this shard owns:
-// liveness is judged at delivery time exactly as radio.Medium does, and
-// a live receiver is charged Rx and traced. It reports whether the
-// receiver takes the packet.
-func (s *shardRun) receive(v int32, from int, size int64) bool {
-	st := s.eng.st
-	if !st.liveAt(v, s.kern.Now()) {
-		s.dropped++
-		if s.tracer != nil {
-			// Same split as radio.Medium: an alive-but-suspended receiver
-			// reports the reversible drop reason.
-			detail := "dead receiver"
-			if st.Alive[v] {
-				detail = "asleep receiver"
-			}
-			s.emit(trace.Drop, int(s.eng.part.ID[v]), from, size, detail)
+// land implements fabric for a slot this shard owns: one Rx charge for a
+// live receiver's summed sizes gives radio.Medium's answers (DESIGN.md
+// §7); a dead or asleep receiver's batch is dropped. Packets are traced.
+func (s *shardRun) land(v int32, recs []Packet, batch []int32, live bool) {
+	kind, detail := trace.Rx, ""
+	if live {
+		s.delivered += int64(len(batch))
+		var units int64
+		for _, r := range batch {
+			units += recs[r].Size
 		}
-		return false
+		s.ledger.Charge(int(v-s.start), cost.Rx, units)
+	} else {
+		// Same split as radio.Medium: an alive-but-suspended receiver
+		// reports the reversible drop reason.
+		s.dropped += int64(len(batch))
+		kind, detail = trace.Drop, "dead receiver"
+		if s.eng.st.Alive[v] {
+			detail = "asleep receiver"
+		}
 	}
-	s.delivered++
-	s.ledger.Charge(int(v-s.start), cost.Rx, size)
 	if s.tracer != nil {
-		s.emit(trace.Rx, int(s.eng.part.ID[v]), from, size, "")
+		for _, r := range batch {
+			s.emit(kind, int(s.eng.part.ID[v]), recs[r].From, recs[r].Size, detail)
+		}
 	}
-	return true
 }
 
 func (s *shardRun) now() sim.Time { return s.kern.Now() }

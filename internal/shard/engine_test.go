@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -16,6 +17,7 @@ import (
 	"wsnva/internal/geom"
 	"wsnva/internal/parallel"
 	"wsnva/internal/sim"
+	"wsnva/internal/trace"
 )
 
 // TestBroadcastOpensOneRecordPerDestinationShard: node 0 sits at the
@@ -172,6 +174,86 @@ func TestInjectedFanoutSameInstantHazards(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestSameInstantReceptionsChargeOnce pins the drain's one liveness
+// test and one summed Rx charge per node per instant. Node 0 sits at the
+// center of a pentagon of five flood origins that reach only it, spread
+// over the tiles of the 1×2 and 2×2 tilings, so its five same-instant
+// receptions arrive by local and injected fan-outs alike. Its budget
+// runs out on the third of them, and each origin's on the second of node
+// 0's five rebroadcasts. The engine at 1, 2 and 4 shards must equal the
+// oracle in every Result field and in the canonical trace, lossless and
+// on a Bernoulli channel.
+func TestSameInstantReceptionsChargeOnce(t *testing.T) {
+	pts := []geom.Point{{X: 20, Y: 20}}
+	for k := 0; k < 5; k++ {
+		a := math.Pi/2 + 2*math.Pi*float64(k)/5
+		pts = append(pts, geom.Point{X: 20 + 8*math.Cos(a), Y: 20 + 8*math.Sin(a)})
+	}
+	nw := deploy.FromPoints(pts, geom.Rect{MaxX: 40, MaxY: 40}, 8.5)
+	if nw.Degree(0) != 5 || nw.Degree(1) != 1 {
+		t.Fatalf("center degree %d, origin degree %d: want 5 and 1", nw.Degree(0), nw.Degree(1))
+	}
+	at := sim.Time(cost.NewUniform().TxLatency(2))
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"lossless", Config{}},
+		{"bernoulli", Config{Loss: 0.2, Seed: 7}},
+	} {
+		cfg := c.cfg
+		cfg.Origins, cfg.PktSize, cfg.Capacity, cfg.Deplete, cfg.Trace = []int{1, 2, 3, 4, 5}, 2, 5, true, true
+		want, err := runOracle(nw, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Two units a packet against a budget of five: with three or more
+		// receptions at at, the budget runs out inside node 0's batch.
+		if rx, dep := centerEvents(want.Trace, at, trace.Rx), centerEvents(want.Trace, at, trace.Deplete); rx < 3 || dep != 1 {
+			t.Fatalf("%s: oracle gave node 0 %d receptions and %d depletions at %d:\n%s", c.name, rx, dep, at, want.Trace)
+		}
+		if c.cfg.Loss > 0 && !bytes.Contains(want.Trace, []byte(`"detail":"lost"`)) {
+			t.Fatalf("%s: the channel lost nothing", c.name)
+		}
+		for _, shards := range []int{1, 2, 4} {
+			if part, local := NewPartition(nw, shards), 0; shards > 1 {
+				for _, o := range cfg.Origins {
+					if part.Owner[o] == part.Owner[0] {
+						local++
+					}
+				}
+				if local == 0 || local == len(cfg.Origins) {
+					t.Fatalf("shards=%d: %d of node 0's senders share its shard, want some but not all", shards, local)
+				}
+			}
+			cfg.Shards, cfg.Workers = shards, 2
+			got, err := Run(nw, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Trace, want.Trace) {
+				t.Fatalf("%s, shards=%d: trace diverges from oracle\n got:\n%s\nwant:\n%s", c.name, shards, got.Trace, want.Trace)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s, shards=%d: result diverges from oracle\n got: %+v\nwant: %+v", c.name, shards, got, want)
+			}
+		}
+	}
+}
+
+// centerEvents counts a canonical trace's events of one kind at node 0
+// and instant at.
+func centerEvents(tr []byte, at sim.Time, kind trace.Kind) int {
+	prefix := []byte(fmt.Sprintf(`"at":%d,"kind":%d,"node":"#0",`, at, kind))
+	n := 0
+	for _, line := range bytes.Split(tr, []byte("\n")) {
+		if i := bytes.IndexByte(line, ','); i >= 0 && bytes.HasPrefix(line[i+1:], prefix) {
+			n++
+		}
+	}
+	return n
 }
 
 // TestShardsOwnTheirSlotRanges pins the layout's contract at 1, 2, 4

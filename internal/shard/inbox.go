@@ -1,21 +1,16 @@
 package shard
 
-import (
-	"fmt"
-	"slices"
-)
+import "slices"
 
 // inbox is one fabric's wake machinery: it holds every input of the
 // current instant — packet deliveries and expired timers — until the
 // fabric's single drain event for that instant wakes each receiving node
 // once.
 //
-// A transmission's fields are stored once per instant, as one record,
-// however many receivers it reaches; each delivery costs one 8-byte
-// reference (receiver slot, record) appended to a per-fabric log, plus
-// one increment of the receiver's count. The counts and the listed flags
-// live in the run's State, indexed by slot and written only by the
-// node's owner fabric, so they stay O(n) at any shard count.
+// A transmission is one record and the run of its receivers' slots in
+// to, so a delivery costs one 4-byte slot and one count increment. The
+// counts and timer flags live in State by slot, written only by the
+// node's owner fabric; a node is listed at its first input.
 //
 // One drain per instant sees every input: all inputs of instant t are
 // queued before any event at t fires (DESIGN.md §7), and the fabric
@@ -28,73 +23,62 @@ type inbox struct {
 	// id maps a slot to its node ID (Partition.ID; the identity on the
 	// oracle).
 	id []int32
-	// recs holds this instant's records, one per transmission that
-	// reached a live receiver; log holds one reference per delivery, in
-	// delivery order.
-	recs []Packet
-	log  []delivery
+	// recs holds this instant's records; record r's receivers are
+	// to[start[r]:start[r+1]], the last record's ending at len(to).
+	recs  []Packet
+	start []int32
+	to    []int32
 	// nodes lists each node with input this instant once, as its ID in
 	// the high 32 bits over its slot, so sorting it sorts by ID.
 	nodes []uint64
-	// order is the drain's reused scratch: the log's record indices
-	// grouped by receiver, each group a wake batch.
+	// keys and order are the drain's scratch: the records' sort keys, and
+	// their indices grouped by receiver, each group a wake batch.
+	keys     []uint64
 	order    []int32
 	draining bool
 }
 
-// delivery references one record for one receiver slot.
-type delivery struct {
-	to  int32
-	rec int32
-}
-
-// add queues p for slot n at the current instant, as one record with one
-// reference. It reports whether this is the instant's first input, in
-// which case the caller schedules the drain.
-func (ib *inbox) add(n int32, p Packet) bool { return ib.ref(n, ib.record(p)) }
-
-// record stores a transmission's packet for the current instant and
-// returns its index for ref.
-func (ib *inbox) record(p Packet) int32 {
+// record stores a transmission's packet for the current instant; the
+// refs that follow queue it for its receivers.
+func (ib *inbox) record(p Packet) {
+	if ib.draining {
+		panic("shard: transmission during its instant's drain")
+	}
 	ib.recs = push(ib.recs, p)
-	return int32(len(ib.recs) - 1)
+	ib.start = push(ib.start, int32(len(ib.to)))
 }
 
-// ref queues record rec for slot n; the result is add's.
-func (ib *inbox) ref(n, rec int32) bool {
-	first := ib.list(n)
-	ib.log = push(ib.log, delivery{to: n, rec: rec})
+// ref queues the newest record for slot n and reports whether this is
+// the instant's first input, for which the caller schedules the drain.
+func (ib *inbox) ref(n int32) bool {
+	ib.to = push(ib.to, n)
 	ib.st.count[n]++
-	return first
+	return ib.st.count[n] == 1 && !ib.st.timerFired[n] && ib.list(n)
 }
 
-// touch records that slot n's timer expired at the current instant; the
-// result is add's.
+// touch records that slot n's timer expired at the current instant, which
+// happens at most once (wakeAfter keeps one timer a node); the result is
+// ref's.
 func (ib *inbox) touch(n int32) bool {
+	if ib.draining {
+		panic("shard: timer during its instant's drain")
+	}
 	ib.st.timerFired[n] = true
-	return ib.list(n)
+	return ib.st.count[n] == 0 && ib.list(n)
 }
 
 func (ib *inbox) list(n int32) bool {
-	if ib.draining {
-		panic(fmt.Sprintf("shard: input for node %d during its instant's drain", ib.id[n]))
-	}
-	if ib.st.listed[n] {
-		return false
-	}
-	ib.st.listed[n] = true
 	ib.nodes = append(ib.nodes, uint64(ib.id[n])<<32|uint64(n))
 	return len(ib.nodes) == 1
 }
 
-// drain wakes every listed node once, in ascending ID order. It groups
-// the log by receiver with a counting sort — the listed nodes' counts,
-// prefix-summed in ID order, become offsets into order, and a stable
-// scatter keeps each receiver's deliveries in delivery order — then sorts
-// each node's group of record indices by (From, Key) and calls a.wake
-// with it, the record table and the node's timer flag. A node that is no
-// longer live (a timer re-armed in its dying-gasp instant fires after it
-// went silent) loses its inputs. The drained inbox keeps no payload.
+// drain wakes every listed node once, in ascending ID order. A counting
+// sort groups the receivers by node: the listed nodes' counts, summed in
+// ID order, become offsets into order, and the records' runs scatter in
+// (From, Key) order, so every batch comes out sorted. Each node's one
+// liveness verdict goes to f.land with its batch; only a live node's
+// batch and timer flag go on to a.wake. The drained inbox keeps no
+// payload.
 func (ib *inbox) drain(f fabric, a app) {
 	ib.draining = true
 	st := ib.st
@@ -107,32 +91,59 @@ func (ib *inbox) drain(f fabric, a app) {
 		st.count[n] = off
 		off += c
 	}
-	// order follows the log's capacity, so it regrows only when push
-	// has doubled the log.
-	if cap(ib.order) < len(ib.log) {
-		ib.order = make([]int32, cap(ib.log))
+	// order follows to's capacity, so it regrows only when push has
+	// doubled to.
+	if cap(ib.order) < len(ib.to) {
+		ib.order = make([]int32, cap(ib.to))
 	}
-	order := ib.order[:len(ib.log)]
-	for _, d := range ib.log {
-		order[st.count[d.to]] = d.rec
-		st.count[d.to]++
+	order := ib.order[:len(ib.to)]
+	ib.start = push(ib.start, int32(len(ib.to)))
+	for _, k := range ib.sortRecs() {
+		r := int32(uint32(k))
+		for _, n := range ib.to[ib.start[r]:ib.start[r+1]] {
+			order[st.count[n]] = r
+			st.count[n]++
+		}
 	}
-	var start int32
+	var begin int32
 	for _, v := range ib.nodes {
 		n := int32(v)
 		end := st.count[n]
-		b := order[start:end]
-		start = end
+		b := order[begin:end]
+		begin = end
 		timer := st.timerFired[n]
-		st.count[n], st.listed[n], st.timerFired[n] = 0, false, false
-		if st.liveAt(n, now) {
-			sortBatch(ib.recs, b)
+		st.count[n], st.timerFired[n] = 0, false
+		live := st.liveAt(n, now)
+		f.land(n, ib.recs, b, live)
+		if live {
 			a.wake(f, int(v>>32), ib.recs, b, timer)
 		}
 	}
 	clear(ib.recs)
-	ib.recs, ib.log, ib.nodes = ib.recs[:0], ib.log[:0], ib.nodes[:0]
+	ib.recs, ib.start, ib.to, ib.nodes = ib.recs[:0], ib.start[:0], ib.to[:0], ib.nodes[:0]
 	ib.draining = false
+}
+
+// sortRecs returns the record indices in (From, Key) order, each the
+// low 32 bits of a key over its sender: one sort of the keys orders them
+// by sender, then an insertion pass orders each sender's few records by
+// Key.
+func (ib *inbox) sortRecs() []uint64 {
+	if cap(ib.keys) < len(ib.recs) {
+		ib.keys = make([]uint64, cap(ib.recs))
+	}
+	keys := ib.keys[:len(ib.recs)]
+	for r := range ib.recs {
+		keys[r] = uint64(ib.recs[r].From)<<32 | uint64(r)
+	}
+	slices.Sort(keys)
+	for i := 1; i < len(keys); i++ {
+		for j := i; j > 0 && keys[j]>>32 == keys[j-1]>>32 &&
+			ib.recs[uint32(keys[j])].Key < ib.recs[uint32(keys[j-1])].Key; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	return keys
 }
 
 // push appends v, doubling s's capacity when it is full: append alone

@@ -3,6 +3,7 @@ package shard
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
 	"wsnva/internal/deploy"
@@ -11,13 +12,22 @@ import (
 )
 
 // stillFab is a fabric frozen at one instant: the inbox reads only its
-// clock, so every transmission is a test bug.
-type stillFab struct{ at sim.Time }
+// clock and hands it each batch to land (onLand, when set, sees them), so
+// every transmission is a test bug.
+type stillFab struct {
+	at     sim.Time
+	onLand func(v int32, batch []int32, live bool)
+}
 
 func (f *stillFab) now() sim.Time                            { return f.at }
 func (f *stillFab) broadcast(int, int64, int64) int          { panic("stillFab: broadcast") }
 func (f *stillFab) unicast(int, int, int64, int64, any) bool { panic("stillFab: unicast") }
 func (f *stillFab) wakeAfter(int, sim.Time) sim.Time         { panic("stillFab: wakeAfter") }
+func (f *stillFab) land(v int32, _ []Packet, batch []int32, live bool) {
+	if f.onLand != nil {
+		f.onLand(v, batch, live)
+	}
+}
 
 // wakeRec is one wake as the app saw it, its batch's packets copied.
 type wakeRec struct {
@@ -140,39 +150,57 @@ func TestInboxTimerOnlyWake(t *testing.T) {
 }
 
 // TestInboxDeadNodeLosesInput: a node that is no longer live at the
-// drain (a late timer after its dying gasp) is not woken.
+// drain (a late timer after its dying gasp) is not woken, and land is
+// told so with its whole batch.
 func TestInboxDeadNodeLosesInput(t *testing.T) {
 	st := inboxState(3)
 	st.Alive[1] = false
 	ib := &inbox{st: st, id: identity(3)}
 	ib.touch(1)
+	ib.add(1, Packet{From: 0, Size: 1})
+	ib.add(1, Packet{From: 2, Size: 1})
 	ib.touch(2)
 	a := &recApp{}
-	ib.drain(&stillFab{at: 7}, a)
+	gated := map[int32]int{}
+	ib.drain(&stillFab{at: 7, onLand: func(v int32, batch []int32, live bool) {
+		if live != (v == 2) {
+			t.Errorf("slot %d landed with live %v", v, live)
+		}
+		gated[v] += len(batch)
+	}}, a)
 	if len(a.wakes) != 1 || a.wakes[0].node != 2 {
 		t.Fatalf("wakes = %+v, want node 2 only", a.wakes)
 	}
-	if st.listed[1] || st.timerFired[1] {
+	if gated[1] != 2 || gated[2] != 0 {
+		t.Errorf("landed batches %v, want two packets at slot 1 and none at slot 2", gated)
+	}
+	if st.count[1] != 0 || st.timerFired[1] {
 		t.Error("dead node's input survived the drain")
 	}
 }
 
 // TestInboxSharedRecordReachesEachReceiverOnce stores each transmission
-// once and references it for a random set of receivers: every receiver
-// gets every record it was referenced for exactly once, in its batch's
-// (From, Key) order.
+// once, for a random set of receivers, with the senders and their keys
+// recorded in shuffled order: every receiver gets every record it was
+// referenced for exactly once, in its batch's (From, Key) order.
 func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 40
 	st := inboxState(n)
 	ib := &inbox{st: st, id: identity(n)}
 	for round := 0; round < 20; round++ {
-		want := make(map[int][]Packet)
+		var sends []Packet
 		for from := 0; from < 1+rng.Intn(30); from++ {
-			p := Packet{From: from, Size: 1, Key: int64(rng.Intn(4)), Payload: round}
-			rec := ib.record(p)
+			for _, key := range rng.Perm(4)[:1+rng.Intn(2)] {
+				sends = append(sends, Packet{From: from, Size: 1, Key: int64(key), Payload: round})
+			}
+		}
+		rng.Shuffle(len(sends), func(i, j int) { sends[i], sends[j] = sends[j], sends[i] })
+		want := make(map[int][]Packet)
+		for _, p := range sends {
+			ib.record(p)
 			for _, to := range rng.Perm(n)[:1+rng.Intn(n/2)] {
-				ib.ref(int32(to), rec)
+				ib.ref(int32(to))
 				want[to] = append(want[to], p)
 			}
 		}
@@ -182,8 +210,8 @@ func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 			t.Fatalf("round %d: %d wakes for %d nodes with input", round, len(a.wakes), len(want))
 		}
 		for _, w := range a.wakes {
-			// Senders were recorded in ascending order, so want is
-			// already in (From, Key) order.
+			// (From, Key) is unique here, so the order is fixed.
+			slices.SortFunc(want[w.node], comparePackets)
 			if !slices.Equal(w.pkts, want[w.node]) {
 				t.Fatalf("round %d: node %d got %v, want %v", round, w.node, w.pkts, want[w.node])
 			}
@@ -191,29 +219,37 @@ func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 	}
 }
 
-// TestInboxDrainedHoldsNoPayload: after a drain the record table, the
-// log and the per-node State arrays are empty, and no payload is still
-// referenced from the retained capacity.
+// TestInboxDrainedHoldsNoPayload: after a drain of out-of-order
+// records, the record table, the receiver runs, the node list and the
+// per-node State arrays are empty, no payload is still referenced from
+// the retained capacity, and the drain's sort keys and batch scratch are
+// no larger than the record table and the receiver runs they serve.
 func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 	st := inboxState(8)
 	ib := &inbox{st: st, id: identity(8)}
 	for i := int32(0); i < 50; i++ {
 		ib.add(i%8, Packet{From: int(i), Size: 1, Payload: &wakeRec{}})
-		rec := ib.record(Packet{From: 50 + int(i), Size: 1, Payload: &wakeRec{}})
-		ib.ref(i%8, rec)
-		ib.ref((i+3)%8, rec)
+		ib.record(Packet{From: 50 + int(i), Size: 1, Payload: &wakeRec{}})
+		ib.ref(i % 8)
+		ib.ref((i + 3) % 8)
 	}
+	ib.add(1, Packet{From: 0, Key: 1, Size: 1, Payload: &wakeRec{}})
 	ib.drain(&stillFab{}, &recApp{})
-	if len(ib.recs) != 0 || len(ib.log) != 0 || len(ib.nodes) != 0 || ib.draining {
-		t.Fatalf("drained inbox: recs %d, log %d, nodes %d, draining %v", len(ib.recs), len(ib.log), len(ib.nodes), ib.draining)
+	if len(ib.recs) != 0 || len(ib.start) != 0 || len(ib.to) != 0 || len(ib.nodes) != 0 || ib.draining {
+		t.Fatalf("drained inbox: recs %d, start %d, to %d, nodes %d, draining %v",
+			len(ib.recs), len(ib.start), len(ib.to), len(ib.nodes), ib.draining)
 	}
 	for _, p := range ib.recs[:cap(ib.recs)] {
 		if p.Payload != nil {
 			t.Fatal("drained inbox still references a payload")
 		}
 	}
+	if cap(ib.keys) == 0 || cap(ib.keys) > cap(ib.recs) || cap(ib.order) > cap(ib.to) {
+		t.Fatalf("drain scratch: keys %d for %d records, order %d for %d receivers",
+			cap(ib.keys), cap(ib.recs), cap(ib.order), cap(ib.to))
+	}
 	for v := 0; v < 8; v++ {
-		if st.count[v] != 0 || st.listed[v] || st.timerFired[v] {
+		if st.count[v] != 0 || st.timerFired[v] {
 			t.Fatalf("node %d keeps wake state after the drain", v)
 		}
 	}
@@ -225,26 +261,55 @@ type countApp struct{ wakes int }
 func (a *countApp) start(fabric, int)                         {}
 func (a *countApp) wake(fabric, int, []Packet, []int32, bool) { a.wakes++ }
 
-// TestInboxCycleAllocatesNothing: once the record table, the log, the
-// drain's scratch and the node list have grown, an add/drain cycle with
-// shared records allocates nothing.
+// less orders packets by (From, Key), every wake batch's order.
+func less(a, b *Packet) bool {
+	if a.From != b.From {
+		return a.From < b.From
+	}
+	return a.Key < b.Key
+}
+
+// comparePackets is less as a three-way comparison.
+func comparePackets(x, y Packet) int {
+	switch {
+	case less(&x, &y):
+		return -1
+	case less(&y, &x):
+		return 1
+	}
+	return 0
+}
+
+// TestInboxCycleAllocatesNothing: once the record table, the receiver
+// runs, the drain's scratch and the node list have grown, add/drain
+// cycles with shared records allocate nothing, whether the instant's
+// records arrive in (From, Key) order or reversed.
 func TestInboxCycleAllocatesNothing(t *testing.T) {
 	const n = 64
 	st := inboxState(n)
 	ib := &inbox{st: st, id: identity(n)}
 	fab, a := &stillFab{}, &countApp{}
 	cycle := func() {
-		for i := 0; i < 500; i++ {
-			ib.add(int32(i*37%n), Packet{From: i % 11, Size: 1, Key: int64(i % 3)})
-		}
-		for i := 0; i < 100; i++ {
-			rec := ib.record(Packet{From: 11 + i, Size: 1})
-			for j := 0; j < 6; j++ {
-				ib.ref(int32((i*13+j*7)%n), rec)
+		for _, reversed := range []bool{false, true} {
+			for i := 0; i < 500; i++ {
+				from := i / 50
+				if reversed {
+					from = 10 - from
+				}
+				ib.add(int32(i*37%n), Packet{From: from, Size: 1, Key: int64(i % 50)})
 			}
+			for i := 0; i < 100; i++ {
+				ib.record(Packet{From: 11 + i, Size: 1})
+				for j := 0; j < 6; j++ {
+					ib.ref(int32((i*13 + j*7) % n))
+				}
+			}
+			if sorted := slices.IsSortedFunc(ib.recs, comparePackets); sorted == reversed {
+				t.Fatalf("reversed %v: records in order %v", reversed, sorted)
+			}
+			ib.touch(3)
+			ib.drain(fab, a)
 		}
-		ib.touch(3)
-		ib.drain(fab, a)
 	}
 	cycle()
 	if allocs := testing.AllocsPerRun(20, cycle); allocs != 0 {
@@ -253,20 +318,32 @@ func TestInboxCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestInboxInputDuringDrainPanics: a wake cannot reach its own instant,
-// so an add or a touch from inside the drain is a bug.
+// so an add or a touch from inside the drain is a bug, whether its node
+// has no input yet (node 1) or is listed but not yet woken (nodes 2 and
+// 3). The input comes from node 0's wake, the drain's first, and the
+// panic must be the inbox's own.
 func TestInboxInputDuringDrainPanics(t *testing.T) {
 	for name, input := range map[string]func(*inbox){
-		"add":   func(ib *inbox) { ib.add(0, Packet{From: 1, Size: 1}) },
-		"touch": func(ib *inbox) { ib.touch(0) },
+		"add":                      func(ib *inbox) { ib.add(1, Packet{From: 0, Size: 1}) },
+		"touch":                    func(ib *inbox) { ib.touch(1) },
+		"add to a listed node":     func(ib *inbox) { ib.add(2, Packet{From: 0, Size: 1}) },
+		"touch of a listed node":   func(ib *inbox) { ib.touch(2) },
+		"add to a timer-only node": func(ib *inbox) { ib.add(3, Packet{From: 0, Size: 1}) },
 	} {
-		st := inboxState(2)
-		ib := &inbox{st: st, id: identity(2)}
-		ib.touch(1)
-		a := &recApp{during: func(int) { input(ib) }}
+		st := inboxState(4)
+		ib := &inbox{st: st, id: identity(4)}
+		ib.touch(0)
+		ib.add(2, Packet{From: 1, Size: 1})
+		ib.touch(3)
+		a := &recApp{during: func(node int) {
+			if node == 0 {
+				input(ib)
+			}
+		}}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("%s during a drain did not panic", name)
+				if msg, _ := recover().(string); !strings.Contains(msg, "drain") {
+					t.Errorf("%s during a drain: recovered %q, want the inbox's panic", name, msg)
 				}
 			}()
 			ib.drain(&stillFab{}, a)

@@ -217,8 +217,12 @@ func (f *singleFab) wakeAfter(n int, d sim.Time) sim.Time {
 	return at
 }
 
+// land implements fabric: the medium has already gated, charged and
+// traced every delivery, so there is nothing left to do.
+func (f *singleFab) land(int32, []Packet, []int32, bool) {}
+
 // onPacket queues a delivery into the inbox as one record with one
-// reference: the medium has already done shardRun.receive's part, the
+// receiver: the medium has already done shardRun.land's part, the
 // liveness check, the Rx charge, and the trace emission.
 func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	var p Packet
@@ -233,6 +237,13 @@ func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	if f.in.add(int32(id), p) {
 		f.med.Kernel().After(0, f.drain)
 	}
+}
+
+// add queues p for slot n at the current instant, as one record with one
+// receiver, the oracle's form of a delivery; the result is ref's.
+func (ib *inbox) add(n int32, p Packet) bool {
+	ib.record(p)
+	return ib.ref(n)
 }
 
 // identity is the identity layout's slot-to-ID map on n nodes.

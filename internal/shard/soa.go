@@ -39,11 +39,10 @@ type State struct {
 	// Per-node wake state, written only by the node's owner fabric:
 	// count is the number of packets the node has in its fabric's inbox
 	// at the current instant (the drain borrows it as the node's offset),
-	// listed marks a node the inbox will wake at the current instant,
 	// timerSet guards the one outstanding timer, and timerFired flags a
-	// timer that expired at the current instant.
+	// timer that expired at the current instant. A node with a nonzero
+	// count or a fired timer is listed for the instant's drain.
 	count      []int32
-	listed     []bool
 	timerSet   []bool
 	timerFired []bool
 }
@@ -57,7 +56,6 @@ func NewState(nw *deploy.Network) *State {
 		Suspended:  make([]bool, n),
 		GaspUntil:  make([]sim.Time, n),
 		count:      make([]int32, n),
-		listed:     make([]bool, n),
 		timerSet:   make([]bool, n),
 		timerFired: make([]bool, n),
 	}
@@ -104,24 +102,4 @@ type Packet struct {
 	Size    int64
 	Key     int64
 	Payload any
-}
-
-// sortBatch orders a wake batch, indices into the instant's record
-// table, by (From, Key). Batches reach the node's degree, but they arrive
-// almost sorted — nodes wake in ID order and every fan-out delivers in
-// ID order — so insertion sort runs in near-linear time and beats a
-// general sort here.
-func sortBatch(recs []Packet, b []int32) {
-	for i := 1; i < len(b); i++ {
-		for j := i; j > 0 && less(&recs[b[j]], &recs[b[j-1]]); j-- {
-			b[j], b[j-1] = b[j-1], b[j]
-		}
-	}
-}
-
-func less(a, b *Packet) bool {
-	if a.From != b.From {
-		return a.From < b.From
-	}
-	return a.Key < b.Key
 }
