@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv results fuzz fuzz-deploy fuzz-radio examples engines clean
+.PHONY: all check build vet fmt radio-users test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv results fuzz fuzz-deploy fuzz-radio examples engines clean
 
 all: build vet test
 
@@ -19,8 +19,9 @@ all: build vet test
 # conservation on lossy and lossless media, the seven examples, which
 # drive the synthesized alarm and tracking programs through their public
 # entry points, every wsnsim engine end to end, and results/ regenerated
-# and compared with the committed tables, before they land.
-check: vet fmt build race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines results
+# and compared with the committed tables, before they land. radio-users
+# keeps the radio medium inside the Section 5 protocol packages.
+check: vet fmt radio-users build race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines results
 
 build:
 	$(GO) build ./...
@@ -31,6 +32,20 @@ vet:
 # Every Go file must already be gofmt-clean.
 fmt:
 	test -z "$$(gofmt -l .)"
+
+# Only the Section 5 protocol packages may drive the radio medium; every
+# other package assembles the runtime system through emul.Stack. These
+# protocols move onto the shard fabric next, and radio then leaves
+# production code, which needs every other medium user gone first. Test
+# files and bench/ (its own module, outside ./...) are not checked.
+RADIO_USERS = radio vtopo binding vtree emul
+
+radio-users:
+	@bad=$$($(GO) list -f '{{.ImportPath}} {{join .Imports " "}}' ./... | \
+	  awk -v ok="$(RADIO_USERS)" 'BEGIN { n = split(ok, a, " "); for (i = 1; i <= n; i++) allow["wsnva/internal/" a[i]] = 1 } \
+	  !($$1 in allow) { for (i = 2; i <= NF; i++) if ($$i == "wsnva/internal/radio") print $$1 }'); \
+	test -z "$$bad" || { echo "FAIL: internal/radio imported outside the protocol packages:"; echo "$$bad"; exit 1; }
+	@echo "ok   internal/radio imported only by internal/{$$(echo $(RADIO_USERS) | tr ' ' ,)}"
 
 test:
 	$(GO) test ./...

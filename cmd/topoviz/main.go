@@ -17,14 +17,11 @@ import (
 
 	"wsnva/internal/binding"
 	"wsnva/internal/contour"
-	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/emul"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/radio"
 	"wsnva/internal/regions"
-	"wsnva/internal/sim"
-	"wsnva/internal/vtopo"
 )
 
 func main() {
@@ -44,11 +41,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	ledger := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), ledger, rand.New(rand.NewSource(*seed+1)), radio.Config{})
-	proto := vtopo.New(med, grid)
-	em := proto.Run()
-	bnd, _, err := binding.Bind(med, grid, binding.MinDistance{Network: nw, Grid: grid})
+	stack := emul.NewStack(nw, grid, emul.Config{})
+	_, em := stack.Emulate()
+	bnd, _, err := stack.Bind()
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -55,7 +55,6 @@ import (
 	"slices"
 	"strings"
 
-	"wsnva/internal/binding"
 	"wsnva/internal/churn"
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
@@ -65,7 +64,6 @@ import (
 	"wsnva/internal/geom"
 	"wsnva/internal/lockstep"
 	"wsnva/internal/metrics"
-	"wsnva/internal/radio"
 	"wsnva/internal/regions"
 	"wsnva/internal/runtime"
 	"wsnva/internal/shard"
@@ -73,7 +71,6 @@ import (
 	"wsnva/internal/synth"
 	"wsnva/internal/trace"
 	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
 )
 
 // engines are the -engine values, in the order the help text lists them.
@@ -139,32 +136,24 @@ func main() {
 		engineName, inj.Reached[0]+1, inj.Nodes, inj.Completion, inj.Total)
 
 	// Runtime system: topology emulation + virtual-process binding. Only
-	// the physical engine consumes the emulation tables, the binding, and
-	// the medium, so the shard engine skips the whole phase — at -n in the
-	// millions it would dominate the run for unread output.
-	var (
-		physLedger *cost.Ledger
-		med        *radio.Medium
-		proto      *vtopo.Protocol
-		bnd        *binding.Binding
-	)
+	// the physical engine consumes the emulation tables and the binding,
+	// so the shard engine skips the whole phase — at -n in the millions it
+	// would dominate the run for unread output.
+	var stack *emul.Stack
 	if *engine != "shard" {
-		physLedger = cost.NewLedger(cost.NewUniform(), nw.N())
-		med = radio.NewMedium(nw, sim.New(), physLedger, nil, radio.Config{})
-		proto = vtopo.New(med, grid)
-		em := proto.Run()
+		stack = emul.NewStack(nw, grid, emul.Config{})
+		_, em := stack.Emulate()
 		fmt.Printf("topology emulation: %d broadcasts, setup time %d, complete=%v\n",
 			em.Broadcasts, em.SetupTime, em.Complete)
 		if !em.Complete {
 			log.Fatal("wsnsim: emulation incomplete; raise -density")
 		}
-		var bres *binding.Result
-		bnd, bres, err = binding.Bind(med, grid, binding.MinDistance{Network: nw, Grid: grid})
+		bnd, bres, err := stack.Bind()
 		if err != nil {
 			log.Fatalf("wsnsim: binding failed: %v", err)
 		}
 		fmt.Printf("binding: %d leaders elected in %d broadcasts (convergence %d); runtime-system energy %d units\n",
-			len(bnd.Leaders), bres.Broadcasts, bres.Convergence, physLedger.Metrics().Total)
+			len(bnd.Leaders), bres.Broadcasts, bres.Convergence, stack.Ledger().Metrics().Total)
 	}
 
 	// Application layer: sense, threshold, label.
@@ -234,7 +223,7 @@ func main() {
 	case "physical":
 		// The assembled runtime: the application executes on the elected
 		// leaders over the emulated topology, sharing the physical ledger.
-		bndMachine, err := emul.New(h, proto, bnd, med)
+		bndMachine, err := stack.Machine()
 		if err != nil {
 			log.Fatalf("wsnsim: %v", err)
 		}
@@ -245,11 +234,11 @@ func main() {
 			// medium) plus every ledger charge.
 			exp = trace.New(1 << 20)
 			bndMachine.SetTracer(exp)
-			med.SetTracer(exp)
-			physLedger.SetTracer(exp, med.Kernel().Now)
+			stack.SetTracer(exp)
 		}
+		physLedger := stack.Ledger()
 		before := physLedger.Metrics().Total
-		if sched := churnPlan(*churnRate, *dutyCycle, nw.N(), churnHorizon, *seed+4); len(sched) > 0 {
+		if sched, woke := churnPlan(*churnRate, *dutyCycle, nw.N(), churnHorizon, *seed+4); len(sched) > 0 {
 			// Churn mission: the schedule drives sleep/wake and
 			// depart/revive transitions against the live runtime, each
 			// followed by incremental repair; labeling rounds interleave to
@@ -270,12 +259,9 @@ func main() {
 				exportTrace(*traceOut, exp)
 			}
 			if out.Final.Final == nil {
-				// A schedule that leaves radios asleep at the horizon (a
-				// duty-cycle whose last off-phase straddles it) can stall
-				// the concluding round — the repaired topology is fine, the
-				// labeling just ran against sleeping executors.
-				fmt.Printf("final labeling round STALLED: %d radios still asleep at the horizon\n",
-					stillDown(sched))
+				// The round stalled although the close-out woke every radio
+				// the schedule left asleep at the horizon; say how many.
+				fmt.Printf("final labeling round STALLED: %d radios still asleep at the horizon\n", woke)
 				return
 			}
 			final = out.Final.Final
@@ -304,7 +290,7 @@ func main() {
 		}
 		// Churn horizon matching the crash window's scale: 4*side covers
 		// the labeling run's active phase on a one-node-per-cell engine.
-		sched := churnPlan(*churnRate, *dutyCycle, grid.N(), sim.Time(4*int64(*side)), *seed+4)
+		sched, _ := churnPlan(*churnRate, *dutyCycle, grid.N(), sim.Time(4*int64(*side)), *seed+4)
 		res, err := shard.RunLabeling(m, shard.LabelConfig{Config: shard.Config{
 			Shards:  *shards,
 			Workers: *workers,
@@ -368,8 +354,11 @@ const churnHorizon = sim.Time(400)
 
 // churnPlan assembles the schedule the churn flags describe for an
 // n-radio engine: a Poisson sleep/wake process, a staggered duty-cycle
-// over every node, or their merge.
-func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) churn.Schedule {
+// over every node, or their merge. It closes the mission out by waking
+// whatever the schedule leaves asleep at the horizon, so the concluding
+// labeling round measures the repaired network rather than the residual
+// sleep set, and returns how many radios that woke.
+func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) (churn.Schedule, int) {
 	var parts []churn.Schedule
 	if rate > 0 {
 		parts = append(parts, churn.Poisson(n, rate, horizon, seed))
@@ -385,40 +374,7 @@ func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) c
 		}
 		parts = append(parts, churn.DutyCycle(nodes, sim.Time(period), sim.Time(on), horizon))
 	}
-	sched := churn.Merge(parts...)
-	// Close the mission out: wake whatever the schedule leaves asleep at
-	// the horizon, so the concluding labeling round measures the repaired
-	// network rather than the residual sleep set.
-	down := map[int]bool{}
-	for _, ev := range sched {
-		down[ev.Node] = ev.Op.Down()
-	}
-	var wake []int
-	for node := 0; node < n; node++ {
-		if down[node] {
-			wake = append(wake, node)
-		}
-	}
-	if len(wake) > 0 {
-		sched = churn.Merge(sched, churn.Arrivals(horizon+1, wake...))
-	}
-	return sched
-}
-
-// stillDown counts the nodes a schedule leaves suspended after its last
-// event (the schedule is time-sorted, so the last op per node decides).
-func stillDown(sched churn.Schedule) int {
-	last := map[int]bool{}
-	for _, ev := range sched {
-		last[ev.Node] = ev.Op.Down()
-	}
-	count := 0
-	for _, down := range last {
-		if down {
-			count++
-		}
-	}
-	return count
+	return churn.Merge(parts...).Settle(horizon + 1)
 }
 
 // exportTrace writes the tracer's events as JSONL and reports the export.

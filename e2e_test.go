@@ -9,19 +9,17 @@ import (
 	"math/rand"
 	"testing"
 
-	"wsnva/internal/binding"
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/emul"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/lockstep"
-	"wsnva/internal/radio"
 	"wsnva/internal/regions"
 	"wsnva/internal/runtime"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
 	"wsnva/internal/wire"
 )
 
@@ -120,13 +118,12 @@ func TestFullPhysicalStack(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		physLedger := cost.NewLedger(cost.NewUniform(), nw.N())
-		med := radio.NewMedium(nw, sim.New(), physLedger, rand.New(rand.NewSource(seed+1)), radio.Config{})
-		proto := vtopo.New(med, grid)
-		if em := proto.Run(); !em.Complete {
+		stack := emul.NewStack(nw, grid, emul.Config{})
+		proto, em := stack.Emulate()
+		if !em.Complete {
 			t.Fatalf("seed %d: emulation incomplete", seed)
 		}
-		bnd, _, err := binding.Bind(med, grid, binding.MinDistance{Network: nw, Grid: grid})
+		bnd, _, err := stack.Bind()
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

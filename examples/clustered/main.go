@@ -15,13 +15,10 @@ import (
 	"log"
 	"math/rand"
 
-	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/emul"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/radio"
-	"wsnva/internal/sim"
-	"wsnva/internal/vtree"
 )
 
 func main() {
@@ -54,9 +51,9 @@ func main() {
 		occupied, grid.N(), map[bool]string{true: "possible", false: "IMPOSSIBLE"}[nw.OccupancyOK(grid)])
 
 	// Tree virtual topology instead.
-	ledger := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), ledger, rand.New(rand.NewSource(seed+1)), radio.Config{})
-	tree := vtree.New(med)
+	stack := emul.NewStack(nw, grid, emul.Config{})
+	ledger := stack.Ledger()
+	tree := stack.Tree()
 	m := tree.Build(0)
 	if err := tree.Validate(); err != nil {
 		log.Fatal(err)

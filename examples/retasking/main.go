@@ -21,17 +21,15 @@ import (
 	"log"
 	"math/rand"
 
-	"wsnva/internal/binding"
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
+	"wsnva/internal/emul"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/radio"
 	"wsnva/internal/regions"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
 )
 
 const (
@@ -50,17 +48,17 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	physLedger := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), physLedger, rand.New(rand.NewSource(12)), radio.Config{})
-	if m := vtopo.New(med, grid).Run(); !m.Complete {
+	stack := emul.NewStack(nw, grid, emul.Config{})
+	if _, m := stack.Emulate(); !m.Complete {
 		log.Fatal("emulation incomplete")
 	}
 
 	// Initial binding (closest-to-center) plus the managed rotation service.
-	rot, err := binding.NewRotator(med, grid, physLedger)
+	rot, err := stack.Rotator()
 	if err != nil {
 		log.Fatal(err)
 	}
+	physLedger := stack.Ledger()
 	fmt.Printf("deployment: %d nodes, %d cells, initial leaders elected by distance\n\n", nw.N(), grid.N())
 
 	for cycle := 1; cycle <= cycles; cycle++ {

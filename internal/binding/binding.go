@@ -92,8 +92,8 @@ type electMsg struct {
 	owner int // node the score belongs to
 }
 
-// Election runs one leader election per cell over the medium.
-type Election struct {
+// election runs one leader election per cell over the medium.
+type election struct {
 	med  *radio.Medium
 	grid *geom.Grid
 
@@ -112,14 +112,14 @@ type Election struct {
 	lastChange sim.Time
 }
 
-// NewElection prepares an election over med's network for grid, using
+// newElection prepares an election over med's network for grid, using
 // metric. Scores are snapshotted here: a metric like MaxResidual reads the
 // energy ledger, and the election's own radio traffic charges that same
 // ledger, so evaluating scores lazily would make the protocol chase a
-// moving target. Call Run to execute.
-func NewElection(med *radio.Medium, grid *geom.Grid, metric Metric) *Election {
+// moving target. Call run to execute.
+func newElection(med *radio.Medium, grid *geom.Grid, metric Metric) *election {
 	nw := med.Network()
-	e := &Election{
+	e := &election{
 		med:        med,
 		grid:       grid,
 		cellOf:     make([]geom.Coord, nw.N()),
@@ -153,7 +153,7 @@ func better(sa float64, oa int, sb float64, ob int) bool {
 }
 
 // onPacket is the medium's receiver while the election owns it.
-func (e *Election) onPacket(id int, pkt radio.Packet) {
+func (e *election) onPacket(id int, pkt radio.Packet) {
 	msg, ok := pkt.Payload.(*electMsg)
 	if !ok {
 		return
@@ -175,7 +175,7 @@ func (e *Election) onPacket(id int, pkt radio.Packet) {
 	e.schedule(id)
 }
 
-func (e *Election) schedule(id int) {
+func (e *election) schedule(id int) {
 	if e.pending[id] {
 		return
 	}
@@ -185,7 +185,7 @@ func (e *Election) schedule(id int) {
 
 // broadcast sends node id's scheduled score broadcast: the best score it
 // knows at transmission.
-func (e *Election) broadcast(id int) {
+func (e *election) broadcast(id int) {
 	e.pending[id] = false
 	e.broadcasts++
 	e.med.Broadcast(id, scoreMsgSize, &electMsg{
@@ -193,8 +193,8 @@ func (e *Election) broadcast(id int) {
 	})
 }
 
-// Run executes the election to quiescence and returns the result.
-func (e *Election) Run() *Result {
+// run executes the election to quiescence and returns the result.
+func (e *election) run() *Result {
 	start := e.med.Kernel().Now()
 	e.lastChange = start
 	for id := range e.leaderFlag {
@@ -282,7 +282,7 @@ type Binding struct {
 // Bind runs a complete election and returns the virtual-to-physical
 // binding, failing if any occupied cell is leaderless or conflicted.
 func Bind(med *radio.Medium, grid *geom.Grid, metric Metric) (*Binding, *Result, error) {
-	res := NewElection(med, grid, metric).Run()
+	res := newElection(med, grid, metric).run()
 	if err := res.Verify(med.Network(), grid); err != nil {
 		return nil, res, err
 	}

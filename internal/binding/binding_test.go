@@ -28,7 +28,7 @@ func setup(t *testing.T, side, nodes int, txRange float64, seed int64) (*radio.M
 func TestElectionFindsClosestToCenter(t *testing.T) {
 	med, nw, g, _ := setup(t, 4, 160, 12, 1)
 	metric := MinDistance{Network: nw, Grid: g}
-	res := NewElection(med, g, metric).Run()
+	res := newElection(med, g, metric).run()
 	if err := res.Verify(nw, g); err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestElectionFindsClosestToCenter(t *testing.T) {
 
 func TestElectionBroadcastCounts(t *testing.T) {
 	med, nw, g, _ := setup(t, 4, 160, 12, 2)
-	res := NewElection(med, g, MinDistance{Network: nw, Grid: g}).Run()
+	res := newElection(med, g, MinDistance{Network: nw, Grid: g}).run()
 	if res.Broadcasts < int64(nw.N()) {
 		t.Errorf("every node broadcasts at least once: %d < %d", res.Broadcasts, nw.N())
 	}
@@ -70,7 +70,7 @@ func TestSingletonCellsElectThemselves(t *testing.T) {
 	l := cost.NewLedger(cost.NewUniform(), nw.N())
 	med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(3)), radio.Config{})
 	metric := MinDistance{Network: nw, Grid: g}
-	res := NewElection(med, g, metric).Run()
+	res := newElection(med, g, metric).run()
 	if err := res.Verify(nw, g); err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestMaxResidualMetric(t *testing.T) {
 		}
 	}
 	metric := MaxResidual{Ledger: l}
-	res := NewElection(med, g, metric).Run()
+	res := newElection(med, g, metric).run()
 	if err := res.Verify(nw, g); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestMaxResidualMetric(t *testing.T) {
 func TestExcludingMetricForRotation(t *testing.T) {
 	med, nw, g, _ := setup(t, 2, 60, 25, 5)
 	base := MinDistance{Network: nw, Grid: g}
-	first := NewElection(med, g, base).Run()
+	first := newElection(med, g, base).run()
 	if err := first.Verify(nw, g); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestExcludingMetricForRotation(t *testing.T) {
 	}
 	med2, nw2, g2, _ := setup(t, 2, 60, 25, 5) // identical deployment (same seed)
 	rot2 := Excluding{Inner: MinDistance{Network: nw2, Grid: g2}, Excluded: excluded}
-	second := NewElection(med2, g2, rot2).Run()
+	second := newElection(med2, g2, rot2).run()
 	if err := second.Verify(nw2, g2); err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestBindHelper(t *testing.T) {
 func TestVerifyCatchesViolations(t *testing.T) {
 	med, nw, g, _ := setup(t, 2, 40, 30, 7)
 	metric := MinDistance{Network: nw, Grid: g}
-	res := NewElection(med, g, metric).Run()
+	res := newElection(med, g, metric).run()
 	// Corrupt: wrong leader.
 	good := res.Leaders[geom.Coord{Col: 0, Row: 0}]
 	members := nw.CellMembers(g)[0]

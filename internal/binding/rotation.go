@@ -25,13 +25,14 @@ type Rotator struct {
 }
 
 // NewRotator elects the initial binding with the paper's closest-to-center
-// metric and prepares rotation on the given ledger's residual energy.
-func NewRotator(med *radio.Medium, grid *geom.Grid, ledger *cost.Ledger) (*Rotator, error) {
+// metric and prepares rotation on the residual energy of the medium's own
+// ledger, the one the elections charge.
+func NewRotator(med *radio.Medium, grid *geom.Grid) (*Rotator, error) {
 	bnd, _, err := Bind(med, grid, MinDistance{Network: med.Network(), Grid: grid})
 	if err != nil {
 		return nil, fmt.Errorf("binding: initial election: %w", err)
 	}
-	r := &Rotator{med: med, grid: grid, ledger: ledger, current: bnd, ledCount: map[int]int{}}
+	r := &Rotator{med: med, grid: grid, ledger: med.Ledger(), current: bnd, ledCount: map[int]int{}}
 	for _, id := range bnd.Leaders {
 		r.ledCount[id]++
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestRotatorSpreadsLeadership(t *testing.T) {
 	med, nw, g, l := setup(t, 4, 160, 12, 31)
-	r, err := NewRotator(med, g, l)
+	r, err := NewRotator(med, g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestRotatorSpreadsLeadership(t *testing.T) {
 
 func TestRotatorPrefersRestedNodes(t *testing.T) {
 	med, nw, g, l := setup(t, 2, 40, 30, 33)
-	r, err := NewRotator(med, g, l)
+	r, err := NewRotator(med, g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -153,6 +153,31 @@ func Merge(parts ...Schedule) Schedule {
 	return out.Normalize()
 }
 
+// Settle closes a schedule out at instant at, which must not precede its
+// last event: every node the schedule leaves down (asleep or departed)
+// arrives at at, so a replay ends with every radio up. It returns the
+// closed schedule and how many nodes it brought back; a schedule that
+// leaves nobody down comes back unchanged.
+func (s Schedule) Settle(at sim.Time) (Schedule, int) {
+	if at < s.Horizon() {
+		panic(fmt.Sprintf("churn: settling at %d, before the schedule's last event at %d", at, s.Horizon()))
+	}
+	down := map[int]bool{}
+	for _, e := range s.Normalize() {
+		down[e.Node] = e.Op.Down()
+	}
+	var wake []int
+	for node, d := range down {
+		if d {
+			wake = append(wake, node)
+		}
+	}
+	if len(wake) == 0 {
+		return s, 0
+	}
+	return Merge(s, Arrivals(at, wake...)), len(wake)
+}
+
 // Departures schedules the nodes to depart at the given instant.
 func Departures(at sim.Time, nodes ...int) Schedule {
 	out := make(Schedule, 0, len(nodes))

@@ -2,6 +2,7 @@ package churn
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 
 	"wsnva/internal/sim"
@@ -207,4 +208,73 @@ func TestOpStringAndDown(t *testing.T) {
 	if s.Horizon() != sim.Time(0) {
 		t.Error("empty horizon nonzero")
 	}
+}
+
+// downAfter replays s batch by batch and returns the nodes it leaves
+// down, in ascending order.
+func downAfter(s Schedule) []int {
+	down := map[int]bool{}
+	for _, b := range s.Batches() {
+		for _, e := range b.Events {
+			down[e.Node] = e.Op.Down()
+		}
+	}
+	var out []int
+	for node := range down {
+		if down[node] {
+			out = append(out, node)
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+func TestSettleWakesTheResidualSet(t *testing.T) {
+	const horizon = sim.Time(400)
+	cases := []struct {
+		name     string
+		s        Schedule
+		residual int // nodes s leaves down; -1: any number
+	}{
+		// Nodes 3 and 4 (phases 24 and 32) sleep at 392 and 400 and
+		// would wake past the horizon.
+		{"duty cycle straddling the horizon", DutyCycle([]int{0, 1, 2, 3, 4, 5, 6, 7}, 64, 48, horizon), 2},
+		{"poisson", Poisson(20, 0.2, horizon, 5), -1},
+		{"departure without arrival", Merge(Departures(10, 3, 5), Arrivals(30, 3)), 1},
+		{"empty", nil, 0},
+	}
+	for _, c := range cases {
+		residual := downAfter(c.s)
+		if c.residual >= 0 && len(residual) != c.residual {
+			t.Errorf("%s: %d nodes left down %v, want %d", c.name, len(residual), residual, c.residual)
+		}
+		settled, woke := c.s.Settle(horizon + 1)
+		if woke != len(residual) {
+			t.Errorf("%s: Settle woke %d nodes, the schedule left %d down", c.name, woke, len(residual))
+		}
+		if left := downAfter(settled); len(left) != 0 {
+			t.Errorf("%s: nodes %v still down after Settle", c.name, left)
+		}
+		if len(settled) != len(c.s)+woke {
+			t.Errorf("%s: settled schedule has %d events, want %d + %d", c.name, len(settled), len(c.s), woke)
+		}
+		for i, node := range residual {
+			e := settled[len(c.s)+i]
+			if e.Node != node || e.At != horizon+1 || e.Op != Arrive {
+				t.Errorf("%s: close-out event %d is %+v, want node %d arriving at %d", c.name, i, e, node, horizon+1)
+			}
+		}
+	}
+	if _, woke := Poisson(20, 0.2, horizon, 5).Settle(horizon + 1); woke == 0 {
+		t.Error("the Poisson case leaves nobody down; it checks nothing")
+	}
+}
+
+func TestSettleBeforeTheLastEventPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("settling before the last event did not panic")
+		}
+	}()
+	Departures(10, 1).Settle(9)
 }

@@ -7,7 +7,9 @@
 // emul.Machine is the thing that actually runs in the field; experiment
 // E16 runs the same application on both and compares the bills, which is
 // the whole-application version of the paper's analysis-to-measurement
-// correspondence promise.
+// correspondence promise. Stack is the one way to assemble it: it owns the
+// ledger, the kernel and the radio medium, and runs the Section 5 phases
+// in the paper's order.
 package emul
 
 import (
@@ -51,18 +53,14 @@ type Machine struct {
 
 	// Fault layer (see faults.go).
 	failovers int64
-	unrouted  int64
 
 	tracer *trace.Tracer
 }
 
 // SetTracer attaches an observability tracer (nil detaches). The machine
-// emits virtual-plane events; attach the same tracer to the medium (and
-// ledger) to interleave the physical-plane story.
+// emits virtual-plane events; attach the same tracer to its stack
+// (Stack.SetTracer) to interleave the physical-plane story.
 func (m *Machine) SetTracer(t *trace.Tracer) { m.tracer = t }
-
-// Tracer returns the attached tracer, or nil.
-func (m *Machine) Tracer() *trace.Tracer { return m.tracer }
 
 // vevt builds a virtual-plane event: coordinates name the virtual node and
 // ID stays -1, so virtual identities never collide with the physical node
@@ -182,7 +180,6 @@ func (m *Machine) forward(id int, env appMsg) {
 		hop := int(m.toLeader[id])
 		if hop == noRoute {
 			// Failures cut this relay off from its cell's leader.
-			m.unrouted++
 			if m.tracer != nil {
 				m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no path to leader"))
 			}
@@ -199,7 +196,6 @@ func (m *Machine) forward(id int, env appMsg) {
 		if err != nil {
 			// No alive route in that direction (ForwardPath refuses chains
 			// through dead nodes). Complete fault-free tables never err here.
-			m.unrouted++
 			if m.tracer != nil {
 				m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no forward path"))
 			}
@@ -231,7 +227,6 @@ func (m *Machine) onPacket(id int, pkt radio.Packet) {
 // — the virtual process has moved (or died) with its executor.
 func (m *Machine) dispatch(id int, env appMsg) {
 	if !m.up(id) || m.bnd.Leaders[env.to] != id {
-		m.unrouted++
 		if m.tracer != nil {
 			m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: dead or deposed leader"))
 		}

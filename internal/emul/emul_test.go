@@ -4,22 +4,19 @@ import (
 	"math/rand"
 	"testing"
 
-	"wsnva/internal/binding"
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
-	"wsnva/internal/radio"
 	"wsnva/internal/regions"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
 )
 
-// stack assembles the full physical pipeline: deployment, emulation,
-// binding, physical machine.
-func stack(t *testing.T, side, perCell int, seed int64) (*Machine, *varch.Hierarchy, *cost.Ledger, *deploy.Network) {
+// deployment generates a valid deployment of perCell nodes per cell on
+// a side×side grid at the paper's range of 1.25 cell sides.
+func deployment(t *testing.T, side, perCell int, seed int64) (*deploy.Network, *geom.Grid) {
 	t.Helper()
 	g := geom.NewSquareGrid(side, float64(side)*10)
 	rng := rand.New(rand.NewSource(seed))
@@ -27,22 +24,26 @@ func stack(t *testing.T, side, perCell int, seed int64) (*Machine, *varch.Hierar
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(seed+1)), radio.Config{})
-	proto := vtopo.New(med, g)
-	if m := proto.Run(); !m.Complete {
+	return nw, g
+}
+
+// stack assembles the full physical pipeline: deployment, emulation,
+// binding, physical machine.
+func stack(t *testing.T, side, perCell int, seed int64) (*Machine, *varch.Hierarchy, *cost.Ledger, *deploy.Network) {
+	t.Helper()
+	nw, g := deployment(t, side, perCell, seed)
+	s := NewStack(nw, g, Config{})
+	if _, m := s.Emulate(); !m.Complete {
 		t.Fatal("emulation incomplete")
 	}
-	bnd, _, err := binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g})
+	if _, _, err := s.Bind(); err != nil {
+		t.Fatal(err)
+	}
+	m, err := s.Machine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := varch.MustHierarchy(g)
-	m, err := New(h, proto, bnd, med)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, h, l, nw
+	return m, m.hier, s.Ledger(), nw
 }
 
 func TestPhysicalLabelingMatchesVirtual(t *testing.T) {

@@ -52,11 +52,6 @@ func (m *Machine) repairRoles(cell geom.Coord) {
 // Failovers counts cell-leader promotions performed by Kill.
 func (m *Machine) Failovers() int64 { return m.failovers }
 
-// Unrouted counts messages dropped because failures left them no path: a
-// relay cut off from its cell's leader, or a destination leader that died
-// or was deposed with the message in flight.
-func (m *Machine) Unrouted() int64 { return m.unrouted }
-
 // rebuildCell recomputes one cell's intra-cell relay tree over its up
 // (alive and awake) members, rooted at the current bound leader. Members
 // the failures cut off from the leader lose their next-hop entry, so

@@ -4,20 +4,13 @@ import (
 	"fmt"
 	"math/rand"
 
-	"wsnva/internal/binding"
 	"wsnva/internal/churn"
-	"wsnva/internal/cost"
-	"wsnva/internal/deploy"
 	"wsnva/internal/emul"
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
-	"wsnva/internal/geom"
-	"wsnva/internal/radio"
 	"wsnva/internal/shard"
 	"wsnva/internal/sim"
 	"wsnva/internal/stats"
-	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
 )
 
 // e23Horizon is the churn window for the E23 sweep: long enough for the
@@ -31,25 +24,8 @@ const e23Horizon = sim.Time(400)
 // insists map and hierarchy share the grid object), and the deployment
 // size.
 func churnStack(side, perCell int, seed int64) (*emul.Machine, *field.BinaryMap, int) {
-	g := geom.NewSquareGrid(side, float64(side)*10)
-	rng := rand.New(rand.NewSource(seed))
-	nw, _, err := deploy.Generate(side*side*perCell, g, g.CellSide()*1.25, deploy.UniformRandom{}, rng, 200)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	med := radio.NewMedium(nw, sim.New(), cost.NewLedger(cost.NewUniform(), nw.N()), nil, radio.Config{})
-	proto := vtopo.New(med, g)
-	if m := proto.Run(); !m.Complete {
-		panic("experiments: emulation incomplete")
-	}
-	bnd, _, err := binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g})
-	if err != nil {
-		panic(err)
-	}
-	pm, err := emul.New(varch.MustHierarchy(g), proto, bnd, med)
-	if err != nil {
-		panic(err)
-	}
+	nw, g, s := physSetup(side, perCell, 12.5, seed)
+	pm, _ := assemble(s, false)
 	fmap := field.Threshold(field.RandomBlobs(2, g.Terrain,
 		g.Terrain.Width()/6, g.Terrain.Width()/4, rand.New(rand.NewSource(seed+10))), g, 0.5, 0)
 	return pm, fmap, nw.N()
@@ -92,23 +68,10 @@ func E23ChurnRepair(o Options) *stats.Table {
 		pm, fmap, n := churnStack(tr.side, perCell, 11)
 		var sched churn.Schedule
 		if tr.rate > 0 {
-			sched = churn.Poisson(n, tr.rate, e23Horizon, 23)
 			// Close the mission by waking whatever the Poisson process left
 			// asleep, so the final labeling round measures the repaired
 			// network rather than the residual sleep set.
-			down := make(map[int]bool)
-			for _, ev := range sched {
-				down[ev.Node] = ev.Op.Down()
-			}
-			var wake []int
-			for node := 0; node < n; node++ {
-				if down[node] {
-					wake = append(wake, node)
-				}
-			}
-			if len(wake) > 0 {
-				sched = churn.Merge(sched, churn.Arrivals(e23Horizon+1, wake...))
-			}
+			sched, _ = churn.Poisson(n, tr.rate, e23Horizon, 23).Settle(e23Horizon + 1)
 		}
 		out, err := pm.RunChurn(emul.ChurnConfig{
 			Schedule:   sched,

@@ -6,20 +6,13 @@ import (
 	"math/rand"
 
 	"wsnva/internal/battery"
-	"wsnva/internal/binding"
 	"wsnva/internal/cost"
-	"wsnva/internal/deploy"
 	"wsnva/internal/emul"
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
-	"wsnva/internal/geom"
-	"wsnva/internal/radio"
-	"wsnva/internal/sim"
 	"wsnva/internal/stats"
 	"wsnva/internal/synth"
 	"wsnva/internal/trace"
-	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
 )
 
 // The depletion family (E19, E20) measures the battery subsystem end to
@@ -57,48 +50,18 @@ const (
 // mission onward (the tracer is attached after setup, matching the
 // budgets' sunk-cost convention).
 func lifetimeMission(budget cost.Energy, rotate bool, tr *trace.Tracer) (*emul.LifetimeOutcome, *cost.Ledger) {
-	const side, perCell = 4, 5
-	g := geom.NewSquareGrid(side, float64(side)*10)
-	rng := rand.New(rand.NewSource(11))
-	nw, _, err := deploy.Generate(side*side*perCell, g, g.CellSide()*1.25, deploy.UniformRandom{}, rng, 200)
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	l := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), l, nil, radio.Config{})
-	proto := vtopo.New(med, g)
-	if m := proto.Run(); !m.Complete {
-		panic("experiments: emulation incomplete")
-	}
 	// Both modes run the identical initial election, so their pre-mission
 	// state matches charge for charge; they diverge only in what happens
 	// between rounds.
-	var rot *binding.Rotator
-	var bnd *binding.Binding
-	if rotate {
-		rot, err = binding.NewRotator(med, g, l)
-		if err != nil {
-			panic(err)
-		}
-		bnd = rot.Current()
-	} else {
-		bnd, _, err = binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g})
-		if err != nil {
-			panic(err)
-		}
-	}
-	pm, err := emul.New(varch.MustHierarchy(g), proto, bnd, med)
-	if err != nil {
-		panic(err)
-	}
+	nw, g, s := physSetup(4, 5, 12.5, 11)
+	pm, rot := assemble(s, rotate)
 	fmap := field.Threshold(field.RandomBlobs(2, g.Terrain,
 		g.Terrain.Width()/6, g.Terrain.Width()/4, rand.New(rand.NewSource(21))), g, 0.5, 0)
 	bank := battery.Uniform(nw.N(), budget)
 	if tr != nil {
 		pm.SetTracer(tr)
-		med.SetTracer(tr)
-		l.SetTracer(tr, med.Kernel().Now)
-		bank.SetTracer(tr, med.Kernel().Now)
+		s.SetTracer(tr)
+		bank.SetTracer(tr, s.Kernel().Now)
 	}
 	out, err := pm.RunLifetime(emul.LifetimeConfig{
 		Map:     fmap,
@@ -114,7 +77,7 @@ func lifetimeMission(budget cost.Energy, rotate bool, tr *trace.Tracer) (*emul.L
 	if err != nil {
 		panic(err)
 	}
-	return out, l
+	return out, s.Ledger()
 }
 
 // E19NetworkLifetime sweeps the per-node budget for static executors and

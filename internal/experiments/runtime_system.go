@@ -11,28 +11,48 @@ import (
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/parallel"
-	"wsnva/internal/radio"
 	"wsnva/internal/shard"
 	"wsnva/internal/sim"
 	"wsnva/internal/stats"
 	"wsnva/internal/synth"
 	"wsnva/internal/varch"
-	"wsnva/internal/vtopo"
-	"wsnva/internal/vtree"
 )
 
 // physSetup builds a valid dense deployment over a side×side grid with the
-// given mean nodes-per-cell density, returning the protocol stack pieces.
-func physSetup(side, perCell int, txRange float64, seed int64) (*deploy.Network, *geom.Grid, *radio.Medium, *cost.Ledger) {
+// given mean nodes-per-cell density, and the lossless runtime-system stack
+// over it.
+func physSetup(side, perCell int, txRange float64, seed int64) (*deploy.Network, *geom.Grid, *emul.Stack) {
 	g := geom.NewSquareGrid(side, float64(side)*10)
 	rng := rand.New(rand.NewSource(seed))
 	nw, _, err := deploy.Generate(side*side*perCell, g, txRange, deploy.UniformRandom{}, rng, 200)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: %v", err))
 	}
-	l := cost.NewLedger(cost.NewUniform(), nw.N())
-	med := radio.NewMedium(nw, sim.New(), l, nil, radio.Config{})
-	return nw, g, med, l
+	return nw, g, emul.NewStack(nw, g, emul.Config{})
+}
+
+// assemble runs the runtime system's set-up on s: topology emulation,
+// the closest-to-center election (inside a Rotator when rotate is set),
+// then the machine on the bound leaders.
+func assemble(s *emul.Stack, rotate bool) (*emul.Machine, *binding.Rotator) {
+	if _, m := s.Emulate(); !m.Complete {
+		panic("experiments: emulation incomplete")
+	}
+	var rot *binding.Rotator
+	var err error
+	if rotate {
+		rot, err = s.Rotator()
+	} else {
+		_, _, err = s.Bind()
+	}
+	if err != nil {
+		panic(err)
+	}
+	pm, err := s.Machine()
+	if err != nil {
+		panic(err)
+	}
+	return pm, rot
 }
 
 // E5Emulation reproduces the three efficiency claims of Section 5.1 for
@@ -53,9 +73,8 @@ func E5Emulation(o Options) *stats.Table {
 	}
 	sweep(o, tab, len(densities), func(i int) rows {
 		d := densities[i]
-		nw, g, med, _ := physSetup(4, d.perCell, d.txRange, int64(d.perCell)*13)
-		p := vtopo.New(med, g)
-		m := p.Run()
+		nw, g, s := physSetup(4, d.perCell, d.txRange, int64(d.perCell)*13)
+		_, m := s.Emulate()
 		pathLen := nw.MaxIntraCellPathLen(g)
 		timePerPath := "-"
 		if pathLen > 0 {
@@ -81,13 +100,11 @@ func E6Election(o Options) *stats.Table {
 	}
 	sweep(o, tab, len(densities), func(i int) rows {
 		perCell := densities[i]
-		nw, g, med, _ := physSetup(4, perCell, 12, int64(perCell)*17)
-		metric := binding.MinDistance{Network: nw, Grid: g}
-		res := binding.NewElection(med, g, metric).Run()
-		correct := res.Verify(nw, g) == nil
+		nw, _, s := physSetup(4, perCell, 12, int64(perCell)*17)
+		_, res, err := s.Bind()
 		return rows{{perCell, nw.N(),
 			float64(res.Broadcasts) / float64(nw.N()),
-			int64(res.Convergence), res.Demotions, correct}}
+			int64(res.Convergence), res.Demotions, err == nil}}
 	})
 	return tab
 }
@@ -109,13 +126,13 @@ func E8Correspondence(o Options) *stats.Table {
 	const msgSize = 4
 	sweep(o, tab, len(gridSides), func(gi int) rows {
 		side := gridSides[gi]
-		nw, g, med, l := physSetup(side, 8, 11, 29)
-		p := vtopo.New(med, g)
-		if m := p.Run(); !m.Complete {
+		_, g, s := physSetup(side, 8, 11, 29)
+		p, m := s.Emulate()
+		if !m.Complete {
 			panic("experiments: emulation incomplete")
 		}
 		// Bind virtual processes so each cell has a concrete executor.
-		bnd, _, err := binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g})
+		bnd, _, err := s.Bind()
 		if err != nil {
 			panic(err)
 		}
@@ -131,13 +148,13 @@ func E8Correspondence(o Options) *stats.Table {
 						continue
 					}
 					pe, _ := vm.PredictLeaderCost(f, level, msgSize)
-					before := l.Total()
+					before := s.Ledger().Total()
 					path, err := p.RouteCells(bnd.Leaders[f], leader, msgSize)
 					if err != nil {
 						panic(err)
 					}
-					med.Kernel().Run() // drain deliveries so rx energy lands
-					measured := float64(l.Total() - before)
+					s.Kernel().Run() // drain deliveries so rx energy lands
+					measured := float64(s.Ledger().Total() - before)
 					virt = append(virt, float64(f.Manhattan(leader)))
 					phys = append(phys, float64(len(path)))
 					predE = append(predE, float64(pe))
@@ -194,10 +211,10 @@ func E12TreeTopology(o Options) *stats.Table {
 				return trialResult{} // tree and grid both need connectivity; skip
 			}
 			out := trialResult{connected: true, occOK: nw.OccupancyOK(g)}
-			l := cost.NewLedger(cost.NewUniform(), nw.N())
-			med := radio.NewMedium(nw, sim.New(), l, nil, radio.Config{})
-			med.SetTracer(o.Trace)
-			p := vtree.New(med)
+			s := emul.NewStack(nw, g, emul.Config{})
+			s.SetTracer(o.Trace)
+			l := s.Ledger()
+			p := s.Tree()
 			m := p.Build(0)
 			out.spans = m.Reached == nw.N()
 			out.depth = m.MaxDepth
@@ -268,10 +285,7 @@ func E13LossyEmulation(o Options) *stats.Table {
 		if err != nil {
 			panic(err)
 		}
-		l := cost.NewLedger(cost.NewUniform(), nw.N())
-		med := radio.NewMedium(nw, sim.New(), l, rand.New(rand.NewSource(62)), radio.Config{Loss: loss})
-		p := vtopo.New(med, g)
-		m := p.Run()
+		p, m := emul.NewStack(nw, g, emul.Config{Loss: loss, Seed: 62}).Emulate()
 		firstComplete := m.Complete
 		rounds := 0
 		for !m.Complete && rounds < 50 {
@@ -328,27 +342,9 @@ func E16WholeApp(o Options) *stats.Table {
 	}
 	sweep(o, tab, len(cases), func(i int) rows {
 		tc := cases[i]
-		g := geom.NewSquareGrid(tc.side, float64(tc.side)*10)
-		rng := rand.New(rand.NewSource(tc.seed))
-		nw, _, err := deploy.Generate(tc.side*tc.side*tc.perCell, g, g.CellSide()*1.25, deploy.UniformRandom{}, rng, 200)
-		if err != nil {
-			panic(err)
-		}
-		physLedger := cost.NewLedger(cost.NewUniform(), nw.N())
-		med := radio.NewMedium(nw, sim.New(), physLedger, nil, radio.Config{})
-		proto := vtopo.New(med, g)
-		if m := proto.Run(); !m.Complete {
-			panic("experiments: emulation incomplete")
-		}
-		bnd, _, err := binding.Bind(med, g, binding.MinDistance{Network: nw, Grid: g})
-		if err != nil {
-			panic(err)
-		}
-		h := varch.MustHierarchy(g)
-		pm, err := emul.New(h, proto, bnd, med)
-		if err != nil {
-			panic(err)
-		}
+		_, g, s := physSetup(tc.side, tc.perCell, 12.5, tc.seed)
+		pm, _ := assemble(s, false)
+		physLedger := s.Ledger()
 		fmap := field.Threshold(field.RandomBlobs(2, g.Terrain,
 			g.Terrain.Width()/6, g.Terrain.Width()/4, rand.New(rand.NewSource(tc.seed+9))), g, 0.5, 0)
 
@@ -360,7 +356,7 @@ func E16WholeApp(o Options) *stats.Table {
 		physEnergy := int64(physLedger.Metrics().Total - setupEnergy)
 
 		virtLedger := cost.NewLedger(cost.NewUniform(), g.N())
-		virtRes, err := synth.RunOnMachine(varch.NewMachine(h, sim.New(), virtLedger), fmap)
+		virtRes, err := synth.RunOnMachine(varch.NewMachine(varch.MustHierarchy(g), sim.New(), virtLedger), fmap)
 		if err != nil {
 			panic(err)
 		}
@@ -387,9 +383,8 @@ func E10Churn(o Options) *stats.Table {
 	}
 	sweep(o, tab, len(failures), func(i int) rows {
 		kills := failures[i]
-		nw, g, med, _ := physSetup(4, 10, 11, int64(kills)*41)
-		p := vtopo.New(med, g)
-		full := p.Run()
+		nw, g, s := physSetup(4, 10, 11, int64(kills)*41)
+		p, full := s.Emulate()
 		if !full.Complete {
 			panic("experiments: initial emulation incomplete")
 		}
