@@ -53,9 +53,9 @@ type Bank struct {
 	deaths   int
 	// onDeplete, if set, fires synchronously the moment a node's drain
 	// crosses its capacity — after the crossing charge is granted, before
-	// Absorb returns. The callback typically routes to fault.Injector.Fail
-	// (or directly to a Kill target plus CancelOwner) and must not charge
-	// the ledger the bank is metering.
+	// Absorb returns. The callback is the metered engine's fail-stop
+	// (varch.Machine.Kill, emul.Machine.Kill, the shard engine's deplete)
+	// and must not charge the ledger the bank is metering.
 	onDeplete func(node int)
 	tracer    *trace.Tracer
 	clock     func() sim.Time

@@ -101,11 +101,9 @@ func (m *Machine) RunLifetime(cfg LifetimeConfig) (*LifetimeOutcome, error) {
 		}
 		// Fail-stop at the depleting charge's simulated time: radio off,
 		// routing tables informed, executor role promoted, relay trees
-		// rebuilt — the full Kill path, plus owned-event cancellation for
-		// symmetry with the DES engine (the physical layer schedules its
-		// deliveries unowned, so the radio's alive gate does the real work).
+		// rebuilt — the full Kill path. The physical layer schedules no
+		// owned events, so the radio's alive gate is the whole silence.
 		m.Kill(id)
-		m.Kernel().CancelOwner(id)
 	})
 
 	g := m.hier.Grid

@@ -2,16 +2,19 @@
 // kernel. The paper's premise is an unreliable substrate — "latency of
 // message delivery is unpredictable ... some messages might even be
 // dropped" — and its Section 5 protocols are supposed to survive worse:
-// nodes that die mid-protocol. This package supplies the two halves of
-// that stress:
+// nodes that die mid-protocol. This package supplies the inputs of that
+// stress; each engine owns the fail-stop they drive:
 //
 //   - crash schedules: fail-stop node deaths at scheduled sim.Times,
 //     seed-derived random crash sets (nested as the crash fraction grows,
 //     so sweeps are monotone by construction), and region-targeted kill
-//     zones. An Injector arms a schedule on a kernel: at each crash time it
-//     silences the node on every registered Target (radio alive gate,
-//     virtual-machine alive gate) and cancels all the node's owned events
-//     via sim.Kernel.CancelOwner.
+//     zones. Schedule.Arm schedules a schedule's crashes on a kernel, each
+//     calling the engine's own kill (varch.Machine.Kill on the DES
+//     machine, which silences the node and cancels its owned events).
+//
+//   - loss channels: the one loss decision every engine draws from, as an
+//     independent coin, a Gilbert–Elliott burst chain, or counter-keyed
+//     per-sender streams.
 //
 //   - a reliable-delivery policy: stop-and-wait ARQ with bounded retries
 //     and capped exponential backoff, energy-accounted under the uniform
@@ -20,8 +23,8 @@
 //     reliability without changing a line of application code.
 //
 // Everything is deterministic under a fixed seed: schedules are pure
-// functions of their inputs, and the injector schedules crashes in a fixed
-// order, so tests can pin exact retry counts and failover outcomes.
+// functions of their inputs, and Arm schedules crashes in a fixed order,
+// so tests can pin exact retry counts and failover outcomes.
 package fault
 
 import (
@@ -61,15 +64,6 @@ func (s Schedule) normalize() Schedule {
 		}
 		seen[c.Node] = true
 		out = append(out, c)
-	}
-	return out
-}
-
-// Nodes returns the set of nodes the schedule kills, in crash order.
-func (s Schedule) Nodes() []int {
-	out := make([]int, len(s))
-	for i, c := range s {
-		out[i] = c.Node
 	}
 	return out
 }
@@ -149,159 +143,19 @@ func Region(g *geom.Grid, min, max geom.Coord, at sim.Time) Schedule {
 	return s.normalize()
 }
 
-// Merge combines schedules; the earliest crash wins per node.
-func Merge(ss ...Schedule) Schedule {
-	var all Schedule
-	for _, s := range ss {
-		all = append(all, s...)
-	}
-	return all.normalize()
-}
-
-// Target is anything that can silence a node: the radio medium's alive
-// gate, the virtual machine's alive gate, a protocol's membership view.
-type Target interface {
-	Kill(node int)
-}
-
-// TargetFunc adapts a function to Target.
-type TargetFunc func(node int)
-
-// Kill implements Target.
-func (f TargetFunc) Kill(node int) { f(node) }
-
-// Suspender is the reversible counterpart of Target: a subsystem whose
-// silence can be imposed and lifted again (the radio's tri-state alive
-// gate). Unlike Kill, Suspend carries no event-cancellation finality —
-// the node's owned timers keep their kernel slots — so a Resume restores
-// the node to exactly the state it slept in.
-type Suspender interface {
-	Suspend(node int)
-	Resume(node int)
-}
-
-// Injector arms crash schedules on a kernel and tracks liveness.
-type Injector struct {
-	kernel *sim.Kernel
-	dead   []bool
-	// asleep distinguishes sleeping from dead: a sleeping node is
-	// silenced on its Suspender targets but not killed — no events are
-	// cancelled, and Resume lifts the silence. Dead trumps asleep.
-	asleep   []bool
-	killed   int
-	sleeping int
-}
-
-// NewInjector returns an injector for n nodes over kernel k.
-func NewInjector(k *sim.Kernel, n int) *Injector {
-	if n <= 0 {
-		panic(fmt.Sprintf("fault: injector needs positive node count, got %d", n))
-	}
-	return &Injector{kernel: k, dead: make([]bool, n)}
-}
-
-// Alive reports whether node is still up (sleeping counts as alive).
-func (in *Injector) Alive(node int) bool { return !in.dead[node] }
-
-// Asleep reports whether node is suspended (alive but silenced).
-func (in *Injector) Asleep(node int) bool {
-	return in.asleep != nil && in.asleep[node] && !in.dead[node]
-}
-
-// Up reports whether node is alive and not suspended — the gate a
-// protocol should consult before expecting the node to participate.
-func (in *Injector) Up(node int) bool { return !in.dead[node] && !in.Asleep(node) }
-
-// Killed returns how many nodes have died so far.
-func (in *Injector) Killed() int { return in.killed }
-
-// Sleeping returns how many nodes are currently suspended.
-func (in *Injector) Sleeping() int { return in.sleeping }
-
-// N returns the number of nodes the injector tracks.
-func (in *Injector) N() int { return len(in.dead) }
-
-// Kill fails node immediately: marks it dead, silences it on every target,
-// and cancels all events it owns. Killing a dead node is a no-op.
-func (in *Injector) kill(node int, targets []Target) {
-	if in.dead[node] {
-		return
-	}
-	in.dead[node] = true
-	in.killed++
-	if in.asleep != nil && in.asleep[node] {
-		// Death is final and absorbs the sleep: the node will never
-		// resume, so it no longer counts as sleeping.
-		in.asleep[node] = false
-		in.sleeping--
-	}
-	for _, t := range targets {
-		t.Kill(node)
-	}
-	in.kernel.CancelOwner(node)
-}
-
-// Suspend silences node reversibly on every target: the node sleeps — it
-// is not dead, its owned events stay scheduled, and Resume wakes it.
-// Suspending a dead or sleeping node is a no-op.
-func (in *Injector) Suspend(node int, targets ...Suspender) {
-	if node < 0 || node >= len(in.dead) {
-		panic(fmt.Sprintf("fault: suspend for node %d outside [0,%d)", node, len(in.dead)))
-	}
-	if in.dead[node] || (in.asleep != nil && in.asleep[node]) {
-		return
-	}
-	if in.asleep == nil {
-		in.asleep = make([]bool, len(in.dead))
-	}
-	in.asleep[node] = true
-	in.sleeping++
-	for _, t := range targets {
-		t.Suspend(node)
-	}
-}
-
-// Resume lifts a suspension on every target. Resuming a dead or awake
-// node is a no-op: death is final, and a double wake must not ripple.
-func (in *Injector) Resume(node int, targets ...Suspender) {
-	if node < 0 || node >= len(in.dead) {
-		panic(fmt.Sprintf("fault: resume for node %d outside [0,%d)", node, len(in.dead)))
-	}
-	if in.dead[node] || in.asleep == nil || !in.asleep[node] {
-		return
-	}
-	in.asleep[node] = false
-	in.sleeping--
-	for _, t := range targets {
-		t.Resume(node)
-	}
-}
-
-// Fail kills node immediately, outside any armed schedule: marks it dead,
-// silences it on every target, and cancels all events it owns. This is the
-// entry point for deaths the system itself produces — the battery layer
-// calls it synchronously inside the depleting charge, so the fail-stop is
-// ordered at exactly the simulated time of the operation that exhausted
-// the budget. Failing a dead node is a no-op.
-func (in *Injector) Fail(node int, targets ...Target) {
-	if node < 0 || node >= len(in.dead) {
-		panic(fmt.Sprintf("fault: fail for node %d outside [0,%d)", node, len(in.dead)))
-	}
-	in.kill(node, targets)
-}
-
-// Arm schedules every crash in s. Each crash fires as an unowned kernel
-// event (a node does not own its own death) that kills the node on every
-// target and cancels the node's owned events. Crashes are scheduled in
-// normalized order, so equal-time crashes fire in node order — the
-// determinism the test suite pins.
-func (in *Injector) Arm(s Schedule, targets ...Target) {
-	for _, c := range s {
-		c := c
-		if c.Node < 0 || c.Node >= len(in.dead) {
-			panic(fmt.Sprintf("fault: crash for node %d outside [0,%d)", c.Node, len(in.dead)))
+// Arm schedules every crash in s on k for a network of n nodes. Each
+// crash fires as an unowned kernel event (a node does not own its own
+// death) that calls kill with the node, the engine's fail-stop. Crashes
+// are scheduled in normalized order, so equal-time crashes fire in node
+// order, and each fires before any event scheduled at the same instant
+// after Arm returns. Arm panics on a node outside [0, n).
+func (s Schedule) Arm(k *sim.Kernel, n int, kill func(node int)) {
+	for _, c := range append(Schedule(nil), s...).normalize() {
+		if c.Node < 0 || c.Node >= n {
+			panic(fmt.Sprintf("fault: crash for node %d outside [0,%d)", c.Node, n))
 		}
-		in.kernel.At(c.At, func() { in.kill(c.Node, targets) })
+		node := c.Node
+		k.At(c.At, func() { kill(node) })
 	}
 }
 

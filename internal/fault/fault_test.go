@@ -209,101 +209,33 @@ func TestBurstChannelClusters(t *testing.T) {
 	}
 }
 
-// TestInjectorFail covers the public immediate-kill entry: marks the node
-// dead, notifies targets once, and ignores repeats.
-func TestInjectorFail(t *testing.T) {
+// TestScheduleArm pins the arming contract: crashes fire in normalized
+// order whatever order the slice lists them in — equal-time crashes in
+// node order, a node's first crash only — each before an event scheduled
+// at the same instant after arming, and a node outside [0, n) panics.
+func TestScheduleArm(t *testing.T) {
 	k := sim.New()
-	in := NewInjector(k, 4)
-	var killed []int
-	tgt := TargetFunc(func(node int) { killed = append(killed, node) })
-	in.Fail(2, tgt)
-	in.Fail(2, tgt) // repeat is a no-op
-	if in.Alive(2) {
-		t.Error("node 2 alive after Fail")
-	}
-	if in.Killed() != 1 || len(killed) != 1 || killed[0] != 2 {
-		t.Errorf("killed=%d targets=%v, want one kill of node 2", in.Killed(), killed)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Fail accepted an out-of-range node")
-		}
-	}()
-	in.Fail(4, tgt)
-}
-
-// recorder is a Suspender/Target that logs calls for assertion.
-type recorder struct{ log []string }
-
-func (r *recorder) Kill(node int)    { r.log = append(r.log, fmt.Sprintf("kill %d", node)) }
-func (r *recorder) Suspend(node int) { r.log = append(r.log, fmt.Sprintf("suspend %d", node)) }
-func (r *recorder) Resume(node int)  { r.log = append(r.log, fmt.Sprintf("resume %d", node)) }
-
-func TestInjectorSuspendResume(t *testing.T) {
-	k := sim.New()
-	in := NewInjector(k, 4)
-	var r recorder
-	in.Suspend(2, &r)
-	if !in.Alive(2) || !in.Asleep(2) || in.Up(2) {
-		t.Fatalf("suspended: Alive=%v Asleep=%v Up=%v, want true/true/false", in.Alive(2), in.Asleep(2), in.Up(2))
-	}
-	if in.Sleeping() != 1 {
-		t.Errorf("Sleeping() = %d, want 1", in.Sleeping())
-	}
-	in.Suspend(2, &r) // idempotent: no second target call
-	in.Resume(2, &r)
-	if in.Asleep(2) || !in.Up(2) || in.Sleeping() != 0 {
-		t.Errorf("resumed: Asleep=%v Up=%v Sleeping=%d", in.Asleep(2), in.Up(2), in.Sleeping())
-	}
-	in.Resume(2, &r) // idempotent
-	want := []string{"suspend 2", "resume 2"}
-	if fmt.Sprint(r.log) != fmt.Sprint(want) {
-		t.Errorf("target calls %v, want %v", r.log, want)
-	}
-}
-
-func TestInjectorSuspendKeepsOwnedEvents(t *testing.T) {
-	// Unlike kill, suspend must not cancel the node's owned events —
-	// that is the "no event-cancellation finality" contract.
-	k := sim.New()
-	in := NewInjector(k, 2)
-	fired := false
-	k.AtOwned(10, 1, func() { fired = true })
-	in.Suspend(1)
+	var log []string
+	s := Schedule{{Node: 3, At: 5}, {Node: 1, At: 5}, {Node: 2, At: 2}, {Node: 1, At: 9}}
+	s.Arm(k, 4, func(node int) { log = append(log, fmt.Sprintf("kill %d@%d", node, k.Now())) })
+	k.At(5, func() { log = append(log, "event@5") })
+	k.At(2, func() { log = append(log, "event@2") })
 	k.Run()
-	if !fired {
-		t.Error("suspend cancelled an owned event")
+	want := []string{"kill 2@2", "event@2", "kill 1@5", "kill 3@5", "event@5"}
+	if fmt.Sprint(log) != fmt.Sprint(want) {
+		t.Errorf("fired %v, want %v", log, want)
 	}
-}
-
-func TestInjectorDeathAbsorbsSleep(t *testing.T) {
-	k := sim.New()
-	in := NewInjector(k, 3)
-	in.Suspend(1)
-	in.Fail(1)
-	if in.Asleep(1) || in.Sleeping() != 0 {
-		t.Errorf("dead node: Asleep=%v Sleeping=%d, want false/0", in.Asleep(1), in.Sleeping())
+	if s[0] != (Crash{Node: 3, At: 5}) || len(s) != 4 {
+		t.Errorf("Arm reordered its receiver: %v", s)
 	}
-	// Suspend/Resume on the dead node are no-ops.
-	var r recorder
-	in.Suspend(1, &r)
-	in.Resume(1, &r)
-	if len(r.log) != 0 {
-		t.Errorf("dead node reached targets: %v", r.log)
-	}
-}
-
-func TestInjectorSuspendRangePanics(t *testing.T) {
-	k := sim.New()
-	in := NewInjector(k, 2)
-	for _, f := range []func(){func() { in.Suspend(7) }, func() { in.Resume(-1) }} {
+	for _, node := range []int{4, -1} {
 		func() {
 			defer func() {
 				if recover() == nil {
-					t.Error("out-of-range suspend/resume did not panic")
+					t.Errorf("Arm accepted node %d of 4", node)
 				}
 			}()
-			f()
+			At(Crash{Node: node, At: 1}).Arm(sim.New(), 4, func(int) {})
 		}()
 	}
 }

@@ -154,7 +154,9 @@ func (m *Medium) emit(kind trace.Kind, node, peer int, size int64, detail string
 // Kill silences node for good: it stops transmitting (Broadcast/Unicast
 // from it are no-ops that charge nothing) and stops receiving (deliveries
 // to it are dropped without an Rx charge — the radio is off). Killing a
-// dead node is a no-op. Kill implements the fault layer's Target.
+// dead node is a no-op. It is the radio's part of a fail-stop: the
+// engine on the medium (emul.Machine.Kill) also deposes the node from
+// its protocol roles.
 func (m *Medium) Kill(node int) {
 	if !m.alive[node] {
 		return
@@ -197,7 +199,8 @@ func (m *Medium) Expire(node int) {
 // it neither transmits nor receives, with no event-cancellation finality
 // — timers owned by the node keep their slots and fire on schedule (their
 // handlers see the radio down). Suspending a dead or already-sleeping
-// node is a no-op. Suspend implements the fault layer's Suspender.
+// node is a no-op. emul.Machine.Suspend calls it for churn (duty-cycle
+// sleep, departures).
 func (m *Medium) Suspend(node int) {
 	if !m.alive[node] || (m.asleep != nil && m.asleep[node]) {
 		return

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"wsnva/internal/deploy"
 	"wsnva/internal/geom"
 )
 
@@ -30,56 +29,12 @@ func TestBFSOnChain(t *testing.T) {
 
 func TestBFSDisconnected(t *testing.T) {
 	g := adjGraph{{1}, {0}, {3}, {2}}
-	dist, _ := BFS(g, 0)
+	dist, parent := BFS(g, 0)
 	if dist[2] != -1 || dist[3] != -1 {
 		t.Errorf("unreachable nodes should have dist -1, got %v", dist)
 	}
-	if HopCount(g, 0, 3) != -1 {
-		t.Error("HopCount to unreachable should be -1")
-	}
-	if _, conn := Eccentricity(g, 0); conn {
-		t.Error("Eccentricity should report disconnected")
-	}
-}
-
-func TestPathReconstruction(t *testing.T) {
-	g := adjGraph{{1, 2}, {0, 3}, {0, 3}, {1, 2}}
-	_, parent := BFS(g, 0)
-	p := Path(parent, 0, 3)
-	if len(p) != 3 || p[0] != 0 || p[2] != 3 {
-		t.Errorf("path = %v", p)
-	}
-	if p[1] != 1 && p[1] != 2 {
-		t.Errorf("middle hop %d not a neighbor of both ends", p[1])
-	}
-	if got := Path(parent, 0, 0); len(got) != 1 || got[0] != 0 {
-		t.Errorf("self path = %v", got)
-	}
-	g2 := adjGraph{{}, {}}
-	_, parent2 := BFS(g2, 0)
-	if Path(parent2, 0, 1) != nil {
-		t.Error("unreachable path should be nil")
-	}
-}
-
-func TestEccentricity(t *testing.T) {
-	g := adjGraph{{1}, {0, 2}, {1, 3}, {2}}
-	ecc, conn := Eccentricity(g, 1)
-	if !conn || ecc != 2 {
-		t.Errorf("ecc = %d conn = %v, want 2 true", ecc, conn)
-	}
-}
-
-func TestGridGraphMatchesManhattan(t *testing.T) {
-	grid := geom.NewSquareGrid(5, 5)
-	gg := GridGraph{G: grid}
-	src := grid.Index(geom.Coord{Col: 1, Row: 2})
-	dist, _ := BFS(gg, src)
-	for _, c := range grid.Coords() {
-		want := (geom.Coord{Col: 1, Row: 2}).Manhattan(c)
-		if dist[grid.Index(c)] != want {
-			t.Errorf("dist to %v = %d, want %d", c, dist[grid.Index(c)], want)
-		}
+	if parent[2] != -1 || parent[3] != -1 {
+		t.Errorf("unreachable nodes should have parent -1, got %v", parent)
 	}
 }
 
@@ -169,68 +124,5 @@ func TestNextHopXY(t *testing.T) {
 		if ok != c.ok || (ok && d != c.want) {
 			t.Errorf("NextHopXY(%v,%v) = %v,%v want %v,%v", c.src, c.dst, d, ok, c.want, c.ok)
 		}
-	}
-}
-
-func TestTableRoutesAreShortest(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	nw := deploy.New(150, geom.Rect{MinX: 0, MinY: 0, MaxX: 50, MaxY: 50}, 10, deploy.UniformRandom{}, rng)
-	if !nw.Connected() {
-		t.Skip("random deployment disconnected; adjust seed")
-	}
-	tab := NewTable(nw)
-	for trial := 0; trial < 50; trial++ {
-		src, dst := rng.Intn(nw.N()), rng.Intn(nw.N())
-		route := tab.Route(src, dst)
-		if route == nil {
-			t.Fatalf("no route %d->%d in connected graph", src, dst)
-		}
-		want := HopCount(nw, src, dst)
-		if len(route)-1 != want {
-			t.Errorf("route %d->%d has %d hops, shortest is %d", src, dst, len(route)-1, want)
-		}
-		for j := 1; j < len(route); j++ {
-			adjacent := false
-			for _, n := range nw.Neighbors(route[j-1]) {
-				if int(n) == route[j] {
-					adjacent = true
-				}
-			}
-			if !adjacent {
-				t.Fatalf("route step %d->%d not an edge", route[j-1], route[j])
-			}
-		}
-	}
-}
-
-func TestTableSelfAndUnreachable(t *testing.T) {
-	g := adjGraph{{1}, {0}, {}}
-	tab := NewTable(g)
-	if tab.NextHop(1, 1) != 1 {
-		t.Error("NextHop to self should return self")
-	}
-	if tab.NextHop(0, 2) != -1 {
-		t.Error("NextHop to unreachable should be -1")
-	}
-	if tab.Route(0, 2) != nil {
-		t.Error("Route to unreachable should be nil")
-	}
-	if r := tab.Route(2, 2); len(r) != 1 || r[0] != 2 {
-		t.Errorf("self route = %v", r)
-	}
-}
-
-func TestTableCaching(t *testing.T) {
-	g := adjGraph{{1}, {0, 2}, {1}}
-	tab := NewTable(g)
-	if tab.NextHop(0, 2) != 1 {
-		t.Error("first lookup wrong")
-	}
-	// Second lookup uses the cache; answer must be identical.
-	if tab.NextHop(0, 2) != 1 {
-		t.Error("cached lookup wrong")
-	}
-	if len(tab.toward) != 1 {
-		t.Errorf("cache should hold 1 destination, holds %d", len(tab.toward))
 	}
 }

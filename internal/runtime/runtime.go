@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"wsnva/internal/cost"
+	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/program"
@@ -85,8 +86,8 @@ type envelope struct {
 type nodeFx struct {
 	rt     *run
 	coord  geom.Coord
-	rng    *rand.Rand // loss coin; nil when Loss == 0
-	energy []int64    // shared atomic per-node energy counters
+	loss   *fault.Bernoulli // this node's loss coin; nil when Loss == 0
+	energy []int64          // shared atomic per-node energy counters
 	grid   *geom.Grid
 }
 
@@ -106,7 +107,6 @@ type run struct {
 
 	delivered atomic.Int64
 	dropped   atomic.Int64
-	loss      float64
 	retries   int
 	tracer    *trace.Tracer
 }
@@ -152,7 +152,7 @@ func (f *nodeFx) Send(level int, size int64, payload any) {
 			f.emit(trace.Retry, f.coord, dst, level, size, "")
 		}
 		chargeRoute(size)
-		if f.rt.loss > 0 && f.rng.Float64() < f.rt.loss {
+		if f.loss != nil && f.loss.Lost(f.grid.Index(f.coord), f.grid.Index(dst), size) {
 			f.rt.dropped.Add(1)
 			if f.rt.tracer != nil {
 				f.emit(trace.Drop, dst, f.coord, level, size, "lost")
@@ -257,7 +257,6 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 		inboxes: make([]chan envelope, n),
 		quiet:   make(chan struct{}),
 		stop:    make(chan struct{}),
-		loss:    cfg.Loss,
 		retries: cfg.Retries,
 		tracer:  cfg.Tracer,
 	}
@@ -283,7 +282,7 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 			grid:   g,
 		}
 		if cfg.Loss > 0 {
-			fxs[idx].rng = rand.New(rand.NewSource(cfg.Seed ^ int64(idx)*0x9e3779b9))
+			fxs[idx].loss = fault.NewBernoulli(cfg.Loss, rand.New(rand.NewSource(cfg.Seed^int64(idx)*0x9e3779b9)))
 		}
 		return &fxs[idx]
 	})

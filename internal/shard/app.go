@@ -109,8 +109,8 @@ func newDissApp(fs *floodState, originMask []uint64, floods int, size int64) *di
 }
 
 // start seeds every flood the node originates: mark it heard, then
-// broadcast. A crashed origin still counts as having its payload (the
-// program image is on the node) but its broadcast is a no-op.
+// broadcast. Start runs before any event, so even an origin that
+// crashes at time 0 sends its first broadcast.
 func (a *dissApp) start(f fabric, node int) {
 	mask := a.originMask[node]
 	if mask == 0 {

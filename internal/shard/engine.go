@@ -38,7 +38,7 @@ type xrec struct {
 
 // hazards bundles the stochastic and fail-stop machinery a run
 // threads through its fabric: the counter-keyed loss channel, the
-// mid-run crash schedule, and the battery budget (0 disables
+// crash schedule, and the battery budget (0 disables
 // depletion). A zero value is the loss-free, fault-free fast path.
 type hazards struct {
 	channel  *fault.StreamChannel
@@ -205,13 +205,13 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 		e.shards[i] = sr
 	}
 	parallel.ForEach(pool, s, func(i int) { e.shards[i].markInterior() })
-	// Mid-run crashes are known up front and only touch owner-shard
-	// state, so they are pre-scheduled into each victim's owner kernel —
-	// no cross-shard traffic needed. Scheduling them here, before the
-	// start phase queues anything, gives the crash events the lowest
-	// sequence numbers at their timestamps: a crash always fires before
-	// any same-instant delivery or wake, exactly as the oracle's
-	// injector-armed crashes (armed before app start) do.
+	// Crashes are known up front and only touch owner-shard state, so
+	// they are pre-scheduled into each victim's owner kernel — no
+	// cross-shard traffic needed. Scheduling them here, before the start
+	// phase queues anything, gives the crash events the lowest sequence
+	// numbers at their timestamps: a crash always fires before any
+	// same-instant delivery or wake, exactly as the oracle's crashes
+	// (armed with fault.Schedule.Arm before app start) do.
 	for _, c := range hz.crashes {
 		c := c
 		sr := e.shards[part.Owner[c.Node]]
@@ -223,7 +223,7 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 	// Churn transitions are pre-scheduled the same way — per victim's
 	// owner shard, after the crashes, so a same-instant crash beats a
 	// same-instant sleep or wake by sequence number (the oracle arms its
-	// injector before scheduling churn too).
+	// crashes before scheduling churn too).
 	for _, ce := range hz.churn {
 		ce := ce
 		sr := e.shards[part.Owner[ce.Node]]
@@ -287,8 +287,8 @@ func (s *shardRun) churn(node int, down bool) {
 // crash event's sequence number precedes theirs — and every event the
 // node owns (its timer) is cancelled. A node that already depleted
 // emits no second Death, but its owned events are still cancelled,
-// mirroring the oracle's fault.Injector.kill exactly (a timer re-armed
-// during the dying-gasp instant dies here on both).
+// mirroring the oracle's kill exactly (a timer re-armed during the
+// dying-gasp instant dies here on both).
 func (s *shardRun) kill(node int) {
 	st, v := s.eng.st, s.eng.part.Slot[node]
 	if st.Alive[v] {
@@ -340,16 +340,7 @@ func makeOutbox(s int) [][]outRow {
 
 // run executes the whole simulation and returns the completion time:
 // the timestamp of the last event fired by any shard.
-func (e *engine) run(crashed []bool) sim.Time {
-	for i, dead := range crashed {
-		if dead {
-			e.st.Alive[e.part.Slot[i]] = false
-			sr := e.shards[e.part.Owner[i]]
-			if sr.tracer != nil {
-				sr.emit(trace.Death, i, -1, 0, "radio off")
-			}
-		}
-	}
+func (e *engine) run() sim.Time {
 	// Start phase: every app boots its owned nodes at time 0, writing
 	// only owner-shard state and its own outbox row.
 	parallel.ForEach(e.pool, len(e.shards), func(i int) {

@@ -81,10 +81,10 @@ func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 // keepEngine is execute that also hands back the engine it ran.
 func keepEngine(eng **engine) executor {
 	return func(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
-		mkApp func(int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+		mkApp func(int) app, hz hazards, traceCap int) (runStats, error) {
 		*eng = newEngine(nw, st, NewPartition(nw, shards), model, sim.Time(model.TxLatency(1)),
 			parallel.New(workers), mkApp, hz, traceCap)
-		return (*eng).execute(crashed)
+		return (*eng).execute()
 	}
 }
 

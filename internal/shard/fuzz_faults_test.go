@@ -28,7 +28,7 @@ func runFuzzHazApp(tb testing.TB, exec executor, nw *deploy.Network, plan [][]fu
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	rs, err := exec(nw, st, cost.NewUniform(), shards, workers, mk, hz, nil, 0)
+	rs, err := exec(nw, st, cost.NewUniform(), shards, workers, mk, hz, 0)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -137,7 +137,7 @@ func (*relayFx) Sense(int64)   {}
 
 // LabelConfig parameterizes a sharded labeling run. The embedded
 // Config supplies the execution strategy (Shards, Workers), the hazard
-// knobs (Loss, Burst, Seed, Crashed, Crashes, Capacity, Deplete), and
+// knobs (Loss, Burst, Seed, Crashes, Churn, Capacity, Deplete), and
 // Trace/Model; its dissemination-only fields (Floods, Origins,
 // PktSize) are ignored.
 type LabelConfig struct {
@@ -266,9 +266,6 @@ func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResu
 	if err := model.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.Crashed != nil && len(cfg.Crashed) != n {
-		return nil, fmt.Errorf("shard: crash mask covers %d nodes, grid has %d", len(cfg.Crashed), n)
-	}
 	hz, err := buildHazards(n, &cfg.Config)
 	if err != nil {
 		return nil, err
@@ -290,7 +287,7 @@ func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResu
 		apps = append(apps, a)
 		return a
 	}
-	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
+	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, traceCap)
 	if err != nil {
 		return nil, err
 	}

@@ -32,9 +32,9 @@ func runLabelingOracle(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error
 // network whatever the shard and worker counts, and a single app instance
 // drives every node.
 func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
-	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+	mkApp func(shard int) app, hz hazards, traceCap int) (runStats, error) {
 	fab := newSingleFab(nw, st, model, hz, traceCap)
-	rs := runStats{completion: fab.run(mkApp(0), crashed)}
+	rs := runStats{completion: fab.run(mkApp(0))}
 	rs.sent, rs.delivered, rs.dropped = fab.med.Stats()
 	rs.suspends, rs.resumes = fab.suspends, fab.resumes
 	rs.energy = make([]cost.Energy, nw.N())
@@ -49,9 +49,9 @@ func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
 }
 
 // singleFab is the differential oracle: the same app API implemented
-// over a second engine — one sim.Kernel driving a radio.Medium, with the
-// stock fault.Injector arming mid-run crashes and a stock battery.Bank
-// metering the ledger. An engine run at any shard count must match this
+// over a second engine — one sim.Kernel driving a radio.Medium, with
+// fault.Schedule.Arm arming the crashes and a stock battery.Bank metering
+// the ledger. An engine run at any shard count must match this
 // fabric bit for bit; the differential tests hold it to that. It runs on
 // the identity layout: its State and inbox are indexed by node ID.
 //
@@ -63,7 +63,6 @@ type singleFab struct {
 	med    *radio.Medium
 	st     *State
 	app    app
-	inj    *fault.Injector
 	bank   *battery.Bank
 	hz     hazards
 	tracer *trace.Tracer
@@ -110,6 +109,16 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, 
 	return f
 }
 
+// kill is the oracle's fail-stop, shardRun.kill's twin: radio off (one
+// Death event unless the node already depleted), the SoA liveness mirror
+// and timer flag cleared, and every event the node owns cancelled.
+func (f *singleFab) kill(node int) {
+	f.med.Kill(node)
+	f.st.Alive[node] = false
+	f.st.timerSet[node] = false
+	f.med.Kernel().CancelOwner(node)
+}
+
 // deplete is the oracle's battery death: instant-granularity radio
 // expiry (the medium keeps delivering events stamped at the death
 // instant) and the SoA liveness mirror. As in shardRun.deplete, the
@@ -127,27 +136,15 @@ func (f *singleFab) deplete(node int) {
 }
 
 // run boots every node, drains the kernel, and returns the completion
-// time (the timestamp of the last fired event). Mid-run crashes are
-// armed through the stock injector before the apps start, so each
-// crash event carries the lowest sequence number at its timestamp —
-// the same before-everything ordering the sharded engine establishes
-// by pre-scheduling crashes in newEngine.
-func (f *singleFab) run(a app, crashed []bool) sim.Time {
+// time (the timestamp of the last fired event). Crashes are armed
+// before the apps start, so each crash event carries the lowest
+// sequence number at its timestamp — the same before-everything
+// ordering the sharded engine establishes by pre-scheduling crashes in
+// newEngine.
+func (f *singleFab) run(a app) sim.Time {
 	f.app = a
 	n := f.med.Network().N()
-	for i, dead := range crashed {
-		if dead {
-			f.med.Kill(i)
-			f.st.Alive[i] = false
-		}
-	}
-	if len(f.hz.crashes) > 0 {
-		f.inj = fault.NewInjector(f.med.Kernel(), n)
-		f.inj.Arm(f.hz.crashes, f.med, fault.TargetFunc(func(node int) {
-			f.st.Alive[node] = false
-			f.st.timerSet[node] = false
-		}))
-	}
+	f.hz.crashes.Arm(f.med.Kernel(), n, f.kill)
 	// Churn transitions, scheduled after the crashes so a same-instant
 	// crash fires first — matching the engine's pre-scheduling order.
 	// The medium flips its own tri-state gate (and emits the Sleep/Wake

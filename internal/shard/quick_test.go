@@ -79,20 +79,25 @@ func TestQuickDifferential(t *testing.T) {
 		for j := range origins {
 			origins[j] = rng.Intn(n)
 		}
-		var crashed []bool
+		// About a tenth of the nodes crash at time 0 in half the trials;
+		// their crashes merge into the hazard schedule, earliest first.
+		var down []fault.Crash
 		if rng.Intn(2) == 1 {
-			crashed = make([]bool, n)
-			for i := range crashed {
-				crashed[i] = rng.Float64() < 0.1
+			for i := 0; i < n; i++ {
+				if rng.Float64() < 0.1 {
+					down = append(down, fault.Crash{Node: i, At: 0})
+				}
 			}
 		}
 		cfg := Config{
 			Origins: origins,
 			PktSize: 1 + int64(rng.Intn(4)),
-			Crashed: crashed,
 			Trace:   true,
 		}
 		randomHazards(&cfg, n, rng)
+		if len(down) > 0 {
+			cfg.Crashes = fault.At(append(down, cfg.Crashes...)...)
+		}
 		oracle, err := runOracle(nw, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -205,9 +210,9 @@ func randomPartition(n, shards int, rng *rand.Rand) *Partition {
 // onPartition is execute on part instead of NewPartition's tiles.
 func onPartition(part *Partition) executor {
 	return func(nw *deploy.Network, st *State, model *cost.Model, _, workers int,
-		mkApp func(int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+		mkApp func(int) app, hz hazards, traceCap int) (runStats, error) {
 		return newEngine(nw, st, part, model, sim.Time(model.TxLatency(1)),
-			parallel.New(workers), mkApp, hz, traceCap).execute(crashed)
+			parallel.New(workers), mkApp, hz, traceCap).execute()
 	}
 }
 

@@ -34,13 +34,10 @@ type Config struct {
 	// break the conservative lookahead).
 	PktSize int64
 
-	// Crashed marks nodes whose radio is off from the start (fail-stop
-	// before time zero). Nil means all alive; otherwise length N.
-	Crashed []bool
-
-	// Crashes schedules mid-run fail-stop deaths (a schedule entry for a
-	// node in the Crashed mask is ignored — the node is already down).
-	// Crash events fire before any same-instant delivery or wake.
+	// Crashes schedules fail-stop deaths. A crash event fires before any
+	// same-instant delivery or wake; the apps' start phase runs before
+	// every event, so a node crashing at time 0 has already started (an
+	// origin's first broadcast is out).
 	Crashes fault.Schedule
 
 	// Churn schedules reversible radio suspensions and resumptions
@@ -117,8 +114,8 @@ type Result struct {
 	Dropped   int64
 	// Completion is the timestamp of the last event fired.
 	Completion sim.Time
-	// Deaths counts nodes down at the end of the run: the Crashed mask,
-	// fired Crashes entries, and battery depletions.
+	// Deaths counts nodes down at the end of the run: fired Crashes
+	// entries and battery depletions.
 	Deaths int
 	// Suspends and Resumes count churn transitions actually applied (a
 	// sleep of a dead or sleeping node is a no-op).
@@ -227,23 +224,23 @@ type runStats struct {
 // execute is the only executor the package runs; the differential tests
 // hand Run's and RunLabeling's bodies a single-kernel oracle instead.
 type executor func(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
-	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error)
+	mkApp func(shard int) app, hz hazards, traceCap int) (runStats, error)
 
 // execute runs mkApp's protocol on the conservative-window engine over
 // max(shards, 1) tiles, driven by a pool of workers (<= 0 means
 // GOMAXPROCS). mkApp is called once per shard, sequentially, in shard
-// order. hz carries the loss channel, the mid-run crash schedule, and the
+// order. hz carries the loss channel, the crash schedule, and the
 // depletion budget. It fails only when the trace ring overflowed.
 func execute(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
-	mkApp func(shard int) app, hz hazards, crashed []bool, traceCap int) (runStats, error) {
+	mkApp func(shard int) app, hz hazards, traceCap int) (runStats, error) {
 	lookahead := sim.Time(model.TxLatency(1))
-	return newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap).execute(crashed)
+	return newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap).execute()
 }
 
 // execute runs the engine and folds its shards' totals into one report,
 // the shards' slot-indexed ledgers into one energy vector in ID order.
-func (eng *engine) execute(crashed []bool) (runStats, error) {
-	rs := runStats{completion: eng.run(crashed), energy: make([]cost.Energy, eng.nw.N())}
+func (eng *engine) execute() (runStats, error) {
+	rs := runStats{completion: eng.run(), energy: make([]cost.Energy, eng.nw.N())}
 	var lost int64
 	for _, sr := range eng.shards {
 		rs.sent += sr.sent
@@ -333,9 +330,6 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 		}
 		originMask[o] |= 1 << uint(j)
 	}
-	if cfg.Crashed != nil && len(cfg.Crashed) != n {
-		return nil, fmt.Errorf("shard: crash mask covers %d nodes, network has %d", len(cfg.Crashed), n)
-	}
 	hz, err := buildHazards(n, &cfg)
 	if err != nil {
 		return nil, err
@@ -363,7 +357,7 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 		apps = append(apps, a)
 		return a
 	}
-	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, cfg.Crashed, traceCap)
+	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, traceCap)
 	if err != nil {
 		return nil, err
 	}
@@ -399,8 +393,8 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 
 // buildHazards validates the stochastic and fail-stop knobs shared by
 // every sharded workload and assembles them into a hazards value: the
-// counter-keyed loss channel, the filtered mid-run crash schedule, and
-// the depletion budget.
+// counter-keyed loss channel, the normalized crash schedule, and the
+// depletion budget.
 func buildHazards(n int, cfg *Config) (hazards, error) {
 	var hz hazards
 	if math.IsNaN(cfg.Loss) || cfg.Loss < 0 || cfg.Loss >= 1 {
@@ -430,7 +424,6 @@ func buildHazards(n int, cfg *Config) (hazards, error) {
 		hz.capacity = cfg.Capacity
 	}
 	if len(cfg.Crashes) > 0 {
-		keep := make(fault.Schedule, 0, len(cfg.Crashes))
 		for _, c := range cfg.Crashes {
 			if c.Node < 0 || c.Node >= n {
 				return hz, fmt.Errorf("shard: crash for node %d outside [0,%d)", c.Node, n)
@@ -438,15 +431,8 @@ func buildHazards(n int, cfg *Config) (hazards, error) {
 			if c.At < 0 {
 				return hz, fmt.Errorf("shard: crash time %d for node %d must be ≥ 0", c.At, c.Node)
 			}
-			// A node in the t=0 Crashed mask is already down before the
-			// schedule starts; keeping its entry would make the oracle's
-			// injector cancel owned events the engine never scheduled.
-			if cfg.Crashed != nil && cfg.Crashed[c.Node] {
-				continue
-			}
-			keep = append(keep, c)
 		}
-		hz.crashes = fault.At(keep...)
+		hz.crashes = fault.At(append(fault.Schedule(nil), cfg.Crashes...)...)
 	}
 	if len(cfg.Churn) > 0 {
 		if err := cfg.Churn.Validate(n); err != nil {

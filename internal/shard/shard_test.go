@@ -208,9 +208,8 @@ func TestFloodBFSPartitioned(t *testing.T) {
 // deeply equal to the oracle's and byte-identical canonical traces.
 func TestShardCountInvariance(t *testing.T) {
 	nw := testNet(t, 180, 55, 10, 11)
-	crashed := make([]bool, nw.N())
-	crashed[17], crashed[90], crashed[140] = true, true, true
-	base := Config{Floods: 3, PktSize: 3, Crashed: crashed, Capacity: 10_000, Trace: true}
+	crashes := fault.At(fault.Crash{Node: 17, At: 0}, fault.Crash{Node: 90, At: 0}, fault.Crash{Node: 140, At: 0})
+	base := Config{Floods: 3, PktSize: 3, Crashes: crashes, Capacity: 10_000, Trace: true}
 
 	want, err := runOracle(nw, base)
 	if err != nil {
@@ -260,10 +259,9 @@ func TestEngineRaceSmokeMultiWorker(t *testing.T) {
 
 func TestCrashedStayUnreachedAndBatteryAccounts(t *testing.T) {
 	nw := testNet(t, 120, 40, 9, 19)
-	crashed := make([]bool, nw.N())
-	crashed[30], crashed[31] = true, true
+	crashes := fault.At(fault.Crash{Node: 30, At: 0}, fault.Crash{Node: 31, At: 0})
 	const capacity = 500
-	res, err := Run(nw, Config{Shards: 4, Workers: 2, Floods: 2, Crashed: crashed, Capacity: capacity})
+	res, err := Run(nw, Config{Shards: 4, Workers: 2, Floods: 2, Crashes: crashes, Capacity: capacity})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +292,6 @@ func TestConfigValidation(t *testing.T) {
 		{Origins: []int{-1}},
 		{Origins: []int{30}},
 		{Origins: []int{0, 1}, Floods: 3},
-		{Crashed: make([]bool, 3)},
 		{Loss: -0.1},
 		{Loss: 1},
 		{Loss: math.NaN()},

@@ -17,9 +17,8 @@ import (
 type State struct {
 	N int
 
-	// Alive is the fail-stop gate (false = radio off), cleared by t=0
-	// crash masks, scheduled mid-run crashes, and battery depletions; it
-	// never flips back.
+	// Alive is the fail-stop gate (false = radio off), cleared by
+	// scheduled crashes and battery depletions; it never flips back.
 	Alive []bool
 
 	// Suspended is the reversible churn gate: true while a node's radio
@@ -78,8 +77,7 @@ func (st *State) liveAt(slot int32, now sim.Time) bool {
 	return st.GaspUntil[slot] >= 0 && now <= st.GaspUntil[slot]
 }
 
-// Deaths counts nodes that are down (crashed at t=0, crashed mid-run,
-// or depleted).
+// Deaths counts nodes that are down (crashed or depleted).
 func (st *State) Deaths() int {
 	d := 0
 	for _, a := range st.Alive {

@@ -179,9 +179,10 @@ func (k *Kernel) After(d Time, fire func()) Handle {
 	return k.At(k.now+d, fire)
 }
 
-// AtOwned is At with the event tagged as belonging to a node, so a fault
-// injector can CancelOwner everything the node still had scheduled (retry
-// timers, watchdogs, deliveries addressed to it) the instant it crashes.
+// AtOwned is At with the event tagged as belonging to a node, so the
+// engine's fail-stop can CancelOwner everything the node still had
+// scheduled (retry timers, deliveries addressed to it) the instant it
+// crashes.
 func (k *Kernel) AtOwned(owner int, t Time, fire func()) Handle {
 	if owner < 0 {
 		panic(fmt.Sprintf("sim: invalid event owner %d", owner))

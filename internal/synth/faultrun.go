@@ -96,6 +96,9 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 	if m.Grid != g {
 		return nil, fmt.Errorf("synth: map grid and machine grid differ")
 	}
+	if b := cfg.Battery; b != nil && b.N() != g.N() {
+		return nil, fmt.Errorf("synth: battery bank tracks %d nodes, grid has %d", b.N(), g.N())
+	}
 	vm.SetChannel(cfg.Channel)
 	vm.SetReliability(cfg.Reliability)
 
@@ -114,19 +117,19 @@ func RunWithFaults(vm *varch.Machine, m *field.BinaryMap, cfg FaultConfig) (*Fau
 	})
 	wireTraceHooks(vm, insts)
 
-	injector := fault.NewInjector(vm.Kernel(), g.N())
-	injector.Arm(cfg.Schedule, vm)
-	if cfg.Battery != nil {
-		bank := cfg.Battery
-		vm.AttachBattery(bank, injector)
-		// Replace the default depletion route with one that also records the
-		// result counters; the fail-stop itself is unchanged.
+	// Crashes are armed first, so each fires before any same-instant event
+	// the round schedules. Scheduled crashes and battery depletions share
+	// the machine's one fail-stop, vm.Kill: a depleting charge kills its
+	// node at the operation's simulated time.
+	cfg.Schedule.Arm(vm.Kernel(), g.N(), vm.Kill)
+	if bank := cfg.Battery; bank != nil {
+		vm.Ledger().SetMeter(bank)
 		bank.OnDeplete(func(node int) {
 			res.Depleted++
 			if res.Depleted == 1 {
 				res.FirstDepletion = vm.Kernel().Now()
 			}
-			injector.Fail(node, vm)
+			vm.Kill(node)
 		})
 	}
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"wsnva/internal/battery"
 	"wsnva/internal/cost"
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
@@ -203,6 +204,14 @@ func TestWatchdogDisabledStallsUnderCrash(t *testing.T) {
 	}
 }
 
+func TestRunWithFaultsRejectsMismatchedBank(t *testing.T) {
+	m := blobMap(4, 5)
+	vm := faultMachine(m)
+	if _, err := RunWithFaults(vm, m, FaultConfig{Battery: battery.Uniform(8, 100)}); err == nil {
+		t.Error("a bank of 8 nodes was accepted on a 16-node grid")
+	}
+}
+
 func TestNoEventFiresAtDeadNode(t *testing.T) {
 	// Property: whatever the crash schedule, once a node is dead no handler
 	// runs at it. Checked by wrapping every handler with a liveness assert
@@ -260,8 +269,7 @@ func TestHandlersNeverFireAtDeadNodes(t *testing.T) {
 					seed, to, k.Now(), at)
 			}
 		})
-		in := fault.NewInjector(k, g.N())
-		in.Arm(sched, vm)
+		sched.Arm(k, g.N(), vm.Kill)
 		// Blast traffic at every node from every corner across the window.
 		rng := rand.New(rand.NewSource(seed))
 		vm.SetChannel(fault.NewBernoulli(0.1, rng))

@@ -224,15 +224,6 @@ func New(capacity int) *Tracer {
 	return &Tracer{cap: capacity}
 }
 
-// Emit records a legacy free-form event. Safe on a nil tracer.
-func (t *Tracer) Emit(at sim.Time, kind Kind, node, detail string) {
-	if t == nil {
-		return
-	}
-	t.EmitEvent(Event{At: at, Kind: kind, Node: node, Detail: detail,
-		ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1})
-}
-
 // EmitEvent records a structured event, stamping its sequence number.
 // Safe on a nil tracer and for concurrent use.
 func (t *Tracer) EmitEvent(e Event) {

@@ -10,7 +10,7 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.Emit(1, Send, "a", "x") // must not panic
+	tr.EmitEvent(Event{At: 1, Kind: Send, Node: "a", Detail: "x"}) // must not panic
 	if tr.Count(Send) != 0 {
 		t.Error("nil tracer count should be 0")
 	}
@@ -21,9 +21,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestEmitAndEvents(t *testing.T) {
 	tr := New(10)
-	tr.Emit(1, Send, "<0,0>", "-> <1,0>")
-	tr.Emit(3, Deliver, "<1,0>", "<- <0,0>")
-	tr.Emit(3, RuleFire, "<1,0>", "receive")
+	tr.EmitEvent(Event{At: 1, Kind: Send, Node: "<0,0>", Detail: "-> <1,0>"})
+	tr.EmitEvent(Event{At: 3, Kind: Deliver, Node: "<1,0>", Detail: "<- <0,0>"})
+	tr.EmitEvent(Event{At: 3, Kind: RuleFire, Node: "<1,0>", Detail: "receive"})
 	evts := tr.Events()
 	if len(evts) != 3 {
 		t.Fatalf("got %d events", len(evts))
@@ -39,7 +39,7 @@ func TestEmitAndEvents(t *testing.T) {
 func TestRingRotation(t *testing.T) {
 	tr := New(4)
 	for i := 0; i < 10; i++ {
-		tr.Emit(1, Compute, "n", string(rune('a'+i)))
+		tr.EmitEvent(Event{At: 1, Kind: Compute, Node: "n", Detail: string(rune('a' + i))})
 	}
 	evts := tr.Events()
 	if len(evts) != 4 {
@@ -58,7 +58,7 @@ func TestRingRotation(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	tr := New(8)
-	tr.Emit(5, Exfiltrate, "<0,0>", "final summary")
+	tr.EmitEvent(Event{At: 5, Kind: Exfiltrate, Node: "<0,0>", Detail: "final summary"})
 	line := tr.Timeline()
 	for _, want := range []string{"t=5", "exfil", "<0,0>", "final summary"} {
 		if !strings.Contains(line, want) {
@@ -236,7 +236,7 @@ func TestSinkReceivesLiveEvents(t *testing.T) {
 	sink := &collectSink{}
 	tr.SetSink(sink)
 	for i := 0; i < 5; i++ {
-		tr.Emit(sim.Time(i), Send, "n", "x")
+		tr.EmitEvent(Event{At: sim.Time(i), Kind: Send, Node: "n", Detail: "x"})
 	}
 	if len(sink.events) != 5 {
 		t.Fatalf("sink saw %d events, want 5", len(sink.events))
@@ -247,7 +247,7 @@ func TestSinkReceivesLiveEvents(t *testing.T) {
 		}
 	}
 	tr.SetSink(nil)
-	tr.Emit(9, Send, "n", "x")
+	tr.EmitEvent(Event{At: 9, Kind: Send, Node: "n", Detail: "x"})
 	if len(sink.events) != 5 {
 		t.Errorf("detached sink still saw events")
 	}

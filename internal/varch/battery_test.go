@@ -28,8 +28,7 @@ func driveBatteryTraffic(seed int64, count int, bank *battery.Bank) (*Machine, [
 	k := vm.Kernel()
 	firstDeath := sim.Time(1<<62 - 1)
 	if bank != nil {
-		vm.AttachBattery(bank, nil)
-		// Re-install AttachBattery's kill route with a timestamp capture.
+		vm.Ledger().SetMeter(bank)
 		died := false
 		bank.OnDeplete(func(node int) {
 			if !died {
@@ -37,7 +36,6 @@ func driveBatteryTraffic(seed int64, count int, bank *battery.Bank) (*Machine, [
 				firstDeath = k.Now()
 			}
 			vm.Kill(node)
-			vm.kernel.CancelOwner(node)
 		})
 	}
 	var got []arrival

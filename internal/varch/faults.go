@@ -1,9 +1,6 @@
 package varch
 
 import (
-	"fmt"
-
-	"wsnva/internal/battery"
 	"wsnva/internal/fault"
 	"wsnva/internal/geom"
 	"wsnva/internal/trace"
@@ -35,27 +32,6 @@ type FaultStats struct {
 // draws nothing.
 func (vm *Machine) SetChannel(c fault.Channel) { vm.channel = c }
 
-// AttachBattery closes the energy loop: the bank meters every ledger
-// charge, and the charge that crosses a node's budget fail-stops that node
-// at the depleting operation's simulated time — through the injector (so
-// liveness bookkeeping and any co-registered targets stay coherent), or
-// directly against the machine when in is nil. Either way the node's owned
-// events (retry timers, deliveries addressed to it) are cancelled.
-func (vm *Machine) AttachBattery(b *battery.Bank, in *fault.Injector) {
-	if b.N() != vm.Hier.Grid.N() {
-		panic(fmt.Sprintf("varch: battery bank tracks %d nodes, grid has %d", b.N(), vm.Hier.Grid.N()))
-	}
-	vm.ledger.SetMeter(b)
-	b.OnDeplete(func(node int) {
-		if in != nil {
-			in.Fail(node, vm)
-			return
-		}
-		vm.Kill(node)
-		vm.kernel.CancelOwner(node)
-	})
-}
-
 // SetReliability arms the ARQ policy for Send, SendToLeader, and the
 // collectives: every attempt pays the full route energy, a successful
 // delivery pays the acknowledgment along the reverse route, and a lost
@@ -63,12 +39,13 @@ func (vm *Machine) AttachBattery(b *battery.Bank, in *fault.Injector) {
 // r.MaxRetries times. The zero Reliability disables ARQ.
 func (vm *Machine) SetReliability(r fault.Reliability) { vm.reliable = r }
 
-// Kill fails the virtual node with the given grid index: it stops sending
-// (sends are suppressed) and stops receiving (arrivals are dropped without
-// invoking the receiver). Kill implements fault.Target so an Injector can
-// arm crash schedules directly on the machine; the injector also cancels
-// the node's owned kernel events (pending deliveries to it, its retry
-// timers).
+// Kill fails the virtual node with the given grid index, fail-stop: it
+// stops sending (sends are suppressed) and stops receiving (arrivals are
+// dropped without invoking the receiver), and every kernel event it owns
+// is cancelled — pending deliveries to it, its retry timers. It is the
+// machine's one fail-stop: a crash schedule armed with fault.Schedule.Arm
+// and a battery bank's depletion route both call it. Killing a dead node
+// is a no-op.
 func (vm *Machine) Kill(node int) {
 	if vm.alive == nil {
 		vm.alive = make([]bool, vm.Hier.Grid.N())
@@ -83,6 +60,7 @@ func (vm *Machine) Kill(node int) {
 	if vm.tracer != nil {
 		vm.tracer.EmitEvent(vm.evt(trace.Death, vm.Hier.Grid.CoordOf(node), noPeer, 0, 0, ""))
 	}
+	vm.kernel.CancelOwner(node)
 }
 
 // KillCoord is Kill addressed by grid coordinate.

@@ -50,7 +50,7 @@ func TestDeadReceiverDropsDelivery(t *testing.T) {
 }
 
 func TestCrashMidFlightCancelsDelivery(t *testing.T) {
-	// The destination dies while the message is in the air; the injector's
+	// The destination dies while the message is in the air; Kill's
 	// CancelOwner must evaporate the pending delivery, so the handler never
 	// fires and DeadDrops stays 0 (the event never ran at all).
 	vm, k, _ := newVM(t, 4)
@@ -59,8 +59,7 @@ func TestCrashMidFlightCancelsDelivery(t *testing.T) {
 	dst := geom.Coord{Col: 3, Row: 0} // 3 hops, unit size: arrives at t=3
 	delivered := false
 	receiveAt(vm, dst, func(Message) { delivered = true })
-	in := fault.NewInjector(k, g.N())
-	in.Arm(fault.At(fault.Crash{Node: g.Index(dst), At: 1}), vm)
+	fault.At(fault.Crash{Node: g.Index(dst), At: 1}).Arm(k, g.N(), vm.Kill)
 	vm.Send(src, dst, 1, nil)
 	k.Run()
 	if delivered {
@@ -68,6 +67,22 @@ func TestCrashMidFlightCancelsDelivery(t *testing.T) {
 	}
 	if s := vm.FaultStats(); s.DeadDrops != 0 {
 		t.Errorf("DeadDrops = %d, want 0: the event should be cancelled, not dropped", s.DeadDrops)
+	}
+}
+
+func TestKillDeadNodeCancelsNothing(t *testing.T) {
+	// A second Kill of a dead node is a no-op: the delivery a send issued
+	// after the first kill scheduled at the dead node stays queued, so it
+	// still ends as exactly one dead drop instead of evaporating.
+	vm, k, _ := newVM(t, 4)
+	src := geom.Coord{Col: 0, Row: 0}
+	dst := geom.Coord{Col: 3, Row: 0}
+	vm.KillCoord(dst)
+	vm.Send(src, dst, 1, nil)
+	vm.KillCoord(dst)
+	k.Run()
+	if s := vm.FaultStats(); s.DeadDrops != 1 || s.Delivered != 0 {
+		t.Errorf("stats = %+v, want 1 dead drop, 0 delivered", s)
 	}
 }
 

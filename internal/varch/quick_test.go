@@ -95,7 +95,7 @@ func TestQuickDeathIsFinal(t *testing.T) {
 				ok = false
 			}
 		})
-		fault.NewInjector(k, g.N()).Arm(sched, vm)
+		sched.Arm(k, g.N(), vm.Kill)
 		rng := rand.New(rand.NewSource(seed))
 		vm.SetChannel(fault.NewBernoulli(0.15, rng))
 		vm.SetReliability(fault.DefaultReliability())
