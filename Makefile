@@ -184,7 +184,10 @@ fuzz:
 	$(GO) test -fuzz FuzzMissionSpec -fuzztime 30s ./internal/serve/
 
 # FuzzCSRNeighbors for 10 s: random point sets and ranges, every CSR row
-# checked against a brute-force O(n²) neighbor scan.
+# checked against a brute-force O(n²) neighbor scan; on a fixed 4×4 grid
+# over each set, the per-cell CellsConnected checked against the legacy
+# map BFS, and Generate's two-predicate acceptance checked to imply
+# brute-force connectivity.
 fuzz-deploy:
 	$(GO) test -run '^$$' -fuzz FuzzCSRNeighbors -fuzztime 10s ./internal/deploy/
 

@@ -13,8 +13,9 @@
 // connected, and every adjacent cell pair directly linked. The predicates
 // run allocation-free on a reusable Scratch (union-find and a cell-
 // membership CSR instead of map-based BFS) and stop scanning edges once
-// their answer is fixed, so Generate can qualify million-node
-// deployments without the validation pass dominating wall time.
+// their answer is fixed, and Generate checks only the cell predicates,
+// which imply G_r connected, so it can qualify million-node deployments
+// without the validation pass dominating wall time.
 package deploy
 
 import (

@@ -372,6 +372,12 @@ func TestPredicatesMatchLegacy(t *testing.T) {
 	// and only its last member, 3, reaches the east cell (node 4).
 	pair := geom.NewGrid(2, 1, geom.Rect{MaxX: 20, MaxY: 10})
 	lastMember := []geom.Point{{X: 1, Y: 5}, {X: 4, Y: 5}, {X: 13.5, Y: 5}, {X: 7.5, Y: 5}, {X: 10.5, Y: 5}}
+	// The strip again at range 3.6: cells 0 and 1 are chains, and the last
+	// cell's two members, 6 and 7, lie 6 apart, each beside one end of
+	// cell 1's vertical bar, so G_r is connected but the last cell is
+	// split. A scan that stops at the first connected cell accepts it.
+	lastSplit := []geom.Point{{X: 7, Y: 5}, {X: 9.5, Y: 5}, {X: 12, Y: 5}, {X: 15, Y: 5},
+		{X: 18, Y: 2}, {X: 18, Y: 5}, {X: 20.5, Y: 2}, {X: 20.5, Y: 8}, {X: 18, Y: 8}}
 	for _, c := range []struct {
 		name string
 		pts  []geom.Point
@@ -384,6 +390,7 @@ func TestPredicatesMatchLegacy(t *testing.T) {
 		{"halves joined by the last node", joined, single, 2.5, [3]bool{true, true, true}},
 		{"halves without the last node", joined[:4], single, 2.5, [3]bool{false, false, true}},
 		{"linked by the west cell's last member", lastMember, pair, 3.5, [3]bool{true, true, true}},
+		{"every cell connected but the last", lastSplit, strip, 3.6, [3]bool{true, false, true}},
 	} {
 		nw := FromPoints(c.pts, c.g.Terrain, c.r)
 		check(c.name, nw, c.g)
@@ -413,6 +420,62 @@ func TestPredicatesMatchLegacy(t *testing.T) {
 	}
 }
 
+// TestAcceptanceImpliesConnected backs Generate's acceptance test, which
+// leaves Connected out: on random uniform, perturbed-grid and clustered
+// deployments, at ranges from 0.6 to 1.6 cell sides and densities from 1
+// to 8 nodes a cell, every network CellsConnected and AdjacentCellsLinked
+// accept is connected by the legacy BFS, and Generate returns the same
+// network after the same number of attempts as a loop that also runs
+// Connected.
+func TestAcceptanceImpliesConnected(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xACCE))
+	placements := []Placement{UniformRandom{}, PerturbedGrid{Jitter: 0.4}, Clustered{Clusters: 5, Spread: 0.2}}
+	s := NewScratch()
+	var accepted, rejected, failed int
+	for i := 0; i < 150; i++ {
+		side := 2 + rng.Intn(4)
+		g := geom.NewSquareGrid(side, float64(side)*10)
+		n := side * side * (1 + rng.Intn(8))
+		r := g.CellSide() * (0.6 + rng.Float64())
+		p := placements[rng.Intn(len(placements))]
+		seed := rng.Int63()
+		label := fmt.Sprintf("case %d (n=%d, side=%d, r=%.2f, %s)", i, n, side, r, p.Name())
+
+		nw := New(n, g.Terrain, r, p, rand.New(rand.NewSource(seed)))
+		if s.CellsConnected(nw, g) && s.AdjacentCellsLinked(nw, g) {
+			accepted++
+			if !legacyConnected(nw) {
+				t.Fatalf("%s: accepted by the cell predicates but not connected", label)
+			}
+		} else {
+			rejected++
+		}
+
+		const attempts = 3
+		got, gotA, err := Generate(n, g, r, p, rand.New(rand.NewSource(seed)), attempts)
+		ref := rand.New(rand.NewSource(seed))
+		var want *Network
+		wantA := attempts
+		for a := 1; a <= attempts; a++ {
+			cand := New(n, g.Terrain, r, p, ref)
+			if s.Connected(cand) && s.CellsConnected(cand, g) && s.AdjacentCellsLinked(cand, g) {
+				want, wantA = cand, a
+				break
+			}
+		}
+		if err != nil {
+			failed++
+		}
+		if (err == nil) != (want != nil) || gotA != wantA || want != nil && !sameNetwork(got, want) {
+			t.Fatalf("%s: Generate gave attempt %d (err %v), three predicates accept attempt %d (found %v)",
+				label, gotA, err, wantA, want != nil)
+		}
+	}
+	if accepted == 0 || rejected == 0 || failed == 0 || failed == 150 {
+		t.Fatalf("%d accepted, %d rejected, %d Generate failures: the cases do not cover both verdicts", accepted, rejected, failed)
+	}
+}
+
 func legacyOccupancyOK(nw *Network, g *geom.Grid) bool {
 	for _, m := range nw.CellMembers(g) {
 		if len(m) == 0 {
@@ -424,7 +487,8 @@ func legacyOccupancyOK(nw *Network, g *geom.Grid) bool {
 
 // TestScratchPredicatesZeroAlloc is the acceptance criterion on the
 // validation predicates: with a warmed scratch, Connected, CellsConnected,
-// AdjacentCellsLinked, and MaxIntraCellPathLen allocate nothing.
+// AdjacentCellsLinked, MaxIntraCellPathLen and Generate's acceptance test
+// allocate nothing.
 func TestScratchPredicatesZeroAlloc(t *testing.T) {
 	g := geom.NewSquareGrid(8, 80)
 	nw := New(640, g.Terrain, g.CellSide()*1.3, UniformRandom{}, rand.New(rand.NewSource(3)))
@@ -442,6 +506,7 @@ func TestScratchPredicatesZeroAlloc(t *testing.T) {
 		{"CellsConnected", func() { s.CellsConnected(nw, g) }},
 		{"AdjacentCellsLinked", func() { s.AdjacentCellsLinked(nw, g) }},
 		{"MaxIntraCellPathLen", func() { s.MaxIntraCellPathLen(nw, g) }},
+		{"accepts", func() { s.accepts(nw, g) }},
 	}
 	for _, c := range checks {
 		if allocs := testing.AllocsPerRun(20, c.fn); allocs != 0 {

@@ -14,6 +14,10 @@ import (
 // symmetric, and membership exactly "distance ≤ range, excluding self".
 // The kept bucket order must list every ID once, with bucket keys (side
 // range, row-major) non-decreasing and IDs ascending within a bucket.
+// On a fixed 4×4 grid over the terrain, the per-cell CellsConnected must
+// agree with the legacy map BFS, and Generate's acceptance test (the cell
+// predicates without Connected) must accept only point sets that brute
+// force finds connected.
 func FuzzCSRNeighbors(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -22,6 +26,16 @@ func FuzzCSRNeighbors(f *testing.F) {
 		seed[i] = byte(i * 37)
 	}
 	f.Add(seed)
+	// An 8×8 lattice at spacing 8 and range ~10, which the 4×4 grid
+	// accepts: each cell holds a square of four beside its neighbors'.
+	lattice := binary.LittleEndian.AppendUint16(nil, 39935)
+	for y := 0; y < 8; y++ {
+		for x := 0; x < 8; x++ {
+			lattice = binary.LittleEndian.AppendUint16(lattice, uint16((4+8*x)*1024))
+			lattice = binary.LittleEndian.AppendUint16(lattice, uint16((4+8*y)*1024))
+		}
+	}
+	f.Add(lattice)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const terrainSide = 64.0
@@ -93,7 +107,43 @@ func FuzzCSRNeighbors(f *testing.F) {
 				t.Fatalf("bucket order: node %d (bucket %d) before node %d (bucket %d)", a, key(a), b, key(b))
 			}
 		}
+
+		g := geom.NewSquareGrid(4, terrainSide)
+		s := NewScratch()
+		cells := s.CellsConnected(nw, g)
+		if want := legacyCellsConnected(nw, g); cells != want {
+			t.Fatalf("CellsConnected=%v, legacy=%v", cells, want)
+		}
+		accepted := s.accepts(nw, g)
+		if accepted != (cells && s.AdjacentCellsLinked(nw, g)) {
+			t.Fatalf("accepts=%v, CellsConnected=%v, AdjacentCellsLinked=%v", accepted, cells, s.AdjacentCellsLinked(nw, g))
+		}
+		if accepted && !bruteConnected(pts, r2) {
+			t.Fatalf("accepted on the 4×4 grid, but brute force finds %d points at range %v disconnected", n, txRange)
+		}
 	})
+}
+
+// bruteConnected reports whether the disk graph on pts at squared range
+// r2 is connected, by an O(n²) breadth-first search.
+func bruteConnected(pts []geom.Point, r2 float64) bool {
+	if len(pts) == 0 {
+		return true
+	}
+	seen := make([]bool, len(pts))
+	seen[0] = true
+	queue := []int{0}
+	for len(queue) > 0 {
+		i := queue[0]
+		queue = queue[1:]
+		for j := range pts {
+			if !seen[j] && pts[i].Dist2(pts[j]) <= r2 {
+				seen[j] = true
+				queue = append(queue, j)
+			}
+		}
+	}
+	return !slices.Contains(seen, false)
 }
 
 // ids returns 0, 1, …, n−1.

@@ -21,10 +21,21 @@ func Generate(n int, g *geom.Grid, txRange float64, p Placement, r *rand.Rand, a
 	s := NewScratch()
 	for a := 1; a <= attempts; a++ {
 		nw := New(n, g.Terrain, txRange, p, r)
-		if s.Connected(nw) && s.CellsConnected(nw, g) && s.AdjacentCellsLinked(nw, g) {
+		if s.accepts(nw, g) {
 			return nw, a, nil
 		}
 	}
 	return nil, attempts, fmt.Errorf("deploy: no valid deployment in %d attempts (n=%d, grid=%dx%d, range=%v, placement=%s)",
 		attempts, n, g.Cols, g.Rows, txRange, p.Name())
+}
+
+// accepts is Generate's acceptance test: CellsConnected and
+// AdjacentCellsLinked on one cell CSR. It does not run Connected, because
+// the two imply it: the cells tile the terrain, so every node lies in one;
+// each cell is occupied and internally connected; and every 4-adjacent
+// cell pair shares an edge, so any two nodes are joined through a chain of
+// cells. The argument holds on the symmetrized graph that all three
+// predicates read, so the accepted set is the same as with Connected.
+func (s *Scratch) accepts(nw *Network, g *geom.Grid) bool {
+	return s.prepCells(nw, g) && s.cellsConnected(nw) && s.cellsLinked(nw, g)
 }

@@ -136,40 +136,55 @@ func (s *Scratch) prepCells(nw *Network, g *geom.Grid) bool {
 }
 
 // CellsConnected reports whether every cell of g is non-empty and induces
-// a connected subgraph: a single union-find pass over the CSR edges that
-// only merges endpoints sharing a cell, counting components — exactly one
-// component per cell means every cell subgraph is connected. With every
-// cell occupied the count cannot fall below the cell count, so the pass
-// stops as soon as it reaches it.
+// a connected subgraph.
 func (s *Scratch) CellsConnected(nw *Network, g *geom.Grid) bool {
-	if !s.prepCells(nw, g) {
-		return false
-	}
-	n := nw.N()
-	s.resetUF(n)
-	comps, cells := n, g.N()
+	return s.prepCells(nw, g) && s.cellsConnected(nw)
+}
+
+// cellsConnected is CellsConnected once prepCells has reported every cell
+// occupied. Each cell
+// walks its members' rows, merging endpoints that share the cell, and
+// stops as soon as its union-find holds one component; a cell whose walk
+// ends with more fails the test.
+func (s *Scratch) cellsConnected(nw *Network) bool {
+	s.resetUF(nw.N())
 	off, adj := nw.off, nw.adj
 	cellOf := s.cellOf
-	for i := 0; i < n && comps > cells; i++ {
-		ci := cellOf[i]
-		for _, j := range adj[off[i]:off[i+1]] {
-			if cellOf[j] == ci && s.union(int32(i), j) {
-				comps--
+	cells := int32(len(s.cellPtr) - 1)
+	for c := int32(0); c < cells; c++ {
+		members := s.cellIDs[s.cellPtr[c]:s.cellPtr[c+1]]
+		comps := len(members)
+		for _, i := range members {
+			if comps == 1 {
+				break
+			}
+			for _, j := range adj[off[i]:off[i+1]] {
+				if cellOf[j] == c && s.union(i, j) {
+					comps--
+				}
 			}
 		}
+		if comps > 1 {
+			return false
+		}
 	}
-	return comps == cells
+	return true
 }
 
 // AdjacentCellsLinked reports whether every 4-adjacent cell pair has at
-// least one direct radio edge. Each cell walks its members' rows until it
-// has found an edge into its east and its south neighbor cell, which
-// covers every unordered adjacent pair once. A pair counts when an edge
-// runs either way, so before failing a pair the walk looks for an edge
-// back from the other cell's members; on a symmetric adjacency that
-// second walk only confirms the failure.
+// least one direct radio edge.
 func (s *Scratch) AdjacentCellsLinked(nw *Network, g *geom.Grid) bool {
 	s.prepCells(nw, g)
+	return s.cellsLinked(nw, g)
+}
+
+// cellsLinked is AdjacentCellsLinked on the prepared cell CSR. Each cell
+// walks its members' rows until it has found an edge into its east and
+// its south neighbor cell, which covers every unordered adjacent pair
+// once. A pair counts when an edge runs either way, so before failing a
+// pair the walk looks for an edge back from the other cell's members; on
+// a symmetric adjacency that second walk only confirms the failure.
+func (s *Scratch) cellsLinked(nw *Network, g *geom.Grid) bool {
 	cols, rows := int32(g.Cols), int32(g.Rows)
 	for c := int32(0); c < int32(g.N()); c++ {
 		east, south := c%cols < cols-1, c/cols < rows-1

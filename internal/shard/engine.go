@@ -181,7 +181,7 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 			kern:  sim.New(),
 			start: part.Start[i],
 			end:   part.Start[i+1],
-			in:    inbox{st: st, id: part.ID},
+			in:    inbox{st: st, id: part.ID, slot: part.Slot},
 			open:  make([]uint64, s),
 		}
 		// The drain's first input already stamped last with its instant.
@@ -539,18 +539,14 @@ func (s *shardRun) newFanout(from int32, size, key int64, payload any) *fanout {
 	return f
 }
 
-// run stores the transmission as one inbox record and queues it for
-// each receiver, whose ID maps to its slot here. Liveness, the Rx charge
-// and the trace wait for the drain (land).
+// run hands the transmission to the inbox in one call, as one record
+// queued for each receiver. Liveness, the Rx charge and the trace wait
+// for the drain (land).
 func (f *fanout) run() {
 	s := f.s
 	s.last = s.kern.Now()
-	slot := s.eng.part.Slot
-	s.in.record(Packet{From: int(f.from), Size: f.size, Key: f.key, Payload: f.payload})
-	for _, id := range f.to {
-		if s.in.ref(slot[id]) {
-			s.kern.After(0, s.drain)
-		}
+	if s.in.deliver(Packet{From: int(f.from), Size: f.size, Key: f.key, Payload: f.payload}, f.to) {
+		s.kern.After(0, s.drain)
 	}
 	f.payload, f.to, f.own = nil, nil, f.own[:0]
 	s.freeFan = append(s.freeFan, f)

@@ -8,9 +8,10 @@ import "slices"
 // once.
 //
 // A transmission is one record and the run of its receivers' slots in
-// to, so a delivery costs one 4-byte slot and one count increment. The
-// counts and timer flags live in State by slot, written only by the
-// node's owner fabric; a node is listed at its first input.
+// to, queued by one deliver call, so a delivery costs one slot lookup,
+// one 4-byte slot and one count increment. The counts and timer flags
+// live in State by slot, written only by the node's owner fabric; a node
+// is listed at its first input.
 //
 // One drain per instant sees every input: all inputs of instant t are
 // queued before any event at t fires (DESIGN.md §7), and the fabric
@@ -20,9 +21,9 @@ import "slices"
 // a drain is a bug and panics.
 type inbox struct {
 	st *State
-	// id maps a slot to its node ID (Partition.ID; the identity on the
-	// oracle).
-	id []int32
+	// id maps a slot to its node ID and slot an ID to its slot
+	// (Partition.ID and Slot; the identity on the oracle).
+	id, slot []int32
 	// recs holds this instant's records; record r's receivers are
 	// to[start[r]:start[r+1]], the last record's ending at len(to).
 	recs  []Packet
@@ -38,36 +39,46 @@ type inbox struct {
 	draining bool
 }
 
-// record stores a transmission's packet for the current instant; the
-// refs that follow queue it for its receivers.
-func (ib *inbox) record(p Packet) {
+// deliver stores a transmission's packet for the current instant as one
+// record and queues it for each receiver in ids, mapped to its slot. It
+// reports whether the instant's node list went from empty to non-empty,
+// for which the caller schedules the drain.
+func (ib *inbox) deliver(p Packet, ids []int32) bool {
 	if ib.draining {
 		panic("shard: transmission during its instant's drain")
 	}
 	ib.recs = push(ib.recs, p)
-	ib.start = push(ib.start, int32(len(ib.to)))
-}
-
-// ref queues the newest record for slot n and reports whether this is
-// the instant's first input, for which the caller schedules the drain.
-func (ib *inbox) ref(n int32) bool {
-	ib.to = push(ib.to, n)
-	ib.st.count[n]++
-	return ib.st.count[n] == 1 && !ib.st.timerFired[n] && ib.list(n)
+	base := len(ib.to)
+	ib.start = push(ib.start, int32(base))
+	if base+len(ids) > cap(ib.to) {
+		ib.to = slices.Grow(ib.to, cap(ib.to)+len(ids)) // at least double, as push does
+	}
+	ib.to = ib.to[:base+len(ids)]
+	run := ib.to[base:][:len(ids)] // len(ids) long, so run[k] needs no bounds check
+	first := len(ib.nodes) == 0
+	count, timer, slot := ib.st.count, ib.st.timerFired, ib.slot
+	for k, id := range ids {
+		n := slot[id]
+		run[k] = n
+		count[n]++
+		if count[n] == 1 && !timer[n] {
+			ib.nodes = append(ib.nodes, uint64(id)<<32|uint64(n))
+		}
+	}
+	return first && len(ib.nodes) > 0
 }
 
 // touch records that slot n's timer expired at the current instant, which
 // happens at most once (wakeAfter keeps one timer a node); the result is
-// ref's.
+// deliver's.
 func (ib *inbox) touch(n int32) bool {
 	if ib.draining {
 		panic("shard: timer during its instant's drain")
 	}
 	ib.st.timerFired[n] = true
-	return ib.st.count[n] == 0 && ib.list(n)
-}
-
-func (ib *inbox) list(n int32) bool {
+	if ib.st.count[n] != 0 {
+		return false
+	}
 	ib.nodes = append(ib.nodes, uint64(ib.id[n])<<32|uint64(n))
 	return len(ib.nodes) == 1
 }

@@ -65,7 +65,7 @@ func inboxState(n int) *State {
 // in random order and checks the drain: each listed node is woken once,
 // in ascending ID order, with exactly its packets sorted by (From, Key).
 // It runs on the identity layout and on a shuffled one, where the inbox
-// is fed slots and must still wake by ID.
+// maps each ID to its slot and must still wake by ID.
 func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	const n = 40
@@ -75,7 +75,7 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 			slot[node] = int32(v)
 		}
 		st := inboxState(n)
-		ib := &inbox{st: st, id: id}
+		ib := &inbox{st: st, id: id, slot: slot}
 		for round := 0; round < 20; round++ {
 			want := make(map[int][]Packet)
 			firsts := 0
@@ -83,7 +83,7 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 				to := rng.Intn(n)
 				p := Packet{From: rng.Intn(n), Size: 1, Key: int64(rng.Intn(4)), Payload: i}
 				want[to] = append(want[to], p)
-				if ib.add(slot[to], p) {
+				if ib.add(int32(to), p) {
 					firsts++
 				}
 			}
@@ -115,6 +115,12 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 	}
 }
 
+// identityInbox is an inbox on st's nodes in the identity layout.
+func identityInbox(st *State) *inbox {
+	id := identity(len(st.Alive))
+	return &inbox{st: st, id: id, slot: id}
+}
+
 // shuffled is a random slot-to-ID map on n nodes.
 func shuffled(n int, rng *rand.Rand) []int32 {
 	id := identity(n)
@@ -127,12 +133,13 @@ func shuffled(n int, rng *rand.Rand) []int32 {
 // packets sets the flag on the same wake.
 func TestInboxTimerOnlyWake(t *testing.T) {
 	st := inboxState(4)
-	ib := &inbox{st: st, id: identity(4)}
+	ib := identityInbox(st)
 	if !ib.touch(2) {
 		t.Fatal("first touch of the instant did not ask for a drain")
 	}
-	ib.add(1, Packet{From: 0, Size: 1})
-	ib.touch(1)
+	if ib.add(1, Packet{From: 0, Size: 1}) || ib.touch(1) {
+		t.Fatal("input after the instant's first asked for a second drain")
+	}
 	a := &recApp{}
 	ib.drain(&stillFab{}, a)
 	want := []wakeRec{{1, []Packet{{From: 0, Size: 1}}, true}, {2, []Packet{}, true}}
@@ -155,7 +162,7 @@ func TestInboxTimerOnlyWake(t *testing.T) {
 func TestInboxDeadNodeLosesInput(t *testing.T) {
 	st := inboxState(3)
 	st.Alive[1] = false
-	ib := &inbox{st: st, id: identity(3)}
+	ib := identityInbox(st)
 	ib.touch(1)
 	ib.add(1, Packet{From: 0, Size: 1})
 	ib.add(1, Packet{From: 2, Size: 1})
@@ -182,12 +189,13 @@ func TestInboxDeadNodeLosesInput(t *testing.T) {
 // TestInboxSharedRecordReachesEachReceiverOnce stores each transmission
 // once, for a random set of receivers, with the senders and their keys
 // recorded in shuffled order: every receiver gets every record it was
-// referenced for exactly once, in its batch's (From, Key) order.
+// queued for exactly once, in its batch's (From, Key) order, and only the
+// instant's first transmission asks for the drain.
 func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	const n = 40
 	st := inboxState(n)
-	ib := &inbox{st: st, id: identity(n)}
+	ib := identityInbox(st)
 	for round := 0; round < 20; round++ {
 		var sends []Packet
 		for from := 0; from < 1+rng.Intn(30); from++ {
@@ -197,11 +205,14 @@ func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 		}
 		rng.Shuffle(len(sends), func(i, j int) { sends[i], sends[j] = sends[j], sends[i] })
 		want := make(map[int][]Packet)
-		for _, p := range sends {
-			ib.record(p)
+		for i, p := range sends {
+			var ids []int32
 			for _, to := range rng.Perm(n)[:1+rng.Intn(n/2)] {
-				ib.ref(int32(to))
+				ids = append(ids, int32(to))
 				want[to] = append(want[to], p)
+			}
+			if first := ib.deliver(p, ids); first != (i == 0) {
+				t.Fatalf("round %d: transmission %d reported first input %v", round, i, first)
 			}
 		}
 		a := &recApp{}
@@ -226,12 +237,10 @@ func TestInboxSharedRecordReachesEachReceiverOnce(t *testing.T) {
 // no larger than the record table and the receiver runs they serve.
 func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 	st := inboxState(8)
-	ib := &inbox{st: st, id: identity(8)}
+	ib := identityInbox(st)
 	for i := int32(0); i < 50; i++ {
 		ib.add(i%8, Packet{From: int(i), Size: 1, Payload: &wakeRec{}})
-		ib.record(Packet{From: 50 + int(i), Size: 1, Payload: &wakeRec{}})
-		ib.ref(i % 8)
-		ib.ref((i + 3) % 8)
+		ib.deliver(Packet{From: 50 + int(i), Size: 1, Payload: &wakeRec{}}, []int32{i % 8, (i + 3) % 8})
 	}
 	ib.add(1, Packet{From: 0, Key: 1, Size: 1, Payload: &wakeRec{}})
 	ib.drain(&stillFab{}, &recApp{})
@@ -287,7 +296,7 @@ func comparePackets(x, y Packet) int {
 func TestInboxCycleAllocatesNothing(t *testing.T) {
 	const n = 64
 	st := inboxState(n)
-	ib := &inbox{st: st, id: identity(n)}
+	ib := identityInbox(st)
 	fab, a := &stillFab{}, &countApp{}
 	cycle := func() {
 		for _, reversed := range []bool{false, true} {
@@ -299,10 +308,11 @@ func TestInboxCycleAllocatesNothing(t *testing.T) {
 				ib.add(int32(i*37%n), Packet{From: from, Size: 1, Key: int64(i % 50)})
 			}
 			for i := 0; i < 100; i++ {
-				ib.record(Packet{From: 11 + i, Size: 1})
-				for j := 0; j < 6; j++ {
-					ib.ref(int32((i*13 + j*7) % n))
+				var ids [6]int32
+				for j := range ids {
+					ids[j] = int32((i*13 + j*7) % n)
 				}
+				ib.deliver(Packet{From: 11 + i, Size: 1}, ids[:])
 			}
 			if sorted := slices.IsSortedFunc(ib.recs, comparePackets); sorted == reversed {
 				t.Fatalf("reversed %v: records in order %v", reversed, sorted)
@@ -331,7 +341,7 @@ func TestInboxInputDuringDrainPanics(t *testing.T) {
 		"add to a timer-only node": func(ib *inbox) { ib.add(3, Packet{From: 0, Size: 1}) },
 	} {
 		st := inboxState(4)
-		ib := &inbox{st: st, id: identity(4)}
+		ib := identityInbox(st)
 		ib.touch(0)
 		ib.add(2, Packet{From: 1, Size: 1})
 		ib.touch(3)

@@ -90,7 +90,8 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, 
 		ch = hz.channel
 	}
 	med := radio.NewMedium(nw, kern, ledger, rand.New(rand.NewSource(1)), radio.Config{Channel: ch})
-	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st, id: identity(nw.N())}}
+	id := identity(nw.N())
+	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st, id: id, slot: id}}
 	f.drain = func() { f.in.drain(f, f.app) }
 	if traceCap > 0 {
 		f.tracer = trace.New(traceCap)
@@ -236,11 +237,10 @@ func (f *singleFab) onPacket(id int, pkt radio.Packet) {
 	}
 }
 
-// add queues p for slot n at the current instant, as one record with one
-// receiver, the oracle's form of a delivery; the result is ref's.
+// add queues p for node n at the current instant, as one record with one
+// receiver, the oracle's form of a delivery; the result is deliver's.
 func (ib *inbox) add(n int32, p Packet) bool {
-	ib.record(p)
-	return ib.ref(n)
+	return ib.deliver(p, []int32{n})
 }
 
 // identity is the identity layout's slot-to-ID map on n nodes.
