@@ -211,7 +211,12 @@ examples:
 # find as many regions as the ground truth, an unknown engine must be
 # rejected before the deployment phase runs, and a NaN loss probability
 # must fail the goroutine and shard engines instead of running lossless.
+# The DES engine keeps one trace: -trace 5 -trace-out must export as many
+# events as -trace-out alone, and tracecat -check must find the export
+# lawful. A shard-engine churn mission must apply the same suspends and
+# resumes through wsnsim as through wsnserve -oneshot on the same spec.
 ENGINES = des lockstep goroutine physical shard
+CHURN_SPEC = {"workload":"labeling","side":8,"seed":1,"churn_rate":0.5}
 
 engines:
 	@for e in $(ENGINES); do \
@@ -231,6 +236,21 @@ engines:
 	    echo "FAIL: -engine $$e -loss NaN exited 0"; exit 1; fi; \
 	  echo "ok   -engine $$e -loss NaN rejected"; \
 	done
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/wsnsim -side 8 -engine des -trace 5 -trace-out $$dir/both.jsonl >/dev/null && \
+	$(GO) run ./cmd/wsnsim -side 8 -engine des -trace-out $$dir/out.jsonl >/dev/null && \
+	both=$$(wc -l < $$dir/both.jsonl) && out=$$(wc -l < $$dir/out.jsonl) && \
+	if [ "$$both" -ne "$$out" ]; then \
+	  echo "FAIL: -trace 5 -trace-out exported $$both events, -trace-out alone $$out"; exit 1; fi && \
+	$(GO) run ./cmd/tracecat -check -side 8 $$dir/both.jsonl && \
+	echo "ok   -engine des -trace 5 -trace-out exports the whole trace ($$out events)"
+	@cli=$$($(GO) run ./cmd/wsnsim -side 8 -seed 1 -engine shard -churn-rate 0.5 | \
+	  sed -n 's|^churn: .* applied as \([0-9]*\) suspends / \([0-9]*\) resumes$$|\1/\2|p') && \
+	srv=$$(echo '$(CHURN_SPEC)' | $(GO) run ./cmd/wsnserve -oneshot - | \
+	  sed -n 's|.*"suspends":\([0-9]*\),"resumes":\([0-9]*\).*|\1/\2|p') && \
+	if [ -z "$$cli" ] || [ "$$cli" != "$$srv" ]; then \
+	  echo "FAIL: shard churn mission: wsnsim $${cli:-none} vs wsnserve $${srv:-none} suspends/resumes"; exit 1; fi && \
+	echo "ok   shard churn mission: wsnsim and wsnserve apply $$cli suspends/resumes"
 
 # Build output only: the bench/ build directory and the binaries
 # `go build ./cmd/<name>` leaves in the repository root. results/ is

@@ -56,7 +56,7 @@ func main() {
 		return
 	}
 	if *timeline {
-		printTimeline(events)
+		fmt.Print(trace.Timeline(events))
 	}
 	if *nodes {
 		printNodes(events)
@@ -121,12 +121,6 @@ func summarize(events []trace.Event) {
 	fmt.Println("busiest identities:")
 	for _, b := range busy {
 		fmt.Printf("  %-10s %d events\n", b.node, b.n)
-	}
-}
-
-func printTimeline(events []trace.Event) {
-	for _, e := range events {
-		fmt.Printf("t=%-6d %-8s %-8s %s\n", int64(e.At), e.Kind, e.Node, e.Describe())
 	}
 }
 

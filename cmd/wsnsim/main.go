@@ -38,6 +38,10 @@
 // transitions per time unit); -duty-cycle period:on puts every radio on
 // a staggered period with the given on-phase. Both may be combined.
 //
+// -trace N prints the last N events of the run's one trace on the DES
+// engine, and -trace-out exports the whole trace as JSONL; given both,
+// they read the same trace.
+//
 // -engine shard runs the labeling application itself on the sharded
 // kernel (one node per virtual cell), honoring -shards/-workers, -loss
 // (Bernoulli, counter-keyed so the result is shard-count invariant),
@@ -66,6 +70,7 @@ import (
 	"wsnva/internal/metrics"
 	"wsnva/internal/regions"
 	"wsnva/internal/runtime"
+	"wsnva/internal/serve"
 	"wsnva/internal/shard"
 	"wsnva/internal/sim"
 	"wsnva/internal/synth"
@@ -91,8 +96,8 @@ func main() {
 	churnRate := flag.Float64("churn-rate", 0, "Poisson sleep/wake churn: expected radio transitions per time unit (physical and shard engines)")
 	dutyCycle := flag.String("duty-cycle", "", "duty-cycle every radio on a staggered period:on schedule, e.g. 64:48 (physical and shard engines)")
 	shards := flag.Int("shards", 0, "run program injection on this many spatial shards (0 = one, the sequential kernel)")
-	workers := flag.Int("workers", 0, "goroutines driving the shards (0 = one per shard)")
-	traceN := flag.Int("trace", 0, "print the last N virtual-machine events (DES engine only)")
+	workers := flag.Int("workers", 0, "goroutines driving the shards (0 = GOMAXPROCS)")
+	traceN := flag.Int("trace", 0, "print the last N events of the run's trace (DES engine only; the trace keeps every machine event, about 550 at side 8)")
 	traceOut := flag.String("trace-out", "", "export the run's structured trace as JSONL to this file (des and physical engines)")
 	showMetrics := flag.Bool("metrics", false, "print the per-node metrics snapshot after the run (DES engine only)")
 	flag.Parse()
@@ -157,7 +162,10 @@ func main() {
 	}
 
 	// Application layer: sense, threshold, label.
-	phen := makeField(*fieldName, grid, *seed)
+	phen, err := serve.MissionField(*fieldName, grid, *seed)
+	if err != nil {
+		log.Fatalf("wsnsim: %v", err)
+	}
 	m := field.Threshold(phen, grid, *thresh, 0)
 	fmt.Printf("\nphenomenon %q thresholded at %.2f -> %d feature cells:\n%s\n",
 		phen.Name(), *thresh, m.Count(), m)
@@ -169,22 +177,17 @@ func main() {
 		ledger := cost.NewLedger(cost.NewUniform(), grid.N())
 		k := sim.New()
 		vm := varch.NewMachine(h, k, ledger)
+		// One tracer serves both flags: -trace prints its tail, and a
+		// JSONL export attaches the whole stack to it (machine, ledger, and
+		// kernel).
 		var tr *trace.Tracer
-		if *traceN > 0 {
-			tr = trace.New(*traceN)
+		if *traceN > 0 || *traceOut != "" {
+			tr = trace.New()
 			vm.SetTracer(tr)
 		}
-		// A JSONL export gets its own complete tracer with the whole stack
-		// attached — machine, ledger, and kernel — independent of the small
-		// timeline ring -trace prints.
-		var exp *trace.Tracer
 		if *traceOut != "" {
-			exp = trace.New(1 << 20)
-			if tr == nil {
-				vm.SetTracer(exp)
-			}
-			ledger.SetTracer(exp, k.Now)
-			k.SetProbe(trace.KernelProbe(exp))
+			ledger.SetTracer(tr, k.Now)
+			k.SetProbe(trace.KernelProbe(tr))
 		}
 		var reg *metrics.Registry
 		if *showMetrics {
@@ -199,12 +202,13 @@ func main() {
 		met := ledger.Metrics()
 		fmt.Printf("labeling (DES engine): completed at t=%d, %d rule firings\n", res.Completion, res.RuleFirings)
 		fmt.Printf("energy: total %d, max node %d, balance %.2f\n", met.Total, met.Max, met.Balance)
-		if tr != nil {
-			fmt.Printf("\nlast %d virtual-machine events (%d sends, %d deliveries total):\n%s",
-				*traceN, tr.Count(trace.Send), tr.Count(trace.Deliver), tr.Timeline())
+		if *traceN > 0 {
+			evs := tr.Events()
+			fmt.Printf("\nlast %d trace events (%d sends, %d deliveries total):\n%s",
+				*traceN, tr.Count(trace.Send), tr.Count(trace.Deliver), trace.Timeline(evs[max(0, len(evs)-*traceN):]))
 		}
-		if exp != nil {
-			exportTrace(*traceOut, exp)
+		if *traceOut != "" {
+			exportTrace(*traceOut, tr)
 		}
 		if reg != nil {
 			fmt.Printf("\nmetrics snapshot:\n%s", reg.Snapshot())
@@ -232,17 +236,21 @@ func main() {
 			// Attached after setup, so the trace covers the application run:
 			// both planes (virtual sends on the machine, physical tx/rx on the
 			// medium) plus every ledger charge.
-			exp = trace.New(1 << 20)
+			exp = trace.New()
 			bndMachine.SetTracer(exp)
 			stack.SetTracer(exp)
 		}
 		physLedger := stack.Ledger()
 		before := physLedger.Metrics().Total
-		if sched, woke := churnPlan(*churnRate, *dutyCycle, nw.N(), churnHorizon, *seed+4); len(sched) > 0 {
+		if plan := churnPlan(*churnRate, *dutyCycle, nw.N(), churnHorizon, *seed+4); len(plan) > 0 {
 			// Churn mission: the schedule drives sleep/wake and
 			// depart/revive transitions against the live runtime, each
 			// followed by incremental repair; labeling rounds interleave to
-			// prove the repaired network still computes.
+			// prove the repaired network still computes. The close-out
+			// wakes whatever the schedule leaves asleep at the horizon, so
+			// the concluding labeling round measures the repaired network
+			// rather than the residual sleep set.
+			sched, woke := plan.Settle(churnHorizon + 1)
 			out, err := bndMachine.RunChurn(emul.ChurnConfig{Schedule: sched, Map: m, RoundEvery: 4})
 			if err != nil {
 				log.Fatalf("wsnsim: %v", err)
@@ -290,7 +298,7 @@ func main() {
 		}
 		// Churn horizon matching the crash window's scale: 4*side covers
 		// the labeling run's active phase on a one-node-per-cell engine.
-		sched, _ := churnPlan(*churnRate, *dutyCycle, grid.N(), sim.Time(4*int64(*side)), *seed+4)
+		sched := churnPlan(*churnRate, *dutyCycle, grid.N(), sim.Time(4*int64(*side)), *seed+4)
 		res, err := shard.RunLabeling(m, shard.LabelConfig{Config: shard.Config{
 			Shards:  *shards,
 			Workers: *workers,
@@ -354,11 +362,9 @@ const churnHorizon = sim.Time(400)
 
 // churnPlan assembles the schedule the churn flags describe for an
 // n-radio engine: a Poisson sleep/wake process, a staggered duty-cycle
-// over every node, or their merge. It closes the mission out by waking
-// whatever the schedule leaves asleep at the horizon, so the concluding
-// labeling round measures the repaired network rather than the residual
-// sleep set, and returns how many radios that woke.
-func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) (churn.Schedule, int) {
+// over every node, or their merge. On the shard engine it is the
+// schedule wsnserve builds for the same spec.
+func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) churn.Schedule {
 	var parts []churn.Schedule
 	if rate > 0 {
 		parts = append(parts, churn.Poisson(n, rate, horizon, seed))
@@ -374,7 +380,7 @@ func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) (
 		}
 		parts = append(parts, churn.DutyCycle(nodes, sim.Time(period), sim.Time(on), horizon))
 	}
-	return churn.Merge(parts...).Settle(horizon + 1)
+	return churn.Merge(parts...)
 }
 
 // exportTrace writes the tracer's events as JSONL and reports the export.
@@ -387,23 +393,5 @@ func exportTrace(path string, tr *trace.Tracer) {
 	if err := tr.WriteJSONL(f); err != nil {
 		log.Fatalf("wsnsim: %v", err)
 	}
-	fmt.Printf("\ntrace: %d events exported to %s (%d lost to the ring)\n",
-		len(tr.Events()), path, tr.Lost())
-}
-
-func makeField(name string, grid *geom.Grid, seed int64) field.Field {
-	switch name {
-	case "blobs":
-		return field.RandomBlobs(4, grid.Terrain,
-			grid.Terrain.Width()/10, grid.Terrain.Width()/6, rand.New(rand.NewSource(seed+2)))
-	case "gradient":
-		return field.Gradient{DX: 1.0 / grid.Terrain.Width() * 2}
-	case "stripes":
-		return field.Stripes{Width: grid.Terrain.Width() / 4, High: 1}
-	case "solid":
-		return field.Constant{Value: 1}
-	default:
-		log.Fatalf("wsnsim: unknown field %q", name)
-		return nil
-	}
+	fmt.Printf("\ntrace: %d events exported to %s\n", len(tr.Events()), path)
 }

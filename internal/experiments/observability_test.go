@@ -30,13 +30,13 @@ func TestTraceTransparency(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			plain := tc.run(Options{Quick: true})
-			tr := trace.New(1 << 20)
+			tr := trace.New()
 			traced := tc.run(Options{Quick: true, Trace: tr})
 			if plain != traced {
 				t.Errorf("%s: table diverges when traced:\n--- untraced ---\n%s\n--- traced ---\n%s",
 					tc.name, plain, traced)
 			}
-			if tr.Emitted() == 0 {
+			if len(tr.Events()) == 0 {
 				t.Errorf("%s: tracer attached but saw no events", tc.name)
 			}
 		})
@@ -51,29 +51,26 @@ func TestRunDESTransparencyProperty(t *testing.T) {
 	prop := func(s uint8) bool {
 		seed := int64(s)
 		plain, plainLedger := runDES(blobMapFor(8, seed), nil)
-		tr := trace.New(1 << 18)
+		tr := trace.New()
 		traced, tracedLedger := runDES(blobMapFor(8, seed), tr)
 		return plain.Completion == traced.Completion &&
 			plain.RuleFirings == traced.RuleFirings &&
 			plain.Final.Count() == traced.Final.Count() &&
 			plainLedger.Total() == tracedLedger.Total() &&
-			tr.Emitted() > 0
+			len(tr.Events()) > 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 8}); err != nil {
 		t.Error(err)
 	}
 }
 
-// invariantRound traces one fault-injected round with a ring big enough to
-// lose nothing, then replays the stream through the invariant engine with
-// the run's own ledger total as the conservation target.
+// invariantRound traces one fault-injected round, then replays the whole
+// stream through the invariant engine with the run's own ledger total as
+// the conservation target.
 func invariantRound(t *testing.T, name string, cfg synth.FaultConfig) {
 	t.Helper()
-	tr := trace.New(1 << 20)
+	tr := trace.New()
 	_, vm := faultRound(8, 7, cfg, tr)
-	if tr.Lost() != 0 {
-		t.Fatalf("%s: ring overflowed (lost %d); conservation rules need a complete trace", name, tr.Lost())
-	}
 	vs := check.Run(tr.Events(), check.Options{Side: 8, LedgerTotal: int64(vm.Ledger().Total())})
 	for i, v := range vs {
 		if i >= 5 {
@@ -114,11 +111,8 @@ func TestInvariantFaultSweeps(t *testing.T) {
 // pairing, liveness, and ordering rule still applies to both planes.
 func TestInvariantLifetimeMission(t *testing.T) {
 	for _, rotate := range []bool{false, true} {
-		tr := trace.New(1 << 20)
+		tr := trace.New()
 		out, _ := lifetimeMission(cost.Energy(200), rotate, tr)
-		if tr.Lost() != 0 {
-			t.Fatalf("rotate=%v: ring overflowed (lost %d)", rotate, tr.Lost())
-		}
 		if out.Rounds == 0 {
 			t.Fatalf("rotate=%v: mission ran no rounds", rotate)
 		}

@@ -131,23 +131,23 @@ func engineConfig(s *Spec, n int, sink trace.Sink) (shard.Config, error) {
 	return cfg, nil
 }
 
-// missionField mirrors cmd/wsnsim's phenomenon factory, seed stream
-// included, so "the same mission" means the same thing at the CLI and
-// over HTTP.
-func missionField(name string, grid *geom.Grid, seed int64) field.Field {
+// MissionField is the phenomenon a mission of the given seed senses,
+// seed stream included. cmd/wsnsim builds its field here too, so "the
+// same mission" means the same thing at the CLI and over HTTP.
+func MissionField(name string, grid *geom.Grid, seed int64) (field.Field, error) {
 	switch name {
 	case "blobs":
 		return field.RandomBlobs(4, grid.Terrain,
 			grid.Terrain.Width()/10, grid.Terrain.Width()/6,
-			rand.New(rand.NewSource(seed+seedField)))
+			rand.New(rand.NewSource(seed+seedField))), nil
 	case "gradient":
-		return field.Gradient{DX: 1.0 / grid.Terrain.Width() * 2}
+		return field.Gradient{DX: 1.0 / grid.Terrain.Width() * 2}, nil
 	case "stripes":
-		return field.Stripes{Width: grid.Terrain.Width() / 4, High: 1}
+		return field.Stripes{Width: grid.Terrain.Width() / 4, High: 1}, nil
 	case "solid":
-		return field.Constant{Value: 1}
+		return field.Constant{Value: 1}, nil
 	}
-	panic(fmt.Sprintf("serve: unvalidated field %q", name)) // Validate gates this
+	return nil, fmt.Errorf("unknown field %q (want blobs, gradient, stripes, or solid)", name)
 }
 
 // Execute runs one validated, normalized mission and returns its
@@ -167,7 +167,10 @@ func Execute(s *Spec, sink trace.Sink) (result, traceJSONL []byte, err error) {
 		if cerr != nil {
 			return nil, nil, cerr
 		}
-		phen := missionField(s.Field, grid, s.Seed)
+		phen, ferr := MissionField(s.Field, grid, s.Seed)
+		if ferr != nil {
+			return nil, nil, ferr
+		}
 		m := field.Threshold(phen, grid, s.Thresh, 0)
 		res, rerr := shard.RunLabeling(m, shard.LabelConfig{Config: cfg})
 		if rerr != nil {

@@ -39,16 +39,19 @@ type xrec struct {
 // hazards bundles the stochastic and fail-stop machinery a run
 // threads through its fabric: the counter-keyed loss channel, the
 // crash schedule, and the battery budget (0 disables
-// depletion). A zero value is the loss-free, fault-free fast path.
+// depletion). A zero value is the loss-free, fault-free, untraced
+// fast path.
 type hazards struct {
 	channel  *fault.StreamChannel
 	crashes  fault.Schedule
 	churn    churn.Schedule
 	capacity cost.Energy
-	// sink, when set alongside tracing, observes events live as each
-	// kernel emits them (interleaving-dependent order — the canonical
-	// trace in the result is the deterministic record).
-	sink trace.Sink
+	// trace gives every kernel a tracer (Config.Trace). sink, when set
+	// alongside, observes events live as each kernel emits them
+	// (interleaving-dependent order — the canonical trace in the result
+	// is the deterministic record).
+	trace bool
+	sink  trace.Sink
 }
 
 // engine runs one simulation across S spatial shards in conservative
@@ -156,7 +159,7 @@ type fanout struct {
 }
 
 func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model,
-	lookahead sim.Time, pool *parallel.Pool, mkApp func(shard int) app, hz hazards, traceCap int) *engine {
+	lookahead sim.Time, pool *parallel.Pool, mkApp func(shard int) app, hz hazards) *engine {
 	if lookahead < 1 {
 		panic(fmt.Sprintf("shard: lookahead %d must be at least one time unit", lookahead))
 	}
@@ -186,8 +189,8 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 		}
 		// The drain's first input already stamped last with its instant.
 		sr.drain = func() { sr.in.drain(sr, sr.app) }
-		if traceCap > 0 {
-			sr.tracer = trace.New(traceCap)
+		if hz.trace {
+			sr.tracer = trace.New()
 			sr.tracer.SetSink(hz.sink)
 		}
 		if size := int(sr.end - sr.start); size > 0 {

@@ -40,7 +40,7 @@ func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 	model := cost.NewUniform()
 	part := NewPartition(nw, 4)
 	eng := newEngine(nw, NewState(nw), part, model, 1, parallel.New(1),
-		func(int) app { return &recApp{} }, hazards{}, 0)
+		func(int) app { return &recApp{} }, hazards{})
 	src := eng.shards[part.Owner[0]]
 	sends := []xrec{{size: 2, key: 7}, {size: 3, key: 8}}
 	for _, x := range sends {
@@ -81,9 +81,9 @@ func TestBroadcastOpensOneRecordPerDestinationShard(t *testing.T) {
 // keepEngine is execute that also hands back the engine it ran.
 func keepEngine(eng **engine) executor {
 	return func(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
-		mkApp func(int) app, hz hazards, traceCap int) (runStats, error) {
+		mkApp func(int) app, hz hazards) runStats {
 		*eng = newEngine(nw, st, NewPartition(nw, shards), model, sim.Time(model.TxLatency(1)),
-			parallel.New(workers), mkApp, hz, traceCap)
+			parallel.New(workers), mkApp, hz)
 		return (*eng).execute()
 	}
 }

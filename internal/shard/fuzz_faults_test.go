@@ -28,11 +28,7 @@ func runFuzzHazApp(tb testing.TB, exec executor, nw *deploy.Network, plan [][]fu
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	rs, err := exec(nw, st, cost.NewUniform(), shards, workers, mk, hz, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return a, rs
+	return a, exec(nw, st, cost.NewUniform(), shards, workers, mk, hz)
 }
 
 // decodeLoss pulls a loss model out of the first three fuzz bytes:

@@ -114,11 +114,7 @@ func runFuzzApp(tb testing.TB, exec executor, nw *deploy.Network, plan [][]fuzzS
 	st := NewState(nw)
 	a := newFuzzApp(st, plan)
 	mk := func(int) app { return a }
-	rs, err := exec(nw, st, cost.NewUniform(), shards, workers, mk, hazards{}, 0)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	return a, rs
+	return a, exec(nw, st, cost.NewUniform(), shards, workers, mk, hazards{})
 }
 
 // FuzzWindowBoundary feeds random broadcast schedules whose deliveries

@@ -138,7 +138,7 @@ func (*relayFx) Sense(int64)   {}
 // LabelConfig parameterizes a sharded labeling run. The embedded
 // Config supplies the execution strategy (Shards, Workers), the hazard
 // knobs (Loss, Burst, Seed, Crashes, Churn, Capacity, Deplete), and
-// Trace/Model; its dissemination-only fields (Floods, Origins,
+// Trace/Sink; its dissemination-only fields (Floods, Origins,
 // PktSize) are ignored.
 type LabelConfig struct {
 	Config
@@ -258,39 +258,20 @@ func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResu
 	if err != nil {
 		return nil, err
 	}
-	n := m.Grid.N()
-	model := cfg.Model
-	if model == nil {
-		model = cost.NewUniform()
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
-	}
-	hz, err := buildHazards(n, &cfg.Config)
+	hz, err := buildHazards(m.Grid.N(), &cfg.Config)
 	if err != nil {
 		return nil, err
 	}
 	nw := labelDeployment(m.Grid)
 	st := NewState(nw)
 	lr := newRelayRun(h, m)
-	traceCap := 0
-	if cfg.Trace {
-		// Every unicast hop emits a Tx plus one Rx-or-Drop; total hops
-		// are bounded by 3n (each level-k sender travels < 2^(k+1) hops
-		// and sender counts shrink geometrically), plus one Death and
-		// one Deplete per node and one Sleep or Wake per churn entry.
-		traceCap = 8*n + len(cfg.Churn) + 64
-	}
 	var apps []*relayApp
 	mk := func(int) app {
 		a := &relayApp{run: lr}
 		apps = append(apps, a)
 		return a
 	}
-	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, traceCap)
-	if err != nil {
-		return nil, err
-	}
+	rs := exec(nw, st, cost.NewUniform(), cfg.Shards, cfg.Workers, mk, hz)
 	agg := apps[0]
 	for _, a := range apps[1:] {
 		agg.fold(a)

@@ -32,8 +32,8 @@ func runLabelingOracle(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error
 // network whatever the shard and worker counts, and a single app instance
 // drives every node.
 func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
-	mkApp func(shard int) app, hz hazards, traceCap int) (runStats, error) {
-	fab := newSingleFab(nw, st, model, hz, traceCap)
+	mkApp func(shard int) app, hz hazards) runStats {
+	fab := newSingleFab(nw, st, model, hz)
 	rs := runStats{completion: fab.run(mkApp(0))}
 	rs.sent, rs.delivered, rs.dropped = fab.med.Stats()
 	rs.suspends, rs.resumes = fab.suspends, fab.resumes
@@ -42,10 +42,7 @@ func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
 		rs.energy[i] = fab.med.Ledger().Energy(i)
 	}
 	rs.events = fab.tracer.Events()
-	if lost := fab.tracer.Lost(); lost > 0 {
-		return rs, fmt.Errorf("shard: oracle trace ring overflowed, %d events lost", lost)
-	}
-	return rs, nil
+	return rs
 }
 
 // singleFab is the differential oracle: the same app API implemented
@@ -82,7 +79,7 @@ type wirePkt struct {
 	payload any
 }
 
-func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, traceCap int) *singleFab {
+func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards) *singleFab {
 	kern := sim.New()
 	ledger := cost.NewLedger(model, nw.N())
 	var ch fault.Channel
@@ -93,8 +90,8 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards, 
 	id := identity(nw.N())
 	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st, id: id, slot: id}}
 	f.drain = func() { f.in.drain(f, f.app) }
-	if traceCap > 0 {
-		f.tracer = trace.New(traceCap)
+	if hz.trace {
+		f.tracer = trace.New()
 		f.tracer.SetSink(hz.sink)
 		med.SetTracer(f.tracer)
 	}

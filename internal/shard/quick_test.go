@@ -210,9 +210,9 @@ func randomPartition(n, shards int, rng *rand.Rand) *Partition {
 // onPartition is execute on part instead of NewPartition's tiles.
 func onPartition(part *Partition) executor {
 	return func(nw *deploy.Network, st *State, model *cost.Model, _, workers int,
-		mkApp func(int) app, hz hazards, traceCap int) (runStats, error) {
+		mkApp func(int) app, hz hazards) runStats {
 		return newEngine(nw, st, part, model, sim.Time(model.TxLatency(1)),
-			parallel.New(workers), mkApp, hz, traceCap).execute()
+			parallel.New(workers), mkApp, hz).execute()
 	}
 }
 

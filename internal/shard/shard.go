@@ -15,7 +15,7 @@ import (
 
 // Config selects the workload and the execution strategy for a sharded
 // run. The zero value (plus a deployment) is a valid single-flood,
-// single-shard run on the paper's uniform cost model.
+// single-shard run. Every run charges the paper's uniform cost model.
 type Config struct {
 	// Shards is the number of spatial tiles the engine runs on; <= 1
 	// means one.
@@ -84,10 +84,6 @@ type Config struct {
 	// trace.Sink). Never part of the result, so it cannot affect any
 	// digest or checksum.
 	Sink trace.Sink
-
-	// Model overrides the cost model (default: the paper's uniform
-	// model).
-	Model *cost.Model
 }
 
 // Result is the outcome of a run. Everything in it is a deterministic
@@ -224,24 +220,23 @@ type runStats struct {
 // execute is the only executor the package runs; the differential tests
 // hand Run's and RunLabeling's bodies a single-kernel oracle instead.
 type executor func(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
-	mkApp func(shard int) app, hz hazards, traceCap int) (runStats, error)
+	mkApp func(shard int) app, hz hazards) runStats
 
 // execute runs mkApp's protocol on the conservative-window engine over
 // max(shards, 1) tiles, driven by a pool of workers (<= 0 means
 // GOMAXPROCS). mkApp is called once per shard, sequentially, in shard
-// order. hz carries the loss channel, the crash schedule, and the
-// depletion budget. It fails only when the trace ring overflowed.
+// order. hz carries the loss channel, the crash and churn schedules, the
+// depletion budget, and whether to trace.
 func execute(nw *deploy.Network, st *State, model *cost.Model, shards, workers int,
-	mkApp func(shard int) app, hz hazards, traceCap int) (runStats, error) {
+	mkApp func(shard int) app, hz hazards) runStats {
 	lookahead := sim.Time(model.TxLatency(1))
-	return newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz, traceCap).execute()
+	return newEngine(nw, st, NewPartition(nw, max(shards, 1)), model, lookahead, parallel.New(workers), mkApp, hz).execute()
 }
 
 // execute runs the engine and folds its shards' totals into one report,
 // the shards' slot-indexed ledgers into one energy vector in ID order.
-func (eng *engine) execute() (runStats, error) {
+func (eng *engine) execute() runStats {
 	rs := runStats{completion: eng.run(), energy: make([]cost.Energy, eng.nw.N())}
-	var lost int64
 	for _, sr := range eng.shards {
 		rs.sent += sr.sent
 		rs.delivered += sr.delivered
@@ -252,12 +247,8 @@ func (eng *engine) execute() (runStats, error) {
 			rs.energy[eng.part.ID[v]] = sr.ledger.Energy(int(v - sr.start))
 		}
 		rs.events = append(rs.events, sr.tracer.Events()...)
-		lost += sr.tracer.Lost()
 	}
-	if lost > 0 {
-		return rs, fmt.Errorf("shard: trace ring overflowed, %d events lost", lost)
-	}
-	return rs, nil
+	return rs
 }
 
 // settle totals the run's per-node energy spend, computes the remaining
@@ -287,13 +278,6 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 	n := nw.N()
 	if n == 0 {
 		return nil, fmt.Errorf("shard: empty deployment")
-	}
-	model := cfg.Model
-	if model == nil {
-		model = cost.NewUniform()
-	}
-	if err := model.Validate(); err != nil {
-		return nil, err
 	}
 	size := cfg.PktSize
 	if size == 0 {
@@ -336,20 +320,6 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 	}
 
 	st := NewState(nw)
-	traceCap := 0
-	if cfg.Trace {
-		// Exact upper bound on emitted events: each node forwards each
-		// flood at most once, and one broadcast emits one Tx plus one
-		// Rx-or-Drop per neighbor (a loss draw swaps an Rx for a Drop,
-		// never adds an event); add one potential Death and one
-		// potential Deplete per node, plus one Sleep or Wake per churn
-		// entry.
-		sumDeg := 0
-		for i := 0; i < n; i++ {
-			sumDeg += nw.Degree(i)
-		}
-		traceCap = k*(n+sumDeg) + 2*n + len(cfg.Churn) + 1
-	}
 	fs := newFloodState(n)
 	var apps []*dissApp
 	mk := func(int) app {
@@ -357,10 +327,7 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 		apps = append(apps, a)
 		return a
 	}
-	rs, err := exec(nw, st, model, cfg.Shards, cfg.Workers, mk, hz, traceCap)
-	if err != nil {
-		return nil, err
-	}
+	rs := exec(nw, st, cost.NewUniform(), cfg.Shards, cfg.Workers, mk, hz)
 	agg := apps[0]
 	for _, a := range apps[1:] {
 		agg.fold(a)
@@ -441,7 +408,7 @@ func buildHazards(n int, cfg *Config) (hazards, error) {
 		hz.churn = cfg.Churn.Normalize()
 	}
 	if cfg.Trace {
-		hz.sink = cfg.Sink
+		hz.trace, hz.sink = true, cfg.Sink
 	}
 	return hz, nil
 }

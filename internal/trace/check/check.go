@@ -12,8 +12,9 @@
 //
 // Run never panics, whatever the input — adversarial and fuzzed traces
 // must be flagged, not crash the checker. The conservation rules assume a
-// complete trace (Tracer.Lost() == 0); on a truncated ring the pairing
-// rules would report false orphans.
+// complete trace, every event the run emitted, which is what a
+// trace.Tracer keeps; on a truncated stream (a slice of it, a cut file)
+// the pairing rules would report false orphans.
 package check
 
 import (

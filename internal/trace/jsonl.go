@@ -23,7 +23,7 @@ func Encode(w io.Writer, events []Event) error {
 	return nil
 }
 
-// WriteJSONL exports the retained events (oldest first) as JSON Lines.
+// WriteJSONL exports the log (oldest first) as JSON Lines.
 // Safe on a nil tracer (writes nothing).
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	return Encode(w, t.Events())

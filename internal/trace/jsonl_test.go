@@ -94,7 +94,7 @@ func TestDecodeIgnoresUnknownFields(t *testing.T) {
 }
 
 func TestWriteJSONL(t *testing.T) {
-	tr := New(8)
+	tr := New()
 	tr.EmitEvent(Event{At: 1, Kind: Send, Node: "a", ID: -1,
 		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: 4, Peer: "b"})
 	var buf bytes.Buffer

@@ -2,7 +2,7 @@
 // runs: every subsystem — the kernel, the radio, the virtual machine, the
 // cost ledger, the battery bank, the runtime engines — emits typed events
 // carrying node identity, grid coordinates, hierarchy level, message
-// bytes, and simulated time into a bounded ring, and tools render
+// bytes, and simulated time into an append-only log, and tools render
 // timelines (cmd/tracecat), export JSONL (Encode/Decode), or replay the
 // stream against conservation laws (trace/check).
 //
@@ -64,7 +64,6 @@ const (
 	Churn
 	Repair
 	Recover
-	numKinds
 )
 
 func (k Kind) String() string {
@@ -181,7 +180,7 @@ func (e Event) Describe() string {
 }
 
 // Sink observes events live, as they are emitted, in emission order —
-// the streaming counterpart of the ring's after-the-fact Events(). A
+// the streaming counterpart of the log's after-the-fact Events(). A
 // sink is called with the tracer's lock held, so implementations must
 // be fast and must never block (hand the event to a buffered channel,
 // drop on overflow); a slow sink stalls the simulation it watches.
@@ -189,24 +188,19 @@ type Sink interface {
 	TraceEvent(Event)
 }
 
-// Tracer records events into a fixed-capacity ring. The zero value is not
-// usable; nil is (as a disabled tracer). The ring's backing array grows
-// lazily up to the capacity, so large-capacity tracers cost nothing until
-// events actually arrive.
+// Tracer records every event of a run into an append-only log, so a
+// trace is always complete — the precondition of the trace/check
+// conservation rules. The zero value is not usable; nil is (as a
+// disabled tracer).
 type Tracer struct {
-	mu      sync.Mutex
-	cap     int
-	ring    []Event
-	next    int
-	filled  bool
-	counts  [numKinds]int64
-	emitted int64
-	sink    Sink
+	mu   sync.Mutex
+	log  []Event
+	sink Sink
 }
 
 // SetSink attaches a live event sink (nil detaches). Every subsequent
 // EmitEvent is forwarded to it, sequence-stamped, after landing in the
-// ring. Safe on a nil tracer.
+// log. Safe on a nil tracer.
 func (t *Tracer) SetSink(s Sink) {
 	if t == nil {
 		return
@@ -216,96 +210,55 @@ func (t *Tracer) SetSink(s Sink) {
 	t.mu.Unlock()
 }
 
-// New returns a tracer keeping the last capacity events.
-func New(capacity int) *Tracer {
-	if capacity <= 0 {
-		panic(fmt.Sprintf("trace: capacity %d must be positive", capacity))
-	}
-	return &Tracer{cap: capacity}
-}
+// New returns an empty tracer.
+func New() *Tracer { return &Tracer{} }
 
-// EmitEvent records a structured event, stamping its sequence number.
-// Safe on a nil tracer and for concurrent use.
+// EmitEvent appends a structured event, stamping its sequence number with
+// its index in the log. Safe on a nil tracer and for concurrent use.
 func (t *Tracer) EmitEvent(e Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	e.Seq = t.emitted
-	t.emitted++
-	if e.Kind >= 0 && e.Kind < numKinds {
-		t.counts[e.Kind]++
-	}
-	if len(t.ring) < t.cap {
-		t.ring = append(t.ring, e)
-	} else {
-		t.ring[t.next] = e
-		t.next++
-		if t.next == t.cap {
-			t.next = 0
-		}
-		t.filled = true
-	}
+	e.Seq = int64(len(t.log))
+	t.log = append(t.log, e)
 	if t.sink != nil {
 		t.sink.TraceEvent(e)
 	}
 	t.mu.Unlock()
 }
 
-// Count returns how many events of the kind were emitted (including ones
-// that have rotated out of the ring). Safe on a nil tracer.
-func (t *Tracer) Count(kind Kind) int64 {
-	if t == nil || kind < 0 || kind >= numKinds {
-		return 0
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.counts[kind]
-}
-
-// Emitted returns the total number of events emitted. Safe on a nil
+// Count returns how many events of the kind were emitted. Safe on a nil
 // tracer.
-func (t *Tracer) Emitted() int64 {
+func (t *Tracer) Count(kind Kind) int64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.emitted
-}
-
-// Lost returns how many events have rotated out of the ring. A complete
-// trace — the precondition for the trace/check conservation rules — has
-// Lost() == 0. Safe on a nil tracer.
-func (t *Tracer) Lost() int64 {
-	if t == nil {
-		return 0
+	var n int64
+	for i := range t.log {
+		if t.log[i].Kind == kind {
+			n++
+		}
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.emitted - int64(len(t.ring))
+	return n
 }
 
-// Events returns the retained events, oldest first.
+// Events returns a copy of the log, oldest first.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !t.filled {
-		return append([]Event(nil), t.ring[:len(t.ring)]...)
-	}
-	out := make([]Event, 0, len(t.ring))
-	out = append(out, t.ring[t.next:]...)
-	out = append(out, t.ring[:t.next]...)
-	return out
+	return append([]Event(nil), t.log...)
 }
 
-// Timeline renders the retained events, one per line, oldest first.
-func (t *Tracer) Timeline() string {
+// Timeline renders events, one per line, in slice order.
+func Timeline(events []Event) string {
 	var b strings.Builder
-	for _, e := range t.Events() {
+	for _, e := range events {
 		fmt.Fprintf(&b, "t=%-6d %-8s %-8s %s\n", e.At, e.Kind, e.Node, e.Describe())
 	}
 	return b.String()

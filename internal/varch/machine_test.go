@@ -173,7 +173,7 @@ func TestMachineStats(t *testing.T) {
 
 func TestMachineTracing(t *testing.T) {
 	vm, k, _ := newVM(t, 4)
-	tr := trace.New(16)
+	tr := trace.New()
 	vm.SetTracer(tr)
 	vm.Send(geom.Coord{Col: 0, Row: 0}, geom.Coord{Col: 2, Row: 1}, 2, nil)
 	k.Run()
