@@ -176,6 +176,7 @@ fuzz:
 	$(GO) test -fuzz FuzzMediumConservation -fuzztime 30s ./internal/radio/
 	$(GO) test -fuzz FuzzCSRNeighbors -fuzztime 30s ./internal/deploy/
 	$(GO) test -fuzz FuzzDecode -fuzztime 30s ./internal/trace/
+	$(GO) test -fuzz FuzzEncode -fuzztime 30s ./internal/trace/
 	$(GO) test -fuzz FuzzRun -fuzztime 30s ./internal/trace/check/
 	$(GO) test -fuzz '^FuzzWindowBoundary$$' -fuzztime 30s ./internal/shard/
 	$(GO) test -fuzz FuzzLossyWindowBoundary -fuzztime 30s ./internal/shard/
@@ -214,9 +215,16 @@ examples:
 # The DES engine keeps one trace: -trace 5 -trace-out must export as many
 # events as -trace-out alone, and tracecat -check must find the export
 # lawful. A shard-engine churn mission must apply the same suspends and
-# resumes through wsnsim as through wsnserve -oneshot on the same spec.
+# resumes through wsnsim as through wsnserve -oneshot on the same spec,
+# and a lossy shard mission with crashes and churn must export the same
+# canonical trace, byte for byte, from wsnsim -trace-out as from
+# wsnserve -oneshot -trace-out (205 events at seed 1): both run the
+# crash and churn schedules serve.EngineConfig builds and encode through
+# trace.AppendJSONL, so a drift in either fails cmp.
 ENGINES = des lockstep goroutine physical shard
 CHURN_SPEC = {"workload":"labeling","side":8,"seed":1,"churn_rate":0.5}
+PARITY_FLAGS = -side 8 -seed 1 -engine shard -loss 0.01 -crash-frac 0.05 -churn-rate 0.5
+PARITY_SPEC = {"workload":"labeling","side":8,"seed":1,"loss":0.01,"crash_frac":0.05,"churn_rate":0.5,"trace":true}
 
 engines:
 	@for e in $(ENGINES); do \
@@ -251,6 +259,11 @@ engines:
 	if [ -z "$$cli" ] || [ "$$cli" != "$$srv" ]; then \
 	  echo "FAIL: shard churn mission: wsnsim $${cli:-none} vs wsnserve $${srv:-none} suspends/resumes"; exit 1; fi && \
 	echo "ok   shard churn mission: wsnsim and wsnserve apply $$cli suspends/resumes"
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/wsnsim $(PARITY_FLAGS) -trace-out $$dir/cli.jsonl >/dev/null && \
+	echo '$(PARITY_SPEC)' | $(GO) run ./cmd/wsnserve -oneshot - -trace-out $$dir/srv.jsonl >/dev/null && \
+	cmp $$dir/cli.jsonl $$dir/srv.jsonl && \
+	echo "ok   shard trace: wsnsim and wsnserve export the same $$(wc -l < $$dir/cli.jsonl) events ($$(wc -c < $$dir/cli.jsonl) bytes)"
 
 # Build output only: the bench/ build directory and the binaries
 # `go build ./cmd/<name>` leaves in the repository root. results/ is

@@ -63,7 +63,6 @@ import (
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
 	"wsnva/internal/emul"
-	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/lockstep"
@@ -288,32 +287,26 @@ func main() {
 			exportTrace(*traceOut, exp)
 		}
 	case "shard":
-		var crashes fault.Schedule
-		if *crashFrac > 0 {
-			sched, err := fault.Random(grid.N(), *crashFrac, sim.Time(*crashWindow), *seed+3)
-			if err != nil {
-				log.Fatalf("wsnsim: %v", err)
-			}
-			crashes = sched
-		}
-		// Churn horizon matching the crash window's scale: 4*side covers
-		// the labeling run's active phase on a one-node-per-cell engine.
-		sched := churnPlan(*churnRate, *dutyCycle, grid.N(), sim.Time(4*int64(*side)), *seed+4)
-		res, err := shard.RunLabeling(m, shard.LabelConfig{Config: shard.Config{
-			Shards:  *shards,
-			Workers: *workers,
-			Loss:    *loss,
-			Seed:    *seed,
-			Crashes: crashes,
-			Churn:   sched,
-			Trace:   *traceOut != "",
-		}})
+		// serve.EngineConfig turns the flags into the engine config,
+		// crash and churn schedules included, so this run is the
+		// wsnserve mission of the same spec.
+		period, on := dutyFlag(*dutyCycle)
+		cfg, err := serve.EngineConfig(&serve.Spec{
+			Side: *side, Seed: *seed, Shards: *shards, Workers: *workers, Loss: *loss,
+			CrashFrac: *crashFrac, CrashWindow: *crashWindow,
+			ChurnRate: *churnRate, DutyPeriod: period, DutyOn: on,
+			Trace: *traceOut != "",
+		}, grid.N(), nil)
 		if err != nil {
 			log.Fatalf("wsnsim: %v", err)
 		}
-		if len(sched) > 0 {
+		res, err := shard.RunLabeling(m, shard.LabelConfig{Config: cfg})
+		if err != nil {
+			log.Fatalf("wsnsim: %v", err)
+		}
+		if len(cfg.Churn) > 0 {
 			fmt.Printf("churn: %d scheduled transitions applied as %d suspends / %d resumes\n",
-				len(sched), res.Suspends, res.Resumes)
+				len(cfg.Churn), res.Suspends, res.Resumes)
 		}
 		if *traceOut != "" {
 			if err := os.WriteFile(*traceOut, res.Trace, 0o644); err != nil {
@@ -360,20 +353,17 @@ func main() {
 // rounds (matching the E23 sweep's horizon).
 const churnHorizon = sim.Time(400)
 
-// churnPlan assembles the schedule the churn flags describe for an
-// n-radio engine: a Poisson sleep/wake process, a staggered duty-cycle
-// over every node, or their merge. On the shard engine it is the
-// schedule wsnserve builds for the same spec.
+// churnPlan assembles the schedule the churn flags describe for the
+// physical engine's n radios: a Poisson sleep/wake process, a staggered
+// duty-cycle over every node, or their merge. (The shard engine's
+// schedule comes from serve.EngineConfig.)
 func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) churn.Schedule {
 	var parts []churn.Schedule
 	if rate > 0 {
 		parts = append(parts, churn.Poisson(n, rate, horizon, seed))
 	}
 	if duty != "" {
-		var period, on int64
-		if _, err := fmt.Sscanf(duty, "%d:%d", &period, &on); err != nil {
-			log.Fatalf("wsnsim: -duty-cycle wants period:on, got %q", duty)
-		}
+		period, on := dutyFlag(duty)
 		nodes := make([]int, n)
 		for i := range nodes {
 			nodes[i] = i
@@ -381,6 +371,21 @@ func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) c
 		parts = append(parts, churn.DutyCycle(nodes, sim.Time(period), sim.Time(on), horizon))
 	}
 	return churn.Merge(parts...)
+}
+
+// dutyFlag parses -duty-cycle's period:on, which wants 0 < on < period;
+// an empty flag is 0:0, no duty cycle.
+func dutyFlag(duty string) (period, on int64) {
+	if duty == "" {
+		return 0, 0
+	}
+	if _, err := fmt.Sscanf(duty, "%d:%d", &period, &on); err != nil {
+		log.Fatalf("wsnsim: -duty-cycle wants period:on, got %q", duty)
+	}
+	if on < 1 || on >= period {
+		log.Fatalf("wsnsim: -duty-cycle %s wants 0 < on < period", duty)
+	}
+	return period, on
 }
 
 // exportTrace writes the tracer's events as JSONL and reports the export.

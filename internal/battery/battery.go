@@ -32,7 +32,6 @@ package battery
 import (
 	"fmt"
 	"math/rand"
-	"strconv"
 
 	"wsnva/internal/cost"
 	"wsnva/internal/sim"
@@ -193,7 +192,7 @@ func (b *Bank) Absorb(node int, _ cost.Op, e cost.Energy) bool {
 				at = b.clock()
 			}
 			b.tracer.EmitEvent(trace.Event{At: at, Kind: trace.Deplete,
-				Node: "#" + strconv.Itoa(node), ID: node,
+				Node: trace.NodeName(node), ID: node,
 				Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
 				Bytes: reported, Detail: "battery exhausted"})
 		}

@@ -14,7 +14,6 @@ package cost
 import (
 	"fmt"
 	"sort"
-	"strconv"
 
 	"wsnva/internal/sim"
 	"wsnva/internal/trace"
@@ -221,7 +220,7 @@ func (l *Ledger) Charge(node int, op Op, units int64) Energy {
 			at = l.clock()
 		}
 		l.tracer.EmitEvent(trace.Event{At: at, Kind: trace.Charge,
-			Node: "#" + strconv.Itoa(node), ID: node,
+			Node: trace.NodeName(node), ID: node,
 			Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
 			Bytes: int64(e), Detail: op.String()})
 	}

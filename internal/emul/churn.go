@@ -16,7 +16,6 @@ package emul
 
 import (
 	"fmt"
-	"strconv"
 
 	"wsnva/internal/churn"
 	"wsnva/internal/field"
@@ -255,7 +254,7 @@ func (m *Machine) repairDisturbance(disturbed []int, d *Disturbance) {
 		d.RepairMsgs++
 		if m.tracer != nil {
 			m.tracer.EmitEvent(trace.Event{At: m.Kernel().Now(), Kind: trace.Repair,
-				Node: "#" + strconv.Itoa(id), ID: id,
+				Node: trace.NodeName(id), ID: id,
 				Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
 				Level: cellDist(id), Detail: "table rebroadcast"})
 		}

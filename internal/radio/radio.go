@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strconv"
 
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
@@ -142,11 +141,11 @@ func (m *Medium) SetTracer(t *trace.Tracer) { m.tracer = t }
 // stamped at the kernel's current time. Callers guard with m.tracer != nil.
 func (m *Medium) emit(kind trace.Kind, node, peer int, size int64, detail string) {
 	e := trace.Event{At: m.kernel.Now(), Kind: kind,
-		Node: "#" + strconv.Itoa(node), ID: node,
+		Node: trace.NodeName(node), ID: node,
 		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
 		Bytes: size, Detail: detail}
 	if peer >= 0 {
-		e.Peer = "#" + strconv.Itoa(peer)
+		e.Peer = trace.NodeName(peer)
 	}
 	m.tracer.EmitEvent(e)
 }

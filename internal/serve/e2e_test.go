@@ -235,9 +235,19 @@ func TestE2EStream(t *testing.T) {
 		t.Errorf("stream content type %q", ct)
 	}
 	events, result := splitStream(t, body)
+	// Every live line is encoding/json's bytes for its event, though the
+	// stream writes them in batches through trace.AppendJSONL.
 	for i, line := range events {
-		if !json.Valid(line) {
-			t.Fatalf("stream line %d is not JSON: %q", i, line)
+		var e trace.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("stream line %d is not an event: %q", i, line)
+		}
+		var want bytes.Buffer
+		enc := json.NewEncoder(&want)
+		enc.SetEscapeHTML(false)
+		enc.Encode(&e)
+		if !bytes.Equal(append(line, '\n'), want.Bytes()) {
+			t.Fatalf("stream line %d: %q, encoding/json writes %q", i, line, want.Bytes())
 		}
 	}
 	var out Outcome
@@ -260,6 +270,11 @@ func TestE2EStream(t *testing.T) {
 	if !bytes.Equal(joined, bytes.TrimSuffix(wantTrace, []byte("\n"))) {
 		t.Errorf("replayed stream events are not the canonical trace (%d vs %d bytes)",
 			len(joined), len(wantTrace))
+	}
+	// A mission this small overflows no subscriber channel: the live
+	// stream carried every event of the canonical trace.
+	if len(events) != len(rEvents) {
+		t.Errorf("live stream carried %d events, the canonical trace holds %d", len(events), len(rEvents))
 	}
 }
 

@@ -17,10 +17,11 @@ import (
 	"wsnva/internal/trace"
 )
 
-// Seed-stream offsets, shared with cmd/wsnsim so a server mission and a
-// CLI run of the same spec consume identical randomness: the deployment
-// and field draw from Seed itself, blob shapes from Seed+2, the crash
-// schedule from Seed+3, the churn schedule from Seed+4.
+// Seed-stream offsets, so a server mission and a CLI run of the same
+// spec consume identical randomness: the deployment and field draw from
+// Seed itself, blob shapes from Seed+2, the crash schedule from Seed+3,
+// the churn schedule from Seed+4 (cmd/wsnsim reaches the last two
+// through EngineConfig).
 const (
 	seedField  = 2
 	seedCrash  = 3
@@ -92,10 +93,14 @@ type Outcome struct {
 	TraceBytes int             `json:"trace_bytes"`
 }
 
-// engineConfig translates the normalized spec into the shard package's
+// EngineConfig translates a spec over n nodes into the shard package's
 // config: hazards derived from the seed streams, execution strategy
-// passed through, and the live sink attached when streaming.
-func engineConfig(s *Spec, n int, sink trace.Sink) (shard.Config, error) {
+// passed through, and the live sink attached when streaming. A
+// mission's crash and churn schedules are made here and nowhere else:
+// Execute calls it on the normalized spec, and cmd/wsnsim's shard engine
+// on the spec its flags describe, so the CLI and the server run the same
+// schedules.
+func EngineConfig(s *Spec, n int, sink trace.Sink) (shard.Config, error) {
 	cfg := shard.Config{
 		Shards:   s.Shards,
 		Workers:  s.Workers,
@@ -163,7 +168,7 @@ func Execute(s *Spec, sink trace.Sink) (result, traceJSONL []byte, err error) {
 	switch s.Workload {
 	case "labeling":
 		grid := geom.NewSquareGrid(s.Side, float64(s.Side)*10)
-		cfg, cerr := engineConfig(s, grid.N(), sink)
+		cfg, cerr := EngineConfig(s, grid.N(), sink)
 		if cerr != nil {
 			return nil, nil, cerr
 		}
@@ -202,7 +207,7 @@ func Execute(s *Spec, sink trace.Sink) (result, traceJSONL []byte, err error) {
 		if derr != nil {
 			return nil, nil, fmt.Errorf("serve: deployment for seed %d is not connected: %w", s.Seed, derr)
 		}
-		cfg, cerr := engineConfig(s, n, sink)
+		cfg, cerr := EngineConfig(s, n, sink)
 		if cerr != nil {
 			return nil, nil, cerr
 		}

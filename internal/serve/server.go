@@ -268,31 +268,29 @@ func (s *Server) respond(w http.ResponseWriter, cacheState string, stream bool, 
 // they are emitted, a blank line once the run completes, then the
 // result document. The live lines are emission-ordered (engine-
 // dependent); the result's canonical trace remains the deterministic
-// record.
+// record. Each wake-up writes every event already queued as one batch
+// and flushes once.
 func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight, events chan trace.Event) {
 	w.Header().Set("X-Cache", "miss")
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	var buf []byte
 	for {
 		select {
 		case e := <-events:
-			enc.Encode(&e)
+			buf = appendQueued(buf[:0], &e, events)
+			w.Write(buf)
 			if flusher != nil {
 				flusher.Flush()
 			}
 		case <-f.done:
-			// Drain what the engine emitted before completion.
-			for {
-				select {
-				case e := <-events:
-					enc.Encode(&e)
-					continue
-				default:
-				}
-				break
+			// Drain what the engine emitted before completion; nothing
+			// arrives after it, so an empty channel is the end.
+			for len(events) > 0 {
+				e := <-events
+				buf = appendQueued(buf[:0], &e, events)
+				w.Write(buf)
 			}
 			if f.err != nil {
 				fmt.Fprintf(w, "\n{\"error\":%s}\n", mustJSONString(f.err.Error()))
@@ -309,6 +307,24 @@ func (s *Server) streamFlight(w http.ResponseWriter, r *http.Request, f *flight,
 			return
 		}
 	}
+}
+
+// streamBatch bounds one batch of live lines at about 64 KiB.
+const streamBatch = 64 << 10
+
+// appendQueued appends e's JSONL line, then those of the events queued
+// behind it, until the channel is empty or the batch is full.
+func appendQueued(buf []byte, e *trace.Event, events chan trace.Event) []byte {
+	buf = trace.AppendJSONL(buf, e)
+	for len(buf) < streamBatch {
+		select {
+		case next := <-events:
+			buf = trace.AppendJSONL(buf, &next)
+		default:
+			return buf
+		}
+	}
+	return buf
 }
 
 // handleMissionByDigest serves GET /v1/missions/{digest} (the cached

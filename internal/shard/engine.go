@@ -3,7 +3,6 @@ package shard
 import (
 	"fmt"
 	"slices"
-	"strconv"
 
 	"wsnva/internal/battery"
 	"wsnva/internal/churn"
@@ -615,11 +614,11 @@ func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
 // node and peer are IDs.
 func (s *shardRun) emit(kind trace.Kind, node, peer int, size int64, detail string) {
 	e := trace.Event{At: s.kern.Now(), Kind: kind,
-		Node: "#" + strconv.Itoa(node), ID: node,
+		Node: trace.NodeName(node), ID: node,
 		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
 		Bytes: size, Detail: detail}
 	if peer >= 0 {
-		e.Peer = "#" + strconv.Itoa(peer)
+		e.Peer = trace.NodeName(peer)
 	}
 	s.tracer.EmitEvent(e)
 }

@@ -292,8 +292,6 @@ func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResu
 		Resumes:    rs.resumes,
 		Energy:     rs.energy,
 	}
-	if res.Total, res.Battery, res.Trace, err = rs.settle(cfg.Capacity, cfg.Trace); err != nil {
-		return nil, err
-	}
+	res.Total, res.Battery, res.Trace = rs.settle(cfg.Capacity, cfg.Trace)
 	return res, nil
 }

@@ -41,7 +41,7 @@ func oracleExecute(nw *deploy.Network, st *State, model *cost.Model, _, _ int,
 	for i := range rs.energy {
 		rs.energy[i] = fab.med.Ledger().Energy(i)
 	}
-	rs.events = fab.tracer.Events()
+	rs.logs = fab.tracer.Take()
 	return rs
 }
 

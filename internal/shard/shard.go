@@ -213,7 +213,9 @@ type runStats struct {
 	resumes    int64
 	completion sim.Time
 	energy     []cost.Energy // per node, in ID order
-	events     []trace.Event
+	// logs holds the run's trace: every shard's log as Tracer.Take
+	// handed it over, each chunk in time order.
+	logs [][]trace.Event
 }
 
 // executor runs mkApp's protocol over one fabric and reports its totals.
@@ -246,7 +248,7 @@ func (eng *engine) execute() runStats {
 		for v := sr.start; v < sr.end; v++ {
 			rs.energy[eng.part.ID[v]] = sr.ledger.Energy(int(v - sr.start))
 		}
-		rs.events = append(rs.events, sr.tracer.Events()...)
+		rs.logs = append(rs.logs, sr.tracer.Take()...)
 	}
 	return rs
 }
@@ -254,18 +256,16 @@ func (eng *engine) execute() runStats {
 // settle totals the run's per-node energy spend, computes the remaining
 // battery (capacity − spent) per node, and encodes the canonical trace
 // when traced.
-func (rs *runStats) settle(capacity cost.Energy, traced bool) (total cost.Energy, battery []int64, canon []byte, err error) {
+func (rs *runStats) settle(capacity cost.Energy, traced bool) (total cost.Energy, battery []int64, canon []byte) {
 	battery = make([]int64, len(rs.energy))
 	for i, e := range rs.energy {
 		total += e
 		battery[i] = int64(capacity) - int64(e)
 	}
 	if traced {
-		if canon, err = encodeCanonical(rs.events); err != nil {
-			return 0, nil, nil, err
-		}
+		canon = encodeCanonical(rs.logs)
 	}
-	return total, battery, canon, nil
+	return total, battery, canon
 }
 
 // Run executes the multi-source dissemination workload over nw on the
@@ -352,9 +352,7 @@ func runFloods(nw *deploy.Network, cfg Config, exec executor) (*Result, error) {
 		FirstAt:    fs.firstAt,
 		Energy:     rs.energy,
 	}
-	if res.Total, res.Battery, res.Trace, err = rs.settle(cfg.Capacity, cfg.Trace); err != nil {
-		return nil, err
-	}
+	res.Total, res.Battery, res.Trace = rs.settle(cfg.Capacity, cfg.Trace)
 	return res, nil
 }
 

@@ -6,18 +6,139 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"unicode/utf8"
 )
 
-// Encode writes events as JSON Lines: one compact JSON object per event,
-// newline-terminated, in slice order. encoding/json emits struct fields in
-// declaration order, so the output is byte-deterministic for a given
-// event sequence.
+// AppendJSONL appends e as one JSON Lines record to dst and returns the
+// extended slice. The bytes are exactly what encoding/json's Encoder
+// writes for e under SetEscapeHTML(false): the fields in declaration
+// order, node, peer and detail omitted when empty, strings escaped as
+// encoding/json escapes them, and a closing newline. It is the one
+// encoder of events: Encode, the shard engine's canonical trace and the
+// mission server's live stream all write through it.
+func AppendJSONL(dst []byte, e *Event) []byte {
+	dst = append(dst, `{"seq":`...)
+	dst = appendInt(dst, e.Seq)
+	dst = append(dst, `,"at":`...)
+	dst = appendInt(dst, int64(e.At))
+	dst = append(dst, `,"kind":`...)
+	dst = appendInt(dst, int64(e.Kind))
+	if e.Node != "" {
+		dst = append(dst, `,"node":`...)
+		dst = appendString(dst, e.Node)
+	}
+	dst = append(dst, `,"id":`...)
+	dst = appendInt(dst, int64(e.ID))
+	if e.Col == -1 && e.Row == -1 && e.PeerCol == -1 && e.PeerRow == -1 {
+		// A physical node's event has no coordinates: one append.
+		dst = append(dst, `,"col":-1,"row":-1,"pcol":-1,"prow":-1`...)
+	} else {
+		dst = append(dst, `,"col":`...)
+		dst = appendInt(dst, int64(e.Col))
+		dst = append(dst, `,"row":`...)
+		dst = appendInt(dst, int64(e.Row))
+		dst = append(dst, `,"pcol":`...)
+		dst = appendInt(dst, int64(e.PeerCol))
+		dst = append(dst, `,"prow":`...)
+		dst = appendInt(dst, int64(e.PeerRow))
+	}
+	dst = append(dst, `,"level":`...)
+	dst = appendInt(dst, int64(e.Level))
+	dst = append(dst, `,"bytes":`...)
+	dst = appendInt(dst, e.Bytes)
+	if e.Peer != "" {
+		dst = append(dst, `,"peer":`...)
+		dst = appendString(dst, e.Peer)
+	}
+	if e.Detail != "" {
+		dst = append(dst, `,"detail":`...)
+		dst = appendString(dst, e.Detail)
+	}
+	return append(dst, "}\n"...)
+}
+
+// appendInt is strconv.AppendInt in base 10 with a short path for the
+// small negatives events carry (-1 marks an identity or coordinate that
+// does not apply).
+func appendInt(dst []byte, v int64) []byte {
+	if -100 < v && v < 0 {
+		return strconv.AppendInt(append(dst, '-'), -v, 10)
+	}
+	return strconv.AppendInt(dst, v, 10)
+}
+
+const hexDigits = "0123456789abcdef"
+
+// appendString appends s as a quoted JSON string, escaped as
+// encoding/json escapes it without HTML escaping: `"` and `\` and the
+// control bytes \b, \f, \n, \r, \t get their short escapes, every other
+// byte below 0x20 becomes \u00XX, each byte of invalid UTF-8 becomes
+// the escaped replacement character U+FFFD, and U+2028 and U+2029 are
+// escaped too. Everything else, <, > and & included, is copied as is.
+func appendString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	done := 0 // s[:done] is already in dst
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' {
+				i++
+				continue
+			}
+			dst = append(dst, s[done:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[b>>4], hexDigits[b&0xf])
+			}
+			i++
+			done = i
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case r == utf8.RuneError && size == 1:
+			dst = append(dst, s[done:i]...)
+			dst = append(dst, '\\', 'u', 'f', 'f', 'f', 'd')
+		case r == 0x2028 || r == 0x2029: // line and paragraph separators
+			dst = append(dst, s[done:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hexDigits[r&0xf])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		done = i
+	}
+	dst = append(dst, s[done:]...)
+	return append(dst, '"')
+}
+
+// Encode writes events as JSON Lines, one AppendJSONL record per event,
+// in slice order, so the output is byte-deterministic for a given event
+// sequence. It writes in blocks of about 64 KiB.
 func Encode(w io.Writer, events []Event) error {
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
+	const block = 64 << 10
+	var buf []byte
 	for i := range events {
-		if err := enc.Encode(&events[i]); err != nil {
-			return fmt.Errorf("trace: encode event %d: %w", i, err)
+		buf = AppendJSONL(buf, &events[i])
+		if len(buf) >= block || i == len(events)-1 {
+			if _, err := w.Write(buf); err != nil {
+				return fmt.Errorf("trace: write: %w", err)
+			}
+			buf = buf[:0]
 		}
 	}
 	return nil

@@ -2,8 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"errors"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
+	"unicode/utf8"
+
+	"wsnva/internal/sim"
 )
 
 func sampleEvents() []Event {
@@ -142,6 +149,167 @@ func FuzzDecode(f *testing.F) {
 			if again[i] != events[i] {
 				t.Fatalf("round trip changed event %d: %+v != %+v", i, again[i], events[i])
 			}
+		}
+	})
+}
+
+// jsonOracle is the encoding AppendJSONL must reproduce byte for byte:
+// encoding/json's Encoder under SetEscapeHTML(false), one event per line.
+func jsonOracle(t testing.TB, events []Event) []byte {
+	t.Helper()
+	var b bytes.Buffer
+	enc := json.NewEncoder(&b)
+	enc.SetEscapeHTML(false)
+	for i := range events {
+		if err := enc.Encode(&events[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Bytes()
+}
+
+// hostileStrings are strings encoding/json escapes, or deliberately
+// leaves alone under SetEscapeHTML(false).
+func hostileStrings() []string {
+	var ctl strings.Builder
+	for b := 0; b < 0x20; b++ {
+		ctl.WriteByte(byte(b))
+	}
+	return []string{
+		"", ctl.String(), `"`, `\`, `"quoted\"`, "\x7f", "<a href=\"x\">&amp;</a>",
+		"\xff", "\xc3", "\xe2\x80", "a\xffb\xfe", "\xed\xa0\x80",
+		"\u2028", "\u2029", "x\u2028y\u2029z", "\ufffd", "é, 中文, 🙂",
+		"#17", "<3,4>", "tab\there\nnewline\r\f\b",
+	}
+}
+
+// randString draws a short string mixing hostile fragments and random
+// bytes (valid UTF-8 or not).
+func randString(rng *rand.Rand, hostile []string) string {
+	var b strings.Builder
+	for k := rng.Intn(4); k > 0; k-- {
+		if rng.Intn(2) == 0 {
+			b.WriteString(hostile[rng.Intn(len(hostile))])
+			continue
+		}
+		for m := rng.Intn(6); m > 0; m-- {
+			b.WriteByte(byte(rng.Intn(256)))
+		}
+	}
+	return b.String()
+}
+
+// randInt draws extremes, small values of both signs and random words.
+func randInt(rng *rand.Rand) int64 {
+	switch rng.Intn(4) {
+	case 0:
+		return []int64{math.MinInt64, math.MaxInt64, math.MinInt32, math.MaxInt32, -1, 0, 1}[rng.Intn(7)]
+	case 1:
+		return int64(rng.Intn(2001) - 1000)
+	default:
+		return int64(rng.Uint64())
+	}
+}
+
+// TestAppendJSONLMatchesEncodingJSON holds the appending encoder to
+// encoding/json over random events: extreme and negative ints, empty
+// strings, every control byte, quotes, backslashes, invalid UTF-8,
+// U+2028/U+2029 and <>&.
+func TestAppendJSONLMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	hostile := hostileStrings()
+	events := sampleEvents()
+	for _, s := range hostile {
+		events = append(events, Event{Node: s, Peer: s, Detail: s})
+	}
+	for i := 0; i < 3000; i++ {
+		events = append(events, Event{
+			Seq: randInt(rng), At: sim.Time(randInt(rng)), Kind: Kind(randInt(rng)),
+			Node: randString(rng, hostile), ID: int(randInt(rng)),
+			Col: int(randInt(rng)), Row: int(randInt(rng)),
+			PeerCol: int(randInt(rng)), PeerRow: int(randInt(rng)),
+			Level: int(randInt(rng)), Bytes: randInt(rng),
+			Peer: randString(rng, hostile), Detail: randString(rng, hostile),
+		})
+	}
+	for i := range events {
+		want := jsonOracle(t, events[i:i+1])
+		if got := AppendJSONL(nil, &events[i]); !bytes.Equal(got, want) {
+			t.Fatalf("event %+v:\n got %q\nwant %q", events[i], got, want)
+		}
+	}
+	var buf bytes.Buffer
+	if err := Encode(&buf, events); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), jsonOracle(t, events)) {
+		t.Fatal("Encode differs from encoding/json over the whole stream")
+	}
+}
+
+// TestEncodeWritesInBlocks: a stream longer than Encode's block reaches
+// the writer in several writes and still equals the oracle.
+func TestEncodeWritesInBlocks(t *testing.T) {
+	events := make([]Event, 2000)
+	for i := range events {
+		events[i] = Event{Seq: int64(i), At: sim.Time(i / 7), Kind: Rx, Node: NodeName(i), ID: i,
+			Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: 2, Peer: NodeName(i + 1), Detail: "broadcast"}
+	}
+	w := &countingWriter{}
+	if err := Encode(w, events); err != nil {
+		t.Fatal(err)
+	}
+	if w.writes < 2 {
+		t.Errorf("Encode wrote %d times, want several blocks", w.writes)
+	}
+	if !bytes.Equal(w.buf.Bytes(), jsonOracle(t, events)) {
+		t.Fatal("blocked Encode differs from encoding/json")
+	}
+	if err := Encode(failingWriter{}, events[:1]); err == nil {
+		t.Error("a failing writer must fail Encode")
+	}
+}
+
+type countingWriter struct {
+	buf    bytes.Buffer
+	writes int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.buf.Write(p)
+}
+
+type failingWriter struct{}
+
+func (failingWriter) Write([]byte) (int, error) { return 0, errFailingWriter }
+
+var errFailingWriter = errors.New("write refused")
+
+// FuzzEncode holds AppendJSONL to encoding/json on fuzzed field values
+// and checks that the line decodes back to the event whenever each of
+// its strings is valid UTF-8 (an invalid byte is written as U+FFFD).
+func FuzzEncode(f *testing.F) {
+	for _, e := range sampleEvents() {
+		f.Add(e.Seq, int64(e.At), int64(e.Kind), e.Node, int64(e.ID), int64(e.Level), e.Bytes, e.Peer, e.Detail)
+	}
+	for _, s := range hostileStrings() {
+		f.Add(int64(math.MinInt64), int64(math.MaxInt64), int64(-1), s, int64(0), int64(-7), int64(1)<<40, s, s)
+	}
+	f.Fuzz(func(t *testing.T, seq, at, kind int64, node string, id, level, size int64, peer, detail string) {
+		e := Event{Seq: seq, At: sim.Time(at), Kind: Kind(kind), Node: node, ID: int(id),
+			Col: int(level), Row: int(-level), PeerCol: int(id >> 3), PeerRow: int(size >> 5),
+			Level: int(level), Bytes: size, Peer: peer, Detail: detail}
+		got := AppendJSONL(nil, &e)
+		if want := jsonOracle(t, []Event{e}); !bytes.Equal(got, want) {
+			t.Fatalf("got %q\nwant %q", got, want)
+		}
+		if !utf8.ValidString(node) || !utf8.ValidString(peer) || !utf8.ValidString(detail) {
+			return
+		}
+		back, err := Decode(bytes.NewReader(got))
+		if err != nil || len(back) != 1 || back[0] != e {
+			t.Fatalf("round trip of %q: %+v, %v", got, back, err)
 		}
 	})
 }

@@ -15,8 +15,10 @@ package trace
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"wsnva/internal/sim"
 )
@@ -192,11 +194,21 @@ type Sink interface {
 // trace is always complete — the precondition of the trace/check
 // conservation rules. The zero value is not usable; nil is (as a
 // disabled tracer).
+//
+// The log is a list of chunks, oldest first, each filled before the
+// next is made: a chunk is never copied or moved once allocated, so the
+// log costs what it holds and never regrows.
 type Tracer struct {
-	mu   sync.Mutex
-	log  []Event
-	sink Sink
+	mu     sync.Mutex
+	chunks [][]Event
+	n      int // events in the log
+	sink   Sink
 }
+
+// maxChunk caps a log chunk at 4096 events (512 KiB). Until a log reaches
+// it, each new chunk is as long as the log so far, so short traces stay
+// small.
+const maxChunk = 4096
 
 // SetSink attaches a live event sink (nil detaches). Every subsequent
 // EmitEvent is forwarded to it, sequence-stamped, after landing in the
@@ -220,8 +232,14 @@ func (t *Tracer) EmitEvent(e Event) {
 		return
 	}
 	t.mu.Lock()
-	e.Seq = int64(len(t.log))
-	t.log = append(t.log, e)
+	e.Seq = int64(t.n)
+	last := len(t.chunks) - 1
+	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
+		t.chunks = append(t.chunks, make([]Event, 0, min(max(t.n, 64), maxChunk)))
+		last++
+	}
+	t.chunks[last] = append(t.chunks[last], e)
+	t.n++
 	if t.sink != nil {
 		t.sink.TraceEvent(e)
 	}
@@ -237,9 +255,11 @@ func (t *Tracer) Count(kind Kind) int64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	var n int64
-	for i := range t.log {
-		if t.log[i].Kind == kind {
-			n++
+	for _, c := range t.chunks {
+		for i := range c {
+			if c[i].Kind == kind {
+				n++
+			}
 		}
 	}
 	return n
@@ -252,7 +272,70 @@ func (t *Tracer) Events() []Event {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return append([]Event(nil), t.log...)
+	out := make([]Event, 0, t.n)
+	for _, c := range t.chunks {
+		out = append(out, c...)
+	}
+	return out
+}
+
+// Take hands the log over without copying it and leaves the tracer
+// empty, so the next event starts a new log at Seq 0. The chunks, oldest
+// first, concatenate to what Events would have returned; they are the
+// caller's from then on. It is for a log nothing writes any more, such
+// as a finished run's. Safe on a nil tracer (returns nil).
+func (t *Tracer) Take() [][]Event {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	chunks := t.chunks
+	t.chunks, t.n = nil, 0
+	return chunks
+}
+
+// NodeName is a physical node's display name, "#17" for node 17 (see
+// Event). The names of the first maxNamed nodes are formatted once per
+// process and shared, so emitters name nodes without allocating. Safe
+// for concurrent use.
+func NodeName(id int) string {
+	if names := nodeNames.Load(); names != nil && uint(id) < uint(len(*names)) {
+		return (*names)[id]
+	}
+	if id < 0 || id >= maxNamed {
+		return "#" + strconv.Itoa(id)
+	}
+	return growNames(id)
+}
+
+// maxNamed bounds the shared name table at 32,768 names.
+const maxNamed = 1 << 15
+
+var (
+	nodeNames atomic.Pointer[[]string] // read without the lock
+	namesMu   sync.Mutex               // serializes growNames
+)
+
+// growNames extends the shared table to cover id, at least doubling it,
+// and returns id's name.
+func growNames(id int) string {
+	namesMu.Lock()
+	defer namesMu.Unlock()
+	var old []string
+	if p := nodeNames.Load(); p != nil {
+		old = *p
+	}
+	if id < len(old) {
+		return old[id]
+	}
+	all := make([]string, min(max(2*len(old), id+1, 1024), maxNamed))
+	copy(all, old)
+	for i := len(old); i < len(all); i++ {
+		all[i] = "#" + strconv.Itoa(i)
+	}
+	nodeNames.Store(&all)
+	return all[id]
 }
 
 // Timeline renders events, one per line, in slice order.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -128,6 +129,72 @@ func TestEventsReturnsACopy(t *testing.T) {
 	for i, e := range tr.Events() {
 		if e.Seq != int64(i) || e.ID != i || e.Kind != Tx {
 			t.Errorf("log event %d = %+v after mutating a copy", i, e)
+		}
+	}
+}
+
+// TestTakeHandsOverTheLog: Take returns the chunks Events would have
+// copied, across several chunks, and leaves an empty tracer whose next
+// event starts again at Seq 0.
+func TestTakeHandsOverTheLog(t *testing.T) {
+	tr := New()
+	const n = 3*maxChunk + 17
+	for i := 0; i < n; i++ {
+		tr.EmitEvent(Event{At: sim.Time(i / 3), Kind: Rx, ID: i})
+	}
+	want := tr.Events()
+	chunks := tr.Take()
+	if len(chunks) < 4 {
+		t.Errorf("%d events in %d chunks, want at least 4", n, len(chunks))
+	}
+	var got []Event
+	for _, c := range chunks {
+		if len(c) > maxChunk {
+			t.Errorf("chunk of %d events exceeds %d", len(c), maxChunk)
+		}
+		got = append(got, c...)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Take handed over %d events, Events copied %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Fatalf("event %d: Take %+v, Events %+v", i, got[i], want[i])
+		}
+	}
+	if tr.Count(Rx) != 0 || len(tr.Events()) != 0 || tr.Take() != nil {
+		t.Error("a tracer must be empty after Take")
+	}
+	tr.EmitEvent(Event{Kind: Tx})
+	if e := tr.Events(); len(e) != 1 || e[0].Seq != 0 {
+		t.Errorf("first event after Take: %+v", e)
+	}
+	var nilT *Tracer
+	if nilT.Take() != nil {
+		t.Error("nil tracer Take must be nil")
+	}
+}
+
+// TestNodeName: the shared names equal the formatted ones below, across
+// and beyond the table, from concurrent callers.
+func TestNodeName(t *testing.T) {
+	ids := []int{-7, -1, 0, 1, 9, 10, 1023, 1024, 5000, maxNamed - 1, maxNamed, maxNamed + 3}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, id := range ids {
+				if got, want := NodeName(id), "#"+strconv.Itoa(id); got != want {
+					t.Errorf("NodeName(%d) = %q, want %q", id, got, want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for id := 0; id < 3000; id++ {
+		if got, want := NodeName(id), "#"+strconv.Itoa(id); got != want {
+			t.Fatalf("NodeName(%d) = %q, want %q", id, got, want)
 		}
 	}
 }
