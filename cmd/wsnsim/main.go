@@ -59,7 +59,6 @@ import (
 	"slices"
 	"strings"
 
-	"wsnva/internal/churn"
 	"wsnva/internal/cost"
 	"wsnva/internal/deploy"
 	"wsnva/internal/emul"
@@ -241,7 +240,8 @@ func main() {
 		}
 		physLedger := stack.Ledger()
 		before := physLedger.Metrics().Total
-		if plan := churnPlan(*churnRate, *dutyCycle, nw.N(), churnHorizon, *seed+4); len(plan) > 0 {
+		period, on := dutyFlag(*dutyCycle)
+		if plan := serve.ChurnSchedule(nw.N(), *churnRate, period, on, churnHorizon, *seed); len(plan) > 0 {
 			// Churn mission: the schedule drives sleep/wake and
 			// depart/revive transitions against the live runtime, each
 			// followed by incremental repair; labeling rounds interleave to
@@ -352,26 +352,6 @@ func main() {
 // long enough for several disturbance batches and interleaved labeling
 // rounds (matching the E23 sweep's horizon).
 const churnHorizon = sim.Time(400)
-
-// churnPlan assembles the schedule the churn flags describe for the
-// physical engine's n radios: a Poisson sleep/wake process, a staggered
-// duty-cycle over every node, or their merge. (The shard engine's
-// schedule comes from serve.EngineConfig.)
-func churnPlan(rate float64, duty string, n int, horizon sim.Time, seed int64) churn.Schedule {
-	var parts []churn.Schedule
-	if rate > 0 {
-		parts = append(parts, churn.Poisson(n, rate, horizon, seed))
-	}
-	if duty != "" {
-		period, on := dutyFlag(duty)
-		nodes := make([]int, n)
-		for i := range nodes {
-			nodes[i] = i
-		}
-		parts = append(parts, churn.DutyCycle(nodes, sim.Time(period), sim.Time(on), horizon))
-	}
-	return churn.Merge(parts...)
-}
 
 // dutyFlag parses -duty-cycle's period:on, which wants 0 < on < period;
 // an empty flag is 0:0, no duty cycle.

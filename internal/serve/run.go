@@ -20,8 +20,9 @@ import (
 // Seed-stream offsets, so a server mission and a CLI run of the same
 // spec consume identical randomness: the deployment and field draw from
 // Seed itself, blob shapes from Seed+2, the crash schedule from Seed+3,
-// the churn schedule from Seed+4 (cmd/wsnsim reaches the last two
-// through EngineConfig).
+// the churn schedule from Seed+4 (cmd/wsnsim's shard engine reaches the
+// last two through EngineConfig, its physical engine the churn stream
+// through ChurnSchedule).
 const (
 	seedField  = 2
 	seedCrash  = 3
@@ -96,10 +97,10 @@ type Outcome struct {
 // EngineConfig translates a spec over n nodes into the shard package's
 // config: hazards derived from the seed streams, execution strategy
 // passed through, and the live sink attached when streaming. A
-// mission's crash and churn schedules are made here and nowhere else:
-// Execute calls it on the normalized spec, and cmd/wsnsim's shard engine
-// on the spec its flags describe, so the CLI and the server run the same
-// schedules.
+// mission's crash schedule is made here and its churn schedule by
+// ChurnSchedule, nowhere else: Execute calls it on the normalized spec,
+// and cmd/wsnsim's shard engine on the spec its flags describe, so the
+// CLI and the server run the same schedules.
 func EngineConfig(s *Spec, n int, sink trace.Sink) (shard.Config, error) {
 	cfg := shard.Config{
 		Shards:   s.Shards,
@@ -119,21 +120,32 @@ func EngineConfig(s *Spec, n int, sink trace.Sink) (shard.Config, error) {
 		}
 		cfg.Crashes = sched
 	}
+	cfg.Churn = ChurnSchedule(n, s.ChurnRate, s.DutyPeriod, s.DutyOn, churnHorizon(s.Side), s.Seed)
+	return cfg, nil
+}
+
+// ChurnSchedule is the churn of a mission of the given seed over n
+// nodes until horizon: a Poisson sleep/wake process at rate, drawn from
+// the seed's churn stream, merged with a staggered duty cycle (period,
+// on) over every node; rate 0 or period 0 leaves its part out, and nil
+// means no churn. EngineConfig calls it with churnHorizon, and
+// cmd/wsnsim's physical engine with its own horizon.
+func ChurnSchedule(n int, rate float64, period, on int64, horizon sim.Time, seed int64) churn.Schedule {
 	var parts []churn.Schedule
-	if s.ChurnRate > 0 {
-		parts = append(parts, churn.Poisson(n, s.ChurnRate, churnHorizon(s.Side), s.Seed+seedChurn))
+	if rate > 0 {
+		parts = append(parts, churn.Poisson(n, rate, horizon, seed+seedChurn))
 	}
-	if s.DutyPeriod > 0 {
+	if period > 0 {
 		nodes := make([]int, n)
 		for i := range nodes {
 			nodes[i] = i
 		}
-		parts = append(parts, churn.DutyCycle(nodes, sim.Time(s.DutyPeriod), sim.Time(s.DutyOn), churnHorizon(s.Side)))
+		parts = append(parts, churn.DutyCycle(nodes, sim.Time(period), sim.Time(on), horizon))
 	}
-	if len(parts) > 0 {
-		cfg.Churn = churn.Merge(parts...)
+	if len(parts) == 0 {
+		return nil
 	}
-	return cfg, nil
+	return churn.Merge(parts...)
 }
 
 // MissionField is the phenomenon a mission of the given seed senses,

@@ -3,7 +3,6 @@ package shard
 import (
 	"slices"
 
-	"wsnva/internal/sim"
 	"wsnva/internal/trace"
 )
 
@@ -14,104 +13,17 @@ import (
 // per-shard logs merge into something byte-comparable against the
 // oracle's single log. The comparator is total over distinct events, and
 // identical duplicates are interchangeable, so the result does not
-// depend on the input order at all.
-//
-// Each run is expected in time order, as a shard's log is: it emits at
-// its kernel's clock. The runs are merged instant by instant, in
-// O(n + T·R) for T instants and R runs, and only an instant's events
-// are sorted. Runs that turn out not to be in time order fall back to
-// one sort of every event. Only 8-byte pointers move, never 128-byte
-// events.
-func canonicalOrder(runs [][]trace.Event) []*trace.Event {
+// depend on the input order at all. One sort moves 8-byte pointers,
+// never the 128-byte events.
+func canonicalOrder(logs [][]trace.Event) []*trace.Event {
 	n := 0
-	for _, r := range runs {
-		n += len(r)
+	for _, l := range logs {
+		n += len(l)
 	}
 	order := make([]*trace.Event, 0, n)
-	pos := make([]int, len(runs))
-	var keys []uint64
-	var tmp []*trace.Event
-	for len(order) < n {
-		// The next instant is the earliest head among the runs.
-		var t sim.Time
-		found := false
-		for i, r := range runs {
-			if pos[i] < len(r) && (!found || r[pos[i]].At < t) {
-				t, found = r[pos[i]].At, true
-			}
-		}
-		if len(order) > 0 && t < order[len(order)-1].At {
-			return sortAll(runs, order[:0])
-		}
-		from := len(order)
-		for i, r := range runs {
-			for pos[i] < len(r) && r[pos[i]].At == t {
-				order = append(order, &r[pos[i]])
-				pos[i]++
-			}
-		}
-		keys, tmp = sortInstant(order[from:], keys, tmp)
-	}
-	return order
-}
-
-// sortInstant sorts one instant's events by eventLess, and returns its
-// scratch for the next instant. After At, which the instant shares,
-// eventLess compares Kind and then ID, and those two tell most events
-// apart: each event's (Kind, ID) prefix, 8 and 24 bits, goes into one
-// uint64 with its position, one slices.Sort orders the words, and only
-// runs of equal prefix reach eventLess (sortTies). An instant with a
-// Kind or ID outside the prefix's range is sorted by eventLess alone.
-func sortInstant(evs []*trace.Event, keys []uint64, tmp []*trace.Event) ([]uint64, []*trace.Event) {
-	if len(evs) < 2 {
-		return keys, tmp
-	}
-	keys = keys[:0]
-	for i, e := range evs {
-		kind, id := uint64(e.Kind), uint64(e.ID+1)
-		if kind >= 1<<8 || id >= 1<<24 {
-			slices.SortFunc(evs, cmpEvents)
-			return keys, tmp
-		}
-		keys = append(keys, (kind<<24|id)<<32|uint64(i))
-	}
-	slices.Sort(keys)
-	tmp = append(tmp[:0], evs...)
-	for j, k := range keys {
-		evs[j] = tmp[uint32(k)]
-	}
-	for lo := 0; lo < len(keys); {
-		hi := lo + 1
-		for hi < len(keys) && keys[hi]>>32 == keys[lo]>>32 {
-			hi++
-		}
-		sortTies(evs[lo:hi])
-		lo = hi
-	}
-	return keys, tmp
-}
-
-// sortTies sorts events that share At, Kind and ID by eventLess: by
-// insertion while there are few of them, as there usually are (the
-// receptions of one node in one instant).
-func sortTies(evs []*trace.Event) {
-	if len(evs) > 16 {
-		slices.SortFunc(evs, cmpEvents)
-		return
-	}
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && eventLess(evs[j], evs[j-1]); j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-}
-
-// sortAll is canonicalOrder's fallback for runs out of time order: every
-// event's pointer, appended to order, in one sort.
-func sortAll(runs [][]trace.Event, order []*trace.Event) []*trace.Event {
-	for _, r := range runs {
-		for i := range r {
-			order = append(order, &r[i])
+	for _, l := range logs {
+		for i := range l {
+			order = append(order, &l[i])
 		}
 	}
 	slices.SortFunc(order, cmpEvents)
@@ -166,11 +78,11 @@ func eventLess(a, b *trace.Event) bool {
 	return a.Level < b.Level
 }
 
-// encodeCanonical renders the runs' events as canonical JSONL: in
+// encodeCanonical renders the logs' events as canonical JSONL: in
 // canonicalOrder, each re-stamped with its position as Seq, into one
 // buffer reserved up front (see encodedSize).
-func encodeCanonical(runs [][]trace.Event) []byte {
-	order := canonicalOrder(runs)
+func encodeCanonical(logs [][]trace.Event) []byte {
+	order := canonicalOrder(logs)
 	if len(order) == 0 {
 		return nil
 	}

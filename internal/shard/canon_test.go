@@ -72,7 +72,7 @@ func oracleCanonical(t testing.TB, evs []trace.Event) []byte {
 
 // randCanonEvent draws an event from small domains, so that equal
 // instants, and events equal in every field but one, are common. One
-// event in 40 carries a Kind or ID outside sortInstant's packed prefix.
+// event in 40 carries a negative or very large Kind or ID.
 func randCanonEvent(rng *rand.Rand) trace.Event {
 	names := []string{"", "#1", "#12", "#123", "#45", "#2"}
 	details := []string{"", "lost", "broadcast", "dead receiver", "asleep receiver"}
@@ -125,8 +125,7 @@ func splitRuns(rng *rand.Rand, evs []trace.Event, logs int) [][]trace.Event {
 
 // TestCanonicalOrderMatchesOracle: random event multisets, duplicates
 // and equal-time ties included, split over 1–8 time-ordered logs in
-// chunks, encode to the oracle's bytes; so do logs out of time order,
-// which take the fallback sort.
+// chunks, encode to the oracle's bytes; so do logs out of time order.
 func TestCanonicalOrderMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	for trial := 0; trial < 600; trial++ {

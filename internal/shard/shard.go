@@ -213,8 +213,8 @@ type runStats struct {
 	resumes    int64
 	completion sim.Time
 	energy     []cost.Energy // per node, in ID order
-	// logs holds the run's trace: every shard's log as Tracer.Take
-	// handed it over, each chunk in time order.
+	// logs holds the run's trace: every shard's log, as the chunks
+	// Tracer.Take handed over.
 	logs [][]trace.Event
 }
 

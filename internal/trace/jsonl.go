@@ -19,34 +19,29 @@ import (
 // mission server's live stream all write through it.
 func AppendJSONL(dst []byte, e *Event) []byte {
 	dst = append(dst, `{"seq":`...)
-	dst = appendInt(dst, e.Seq)
+	dst = strconv.AppendInt(dst, e.Seq, 10)
 	dst = append(dst, `,"at":`...)
-	dst = appendInt(dst, int64(e.At))
+	dst = strconv.AppendInt(dst, int64(e.At), 10)
 	dst = append(dst, `,"kind":`...)
-	dst = appendInt(dst, int64(e.Kind))
+	dst = strconv.AppendInt(dst, int64(e.Kind), 10)
 	if e.Node != "" {
 		dst = append(dst, `,"node":`...)
 		dst = appendString(dst, e.Node)
 	}
 	dst = append(dst, `,"id":`...)
-	dst = appendInt(dst, int64(e.ID))
-	if e.Col == -1 && e.Row == -1 && e.PeerCol == -1 && e.PeerRow == -1 {
-		// A physical node's event has no coordinates: one append.
-		dst = append(dst, `,"col":-1,"row":-1,"pcol":-1,"prow":-1`...)
-	} else {
-		dst = append(dst, `,"col":`...)
-		dst = appendInt(dst, int64(e.Col))
-		dst = append(dst, `,"row":`...)
-		dst = appendInt(dst, int64(e.Row))
-		dst = append(dst, `,"pcol":`...)
-		dst = appendInt(dst, int64(e.PeerCol))
-		dst = append(dst, `,"prow":`...)
-		dst = appendInt(dst, int64(e.PeerRow))
-	}
+	dst = strconv.AppendInt(dst, int64(e.ID), 10)
+	dst = append(dst, `,"col":`...)
+	dst = strconv.AppendInt(dst, int64(e.Col), 10)
+	dst = append(dst, `,"row":`...)
+	dst = strconv.AppendInt(dst, int64(e.Row), 10)
+	dst = append(dst, `,"pcol":`...)
+	dst = strconv.AppendInt(dst, int64(e.PeerCol), 10)
+	dst = append(dst, `,"prow":`...)
+	dst = strconv.AppendInt(dst, int64(e.PeerRow), 10)
 	dst = append(dst, `,"level":`...)
-	dst = appendInt(dst, int64(e.Level))
+	dst = strconv.AppendInt(dst, int64(e.Level), 10)
 	dst = append(dst, `,"bytes":`...)
-	dst = appendInt(dst, e.Bytes)
+	dst = strconv.AppendInt(dst, e.Bytes, 10)
 	if e.Peer != "" {
 		dst = append(dst, `,"peer":`...)
 		dst = appendString(dst, e.Peer)
@@ -56,16 +51,6 @@ func AppendJSONL(dst []byte, e *Event) []byte {
 		dst = appendString(dst, e.Detail)
 	}
 	return append(dst, "}\n"...)
-}
-
-// appendInt is strconv.AppendInt in base 10 with a short path for the
-// small negatives events carry (-1 marks an identity or coordinate that
-// does not apply).
-func appendInt(dst []byte, v int64) []byte {
-	if -100 < v && v < 0 {
-		return strconv.AppendInt(append(dst, '-'), -v, 10)
-	}
-	return strconv.AppendInt(dst, v, 10)
 }
 
 const hexDigits = "0123456789abcdef"
