@@ -214,7 +214,9 @@ examples:
 # must fail the goroutine and shard engines instead of running lossless.
 # The DES engine keeps one trace: -trace 5 -trace-out must export as many
 # events as -trace-out alone, and tracecat -check must find the export
-# lawful. A shard-engine churn mission must apply the same suspends and
+# lawful. The physical engine's export (emul's virtual plane, the radio
+# and the ledger, 1,264 events at seed 1) must pass tracecat -check too.
+# A shard-engine churn mission must apply the same suspends and
 # resumes through wsnsim as through wsnserve -oneshot on the same spec,
 # and a lossy shard mission with crashes and churn must export the same
 # canonical trace, byte for byte, from wsnsim -trace-out as from
@@ -252,6 +254,10 @@ engines:
 	  echo "FAIL: -trace 5 -trace-out exported $$both events, -trace-out alone $$out"; exit 1; fi && \
 	$(GO) run ./cmd/tracecat -check -side 8 $$dir/both.jsonl && \
 	echo "ok   -engine des -trace 5 -trace-out exports the whole trace ($$out events)"
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) run ./cmd/wsnsim -side 8 -engine physical -trace-out $$dir/phys.jsonl >/dev/null && \
+	$(GO) run ./cmd/tracecat -check -side 8 $$dir/phys.jsonl && \
+	echo "ok   -engine physical -trace-out exports a lawful trace ($$(wc -l < $$dir/phys.jsonl) events)"
 	@cli=$$($(GO) run ./cmd/wsnsim -side 8 -seed 1 -engine shard -churn-rate 0.5 | \
 	  sed -n 's|^churn: .* applied as \([0-9]*\) suspends / \([0-9]*\) resumes$$|\1/\2|p') && \
 	srv=$$(echo '$(CHURN_SPEC)' | $(GO) run ./cmd/wsnserve -oneshot - | \

@@ -300,7 +300,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("wsnsim: %v", err)
 		}
-		res, err := shard.RunLabeling(m, shard.LabelConfig{Config: cfg})
+		res, err := shard.RunLabeling(m, cfg)
 		if err != nil {
 			log.Fatalf("wsnsim: %v", err)
 		}
@@ -374,9 +374,12 @@ func exportTrace(path string, tr *trace.Tracer) {
 	if err != nil {
 		log.Fatalf("wsnsim: %v", err)
 	}
-	defer f.Close()
-	if err := tr.WriteJSONL(f); err != nil {
+	n, err := tr.WriteJSONL(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		log.Fatalf("wsnsim: %v", err)
 	}
-	fmt.Printf("\ntrace: %d events exported to %s\n", len(tr.Events()), path)
+	fmt.Printf("\ntrace: %d events exported to %s\n", n, path)
 }

@@ -191,10 +191,7 @@ func (b *Bank) Absorb(node int, _ cost.Op, e cost.Energy) bool {
 			if b.clock != nil {
 				at = b.clock()
 			}
-			b.tracer.EmitEvent(trace.Event{At: at, Kind: trace.Deplete,
-				Node: trace.NodeName(node), ID: node,
-				Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-				Bytes: reported, Detail: "battery exhausted"})
+			b.tracer.EmitNode(at, trace.Deplete, node, -1, 0, reported, "battery exhausted")
 		}
 		if b.onDeplete != nil {
 			b.onDeplete(node)

@@ -187,9 +187,6 @@ func (l *Ledger) Model() *Model { return l.model }
 // that keeps battery-free runs byte-identical to the pre-battery build.
 func (l *Ledger) SetMeter(m Meter) { l.meter = m }
 
-// Meter returns the attached meter, or nil.
-func (l *Ledger) Meter() Meter { return l.meter }
-
 // SetTracer attaches an observability tracer (nil detaches): every granted
 // non-zero charge emits a trace.Charge event whose Bytes field carries the
 // energy. clock supplies the simulated timestamp — pass the kernel's Now;
@@ -219,10 +216,7 @@ func (l *Ledger) Charge(node int, op Op, units int64) Energy {
 		if l.clock != nil {
 			at = l.clock()
 		}
-		l.tracer.EmitEvent(trace.Event{At: at, Kind: trace.Charge,
-			Node: trace.NodeName(node), ID: node,
-			Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-			Bytes: int64(e), Detail: op.String()})
+		l.tracer.EmitNode(at, trace.Charge, node, -1, 0, int64(e), op.String())
 	}
 	return e
 }

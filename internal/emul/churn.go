@@ -143,11 +143,7 @@ func (m *Machine) RunChurn(cfg ChurnConfig) (*ChurnOutcome, error) {
 		}
 		k.At(at, func() {})
 		k.Run()
-		if m.tracer != nil {
-			m.tracer.EmitEvent(trace.Event{At: k.Now(), Kind: trace.Churn,
-				ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-				Bytes: int64(len(b.Events)), Detail: "disturbance"})
-		}
+		m.tracer.EmitRun(k.Now(), trace.Churn, int64(len(b.Events)), "disturbance")
 		d := Disturbance{At: at, Ops: len(b.Events)}
 		var disturbed []int
 		for _, e := range b.Events {
@@ -160,11 +156,7 @@ func (m *Machine) RunChurn(cfg ChurnConfig) (*ChurnOutcome, error) {
 		m.repairDisturbance(disturbed, &d)
 		d.Latency = k.Now() - at
 		if d.Recovered {
-			if m.tracer != nil {
-				m.tracer.EmitEvent(trace.Event{At: k.Now(), Kind: trace.Recover,
-					ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-					Bytes: int64(at), Detail: "recovered"})
-			}
+			m.tracer.EmitRun(k.Now(), trace.Recover, int64(at), "recovered")
 		} else {
 			out.AllRecovered = false
 		}
@@ -253,10 +245,7 @@ func (m *Machine) repairDisturbance(disturbed []int, d *Disturbance) {
 	m.proto.SetOnBroadcast(func(id int) {
 		d.RepairMsgs++
 		if m.tracer != nil {
-			m.tracer.EmitEvent(trace.Event{At: m.Kernel().Now(), Kind: trace.Repair,
-				Node: trace.NodeName(id), ID: id,
-				Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-				Level: cellDist(id), Detail: "table rebroadcast"})
+			m.tracer.EmitNode(m.Kernel().Now(), trace.Repair, id, -1, cellDist(id), 0, "table rebroadcast")
 		}
 	})
 	rep := m.proto.RepairAround(disturbed...)

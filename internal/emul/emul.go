@@ -62,28 +62,18 @@ type Machine struct {
 // (Stack.SetTracer) to interleave the physical-plane story.
 func (m *Machine) SetTracer(t *trace.Tracer) { m.tracer = t }
 
-// vevt builds a virtual-plane event: coordinates name the virtual node and
-// ID stays -1, so virtual identities never collide with the physical node
-// ids the radio and ledger events on the same trace use. Callers guard
-// with m.tracer != nil.
-func (m *Machine) vevt(kind trace.Kind, c, peer geom.Coord, bytes int64, detail string) trace.Event {
-	e := trace.Event{At: m.med.Kernel().Now(), Kind: kind, Node: c.String(),
-		ID: -1, Col: c.Col, Row: c.Row, PeerCol: peer.Col, PeerRow: peer.Row,
-		Bytes: bytes, Detail: detail}
-	if peer.Col >= 0 && peer.Row >= 0 {
-		e.Peer = peer.String()
-	}
-	return e
+// vemit records a virtual-plane event: coordinates name the virtual node
+// and ID stays -1, so virtual identities never collide with the physical
+// node ids the radio and ledger events on the same trace use. Callers
+// guard with m.tracer != nil.
+func (m *Machine) vemit(kind trace.Kind, c, peer geom.Coord, bytes int64, detail string) {
+	m.tracer.EmitCell(m.med.Kernel().Now(), kind, c, -1, peer, 0, bytes, detail)
 }
 
 // vphase marks a run boundary on the trace; virtual-plane phases carry no
 // node identity at all.
 func (m *Machine) vphase(detail string) {
-	if m.tracer == nil {
-		return
-	}
-	m.tracer.EmitEvent(trace.Event{At: m.med.Kernel().Now(), Kind: trace.Phase,
-		ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Detail: detail})
+	m.tracer.EmitRun(m.med.Kernel().Now(), trace.Phase, 0, detail)
 }
 
 // appMsg is the on-air payload for application traffic: the virtual
@@ -154,7 +144,7 @@ func (m *Machine) Send(from, to geom.Coord, size int64, payload any) {
 	}
 	m.msgs++
 	if m.tracer != nil {
-		m.tracer.EmitEvent(m.vevt(trace.Send, from, to, size, ""))
+		m.vemit(trace.Send, from, to, size, "")
 	}
 	env := appMsg{to: to, msg: varch.Message{From: from, Size: size, Payload: payload}}
 	if from == to {
@@ -181,7 +171,7 @@ func (m *Machine) forward(id int, env appMsg) {
 		if hop == noRoute {
 			// Failures cut this relay off from its cell's leader.
 			if m.tracer != nil {
-				m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no path to leader"))
+				m.vemit(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no path to leader")
 			}
 			return
 		}
@@ -197,7 +187,7 @@ func (m *Machine) forward(id int, env appMsg) {
 			// No alive route in that direction (ForwardPath refuses chains
 			// through dead nodes). Complete fault-free tables never err here.
 			if m.tracer != nil {
-				m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no forward path"))
+				m.vemit(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: no forward path")
 			}
 			return
 		}
@@ -228,12 +218,12 @@ func (m *Machine) onPacket(id int, pkt radio.Packet) {
 func (m *Machine) dispatch(id int, env appMsg) {
 	if !m.up(id) || m.bnd.Leaders[env.to] != id {
 		if m.tracer != nil {
-			m.tracer.EmitEvent(m.vevt(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: dead or deposed leader"))
+			m.vemit(trace.Drop, env.to, env.msg.From, env.msg.Size, "unrouted: dead or deposed leader")
 		}
 		return
 	}
 	if m.tracer != nil {
-		m.tracer.EmitEvent(m.vevt(trace.Deliver, env.to, env.msg.From, env.msg.Size, ""))
+		m.vemit(trace.Deliver, env.to, env.msg.From, env.msg.Size, "")
 	}
 	if m.recv != nil {
 		m.recv(m.hier.Grid.Index(env.to), env.msg)
@@ -317,10 +307,7 @@ func RunProgram[S any](m *Machine, spec *program.Spec[S]) (*Result, []program.In
 	})
 	if m.tracer != nil {
 		program.SetFireHook(insts, func(node int, rule string) {
-			c := g.CoordOf(node)
-			m.tracer.EmitEvent(trace.Event{At: m.Kernel().Now(), Kind: trace.RuleFire,
-				Node: c.String(), ID: -1, Col: c.Col, Row: c.Row,
-				PeerCol: -1, PeerRow: -1, Detail: rule})
+			m.tracer.EmitCell(m.Kernel().Now(), trace.RuleFire, g.CoordOf(node), -1, trace.NoCell, 0, 0, rule)
 		})
 	}
 	m.SetReceiver(func(to int, msg varch.Message) { insts[to].OnMessage(msg.Payload) })

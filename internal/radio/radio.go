@@ -133,21 +133,15 @@ func NewMedium(nw *deploy.Network, kernel *sim.Kernel, ledger *cost.Ledger, rng 
 }
 
 // SetTracer attaches an observability tracer (nil detaches): every
-// transmission, reception, drop, and kill emits a structured event. All
-// emissions are guarded, so a detached medium pays one pointer compare.
+// transmission, reception, drop, and kill emits a structured event.
+// Per-packet emissions are guarded, so a detached medium pays one pointer
+// compare per packet.
 func (m *Medium) SetTracer(t *trace.Tracer) { m.tracer = t }
 
 // emit records a structured event for node (and optional peer >= 0),
-// stamped at the kernel's current time. Callers guard with m.tracer != nil.
+// stamped at the kernel's current time. Safe on a nil tracer.
 func (m *Medium) emit(kind trace.Kind, node, peer int, size int64, detail string) {
-	e := trace.Event{At: m.kernel.Now(), Kind: kind,
-		Node: trace.NodeName(node), ID: node,
-		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-		Bytes: size, Detail: detail}
-	if peer >= 0 {
-		e.Peer = trace.NodeName(peer)
-	}
-	m.tracer.EmitEvent(e)
+	m.tracer.EmitNode(m.kernel.Now(), kind, node, peer, 0, size, detail)
 }
 
 // Kill silences node for good: it stops transmitting (Broadcast/Unicast
@@ -161,9 +155,7 @@ func (m *Medium) Kill(node int) {
 		return
 	}
 	m.alive[node] = false
-	if m.tracer != nil {
-		m.emit(trace.Death, node, -1, 0, "radio off")
-	}
+	m.emit(trace.Death, node, -1, 0, "radio off")
 }
 
 // Expire is the battery layer's instant-granularity kill: the node's
@@ -189,9 +181,7 @@ func (m *Medium) Expire(node int) {
 	}
 	m.alive[node] = false
 	m.gasp[node] = m.kernel.Now()
-	if m.tracer != nil {
-		m.emit(trace.Death, node, -1, 0, "radio off")
-	}
+	m.emit(trace.Death, node, -1, 0, "radio off")
 }
 
 // Suspend puts node's radio to sleep: a reversible silence during which
@@ -208,9 +198,7 @@ func (m *Medium) Suspend(node int) {
 		m.asleep = make([]bool, m.nw.N())
 	}
 	m.asleep[node] = true
-	if m.tracer != nil {
-		m.emit(trace.Sleep, node, -1, 0, "radio sleep")
-	}
+	m.emit(trace.Sleep, node, -1, 0, "radio sleep")
 }
 
 // Resume wakes a suspended radio. With no packets in flight the resumed
@@ -222,9 +210,7 @@ func (m *Medium) Resume(node int) {
 		return
 	}
 	m.asleep[node] = false
-	if m.tracer != nil {
-		m.emit(trace.Wake, node, -1, 0, "radio wake")
-	}
+	m.emit(trace.Wake, node, -1, 0, "radio wake")
 }
 
 // Suspended reports whether node's radio is asleep (alive but silenced).

@@ -121,17 +121,8 @@ func (r *run) done() {
 // emit sends one structured event to the attached tracer. Callers guard
 // with f.rt.tracer != nil. At stays 0: this engine has no simulated time.
 func (f *nodeFx) emit(kind trace.Kind, c, peer geom.Coord, level int, bytes int64, detail string) {
-	e := trace.Event{Kind: kind, Node: c.String(), ID: f.grid.Index(c),
-		Col: c.Col, Row: c.Row, PeerCol: peer.Col, PeerRow: peer.Row,
-		Level: level, Bytes: bytes, Detail: detail}
-	if peer.Col >= 0 && peer.Row >= 0 {
-		e.Peer = peer.String()
-	}
-	f.rt.tracer.EmitEvent(e)
+	f.rt.tracer.EmitCell(0, kind, c, f.grid.Index(c), peer, level, bytes, detail)
 }
-
-// rtNoPeer marks the absence of a counterpart coordinate.
-var rtNoPeer = geom.Coord{Col: -1, Row: -1}
 
 func (f *nodeFx) Send(level int, size int64, payload any) {
 	dst := f.rt.hier.LeaderAt(f.coord, level)
@@ -185,7 +176,7 @@ func (f *nodeFx) Exfiltrate(result any) {
 	f.rt.results = append(f.rt.results, result)
 	f.rt.resultMu.Unlock()
 	if f.rt.tracer != nil {
-		f.emit(trace.Exfiltrate, f.coord, rtNoPeer, 0, 0, "final summary")
+		f.emit(trace.Exfiltrate, f.coord, trace.NoCell, 0, 0, "final summary")
 	}
 }
 
@@ -260,11 +251,7 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 		retries: cfg.Retries,
 		tracer:  cfg.Tracer,
 	}
-	if r.tracer != nil {
-		r.tracer.EmitEvent(trace.Event{Kind: trace.Phase,
-			ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-			Detail: "runtime-round:start"})
-	}
+	r.tracer.EmitRun(0, trace.Phase, 0, "runtime-round:start")
 	// Inbox capacity: a node receives at most 3 messages per level it
 	// leads, so 3*levels+8 can never block a sender for long; capacity
 	// beyond that only decouples schedules further.
@@ -288,7 +275,7 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 	})
 	if r.tracer != nil {
 		program.SetFireHook(insts, func(idx int, rule string) {
-			fxs[idx].emit(trace.RuleFire, fxs[idx].coord, rtNoPeer, 0, 0, rule)
+			fxs[idx].emit(trace.RuleFire, fxs[idx].coord, trace.NoCell, 0, 0, rule)
 		})
 	}
 	var wg sync.WaitGroup
@@ -325,11 +312,7 @@ func RunProgram[S any](rt *Runtime, spec *program.Spec[S], ledger *cost.Ledger, 
 	}
 	close(r.stop)
 	wg.Wait()
-	if r.tracer != nil {
-		r.tracer.EmitEvent(trace.Event{Kind: trace.Phase,
-			ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-			Detail: "runtime-round:end"})
-	}
+	r.tracer.EmitRun(0, trace.Phase, 0, "runtime-round:end")
 
 	res := &GenericResult{
 		Exfiltrated: r.results,

@@ -189,7 +189,7 @@ func Execute(s *Spec, sink trace.Sink) (result, traceJSONL []byte, err error) {
 			return nil, nil, ferr
 		}
 		m := field.Threshold(phen, grid, s.Thresh, 0)
-		res, rerr := shard.RunLabeling(m, shard.LabelConfig{Config: cfg})
+		res, rerr := shard.RunLabeling(m, cfg)
 		if rerr != nil {
 			return nil, nil, rerr
 		}

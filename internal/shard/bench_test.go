@@ -96,7 +96,7 @@ func BenchmarkShardLabel(b *testing.B) {
 		for _, c := range benchCases {
 			b.Run(fmt.Sprintf("side=%d/%s", side, c.name), func(b *testing.B) {
 				b.ReportAllocs()
-				cfg := LabelConfig{Config: Config{Shards: c.shards, Workers: c.shards}}
+				cfg := Config{Shards: c.shards, Workers: c.shards}
 				for i := 0; i < b.N; i++ {
 					var err error
 					if labelSink, err = runLabeling(maps[side], cfg, c.exec); err != nil {
@@ -108,7 +108,7 @@ func BenchmarkShardLabel(b *testing.B) {
 	}
 	b.Run("mixed/shards=1", func(b *testing.B) {
 		b.ReportAllocs()
-		cfg := LabelConfig{Config: Config{Shards: 1, Workers: 1}}
+		cfg := Config{Shards: 1, Workers: 1}
 		for i := 0; i < b.N; i++ {
 			for _, side := range []int{64, 16, 32} {
 				var err error

@@ -107,13 +107,13 @@ func TestChurnDifferentialLabeling(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	side := 8
 	m := randomMap(side, rng)
-	cfg := LabelConfig{Config: Config{
+	cfg := Config{
 		Trace: true,
 		Churn: churn.Merge(
 			churn.Departures(2, 5, 17, 40),
 			churn.Arrivals(sim.Time(2*side), 5, 17, 40),
 		),
-	}}
+	}
 	oracle, err := runLabelingOracle(m, cfg)
 	if err != nil {
 		t.Fatal(err)

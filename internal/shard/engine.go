@@ -269,9 +269,7 @@ func (s *shardRun) churn(node int, down bool) {
 		}
 		st.Suspended[v] = true
 		s.suspends++
-		if s.tracer != nil {
-			s.emit(trace.Sleep, node, -1, 0, "radio sleep")
-		}
+		s.emit(trace.Sleep, node, -1, 0, "radio sleep")
 		return
 	}
 	if !st.Alive[v] || !st.Suspended[v] {
@@ -279,9 +277,7 @@ func (s *shardRun) churn(node int, down bool) {
 	}
 	st.Suspended[v] = false
 	s.resumes++
-	if s.tracer != nil {
-		s.emit(trace.Wake, node, -1, 0, "radio wake")
-	}
+	s.emit(trace.Wake, node, -1, 0, "radio wake")
 }
 
 // kill is the fail-stop crash: the radio goes silent immediately —
@@ -295,9 +291,7 @@ func (s *shardRun) kill(node int) {
 	st, v := s.eng.st, s.eng.part.Slot[node]
 	if st.Alive[v] {
 		st.Alive[v] = false
-		if s.tracer != nil {
-			s.emit(trace.Death, node, -1, 0, "radio off")
-		}
+		s.emit(trace.Death, node, -1, 0, "radio off")
 	}
 	st.timerSet[v] = false
 	s.kern.CancelOwner(node)
@@ -319,17 +313,13 @@ func (s *shardRun) kill(node int) {
 func (s *shardRun) deplete(i int) {
 	st, v := s.eng.st, s.start+int32(i)
 	node := int(s.eng.part.ID[v])
-	if s.tracer != nil {
-		s.emit(trace.Deplete, node, -1, int64(s.bank.Capacity(i)), "battery exhausted")
-	}
+	s.emit(trace.Deplete, node, -1, int64(s.bank.Capacity(i)), "battery exhausted")
 	if !st.Alive[v] {
 		return
 	}
 	st.Alive[v] = false
 	st.GaspUntil[v] = s.kern.Now()
-	if s.tracer != nil {
-		s.emit(trace.Death, node, -1, 0, "radio off")
-	}
+	s.emit(trace.Death, node, -1, 0, "radio off")
 }
 
 func makeOutbox(s int) [][]outRow {
@@ -609,16 +599,10 @@ func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
 	return at
 }
 
-// emit mirrors radio.Medium's structured-event shape field for field,
-// so canonicalized sharded traces are byte-identical to oracle traces.
-// node and peer are IDs.
+// emit records a structured event for node (and optional peer >= 0),
+// stamped at the kernel's current time, as radio.Medium does: node and
+// peer are IDs. Safe on a nil tracer; per-packet callers guard with
+// s.tracer != nil.
 func (s *shardRun) emit(kind trace.Kind, node, peer int, size int64, detail string) {
-	e := trace.Event{At: s.kern.Now(), Kind: kind,
-		Node: trace.NodeName(node), ID: node,
-		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1,
-		Bytes: size, Detail: detail}
-	if peer >= 0 {
-		e.Peer = trace.NodeName(peer)
-	}
-	s.tracer.EmitEvent(e)
+	s.tracer.EmitNode(s.kern.Now(), kind, node, peer, 0, size, detail)
 }

@@ -98,7 +98,7 @@ func TestInjectedOutboxHoldsNoPayload(t *testing.T) {
 		bits[i] = i%3 != 0
 	}
 	var eng *engine
-	if _, err := runLabeling(field.FromBits(grid, bits), LabelConfig{Config: Config{Shards: 4, Workers: 2}}, keepEngine(&eng)); err != nil {
+	if _, err := runLabeling(field.FromBits(grid, bits), Config{Shards: 4, Workers: 2}, keepEngine(&eng)); err != nil {
 		t.Fatal(err)
 	}
 	held := 0

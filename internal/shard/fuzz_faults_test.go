@@ -211,12 +211,12 @@ func TestShardFaultsRaceSmoke(t *testing.T) {
 		bits[i] = rng.Float64() < 0.5
 	}
 	m := field.FromBits(g, bits)
-	lcfg := LabelConfig{Config: Config{
+	lcfg := Config{
 		Burst:   fault.DefaultBurst(),
 		Seed:    5150,
 		Crashes: fault.At(fault.Crash{Node: 11, At: 4}, fault.Crash{Node: 52, At: 10}),
 		Trace:   true,
-	}}
+	}
 	lwant, err := runLabelingOracle(m, lcfg)
 	if err != nil {
 		t.Fatal(err)

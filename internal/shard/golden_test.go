@@ -39,14 +39,14 @@ func goldenLabelingRun(t *testing.T) []byte {
 	for i := range bits {
 		bits[i] = rng.Float64() < 0.5
 	}
-	res, err := RunLabeling(field.FromBits(g, bits), LabelConfig{Config: Config{
+	res, err := RunLabeling(field.FromBits(g, bits), Config{
 		Shards:  4,
 		Workers: 2,
 		Loss:    0.12,
 		Seed:    424242,
 		Crashes: fault.At(fault.Crash{Node: 27, At: 3}, fault.Crash{Node: 50, At: 9}),
 		Trace:   true,
-	}})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,14 +135,8 @@ func (x *relayFx) Exfiltrate(result any) {
 func (*relayFx) Compute(int64) {}
 func (*relayFx) Sense(int64)   {}
 
-// LabelConfig parameterizes a sharded labeling run. The embedded
-// Config supplies the execution strategy (Shards, Workers), the hazard
-// knobs (Loss, Burst, Seed, Crashes, Churn, Capacity, Deplete), and
-// Trace/Sink; its dissemination-only fields (Floods, Origins,
-// PktSize) are ignored.
-type LabelConfig struct {
-	Config
-}
+// LabelConfig is the Config of a labeling run (see RunLabeling).
+type LabelConfig = Config
 
 // LabelResult is the outcome of a labeling run — like Result, a
 // deterministic function of the map and workload alone, identical for
@@ -248,17 +242,20 @@ func labelDeployment(g *geom.Grid) *deploy.Network {
 // RunLabeling executes the quad-tree labeling workload over m's grid on
 // the conservative-window engine. Every shard and worker count produces
 // an identical LabelResult — including a byte-identical trace — for the
-// same map and hazard configuration.
-func RunLabeling(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
+// same map and hazard configuration. cfg supplies the execution strategy
+// (Shards, Workers), the hazard knobs (Loss, Burst, Seed, Crashes, Churn,
+// Capacity, Deplete), and Trace/Sink; its dissemination-only fields
+// (Floods, Origins, PktSize) are ignored.
+func RunLabeling(m *field.BinaryMap, cfg Config) (*LabelResult, error) {
 	return runLabeling(m, cfg, execute)
 }
 
-func runLabeling(m *field.BinaryMap, cfg LabelConfig, exec executor) (*LabelResult, error) {
+func runLabeling(m *field.BinaryMap, cfg Config, exec executor) (*LabelResult, error) {
 	h, err := varch.NewHierarchy(m.Grid)
 	if err != nil {
 		return nil, err
 	}
-	hz, err := buildHazards(m.Grid.N(), &cfg.Config)
+	hz, err := buildHazards(m.Grid.N(), &cfg)
 	if err != nil {
 		return nil, err
 	}

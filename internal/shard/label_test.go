@@ -54,7 +54,7 @@ func TestLabelingMatchesSynthDES(t *testing.T) {
 		}
 
 		for _, shards := range []int{1, 4} {
-			got, err := RunLabeling(m, LabelConfig{Config: Config{Shards: shards, Workers: 2}})
+			got, err := RunLabeling(m, Config{Shards: shards, Workers: 2})
 			if err != nil {
 				t.Fatalf("case %d shards=%d: %v", ci, shards, err)
 			}
@@ -90,12 +90,12 @@ func TestLabelingShardInvarianceUnderHazards(t *testing.T) {
 	}
 	m := field.FromBits(g, bits)
 
-	base := LabelConfig{Config: Config{
+	base := Config{
 		Loss:    0.12,
 		Seed:    424242,
 		Crashes: fault.At(fault.Crash{Node: 27, At: 3}, fault.Crash{Node: 50, At: 9}),
 		Trace:   true,
-	}}
+	}
 	want, err := runLabelingOracle(m, base)
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestLabelingShardInvarianceUnderHazards(t *testing.T) {
 func TestLabelingDepletionKillsRun(t *testing.T) {
 	g := geom.NewSquareGrid(8, 8)
 	m := field.FromBits(g, make([]bool, g.N()))
-	base := LabelConfig{Config: Config{Capacity: 12, Deplete: true, Trace: true}}
+	base := Config{Capacity: 12, Deplete: true, Trace: true}
 	want, err := runLabelingOracle(m, base)
 	if err != nil {
 		t.Fatal(err)
@@ -156,15 +156,15 @@ func TestLabelingDepletionKillsRun(t *testing.T) {
 // hazard knobs out of range.
 func TestLabelingValidation(t *testing.T) {
 	bad := field.FromBits(geom.NewGrid(3, 3, geom.Rect{MaxX: 3, MaxY: 3}), make([]bool, 9))
-	if _, err := RunLabeling(bad, LabelConfig{}); err == nil {
+	if _, err := RunLabeling(bad, Config{}); err == nil {
 		t.Error("3x3 grid accepted (not a power of two)")
 	}
 	g := geom.NewSquareGrid(4, 4)
 	m := field.FromBits(g, make([]bool, g.N()))
-	if _, err := RunLabeling(m, LabelConfig{Config: Config{Loss: 1.5}}); err == nil {
+	if _, err := RunLabeling(m, Config{Loss: 1.5}); err == nil {
 		t.Error("loss 1.5 accepted")
 	}
-	if _, err := RunLabeling(m, LabelConfig{Config: Config{Deplete: true}}); err == nil {
+	if _, err := RunLabeling(m, Config{Deplete: true}); err == nil {
 		t.Error("Deplete without Capacity accepted")
 	}
 }

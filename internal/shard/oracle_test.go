@@ -24,7 +24,7 @@ func runOracle(nw *deploy.Network, cfg Config) (*Result, error) {
 }
 
 // runLabelingOracle is RunLabeling on the single-kernel oracle.
-func runLabelingOracle(m *field.BinaryMap, cfg LabelConfig) (*LabelResult, error) {
+func runLabelingOracle(m *field.BinaryMap, cfg Config) (*LabelResult, error) {
 	return runLabeling(m, cfg, oracleExecute)
 }
 

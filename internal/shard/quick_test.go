@@ -140,8 +140,8 @@ func TestQuickDifferentialLabeling(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		side := []int{4, 8}[rng.Intn(2)]
 		m := randomMap(side, rng)
-		cfg := LabelConfig{Config: Config{Trace: true}}
-		randomHazards(&cfg.Config, side*side, rng)
+		cfg := Config{Trace: true}
+		randomHazards(&cfg, side*side, rng)
 		// Crash times must land inside the short labeling run to matter;
 		// re-roll them into a tight window.
 		if cfg.Crashes != nil {
@@ -233,10 +233,10 @@ func TestQuickPartitionInvariance(t *testing.T) {
 		m := randomMap(side, rng)
 		for _, hazardous := range []bool{false, true} {
 			cfg := Config{Origins: []int{rng.Intn(n), rng.Intn(n)}, PktSize: 1 + int64(rng.Intn(4)), Trace: true}
-			lcfg := LabelConfig{Config: Config{Trace: true}}
+			lcfg := Config{Trace: true}
 			if hazardous {
 				randomHazards(&cfg, n, rng)
-				randomHazards(&lcfg.Config, side*side, rng)
+				randomHazards(&lcfg, side*side, rng)
 				if lcfg.Crashes != nil {
 					lcfg.Crashes = fault.MustRandom(side*side, 0.08, sim.Time(4*side), rng.Int63())
 				}

@@ -121,7 +121,6 @@ type Kernel struct {
 	now     Time
 	nextSeq int64
 	fired   int64
-	running bool
 
 	// Near horizon: buckets[head] holds events at exactly time base,
 	// buckets[(head+d)&ladderMask] events at base+d for d < ladderSpan.
@@ -446,9 +445,7 @@ func (k *Kernel) Step() bool {
 	if k.probe != nil {
 		k.probe.EventFired(k.now, e.owner)
 	}
-	k.running = true
 	e.Fire()
-	k.running = false
 	// Recycle after Fire returned: anything Fire scheduled got fresh or
 	// previously freed events, never this one.
 	e.Fire = nil

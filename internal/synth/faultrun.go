@@ -203,11 +203,7 @@ func watchdogFire(vm *varch.Machine, h *varch.Hierarchy, insts []program.Instanc
 	s.Done = false
 	s.Transmit = true
 	res.ForcedPromotions++
-	if tr := vm.Tracer(); tr != nil {
-		tr.EmitEvent(trace.Event{At: vm.Kernel().Now(), Kind: trace.Protocol,
-			Node: acting.String(), ID: g.Index(acting), Col: acting.Col, Row: acting.Row,
-			PeerCol: -1, PeerRow: -1, Level: k, Detail: "watchdog promote"})
-	}
+	vm.Tracer().EmitCell(vm.Kernel().Now(), trace.Protocol, acting, g.Index(acting), trace.NoCell, k, 0, "watchdog promote")
 	if acting != leader {
 		res.LeaderFailovers++
 	}

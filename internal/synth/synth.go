@@ -226,23 +226,12 @@ func startAll[S any](insts []program.Instance[S]) {
 
 // emitExfiltrate records the out-of-network delivery when tracing is on.
 func emitExfiltrate(vm *varch.Machine, c geom.Coord) {
-	tr := vm.Tracer()
-	if tr == nil {
-		return
-	}
-	tr.EmitEvent(trace.Event{At: vm.Kernel().Now(), Kind: trace.Exfiltrate,
-		Node: c.String(), ID: vm.Grid().Index(c), Col: c.Col, Row: c.Row,
-		PeerCol: -1, PeerRow: -1, Detail: "final summary"})
+	vm.Tracer().EmitCell(vm.Kernel().Now(), trace.Exfiltrate, c, vm.Grid().Index(c), trace.NoCell, 0, 0, "final summary")
 }
 
 // phase emits a driver phase-boundary marker when tracing is on.
 func phase(vm *varch.Machine, detail string) {
-	tr := vm.Tracer()
-	if tr == nil {
-		return
-	}
-	tr.EmitEvent(trace.Event{At: vm.Kernel().Now(), Kind: trace.Phase,
-		ID: -1, Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Detail: detail})
+	vm.Tracer().EmitRun(vm.Kernel().Now(), trace.Phase, 0, detail)
 }
 
 // wireTraceHooks makes the instances' rule firings visible in the
@@ -254,10 +243,7 @@ func wireTraceHooks[S any](vm *varch.Machine, insts []program.Instance[S]) {
 	}
 	g := vm.Grid()
 	program.SetFireHook(insts, func(node int, rule string) {
-		c := g.CoordOf(node)
-		tr.EmitEvent(trace.Event{At: vm.Kernel().Now(), Kind: trace.RuleFire,
-			Node: c.String(), ID: node, Col: c.Col, Row: c.Row,
-			PeerCol: -1, PeerRow: -1, Detail: rule})
+		tr.EmitCell(vm.Kernel().Now(), trace.RuleFire, g.CoordOf(node), node, trace.NoCell, 0, 0, rule)
 	})
 }
 

@@ -79,8 +79,11 @@ type pairKey struct {
 }
 
 // identity names the node an event belongs to for liveness tracking: the
-// integer id when set (physical nodes), else the display name (virtual
-// coordinates). This matches the emitters' convention — see trace.Event.
+// integer id when set, else the display name. That is the identity
+// convention trace.Tracer's builders write: EmitNode sets a physical
+// node's ID, EmitCell a cell's grid index, or -1 beside physical nodes
+// so that its "<c,r>" name identifies it, and EmitRun -1; the kernel
+// probe's events carry their owning node's ID.
 func identity(e trace.Event) string {
 	if e.ID >= 0 {
 		return "#" + strconv.Itoa(e.ID)

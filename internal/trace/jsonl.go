@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 )
@@ -129,10 +130,24 @@ func Encode(w io.Writer, events []Event) error {
 	return nil
 }
 
-// WriteJSONL exports the log (oldest first) as JSON Lines.
-// Safe on a nil tracer (writes nothing).
-func (t *Tracer) WriteJSONL(w io.Writer) error {
-	return Encode(w, t.Events())
+// WriteJSONL exports the log (oldest first) as JSON Lines and returns
+// how many events it wrote. It copies no event: it takes the chunk
+// headers under the lock and encodes each chunk in place, which is safe
+// because an event never moves once it is in the log. Safe on a nil
+// tracer (writes nothing).
+func (t *Tracer) WriteJSONL(w io.Writer) (int, error) {
+	if t == nil {
+		return 0, nil
+	}
+	t.mu.Lock()
+	chunks, n := slices.Clone(t.chunks), t.n
+	t.mu.Unlock()
+	for _, c := range chunks {
+		if err := Encode(w, c); err != nil {
+			return 0, err
+		}
+	}
+	return n, nil
 }
 
 // Decode parses a JSON Lines trace produced by Encode. Blank lines are

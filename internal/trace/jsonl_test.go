@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"unicode/utf8"
 
+	"wsnva/internal/geom"
 	"wsnva/internal/sim"
 )
 
@@ -100,20 +103,96 @@ func TestDecodeIgnoresUnknownFields(t *testing.T) {
 	}
 }
 
+// TestWriteJSONL: the export encodes a log of several chunks in place,
+// byte-equal to Encode over Events, returns how many events it wrote,
+// and reports a failed write.
 func TestWriteJSONL(t *testing.T) {
 	tr := New()
-	tr.EmitEvent(Event{At: 1, Kind: Send, Node: "a", ID: -1,
+	tr.emit(Event{At: 1, Kind: Send, Node: "a", ID: -1,
 		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: 4, Peer: "b"})
-	var buf bytes.Buffer
-	if err := tr.WriteJSONL(&buf); err != nil {
+	for i := 0; i < 2*maxChunk; i++ {
+		tr.EmitNode(sim.Time(i/5), Rx, i, i+1, 0, 2, "")
+	}
+	var buf, want bytes.Buffer
+	n, err := tr.WriteJSONL(&buf)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if n != 2*maxChunk+1 {
+		t.Errorf("WriteJSONL reported %d events, want %d", n, 2*maxChunk+1)
+	}
+	if err := Encode(&want, tr.Events()); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want.Bytes()) {
+		t.Fatal("WriteJSONL differs from Encode over Events")
 	}
 	got, err := Decode(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Node != "a" || got[0].Peer != "b" {
-		t.Errorf("round trip through tracer export: %+v", got)
+	if len(got) != n || got[0].Node != "a" || got[0].Peer != "b" {
+		t.Errorf("round trip through tracer export: %d events, first %+v", len(got), got[0])
+	}
+	if n, err := tr.WriteJSONL(failingWriter{}); n != 0 || err == nil {
+		t.Errorf("a failing writer: WriteJSONL = %d, %v", n, err)
+	}
+}
+
+// TestWriteJSONLWhileEmitting exports a log that three goroutines keep
+// extending through the three builders: WriteJSONL reads the chunks
+// outside the lock, so under -race this pins that an export never reads
+// a slot an emitter is writing. Each export is a complete prefix of the
+// log: its count matches its lines, and line i carries Seq i.
+func TestWriteJSONLWhileEmitting(t *testing.T) {
+	tr := New()
+	const per = 3000
+	emitters := []func(i int){
+		func(i int) { tr.EmitNode(sim.Time(i), Tx, i, -1, 0, 2, "broadcast") },
+		func(i int) { tr.EmitCell(sim.Time(i), Send, geom.Coord{Col: i % 8, Row: 1}, -1, NoCell, 0, 4, "") },
+		func(i int) { tr.EmitRun(sim.Time(i), Phase, 0, "tick") },
+	}
+	var wg sync.WaitGroup
+	for _, emit := range emitters {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				emit(i)
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	for exports := 0; ; exports++ {
+		var buf bytes.Buffer
+		n, err := tr.WriteJSONL(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Decode(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != n {
+			t.Fatalf("export %d: WriteJSONL reported %d events, wrote %d", exports, n, len(got))
+		}
+		for i := range got {
+			if got[i].Seq != int64(i) {
+				t.Fatalf("export %d: line %d has seq %d", exports, i, got[i].Seq)
+			}
+		}
+		select {
+		case <-done:
+			if n, _ := tr.WriteJSONL(io.Discard); n != len(emitters)*per {
+				t.Fatalf("final export has %d events, want %d", n, len(emitters)*per)
+			}
+			return
+		default:
+		}
 	}
 }
 
@@ -252,8 +331,8 @@ func TestAppendJSONLMatchesEncodingJSON(t *testing.T) {
 func TestEncodeWritesInBlocks(t *testing.T) {
 	events := make([]Event, 2000)
 	for i := range events {
-		events[i] = Event{Seq: int64(i), At: sim.Time(i / 7), Kind: Rx, Node: NodeName(i), ID: i,
-			Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: 2, Peer: NodeName(i + 1), Detail: "broadcast"}
+		events[i] = Event{Seq: int64(i), At: sim.Time(i / 7), Kind: Rx, Node: nodeName(i), ID: i,
+			Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: 2, Peer: nodeName(i + 1), Detail: "broadcast"}
 	}
 	w := &countingWriter{}
 	if err := Encode(w, events); err != nil {

@@ -6,11 +6,11 @@
 // timelines (cmd/tracecat), export JSONL (Encode/Decode), or replay the
 // stream against conservation laws (trace/check).
 //
-// Tracing is opt-in and nil-safe: a nil *Tracer ignores every Emit, and
-// every instrumentation site guards its event construction behind a nil
-// check, so detached runs pay one pointer compare per site and stay
-// byte-identical to an uninstrumented build. A Tracer is safe for
-// concurrent use (the goroutine runtime emits from many goroutines).
+// Tracing is opt-in and nil-safe: a nil *Tracer ignores every Emit and
+// formats nothing, and every per-message instrumentation site guards
+// behind a nil check, so detached runs pay one pointer compare per site
+// and stay byte-identical to an uninstrumented build. A Tracer is safe
+// for concurrent use (the goroutine runtime emits from many goroutines).
 package trace
 
 import (
@@ -20,6 +20,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"wsnva/internal/geom"
 	"wsnva/internal/sim"
 )
 
@@ -129,13 +130,12 @@ func (k Kind) String() string {
 // Event is one recorded occurrence. Numeric fields that do not apply to a
 // given kind hold -1 (identities, coordinates) or 0 (level, bytes); Seq is
 // stamped by the tracer and is unique and monotone within one trace.
-//
-// Identity convention: ID is the subsystem's integer node index (grid
-// index for virtual nodes, deployment index for physical ones) and Node
-// its display form ("<2,3>" for virtual coordinates, "#17" for physical
-// nodes). Events from the physical and virtual planes of one run never
-// share an ID space on the same trace: physical emitters use ID, virtual
-// emitters over a physical network use ID = -1 and coordinates only.
+// An event names what it is about on one of three planes, a physical
+// node, a virtual cell or nothing, and one builder per plane (EmitNode,
+// EmitCell, EmitRun) fills its identity fields. The builders are the only
+// way into a log, so every engine names a node alike: the shard engine's
+// canonical trace equals its radio.Medium oracle's byte for byte because
+// both build through EmitNode.
 type Event struct {
 	Seq     int64    `json:"seq"`
 	At      sim.Time `json:"at"`
@@ -211,8 +211,8 @@ type Tracer struct {
 const maxChunk = 4096
 
 // SetSink attaches a live event sink (nil detaches). Every subsequent
-// EmitEvent is forwarded to it, sequence-stamped, after landing in the
-// log. Safe on a nil tracer.
+// event is forwarded to it, sequence-stamped, after landing in the log.
+// Safe on a nil tracer.
 func (t *Tracer) SetSink(s Sink) {
 	if t == nil {
 		return
@@ -225,25 +225,93 @@ func (t *Tracer) SetSink(s Sink) {
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// EmitEvent appends a structured event, stamping its sequence number with
+// emit appends a structured event, stamping its sequence number with
 // its index in the log. Safe on a nil tracer and for concurrent use.
-func (t *Tracer) EmitEvent(e Event) {
+func (t *Tracer) emit(e Event) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	e.Seq = int64(t.n)
+	s := t.slot()
+	e.Seq = s.Seq
+	*s = e
+	if t.sink != nil {
+		t.sink.TraceEvent(e)
+	}
+	t.mu.Unlock()
+}
+
+// EmitNode records an event about physical node id: ID is its
+// deployment index, Node its name ("#17"), every coordinate -1, and Peer
+// names peer when it is >= 0 (-1 for none). The event is built in the
+// log's next slot, so the traced engines' busiest emitter copies none.
+func (t *Tracer) EmitNode(at sim.Time, kind Kind, id, peer, level int, bytes int64, detail string) {
+	if t == nil {
+		return
+	}
+	t.mu.Lock()
+	e := t.slot()
+	e.At, e.Kind, e.Node, e.ID = at, kind, nodeName(id), id
+	e.Col, e.Row, e.PeerCol, e.PeerRow = -1, -1, -1, -1
+	e.Level, e.Bytes, e.Detail = level, bytes, detail
+	if peer >= 0 {
+		e.Peer = nodeName(peer)
+	}
+	if t.sink != nil {
+		t.sink.TraceEvent(*e)
+	}
+	t.mu.Unlock()
+}
+
+// NoCell is the peer of a cell event that has none.
+var NoCell = geom.Coord{Col: -1, Row: -1}
+
+// EmitCell records an event about virtual cell c: Node is its name
+// ("<2,3>"), Col and Row its coordinates, and ID is id, its grid index,
+// or -1 on a trace that also names physical nodes, so the two planes
+// never share an ID space. PeerCol and PeerRow are peer's coordinates
+// (NoCell for none), and Peer names peer when it is in the grid.
+func (t *Tracer) EmitCell(at sim.Time, kind Kind, c geom.Coord, id int, peer geom.Coord, level int, bytes int64, detail string) {
+	if t == nil {
+		return
+	}
+	e := Event{At: at, Kind: kind, Node: c.String(), ID: id, Col: c.Col, Row: c.Row,
+		PeerCol: peer.Col, PeerRow: peer.Row, Level: level, Bytes: bytes, Detail: detail}
+	if peer.Col >= 0 && peer.Row >= 0 {
+		e.Peer = peer.String()
+	}
+	t.emit(e)
+}
+
+// EmitRun records a run marker (a phase boundary, a churn batch, a
+// recovery): an event about nothing, every identity field -1.
+func (t *Tracer) EmitRun(at sim.Time, kind Kind, bytes int64, detail string) {
+	t.emitOwned(at, kind, sim.NoOwner, bytes, detail)
+}
+
+// emitOwned records a run marker that carries owner, a node ID or
+// sim.NoOwner, in ID without naming it: the kernel probe's events.
+func (t *Tracer) emitOwned(at sim.Time, kind Kind, owner int, bytes int64, detail string) {
+	t.emit(Event{At: at, Kind: kind, ID: owner,
+		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: bytes, Detail: detail})
+}
+
+// slot appends a zero event to the log (a chunk is only ever appended
+// to, so its slots are zero until handed out) and returns it, stamped
+// with its Seq. Called with t.mu held.
+func (t *Tracer) slot() *Event {
 	last := len(t.chunks) - 1
 	if last < 0 || len(t.chunks[last]) == cap(t.chunks[last]) {
 		t.chunks = append(t.chunks, make([]Event, 0, min(max(t.n, 64), maxChunk)))
 		last++
 	}
-	t.chunks[last] = append(t.chunks[last], e)
+	c := t.chunks[last]
+	c = c[:len(c)+1]
+	t.chunks[last] = c
+	e := &c[len(c)-1]
+	e.Seq = int64(t.n)
 	t.n++
-	if t.sink != nil {
-		t.sink.TraceEvent(e)
-	}
-	t.mu.Unlock()
+	return e
 }
 
 // Count returns how many events of the kind were emitted. Safe on a nil
@@ -295,11 +363,11 @@ func (t *Tracer) Take() [][]Event {
 	return chunks
 }
 
-// NodeName is a physical node's display name, "#17" for node 17 (see
-// Event). The names of the first maxNamed nodes are formatted once per
-// process and shared, so emitters name nodes without allocating. Safe
-// for concurrent use.
-func NodeName(id int) string {
+// nodeName is a physical node's display name, "#17" for node 17. The
+// names of the first maxNamed nodes are formatted once per process and
+// shared, so EmitNode names nodes without allocating. Safe for
+// concurrent use.
+func nodeName(id int) string {
 	if names := nodeNames.Load(); names != nil && uint(id) < uint(len(*names)) {
 		return (*names)[id]
 	}
@@ -359,16 +427,13 @@ type kernelProbe struct{ t *Tracer }
 func KernelProbe(t *Tracer) sim.Probe { return kernelProbe{t: t} }
 
 func (p kernelProbe) EventScheduled(now, at sim.Time, owner int) {
-	p.t.EmitEvent(Event{At: now, Kind: Schedule, ID: owner,
-		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1, Bytes: int64(at)})
+	p.t.emitOwned(now, Schedule, owner, int64(at), "")
 }
 
 func (p kernelProbe) EventFired(now sim.Time, owner int) {
-	p.t.EmitEvent(Event{At: now, Kind: Fire, ID: owner,
-		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1})
+	p.t.emitOwned(now, Fire, owner, 0, "")
 }
 
 func (p kernelProbe) EventCancelled(now sim.Time, owner int) {
-	p.t.EmitEvent(Event{At: now, Kind: Cancel, ID: owner,
-		Col: -1, Row: -1, PeerCol: -1, PeerRow: -1})
+	p.t.emitOwned(now, Cancel, owner, 0, "")
 }

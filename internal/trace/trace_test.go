@@ -11,7 +11,7 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
-	tr.EmitEvent(Event{At: 1, Kind: Send, Node: "a", Detail: "x"}) // must not panic
+	tr.emit(Event{At: 1, Kind: Send, Node: "a", Detail: "x"}) // must not panic
 	if tr.Count(Send) != 0 {
 		t.Error("nil tracer count should be 0")
 	}
@@ -22,9 +22,9 @@ func TestNilTracerIsSafe(t *testing.T) {
 
 func TestEmitAndEvents(t *testing.T) {
 	tr := New()
-	tr.EmitEvent(Event{At: 1, Kind: Send, Node: "<0,0>", Detail: "-> <1,0>"})
-	tr.EmitEvent(Event{At: 3, Kind: Deliver, Node: "<1,0>", Detail: "<- <0,0>"})
-	tr.EmitEvent(Event{At: 3, Kind: RuleFire, Node: "<1,0>", Detail: "receive"})
+	tr.emit(Event{At: 1, Kind: Send, Node: "<0,0>", Detail: "-> <1,0>"})
+	tr.emit(Event{At: 3, Kind: Deliver, Node: "<1,0>", Detail: "<- <0,0>"})
+	tr.emit(Event{At: 3, Kind: RuleFire, Node: "<1,0>", Detail: "receive"})
 	evts := tr.Events()
 	if len(evts) != 3 {
 		t.Fatalf("got %d events", len(evts))
@@ -39,7 +39,7 @@ func TestEmitAndEvents(t *testing.T) {
 
 func TestTimeline(t *testing.T) {
 	tr := New()
-	tr.EmitEvent(Event{At: 5, Kind: Exfiltrate, Node: "<0,0>", Detail: "final summary"})
+	tr.emit(Event{At: 5, Kind: Exfiltrate, Node: "<0,0>", Detail: "final summary"})
 	line := Timeline(tr.Events())
 	for _, want := range []string{"t=5", "exfil", "<0,0>", "final summary"} {
 		if !strings.Contains(line, want) {
@@ -77,9 +77,9 @@ func TestStructuredKindStrings(t *testing.T) {
 
 func TestNilTracerStructuredPaths(t *testing.T) {
 	var tr *Tracer
-	tr.EmitEvent(Event{Kind: Tx})
-	if err := tr.WriteJSONL(&strings.Builder{}); err != nil {
-		t.Errorf("nil WriteJSONL: %v", err)
+	tr.emit(Event{Kind: Tx})
+	if n, err := tr.WriteJSONL(&strings.Builder{}); n != 0 || err != nil {
+		t.Errorf("nil WriteJSONL: %d, %v", n, err)
 	}
 }
 
@@ -96,7 +96,7 @@ func TestConcurrentEmit(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				tr.EmitEvent(Event{Kind: Send, ID: w, Bytes: int64(i)})
+				tr.emit(Event{Kind: Send, ID: w, Bytes: int64(i)})
 			}
 		}()
 	}
@@ -121,7 +121,7 @@ func TestConcurrentEmit(t *testing.T) {
 func TestEventsReturnsACopy(t *testing.T) {
 	tr := New()
 	for i := 0; i < 3; i++ {
-		tr.EmitEvent(Event{At: sim.Time(i), Kind: Tx, ID: i})
+		tr.emit(Event{At: sim.Time(i), Kind: Tx, ID: i})
 	}
 	got := tr.Events()
 	got[0] = Event{Kind: Drop, ID: 99}
@@ -140,7 +140,7 @@ func TestTakeHandsOverTheLog(t *testing.T) {
 	tr := New()
 	const n = 3*maxChunk + 17
 	for i := 0; i < n; i++ {
-		tr.EmitEvent(Event{At: sim.Time(i / 3), Kind: Rx, ID: i})
+		tr.emit(Event{At: sim.Time(i / 3), Kind: Rx, ID: i})
 	}
 	want := tr.Events()
 	chunks := tr.Take()
@@ -165,7 +165,7 @@ func TestTakeHandsOverTheLog(t *testing.T) {
 	if tr.Count(Rx) != 0 || len(tr.Events()) != 0 || tr.Take() != nil {
 		t.Error("a tracer must be empty after Take")
 	}
-	tr.EmitEvent(Event{Kind: Tx})
+	tr.emit(Event{Kind: Tx})
 	if e := tr.Events(); len(e) != 1 || e[0].Seq != 0 {
 		t.Errorf("first event after Take: %+v", e)
 	}
@@ -185,16 +185,16 @@ func TestNodeName(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, id := range ids {
-				if got, want := NodeName(id), "#"+strconv.Itoa(id); got != want {
-					t.Errorf("NodeName(%d) = %q, want %q", id, got, want)
+				if got, want := nodeName(id), "#"+strconv.Itoa(id); got != want {
+					t.Errorf("nodeName(%d) = %q, want %q", id, got, want)
 				}
 			}
 		}()
 	}
 	wg.Wait()
 	for id := 0; id < 3000; id++ {
-		if got, want := NodeName(id), "#"+strconv.Itoa(id); got != want {
-			t.Fatalf("NodeName(%d) = %q, want %q", id, got, want)
+		if got, want := nodeName(id), "#"+strconv.Itoa(id); got != want {
+			t.Fatalf("nodeName(%d) = %q, want %q", id, got, want)
 		}
 	}
 }
@@ -253,7 +253,7 @@ func TestSinkReceivesLiveEvents(t *testing.T) {
 	sink := &collectSink{}
 	tr.SetSink(sink)
 	for i := 0; i < 5; i++ {
-		tr.EmitEvent(Event{At: sim.Time(i), Kind: Send, Node: "n", Detail: "x"})
+		tr.emit(Event{At: sim.Time(i), Kind: Send, Node: "n", Detail: "x"})
 	}
 	if len(sink.events) != 5 {
 		t.Fatalf("sink saw %d events, want 5", len(sink.events))
@@ -264,7 +264,7 @@ func TestSinkReceivesLiveEvents(t *testing.T) {
 		}
 	}
 	tr.SetSink(nil)
-	tr.EmitEvent(Event{At: 9, Kind: Send, Node: "n", Detail: "x"})
+	tr.emit(Event{At: 9, Kind: Send, Node: "n", Detail: "x"})
 	if len(sink.events) != 5 {
 		t.Errorf("detached sink still saw events")
 	}

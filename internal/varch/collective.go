@@ -54,7 +54,7 @@ func (vm *Machine) emitGroup(leader geom.Coord, level int, prim string, strat St
 	if vm.tracer == nil {
 		return
 	}
-	vm.tracer.EmitEvent(vm.evt(trace.GroupOp, leader, noPeer, level, 0, prim+"/"+strat.String()))
+	vm.emit(trace.GroupOp, leader, trace.NoCell, level, 0, prim+"/"+strat.String())
 }
 
 // GroupSum gathers and sums the members' values at the level-k leader.
@@ -258,7 +258,7 @@ func (vm *Machine) transfer(from, to geom.Coord, size int64) (sim.Time, bool) {
 		lat += vm.reliable.Backoff(a + 1)
 		vm.fstats.Retransmissions++
 		if vm.tracer != nil {
-			vm.tracer.EmitEvent(vm.evt(trace.Retry, from, to, 0, size, ""))
+			vm.emit(trace.Retry, from, to, 0, size, "")
 		}
 	}
 	idx := vm.Hier.Grid.Index(to)

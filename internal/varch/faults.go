@@ -57,9 +57,7 @@ func (vm *Machine) Kill(node int) {
 		return
 	}
 	vm.alive[node] = false
-	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Death, vm.Hier.Grid.CoordOf(node), noPeer, 0, 0, ""))
-	}
+	vm.emit(trace.Death, vm.Hier.Grid.CoordOf(node), trace.NoCell, 0, 0, "")
 	vm.kernel.CancelOwner(node)
 }
 
@@ -91,7 +89,7 @@ func (vm *Machine) ActingLeaderAt(c geom.Coord, level int) geom.Coord {
 		return leader
 	}
 	if acting != leader && vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Failover, acting, leader, level, 0, "acting leader"))
+		vm.emit(trace.Failover, acting, leader, level, 0, "acting leader")
 	}
 	return acting
 }

@@ -84,21 +84,12 @@ func (vm *Machine) SetMetrics(reg *metrics.Registry) {
 	vm.hLatency = reg.Histogram("varch.latency", metrics.ExpBounds(1, 12))
 }
 
-// noPeer marks the absence of a counterpart coordinate in a structured
-// event.
-var noPeer = geom.Coord{Col: -1, Row: -1}
-
-// evt builds a structured event for the virtual node at c; peer is the
-// counterpart coordinate, or noPeer when there is none. Building the event
-// allocates (coordinate strings), so callers guard with vm.tracer != nil.
-func (vm *Machine) evt(kind trace.Kind, c, peer geom.Coord, level int, bytes int64, detail string) trace.Event {
-	e := trace.Event{At: vm.kernel.Now(), Kind: kind,
-		Node: c.String(), ID: vm.Hier.Grid.Index(c), Col: c.Col, Row: c.Row,
-		PeerCol: peer.Col, PeerRow: peer.Row, Level: level, Bytes: bytes, Detail: detail}
-	if peer.Col >= 0 && peer.Row >= 0 {
-		e.Peer = peer.String()
-	}
-	return e
+// emit records a structured event for the virtual node at c, named by its
+// grid index; peer is the counterpart coordinate, or trace.NoCell when
+// there is none. Safe on a nil tracer; per-message callers guard with
+// vm.tracer != nil.
+func (vm *Machine) emit(kind trace.Kind, c, peer geom.Coord, level int, bytes int64, detail string) {
+	vm.tracer.EmitCell(vm.kernel.Now(), kind, c, vm.Hier.Grid.Index(c), peer, level, bytes, detail)
 }
 
 // SetJitter adds a uniform random extra delay in [0, j] to every message
@@ -192,13 +183,13 @@ func (vm *Machine) accept(from, to geom.Coord, level int, size int64, detail str
 	if !vm.aliveIdx(idx) {
 		vm.fstats.Suppressed++
 		if vm.tracer != nil {
-			vm.tracer.EmitEvent(vm.evt(trace.Drop, from, to, level, size, "suppressed"))
+			vm.emit(trace.Drop, from, to, level, size, "suppressed")
 		}
 		return false
 	}
 	vm.msgs++
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Send, from, to, level, size, detail))
+		vm.emit(trace.Send, from, to, level, size, detail)
 	}
 	if vm.mSend != nil {
 		vm.mSend.Inc(idx)
@@ -321,7 +312,7 @@ func (vm *Machine) attempt(from, to geom.Coord, level int, size int64) (sim.Time
 	}
 	vm.fstats.Lost++
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Drop, to, from, level, size, "lost"))
+		vm.emit(trace.Drop, to, from, level, size, "lost")
 	}
 	return lat, true
 }
@@ -336,7 +327,7 @@ func (vm *Machine) ack(rcv, snd geom.Coord, level int) sim.Time {
 	})
 	vm.fstats.Acks++
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Ack, rcv, snd, level, units, ""))
+		vm.emit(trace.Ack, rcv, snd, level, units, "")
 	}
 	return sim.Time(rcv.Manhattan(snd)) * sim.Time(vm.ledger.Model().TxLatency(units))
 }
@@ -363,7 +354,7 @@ func (f *flight) retransmit() {
 		f.to = vm.ActingLeaderAt(from, int(f.level))
 	}
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Retry, from, f.to, int(f.level), f.msg.Size, ""))
+		vm.emit(trace.Retry, from, f.to, int(f.level), f.msg.Size, "")
 	}
 	vm.launch(f)
 }
@@ -418,7 +409,7 @@ func (vm *Machine) deliver(idx int, to geom.Coord, msg Message, sentAt sim.Time)
 func (vm *Machine) deadDrop(to, from geom.Coord, level int, size int64) {
 	vm.fstats.DeadDrops++
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Drop, to, from, level, size, "dead receiver"))
+		vm.emit(trace.Drop, to, from, level, size, "dead receiver")
 	}
 }
 
@@ -427,7 +418,7 @@ func (vm *Machine) deadDrop(to, from geom.Coord, level int, size int64) {
 func (vm *Machine) delivered(idx int, to, from geom.Coord, size int64, detail string) {
 	vm.fstats.Delivered++
 	if vm.tracer != nil {
-		vm.tracer.EmitEvent(vm.evt(trace.Deliver, to, from, 0, size, detail))
+		vm.emit(trace.Deliver, to, from, 0, size, detail)
 	}
 	if vm.mDeliver != nil {
 		vm.mDeliver.Inc(idx)
@@ -442,7 +433,7 @@ func (vm *Machine) Compute(c geom.Coord, units int64) sim.Time {
 	// Alive-gated: a dead CPU computes nothing (its charge was vetoed too),
 	// and collectives call Compute on sub-leaders without checking liveness.
 	if vm.tracer != nil && vm.aliveIdx(idx) {
-		vm.tracer.EmitEvent(vm.evt(trace.Compute, c, noPeer, 0, units, ""))
+		vm.emit(trace.Compute, c, trace.NoCell, 0, units, "")
 	}
 	return sim.Time(vm.ledger.Model().ComputeLatency(units))
 }
@@ -452,7 +443,7 @@ func (vm *Machine) Sense(c geom.Coord, units int64) sim.Time {
 	idx := vm.Hier.Grid.Index(c)
 	vm.ledger.Charge(idx, cost.Sense, units)
 	if vm.tracer != nil && vm.aliveIdx(idx) {
-		vm.tracer.EmitEvent(vm.evt(trace.Sense, c, noPeer, 0, units, ""))
+		vm.emit(trace.Sense, c, trace.NoCell, 0, units, "")
 	}
 	return sim.Time(vm.ledger.Model().ComputeLatency(units))
 }
