@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt radio-users test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv results fuzz fuzz-deploy fuzz-radio examples engines clean
+.PHONY: all check build vet fmt radio-users test test-short race race-core race-runtime race-deploy race-shard-faults race-churn race-serve bench bench-smoke soak cover tables csv results fuzz fuzz-deploy fuzz-radio fuzz-shard examples engines clean
 
 all: build vet test
 
@@ -16,12 +16,15 @@ all: build vet test
 # wall-time blowups, the bench/ harness's own tests, a battery-depletion
 # soak, the observability coverage floor, a short fuzz of the CSR neighbor
 # build against its brute-force oracle, a short fuzz of the radio medium's
-# conservation on lossy and lossless media, the seven examples, which
+# conservation on lossy and lossless media, short fuzzes of the shard
+# engine's window boundary against its oracle (the backstop for the
+# scripted app those fuzzers run, which sends only from each node's
+# start and its wakes), the seven examples, which
 # drive the synthesized alarm and tracking programs through their public
 # entry points, every wsnsim engine end to end, and results/ regenerated
 # and compared with the committed tables, before they land. radio-users
 # keeps the radio medium inside the Section 5 protocol packages.
-check: vet fmt radio-users build race bench bench-smoke soak cover fuzz-deploy fuzz-radio examples engines results
+check: vet fmt radio-users build race bench bench-smoke soak cover fuzz-deploy fuzz-radio fuzz-shard examples engines results
 
 build:
 	$(GO) build ./...
@@ -198,6 +201,20 @@ fuzz-deploy:
 # non-negative energy and undamaged payloads.
 fuzz-radio:
 	$(GO) test -run '^$$' -fuzz FuzzMediumConservation -fuzztime 10s ./internal/radio/
+
+# The three shard fuzz targets for 10 s each (FuzzWindowBoundary anchored,
+# so it does not also match FuzzLossyWindowBoundary): random broadcast
+# scripts on a clean, a lossy and a dying channel, the engine at 1, 2, 4
+# and 8 shards held to the single-kernel oracle and to the delivery-time
+# laws. They are the window-boundary backstop for their scripted app
+# (fuzzApp), which sends only from each node's start and its wakes:
+# each finds a window one unit too wide within about a second, and
+# each keeps one such input as a seed, so `go test` catches that one
+# too.
+fuzz-shard:
+	$(GO) test -run '^$$' -fuzz '^FuzzWindowBoundary$$' -fuzztime 10s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzLossyWindowBoundary -fuzztime 10s ./internal/shard/
+	$(GO) test -run '^$$' -fuzz FuzzMidRunDeath -fuzztime 10s ./internal/shard/
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -6,38 +6,35 @@ import (
 	"wsnva/internal/sim"
 )
 
-// fabric is what an app sees: a simulated clock, broadcast and unicast
-// primitives, and a single-shot wake timer, all in node IDs. Every
-// engine shard (shardRun) implements it, and so does the test-only
-// single-kernel oracle (singleFab, oracle_test.go), which is what lets
-// the differential tests run one app on both.
+// fabric is what an app sees: a simulated clock and broadcast and
+// unicast primitives, all in node IDs. Every engine shard (shardRun)
+// implements it, and so does the test-only single-kernel oracle
+// (singleFab, oracle_test.go), which is what lets the differential tests
+// run one app on both.
 //
-// Delivery semantics are batched: the fabric coalesces every input that
-// reaches a node at one instant — all packet deliveries plus an expired
-// timer — into a single wake callback whose batch is sorted by
-// (From, Key), and wakes the nodes with input at that instant in
-// ascending ID order. The batch contents are therefore independent of
-// the order deliveries were scheduled in, which is the property that
-// makes sharded and single-kernel execution agree bit-for-bit
-// (DESIGN.md, "Sharded parallel kernel").
+// Packets are the only thing that wakes a node, and delivery is batched:
+// the fabric coalesces every packet that reaches a node at one instant
+// into a single wake callback whose batch is sorted by (From, Key), and
+// wakes the nodes with packets at that instant in ascending ID order.
+// The batch contents are therefore independent of the order deliveries
+// were scheduled in, which is the property that makes sharded and
+// single-kernel execution agree bit-for-bit (DESIGN.md, "Sharded
+// parallel kernel").
 type fabric interface {
 	// now returns the current simulated time.
 	now() sim.Time
 	// broadcast transmits size data units carrying key to every one-hop
-	// neighbor of from, charging Tx at the sender, and returns how many
-	// neighbors it was queued for (losses excluded). size must be
-	// positive: a zero-size packet would have zero latency and break the
-	// lookahead bound.
-	broadcast(from int, size, key int64) int
+	// neighbor of from, charging Tx at the sender; a sender that is not
+	// live (dead or asleep) sends nothing, and each neighbor's copy can
+	// be lost. size must be positive: a zero-size packet would have zero
+	// latency and break the lookahead bound.
+	broadcast(from int, size, key int64)
 	// unicast transmits size data units carrying (key, payload) to a
-	// single one-hop neighbor, charging Tx at the sender; it reports
-	// whether the packet was queued (false: dead sender or loss draw).
-	// key must be unique among all packets that can reach one node at
-	// one instant — the labeling app uses the originating node's id.
-	unicast(from, to int, size, key int64, payload any) bool
-	// wakeAfter arms the node's single-shot timer d > 0 units from now;
-	// at most one may be outstanding per node.
-	wakeAfter(node int, d sim.Time) sim.Time
+	// single one-hop neighbor, charging Tx at the sender, with
+	// broadcast's liveness gate and loss. key must be unique among all
+	// packets that can reach one node at one instant — the labeling app
+	// uses the originating node's id.
+	unicast(from, to int, size, key int64, payload any)
 	// land takes slot v's batch at the current instant and whether v is
 	// live, once per listed node before its wake: the receptions' (or
 	// drops') counts, Rx charge and trace events are due here.
@@ -54,12 +51,11 @@ type fabric interface {
 type app interface {
 	// start runs once per owned node before time advances.
 	start(f fabric, node int)
-	// wake delivers the node's coalesced inputs at the current instant:
-	// its packets are recs[batch[0]], recs[batch[1]], … in (From, Key)
-	// order, indices into the instant's record table, and timer reports
-	// whether the node's single-shot timer expired at this instant. Both
-	// slices belong to the fabric and are reused after the call.
-	wake(f fabric, node int, recs []Packet, batch []int32, timer bool)
+	// wake delivers the node's packets of the current instant, never
+	// none: recs[batch[0]], recs[batch[1]], … in (From, Key) order,
+	// indices into the instant's record table. Both slices belong to the
+	// fabric and are reused after the call.
+	wake(f fabric, node int, recs []Packet, batch []int32)
 }
 
 // dissApp is the multi-source dissemination protocol the sharded kernel
@@ -132,8 +128,7 @@ func (a *dissApp) start(f fabric, node int) {
 // re-broadcast, duplicates suppressed. The batch arrives sorted by
 // (From, Key) and every update below commutes across nodes, so the
 // result is independent of how deliveries interleaved across shards.
-func (a *dissApp) wake(f fabric, node int, recs []Packet, batch []int32, timer bool) {
-	_ = timer // the dissemination protocol is purely reactive
+func (a *dissApp) wake(f fabric, node int, recs []Packet, batch []int32) {
 	fs := a.fs
 	heard, ignored := fs.heard[node], int64(0)
 	for _, r := range batch {

@@ -1,14 +1,16 @@
 package shard
 
 import (
+	"cmp"
 	"slices"
+	"strings"
 
 	"wsnva/internal/trace"
 )
 
 // canonicalOrder returns pointers to a trace's events in canonical
 // order: sorted by every payload field (everything except Seq, see
-// eventLess). Two runs that emitted the same multiset of events — in
+// cmpEvents). Two runs that emitted the same multiset of events — in
 // any order — put them in identical order, which is how a sharded run's
 // per-shard logs merge into something byte-comparable against the
 // oracle's single log. The comparator is total over distinct events, and
@@ -30,52 +32,35 @@ func canonicalOrder(logs [][]trace.Event) []*trace.Event {
 	return order
 }
 
-// cmpEvents is eventLess as a three-way comparison, for slices.SortFunc.
+// cmpEvents orders events by every payload field in turn — At, Kind,
+// ID, Peer, Bytes, Detail, Node, Col, Row, PeerCol, PeerRow, Level — in
+// one walk that stops at the first field that differs.
 func cmpEvents(a, b *trace.Event) int {
 	switch {
-	case eventLess(a, b):
-		return -1
-	case eventLess(b, a):
-		return 1
+	case a.At != b.At:
+		return cmp.Compare(a.At, b.At)
+	case a.Kind != b.Kind:
+		return cmp.Compare(a.Kind, b.Kind)
+	case a.ID != b.ID:
+		return cmp.Compare(a.ID, b.ID)
+	case a.Peer != b.Peer:
+		return strings.Compare(a.Peer, b.Peer)
+	case a.Bytes != b.Bytes:
+		return cmp.Compare(a.Bytes, b.Bytes)
+	case a.Detail != b.Detail:
+		return strings.Compare(a.Detail, b.Detail)
+	case a.Node != b.Node:
+		return strings.Compare(a.Node, b.Node)
+	case a.Col != b.Col:
+		return cmp.Compare(a.Col, b.Col)
+	case a.Row != b.Row:
+		return cmp.Compare(a.Row, b.Row)
+	case a.PeerCol != b.PeerCol:
+		return cmp.Compare(a.PeerCol, b.PeerCol)
+	case a.PeerRow != b.PeerRow:
+		return cmp.Compare(a.PeerRow, b.PeerRow)
 	}
-	return 0
-}
-
-func eventLess(a, b *trace.Event) bool {
-	if a.At != b.At {
-		return a.At < b.At
-	}
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.ID != b.ID {
-		return a.ID < b.ID
-	}
-	if a.Peer != b.Peer {
-		return a.Peer < b.Peer
-	}
-	if a.Bytes != b.Bytes {
-		return a.Bytes < b.Bytes
-	}
-	if a.Detail != b.Detail {
-		return a.Detail < b.Detail
-	}
-	if a.Node != b.Node {
-		return a.Node < b.Node
-	}
-	if a.Col != b.Col {
-		return a.Col < b.Col
-	}
-	if a.Row != b.Row {
-		return a.Row < b.Row
-	}
-	if a.PeerCol != b.PeerCol {
-		return a.PeerCol < b.PeerCol
-	}
-	if a.PeerRow != b.PeerRow {
-		return a.PeerRow < b.PeerRow
-	}
-	return a.Level < b.Level
+	return cmp.Compare(a.Level, b.Level)
 }
 
 // encodeCanonical renders the logs' events as canonical JSONL: in

@@ -12,7 +12,7 @@ import (
 )
 
 // oracleLess is the canonical comparator as the engine first defined
-// it, kept apart from eventLess: a change to the engine's order then
+// it, kept apart from cmpEvents: a change to the engine's order then
 // fails TestCanonicalOrderMatchesOracle instead of moving the oracle
 // along with it.
 func oracleLess(a, b *trace.Event) bool {

@@ -123,9 +123,9 @@ type shardRun struct {
 	resumes   int64
 	last      sim.Time // time of the last event this shard fired
 
-	// in holds the inputs of the current instant for the owned nodes;
+	// in holds the current instant's deliveries to the owned nodes;
 	// drain is the event that wakes them, scheduled at the instant's
-	// first input.
+	// first delivery.
 	in    inbox
 	drain func()
 
@@ -183,10 +183,10 @@ func newEngine(nw *deploy.Network, st *State, part *Partition, model *cost.Model
 			kern:  sim.New(),
 			start: part.Start[i],
 			end:   part.Start[i+1],
-			in:    inbox{st: st, id: part.ID, slot: part.Slot},
+			in:    inbox{st: st, slot: part.Slot},
 			open:  make([]uint64, s),
 		}
-		// The drain's first input already stamped last with its instant.
+		// The drain's first delivery already stamped last with its instant.
 		sr.drain = func() { sr.in.drain(sr, sr.app) }
 		if hz.trace {
 			sr.tracer = trace.New()
@@ -282,34 +282,23 @@ func (s *shardRun) churn(node int, down bool) {
 
 // kill is the fail-stop crash: the radio goes silent immediately —
 // deliveries at the crash instant are already too late, because the
-// crash event's sequence number precedes theirs — and every event the
-// node owns (its timer) is cancelled. A node that already depleted
-// emits no second Death, but its owned events are still cancelled,
-// mirroring the oracle's kill exactly (a timer re-armed during the
-// dying-gasp instant dies here on both).
+// crash event's sequence number precedes theirs. A node that already
+// depleted emits no second Death, mirroring the oracle's kill.
 func (s *shardRun) kill(node int) {
 	st, v := s.eng.st, s.eng.part.Slot[node]
 	if st.Alive[v] {
 		st.Alive[v] = false
 		s.emit(trace.Death, node, -1, 0, "radio off")
 	}
-	st.timerSet[v] = false
-	s.kern.CancelOwner(node)
 }
 
 // deplete is the battery death, fired synchronously by the bank inside
 // the crossing charge: the node finishes the current instant (GaspUntil
 // keeps the liveness gate open for events stamped now) and is silent
-// from the next time step on. Pending timers are deliberately NOT
-// cancelled here: the sequence order of a same-instant timer against
-// the charge that crossed the budget is schedule-dependent (barrier
-// injection assigns late sequence numbers), so cancelling would make
-// the dying wake's timer flag depend on the shard count. Instead the
-// gasp covers the whole instant — a timer stamped now still fires —
-// and any later timer is swallowed by the drain's liveness gate. The
-// bank calls it with the ledger's index, slot − start; it emits the
-// bank's Deplete event (in gasp mode the budget, not the drain) under
-// the node's ID.
+// from the next time step on; a delivery after that instant is dropped
+// at the drain's liveness gate. The bank calls it with the ledger's
+// index, slot − start; it emits the bank's Deplete event (in gasp mode
+// the budget, not the drain) under the node's ID.
 func (s *shardRun) deplete(i int) {
 	st, v := s.eng.st, s.start+int32(i)
 	node := int(s.eng.part.ID[v])
@@ -414,17 +403,15 @@ func (s *shardRun) inject() {
 // — the identical draw sequence radio.Medium consumes, because the
 // channel is keyed by the sender's own counter, not by any global
 // schedule. A lossless broadcast from an interior node fans out from
-// the sender's row of the deployment in place. Returns the number of
-// neighbors the packet was queued for, losses excluded, matching
-// Medium.Broadcast.
-func (s *shardRun) broadcast(from int, size, key int64) int {
+// the sender's row of the deployment in place.
+func (s *shardRun) broadcast(from int, size, key int64) {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
 	}
 	e := s.eng
 	v := e.part.Slot[from]
 	if !e.st.liveAt(v, s.kern.Now()) {
-		return 0
+		return
 	}
 	s.sent++
 	s.txn++
@@ -441,10 +428,9 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 			f.to = row
 			s.kern.At(at, f.fire)
 		}
-		return len(row)
+		return
 	}
 	var local *fanout
-	queued := 0
 	for _, id := range row {
 		if ch != nil && ch.Lost(from, int(id), size) {
 			s.dropped++
@@ -453,7 +439,6 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 			}
 			continue
 		}
-		queued++
 		if dst := e.part.Owner[id]; dst == int32(s.id) {
 			if local == nil {
 				local = s.newFanout(int32(from), size, key, nil)
@@ -473,14 +458,13 @@ func (s *shardRun) broadcast(from int, size, key int64) int {
 		local.to = local.own
 		s.kern.At(at, local.fire)
 	}
-	return queued
 }
 
 // unicast implements fabric, mirroring Medium.Unicast event for event:
 // neighbor check, liveness gate, Tx charge and trace, one loss draw,
 // then a single delivery — local fan-out of one, or an outbox entry
 // when the receiver lives on another shard.
-func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
+func (s *shardRun) unicast(from, to int, size, key int64, payload any) {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
 	}
@@ -490,7 +474,7 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 	p := s.eng.part
 	v := p.Slot[from]
 	if !s.eng.st.liveAt(v, s.kern.Now()) {
-		return false
+		return
 	}
 	s.sent++
 	s.ledger.Charge(int(v-s.start), cost.Tx, size)
@@ -502,7 +486,7 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 		if s.tracer != nil {
 			s.emit(trace.Drop, to, from, size, "lost")
 		}
-		return false
+		return
 	}
 	at := s.kern.Now() + sim.Time(s.eng.model.TxLatency(size))
 	if dst := p.Owner[to]; dst == int32(s.id) {
@@ -515,7 +499,6 @@ func (s *shardRun) unicast(from, to int, size, key int64, payload any) bool {
 		out.recs = append(out.recs, xrec{at: at, from: int32(from), n: 1, size: size, key: key, payload: payload})
 		out.to = append(out.to, int32(to))
 	}
-	return true
 }
 
 func (s *shardRun) newFanout(from int32, size, key int64, payload any) *fanout {
@@ -573,31 +556,6 @@ func (s *shardRun) land(v int32, recs []Packet, batch []int32, live bool) {
 }
 
 func (s *shardRun) now() sim.Time { return s.kern.Now() }
-
-func (s *shardRun) wakeAfter(n int, d sim.Time) sim.Time {
-	if d <= 0 {
-		panic(fmt.Sprintf("shard: wake delay %d must be positive", d))
-	}
-	st, v := s.eng.st, s.eng.part.Slot[n]
-	if st.timerSet[v] {
-		panic(fmt.Sprintf("shard: node %d already has a pending timer", n))
-	}
-	st.timerSet[v] = true
-	at := s.kern.Now() + d
-	// The timer is the node's owned event: a crash cancels it via
-	// CancelOwner (the crash event's low sequence number makes that
-	// deterministic), while depletion leaves it for the drain's liveness
-	// gate. The drain event stays unowned so a crash never unschedules
-	// an already-accumulated batch.
-	s.kern.AfterOwned(n, d, func() {
-		s.last = s.kern.Now()
-		st.timerSet[v] = false
-		if s.in.touch(v) {
-			s.kern.After(0, s.drain)
-		}
-	})
-	return at
-}
 
 // emit records a structured event for node (and optional peer >= 0),
 // stamped at the kernel's current time, as radio.Medium does: node and

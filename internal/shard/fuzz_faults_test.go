@@ -7,35 +7,17 @@ import (
 	"testing"
 
 	"wsnva/internal/cost"
-	"wsnva/internal/deploy"
 	"wsnva/internal/fault"
 	"wsnva/internal/field"
 	"wsnva/internal/geom"
 	"wsnva/internal/sim"
 )
 
-// runFuzzHazApp is runFuzzApp with a hazard tuple attached: the same
-// scripted-broadcast app, but run through a lossy channel and/or a
-// crash schedule and battery budget. Hazards are rebuilt from the
-// Config for every run — the loss stream carries mutable per-sender
-// RNG state, so sharing one channel across runs would skew the draws.
-func runFuzzHazApp(tb testing.TB, exec executor, nw *deploy.Network, plan [][]fuzzStep, cfg Config, shards, workers int) (*fuzzApp, runStats) {
-	tb.Helper()
-	hz, err := buildHazards(nw.N(), &cfg)
-	if err != nil {
-		tb.Fatalf("buildHazards: %v", err)
-	}
-	st := NewState(nw)
-	a := newFuzzApp(st, plan)
-	mk := func(int) app { return a }
-	return a, exec(nw, st, cost.NewUniform(), shards, workers, mk, hz)
-}
-
 // decodeLoss pulls a loss model out of the first three fuzz bytes:
 // byte 0 selects Bernoulli vs Gilbert–Elliott, bytes 1-2 set the
 // Bernoulli probability (clamped under 1) and the RNG seed. The rest of
 // the data is the broadcast plan.
-func decodeLoss(data []byte) (Config, []byte, bool) {
+func decodeLoss(data []byte, n int) (Config, [][]fuzzStep, bool) {
 	if len(data) < 3 {
 		return Config{}, nil, false
 	}
@@ -45,7 +27,21 @@ func decodeLoss(data []byte) (Config, []byte, bool) {
 	} else {
 		cfg.Burst = fault.DefaultBurst()
 	}
-	return cfg, data[3:], true
+	return cfg, decodePlan(data[3:], n), true
+}
+
+// lossyTarget is FuzzLossyWindowBoundary's.
+var lossyTarget = fuzzTarget{
+	seeds: [][]byte{
+		{0, 20, 7, 0, 1, 1},
+		{1, 0, 3, 3, 0, 0, 3, 0, 4, 17, 7, 2},
+		{0, 80, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 5, 2, 3, 9, 0, 1, 23, 6, 4},
+		{1, 0, 9, 10, 0, 2, 10, 2, 2, 11, 0, 2, 12, 4, 1, 13, 1, 3, 22, 3, 2},
+		{0, 9, 4, 0, 0, 1, 0, 0, 2, 1, 0, 1, 1, 1, 1, 2, 0, 2, 2, 0, 3, 21, 2, 4, 21, 0, 1, 11, 3, 5, 11, 1, 2},
+		// FuzzWindowBoundary's wide-window seed at 10% loss.
+		{0, 9, 4, 1, 0, 1, 7, 0, 0, 1, 0, 0, 0, 0, 3, 0, 0, 3},
+	},
+	decode: decodeLoss,
 }
 
 // FuzzLossyWindowBoundary is FuzzWindowBoundary under a stochastic
@@ -56,50 +52,12 @@ func decodeLoss(data []byte) (Config, []byte, bool) {
 // exactly the same packets: the oracle and the engine at 1, 2, 4 and 8
 // shards must agree observation-for-observation, and every delivery that
 // does land must still respect send + TxLatency.
-func FuzzLossyWindowBoundary(f *testing.F) {
-	f.Add([]byte{0, 20, 7, 0, 1, 1})
-	f.Add([]byte{1, 0, 3, 3, 0, 0, 3, 0, 4, 17, 7, 2})
-	f.Add([]byte{0, 80, 1, 1, 1, 1, 1, 1, 1, 2, 1, 1, 5, 2, 3, 9, 0, 1, 23, 6, 4})
-	f.Add([]byte{1, 0, 9, 10, 0, 2, 10, 2, 2, 11, 0, 2, 12, 4, 1, 13, 1, 3, 22, 3, 2})
-
-	nw := fuzzNet(f)
-	model := cost.NewUniform()
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, rest, ok := decodeLoss(data)
-		if !ok {
-			return
-		}
-		plan := decodePlan(rest, nw.N())
-		oracle, ostats := runFuzzHazApp(t, oracleExecute, nw, plan, cfg, 1, 1)
-		checkTiming(t, nw, oracle, model)
-		for _, shards := range diffShards {
-			got, gstats := runFuzzHazApp(t, execute, nw, plan, cfg, shards, 2)
-			checkTiming(t, nw, got, model)
-			if !reflect.DeepEqual(got.sends, oracle.sends) ||
-				!reflect.DeepEqual(got.recvs, oracle.recvs) ||
-				!reflect.DeepEqual(got.wakes, oracle.wakes) {
-				t.Fatalf("shards=%d: lossy observations diverge from oracle", shards)
-			}
-			if gstats.completion != ostats.completion ||
-				gstats.delivered != ostats.delivered ||
-				gstats.sent != ostats.sent || gstats.dropped != ostats.dropped {
-				t.Fatalf("shards=%d: lossy stats diverge: %+v vs %+v", shards, gstats, ostats)
-			}
-			for i := 0; i < nw.N(); i++ {
-				if gstats.energy[i] != ostats.energy[i] {
-					t.Fatalf("shards=%d: node %d energy %d vs %d",
-						shards, i, gstats.energy[i], ostats.energy[i])
-				}
-			}
-		}
-	})
-}
+func FuzzLossyWindowBoundary(f *testing.F) { lossyTarget.run(f) }
 
 // decodeDeaths pulls a fail-stop hazard tuple out of the fuzz bytes:
 // byte 0 optionally arms a battery budget, then up to four (node, at)
 // crash pairs, and the remainder becomes the broadcast plan.
-func decodeDeaths(data []byte, n int) (Config, []byte, bool) {
+func decodeDeaths(data []byte, n int) (Config, [][]fuzzStep, bool) {
 	if len(data) < 1 {
 		return Config{}, nil, false
 	}
@@ -118,7 +76,21 @@ func decodeDeaths(data []byte, n int) (Config, []byte, bool) {
 		data = data[2:]
 	}
 	cfg.Crashes = fault.At(crashes...)
-	return cfg, data, true
+	return cfg, decodePlan(data, n), true
+}
+
+// deathTarget is FuzzMidRunDeath's.
+var deathTarget = fuzzTarget{
+	seeds: [][]byte{
+		{0, 5, 2, 0, 1, 1, 3, 0, 4},
+		{9, 1, 1, 1, 1, 1, 2, 1, 1, 5, 2, 3, 9, 0, 1, 23, 6, 4},
+		{0, 10, 8, 10, 9, 10, 0, 2, 10, 2, 2, 11, 0, 2, 12, 4, 1},
+		{17, 3, 4, 19, 12, 13, 1, 3, 22, 3, 2, 7, 7, 4},
+		{29, 1, 2, 21, 3, 14, 6, 22, 31, 0, 0, 1, 0, 0, 2, 1, 0, 1, 1, 1, 1, 2, 0, 2, 2, 0, 3, 21, 2, 4, 21, 0, 1, 11, 3, 5, 11, 1, 2},
+		// FuzzWindowBoundary's wide-window seed with crashes and depletion.
+		{29, 7, 3, 0, 16, 12, 2, 9, 5, 1, 0, 1, 7, 0, 0, 1, 0, 0, 0, 0, 3, 0, 0, 3},
+	},
+	decode: decodeDeaths,
 }
 
 // FuzzMidRunDeath probes the cross-shard death protocol: fuzz-chosen
@@ -127,45 +99,7 @@ func decodeDeaths(data []byte, n int) (Config, []byte, bool) {
 // Crashes silence a node immediately; depletions grant the dying gasp
 // for the rest of the instant. Either way, the engine at 1, 2, 4 and 8
 // shards must match the single-kernel oracle exactly.
-func FuzzMidRunDeath(f *testing.F) {
-	f.Add([]byte{0, 5, 2, 0, 1, 1, 3, 0, 4})
-	f.Add([]byte{9, 1, 1, 1, 1, 1, 2, 1, 1, 5, 2, 3, 9, 0, 1, 23, 6, 4})
-	f.Add([]byte{0, 10, 8, 10, 9, 10, 0, 2, 10, 2, 2, 11, 0, 2, 12, 4, 1})
-	f.Add([]byte{17, 3, 4, 19, 12, 13, 1, 3, 22, 3, 2, 7, 7, 4})
-
-	nw := fuzzNet(f)
-	model := cost.NewUniform()
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		cfg, rest, ok := decodeDeaths(data, nw.N())
-		if !ok {
-			return
-		}
-		plan := decodePlan(rest, nw.N())
-		oracle, ostats := runFuzzHazApp(t, oracleExecute, nw, plan, cfg, 1, 1)
-		checkTiming(t, nw, oracle, model)
-		for _, shards := range diffShards {
-			got, gstats := runFuzzHazApp(t, execute, nw, plan, cfg, shards, 2)
-			checkTiming(t, nw, got, model)
-			if !reflect.DeepEqual(got.sends, oracle.sends) ||
-				!reflect.DeepEqual(got.recvs, oracle.recvs) ||
-				!reflect.DeepEqual(got.wakes, oracle.wakes) {
-				t.Fatalf("shards=%d: observations diverge from oracle under deaths", shards)
-			}
-			if gstats.completion != ostats.completion ||
-				gstats.delivered != ostats.delivered ||
-				gstats.sent != ostats.sent || gstats.dropped != ostats.dropped {
-				t.Fatalf("shards=%d: stats diverge under deaths: %+v vs %+v", shards, gstats, ostats)
-			}
-			for i := 0; i < nw.N(); i++ {
-				if gstats.energy[i] != ostats.energy[i] {
-					t.Fatalf("shards=%d: node %d energy %d vs %d",
-						shards, i, gstats.energy[i], ostats.energy[i])
-				}
-			}
-		}
-	})
-}
+func FuzzMidRunDeath(f *testing.F) { deathTarget.run(f) }
 
 // TestShardFaultsRaceSmoke is the workload behind the race-shard-faults
 // Makefile target: real worker goroutines, a lossy channel, a crash

@@ -2,28 +2,27 @@ package shard
 
 import "slices"
 
-// inbox is one fabric's wake machinery: it holds every input of the
-// current instant — packet deliveries and expired timers — until the
-// fabric's single drain event for that instant wakes each receiving node
-// once.
+// inbox is one fabric's wake machinery: it holds every packet delivery
+// of the current instant until the fabric's single drain event for that
+// instant wakes each receiving node once.
 //
 // A transmission is one record and the run of its receivers' slots in
 // to, queued by one deliver call, so a delivery costs one slot lookup,
-// one 4-byte slot and one count increment. The counts and timer flags
-// live in State by slot, written only by the node's owner fabric; a node
-// is listed at its first input.
+// one 4-byte slot and one count increment. The counts live in State by
+// slot, written only by the node's owner fabric; a node is listed at its
+// first packet.
 //
-// One drain per instant sees every input: all inputs of instant t are
-// queued before any event at t fires (DESIGN.md §7), and the fabric
-// schedules the drain with After(0) at the instant's first input, so the
-// drain fires after all of them. No wake can reach its own instant
-// (latencies and timer delays are at least 1), so input arriving during
-// a drain is a bug and panics.
+// One drain per instant sees every packet: all deliveries of instant t
+// are queued before any event at t fires (DESIGN.md §7), and the fabric
+// schedules the drain with After(0) at the instant's first delivery, so
+// the drain fires after all of them. No wake can reach its own instant
+// (latencies are at least 1), so a delivery during a drain is a bug and
+// panics.
 type inbox struct {
 	st *State
-	// id maps a slot to its node ID and slot an ID to its slot
-	// (Partition.ID and Slot; the identity on the oracle).
-	id, slot []int32
+	// slot maps a node ID to its slot (Partition.Slot; the identity on
+	// the oracle).
+	slot []int32
 	// recs holds this instant's records; record r's receivers are
 	// to[start[r]:start[r+1]], the last record's ending at len(to).
 	recs  []Packet
@@ -56,31 +55,16 @@ func (ib *inbox) deliver(p Packet, ids []int32) bool {
 	ib.to = ib.to[:base+len(ids)]
 	run := ib.to[base:][:len(ids)] // len(ids) long, so run[k] needs no bounds check
 	first := len(ib.nodes) == 0
-	count, timer, slot := ib.st.count, ib.st.timerFired, ib.slot
+	count, slot := ib.st.count, ib.slot
 	for k, id := range ids {
 		n := slot[id]
 		run[k] = n
 		count[n]++
-		if count[n] == 1 && !timer[n] {
+		if count[n] == 1 {
 			ib.nodes = append(ib.nodes, uint64(id)<<32|uint64(n))
 		}
 	}
 	return first && len(ib.nodes) > 0
-}
-
-// touch records that slot n's timer expired at the current instant, which
-// happens at most once (wakeAfter keeps one timer a node); the result is
-// deliver's.
-func (ib *inbox) touch(n int32) bool {
-	if ib.draining {
-		panic("shard: timer during its instant's drain")
-	}
-	ib.st.timerFired[n] = true
-	if ib.st.count[n] != 0 {
-		return false
-	}
-	ib.nodes = append(ib.nodes, uint64(ib.id[n])<<32|uint64(n))
-	return len(ib.nodes) == 1
 }
 
 // drain wakes every listed node once, in ascending ID order. A counting
@@ -88,8 +72,7 @@ func (ib *inbox) touch(n int32) bool {
 // ID order, become offsets into order, and the records' runs scatter in
 // (From, Key) order, so every batch comes out sorted. Each node's one
 // liveness verdict goes to f.land with its batch; only a live node's
-// batch and timer flag go on to a.wake. The drained inbox keeps no
-// payload.
+// batch goes on to a.wake. The drained inbox keeps no payload.
 func (ib *inbox) drain(f fabric, a app) {
 	ib.draining = true
 	st := ib.st
@@ -122,12 +105,11 @@ func (ib *inbox) drain(f fabric, a app) {
 		end := st.count[n]
 		b := order[begin:end]
 		begin = end
-		timer := st.timerFired[n]
-		st.count[n], st.timerFired[n] = 0, false
+		st.count[n] = 0
 		live := st.liveAt(n, now)
 		f.land(n, ib.recs, b, live)
 		if live {
-			a.wake(f, int(v>>32), ib.recs, b, timer)
+			a.wake(f, int(v>>32), ib.recs, b)
 		}
 	}
 	clear(ib.recs)

@@ -19,10 +19,9 @@ type stillFab struct {
 	onLand func(v int32, batch []int32, live bool)
 }
 
-func (f *stillFab) now() sim.Time                            { return f.at }
-func (f *stillFab) broadcast(int, int64, int64) int          { panic("stillFab: broadcast") }
-func (f *stillFab) unicast(int, int, int64, int64, any) bool { panic("stillFab: unicast") }
-func (f *stillFab) wakeAfter(int, sim.Time) sim.Time         { panic("stillFab: wakeAfter") }
+func (f *stillFab) now() sim.Time                       { return f.at }
+func (f *stillFab) broadcast(int, int64, int64)         { panic("stillFab: broadcast") }
+func (f *stillFab) unicast(int, int, int64, int64, any) { panic("stillFab: unicast") }
 func (f *stillFab) land(v int32, _ []Packet, batch []int32, live bool) {
 	if f.onLand != nil {
 		f.onLand(v, batch, live)
@@ -31,9 +30,8 @@ func (f *stillFab) land(v int32, _ []Packet, batch []int32, live bool) {
 
 // wakeRec is one wake as the app saw it, its batch's packets copied.
 type wakeRec struct {
-	node  int
-	pkts  []Packet
-	timer bool
+	node int
+	pkts []Packet
 }
 
 // recApp records every wake; during, when set, runs inside each wake.
@@ -44,12 +42,12 @@ type recApp struct {
 
 func (a *recApp) start(fabric, int) {}
 
-func (a *recApp) wake(_ fabric, node int, recs []Packet, batch []int32, timer bool) {
+func (a *recApp) wake(_ fabric, node int, recs []Packet, batch []int32) {
 	pkts := make([]Packet, len(batch))
 	for i, r := range batch {
 		pkts[i] = recs[r]
 	}
-	a.wakes = append(a.wakes, wakeRec{node, pkts, timer})
+	a.wakes = append(a.wakes, wakeRec{node, pkts})
 	if a.during != nil {
 		a.during(node)
 	}
@@ -75,7 +73,7 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 			slot[node] = int32(v)
 		}
 		st := inboxState(n)
-		ib := &inbox{st: st, id: id, slot: slot}
+		ib := &inbox{st: st, slot: slot}
 		for round := 0; round < 20; round++ {
 			want := make(map[int][]Packet)
 			firsts := 0
@@ -107,8 +105,8 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 				// (From, Key) may repeat here, so compare in add order.
 				got := slices.Clone(w.pkts)
 				slices.SortFunc(got, func(x, y Packet) int { return x.Payload.(int) - y.Payload.(int) })
-				if !slices.Equal(got, want[w.node]) || w.timer {
-					t.Fatalf("round %d: node %d got %v (timer %v), want %v", round, w.node, got, w.timer, want[w.node])
+				if !slices.Equal(got, want[w.node]) {
+					t.Fatalf("round %d: node %d got %v, want %v", round, w.node, got, want[w.node])
 				}
 			}
 		}
@@ -117,8 +115,7 @@ func TestInboxWakesInIDOrderWithSortedBatches(t *testing.T) {
 
 // identityInbox is an inbox on st's nodes in the identity layout.
 func identityInbox(st *State) *inbox {
-	id := identity(len(st.Alive))
-	return &inbox{st: st, id: id, slot: id}
+	return &inbox{st: st, slot: identity(len(st.Alive))}
 }
 
 // shuffled is a random slot-to-ID map on n nodes.
@@ -128,45 +125,15 @@ func shuffled(n int, rng *rand.Rand) []int32 {
 	return id
 }
 
-// TestInboxTimerOnlyWake: a touch with no packet wakes the node with an
-// empty batch and the timer flag, and a touch on a node that also has
-// packets sets the flag on the same wake.
-func TestInboxTimerOnlyWake(t *testing.T) {
-	st := inboxState(4)
-	ib := identityInbox(st)
-	if !ib.touch(2) {
-		t.Fatal("first touch of the instant did not ask for a drain")
-	}
-	if ib.add(1, Packet{From: 0, Size: 1}) || ib.touch(1) {
-		t.Fatal("input after the instant's first asked for a second drain")
-	}
-	a := &recApp{}
-	ib.drain(&stillFab{}, a)
-	want := []wakeRec{{1, []Packet{{From: 0, Size: 1}}, true}, {2, []Packet{}, true}}
-	if len(a.wakes) != 2 {
-		t.Fatalf("wakes = %+v, want %+v", a.wakes, want)
-	}
-	for i, w := range a.wakes {
-		if w.node != want[i].node || w.timer != want[i].timer || !slices.Equal(w.pkts, want[i].pkts) {
-			t.Errorf("wake %d = %+v, want %+v", i, w, want[i])
-		}
-	}
-	if st.timerFired[1] || st.timerFired[2] {
-		t.Error("timer flags survived the drain")
-	}
-}
-
 // TestInboxDeadNodeLosesInput: a node that is no longer live at the
-// drain (a late timer after its dying gasp) is not woken, and land is
-// told so with its whole batch.
+// drain is not woken, and land is told so with its whole batch.
 func TestInboxDeadNodeLosesInput(t *testing.T) {
 	st := inboxState(3)
 	st.Alive[1] = false
 	ib := identityInbox(st)
-	ib.touch(1)
 	ib.add(1, Packet{From: 0, Size: 1})
+	ib.add(2, Packet{From: 0, Size: 1})
 	ib.add(1, Packet{From: 2, Size: 1})
-	ib.touch(2)
 	a := &recApp{}
 	gated := map[int32]int{}
 	ib.drain(&stillFab{at: 7, onLand: func(v int32, batch []int32, live bool) {
@@ -178,10 +145,10 @@ func TestInboxDeadNodeLosesInput(t *testing.T) {
 	if len(a.wakes) != 1 || a.wakes[0].node != 2 {
 		t.Fatalf("wakes = %+v, want node 2 only", a.wakes)
 	}
-	if gated[1] != 2 || gated[2] != 0 {
-		t.Errorf("landed batches %v, want two packets at slot 1 and none at slot 2", gated)
+	if gated[1] != 2 || gated[2] != 1 {
+		t.Errorf("landed batches %v, want two packets at slot 1 and one at slot 2", gated)
 	}
-	if st.count[1] != 0 || st.timerFired[1] {
+	if st.count[1] != 0 {
 		t.Error("dead node's input survived the drain")
 	}
 }
@@ -258,7 +225,7 @@ func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 			cap(ib.keys), cap(ib.recs), cap(ib.order), cap(ib.to))
 	}
 	for v := 0; v < 8; v++ {
-		if st.count[v] != 0 || st.timerFired[v] {
+		if st.count[v] != 0 {
 			t.Fatalf("node %d keeps wake state after the drain", v)
 		}
 	}
@@ -267,8 +234,8 @@ func TestInboxDrainedHoldsNoPayload(t *testing.T) {
 // countApp counts wakes without allocating.
 type countApp struct{ wakes int }
 
-func (a *countApp) start(fabric, int)                         {}
-func (a *countApp) wake(fabric, int, []Packet, []int32, bool) { a.wakes++ }
+func (a *countApp) start(fabric, int)                   {}
+func (a *countApp) wake(fabric, int, []Packet, []int32) { a.wakes++ }
 
 // less orders packets by (From, Key), every wake batch's order.
 func less(a, b *Packet) bool {
@@ -317,7 +284,6 @@ func TestInboxCycleAllocatesNothing(t *testing.T) {
 			if sorted := slices.IsSortedFunc(ib.recs, comparePackets); sorted == reversed {
 				t.Fatalf("reversed %v: records in order %v", reversed, sorted)
 			}
-			ib.touch(3)
 			ib.drain(fab, a)
 		}
 	}
@@ -328,23 +294,20 @@ func TestInboxCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestInboxInputDuringDrainPanics: a wake cannot reach its own instant,
-// so an add or a touch from inside the drain is a bug, whether its node
-// has no input yet (node 1) or is listed but not yet woken (nodes 2 and
-// 3). The input comes from node 0's wake, the drain's first, and the
-// panic must be the inbox's own.
+// so a delivery from inside the drain is a bug, whether its node has no
+// input yet (node 1) or is listed but not yet woken (node 2). The input
+// comes from node 0's wake, the drain's first, and the panic must be the
+// inbox's own.
 func TestInboxInputDuringDrainPanics(t *testing.T) {
 	for name, input := range map[string]func(*inbox){
-		"add":                      func(ib *inbox) { ib.add(1, Packet{From: 0, Size: 1}) },
-		"touch":                    func(ib *inbox) { ib.touch(1) },
-		"add to a listed node":     func(ib *inbox) { ib.add(2, Packet{From: 0, Size: 1}) },
-		"touch of a listed node":   func(ib *inbox) { ib.touch(2) },
-		"add to a timer-only node": func(ib *inbox) { ib.add(3, Packet{From: 0, Size: 1}) },
+		"add":                  func(ib *inbox) { ib.add(1, Packet{From: 0, Size: 1}) },
+		"add to a listed node": func(ib *inbox) { ib.add(2, Packet{From: 0, Size: 1}) },
+		"deliver to both":      func(ib *inbox) { ib.deliver(Packet{From: 0, Size: 1}, []int32{1, 2}) },
 	} {
 		st := inboxState(4)
 		ib := identityInbox(st)
-		ib.touch(0)
+		ib.add(0, Packet{From: 3, Size: 1})
 		ib.add(2, Packet{From: 1, Size: 1})
-		ib.touch(3)
 		a := &recApp{during: func(node int) {
 			if node == 0 {
 				input(ib)

@@ -84,7 +84,7 @@ func (a *relayApp) start(f fabric, node int) {
 // wake handles the node's coalesced deliveries in batch order: summaries
 // addressed elsewhere are relayed one hop, the rest go to the node's
 // instance.
-func (a *relayApp) wake(_ fabric, node int, recs []Packet, batch []int32, _ bool) {
+func (a *relayApp) wake(_ fabric, node int, recs []Packet, batch []int32) {
 	h := a.run.h
 	me := h.Grid.CoordOf(node)
 	for _, r := range batch {

@@ -87,8 +87,7 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards) 
 		ch = hz.channel
 	}
 	med := radio.NewMedium(nw, kern, ledger, rand.New(rand.NewSource(1)), radio.Config{Channel: ch})
-	id := identity(nw.N())
-	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st, id: id, slot: id}}
+	f := &singleFab{med: med, st: st, hz: hz, in: inbox{st: st, slot: identity(nw.N())}}
 	f.drain = func() { f.in.drain(f, f.app) }
 	if hz.trace {
 		f.tracer = trace.New()
@@ -108,22 +107,16 @@ func newSingleFab(nw *deploy.Network, st *State, model *cost.Model, hz hazards) 
 }
 
 // kill is the oracle's fail-stop, shardRun.kill's twin: radio off (one
-// Death event unless the node already depleted), the SoA liveness mirror
-// and timer flag cleared, and every event the node owns cancelled.
+// Death event unless the node already depleted) and the SoA liveness
+// mirror cleared.
 func (f *singleFab) kill(node int) {
 	f.med.Kill(node)
 	f.st.Alive[node] = false
-	f.st.timerSet[node] = false
-	f.med.Kernel().CancelOwner(node)
 }
 
 // deplete is the oracle's battery death: instant-granularity radio
 // expiry (the medium keeps delivering events stamped at the death
-// instant) and the SoA liveness mirror. As in shardRun.deplete, the
-// node's pending timer is left in the queue — cancelling it would leak
-// the schedule-dependent order of the timer against the depleting
-// charge — so a same-instant timer still fires inside the gasp and any
-// later one dies at the drain's liveness gate.
+// instant) and the SoA liveness mirror.
 func (f *singleFab) deplete(node int) {
 	if !f.st.Alive[node] {
 		return
@@ -178,38 +171,18 @@ func (f *singleFab) run(a app) sim.Time {
 
 func (f *singleFab) now() sim.Time { return f.med.Kernel().Now() }
 
-func (f *singleFab) broadcast(from int, size, key int64) int {
+func (f *singleFab) broadcast(from int, size, key int64) {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
 	}
-	return f.med.Broadcast(from, size, key)
+	f.med.Broadcast(from, size, key)
 }
 
-func (f *singleFab) unicast(from, to int, size, key int64, payload any) bool {
+func (f *singleFab) unicast(from, to int, size, key int64, payload any) {
 	if size <= 0 {
 		panic(fmt.Sprintf("shard: packet size %d must be positive", size))
 	}
-	return f.med.Unicast(from, to, size, wirePkt{key: key, payload: payload})
-}
-
-func (f *singleFab) wakeAfter(n int, d sim.Time) sim.Time {
-	if d <= 0 {
-		panic(fmt.Sprintf("shard: wake delay %d must be positive", d))
-	}
-	if f.st.timerSet[n] {
-		panic(fmt.Sprintf("shard: node %d already has a pending timer", n))
-	}
-	f.st.timerSet[n] = true
-	kern := f.med.Kernel()
-	at := kern.Now() + d
-	// Owned, so a crash or depletion cancels it — matching the engine.
-	kern.AfterOwned(n, d, func() {
-		f.st.timerSet[n] = false
-		if f.in.touch(int32(n)) {
-			kern.After(0, f.drain)
-		}
-	})
-	return at
+	f.med.Unicast(from, to, size, wirePkt{key: key, payload: payload})
 }
 
 // land implements fabric: the medium has already gated, charged and
@@ -240,7 +213,7 @@ func (ib *inbox) add(n int32, p Packet) bool {
 	return ib.deliver(p, []int32{n})
 }
 
-// identity is the identity layout's slot-to-ID map on n nodes.
+// identity is the identity layout's ID-to-slot map on n nodes.
 func identity(n int) []int32 {
 	id := make([]int32, n)
 	for i := range id {

@@ -44,9 +44,9 @@ type Config struct {
 	// (duty-cycle sleep/wake; departures and arrivals are the same
 	// transition held longer). A suspended node neither sends nor
 	// receives — deliveries drop with "asleep receiver" — but keeps its
-	// state and timers and rejoins silently on resume. Events are
-	// pre-scheduled into each victim's owner shard exactly like Crashes,
-	// so the same schedule replays identically on every shard count.
+	// state and rejoins silently on resume. Events are pre-scheduled
+	// into each victim's owner shard exactly like Crashes, so the same
+	// schedule replays identically on every shard count.
 	Churn churn.Schedule
 
 	// Loss is the per-delivery Bernoulli drop probability in [0,1),

@@ -15,16 +15,14 @@ import (
 // to share across shard goroutines without locks. The test oracle runs
 // on the identity layout, slot = ID.
 type State struct {
-	N int
-
 	// Alive is the fail-stop gate (false = radio off), cleared by
 	// scheduled crashes and battery depletions; it never flips back.
 	Alive []bool
 
 	// Suspended is the reversible churn gate: true while a node's radio
 	// duty-cycles off. A suspended node neither sends nor receives but
-	// keeps its state and timers; Config.Churn toggles the flag on the
-	// node's owner shard. Only consulted for alive nodes — dead beats
+	// keeps its state; Config.Churn toggles the flag on the node's owner
+	// shard. Only consulted for alive nodes — dead beats
 	// asleep, exactly as in radio.Medium.
 	Suspended []bool
 
@@ -35,28 +33,21 @@ type State struct {
 	// at its crash instant already.
 	GaspUntil []sim.Time
 
-	// Per-node wake state, written only by the node's owner fabric:
-	// count is the number of packets the node has in its fabric's inbox
-	// at the current instant (the drain borrows it as the node's offset),
-	// timerSet guards the one outstanding timer, and timerFired flags a
-	// timer that expired at the current instant. A node with a nonzero
-	// count or a fired timer is listed for the instant's drain.
-	count      []int32
-	timerSet   []bool
-	timerFired []bool
+	// count is a node's wake state, written only by its owner fabric:
+	// the number of packets the node has in its fabric's inbox at the
+	// current instant (the drain borrows it as the node's offset). A node
+	// with a nonzero count is listed for the instant's drain.
+	count []int32
 }
 
 // NewState builds the SoA layout for a deployment, all nodes alive.
 func NewState(nw *deploy.Network) *State {
 	n := nw.N()
 	st := &State{
-		N:          n,
-		Alive:      make([]bool, n),
-		Suspended:  make([]bool, n),
-		GaspUntil:  make([]sim.Time, n),
-		count:      make([]int32, n),
-		timerSet:   make([]bool, n),
-		timerFired: make([]bool, n),
+		Alive:     make([]bool, n),
+		Suspended: make([]bool, n),
+		GaspUntil: make([]sim.Time, n),
+		count:     make([]int32, n),
 	}
 	for i := 0; i < n; i++ {
 		st.Alive[i] = true
